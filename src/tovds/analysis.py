@@ -367,7 +367,6 @@ def regime_sweep(
         raise ValueError("sweep grids must lie within [0, 1]")
     if eos is None:
         eos = EosSpec(A=1.0, gamma=gamma)
-    eos._tables  # build the transform tables once, before any fork
 
     tasks = [(float(a), float(b), eos, ctrl, R_max) for a in alpha_grid for b in beta_grid]
     if jobs > 1:

@@ -12,10 +12,19 @@ boundary.  Three derived correction functions express the state through u:
 with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u is a quadrature of
 Omega; Omega_rho and Omega_P need the inverse map eta -> zeta, obtained by a
 bracketed Newton search.  All three equal 1 at argument 0.
+
+That direct path is slow, so ODE right-hand sides call omega_rho_P_fast.  For
+the pure polytrope (OmegaOne) it evaluates the closed form
+Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, on any eta.  For a series
+Omega it evaluates piecewise Chebyshev interpolants on a fixed grid over
+[-0.98 delta_omega, eta_max]; each piece is fitted to the direct path the
+first time an eta lands in it, so a star pays only for the pieces it visits.
+Outside the grid it falls back to the direct path.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,6 +34,8 @@ from numpy.polynomial import polynomial as npoly
 from scipy import integrate as _quadlib
 
 from .errors import EosDomainError, NonPhysicalEosError, QuadratureError, RootFindError
+
+_log = logging.getLogger("tovds")
 
 __all__ = [
     "OmegaOne",
@@ -107,17 +118,34 @@ def _quad(f, a: float, b: float) -> float:
 _TAB_DEG = 12
 _TAB_PIECES_MIN = 24
 _TAB_PIECES_PER_UNIT = 6.0
+# Chebyshev points of the first kind in the scaled piece variable
+_TAB_NODES = np.cos(np.pi * (2.0 * np.arange(_TAB_DEG + 1) + 1.0) / (2.0 * (_TAB_DEG + 1)))
 
 
-@dataclass(frozen=True)
 class _OmegaTables:
-    lo: float
-    hi: float
-    n: int
-    mids: tuple          # (n,) piece midpoints
-    inv_halfw: float
-    coef_rho: tuple      # n tuples of (deg+1) floats, lowest degree first
-    coef_P: tuple
+    """Piece grid over [lo, hi]; pieces[i] is None until an eta first lands in it,
+    then (coef_rho, coef_P), each deg+1 floats, lowest degree first."""
+
+    def __init__(self, lo: float, hi: float):
+        n = max(_TAB_PIECES_MIN, int(math.ceil((hi - lo) * _TAB_PIECES_PER_UNIT)))
+        edges = np.linspace(lo, hi, n + 1)
+        self.lo = float(lo)
+        self.hi = float(hi)
+        self.n = n
+        self.mids = tuple(float(m) for m in 0.5 * (edges[:-1] + edges[1:]))
+        self.halfw = float(0.5 * (edges[1] - edges[0]))
+        self.inv_halfw = 1.0 / self.halfw
+        self.pieces = [None] * n
+
+    def build(self, i: int, omega_rho_P) -> tuple:
+        """Fit piece i to omega_rho_P at its nodes; depends on no other piece."""
+        etas = self.mids[i] + self.halfw * _TAB_NODES
+        vals = np.array([omega_rho_P(float(e)) for e in etas])
+        cr = npoly.polyfit(_TAB_NODES, vals[:, 0], _TAB_DEG)
+        cP = npoly.polyfit(_TAB_NODES, vals[:, 1], _TAB_DEG)
+        piece = (tuple(float(x) for x in cr), tuple(float(x) for x in cP))
+        self.pieces[i] = piece
+        return piece
 
 
 @dataclass(frozen=True)
@@ -133,7 +161,7 @@ class EosSpec:
     omega: object = field(default_factory=OmegaOne)
     delta_omega: float = 0.1
     c: float = 1.0
-    eta_max: float = 8.0  # ceiling of the precomputed fast-transform tables
+    eta_max: float = 8.0  # ceiling of the fast-path piece grid for a series Omega
 
     def __post_init__(self):
         if not (1.0 < self.gamma <= 2.0):
@@ -322,49 +350,38 @@ class EosSpec:
         omega_P = self.omega.value(zeta) * omu ** (-(self.mu + 1.0))
         return omega_rho, omega_P
 
-    # -- fast tabulated path (used inside ODE right-hand sides) --------------
+    # -- fast path (used inside ODE right-hand sides) ------------------------
 
     @cached_property
-    def _tables(self) -> _OmegaTables:
-        lo = -0.98 * self.delta_omega
-        hi = self.eta_max
-        n = max(_TAB_PIECES_MIN, int(math.ceil((hi - lo) * _TAB_PIECES_PER_UNIT)))
-        edges = np.linspace(lo, hi, n + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halfw = 0.5 * (edges[1] - edges[0])
-        # Chebyshev points of the first kind in the scaled piece variable
-        s_nodes = np.cos(np.pi * (2.0 * np.arange(_TAB_DEG + 1) + 1.0) / (2.0 * (_TAB_DEG + 1)))
-        coef_rho = []
-        coef_P = []
-        for mid in mids:
-            etas = mid + halfw * s_nodes
-            vals = np.array([self.omega_rho_P(float(e)) for e in etas])
-            cr = npoly.polyfit(s_nodes, vals[:, 0], _TAB_DEG)
-            cP = npoly.polyfit(s_nodes, vals[:, 1], _TAB_DEG)
-            coef_rho.append(tuple(float(x) for x in cr))
-            coef_P.append(tuple(float(x) for x in cP))
-        return _OmegaTables(
-            lo=float(lo),
-            hi=float(hi),
-            n=n,
-            mids=tuple(float(m) for m in mids),
-            inv_halfw=1.0 / float(halfw),
-            coef_rho=tuple(coef_rho),
-            coef_P=tuple(coef_P),
-        )
+    def _tables(self) -> _OmegaTables | None:
+        """The fast path's piece grid; None for OmegaOne, which has a closed form."""
+        if isinstance(self.omega, OmegaOne):
+            return None
+        return _OmegaTables(-0.98 * self.delta_omega, self.eta_max)
 
     def omega_rho_P_fast(self, eta: float) -> tuple:
-        """Tabulated (Omega_rho, Omega_P); falls back to the direct path
-        outside the table domain.  Reproduces the direct values to ~1e-13."""
+        """(Omega_rho, Omega_P) for ODE right-hand sides; reproduces the direct
+        values to ~1e-13.  Below -0.98 delta_omega, and above eta_max for a
+        series Omega, it falls back to the direct path."""
         tab = self._tables
+        if tab is None:
+            if eta < -0.98 * self.delta_omega:
+                return self.omega_rho_P(eta)
+            if eta == 0.0:
+                return 1.0, 1.0
+            k = (self.gamma - 1.0) / self.gamma  # zeta = expm1(k eta) when Omega == 1
+            omu = k * eta / math.expm1(k * eta)
+            omega_rho = omu ** (-self.mu)
+            return omega_rho, omega_rho / omu
         if eta < tab.lo or eta > tab.hi:
+            if eta > tab.hi:
+                _log.debug("eta = %r above eta_max = %r: direct Omega_rho/Omega_P path", eta, tab.hi)
             return self.omega_rho_P(eta)
         i = int((eta - tab.lo) * tab.inv_halfw * 0.5)
         if i >= tab.n:
             i = tab.n - 1
         s = (eta - tab.mids[i]) * tab.inv_halfw
-        cr = tab.coef_rho[i]
-        cP = tab.coef_P[i]
+        cr, cP = tab.pieces[i] or tab.build(i, self.omega_rho_P)
         vr = cr[_TAB_DEG]
         vP = cP[_TAB_DEG]
         for k in range(_TAB_DEG - 1, -1, -1):

@@ -116,12 +116,15 @@ def test_sweep_parallel_matches_serial(tmp_path):
         "alpha_grid": [1e-3, 1e-2],
         "beta_grid": [1e-3, 1e-2],
     }
-    out1 = tmp_path / "s1"
-    out2 = tmp_path / "s2"
-    path = write_config(tmp_path, cfg)
-    assert main(["sweep", "--config", path, "--out", str(out1)]) == 0
-    assert main(["sweep", "--config", path, "--out", str(out2), "--jobs", "2"]) == 0
-    assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
+    # the series Omega case has each worker process fit the table pieces it visits
+    series = {"type": "polytrope", "A": 1.0, "gamma": 1.5, "omega_coeffs": [1.0, 0.3, -0.1]}
+    for name, case in (("default", cfg), ("series", dict(cfg, eos=series))):
+        out1 = tmp_path / name / "s1"
+        out2 = tmp_path / name / "s2"
+        path = write_config(tmp_path, case, name=f"{name}.json")
+        assert main(["sweep", "--config", path, "--out", str(out1)]) == 0
+        assert main(["sweep", "--config", path, "--out", str(out2), "--jobs", "2"]) == 0
+        assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
 def test_lane_emden_table(tmp_path, capsys):

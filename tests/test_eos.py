@@ -1,5 +1,6 @@
 """Equation-of-state transforms against closed-form and quadrature oracles."""
 
+import logging
 import math
 
 import numpy as np
@@ -157,6 +158,47 @@ def test_fast_tables_match_direct():
         assert fP == pytest.approx(dP, rel=1e-12)
     # outside the table the direct path is used
     assert eos.omega_rho_P_fast(5.0) == eos.omega_rho_P(5.0)
+    # OmegaOne takes the closed form on any eta, with no table; eta = 12 lies
+    # past the default eta_max of 8
+    for gamma in (1.3, 1.5, 1.7, 2.0):
+        eos = EosSpec(A=1.0, gamma=gamma, c=1.0)
+        for eta in list(np.linspace(-0.09, 12.0, 41)) + [1e-9, -1e-9]:
+            fr, fP = eos.omega_rho_P_fast(float(eta))
+            dr, dP = eos.omega_rho_P(float(eta))
+            assert fr == pytest.approx(dr, rel=1e-13, abs=0.0)
+            assert fP == pytest.approx(dP, rel=1e-13, abs=0.0)
+        assert eos.omega_rho_P_fast(0.0) == (1.0, 1.0)
+        assert eos._tables is None
+        for eta in (-eos.delta_omega, -0.15):
+            with pytest.raises(EosDomainError):
+                eos.omega_rho_P_fast(eta)
+
+
+def test_fast_pieces_independent_of_access_order():
+    etas = [float(e) for e in np.random.default_rng(11).uniform(-0.09, 3.9, 80)]
+
+    def fresh():
+        return EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0)
+
+    forward, backward = fresh(), fresh()
+    fwd = [forward.omega_rho_P_fast(e) for e in etas]
+    bwd = [backward.omega_rho_P_fast(e) for e in reversed(etas)][::-1]
+    assert fwd == bwd
+    # one query fits one piece
+    one = fresh()
+    one.omega_rho_P_fast(0.5)
+    assert sum(p is not None for p in one._tables.pieces) == 1
+
+
+def test_fast_fallback_above_eta_max_is_logged(caplog):
+    eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0)
+    with caplog.at_level(logging.DEBUG, logger="tovds"):
+        eos.omega_rho_P_fast(1.0)
+        eos.omega_rho_P_fast(4.5)
+        eos.omega_rho_P_fast(5.0)
+    records = [r for r in caplog.records if r.name == "tovds"]
+    assert len(records) == 2
+    assert all(r.levelno == logging.DEBUG and "eta_max" in r.getMessage() for r in records)
 
 
 def test_dP_du_identity(eos15):

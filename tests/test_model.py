@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tovds.constants import SI, Constants
-from tovds.eos import EosSpec
+from tovds.eos import EosSpec, OmegaSeries
 from tovds.errors import AnalysisError
 from tovds.integrate import StepControl, integrate_adaptive
 from tovds.model import (
@@ -304,3 +304,16 @@ def test_profile_has_tail_samples_for_fit(star_m0):
     x = r_plus - profile.r
     in_window = (x >= 1e-6 * r_plus) & (x <= 1e-2 * r_plus)
     assert int(in_window.sum()) >= 50
+
+
+def test_series_omega_at_default_eta_max():
+    # 1 + zeta Omega(zeta) reaches 0 near eta = 5, below the default
+    # eta_max = 8; a star with u_c = 1e-3 never goes there and must solve
+    def solve(**kw):
+        eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), **kw)
+        return solve_star(ModelInput(eos=eos, u_c=1e-3, constants=GEOM))[1]
+
+    out, bounded = solve(), solve(eta_max=2.0)
+    assert out.kind == bounded.kind == MONOTONE_SHORT
+    assert out.boundary.r_plus == pytest.approx(bounded.boundary.r_plus, rel=1e-10, abs=0.0)
+    assert out.boundary.m_plus == pytest.approx(bounded.boundary.m_plus, rel=1e-10, abs=0.0)
