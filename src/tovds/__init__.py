@@ -16,7 +16,7 @@ from .eos import (
     fermi_eos,
     fermi_fit_eos,
 )
-from .integrate import DenseSolution, EventSpec, StepControl, integrate_adaptive, locate_event
+from .integrate import DenseSolution, EventSpec, StepControl, integrate_adaptive
 from .model import (
     BoundaryQuantities,
     ModelInput,

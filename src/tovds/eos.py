@@ -19,7 +19,8 @@ Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, on any eta.  For a series
 Omega it evaluates piecewise Chebyshev interpolants on a fixed grid over
 [-0.98 delta_omega, eta_max]; each piece is fitted to the direct path the
 first time an eta lands in it, so a star pays only for the pieces it visits.
-Outside the grid it falls back to the direct path.
+Outside the grid, and in a piece with a node outside the EOS domain, it falls
+back to the direct path.
 """
 
 from __future__ import annotations
@@ -120,11 +121,14 @@ _TAB_PIECES_MIN = 24
 _TAB_PIECES_PER_UNIT = 6.0
 # Chebyshev points of the first kind in the scaled piece variable
 _TAB_NODES = np.cos(np.pi * (2.0 * np.arange(_TAB_DEG + 1) + 1.0) / (2.0 * (_TAB_DEG + 1)))
+# marks a piece that cannot be fitted because a node lies outside the EOS domain
+_OFF_DOMAIN = object()
 
 
 class _OmegaTables:
     """Piece grid over [lo, hi]; pieces[i] is None until an eta first lands in it,
-    then (coef_rho, coef_P), each deg+1 floats, lowest degree first."""
+    then (coef_rho, coef_P), each deg+1 floats, lowest degree first, or
+    _OFF_DOMAIN when a node of the piece lies outside the EOS domain."""
 
     def __init__(self, lo: float, hi: float):
         n = max(_TAB_PIECES_MIN, int(math.ceil((hi - lo) * _TAB_PIECES_PER_UNIT)))
@@ -140,7 +144,11 @@ class _OmegaTables:
     def build(self, i: int, omega_rho_P) -> tuple:
         """Fit piece i to omega_rho_P at its nodes; depends on no other piece."""
         etas = self.mids[i] + self.halfw * _TAB_NODES
-        vals = np.array([omega_rho_P(float(e)) for e in etas])
+        try:
+            vals = np.array([omega_rho_P(float(e)) for e in etas])
+        except EosDomainError:
+            self.pieces[i] = _OFF_DOMAIN
+            return _OFF_DOMAIN
         cr = npoly.polyfit(_TAB_NODES, vals[:, 0], _TAB_DEG)
         cP = npoly.polyfit(_TAB_NODES, vals[:, 1], _TAB_DEG)
         piece = (tuple(float(x) for x in cr), tuple(float(x) for x in cP))
@@ -177,15 +185,15 @@ class EosSpec:
 
     # -- derived constants -------------------------------------------------
 
-    @property
+    @cached_property
     def mu(self) -> float:
         return 1.0 / (self.gamma - 1.0)
 
-    @property
+    @cached_property
     def A1(self) -> float:
         return ((self.gamma - 1.0) / (self.gamma * self.A)) ** (1.0 / (self.gamma - 1.0))
 
-    @property
+    @cached_property
     def p_coeff(self) -> float:
         # A * A1^gamma simplifies exactly to (gamma-1)/gamma * A1
         return (self.gamma - 1.0) / self.gamma * self.A1
@@ -361,8 +369,9 @@ class EosSpec:
 
     def omega_rho_P_fast(self, eta: float) -> tuple:
         """(Omega_rho, Omega_P) for ODE right-hand sides; reproduces the direct
-        values to ~1e-13.  Below -0.98 delta_omega, and above eta_max for a
-        series Omega, it falls back to the direct path."""
+        values to ~1e-13.  Below -0.98 delta_omega, and for a series Omega above
+        eta_max or in a piece that leaves the EOS domain, it falls back to the
+        direct path."""
         tab = self._tables
         if tab is None:
             if eta < -0.98 * self.delta_omega:
@@ -381,7 +390,12 @@ class EosSpec:
         if i >= tab.n:
             i = tab.n - 1
         s = (eta - tab.mids[i]) * tab.inv_halfw
-        cr, cP = tab.pieces[i] or tab.build(i, self.omega_rho_P)
+        piece = tab.pieces[i] or tab.build(i, self.omega_rho_P)
+        if piece is _OFF_DOMAIN:
+            _log.debug("eta = %r in a table piece that leaves the EOS domain: "
+                       "direct Omega_rho/Omega_P path", eta)
+            return self.omega_rho_P(eta)
+        cr, cP = piece
         vr = cr[_TAB_DEG]
         vP = cP[_TAB_DEG]
         for k in range(_TAB_DEG - 1, -1, -1):

@@ -1,6 +1,8 @@
 """Right-hand sides and center germs of the stellar-structure systems.
 
-All functions are pure.  State conventions:
+All functions are pure.  Right-hand sides take the state y as any sequence of
+two floats (the integrator passes a list) and return the slopes as a tuple of
+two floats.  State conventions:
 
     physical pressure form   y = (m, P),   x = r
     physical enthalpy form   y = (m, u),   x = r
@@ -64,26 +66,26 @@ def _check_kappa(kap: float, r: float) -> None:
         raise KappaNonPositiveError(f"kappa = {kap:g} <= 0 at r = {r:g} (horizon contact)")
 
 
-def rhs_tovds_pressure(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -> np.ndarray:
+def rhs_tovds_pressure(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -> tuple:
     """(dm/dr, dP/dr) of the pressure-form system."""
-    m, P = float(y[0]), float(y[1])
+    m, P = y
     rho = eos.density_of_pressure(P)
     kap = kappa(r, m, Lambda, k)
     _check_kappa(kap, r)
     Q = q_factor(r, m, P, Lambda, k)
     dm = FOUR_PI * r * r * rho
     dP = -(rho + P / k.c2) * Q / (r * r * kap)
-    return np.array([dm, dP])
+    return dm, dP
 
 
-def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -> np.ndarray:
+def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -> tuple:
     """(dm/dr, du/dr) of the enthalpy-form system.
 
     The positive part u# = max(u, 0) enters through the powers mu and mu+1,
     both C^1 across u = 0 because mu > 1; Omega_rho and Omega_P are
     evaluated at the true eta = u/c^2.
     """
-    m, u = float(y[0]), float(y[1])
+    m, u = y
     eta = u / k.c2
     omega_rho, omega_P = eos.omega_rho_P_fast(eta)
     u_pos = u if u > 0.0 else 0.0
@@ -94,22 +96,22 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
     Q = q_factor(r, m, P, Lambda, k)
     dm = FOUR_PI * r * r * rho
     du = -Q / (r * r * kap)
-    return np.array([dm, du])
+    return dm, du
 
 
-def rhs_tov(r: float, y, eos: EosSpec, k: Constants) -> np.ndarray:
+def rhs_tov(r: float, y, eos: EosSpec, k: Constants) -> tuple:
     """Enthalpy-form system with Lambda = 0."""
     return rhs_tovds_enthalpy(r, y, 0.0, eos, k)
 
 
 def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec,
-               enforce_ceiling: bool = True) -> np.ndarray:
+               enforce_ceiling: bool = True) -> tuple:
     """(dM/dR, dU/dR) of the homology-scaled system.
 
     At alpha = beta = 0 this reduces exactly (bitwise) to the Lane-Emden
     right-hand side with lambda = 0.
     """
-    M, U = float(y[0]), float(y[1])
+    M, U = y
     if enforce_ceiling and U >= U_CEILING:
         raise DomainCeilingError(f"scaled enthalpy U = {U:g} reached the domain ceiling {U_CEILING}")
     U_pos = U if U > 0.0 else 0.0
@@ -119,15 +121,16 @@ def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec,
     else:
         omega_rho, omega_P = eos.omega_rho_P_fast(alpha * U)
     g = eos.gamma
+    R3 = R**3
     dM = R * R * U_pos**eos.mu * omega_rho
-    num = M + (g - 1.0) / g * alpha * R**3 * U_pos ** (eos.mu + 1.0) * omega_P - beta * R**3 / 3.0
+    num = M + (g - 1.0) / g * alpha * R3 * U_pos ** (eos.mu + 1.0) * omega_P - beta * R3 / 3.0
     kap = kappa_scaled(R, M, alpha, beta)
     _check_kappa(kap, R)
     dU = -num / (R * R * kap)
-    return np.array([dM, dU])
+    return dM, dU
 
 
-def rhs_scaled_c(R: float, y, lam: float, c: float, eos: EosSpec) -> np.ndarray:
+def rhs_scaled_c(R: float, y, lam: float, c: float, eos: EosSpec) -> tuple:
     """Scaled system with the central enthalpy normalized to 1 and c explicit.
 
     Identical to rhs_scaled with alpha = 1/c^2 and beta = lam; as c -> inf it
@@ -136,13 +139,13 @@ def rhs_scaled_c(R: float, y, lam: float, c: float, eos: EosSpec) -> np.ndarray:
     return rhs_scaled(R, y, 1.0 / (c * c), lam, eos, enforce_ceiling=False)
 
 
-def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> np.ndarray:
+def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
     """(dM/dR, dU/dR) = (R^2 (U#)^mu, -(M - lam R^3/3)/R^2)."""
-    M, U = float(y[0]), float(y[1])
+    M, U = y
     U_pos = U if U > 0.0 else 0.0
     dM = R * R * U_pos**mu
     dU = -(M - lam * R**3 / 3.0) / (R * R)
-    return np.array([dM, dU])
+    return dM, dU
 
 
 # -- center germs -------------------------------------------------------------

@@ -201,6 +201,20 @@ def test_fast_fallback_above_eta_max_is_logged(caplog):
     assert all(r.levelno == logging.DEBUG and "eta_max" in r.getMessage() for r in records)
 
 
+def test_fast_piece_past_the_domain_edge_uses_direct_path(caplog):
+    # 1 + zeta Omega(zeta) reaches 0 near eta = 4.228; the piece holding
+    # eta = 4.207 has nodes past that edge, so it cannot be fitted
+    eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)))
+    with caplog.at_level(logging.DEBUG, logger="tovds"):
+        assert eos.omega_rho_P_fast(4.207) == eos.omega_rho_P(4.207)
+        assert eos.omega_rho_P_fast(4.2) == eos.omega_rho_P(4.2)
+    records = [r for r in caplog.records if r.name == "tovds"]
+    assert len(records) == 2
+    assert all("EOS domain" in r.getMessage() for r in records)
+    with pytest.raises(EosDomainError):
+        eos.omega_rho_P_fast(4.25)
+
+
 def test_dP_du_identity(eos15):
     # dP/du = rho + P/c^2, from u's definition
     for u in (0.05, 0.8, 2.0):

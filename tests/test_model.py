@@ -54,6 +54,14 @@ def test_monotone_short_and_radius(star_m0):
     assert abs(R_plus - XI1_MU2) / XI1_MU2 < 0.05
 
 
+def test_step_counts_of_reference_solves(star_m0, eos15):
+    # accepted steps and RHS calls of the DP5 step control on two fixed stars
+    profile, _ = star_m0
+    assert (profile.dense.n_steps, profile.dense.n_rhs) == (348, 2102)
+    star = solve_scaled(1e-3, 1e-3, eos15)
+    assert (star.dense.n_steps, star.dense.n_rhs) == (349, 2138)
+
+
 def test_profile_invariants(star_m0):
     profile, outcome = star_m0
     assert np.all(np.diff(profile.m) >= 0.0)

@@ -81,9 +81,9 @@ def test_rhs_c1_across_u_zero(eos15):
     # one-sided derivatives of the RHS with respect to u agree at u = 0
     r, m = 0.5, 1e-3
     eps = 1e-7
-    f0 = rhs_tovds_enthalpy(r, (m, 0.0), 1e-3, eos15, GEOM)
-    fp = rhs_tovds_enthalpy(r, (m, eps), 1e-3, eos15, GEOM)
-    fm = rhs_tovds_enthalpy(r, (m, -eps), 1e-3, eos15, GEOM)
+    f0 = np.asarray(rhs_tovds_enthalpy(r, (m, 0.0), 1e-3, eos15, GEOM))
+    fp = np.asarray(rhs_tovds_enthalpy(r, (m, eps), 1e-3, eos15, GEOM))
+    fm = np.asarray(rhs_tovds_enthalpy(r, (m, -eps), 1e-3, eos15, GEOM))
     right = (fp - f0) / eps
     left = (f0 - fm) / eps
     assert np.all(np.abs(right - left) < 1e-6)
@@ -175,12 +175,12 @@ def test_rhs_scaled_c_limit_cases():
     eos2 = EosSpec(A=1.0, gamma=2.0, c=1.0)  # mu = 1
     lam = 0.75
     for R, M, U in ((1.0, 0.2, 0.8), (3.0, 2.0, 0.5)):
-        big_c = rhs_scaled_c(R, (M, U), lam, 1e6, eos2)
-        limit = rhs_lane_emden(R, (M, U), 1.0, lam)
+        big_c = np.asarray(rhs_scaled_c(R, (M, U), lam, 1e6, eos2))
+        limit = np.asarray(rhs_lane_emden(R, (M, U), 1.0, lam))
         assert np.all(np.abs(big_c - limit) < 1e-5 * np.maximum(np.abs(limit), 1.0))
     # lam = 0 and c -> inf: classical limit
-    a = rhs_scaled_c(1.3, (0.4, 0.6), 0.0, 1e8, eos2)
-    b = rhs_lane_emden(1.3, (0.4, 0.6), 1.0, 0.0)
+    a = np.asarray(rhs_scaled_c(1.3, (0.4, 0.6), 0.0, 1e8, eos2))
+    b = np.asarray(rhs_lane_emden(1.3, (0.4, 0.6), 1.0, 0.0))
     assert np.all(np.abs(a - b) < 1e-10)
     # balance point M = lam R^3/3 makes dU/dR vanish in the limit
     R = 2.0
