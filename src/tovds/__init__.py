@@ -12,7 +12,6 @@ from .eos import (
     FermiEosParams,
     OmegaOne,
     OmegaSeries,
-    ThermoState,
     fermi_eos,
     fermi_fit_eos,
 )

@@ -35,10 +35,9 @@ from .model import (
     MONOTONE_SHORT,
     UNTERMINATED,
     ModelInput,
-    boundary_quantities,
     solve_star,
 )
-from .odecore import FOUR_PI, ScalingParams
+from .odecore import FOUR_PI
 
 __all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
 

@@ -8,7 +8,6 @@ plane.
 
 from __future__ import annotations
 
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .model import (
     solve_scaled,
     solve_star,
 )
-from .odecore import ScalingParams, center_germ_scaled, rhs_lane_emden, scaled_germ_u_coeff
+from .odecore import rhs_lane_emden
 
 __all__ = [
     "lane_emden_first_zero",

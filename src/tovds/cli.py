@@ -13,23 +13,12 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import acceptance
 from .analysis import lane_emden_first_zero, regime_sweep
-from .config import (
-    _check_keys,
-    _num,
-    build_constants,
-    build_ctrl,
-    build_eos,
-    build_model_input,
-    load_json,
-)
+from .config import build_lane_emden, build_model_input, build_sweep, load_json
 from .errors import ConfigError, TovdsError
-from .integrate import StepControl
 from .metric import MetricPatch, continuity_report
-from .model import MONOTONE_SHORT, boundary_quantities, solve_star
+from .model import MONOTONE_SHORT, solve_star
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -106,44 +95,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_json(args.config)
-    _check_keys(cfg, {"gamma", "eos", "units", "constants", "alpha_grid", "beta_grid",
-                      "ctrl", "R_max"}, "config")
-    k = build_constants(cfg, args.units)
-    gamma = _num(cfg, "gamma", "config", required=True)
-    if "eos" in cfg:
-        eos = build_eos(cfg, k)
-    else:
-        eos = None
-
-    def grid(key):
-        if key not in cfg:
-            raise ConfigError(f"missing required '{key}'")
-        block = cfg[key]
-        if isinstance(block, list):
-            return np.asarray([float(v) for v in block])
-        if not isinstance(block, dict):
-            raise ConfigError(f"'{key}' must be a list or an object")
-        _check_keys(block, {"start", "stop", "num", "spacing"}, key)
-        start = _num(block, "start", key, required=True, nonnegative=True)
-        stop = _num(block, "stop", key, required=True, nonnegative=True)
-        num = block.get("num", 10)
-        if not isinstance(num, int) or num < 1:
-            raise ConfigError(f"'num' in {key} must be a positive integer")
-        spacing = block.get("spacing", "log")
-        if spacing == "log":
-            if start <= 0.0:
-                raise ConfigError(f"log spacing in {key} needs start > 0")
-            return np.logspace(math.log10(start), math.log10(stop), num)
-        if spacing == "lin":
-            return np.linspace(start, stop, num)
-        raise ConfigError(f"'spacing' in {key} must be 'log' or 'lin'")
-
-    ctrl = build_ctrl(cfg, default=StepControl(rel_tol=1e-9, abs_tol=1e-12))
-    result = regime_sweep(
-        gamma, grid("alpha_grid"), grid("beta_grid"), eos=eos, ctrl=ctrl,
-        R_max=_num(cfg, "R_max", "config", default=50.0, positive=True),
-        jobs=args.jobs,
-    )
+    result = regime_sweep(**build_sweep(cfg, args.units), jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     result.to_csv(os.path.join(args.out, "sweep.csv"))
     _write_json(os.path.join(args.out, "sweep.json"), result.to_json_dict())
@@ -177,20 +129,12 @@ def cmd_metric(args) -> int:
 
 
 def cmd_lane_emden(args) -> int:
-    cfg = load_json(args.config)
-    _check_keys(cfg, {"mu", "lambda", "R_cap"}, "config")
-    mus = cfg.get("mu")
-    if isinstance(mus, (int, float)) and not isinstance(mus, bool):
-        mus = [float(mus)]
-    if not isinstance(mus, list) or not mus:
-        raise ConfigError("'mu' must be a number or a nonempty list")
-    lam = _num(cfg, "lambda", "config", default=0.0, nonnegative=True)
-    R_cap = _num(cfg, "R_cap", "config", default=100.0, positive=True)
+    mus, lam, R_cap = build_lane_emden(load_json(args.config))
     os.makedirs(args.out, exist_ok=True)
     rows = []
     for mu in mus:
-        xi1 = lane_emden_first_zero(float(mu), lam, R_cap=R_cap)
-        rows.append({"mu": float(mu), "lambda": lam, "xi1": xi1})
+        xi1 = lane_emden_first_zero(mu, lam, R_cap=R_cap)
+        rows.append({"mu": mu, "lambda": lam, "xi1": xi1})
         xi_str = "none (no zero; turns around above 0)" if xi1 is None else repr(xi1)
         print(f"mu = {mu:<8g} lambda = {lam:<8g} xi1 = {xi_str}")
     if args.format == "csv":

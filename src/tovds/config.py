@@ -7,6 +7,9 @@ so typos fail fast with exit code 2.
 from __future__ import annotations
 
 import json
+import math
+
+import numpy as np
 
 from .constants import UNIT_SYSTEMS, Constants
 from .eos import EosSpec, FermiEosParams, OmegaOne, OmegaSeries, fermi_fit_eos
@@ -14,7 +17,8 @@ from .errors import ConfigError
 from .integrate import StepControl
 from .model import ModelInput
 
-__all__ = ["load_json", "build_constants", "build_eos", "build_ctrl", "build_model_input"]
+__all__ = ["load_json", "build_constants", "build_eos", "build_ctrl", "build_model_input",
+           "build_sweep", "build_lane_emden"]
 
 
 def load_json(path) -> dict:
@@ -36,6 +40,11 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _is_num(val) -> bool:
+    """A JSON number; booleans are not numbers here."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _num(obj: dict, key: str, where: str, required: bool = False, default=None,
          positive: bool = False, nonnegative: bool = False):
     if key not in obj:
@@ -43,7 +52,7 @@ def _num(obj: dict, key: str, where: str, required: bool = False, default=None,
             raise ConfigError(f"missing required key '{key}' in {where}")
         return default
     val = obj[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
+    if not _is_num(val):
         raise ConfigError(f"'{key}' in {where} must be a number")
     val = float(val)
     if positive and not val > 0.0:
@@ -166,3 +175,64 @@ def build_model_input(cfg: dict, units_flag: str | None = None) -> ModelInput:
     rho_center = inp.rho_c if inp.rho_c is not None else eos.density_of_u(inp.u_c)
     eos.validate_range(1e-6 * rho_center, rho_center)
     return inp
+
+
+def _grid(cfg: dict, key: str) -> np.ndarray:
+    """A sweep grid: a nonempty list of numbers, or start/stop/num/spacing;
+    every value must lie in [0, 1]."""
+    if key not in cfg:
+        raise ConfigError(f"missing required '{key}'")
+    block = cfg[key]
+    if isinstance(block, list):
+        if not block or not all(_is_num(v) for v in block):
+            raise ConfigError(f"'{key}' must be a nonempty list of numbers")
+        values = np.asarray(block, dtype=float)
+    elif isinstance(block, dict):
+        _check_keys(block, {"start", "stop", "num", "spacing"}, key)
+        start = _num(block, "start", key, required=True, nonnegative=True)
+        stop = _num(block, "stop", key, required=True, nonnegative=True)
+        num = block.get("num", 10)
+        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
+            raise ConfigError(f"'num' in {key} must be a positive integer")
+        spacing = block.get("spacing", "log")
+        if spacing == "log":
+            if start <= 0.0:
+                raise ConfigError(f"log spacing in {key} needs start > 0")
+            values = np.logspace(math.log10(start), math.log10(stop), num)
+        elif spacing == "lin":
+            values = np.linspace(start, stop, num)
+        else:
+            raise ConfigError(f"'spacing' in {key} must be 'log' or 'lin'")
+    else:
+        raise ConfigError(f"'{key}' must be a list or an object")
+    if not np.all((values >= 0.0) & (values <= 1.0)):
+        raise ConfigError(f"'{key}' values must lie within [0, 1]")
+    return values
+
+
+def build_sweep(cfg: dict, units_flag: str | None = None) -> dict:
+    """Keyword arguments of analysis.regime_sweep from a sweep config."""
+    _check_keys(cfg, {"gamma", "eos", "units", "constants", "alpha_grid", "beta_grid",
+                      "ctrl", "R_max"}, "config")
+    k = build_constants(cfg, units_flag)
+    return dict(
+        gamma=_num(cfg, "gamma", "config", required=True),
+        eos=build_eos(cfg, k) if "eos" in cfg else None,
+        alpha_grid=_grid(cfg, "alpha_grid"),
+        beta_grid=_grid(cfg, "beta_grid"),
+        ctrl=build_ctrl(cfg, default=StepControl(rel_tol=1e-9, abs_tol=1e-12)),
+        R_max=_num(cfg, "R_max", "config", default=50.0, positive=True),
+    )
+
+
+def build_lane_emden(cfg: dict) -> tuple:
+    """(mus, lam, R_cap) of a lane-emden config; mu is a number or a list."""
+    _check_keys(cfg, {"mu", "lambda", "R_cap"}, "config")
+    mus = cfg.get("mu")
+    if _is_num(mus):
+        mus = [mus]
+    if not isinstance(mus, list) or not mus or not all(_is_num(mu) for mu in mus):
+        raise ConfigError("'mu' must be a number or a nonempty list of numbers")
+    lam = _num(cfg, "lambda", "config", default=0.0, nonnegative=True)
+    R_cap = _num(cfg, "R_cap", "config", default=100.0, positive=True)
+    return [float(mu) for mu in mus], lam, R_cap

@@ -42,7 +42,6 @@ __all__ = [
     "OmegaOne",
     "OmegaSeries",
     "EosSpec",
-    "ThermoState",
     "FermiEosParams",
     "fermi_eos",
     "fermi_fit_eos",
@@ -90,17 +89,6 @@ class OmegaSeries:
 
     def deriv2(self, zeta: float) -> float:
         return float(npoly.polyval(zeta, npoly.polyder(self.coeffs, 2)))
-
-
-@dataclass(frozen=True)
-class ThermoState:
-    """One thermodynamic state expressed in every variable used here."""
-
-    rho: float
-    P: float
-    u: float
-    zeta: float  # A rho^(gamma-1) / c^2
-    eta: float   # u / c^2
 
 
 def _quad(f, a: float, b: float) -> float:
@@ -418,47 +406,6 @@ class EosSpec:
             return 0.0
         _, omega_P = self.omega_rho_P_fast(u / self.c2)
         return self.p_coeff * u ** (self.mu + 1.0) * omega_P
-
-    def density_of_pressure(self, P: float) -> float:
-        """Invert P(rho) by bracketed Newton on the uncorrected polytrope seed."""
-        if P <= 0.0:
-            return 0.0
-        rho = (P / self.A) ** (1.0 / self.gamma)
-        lo, hi = 0.0, 0.0
-        for _ in range(200):
-            f = self._pressure_raw(rho) - P
-            if f == 0.0:
-                break
-            if f < 0.0:
-                lo = rho
-                if hi == 0.0:
-                    cand = rho * 2.0
-                else:
-                    cand = rho - f / self._dpdrho_raw(rho)
-            else:
-                hi = rho
-                cand = rho - f / self._dpdrho_raw(rho)
-            if hi > 0.0 and not (lo < cand < hi):
-                cand = 0.5 * (lo + hi)
-            if abs(cand - rho) <= 1e-15 * max(abs(cand), 1e-300):
-                rho = cand
-                break
-            rho = cand
-        else:
-            raise RootFindError(f"density_of_pressure did not converge for P = {P:g}")
-        # final admissibility check at the found state
-        self.pressure_of_density(rho)
-        return rho
-
-    def thermo_of_density(self, rho: float) -> ThermoState:
-        u = self.u_of_density(rho)
-        return ThermoState(
-            rho=rho,
-            P=self._pressure_raw(rho) if rho > 0.0 else 0.0,
-            u=u,
-            zeta=self.zeta_of_density(rho) if rho > 0.0 else 0.0,
-            eta=u / self.c2,
-        )
 
 
 # -- relativistic zero-temperature Fermi gas ---------------------------------

@@ -42,12 +42,8 @@ class KappaNonPositiveError(DomainSignalError):
     """kappa(r, m) <= 0: horizon contact inside an ODE right-hand side."""
 
 
-class DomainCeilingError(DomainSignalError):
-    """Scaled enthalpy left the admissible window (U >= 2)."""
-
-
 class ModelError(TovdsError):
-    """Solver failure; carries the partial profile when one exists."""
+    """Solver failure; carries the partial solution when one exists."""
 
     def __init__(self, message, profile=None):
         super().__init__(message)

@@ -11,11 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .constants import Constants
 from .errors import ModelError, TovdsError
-from .model import MONOTONE_SHORT, BoundaryQuantities, SolutionProfile, boundary_quantities
+from .model import BoundaryQuantities, SolutionProfile, _one_sided_derivatives, boundary_quantities
 from .odecore import kappa
 
 __all__ = [
@@ -198,32 +196,6 @@ class MetricReport:
 
     def to_json_dict(self) -> dict:
         return {"rows": [r.to_json_dict() for r in self.rows], "pass": self.passed}
-
-
-def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int = 4) -> tuple:
-    """(f, f', f'') at x0 from the side sign*h > 0, Richardson-extrapolated.
-
-    First derivative from one-sided differences, second from the three-point
-    one-sided stencil; both error series run in integer powers of h, removed
-    over `levels` halvings.
-    """
-    f0 = f(x0)
-    d1 = []
-    d2 = []
-    for lv in range(levels):
-        h = h0 / 2**lv
-        f1 = f(x0 + sign * h)
-        f2 = f(x0 + 2.0 * sign * h)
-        d1.append((f1 - f0) / (sign * h))
-        d2.append((f2 - 2.0 * f1 + f0) / (h * h))
-    for table in (d1, d2):
-        n = len(table)
-        fac = 2.0
-        for col in range(1, n):
-            for i in range(n - 1, col - 1, -1):
-                table[i] = (fac * table[i] - table[i - 1]) / (fac - 1.0)
-            fac *= 2.0
-    return f0, d1[-1], d2[-1]
 
 
 def _rel_err(value: float, target: float) -> float:

@@ -1,15 +1,20 @@
 """Stellar models: germ prolongation, outcome classification, boundary data.
 
-A model is integrated in the enthalpy form (m, u) from the center germ with
-three guards: u falling through zero (vacuum boundary, terminal), kappa
-falling through kappa_min (horizon contact, terminal), and du/dr rising
-through a small positive floor (monotonicity loss, recorded).  The outcome is
-one of four tags:
+Every star is solved in the homology-scaled variables (M, U) of R = r/a, in
+which a star's shape depends only on alpha = u_c/c^2 and the scaled
+cosmological constant beta.  One private core integrates the scaled system
+from its center germ with three guards: U falling through zero (vacuum
+boundary, terminal), kappa falling through kappa_min (horizon contact,
+terminal), and dU/dR rising through a small positive floor (monotonicity
+loss, recorded).  solve_scaled returns its result as is; solve_star maps the
+solution back to (r, m, u) through ScalingParams and adds the physical
+profile, boundary data and diagnostics.  The outcome is one of four tags:
 
     MonotoneShort      u -> 0 at finite radius with kappa_+ > 0, Q_+ > 0 and
                        du/dr < 0 throughout
     NonMonotone        du/dr >= 0 somewhere before termination
-    HorizonDegenerate  kappa reached the horizon guard
+    HorizonDegenerate  kappa reached the horizon guard, or kappa_+ or Q_+ is
+                       not safely positive at the vacuum boundary
     Unterminated       the prolongation cap was reached with u > 0
 """
 
@@ -27,14 +32,11 @@ from .integrate import DenseSolution, EventSpec, StepControl, integrate_adaptive
 from .odecore import (
     FOUR_PI,
     ScalingParams,
-    center_germ_enthalpy,
     center_germ_scaled,
     kappa,
     kappa_scaled,
     q_factor,
     rhs_scaled,
-    rhs_tovds_enthalpy,
-    scaled_germ_u_coeff,
 )
 
 __all__ = [
@@ -191,10 +193,6 @@ class SolutionProfile:
         y = self.dense(r)
         return float(y[0]), float(y[1])
 
-    def row_at(self, r: float) -> dict:
-        m, u = self.state_at(r)
-        return _profile_row(r, m, u, self.Lambda, self.eos, self.constants)
-
     def write_csv(self, path, units_label: str = "geom") -> None:
         k = self.constants
         lines = [f"# units={units_label} c={k.c!r} G={k.G!r} Lambda={self.Lambda!r}"]
@@ -252,125 +250,178 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     )
 
 
-def _du_dr_scaled_guard(Lambda, eos, k, scaling):
-    """dU/dR recomputed from the right-hand side, for the monotonicity guard."""
-    ratio = scaling.a / scaling.b
+# -- the solve core ------------------------------------------------------------
 
-    def guard(r, y):
-        du = rhs_tovds_enthalpy(r, y, Lambda, eos, k)[1]
-        return du * ratio
+_FAILED = ("step_budget", "step_underflow", "domain_error")
 
-    return guard
+
+@dataclass
+class ScaledStar:
+    """Outcome of one homology-scaled solve."""
+
+    alpha: float
+    beta: float
+    kind: str
+    R_plus: float | None
+    M_plus: float | None
+    first_rise_R: float | None
+    initial_rise: bool
+    dense: DenseSolution
+
+
+def _solve_core(alpha, beta, eos, ctrl, R0, R_max, kappa_min, mono_eps) -> ScaledStar:
+    """Germ, guards, integration and outcome tag of one scaled star.
+
+    A failed integration raises ModelError carrying the partial
+    DenseSolution as its profile.
+    """
+    y0 = center_germ_scaled(alpha, beta, eos, R0)
+
+    def rhs(R, y):
+        return rhs_scaled(R, y, alpha, beta, eos)
+
+    def rise(R, y):
+        return rhs(R, y)[1] - mono_eps
+
+    events = [
+        EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True,
+                  root_tol=1e-12, name="vacuum"),
+        EventSpec(guard=lambda R, y: kappa_scaled(R, y[0], alpha, beta) - kappa_min,
+                  direction="falling", terminal=True, root_tol=1e-12, name="horizon"),
+        EventSpec(guard=rise, direction="rising", terminal=False,
+                  root_tol=1e-10, name="pressure_rise"),
+    ]
+    initial_rise = rise(R0, y0) >= 0.0
+
+    dense = integrate_adaptive(rhs, y0, (R0, R_max), ctrl, events=events)
+    if dense.status in _FAILED:
+        raise ModelError(f"solver failed: {dense.status}: {dense.message} (x is the scaled radius R)",
+                         profile=dense)
+
+    rises = [ev for ev in dense.events if ev.name == "pressure_rise"]
+    first_rise = R0 if initial_rise else (rises[0].x if rises else None)
+    vacuum = next((ev for ev in dense.events if ev.name == "vacuum"), None)
+    horizon = next((ev for ev in dense.events if ev.name == "horizon"), None)
+    end = horizon if horizon is not None else vacuum
+
+    if horizon is not None:
+        kind = HORIZON_DEGENERATE
+    elif first_rise is not None:
+        kind = NON_MONOTONE
+    elif vacuum is not None:
+        R, M = vacuum.x, float(vacuum.y[0])
+        kappa_floor = max(1e3 * kappa_min, 1e-8)
+        safe = kappa_scaled(R, M, alpha, beta) > kappa_floor and M - beta * R**3 / 3.0 > 0.0
+        kind = MONOTONE_SHORT if safe else HORIZON_DEGENERATE
+    else:
+        kind = UNTERMINATED
+
+    return ScaledStar(
+        alpha=alpha, beta=beta, kind=kind,
+        R_plus=None if end is None else end.x,
+        M_plus=None if end is None else float(end.y[0]),
+        first_rise_R=first_rise, initial_rise=initial_rise, dense=dense,
+    )
+
+
+def solve_scaled(
+    alpha: float,
+    beta: float,
+    eos: EosSpec,
+    ctrl: StepControl = StepControl(rel_tol=1e-12, abs_tol=1e-14),
+    R_max: float = 50.0,
+    germ_radius: float = 1e-6,
+    kappa_min: float = 1e-10,
+    mono_eps: float = 1e-6,
+) -> ScaledStar:
+    """Integrate the scaled system from its germ and classify the outcome."""
+    return _solve_core(alpha, beta, eos, ctrl, germ_radius, R_max, kappa_min, mono_eps)
 
 
 def solve_star(inp: ModelInput) -> tuple:
     """Prolong the center germ rightward and classify the outcome.
 
-    Returns (SolutionProfile, ModelOutcome).  Solver failures raise
-    ModelError with the partial profile attached.
+    The scaled system is solved and mapped back to physical units.  Returns
+    (SolutionProfile, ModelOutcome).  Solver failures raise ModelError with
+    the partial profile attached.
     """
-    k = inp.constants
-    eos = inp.eos
-    u_c = inp.center_enthalpy()
     scaling = inp.scaling()
-
-    r0 = inp.germ_radius_scaled * scaling.a
-    r_max = inp.r_max if inp.r_max is not None else inp.r_max_scaled * scaling.a
-    if r_max <= r0:
+    a = scaling.a
+    R0 = inp.germ_radius_scaled
+    R_max = inp.r_max / a if inp.r_max is not None else inp.r_max_scaled
+    if R_max <= R0:
         raise ValueError("r_max must exceed the germ radius")
-    m0, u0 = center_germ_enthalpy(u_c, inp.Lambda, eos, k, r0)
-    y0 = np.array([m0, u0])
-
-    guard_rise = _du_dr_scaled_guard(inp.Lambda, eos, k, scaling)
-    events = [
-        EventSpec(guard=lambda r, y: y[1], direction="falling", terminal=True,
-                  root_tol=1e-12 * scaling.a, name="vacuum"),
-        EventSpec(guard=lambda r, y: kappa(r, float(y[0]), inp.Lambda, k) - inp.kappa_min,
-                  direction="falling", terminal=True, root_tol=1e-12 * scaling.a, name="horizon"),
-        EventSpec(guard=lambda r, y: guard_rise(r, y) - inp.mono_eps,
-                  direction="rising", terminal=False, root_tol=1e-10 * scaling.a,
-                  name="pressure_rise"),
-    ]
-
-    initial_rise = guard_rise(r0, y0) >= inp.mono_eps
-
-    y_scale = np.array([scaling.mass_scale, scaling.b])
-    dense = integrate_adaptive(
-        lambda r, y: rhs_tovds_enthalpy(r, y, inp.Lambda, eos, k),
-        y0, (r0, r_max), inp.ctrl, events=events, y_scale=y_scale,
-    )
-
-    profile = _build_profile(dense, inp, scaling)
-
-    if dense.status in ("step_budget", "step_underflow", "domain_error"):
-        raise ModelError(f"solver failed: {dense.status}: {dense.message}", profile=profile)
-
-    outcome = _classify(profile, inp, initial_rise, r0)
-    return profile, outcome
+    ctrl = replace(inp.ctrl, h_max=inp.ctrl.h_max / a,
+                   h_init=None if inp.ctrl.h_init is None else inp.ctrl.h_init / a)
+    try:
+        star = _solve_core(scaling.alpha, scaling.beta, inp.eos, ctrl, R0, R_max,
+                           inp.kappa_min, inp.mono_eps)
+    except ModelError as exc:
+        partial = _build_profile(scaling.unscale_solution(exc.profile), inp, scaling)
+        raise ModelError(str(exc), profile=partial) from None
+    profile = _build_profile(scaling.unscale_solution(star.dense), inp, scaling)
+    return profile, _physical_outcome(star, profile, inp)
 
 
-def _classify(profile: SolutionProfile, inp: ModelInput, initial_rise: bool, r0: float) -> ModelOutcome:
-    k = inp.constants
-    rises = profile.rise_events()
-    first_rise = r0 if initial_rise else (rises[0].x if rises else None)
-
-    horizon = profile.horizon_event()
-    if horizon is not None:
-        r_h = horizon.x
-        m_h, u_h = float(horizon.y[0]), float(horizon.y[1])
-        P_h = inp.eos.pressure_of_u(u_h)
-        diag = {
-            "u_end": u_h,
-            "Q_end": q_factor(r_h, m_h, P_h, inp.Lambda, k),
-            "lambda_r2": inp.Lambda * r_h * r_h,
-            "simultaneous_vacuum": bool(abs(u_h) < 1e-8 * profile.scaling.b),
-        }
-        if first_rise is not None:
-            diag["first_rise_r"] = first_rise
-        return ModelOutcome(kind=HORIZON_DEGENERATE, horizon_r=r_h, diagnostics=diag)
-
-    vacuum = profile.vacuum_event()
-    if first_rise is not None:
+def _physical_outcome(star: ScaledStar, profile: SolutionProfile, inp: ModelInput) -> ModelOutcome:
+    """The scaled star's tag with the physical boundary data and diagnostics."""
+    first_rise = None if star.first_rise_R is None else profile.scaling.a * star.first_rise_R
+    if star.kind == MONOTONE_SHORT:
+        return ModelOutcome(kind=MONOTONE_SHORT, boundary=boundary_quantities(profile))
+    if star.kind == NON_MONOTONE:
         return ModelOutcome(
-            kind=NON_MONOTONE, first_rise_r=first_rise,
-            end_r=profile.r_end,
-            diagnostics={"initial_rise": bool(initial_rise)},
+            kind=NON_MONOTONE, first_rise_r=first_rise, end_r=profile.r_end,
+            diagnostics={"initial_rise": star.initial_rise},
         )
+    if star.kind == UNTERMINATED:
+        P_c = profile.P[0]
+        return ModelOutcome(
+            kind=UNTERMINATED, end_r=profile.r_end,
+            diagnostics={"P_end_over_Pc": float(profile.P[-1] / P_c) if P_c else 0.0},
+        )
+    # HorizonDegenerate: at the horizon guard, or at a vacuum boundary whose
+    # kappa_+ or Q_+ is not safely positive
+    horizon = profile.horizon_event()
+    ev = horizon if horizon is not None else profile.vacuum_event()
+    r_h, m_h = ev.x, float(ev.y[0])
+    u_h = float(ev.y[1]) if horizon is not None else 0.0
+    diag = {
+        "u_end": u_h,
+        "Q_end": q_factor(r_h, m_h, inp.eos.pressure_of_u(u_h), inp.Lambda, inp.constants),
+        "lambda_r2": inp.Lambda * r_h * r_h,
+        "simultaneous_vacuum": bool(abs(u_h) < 1e-8 * profile.scaling.b),
+    }
+    if first_rise is not None:
+        diag["first_rise_r"] = first_rise
+    return ModelOutcome(kind=HORIZON_DEGENERATE, horizon_r=r_h, diagnostics=diag)
 
-    if vacuum is not None:
-        bq = boundary_quantities(profile)
-        kappa_floor = max(1e3 * inp.kappa_min, 1e-8)
-        if bq.kappa_plus <= kappa_floor or bq.Q_plus <= 0.0:
-            return ModelOutcome(
-                kind=HORIZON_DEGENERATE, horizon_r=bq.r_plus,
-                diagnostics={
-                    "u_end": 0.0, "Q_end": bq.Q_plus,
-                    "lambda_r2": inp.Lambda * bq.r_plus**2,
-                    "simultaneous_vacuum": True,
-                },
-            )
-        return ModelOutcome(kind=MONOTONE_SHORT, boundary=bq)
 
-    P_end = profile.P[-1]
-    P_c = profile.P[0]
-    return ModelOutcome(
-        kind=UNTERMINATED, end_r=profile.r_end,
-        diagnostics={"P_end_over_Pc": float(P_end / P_c) if P_c else 0.0},
-    )
+# -- boundary data ---------------------------------------------------------------
 
+def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int = 4) -> tuple:
+    """(f, f', f'') at x0 from the side sign*h > 0, Richardson-extrapolated.
 
-def _one_sided_slope(dense, x_edge: float, h0: float, inward: float = 1.0) -> float:
-    """Richardson-extrapolated one-sided du/dr at x_edge using values at
-    x_edge - inward*h; error series in h eliminated through three levels."""
-    u_edge = float(dense(x_edge)[1])
-    est = []
-    for lv in range(3):
+    First derivative from one-sided differences, second from the three-point
+    one-sided stencil; both error series run in integer powers of h, removed
+    over `levels` halvings.
+    """
+    f0 = f(x0)
+    d1 = []
+    d2 = []
+    for lv in range(levels):
         h = h0 / 2**lv
-        u_in = float(dense(x_edge - inward * h)[1])
-        est.append((u_edge - u_in) / (inward * h))
-    # eliminate O(h) then O(h^2)
-    r1 = [2.0 * est[i + 1] - est[i] for i in range(2)]
-    return (4.0 * r1[1] - r1[0]) / 3.0
+        f1 = f(x0 + sign * h)
+        f2 = f(x0 + 2.0 * sign * h)
+        d1.append((f1 - f0) / (sign * h))
+        d2.append((f2 - 2.0 * f1 + f0) / (h * h))
+    for table in (d1, d2):
+        n = len(table)
+        fac = 2.0
+        for col in range(1, n):
+            for i in range(n - 1, col - 1, -1):
+                table[i] = (fac * table[i] - table[i - 1]) / (fac - 1.0)
+            fac *= 2.0
+    return f0, d1[-1], d2[-1]
 
 
 def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
@@ -388,7 +439,8 @@ def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
     B = Q_plus / (r_plus * r_plus * kappa_plus)
     # dm/dr -> 0 at the boundary, so only the explicit r-derivatives survive
     kappa_plus_prime = 2.0 * k.G * m_plus / (k.c2 * r_plus**2) - 2.0 * profile.Lambda * r_plus / 3.0
-    du_dr_minus = _one_sided_slope(profile.dense, r_plus, 1e-3 * r_plus)
+    _, du_dr_minus, _ = _one_sided_derivatives(
+        lambda r: float(profile.dense(r)[1]), r_plus, 1e-3 * r_plus, sign=-1.0, levels=3)
     return BoundaryQuantities(
         r_plus=r_plus, m_plus=m_plus, kappa_plus=kappa_plus, Q_plus=Q_plus,
         B=B, kappa_plus_prime=kappa_plus_prime, du_dr_minus=du_dr_minus,
@@ -404,87 +456,6 @@ def d2u_at_boundary(bq: BoundaryQuantities, Lambda: float, c: float) -> float:
         c2 * Lambda / kp
         + 2.0 * bq.Q_plus / (bq.r_plus**3 * kp)
         + 2.0 * bq.Q_plus**2 / (c2 * bq.r_plus**4 * kp * kp)
-    )
-
-
-# -- scaled-system solves ------------------------------------------------------
-
-@dataclass
-class ScaledStar:
-    """Outcome of one homology-scaled solve."""
-
-    alpha: float
-    beta: float
-    kind: str
-    R_plus: float | None
-    M_plus: float | None
-    first_rise_R: float | None
-    initial_rise: bool
-    dense: DenseSolution
-
-    @property
-    def monotone_short(self) -> bool:
-        return self.kind == MONOTONE_SHORT
-
-
-def solve_scaled(
-    alpha: float,
-    beta: float,
-    eos: EosSpec,
-    ctrl: StepControl = StepControl(rel_tol=1e-12, abs_tol=1e-14),
-    R_max: float = 50.0,
-    germ_radius: float = 1e-6,
-    kappa_min: float = 1e-10,
-    mono_eps: float = 1e-6,
-) -> ScaledStar:
-    """Integrate the scaled system from its germ and classify the outcome."""
-    R0 = germ_radius
-    y0 = np.array(center_germ_scaled(alpha, beta, eos, R0))
-
-    def guard_rise(R, y):
-        return rhs_scaled(R, y, alpha, beta, eos)[1] - mono_eps
-
-    events = [
-        EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True,
-                  root_tol=1e-12, name="vacuum"),
-        EventSpec(guard=lambda R, y: kappa_scaled(R, float(y[0]), alpha, beta) - kappa_min,
-                  direction="falling", terminal=True, root_tol=1e-12, name="horizon"),
-        EventSpec(guard=guard_rise, direction="rising", terminal=False,
-                  root_tol=1e-10, name="pressure_rise"),
-    ]
-    initial_rise = float(guard_rise(R0, y0)) >= 0.0
-
-    dense = integrate_adaptive(
-        lambda R, y: rhs_scaled(R, y, alpha, beta, eos),
-        y0, (R0, R_max), ctrl, events=events,
-    )
-    if dense.status in ("step_budget", "step_underflow", "domain_error"):
-        raise ModelError(f"scaled solve failed: {dense.status}: {dense.message}")
-
-    rises = [ev for ev in dense.events if ev.name == "pressure_rise"]
-    first_rise = R0 if initial_rise else (rises[0].x if rises else None)
-    vacuum = next((ev for ev in dense.events if ev.name == "vacuum"), None)
-    horizon = next((ev for ev in dense.events if ev.name == "horizon"), None)
-
-    if horizon is not None:
-        kind = HORIZON_DEGENERATE
-        R_plus, M_plus = horizon.x, float(horizon.y[0])
-    elif first_rise is not None:
-        kind = NON_MONOTONE
-        R_plus = vacuum.x if vacuum is not None else None
-        M_plus = float(vacuum.y[0]) if vacuum is not None else None
-    elif vacuum is not None:
-        kap = kappa_scaled(vacuum.x, float(vacuum.y[0]), alpha, beta)
-        Q_eq = float(vacuum.y[0]) - beta * vacuum.x**3 / 3.0
-        kind = MONOTONE_SHORT if (kap > 1e-7 and Q_eq > 0.0) else HORIZON_DEGENERATE
-        R_plus, M_plus = vacuum.x, float(vacuum.y[0])
-    else:
-        kind = UNTERMINATED
-        R_plus, M_plus = None, None
-
-    return ScaledStar(
-        alpha=alpha, beta=beta, kind=kind, R_plus=R_plus, M_plus=M_plus,
-        first_rise_R=first_rise, initial_rise=initial_rise, dense=dense,
     )
 
 

@@ -4,9 +4,11 @@ All functions are pure.  Right-hand sides take the state y as any sequence of
 two floats (the integrator passes a list) and return the slopes as a tuple of
 two floats.  State conventions:
 
-    physical pressure form   y = (m, P),   x = r
     physical enthalpy form   y = (m, u),   x = r
     scaled form              y = (M, U),   x = R
+
+The solvers integrate the scaled form only; the enthalpy form is its
+physical-unit reference.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3 and
 Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are the only two
@@ -16,34 +18,27 @@ places those combinations are spelled out; every right-hand side calls them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import Constants
 from .eos import EosSpec
-from .errors import DomainCeilingError, KappaNonPositiveError
+from .errors import KappaNonPositiveError
+from .integrate import DenseSolution
 
 __all__ = [
     "kappa",
     "q_factor",
     "kappa_scaled",
-    "rhs_tovds_pressure",
     "rhs_tovds_enthalpy",
-    "rhs_tov",
     "rhs_scaled",
-    "rhs_scaled_c",
     "rhs_lane_emden",
-    "center_germ_physical",
-    "center_germ_enthalpy",
     "center_germ_scaled",
     "ScalingParams",
 ]
 
 FOUR_PI = 4.0 * math.pi
-
-# Paper-domain ceiling for the scaled enthalpy; can be lifted per call.
-U_CEILING = 2.0
 
 
 def kappa(r: float, m: float, Lambda: float, k: Constants) -> float:
@@ -64,18 +59,6 @@ def kappa_scaled(R: float, M: float, alpha: float, beta: float) -> float:
 def _check_kappa(kap: float, r: float) -> None:
     if kap <= 0.0:
         raise KappaNonPositiveError(f"kappa = {kap:g} <= 0 at r = {r:g} (horizon contact)")
-
-
-def rhs_tovds_pressure(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -> tuple:
-    """(dm/dr, dP/dr) of the pressure-form system."""
-    m, P = y
-    rho = eos.density_of_pressure(P)
-    kap = kappa(r, m, Lambda, k)
-    _check_kappa(kap, r)
-    Q = q_factor(r, m, P, Lambda, k)
-    dm = FOUR_PI * r * r * rho
-    dP = -(rho + P / k.c2) * Q / (r * r * kap)
-    return dm, dP
 
 
 def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -> tuple:
@@ -99,21 +82,13 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
     return dm, du
 
 
-def rhs_tov(r: float, y, eos: EosSpec, k: Constants) -> tuple:
-    """Enthalpy-form system with Lambda = 0."""
-    return rhs_tovds_enthalpy(r, y, 0.0, eos, k)
-
-
-def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec,
-               enforce_ceiling: bool = True) -> tuple:
+def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec) -> tuple:
     """(dM/dR, dU/dR) of the homology-scaled system.
 
     At alpha = beta = 0 this reduces exactly (bitwise) to the Lane-Emden
     right-hand side with lambda = 0.
     """
     M, U = y
-    if enforce_ceiling and U >= U_CEILING:
-        raise DomainCeilingError(f"scaled enthalpy U = {U:g} reached the domain ceiling {U_CEILING}")
     U_pos = U if U > 0.0 else 0.0
     if alpha == 0.0:
         omega_rho = 1.0
@@ -130,15 +105,6 @@ def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec,
     return dM, dU
 
 
-def rhs_scaled_c(R: float, y, lam: float, c: float, eos: EosSpec) -> tuple:
-    """Scaled system with the central enthalpy normalized to 1 and c explicit.
-
-    Identical to rhs_scaled with alpha = 1/c^2 and beta = lam; as c -> inf it
-    tends to the Lane-Emden-de Sitter right-hand side.
-    """
-    return rhs_scaled(R, y, 1.0 / (c * c), lam, eos, enforce_ceiling=False)
-
-
 def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
     """(dM/dR, dU/dR) = (R^2 (U#)^mu, -(M - lam R^3/3)/R^2)."""
     M, U = y
@@ -149,30 +115,6 @@ def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
 
 
 # -- center germs -------------------------------------------------------------
-
-def center_germ_physical(rho_c: float, Lambda: float, eos: EosSpec, k: Constants,
-                         r: float) -> tuple:
-    """Leading series (m, P) at r -> +0; truncation errors O(r^5), O(r^4)."""
-    P_c = eos.pressure_of_density(rho_c)
-    m = FOUR_PI / 3.0 * rho_c * r**3
-    coeff = (rho_c + P_c / k.c2) * (FOUR_PI * k.G * (rho_c + 3.0 * P_c / k.c2) - k.c2 * Lambda)
-    P = P_c - coeff * r * r / 6.0
-    return m, P
-
-
-def center_germ_enthalpy(u_c: float, Lambda: float, eos: EosSpec, k: Constants,
-                         r: float) -> tuple:
-    """Leading series (m, u) at r -> +0 for the enthalpy form.
-
-    The quadratic coefficient is the pressure-form one divided by
-    (rho_c + P_c/c^2), since du = dP / (rho + P/c^2).
-    """
-    rho_c = eos.density_of_u(u_c)
-    P_c = eos.pressure_of_u(u_c)
-    m = FOUR_PI / 3.0 * rho_c * r**3
-    u = u_c - (FOUR_PI * k.G * (rho_c + 3.0 * P_c / k.c2) - k.c2 * Lambda) * r * r / 6.0
-    return m, u
-
 
 def scaled_germ_u_coeff(alpha: float, eos: EosSpec, beta: float) -> float:
     """Quadratic coefficient of the scaled germ:
@@ -244,22 +186,25 @@ class ScalingParams:
             c=k.c,
         )
 
-    def r_of_R(self, R):
-        return self.a * R
-
-    def R_of_r(self, r):
-        return r / self.a
-
-    def u_of_U(self, U):
-        return self.b * U
-
-    def m_of_M(self, M):
-        return self.mass_scale * M
-
     def unscale_state(self, R: float, y) -> tuple:
         """(R, (M, U)) -> (r, (m, u))."""
         return self.a * R, np.array([self.mass_scale * y[0], self.b * y[1]])
 
-    def scale_state(self, r: float, y) -> tuple:
-        """(r, (m, u)) -> (R, (M, U))."""
-        return r / self.a, np.array([y[0] / self.mass_scale, y[1] / self.b])
+    def unscale_solution(self, dense: DenseSolution) -> DenseSolution:
+        """A solution of the scaled system in (r, (m, u)): nodes, states,
+        interpolant coefficients (slopes, so scaled by (mass_scale, b)/a),
+        end point and events."""
+        y_scale = np.array([self.mass_scale, self.b])
+        events = []
+        for ev in dense.events:
+            x, y = self.unscale_state(ev.x, ev.y)
+            events.append(replace(ev, x=x, y=y))
+        return replace(
+            dense,
+            xs=self.a * dense.xs,
+            ys=dense.ys * y_scale,
+            interp=dense.interp * (y_scale / self.a)[:, None],
+            events=events,
+            x_end=self.a * dense.x_end,
+            y_end=dense.y_end * y_scale,
+        )

@@ -127,6 +127,32 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("change", [
+    {"alpha_grid": ["x"]},                                    # not a number
+    {"beta_grid": [1e-3, 1.5]},                               # outside [0, 1]
+    {"alpha_grid": {"start": 0.5, "stop": 2.0, "num": 3}},    # generated past 1
+    {"beta_grid": [True, 1e-3]},                              # JSON boolean in a grid
+    {"alpha_grid": {"start": 1e-3, "stop": 1e-2, "num": True}},
+    {"alpha_grid": []},
+], ids=["non_numeric", "outside_unit", "generated_outside_unit", "bool_in_grid",
+        "bool_num", "empty"])
+def test_sweep_bad_grid_exits_2(tmp_path, capsys, change):
+    cfg = dict({"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": [1e-3]}, **change)
+    code = main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("mu", [["x"], [True], "3", []], ids=["non_numeric", "bool", "string", "empty"])
+def test_lane_emden_bad_mu_exits_2(tmp_path, capsys, mu):
+    code = main(["lane-emden", "--config", write_config(tmp_path, {"mu": mu}),
+                 "--out", str(tmp_path / "le")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "config"
+
+
 def test_lane_emden_table(tmp_path, capsys):
     cfg = {"mu": [1.0, 3.0]}
     out = tmp_path / "le"

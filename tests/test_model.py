@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tovds.constants import SI, Constants
 from tovds.eos import EosSpec, OmegaSeries
@@ -23,7 +25,9 @@ from tovds.model import (
     solve_star,
     vacuum_continuation_lambda0,
 )
-from tovds.odecore import FOUR_PI, ScalingParams, kappa, rhs_tov, rhs_scaled
+from tovds.odecore import FOUR_PI, ScalingParams, kappa, rhs_scaled
+
+from oracles import rhs_tov
 
 GEOM = Constants(1.0, 1.0)
 XI1_MU2 = 4.352874595946  # frozen from the fixed-step oracle in test_analysis
@@ -55,11 +59,66 @@ def test_monotone_short_and_radius(star_m0):
 
 
 def test_step_counts_of_reference_solves(star_m0, eos15):
-    # accepted steps and RHS calls of the DP5 step control on two fixed stars
+    # accepted steps and RHS calls of the DP5 step control on two fixed stars;
+    # solve_star runs the scaled system, so both take the same steps
     profile, _ = star_m0
-    assert (profile.dense.n_steps, profile.dense.n_rhs) == (348, 2102)
+    assert (profile.dense.n_steps, profile.dense.n_rhs) == (349, 2138)
     star = solve_scaled(1e-3, 1e-3, eos15)
     assert (star.dense.n_steps, star.dense.n_rhs) == (349, 2138)
+
+
+def outcome_radius(outcome):
+    """r_+, the horizon radius or the end radius, whichever the outcome has."""
+    if outcome.boundary is not None:
+        return outcome.boundary.r_plus
+    return outcome.horizon_r if outcome.horizon_r is not None else outcome.end_r
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(
+    gamma=st.floats(1.1, 1.9),
+    log_A=st.floats(-12.0, 12.0),
+    log_u_c=st.floats(-4.0, -1.0),
+    beta=st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+)
+def test_solve_star_is_the_scaled_solve(gamma, log_A, log_u_c, beta):
+    # the outcome depends on (alpha, beta) alone, whatever the length scale a
+    eos = EosSpec(A=10.0**log_A, gamma=gamma, c=1.0)
+    u_c = 10.0**log_u_c
+    inp = ModelInput(eos=eos, Lambda=lambda_from_beta(beta, u_c, eos), constants=GEOM, u_c=u_c)
+    sp = inp.scaling()
+    _, outcome = solve_star(inp)
+    star = solve_scaled(sp.alpha, sp.beta, eos)
+    assert outcome.kind == star.kind
+    if star.R_plus is not None:
+        assert outcome_radius(outcome) / sp.a == pytest.approx(star.R_plus, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("gamma, A, kind", [
+    (1.1, 1.0, UNTERMINATED),       # a ~ 1.4e18
+    (1.5, 1e-10, MONOTONE_SHORT),   # a ~ 2.7e-9
+])
+def test_extreme_length_scales(gamma, A, kind):
+    eos = EosSpec(A=A, gamma=gamma, c=1.0)
+    inp = ModelInput(eos=eos, constants=GEOM, u_c=1e-3)
+    profile, outcome = solve_star(inp)
+    star = solve_scaled(1e-3, 0.0, eos)
+    assert outcome.kind == star.kind == kind
+    R_end = star.R_plus if star.R_plus is not None else star.dense.x_end
+    assert outcome_radius(outcome) / inp.scaling().a == pytest.approx(R_end, rel=1e-12, abs=0.0)
+    assert profile.r_end == pytest.approx(outcome_radius(outcome), rel=1e-12)
+
+
+def test_h_max_bounds_the_physical_step(eos15):
+    u_c = 1e-3
+    a = ScalingParams.from_center(u_c, 0.0, eos15, GEOM).a
+    h_max = 0.05 * a
+    inp = ModelInput(eos=eos15, constants=GEOM, u_c=u_c,
+                     ctrl=StepControl(rel_tol=1e-12, abs_tol=1e-14, h_max=h_max))
+    profile, outcome = solve_star(inp)
+    assert outcome.kind == MONOTONE_SHORT
+    assert np.diff(profile.dense.xs).max() <= h_max * (1.0 + 1e-12)
+    assert profile.dense.n_steps > outcome.boundary.r_plus / h_max
 
 
 def test_profile_invariants(star_m0):
