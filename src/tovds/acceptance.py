@@ -123,13 +123,11 @@ def c02_lane_emden_ds_mu1(ctx) -> CriterionResult:
     for lam in (0.5, 0.75):
         dense = lane_emden_solution(1.0, lam, R_cap=R_hi, first_zero_only=False)
         grid = np.linspace(dense.xs[0], R_hi, 2000)
-        for R in grid:
-            U_num = float(dense(float(R))[1])
-            U_exact, _ = mu1_exact(lam, float(R))
+        for R, U_num in zip(grid.tolist(), dense(grid)[:, 1].tolist()):
+            U_exact, _ = mu1_exact(lam, R)
             sup_err = max(sup_err, abs(U_num - U_exact))
         window = np.linspace(1.5 * math.pi + 1e-3, 2.0 * math.pi - 1e-3, 200)
-        for R in window:
-            y = dense(float(R))
+        for R, y in zip(window, dense(window)):
             dU = -(y[0] - lam * R**3 / 3.0) / (R * R)
             min_rise = min(min_rise, float(dU))
     passed = sup_err < 1e-8 and min_rise > 0.0

@@ -160,18 +160,16 @@ def scaled_limit_convergence(
         raise AnalysisError(f"limit solution has no first zero for gamma = {gamma}")
     xi1 = vac[0].x
     R_grid = np.linspace(R0, xi1 * (1.0 - 1e-9), n_grid)
-    U_ref = np.array([ref(float(R))[1] for R in R_grid])
+    U_ref = ref(R_grid)[:, 1]
 
     rows = []
     for alpha in alphas:
         for beta in betas:
             star = solve_scaled(alpha, beta, eos, ctrl=ctrl, germ_radius=_LE_GERM_R)
             R_hi = star.R_plus if star.R_plus is not None else star.dense.x_end
-            dist = 0.0
-            for Rg, Ur in zip(R_grid, U_ref):
-                if Rg > R_hi:
-                    break
-                dist = max(dist, abs(float(star.dense(float(Rg))[1]) - float(Ur)))
+            inside = R_grid <= R_hi
+            dist = float(np.max(np.abs(star.dense(R_grid[inside])[:, 1] - U_ref[inside]),
+                                initial=0.0))
             rows.append({
                 "alpha": alpha, "beta": beta, "sup_distance": dist,
                 "R_plus": star.R_plus, "outcome": star.kind,
@@ -362,6 +360,9 @@ def regime_sweep(
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
+    for name, grid in (("alpha_grid", alpha_grid), ("beta_grid", beta_grid)):
+        if grid.size == 0:
+            raise ValueError(f"sweep grid {name} is empty")
     if alpha_grid.min() < 0.0 or beta_grid.min() < 0.0 or alpha_grid.max() > 1.0 or beta_grid.max() > 1.0:
         raise ValueError("sweep grids must lie within [0, 1]")
     if eos is None:

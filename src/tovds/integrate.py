@@ -14,7 +14,9 @@ interpolant coefficients are floats in lists or tuples, the right-hand side
 receives the state as a list of floats and may return any sequence of floats,
 and the accepted nodes, states and coefficients go into flat ``array('d')``
 buffers.  numpy appears only when those buffers become the ndarrays of the
-returned DenseSolution.
+returned DenseSolution.  Called on an array of points, a DenseSolution
+evaluates them all in one vectorised pass, with the scalar path's
+arithmetic, so each point gets the same bits as a scalar call would.
 """
 
 from __future__ import annotations
@@ -159,9 +161,29 @@ class DenseSolution:
         ])
 
     def __call__(self, x):
+        """State at x: shape (dim,) for a scalar, (n, dim) for n points."""
         if np.ndim(x) == 0:
             return self._eval_scalar(float(x))
-        return np.array([self._eval_scalar(float(xi)) for xi in np.asarray(x).ravel()])
+        # the scalar path over all points at once, with the same arithmetic
+        x = np.asarray(x, dtype=float).ravel()
+        xs = self.xs
+        i = np.searchsorted(xs, x)
+        on_node = xs[np.minimum(i, len(xs) - 1)] == x
+        between = ~on_node
+        outside = between & ((i == 0) | (i > len(self.interp)))
+        if outside.any():
+            raise ValueError(f"x = {x[outside][0]:g} outside the solution span "
+                             f"[{xs[0]:g}, {self.x_end:g}]")
+        out = np.empty((x.size, self.ys.shape[1]))
+        out[on_node] = self.ys[i[on_node]]
+        k = i[between] - 1
+        x_lo = xs[k]
+        h = xs[k + 1] - x_lo
+        t = ((x[between] - x_lo) / h)[:, None]
+        ht = h[:, None] * t
+        q0, q1, q2, q3 = np.moveaxis(self.interp[k], -1, 0)
+        out[between] = self.ys[k] + ht * (((q3 * t + q2) * t + q1) * t + q0)
+        return out
 
     def span(self) -> tuple:
         return float(self.xs[0]), float(self.x_end)

@@ -204,24 +204,6 @@ class SolutionProfile:
             fh.write("\n".join(lines) + "\n")
 
 
-def _profile_row(r, m, u, Lambda, eos, k) -> dict:
-    eta = u / k.c2
-    if u > 0.0:
-        omega_rho, omega_P = eos.omega_rho_P_fast(eta)
-        rho = eos.A1 * u**eos.mu * omega_rho
-        P = eos.p_coeff * u ** (eos.mu + 1.0) * omega_P
-    else:
-        rho = 0.0
-        P = 0.0
-    kap = kappa(r, m, Lambda, k)
-    Q = q_factor(r, m, P, Lambda, k)
-    du_dr = -Q / (r * r * kap)
-    return {
-        "r": r, "m": m, "u": u, "P": P, "rho": rho,
-        "kappa": kap, "Q": Q, "dPdr": (rho + P / k.c2) * du_dr,
-    }
-
-
 def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionProfile:
     r_end = dense.x_end
     samples = [x for x in dense.xs if x <= r_end]
@@ -236,17 +218,26 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     rr = np.array(samples)
 
     k = inp.constants
-    n = rr.size
-    cols = {name: np.empty(n) for name in ("m", "u", "P", "rho", "kappa", "Q", "dPdr")}
-    for i, r in enumerate(rr):
-        y = dense(float(r))
-        row = _profile_row(float(r), float(y[0]), float(y[1]), inp.Lambda, inp.eos, k)
-        for name in cols:
-            cols[name][i] = row[name]
+    eos = inp.eos
+    m, u = np.ascontiguousarray(dense(rr).T)
+    # the powers stay on Python floats: numpy's vector pow can differ from
+    # libm's pow in the last bit, and each sample keeps the bits of the float
+    # expressions the right-hand side uses
+    A1, mu, p_coeff = eos.A1, eos.mu, eos.p_coeff
+    rho = np.zeros(rr.size)
+    P = np.zeros(rr.size)
+    for i, ui in enumerate(u.tolist()):
+        if ui > 0.0:
+            omega_rho, omega_P = eos.omega_rho_P_fast(ui / k.c2)
+            rho[i] = A1 * ui**mu * omega_rho
+            P[i] = p_coeff * ui ** (mu + 1.0) * omega_P
+    kap = kappa(rr, m, inp.Lambda, k)
+    Q = q_factor(rr, m, P, inp.Lambda, k)
+    dPdr = (rho + P / k.c2) * (-Q / (rr * rr * kap))
     return SolutionProfile(
-        r=rr, events=list(dense.events), status=dense.status,
-        eos=inp.eos, constants=k, Lambda=inp.Lambda, scaling=scaling, dense=dense,
-        **cols,
+        r=rr, m=m, u=u, P=P, rho=rho, kappa=kap, Q=Q, dPdr=dPdr,
+        events=list(dense.events), status=dense.status,
+        eos=eos, constants=k, Lambda=inp.Lambda, scaling=scaling, dense=dense,
     )
 
 
@@ -276,12 +267,21 @@ def _solve_core(alpha, beta, eos, ctrl, R0, R_max, kappa_min, mono_eps) -> Scale
     DenseSolution as its profile.
     """
     y0 = center_germ_scaled(alpha, beta, eos, R0)
+    # the latest rhs call: the integrator evaluates f(x + h, y_new) as its
+    # FSAL stage and then the guards at the same (x + h, y_new), so the rise
+    # guard reuses that slope instead of calling rhs_scaled again
+    last_R = last_y = last_dy = None
 
     def rhs(R, y):
-        return rhs_scaled(R, y, alpha, beta, eos)
+        nonlocal last_R, last_y, last_dy
+        last_dy = rhs_scaled(R, y, alpha, beta, eos)
+        last_R, last_y = R, y
+        return last_dy
 
     def rise(R, y):
-        return rhs(R, y)[1] - mono_eps
+        if y is last_y and R == last_R:
+            return last_dy[1] - mono_eps
+        return rhs_scaled(R, y, alpha, beta, eos)[1] - mono_eps
 
     events = [
         EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True,

@@ -2,8 +2,9 @@
 
 The solvers integrate the scaled system alone.  The pressure form of the
 structure equations, the physical-unit germs, the Lambda = 0 enthalpy
-system, the explicit-c scaled system and the density inversion of the EOS
-live here, as independent oracles for the code in src/.
+system, the explicit-c scaled system, the density inversion of the EOS and
+the per-sample profile row live here, as independent oracles for the code
+in src/.
 """
 
 import math
@@ -100,6 +101,27 @@ def rhs_scaled_c(R: float, y, lam: float, c: float, eos) -> tuple:
     tends to the Lane-Emden-de Sitter right-hand side.
     """
     return rhs_scaled(R, y, 1.0 / (c * c), lam, eos)
+
+
+# -- profile ------------------------------------------------------------------------
+
+def profile_row(r, m, u, Lambda, eos, k) -> dict:
+    """One sample of a SolutionProfile, from the state (m, u) at r on floats."""
+    eta = u / k.c2
+    if u > 0.0:
+        omega_rho, omega_P = eos.omega_rho_P_fast(eta)
+        rho = eos.A1 * u**eos.mu * omega_rho
+        P = eos.p_coeff * u ** (eos.mu + 1.0) * omega_P
+    else:
+        rho = 0.0
+        P = 0.0
+    kap = kappa(r, m, Lambda, k)
+    Q = q_factor(r, m, P, Lambda, k)
+    du_dr = -Q / (r * r * kap)
+    return {
+        "r": r, "m": m, "u": u, "P": P, "rho": rho,
+        "kappa": kap, "Q": Q, "dPdr": (rho + P / k.c2) * du_dr,
+    }
 
 
 # -- physical-unit germs ----------------------------------------------------------

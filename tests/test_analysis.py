@@ -220,6 +220,15 @@ def test_sweep_grid_validation():
         regime_sweep(1.5, [0.5, 1.5], [0.1])
 
 
+@pytest.mark.parametrize("alpha_grid, beta_grid, empty", [
+    ([], [0.1], "alpha_grid"),
+    ([0.1], [], "beta_grid"),
+])
+def test_sweep_empty_grid_is_named(alpha_grid, beta_grid, empty):
+    with pytest.raises(ValueError, match=f"{empty} is empty"):
+        regime_sweep(1.5, alpha_grid, beta_grid)
+
+
 def test_sweep_export(tmp_path):
     grid = np.array([1e-3, 3e-3])
     sweep = regime_sweep(1.5, grid, grid)

@@ -143,6 +143,30 @@ def test_dense_output_accuracy_between_nodes():
     assert worst < 1e-8
 
 
+def test_dense_array_call_matches_scalar_calls():
+    # a two-component system stopped by a terminal event, so x_end is not a node
+    sol = integrate_adaptive(
+        lambda x, y: [math.cos(x) * y[1], -y[0]], [0.3, 1.0], (0.5, 8.0),
+        StepControl(rel_tol=1e-9, abs_tol=1e-12),
+        events=[EventSpec(guard=lambda x, y: y[1], direction="falling",
+                          terminal=True, root_tol=1e-12, name="zero")],
+    )
+    assert sol.status == "event" and sol.x_end < sol.xs[-1]
+    mids = 0.5 * (sol.xs[:-1] + sol.xs[1:])
+    thirds = sol.xs[:-1] + (sol.xs[1:] - sol.xs[:-1]) / 3.0
+    x = np.concatenate([[sol.x_end, sol.x0], mids, sol.xs, thirds[::-1], [sol.x_end]])
+    want = np.array([sol(float(xi)) for xi in x])
+    got = sol(x)
+    assert got.shape == want.shape == (x.size, 2)
+    assert got.tobytes() == want.tobytes()
+    assert sol(list(x[:3])).tobytes() == want[:3].tobytes()
+    for bad in (sol.x0 - 1e-3, sol.xs[-1] + 1e-3):
+        with pytest.raises(ValueError):
+            sol(bad)
+        with pytest.raises(ValueError, match="outside the solution span"):
+            sol(np.array([sol.x_end, bad, sol.x0]))
+
+
 def test_bitwise_determinism():
     def run():
         return integrate_adaptive(

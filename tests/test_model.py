@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from tovds.constants import SI, Constants
 from tovds.eos import EosSpec, OmegaSeries
-from tovds.errors import AnalysisError
+from tovds import model
+from tovds.errors import AnalysisError, ModelError
 from tovds.integrate import StepControl, integrate_adaptive
 from tovds.model import (
     HORIZON_DEGENERATE,
@@ -27,7 +28,7 @@ from tovds.model import (
 )
 from tovds.odecore import FOUR_PI, ScalingParams, kappa, rhs_scaled
 
-from oracles import rhs_tov
+from oracles import profile_row, rhs_tov
 
 GEOM = Constants(1.0, 1.0)
 XI1_MU2 = 4.352874595946  # frozen from the fixed-step oracle in test_analysis
@@ -65,6 +66,22 @@ def test_step_counts_of_reference_solves(star_m0, eos15):
     assert (profile.dense.n_steps, profile.dense.n_rhs) == (349, 2138)
     star = solve_scaled(1e-3, 1e-3, eos15)
     assert (star.dense.n_steps, star.dense.n_rhs) == (349, 2138)
+
+
+def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
+    # the guard at a step end reads the slope the integrator has just
+    # computed there; only the check at the germ calls rhs_scaled itself
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return rhs_scaled(*args)
+
+    monkeypatch.setattr(model, "rhs_scaled", counted)
+    star = solve_scaled(1e-3, 1e-3, eos15)
+    assert star.kind == MONOTONE_SHORT
+    assert calls <= star.dense.n_rhs + 1
 
 
 def outcome_radius(outcome):
@@ -119,6 +136,39 @@ def test_h_max_bounds_the_physical_step(eos15):
     assert outcome.kind == MONOTONE_SHORT
     assert np.diff(profile.dense.xs).max() <= h_max * (1.0 + 1e-12)
     assert profile.dense.n_steps > outcome.boundary.r_plus / h_max
+
+
+def assert_profile_matches_rows(profile):
+    """Every column equals the per-sample oracle on scalar dense calls, bit for bit."""
+    rows = []
+    for r in profile.r.tolist():
+        m, u = profile.dense(r).tolist()
+        rows.append(profile_row(r, m, u, profile.Lambda, profile.eos, profile.constants))
+    for name in ("r", "m", "u", "P", "rho", "kappa", "Q", "dPdr"):
+        want = np.array([row[name] for row in rows])
+        assert getattr(profile, name).tobytes() == want.tobytes(), name
+
+
+def test_profile_columns_match_the_sample_oracle(star_m0, eos15):
+    assert_profile_matches_rows(star_m0[0])
+    u_c = 1e-3
+    series = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
+    inputs = [
+        (ModelInput(eos=series, constants=GEOM, u_c=u_c), MONOTONE_SHORT),
+        (ModelInput(eos=eos15, constants=GEOM, u_c=u_c, r_max_scaled=3.0), UNTERMINATED),
+        (ModelInput(eos=eos15, Lambda=lambda_from_beta(1.2, u_c, eos15), constants=GEOM,
+                    u_c=u_c, r_max_scaled=60.0), HORIZON_DEGENERATE),
+    ]
+    for inp, kind in inputs:
+        profile, outcome = solve_star(inp)
+        assert outcome.kind == kind
+        assert_profile_matches_rows(profile)
+    # the partial profile of a failed solve
+    inp = ModelInput(eos=eos15, constants=GEOM, u_c=u_c, ctrl=StepControl(max_steps=20))
+    with pytest.raises(ModelError) as info:
+        solve_star(inp)
+    assert info.value.profile.status == "step_budget"
+    assert_profile_matches_rows(info.value.profile)
 
 
 def test_profile_invariants(star_m0):
