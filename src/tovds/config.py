@@ -41,8 +41,13 @@ def _check_keys(obj: dict, allowed: set, where: str) -> None:
 
 
 def _is_num(val) -> bool:
-    """A JSON number; booleans are not numbers here."""
-    return isinstance(val, (int, float)) and not isinstance(val, bool)
+    """A finite JSON number; booleans, NaN and the infinities are not numbers here."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        return False
+    try:
+        return math.isfinite(val)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _num(obj: dict, key: str, where: str, required: bool = False, default=None,
@@ -91,8 +96,9 @@ def build_eos(cfg: dict, k: Constants) -> EosSpec:
         A = _num(block, "A", "eos", required=True, positive=True)
         gamma = _num(block, "gamma", "eos", required=True)
         coeffs = block.get("omega_coeffs", [1.0])
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError("'omega_coeffs' must be a nonempty list")
+        # checked before the OmegaOne shortcut: [True] == [1.0] in Python
+        if not isinstance(coeffs, list) or not coeffs or not all(map(_is_num, coeffs)):
+            raise ConfigError("'omega_coeffs' must be a nonempty list of finite numbers")
         omega = OmegaOne() if coeffs == [1.0] else OmegaSeries(tuple(coeffs))
         return EosSpec(
             A=A, gamma=gamma, omega=omega,

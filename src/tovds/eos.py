@@ -11,7 +11,10 @@ boundary.  Three derived correction functions express the state through u:
 
 with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u is a quadrature of
 Omega; Omega_rho and Omega_P need the inverse map eta -> zeta, obtained by a
-bracketed Newton search.  All three equal 1 at argument 0.
+bracketed Newton search.  All three equal 1 at argument 0.  A series Omega
+and its first two derivatives are evaluated by Horner on Python floats, in
+numpy.polynomial's polyval operation order, so the values are bit-identical
+to polyval's while each quadrature node costs no numpy call.
 
 That direct path is slow, so ODE right-hand sides call omega_rho_P_fast.  For
 the pure polytrope (OmegaOne) it evaluates the closed form
@@ -70,6 +73,19 @@ class OmegaOne:
         return "OmegaOne()"
 
 
+def _polyder(c: tuple) -> tuple:
+    """Coefficients of the derivative, j * c[j], as numpy.polynomial's polyder."""
+    return tuple(j * c[j] for j in range(1, len(c))) or (0.0,)
+
+
+def _horner(c: tuple, z: float) -> float:
+    """sum_k c[k] z^k in numpy.polynomial's polyval operation order, on floats."""
+    v = c[-1] + z * 0.0
+    for ck in c[-2::-1]:
+        v = ck + v * z
+    return v
+
+
 @dataclass(frozen=True)
 class OmegaSeries:
     """Polynomial correction Omega(zeta) = sum_k coeffs[k] zeta^k, coeffs[0] = 1."""
@@ -78,17 +94,29 @@ class OmegaSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        if not all(map(math.isfinite, self.coeffs)):
+            raise NonPhysicalEosError(f"OmegaSeries coefficients must be finite, got {self.coeffs}")
         if not self.coeffs or abs(self.coeffs[0] - 1.0) > 1e-12:
             raise NonPhysicalEosError("OmegaSeries requires coeffs[0] == 1 (Omega(0) = 1)")
 
+    # derivative coefficients, cached on first use; not dataclass fields, so
+    # ==, hash and repr still see coeffs alone
+    @cached_property
+    def _d1(self) -> tuple:
+        return _polyder(self.coeffs)
+
+    @cached_property
+    def _d2(self) -> tuple:
+        return _polyder(self._d1)
+
     def value(self, zeta: float) -> float:
-        return float(npoly.polyval(zeta, self.coeffs))
+        return _horner(self.coeffs, zeta)
 
     def deriv(self, zeta: float) -> float:
-        return float(npoly.polyval(zeta, npoly.polyder(self.coeffs)))
+        return _horner(self._d1, zeta)
 
     def deriv2(self, zeta: float) -> float:
-        return float(npoly.polyval(zeta, npoly.polyder(self.coeffs, 2)))
+        return _horner(self._d2, zeta)
 
 
 def _quad(f, a: float, b: float) -> float:

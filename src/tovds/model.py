@@ -398,12 +398,23 @@ def _physical_outcome(star: ScaledStar, profile: SolutionProfile, inp: ModelInpu
 
 # -- boundary data ---------------------------------------------------------------
 
+def _richardson(table: list) -> float:
+    """Richardson extrapolation of estimates at h0, h0/2, h0/4, ... whose error
+    series runs in integer powers of h; the table is overwritten."""
+    n = len(table)
+    fac = 2.0
+    for col in range(1, n):
+        for i in range(n - 1, col - 1, -1):
+            table[i] = (fac * table[i] - table[i - 1]) / (fac - 1.0)
+        fac *= 2.0
+    return table[-1]
+
+
 def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int = 4) -> tuple:
     """(f, f', f'') at x0 from the side sign*h > 0, Richardson-extrapolated.
 
     First derivative from one-sided differences, second from the three-point
-    one-sided stencil; both error series run in integer powers of h, removed
-    over `levels` halvings.
+    one-sided stencil, each over `levels` halvings of h.
     """
     f0 = f(x0)
     d1 = []
@@ -414,14 +425,7 @@ def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int = 4
         f2 = f(x0 + 2.0 * sign * h)
         d1.append((f1 - f0) / (sign * h))
         d2.append((f2 - 2.0 * f1 + f0) / (h * h))
-    for table in (d1, d2):
-        n = len(table)
-        fac = 2.0
-        for col in range(1, n):
-            for i in range(n - 1, col - 1, -1):
-                table[i] = (fac * table[i] - table[i - 1]) / (fac - 1.0)
-            fac *= 2.0
-    return f0, d1[-1], d2[-1]
+    return f0, _richardson(d1), _richardson(d2)
 
 
 def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
@@ -439,8 +443,10 @@ def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
     B = Q_plus / (r_plus * r_plus * kappa_plus)
     # dm/dr -> 0 at the boundary, so only the explicit r-derivatives survive
     kappa_plus_prime = 2.0 * k.G * m_plus / (k.c2 * r_plus**2) - 2.0 * profile.Lambda * r_plus / 3.0
-    _, du_dr_minus, _ = _one_sided_derivatives(
-        lambda r: float(profile.dense(r)[1]), r_plus, 1e-3 * r_plus, sign=-1.0, levels=3)
+    # du/dr from the inside: one-sided differences over 3 halvings of h, one dense call
+    hs = [1e-3 * r_plus / 2**lv for lv in range(3)]
+    u0, *us = profile.dense([r_plus] + [r_plus - h for h in hs])[:, 1].tolist()
+    du_dr_minus = _richardson([(u - u0) / -h for u, h in zip(us, hs)])
     return BoundaryQuantities(
         r_plus=r_plus, m_plus=m_plus, kappa_plus=kappa_plus, Q_plus=Q_plus,
         B=B, kappa_plus_prime=kappa_plus_prime, du_dr_minus=du_dr_minus,

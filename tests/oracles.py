@@ -2,17 +2,21 @@
 
 The solvers integrate the scaled system alone.  The pressure form of the
 structure equations, the physical-unit germs, the Lambda = 0 enthalpy
-system, the explicit-c scaled system, the density inversion of the EOS and
-the per-sample profile row live here, as independent oracles for the code
-in src/.
+system, the explicit-c scaled system, the density inversion of the EOS, the
+numpy and mpmath evaluations of a series Omega and of Omega_u, the
+per-sample profile row and the pointwise boundary slope live here, as
+independent oracles for the code in src/.
 """
 
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from tovds.errors import KappaNonPositiveError, RootFindError
+from tovds.model import _one_sided_derivatives
 from tovds.odecore import kappa, q_factor, rhs_scaled, rhs_tovds_enthalpy
 
 FOUR_PI = 4.0 * math.pi
@@ -40,6 +44,27 @@ def thermo_of_density(eos, rho: float) -> ThermoState:
         zeta=eos.zeta_of_density(rho) if rho > 0.0 else 0.0,
         eta=u / eos.c2,
     )
+
+
+def omega_series_numpy(coeffs, zeta: float, order: int = 0) -> float:
+    """d^order Omega / dzeta^order of a series Omega by numpy.polynomial."""
+    return float(npoly.polyval(zeta, npoly.polyder(coeffs, order)))
+
+
+def omega_u_mpmath(eos, zeta: float, dps: int = 30) -> float:
+    """Omega_u(zeta) = (1/zeta) int_0^zeta w of a series Omega by mpmath quad,
+    with w = [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega)."""
+    with mpmath.workdps(dps):
+        c = [mpmath.mpf(x) for x in eos.omega.coeffs]
+        dc = [j * c[j] for j in range(1, len(c))] or [mpmath.mpf(0)]
+        k = mpmath.mpf(eos.gamma - 1.0) / mpmath.mpf(eos.gamma)
+
+        def w(t):
+            om = mpmath.polyval(c[::-1], t)
+            return (om + k * t * mpmath.polyval(dc[::-1], t)) / (1 + t * om)
+
+        z = mpmath.mpf(zeta)
+        return float(mpmath.quad(w, [0, z]) / z)
 
 
 def density_of_pressure(eos, P: float) -> float:
@@ -122,6 +147,13 @@ def profile_row(r, m, u, Lambda, eos, k) -> dict:
         "r": r, "m": m, "u": u, "P": P, "rho": rho,
         "kappa": kap, "Q": Q, "dPdr": (rho + P / k.c2) * du_dr,
     }
+
+
+def du_dr_minus_pointwise(profile, r_plus: float) -> float:
+    """du/dr at r_+ from inside, one scalar dense-output call per stencil point."""
+    _, slope, _ = _one_sided_derivatives(
+        lambda r: float(profile.dense(r)[1]), r_plus, 1e-3 * r_plus, sign=-1.0, levels=3)
+    return slope
 
 
 # -- physical-unit germs ----------------------------------------------------------

@@ -6,11 +6,14 @@ its report artifact.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tovds
 from tovds.acceptance import CRITERIA, run_criteria
 
 
@@ -31,11 +34,15 @@ def test_criterion(results, number):
 
 
 def test_verify_cli_byte_identical(tmp_path):
-    # run the full verify twice through the CLI and compare the artifact
+    # run the full verify twice through the CLI and compare the artifact; the
+    # child imports the same tovds as this process, installed or not
+    src = str(Path(tovds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
     def run(out):
         proc = subprocess.run(
             [sys.executable, "-m", "tovds.cli", "verify", "--out", str(out)],
-            capture_output=True, text=True, timeout=900,
+            capture_output=True, text=True, timeout=900, env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         return (out / "verify_report.json").read_bytes()

@@ -76,6 +76,28 @@ def test_missing_gamma_exits_2(tmp_path, capsys):
     assert "gamma" in err["message"]
 
 
+def _series_eos(coeffs):
+    return {"eos": {"type": "polytrope", "A": 1.0, "gamma": 1.5, "omega_coeffs": coeffs}}
+
+
+@pytest.mark.parametrize("change", [
+    {"Lambda": math.nan},
+    {"center": {"u_c": math.inf}},
+    {"Lambda": 10**400},                  # an integer beyond the float range
+    _series_eos(["x"]),
+    _series_eos([True, 0.3]),
+    _series_eos([1, "0.3"]),
+    _series_eos([math.nan]),
+], ids=["nan_lambda", "inf_center", "huge_int", "coeff_string", "coeff_bool",
+        "coeff_numeric_string", "coeff_nan"])
+def test_solve_bad_number_exits_2(tmp_path, capsys, change):
+    cfg = dict(M0_CONFIG, **change)
+    code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "config"
+
+
 def test_unknown_key_exits_2(tmp_path):
     cfg = dict(M0_CONFIG)
     cfg["surprise"] = 1

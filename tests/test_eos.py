@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from tovds.eos import (
@@ -19,7 +21,9 @@ from tovds.eos import (
 )
 from tovds.errors import EosDomainError, NonPhysicalEosError
 
-from oracles import density_of_pressure, thermo_of_density
+from oracles import density_of_pressure, omega_series_numpy, omega_u_mpmath, thermo_of_density
+
+FERMI_COEFFS = fermi_fit_eos(FermiEosParams(K=1.0)).omega.coeffs
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +76,40 @@ def test_omega_series_normalization():
     assert om.value(0.0) == 1.0
     assert om.deriv(0.0) == -0.5
     assert om.deriv2(0.0) == 0.5
+
+
+@pytest.mark.parametrize("coeffs", [(math.nan,), (1.0, math.nan), (1.0, math.inf)],
+                         ids=["nan_constant", "nan", "inf"])
+def test_omega_series_rejects_non_finite_coefficients(coeffs):
+    with pytest.raises(NonPhysicalEosError, match="finite"):
+        OmegaSeries(coeffs)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    tail=st.lists(st.floats(-1e3, 1e3), max_size=11),
+    zeta=st.floats(-0.1, 10.0),
+)
+@example(tail=list(FERMI_COEFFS[1:]), zeta=-0.05)
+@example(tail=list(FERMI_COEFFS[1:]), zeta=0.3)
+@example(tail=list(FERMI_COEFFS[1:]), zeta=10.0)
+@example(tail=[], zeta=-0.1)
+@example(tail=[-0.5], zeta=-0.1)
+def test_omega_series_bitwise_equals_numpy_polynomial(tail, zeta):
+    coeffs = (1.0, *tail)
+    om = OmegaSeries(coeffs)
+    for order, got in enumerate((om.value(zeta), om.deriv(zeta), om.deriv2(zeta))):
+        want = omega_series_numpy(coeffs, zeta, order)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("eos", [
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
+    fermi_fit_eos(FermiEosParams(K=1.0), delta_omega=0.1),
+], ids=["series", "fermi_fit"])
+def test_omega_u_matches_mpmath_quadrature(eos):
+    for zeta in (-0.09, 1e-5, 1e-3, 0.1, 0.7, 2.0):
+        assert eos.omega_u(zeta) == pytest.approx(omega_u_mpmath(eos, zeta), rel=1e-12, abs=0.0)
 
 
 def test_omega_u_closed_form(eos15):

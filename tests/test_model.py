@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from tovds.model import (
 )
 from tovds.odecore import FOUR_PI, ScalingParams, kappa, rhs_scaled
 
-from oracles import profile_row, rhs_tov
+from oracles import du_dr_minus_pointwise, profile_row, rhs_tov
 
 GEOM = Constants(1.0, 1.0)
 XI1_MU2 = 4.352874595946  # frozen from the fixed-step oracle in test_analysis
@@ -191,6 +192,25 @@ def test_boundary_quantities(star_m0):
     kap = kappa(b.r_plus, b.m_plus, profile.Lambda, profile.constants)
     assert abs(kap - b.kappa_plus) <= 1e-12 * abs(kap)
     assert b.kappa_plus > 0.0 and b.Q_plus > 0.0 and b.B > 0.0
+
+
+def test_boundary_slope_matches_pointwise_dense_calls(monkeypatch):
+    # every MonotoneShort star of the benchmark's stars cycle at seed 7
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import STAR_A, Stars
+
+    eoses = {}
+    n_short = 0
+    for item in Stars(7).items:
+        eos = eoses.setdefault(item["gamma"], EosSpec(A=STAR_A, gamma=item["gamma"]))
+        profile, outcome = solve_star(ModelInput(eos=eos, Lambda=item["Lambda"], u_c=item["u_c"]))
+        if outcome.kind != MONOTONE_SHORT:
+            continue
+        n_short += 1
+        b = outcome.boundary
+        assert b.du_dr_minus.hex() == du_dr_minus_pointwise(profile, b.r_plus).hex()
+        assert boundary_quantities(profile) == b
+    assert n_short > 40
 
 
 def test_lambda0_Q_plus_is_Gm(eos15):
