@@ -135,7 +135,7 @@ def build_ctrl(cfg: dict, where: str = "ctrl",
         kwargs["h_max"] = _num(block, "h_max", where, positive=True)
     if "max_steps" in block:
         ms = block["max_steps"]
-        if not isinstance(ms, int) or ms <= 0:
+        if isinstance(ms, bool) or not isinstance(ms, int) or ms <= 0:
             raise ConfigError("'max_steps' must be a positive integer")
         kwargs["max_steps"] = ms
     return StepControl(**kwargs)

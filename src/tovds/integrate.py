@@ -7,24 +7,30 @@ root-located on the interpolant by a safeguarded bisection/secant hybrid
 abscissa.  Everything is deterministic: identical inputs give
 bitwise-identical trajectories within one build.
 
-The systems solved here have two or three components, where a numpy
-operation costs far more than the arithmetic it does.  So the step loop runs
-on Python floats: the state, the seven stage slopes, the error norm and the
-interpolant coefficients are floats in lists or tuples, the right-hand side
-receives the state as a list of floats and may return any sequence of floats,
-and the accepted nodes, states and coefficients go into flat ``array('d')``
-buffers.  numpy appears only when those buffers become the ndarrays of the
-returned DenseSolution.  Called on an array of points, a DenseSolution
-evaluates them all in one vectorised pass, with the scalar path's
-arithmetic, so each point gets the same bits as a scalar call would.
+The right-hand side receives the state as a list of floats and may return
+any sequence of floats; it may raise DomainSignalError to have the step
+retried smaller.  The step loop runs on Python floats, since for the small
+systems solved here a numpy operation costs far more than its arithmetic.
+Each attempted step is one call of a kernel generated for the state's
+dimension from one template, with every stage sum, the error norm and the
+interpolant written out per component, so an attempt builds no
+per-component comprehensions.  Accepted nodes, states and interpolant
+coefficients go into flat ``array('d')`` buffers; numpy appears only when
+those become the ndarrays of the returned DenseSolution.  Called on an array
+of points, a DenseSolution evaluates them all in one vectorised pass, with
+the scalar path's arithmetic, so each point gets the same bits as a scalar
+call would.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import re
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain
+from math import isfinite, sqrt  # for the generated kernel
 
 import numpy as np
 from scipy.optimize import brentq
@@ -87,10 +93,19 @@ class StepControl:
     max_steps: int = 500_000
 
     def __post_init__(self):
-        if self.rel_tol <= 0.0 or self.abs_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.h_init is not None and self.h_init > self.h_max:
-            raise ValueError("h_init must not exceed h_max")
+        for name in ("rel_tol", "abs_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not self.h_max > 0.0:  # also rejects NaN; inf means no cap
+            raise ValueError(f"h_max must be positive, got {self.h_max!r}")
+        if self.h_init is not None:
+            if not self.h_init > 0.0:
+                raise ValueError(f"h_init must be positive, got {self.h_init!r}")
+            if self.h_init > self.h_max:
+                raise ValueError("h_init must not exceed h_max")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, numbers.Integral):
+            raise ValueError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps <= 0:
             raise ValueError("max_steps must be positive")
 
@@ -197,16 +212,100 @@ def _finite(*vectors) -> bool:
     return all(map(math.isfinite, chain(*vectors)))
 
 
-def _initial_step(f, x0, y0, f0, rtol, atol, h_max):
+# One attempted DP5 step, written out per state component.  In the template,
+# `expr` stands for expr once per component, with @ replaced by the component
+# index, joined by ", " (or by " + " when the closing backtick is followed by
+# +).  _kernel generates the attempt once per dimension, so the hot loop makes
+# one Python call per attempt and builds no per-component comprehensions.
+# Every component is computed by the same expression, term by term in the
+# tableau's order, so the bits do not depend on the dimension.
+#
+# attempt(rhs, x, y, h, k1, atol, rtol) -> (calls, err, y_new, k7, q)
+#   calls  right-hand side calls made, counting one that raised
+#   err    the scaled RMS error; on a failed attempt, the DomainSignalError
+#          that cut it short, or None for a non-finite slope
+#   y_new  the fifth-order state at x + h as a list, or None on a failure
+#   k7     rhs(x + h, y_new), the FSAL slope, as rhs returned it
+#   q      the interpolant coefficients, q0, q1, q2, q3 of each component in
+#          turn, or None unless err <= 1
+# A non-finite slope makes err non-finite, except k2, which the error
+# estimate does not weigh; the full scan runs only when that test fails.
+_ATTEMPT = """\
+def attempt(rhs, x, y, h, k1, atol, rtol):
+    `y@`, = y
+    `k1_@`, = k1
+    `atol@`, = atol
+    calls = 1
+    try:
+        k2 = rhs(x + _C2 * h, [`y@ + h * (_A21 * k1_@)`])
+        `k2_@`, = k2
+        calls = 2
+        k3 = rhs(x + _C3 * h, [`y@ + h * (_A31 * k1_@ + _A32 * k2_@)`])
+        `k3_@`, = k3
+        calls = 3
+        k4 = rhs(x + _C4 * h, [`y@ + h * (_A41 * k1_@ + _A42 * k2_@ + _A43 * k3_@)`])
+        `k4_@`, = k4
+        calls = 4
+        k5 = rhs(x + _C5 * h, [`y@ + h * (_A51 * k1_@ + _A52 * k2_@ + _A53 * k3_@
+                                           + _A54 * k4_@)`])
+        `k5_@`, = k5
+        calls = 5
+        k6 = rhs(x + h, [`y@ + h * (_A61 * k1_@ + _A62 * k2_@ + _A63 * k3_@
+                                     + _A64 * k4_@ + _A65 * k5_@)`])
+        `k6_@`, = k6
+        `yn@`, = y_new = [`y@ + h * (_B1 * k1_@ + _B3 * k3_@ + _B4 * k4_@ + _B5 * k5_@
+                                     + _B6 * k6_@)`]
+        calls = 6
+        k7 = rhs(x + h, y_new)
+        `k7_@`, = k7
+    except DomainSignalError as exc:
+        return calls, exc, None, None, None
+    `e@`, = (`h * (_E1 * k1_@ + _E3 * k3_@ + _E4 * k4_@ + _E5 * k5_@ + _E6 * k6_@
+                   + _E7 * k7_@) / (atol@ + rtol * max(abs(y@), abs(yn@)))`,)
+    err = sqrt((`e@ * e@`+) / DIM)
+    if not (isfinite(err + (`k2_@`+)) or _finite(k1, k2, k3, k4, k5, k6, k7)):
+        return 6, None, None, None, None
+    if err > 1.0:
+        return 6, err, y_new, k7, None
+    return 6, err, y_new, k7, (`
+        k1_@,
+        _D11 * k1_@ + _D13 * k3_@ + _D14 * k4_@ + _D15 * k5_@ + _D16 * k6_@ + _D17 * k7_@,
+        _D21 * k1_@ + _D23 * k3_@ + _D24 * k4_@ + _D25 * k5_@ + _D26 * k6_@ + _D27 * k7_@,
+        _D31 * k1_@ + _D33 * k3_@ + _D34 * k4_@ + _D35 * k5_@ + _D36 * k6_@ + _D37 * k7_@`,)
+"""
+
+_KERNELS = {}  # dim -> attempt
+
+
+def _kernel_source(dim: int) -> str:
+    def expand(m):
+        sep = " + " if m.group(2) else ", "
+        return sep.join(m.group(1).replace("@", str(i)) for i in range(dim))
+
+    return re.sub(r"`([^`]*)`(\+?)", expand, _ATTEMPT).replace("DIM", str(dim))
+
+
+def _kernel(dim: int):
+    """The DP5 attempt for a dim-component state, generated on first use."""
+    attempt = _KERNELS.get(dim)
+    if attempt is None:
+        scope = {}
+        exec(compile(_kernel_source(dim), f"<dp5 attempt, dim {dim}>", "exec"), globals(), scope)
+        attempt = _KERNELS[dim] = scope["attempt"]
+    return attempt
+
+
+def _initial_step(rhs, x0, y0, f0, rtol, atol, h_max):
     # span-free on purpose: the same problem must start with the same step
-    # whatever the integration cap is; the caller clamps to the span.
+    # whatever the integration cap is; the caller clamps to the span.  Makes
+    # exactly one rhs call.
     scale = [a + rtol * abs(v) for a, v in zip(atol, y0)]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     h0 = min(h0, h_max)
     try:
-        f1 = f(x0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
+        f1 = rhs(x0 + h0, [v + h0 * d for v, d in zip(y0, f0)])
         d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
         if not math.isfinite(d2):
             d2 = d1
@@ -234,16 +333,9 @@ def _locate_in_step(sol_eval, guard, x_lo, x_hi, g_lo, g_hi, root_tol):
     )
 
 
-def _crossed(g0: float, g1: float, direction: str) -> bool:
-    if direction == "falling":
-        return g0 > 0.0 >= g1
-    if direction == "rising":
-        return g0 < 0.0 <= g1
-    return (g0 > 0.0 >= g1) or (g0 < 0.0 <= g1)
-
-
 def _step_interpolant(x0, y0, h, q, x1, y1):
-    """State on one accepted step [x0, x1 = x0 + h], as a list of floats."""
+    """State on one accepted step [x0, x1 = x0 + h], as a list of floats;
+    q holds q0, q1, q2, q3 of each component in turn."""
 
     def step_eval(xq):
         if xq == x1:
@@ -251,7 +343,7 @@ def _step_interpolant(x0, y0, h, q, x1, y1):
         t = (xq - x0) / h
         ht = h * t
         return [y + ht * (((q3 * t + q2) * t + q1) * t + q0)
-                for y, (q0, q1, q2, q3) in zip(y0, q)]
+                for y, q0, q1, q2, q3 in zip(y0, q[::4], q[1::4], q[2::4], q[3::4])]
 
     return step_eval
 
@@ -275,9 +367,10 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
         Per-component magnitude scale; the absolute tolerance for component
         i is ctrl.abs_tol * y_scale[i].
 
-    The step loop works on Python floats and appends accepted nodes, states
-    and interpolant coefficients to flat ``array('d')`` buffers; they become
-    the xs, ys and interp ndarrays of the result once, when the run ends.
+    Each attempted step is one call of the generated kernel for the state's
+    dimension.  Accepted nodes, states and interpolant coefficients go into
+    flat ``array('d')`` buffers; they become the xs, ys and interp ndarrays
+    of the result once, when the run ends.
     """
     ctrl = ctrl or StepControl()
     x0, x1 = float(span[0]), float(span[1])
@@ -285,24 +378,21 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
         raise ValueError("span must satisfy x1 > x0")
     y0 = np.asarray(y0, dtype=float).ravel().tolist()
     dim = len(y0)
-    rng = range(dim)
+    attempt = _kernel(dim)
     if y_scale is None:
         atol = [ctrl.abs_tol] * dim
     else:
         atol = [ctrl.abs_tol * s for s in np.asarray(y_scale, dtype=float).ravel().tolist()]
     rtol, h_max = ctrl.rel_tol, ctrl.h_max
+    # (guard, falling counts, rising counts) per event
+    guards = [(ev.guard, ev.direction != "rising", ev.direction != "falling") for ev in events]
 
     xs = array("d", (x0,))
     ys = array("d", y0)
     coef = array("d")  # per step and component: q0, q1, q2, q3
     found = []  # (x, y, index) of located events
-    n_rhs = 0
+    n_rhs = 1  # the start slope, counted even when it raises
     n_rejected = 0
-
-    def f(x, y):
-        nonlocal n_rhs
-        n_rhs += 1
-        return rhs(x, y)
 
     def _finish(status, message="", failure=None, x_end=None, y_end=None):
         n = len(xs) - 1
@@ -326,15 +416,16 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
         )
 
     try:
-        fy = f(x0, y0)
+        fy = rhs(x0, y0)
     except DomainSignalError as exc:
         return _finish("domain_error", f"right-hand side undefined at start: {exc}", exc)
 
-    g_prev = [float(ev.guard(x0, y0)) for ev in events]
+    g_prev = [float(guard(x0, y0)) for guard, _, _ in guards]
 
     h = ctrl.h_init
     if h is None:
-        h = _initial_step(f, x0, y0, fy, rtol, atol, h_max)
+        n_rhs += 1
+        h = _initial_step(rhs, x0, y0, fy, rtol, atol, h_max)
     h = min(h, h_max, x1 - x0)
 
     x, y, k1 = x0, y0, fy
@@ -349,40 +440,17 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
             return _finish("step_underflow", f"step size underflow at x = {x:g}")
         attempts += 1
 
-        domain_exc = None
-        try:
-            k2 = f(x + _C2 * h, [y[i] + h * (_A21 * k1[i]) for i in rng])
-            k3 = f(x + _C3 * h, [y[i] + h * (_A31 * k1[i] + _A32 * k2[i]) for i in rng])
-            k4 = f(x + _C4 * h, [y[i] + h * (_A41 * k1[i] + _A42 * k2[i] + _A43 * k3[i])
-                                 for i in rng])
-            k5 = f(x + _C5 * h, [y[i] + h * (_A51 * k1[i] + _A52 * k2[i] + _A53 * k3[i]
-                                             + _A54 * k4[i]) for i in rng])
-            k6 = f(x + h, [y[i] + h * (_A61 * k1[i] + _A62 * k2[i] + _A63 * k3[i]
-                                       + _A64 * k4[i] + _A65 * k5[i]) for i in rng])
-            y_new = [y[i] + h * (_B1 * k1[i] + _B3 * k3[i] + _B4 * k4[i] + _B5 * k5[i]
-                                 + _B6 * k6[i]) for i in rng]
-            k7 = f(x + h, y_new)
-        except DomainSignalError as exc:
-            domain_exc = exc
-        else:
-            err = 0.0
-            for i in rng:
-                e = h * (_E1 * k1[i] + _E3 * k3[i] + _E4 * k4[i] + _E5 * k5[i] + _E6 * k6[i]
-                         + _E7 * k7[i]) / (atol[i] + rtol * max(abs(y[i]), abs(y_new[i])))
-                err += e * e
-            err = math.sqrt(err / dim)
+        calls, err, y_new, k7, q = attempt(rhs, x, y, h, k1, atol, rtol)
+        n_rhs += calls
 
-        # a non-finite slope makes err non-finite, except k2, which the error
-        # estimate does not weigh; the full scan runs only when this test fails
-        if domain_exc is not None or not (math.isfinite(err + sum(k2))
-                                          or _finite(k1, k2, k3, k4, k5, k6, k7)):
+        if y_new is None:
             # boundary or blow-up inside the step: retry smaller
             h *= 0.25
             rejected = True
             n_rejected += 1
             if h <= _H_TINY * max(abs(x), 1.0):
-                if domain_exc is not None:
-                    return _finish("domain_error", f"domain exit at x = {x:g}: {domain_exc}", domain_exc)
+                if err is not None:
+                    return _finish("domain_error", f"domain exit at x = {x:g}: {err}", err)
                 return _finish("step_underflow", f"non-finite right-hand side at x = {x:g}")
             continue
 
@@ -398,29 +466,21 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
             factor = min(1.0, factor)
         rejected = False
 
-        q = [(k1[i],
-              _D11 * k1[i] + _D13 * k3[i] + _D14 * k4[i] + _D15 * k5[i] + _D16 * k6[i] + _D17 * k7[i],
-              _D21 * k1[i] + _D23 * k3[i] + _D24 * k4[i] + _D25 * k5[i] + _D26 * k6[i] + _D27 * k7[i],
-              _D31 * k1[i] + _D33 * k3[i] + _D34 * k4[i] + _D35 * k5[i] + _D36 * k6[i] + _D37 * k7[i])
-             for i in rng]
         x_new = x + h
         xs.append(x_new)
         ys.extend(y_new)
-        for qi in q:
-            coef.extend(qi)
+        coef.extend(q)
 
         hit = []  # (x_event, index)
         step_eval = None
-        for idx, ev in enumerate(events):
-            g_new = float(ev.guard(x_new, y_new))
-            if _crossed(g_prev[idx], g_new, ev.direction):
+        for idx, (guard, falling, rising) in enumerate(guards):
+            g0 = g_prev[idx]
+            g1 = g_prev[idx] = float(guard(x_new, y_new))
+            if (falling and g0 > 0.0 >= g1) or (rising and g0 < 0.0 <= g1):
                 if step_eval is None:
                     step_eval = _step_interpolant(x, y, h, q, x_new, y_new)
-                x_ev = _locate_in_step(
-                    step_eval, ev.guard, x, x_new, g_prev[idx], g_new, ev.root_tol
-                )
-                hit.append((x_ev, idx))
-            g_prev[idx] = g_new
+                hit.append((_locate_in_step(step_eval, guard, x, x_new, g0, g1,
+                                            events[idx].root_tol), idx))
 
         if hit:
             hit.sort()

@@ -37,6 +37,7 @@ from .odecore import (
     kappa_scaled,
     q_factor,
     rhs_scaled,
+    scaled_rhs,
 )
 
 __all__ = [
@@ -267,14 +268,15 @@ def _solve_core(alpha, beta, eos, ctrl, R0, R_max, kappa_min, mono_eps) -> Scale
     DenseSolution as its profile.
     """
     y0 = center_germ_scaled(alpha, beta, eos, R0)
+    f = scaled_rhs(alpha, beta, eos)
     # the latest rhs call: the integrator evaluates f(x + h, y_new) as its
     # FSAL stage and then the guards at the same (x + h, y_new), so the rise
-    # guard reuses that slope instead of calling rhs_scaled again
+    # guard reuses that slope instead of calling the right-hand side again
     last_R = last_y = last_dy = None
 
     def rhs(R, y):
         nonlocal last_R, last_y, last_dy
-        last_dy = rhs_scaled(R, y, alpha, beta, eos)
+        last_dy = f(R, y)
         last_R, last_y = R, y
         return last_dy
 

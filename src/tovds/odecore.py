@@ -8,11 +8,15 @@ two floats.  State conventions:
     scaled form              y = (M, U),   x = R
 
 The solvers integrate the scaled form only; the enthalpy form is its
-physical-unit reference.
+physical-unit reference.  scaled_rhs(alpha, beta, eos) binds one star's
+constants once and returns its right-hand side R, y -> (dM/dR, dU/dR); a
+solve integrates that closure, and rhs_scaled is the same closure called
+once.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3 and
-Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are the only two
-places those combinations are spelled out; every right-hand side calls them.
+Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled out in
+kappa and q_factor, which the enthalpy form calls; the scaled form spells out
+its own kappa, with the same expression as kappa_scaled.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ __all__ = [
     "q_factor",
     "kappa_scaled",
     "rhs_tovds_enthalpy",
+    "scaled_rhs",
     "rhs_scaled",
     "rhs_lane_emden",
     "center_germ_scaled",
@@ -82,27 +87,45 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
     return dm, du
 
 
-def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec) -> tuple:
-    """(dM/dR, dU/dR) of the homology-scaled system.
+def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
+    """The right-hand side R, y -> (dM/dR, dU/dR) of the homology-scaled system.
 
-    At alpha = beta = 0 this reduces exactly (bitwise) to the Lane-Emden
-    right-hand side with lambda = 0.
+    alpha, beta and the EOS constants are bound once, so a solve pays for
+    them once and not at every stage.  At alpha = beta = 0 this reduces
+    exactly (bitwise) to the Lane-Emden right-hand side with lambda = 0.
+    Raises KappaNonPositiveError where kappa <= 0 (horizon contact).
     """
-    M, U = y
-    U_pos = U if U > 0.0 else 0.0
-    if alpha == 0.0:
-        omega_rho = 1.0
-        omega_P = 1.0
-    else:
-        omega_rho, omega_P = eos.omega_rho_P_fast(alpha * U)
+    mu = eos.mu
+    mu1 = mu + 1.0
     g = eos.gamma
-    R3 = R**3
-    dM = R * R * U_pos**eos.mu * omega_rho
-    num = M + (g - 1.0) / g * alpha * R3 * U_pos ** (eos.mu + 1.0) * omega_P - beta * R3 / 3.0
-    kap = kappa_scaled(R, M, alpha, beta)
-    _check_kappa(kap, R)
-    dU = -num / (R * R * kap)
-    return dM, dU
+    p_alpha = (g - 1.0) / g * alpha
+    two_alpha = 2.0 * alpha
+    alpha_beta = alpha * beta
+    omega_rho_P = eos.omega_rho_P_fast
+    lane_emden = alpha == 0.0
+
+    def rhs(R, y):
+        M, U = y
+        U_pos = U if U > 0.0 else 0.0
+        if lane_emden:
+            omega_rho = omega_P = 1.0
+        else:
+            omega_rho, omega_P = omega_rho_P(alpha * U)
+        R3 = R**3
+        dM = R * R * U_pos**mu * omega_rho
+        num = M + p_alpha * R3 * U_pos**mu1 * omega_P - beta * R3 / 3.0
+        kap = 1.0 - two_alpha * M / R - alpha_beta * R * R / 3.0
+        if kap <= 0.0:
+            raise KappaNonPositiveError(f"kappa = {kap:g} <= 0 at r = {R:g} (horizon contact)")
+        dU = -num / (R * R * kap)
+        return dM, dU
+
+    return rhs
+
+
+def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec) -> tuple:
+    """(dM/dR, dU/dR) of the homology-scaled system at one point."""
+    return scaled_rhs(alpha, beta, eos)(R, y)
 
 
 def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:

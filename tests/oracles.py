@@ -4,8 +4,10 @@ The solvers integrate the scaled system alone.  The pressure form of the
 structure equations, the physical-unit germs, the Lambda = 0 enthalpy
 system, the explicit-c scaled system, the density inversion of the EOS, the
 numpy and mpmath evaluations of a series Omega and of Omega_u, the
-per-sample profile row and the pointwise boundary slope live here, as
-independent oracles for the code in src/.
+per-sample profile row, the pointwise boundary slope, the scaled right-hand
+side spelled through kappa_scaled and _check_kappa, and one DP5 attempt
+written with per-component comprehensions live here, as independent oracles
+for the code in src/.
 """
 
 import math
@@ -15,9 +17,17 @@ import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from tovds import integrate as ig
 from tovds.errors import KappaNonPositiveError, RootFindError
 from tovds.model import _one_sided_derivatives
-from tovds.odecore import kappa, q_factor, rhs_scaled, rhs_tovds_enthalpy
+from tovds.odecore import (
+    _check_kappa,
+    kappa,
+    kappa_scaled,
+    q_factor,
+    rhs_scaled,
+    rhs_tovds_enthalpy,
+)
 
 FOUR_PI = 4.0 * math.pi
 
@@ -119,6 +129,26 @@ def rhs_tov(r: float, y, eos, k) -> tuple:
     return rhs_tovds_enthalpy(r, y, 0.0, eos, k)
 
 
+def rhs_scaled_reference(R: float, y, alpha: float, beta: float, eos) -> tuple:
+    """(dM/dR, dU/dR) of the homology-scaled system, with every constant
+    formed at the call; scaled_rhs must give the same bits."""
+    M, U = y
+    U_pos = U if U > 0.0 else 0.0
+    if alpha == 0.0:
+        omega_rho = 1.0
+        omega_P = 1.0
+    else:
+        omega_rho, omega_P = eos.omega_rho_P_fast(alpha * U)
+    g = eos.gamma
+    R3 = R**3
+    dM = R * R * U_pos**eos.mu * omega_rho
+    num = M + (g - 1.0) / g * alpha * R3 * U_pos ** (eos.mu + 1.0) * omega_P - beta * R3 / 3.0
+    kap = kappa_scaled(R, M, alpha, beta)
+    _check_kappa(kap, R)
+    dU = -num / (R * R * kap)
+    return dM, dU
+
+
 def rhs_scaled_c(R: float, y, lam: float, c: float, eos) -> tuple:
     """Scaled system with the central enthalpy normalized to 1 and c explicit.
 
@@ -185,3 +215,41 @@ def center_germ_enthalpy(u_c: float, Lambda: float, eos, k, r: float) -> tuple:
 def scale_state(sp, r: float, y) -> tuple:
     """(r, (m, u)) -> (R, (M, U)), the inverse of ScalingParams.unscale_state."""
     return r / sp.a, np.array([y[0] / sp.mass_scale, y[1] / sp.b])
+
+
+# -- integrator -----------------------------------------------------------------
+
+def dp5_attempt(f, x, y, h, k1, atol, rtol):
+    """One DP5 attempt from (x, y) with slope k1, one comprehension per vector.
+
+    Returns (k2, k3, k4, k5, k6, k7, y_new, err, q), q as one (q0, q1, q2, q3)
+    per component; a DomainSignalError from f propagates.  The generated
+    kernel of integrate_adaptive must give the same bits.
+    """
+    rng = range(len(y))
+    k2 = f(x + ig._C2 * h, [y[i] + h * (ig._A21 * k1[i]) for i in rng])
+    k3 = f(x + ig._C3 * h, [y[i] + h * (ig._A31 * k1[i] + ig._A32 * k2[i]) for i in rng])
+    k4 = f(x + ig._C4 * h, [y[i] + h * (ig._A41 * k1[i] + ig._A42 * k2[i] + ig._A43 * k3[i])
+                            for i in rng])
+    k5 = f(x + ig._C5 * h, [y[i] + h * (ig._A51 * k1[i] + ig._A52 * k2[i] + ig._A53 * k3[i]
+                                        + ig._A54 * k4[i]) for i in rng])
+    k6 = f(x + h, [y[i] + h * (ig._A61 * k1[i] + ig._A62 * k2[i] + ig._A63 * k3[i]
+                               + ig._A64 * k4[i] + ig._A65 * k5[i]) for i in rng])
+    y_new = [y[i] + h * (ig._B1 * k1[i] + ig._B3 * k3[i] + ig._B4 * k4[i] + ig._B5 * k5[i]
+                         + ig._B6 * k6[i]) for i in rng]
+    k7 = f(x + h, y_new)
+    err = 0.0
+    for i in rng:
+        e = h * (ig._E1 * k1[i] + ig._E3 * k3[i] + ig._E4 * k4[i] + ig._E5 * k5[i]
+                 + ig._E6 * k6[i] + ig._E7 * k7[i]) / (atol[i] + rtol * max(abs(y[i]), abs(y_new[i])))
+        err += e * e
+    err = math.sqrt(err / len(y))
+    q = [(k1[i],
+          ig._D11 * k1[i] + ig._D13 * k3[i] + ig._D14 * k4[i] + ig._D15 * k5[i]
+          + ig._D16 * k6[i] + ig._D17 * k7[i],
+          ig._D21 * k1[i] + ig._D23 * k3[i] + ig._D24 * k4[i] + ig._D25 * k5[i]
+          + ig._D26 * k6[i] + ig._D27 * k7[i],
+          ig._D31 * k1[i] + ig._D33 * k3[i] + ig._D34 * k4[i] + ig._D35 * k5[i]
+          + ig._D36 * k6[i] + ig._D37 * k7[i])
+         for i in rng]
+    return k2, k3, k4, k5, k6, k7, y_new, err, q

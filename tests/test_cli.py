@@ -88,8 +88,9 @@ def _series_eos(coeffs):
     _series_eos([True, 0.3]),
     _series_eos([1, "0.3"]),
     _series_eos([math.nan]),
+    {"ctrl": {"max_steps": True}},
 ], ids=["nan_lambda", "inf_center", "huge_int", "coeff_string", "coeff_bool",
-        "coeff_numeric_string", "coeff_nan"])
+        "coeff_numeric_string", "coeff_nan", "max_steps_bool"])
 def test_solve_bad_number_exits_2(tmp_path, capsys, change):
     cfg = dict(M0_CONFIG, **change)
     code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])

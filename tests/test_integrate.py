@@ -5,8 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from tovds import integrate
 from tovds.errors import DomainSignalError
 from tovds.integrate import (
     DenseSolution,
@@ -15,6 +18,8 @@ from tovds.integrate import (
     integrate_adaptive,
 )
 from tovds.odecore import rhs_lane_emden
+
+from oracles import dp5_attempt
 
 
 def locate_event(dense: DenseSolution, guard, direction="any", root_tol=1e-12):
@@ -218,6 +223,142 @@ def test_control_validation():
         EventSpec(guard=lambda x, y: x, direction="sideways")
     with pytest.raises(ValueError):
         EventSpec(guard=lambda x, y: x, root_tol=0.0)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(rel_tol=math.nan), "rel_tol"),
+    (dict(rel_tol=math.inf), "rel_tol"),
+    (dict(abs_tol=math.nan), "abs_tol"),
+    (dict(abs_tol=math.inf), "abs_tol"),
+    (dict(h_max=0.0), "h_max"),
+    (dict(h_max=-1.0), "h_max"),
+    (dict(h_max=math.nan), "h_max"),
+    (dict(h_init=0.0), "h_init"),
+    (dict(h_init=-0.1), "h_init"),
+    (dict(max_steps=2.5), "max_steps"),
+    (dict(max_steps=True), "max_steps"),
+], ids=["rel_nan", "rel_inf", "abs_nan", "abs_inf", "h_max_zero", "h_max_negative",
+        "h_max_nan", "h_init_zero", "h_init_negative", "max_steps_float", "max_steps_bool"])
+def test_control_rejects_bad_field(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        StepControl(**kwargs)
+
+
+def test_control_default_has_no_step_cap():
+    assert StepControl().h_max == math.inf
+    assert StepControl(max_steps=np.int64(10)).max_steps == 10
+
+
+def _bits(*values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    dim=st.integers(1, 4),
+    data=st.data(),
+    x=st.floats(-5.0, 5.0),
+    h=st.floats(1e-4, 1.0),
+    rtol=st.sampled_from([1e-12, 1e-6, 1e3]),
+)
+def test_kernel_matches_comprehension_oracle(dim, data, x, h, rtol):
+    # the generated per-component kernel against the parent's comprehensions,
+    # bit for bit, on a nonlinear right-hand side with random coefficients
+    vec = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
+    y, k1, atol = data.draw(vec), data.draw(vec), [abs(a) + 1e-14 for a in data.draw(vec)]
+    a = [data.draw(vec) for _ in range(dim)]
+
+    def make_rhs(log):
+        def rhs(x, y):
+            out = tuple(math.sin(a[i][0] * x) + sum(a[i][j] * y[j] for j in range(dim))
+                        - 0.1 * y[i] * y[i] for i in range(dim))
+            log.append((x, list(y), out))
+            return out
+        return rhs
+
+    want_log, got_log = [], []
+    k2, k3, k4, k5, k6, k7, y_new, err, q = dp5_attempt(make_rhs(want_log), x, y, h, k1, atol, rtol)
+    calls, got_err, got_y, got_k7, got_q = integrate._kernel(dim)(
+        make_rhs(got_log), x, y, h, k1, atol, rtol)
+
+    assert calls == 6 and len(got_log) == len(want_log) == 6
+    for (xa, ya, ka), (xb, yb, kb) in zip(got_log, want_log):
+        assert _bits(xa, *ya, *ka) == _bits(xb, *yb, *kb)
+    assert [out for _, _, out in want_log] == [k2, k3, k4, k5, k6, k7]
+    assert got_k7 is got_log[-1][2]
+    assert _bits(got_err, *got_y) == _bits(err, *y_new)
+    if err > 1.0:
+        assert got_q is None
+    else:
+        assert _bits(*got_q) == _bits(*(c for qi in q for c in qi))
+
+
+@pytest.mark.parametrize("stage", [2, 3, 4, 5, 6, 7])
+def test_domain_exit_at_each_stage_counts_calls(stage):
+    # the attempt's (stage - 1)-th call raises; n_rhs counts that call and
+    # the ones before it, and the retry after it
+    def rhs_raising_at(n):
+        calls = 0
+
+        def rhs(x, y):
+            nonlocal calls
+            calls += 1
+            if calls == n:
+                raise DomainSignalError(f"call {n}")
+            return (-y[0], y[0] - y[1])
+        return rhs
+
+    out = integrate._kernel(2)(rhs_raising_at(stage - 1), 0.0, [1.0, 0.5], 0.1, [-1.0, 0.5],
+                               [1e-12, 1e-12], 1e-10)
+    assert out[0] == stage - 1
+    assert isinstance(out[1], DomainSignalError) and out[2:] == (None, None, None)
+
+    # the start slope is call 1, so the first attempt's stage s is call s
+    sol = integrate_adaptive(rhs_raising_at(stage), [1.0, 0.5], (0.0, 1.0),
+                             StepControl(rel_tol=1e-10, abs_tol=1e-12, h_init=0.1))
+    assert sol.status == "completed"
+    assert sol.n_rejected >= 1
+    assert sol.n_rhs == 1 + (stage - 1) + 6 * (sol.n_steps + sol.n_rejected - 1)
+
+
+def test_three_component_linear_system_against_closed_form():
+    # a decaying rotation in (y0, y1) and a decay in y2:
+    # y0 = exp(-d x) cos(w x), y1 = exp(-d x) sin(w x), y2 = 2 exp(-c x)
+    d, w, c = 0.3, 2.0, 1.1
+
+    def exact(x):
+        return np.array([math.exp(-d * x) * math.cos(w * x), math.exp(-d * x) * math.sin(w * x),
+                         2.0 * math.exp(-c * x)])
+
+    sol = integrate_adaptive(
+        lambda x, y: (-d * y[0] - w * y[1], w * y[0] - d * y[1], -c * y[2]),
+        [1.0, 0.0, 2.0], (0.0, 3.0), StepControl(rel_tol=1e-12, abs_tol=1e-14),
+        events=[EventSpec(guard=lambda x, y: y[0], direction="falling", root_tol=1e-13,
+                          name="down")],
+    )
+    assert sol.status == "completed"
+    assert sol.ys.shape[1] == 3 and sol.interp.shape[1:] == (3, 4)
+    assert np.max(np.abs(sol.y_end - exact(3.0))) < 1e-9
+    grid = np.linspace(0.0, 3.0, 301)
+    assert np.max(np.abs(sol(grid) - np.array([exact(x) for x in grid]))) < 1e-9
+    assert [ev.name for ev in sol.events] == ["down"]  # the rising zero at 3 pi/4 is skipped
+    ev = sol.events[0]
+    assert abs(ev.x - math.pi / (2.0 * w)) < 1e-9
+    assert np.max(np.abs(ev.y - exact(ev.x))) < 1e-9
+
+
+def test_kernel_built_once_per_dimension(monkeypatch):
+    built = []
+    source = integrate._kernel_source
+    monkeypatch.setattr(integrate, "_KERNELS", {})
+    monkeypatch.setattr(integrate, "_kernel_source", lambda dim: built.append(dim) or source(dim))
+    for _ in range(3):
+        integrate_adaptive(lambda x, y: (y[1], -y[0], -y[2]), [1.0, 0.0, 1.0], (0.0, 1.0))
+    integrate_adaptive(lambda x, y: (-y[0],), [1.0], (0.0, 1.0))
+    kernel = integrate._kernel(3)
+    integrate_adaptive(lambda x, y: (y[1], -y[0], -y[2]), [1.0, 0.0, 1.0], (0.0, 1.0))
+    assert built == [3, 1]
+    assert integrate._kernel(3) is kernel
 
 
 def test_nonterminal_events_recorded():

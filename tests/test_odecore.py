@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tovds.constants import Constants
-from tovds.eos import EosSpec
+from tovds.eos import EosSpec, OmegaSeries
 from tovds.errors import KappaNonPositiveError
 from tovds.integrate import StepControl, integrate_adaptive
 from tovds.odecore import (
@@ -18,12 +20,14 @@ from tovds.odecore import (
     rhs_scaled,
     rhs_tovds_enthalpy,
     scaled_germ_u_coeff,
+    scaled_rhs,
 )
 
 from oracles import (
     center_germ_enthalpy,
     center_germ_physical,
     rhs_scaled_c,
+    rhs_scaled_reference,
     rhs_tov,
     rhs_tovds_pressure,
     scale_state,
@@ -124,6 +128,61 @@ def test_scaled_reduces_to_lane_emden_bitwise(eos15):
         a = rhs_scaled(R, (M, U), 0.0, 0.0, eos15)
         b = rhs_lane_emden(R, (M, U), eos15.mu, 0.0)
         assert np.array_equal(a, b)
+
+
+SCALED_EOS = {
+    "polytrope": EosSpec(A=1.0, gamma=1.5, c=1.0),
+    "series": EosSpec(A=1.0, gamma=1.5, c=1.0, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0),
+}
+
+
+def _outcome(f, *args):
+    """The slopes' bits, or the type and message of what f raised."""
+    try:
+        return np.asarray(f(*args), dtype=float).tobytes()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    eos=st.sampled_from(sorted(SCALED_EOS)),
+    alpha=st.one_of(st.just(0.0), st.floats(1e-4, 0.5)),
+    beta=st.one_of(st.just(0.0), st.floats(1e-4, 5.0)),
+    R=st.floats(1e-6, 4.0),
+    M=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),  # M = beta = 0 isolates the pressure term
+    U=st.floats(-0.5, 1.0),
+)
+def test_scaled_rhs_matches_reference_bitwise(eos, alpha, beta, R, M, U):
+    # bound constants give the same bits as forming them at every call,
+    # at alpha = 0, for U < 0, and in the error raised where kappa <= 0
+    eos = SCALED_EOS[eos]
+    want = _outcome(rhs_scaled_reference, R, [M, U], alpha, beta, eos)
+    assert _outcome(scaled_rhs(alpha, beta, eos), R, [M, U]) == want
+    assert _outcome(rhs_scaled, R, [M, U], alpha, beta, eos) == want
+
+
+def test_scaled_rhs_matches_reference_on_random_points():
+    # a last-ulp change in a bound constant seldom survives to the slopes,
+    # so check many points, with M = beta = 0 at half of them
+    rng = np.random.default_rng(11)
+    for eos in SCALED_EOS.values():
+        for k in range(1000):
+            alpha, R, U = rng.uniform(1e-4, 0.5), rng.uniform(1e-3, 2.0), rng.uniform(-0.2, 1.0)
+            beta, M = (0.0, 0.0) if k % 2 else (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5))
+            want = _outcome(rhs_scaled_reference, R, [M, U], alpha, beta, eos)
+            assert _outcome(scaled_rhs(alpha, beta, eos), R, [M, U]) == want
+
+
+def test_scaled_rhs_kappa_nonpositive_raises(eos15):
+    f = scaled_rhs(0.4, 0.3, eos15)
+    # kappa = 1 - 0.8 M / R - 0.04 R^2 at R = 1 is -0.04 for M = 1.25
+    for M in (1.25, 2.0):
+        with pytest.raises(KappaNonPositiveError, match="horizon contact") as got:
+            f(1.0, [M, 0.5])
+        with pytest.raises(KappaNonPositiveError) as want:
+            rhs_scaled_reference(1.0, [M, 0.5], 0.4, 0.3, eos15)
+        assert str(got.value) == str(want.value)
 
 
 def test_scaled_negative_u(eos15):
