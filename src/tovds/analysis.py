@@ -43,10 +43,12 @@ __all__ = [
 
 _LE_CTRL = StepControl(rel_tol=1e-12, abs_tol=1e-14)
 _LE_GERM_R = 1e-6
+_FIT_MIN_SAMPLES = 50
+_PERTURB_CTRL = StepControl(rel_tol=1e-11, abs_tol=1e-13)
 
 
 def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = 100.0,
-                        ctrl: StepControl = _LE_CTRL, first_zero_only: bool = True):
+                        first_zero_only: bool = True):
     """Dense solution of the Lane-Emden system dM/dR = R^2 (U#)^mu,
     dU/dR = -(M - lam R^3/3)/R^2 from the center germ."""
     if mu <= 0.0:
@@ -69,14 +71,13 @@ def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = 100.0,
             direction="rising", terminal=True, root_tol=1e-10, name="turning_point"))
     return integrate_adaptive(
         lambda R, y: rhs_lane_emden(R, y, mu, lam),
-        np.array([M0, U0]), (R0, R_cap), ctrl, events=events,
+        np.array([M0, U0]), (R0, R_cap), _LE_CTRL, events=events,
     )
 
 
-def lane_emden_first_zero(mu: float, lam: float = 0.0, R_cap: float = 100.0,
-                          ctrl: StepControl = _LE_CTRL):
+def lane_emden_first_zero(mu: float, lam: float = 0.0, R_cap: float = 100.0):
     """First zero of U, event-located; None when U turns around above zero."""
-    dense = lane_emden_solution(mu, lam, R_cap, ctrl)
+    dense = lane_emden_solution(mu, lam, R_cap)
     for ev in dense.events:
         if ev.name == "vacuum":
             return ev.x
@@ -135,37 +136,29 @@ def mu1_residual(lam: float, R: float) -> float:
 
 # -- convergence of the scaled system to its limit orbit -------------------------
 
-def scaled_limit_convergence(
-    gamma: float,
-    alphas,
-    betas,
-    eos: EosSpec | None = None,
-    R0: float = 0.1,
-    n_grid: int = 400,
-    ctrl: StepControl = _LE_CTRL,
-) -> list:
+def scaled_limit_convergence(gamma: float, alphas, betas) -> list:
     """Distance of the scaled solution to the limit orbit, per (alpha, beta).
 
-    For each pair on the grid product, integrates the scaled system and
-    records sup |U - U_limit| on [R0, xi1] plus the located boundary radius.
-    Both integrations share germ order and tolerances, so alpha = beta = 0
-    reproduces the limit orbit bitwise and reports distance 0.
+    For each pair on the grid product, integrates the scaled system of the
+    polytrope A = 1 and records sup |U - U_limit| over 400 points of
+    [0.1, xi1] plus the located boundary radius.  Both integrations share
+    germ order and tolerances, so alpha = beta = 0 reproduces the limit orbit
+    bitwise and reports distance 0.
     """
-    if eos is None:
-        eos = EosSpec(A=1.0, gamma=gamma)
+    eos = EosSpec(A=1.0, gamma=gamma)
     mu = 1.0 / (gamma - 1.0)
-    ref = lane_emden_solution(mu, 0.0, ctrl=ctrl)
+    ref = lane_emden_solution(mu, 0.0)
     vac = [ev for ev in ref.events if ev.name == "vacuum"]
     if not vac:
         raise AnalysisError(f"limit solution has no first zero for gamma = {gamma}")
     xi1 = vac[0].x
-    R_grid = np.linspace(R0, xi1 * (1.0 - 1e-9), n_grid)
+    R_grid = np.linspace(0.1, xi1 * (1.0 - 1e-9), 400)
     U_ref = ref(R_grid)[:, 1]
 
     rows = []
     for alpha in alphas:
         for beta in betas:
-            star = solve_scaled(alpha, beta, eos, ctrl=ctrl, germ_radius=_LE_GERM_R)
+            star = solve_scaled(alpha, beta, eos, ctrl=_LE_CTRL, germ_radius=_LE_GERM_R)
             R_hi = star.R_plus if star.R_plus is not None else star.dense.x_end
             inside = R_grid <= R_hi
             dist = float(np.max(np.abs(star.dense(R_grid[inside])[:, 1] - U_ref[inside]),
@@ -195,20 +188,16 @@ class ExponentFit:
     B: float
 
 
-def boundary_exponent_fit(
-    profile: SolutionProfile,
-    eos: EosSpec | None = None,
-    window: tuple = (1e-6, 1e-2),
-    min_samples: int = 50,
-) -> ExponentFit:
+def boundary_exponent_fit(profile: SolutionProfile, window: tuple = (1e-6, 1e-2)) -> ExponentFit:
     """Fit the vacuum-boundary behavior of a monotone-short profile.
 
     A log-log regression of rho against x = r_+ - r over the window
     x/r_+ in [1e-6, 1e-2] estimates the leading exponent (target
     1/(gamma-1)) and amplitude; the relative enthalpy residual
-    u/(B x) - 1 is then fitted against {x, x^(mu+1)}.
+    u/(B x) - 1 is then fitted against {x, x^(mu+1)}.  The window must hold
+    at least _FIT_MIN_SAMPLES usable samples.
     """
-    eos = eos if eos is not None else profile.eos
+    eos = profile.eos
     ev = profile.vacuum_event()
     if ev is None:
         raise ModelError("exponent fit needs a vacuum-terminated profile", profile=profile)
@@ -223,9 +212,9 @@ def boundary_exponent_fit(
         & (profile.u > u_floor)
     )
     n = int(mask.sum())
-    if n < min_samples:
+    if n < _FIT_MIN_SAMPLES:
         raise AnalysisError(
-            f"only {n} usable samples in the fit window; need >= {min_samples}"
+            f"only {n} usable samples in the fit window; need >= {_FIT_MIN_SAMPLES}"
         )
     xs = x[mask]
     rho = profile.rho[mask]
@@ -396,8 +385,6 @@ def perturbation_compare(
     eos: EosSpec,
     Lambda_list,
     constants: Constants = Constants(),
-    ctrl: StepControl = StepControl(rel_tol=1e-11, abs_tol=1e-13),
-    r_max_scaled: float = 50.0,
 ) -> list:
     """Solve the Lambda = 0 star and each perturbed Lambda > 0 star.
 
@@ -405,7 +392,7 @@ def perturbation_compare(
     measured against the Lambda = 0 boundary radius.
     """
     base_inp = ModelInput(eos=eos, Lambda=0.0, constants=constants, rho_c=rho_c,
-                          ctrl=ctrl, r_max_scaled=r_max_scaled)
+                          ctrl=_PERTURB_CTRL)
     base_prof, base_out = solve_star(base_inp)
     if base_out.kind != MONOTONE_SHORT:
         raise AnalysisError(
@@ -418,7 +405,7 @@ def perturbation_compare(
     }]
     for Lam in Lambda_list:
         inp = ModelInput(eos=eos, Lambda=float(Lam), constants=constants, rho_c=rho_c,
-                         ctrl=ctrl, r_max_scaled=r_max_scaled)
+                         ctrl=_PERTURB_CTRL)
         prof, out = solve_star(inp)
         r_plus = out.boundary.r_plus if out.boundary is not None else None
         shift = abs(r_plus - r0) / r0 if r_plus is not None else math.nan

@@ -190,12 +190,10 @@ class EosSpec:
     def __post_init__(self):
         if not (1.0 < self.gamma <= 2.0):
             raise NonPhysicalEosError(f"gamma must satisfy 1 < gamma <= 2, got {self.gamma}")
-        if self.A <= 0.0:
-            raise NonPhysicalEosError(f"A must be positive, got {self.A}")
-        if self.delta_omega <= 0.0:
-            raise NonPhysicalEosError("delta_omega must be positive")
-        if self.c <= 0.0:
-            raise NonPhysicalEosError("c must be positive")
+        for name in ("A", "delta_omega", "c", "eta_max"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise NonPhysicalEosError(f"{name} must be finite and positive, got {value!r}")
         if abs(self.omega.value(0.0) - 1.0) > 1e-12:
             raise NonPhysicalEosError("Omega(0) must equal 1")
 
@@ -258,11 +256,11 @@ class EosSpec:
             return 0.0
         return self._dpdrho_raw(rho)
 
-    def validate_range(self, rho_lo: float, rho_hi: float, n: int = 64) -> None:
-        """Check P > 0 and 0 < dP/drho < c^2 on a log grid of densities."""
+    def validate_range(self, rho_lo: float, rho_hi: float) -> None:
+        """Check P > 0 and 0 < dP/drho < c^2 on a log grid of 64 densities."""
         if not (0.0 < rho_lo < rho_hi):
             raise ValueError("need 0 < rho_lo < rho_hi")
-        for rho in np.geomspace(rho_lo, rho_hi, n):
+        for rho in np.geomspace(rho_lo, rho_hi, 64):
             self.pressure_of_density(float(rho))
 
     # -- the enthalpy transform ---------------------------------------------
@@ -495,24 +493,28 @@ def fermi_eos(zeta: float, params: FermiEosParams) -> tuple:
     return rho, P
 
 
+# the Fermi fit: polynomial degree of Omega and sample count in the window
+_FERMI_DEG = 10
+_FERMI_SAMPLES = 80
+
+
 def fermi_fit_eos(
     params: FermiEosParams,
     zeta_fit_max: float = 0.75,
-    deg: int = 10,
-    n_samples: int = 80,
     delta_omega: float = 0.05,
 ) -> EosSpec:
     """EosSpec with gamma = 5/3 and a series Omega fitted to the Fermi fluid.
 
     The low-density expansion gives A = K^(-2/3)/5 and gamma = 5/3; the
     residual correction Omega(zeta) = P / (A rho^gamma) is fitted as a
-    polynomial over the momentum window [0, zeta_fit_max].
+    polynomial of degree _FERMI_DEG to _FERMI_SAMPLES points of the momentum
+    window [0, zeta_fit_max].
     """
     gamma = 5.0 / 3.0
     A = params.K ** (-2.0 / 3.0) / 5.0
     c2 = params.c * params.c
 
-    zs = np.linspace(1e-3, zeta_fit_max, n_samples)
+    zs = np.linspace(1e-3, zeta_fit_max, _FERMI_SAMPLES)
     rows = np.array([fermi_eos(float(z), params) for z in zs])
     rho, P = rows[:, 0], rows[:, 1]
     zeta_var = A * rho ** (gamma - 1.0) / c2
@@ -522,9 +524,9 @@ def fermi_fit_eos(
     # the constant term is pinned to Omega(0) = 1
     smax = zeta_var.max()
     s = zeta_var / smax
-    M = np.vander(s, deg + 1, increasing=True)[:, 1:]
+    M = np.vander(s, _FERMI_DEG + 1, increasing=True)[:, 1:]
     coeffs_scaled, *_ = np.linalg.lstsq(M, omega_vals - 1.0, rcond=None)
-    coeffs = [1.0] + [float(coeffs_scaled[k] / smax ** (k + 1)) for k in range(deg)]
+    coeffs = [1.0] + [float(coeffs_scaled[k] / smax ** (k + 1)) for k in range(_FERMI_DEG)]
 
     u_top = 0.5 * c2 * math.log1p(zeta_fit_max**2)
     return EosSpec(

@@ -16,10 +16,9 @@ dimension from one template, with every stage sum, the error norm and the
 interpolant written out per component, so an attempt builds no
 per-component comprehensions.  Accepted nodes, states and interpolant
 coefficients go into flat ``array('d')`` buffers; numpy appears only when
-those become the ndarrays of the returned DenseSolution.  Called on an array
-of points, a DenseSolution evaluates them all in one vectorised pass, with
-the scalar path's arithmetic, so each point gets the same bits as a scalar
-call would.
+those become the ndarrays of the returned DenseSolution.  A DenseSolution
+evaluates a scalar and an array of points by one vectorised routine, so each
+point gets the same bits however it is asked for.
 """
 
 from __future__ import annotations
@@ -157,33 +156,19 @@ class DenseSolution:
     def x0(self) -> float:
         return float(self.xs[0])
 
-    def _eval_scalar(self, x: float) -> np.ndarray:
-        xs = self.xs
-        # snap exactly onto stored nodes so endpoint states are reproduced exactly
-        i = int(np.searchsorted(xs, x))
-        if i < len(xs) and xs[i] == x:
-            return self.ys[i].copy()
-        if i == 0 or i > len(self.interp):
-            raise ValueError(f"x = {x:g} outside the solution span [{xs[0]:g}, {self.x_end:g}]")
-        k = i - 1
-        x_lo, x_hi = xs[k:i + 1].tolist()
-        h = x_hi - x_lo
-        t = (x - x_lo) / h
-        ht = h * t
-        return np.array([
-            y + ht * (((q3 * t + q2) * t + q1) * t + q0)
-            for y, (q0, q1, q2, q3) in zip(self.ys[k].tolist(), self.interp[k].tolist())
-        ])
-
     def __call__(self, x):
-        """State at x: shape (dim,) for a scalar, (n, dim) for n points."""
-        if np.ndim(x) == 0:
-            return self._eval_scalar(float(x))
-        # the scalar path over all points at once, with the same arithmetic
-        x = np.asarray(x, dtype=float).ravel()
+        """State at x: shape (dim,) for a scalar, (n, dim) for n points.
+
+        Every point is evaluated independently by the same arithmetic, so a
+        point gets the same bits whether it comes alone or in an array.
+        """
+        x = np.asarray(x, dtype=float)
+        scalar = x.ndim == 0
+        x = x.ravel()
         xs = self.xs
         i = np.searchsorted(xs, x)
-        on_node = xs[np.minimum(i, len(xs) - 1)] == x
+        # snap exactly onto stored nodes so endpoint states are reproduced exactly
+        on_node = xs.take(i, mode="clip") == x
         between = ~on_node
         outside = between & ((i == 0) | (i > len(self.interp)))
         if outside.any():
@@ -196,9 +181,9 @@ class DenseSolution:
         h = xs[k + 1] - x_lo
         t = ((x[between] - x_lo) / h)[:, None]
         ht = h[:, None] * t
-        q0, q1, q2, q3 = np.moveaxis(self.interp[k], -1, 0)
+        q0, q1, q2, q3 = self.interp[k].transpose(2, 0, 1)
         out[between] = self.ys[k] + ht * (((q3 * t + q2) * t + q1) * t + q0)
-        return out
+        return out[0] if scalar else out
 
     def span(self) -> tuple:
         return float(self.xs[0]), float(self.x_end)

@@ -66,6 +66,8 @@ UNTERMINATED = "Unterminated"
 
 PROFILE_CSV_HEADER = "r,m,u,P,rho,kappa,Q,dPdr"
 
+_N_TAIL = 140  # extra profile samples packed against a vacuum boundary
+
 
 @dataclass(frozen=True)
 class ModelInput:
@@ -87,17 +89,19 @@ class ModelInput:
     germ_radius_scaled: float = 1e-6
     kappa_min: float = 1e-10
     mono_eps: float = 1e-6  # dU/dR floor distinguishing a rise from roundoff
-    n_tail: int = 140       # extra profile samples packed against the boundary
 
     def __post_init__(self):
         if (self.rho_c is None) == (self.u_c is None):
             raise ValueError("give exactly one of rho_c or u_c")
-        if self.rho_c is not None and self.rho_c <= 0.0:
-            raise ValueError("rho_c must be positive")
-        if self.u_c is not None and self.u_c <= 0.0:
-            raise ValueError("u_c must be positive")
-        if self.Lambda < 0.0:
-            raise ValueError("Lambda must be nonnegative")
+        if not (math.isfinite(self.Lambda) and self.Lambda >= 0.0):
+            raise ValueError(f"Lambda must be finite and nonnegative, got {self.Lambda!r}")
+        for name in ("rho_c", "u_c", "r_max", "r_max_scaled", "germ_radius_scaled",
+                     "kappa_min", "mono_eps"):
+            value = getattr(self, name)
+            if value is None and name in ("rho_c", "u_c", "r_max"):
+                continue
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
     def center_enthalpy(self) -> float:
         if self.u_c is not None:
@@ -211,9 +215,9 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     if not samples or samples[-1] < r_end:
         samples.append(r_end)
     vacuum_hit = any(ev.name == "vacuum" and ev.terminal for ev in dense.events)
-    if vacuum_hit and inp.n_tail > 0:
+    if vacuum_hit:
         # pack log-spaced samples against the boundary for the exponent fits
-        offsets = r_end * np.logspace(-8.0, -1.2, inp.n_tail)
+        offsets = r_end * np.logspace(-8.0, -1.2, _N_TAIL)
         tail = r_end - offsets
         samples = sorted(set(samples) | {float(t) for t in tail if t > dense.xs[0]})
     rr = np.array(samples)
@@ -400,9 +404,10 @@ def _physical_outcome(star: ScaledStar, profile: SolutionProfile, inp: ModelInpu
 
 # -- boundary data ---------------------------------------------------------------
 
-def _richardson(table: list) -> float:
-    """Richardson extrapolation of estimates at h0, h0/2, h0/4, ... whose error
-    series runs in integer powers of h; the table is overwritten."""
+def _richardson(table: list):
+    """Richardson extrapolation of estimates (floats or arrays) at h0, h0/2,
+    h0/4, ... whose error series runs in integer powers of h; the table is
+    overwritten."""
     n = len(table)
     fac = 2.0
     for col in range(1, n):
@@ -412,19 +417,23 @@ def _richardson(table: list) -> float:
     return table[-1]
 
 
-def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int = 4) -> tuple:
+def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int) -> tuple:
     """(f, f', f'') at x0 from the side sign*h > 0, Richardson-extrapolated.
 
-    First derivative from one-sided differences, second from the three-point
-    one-sided stencil, each over `levels` halvings of h.
+    f maps an ndarray of radii to an ndarray of their values (one row per
+    radius) and is called once, on the whole stencil: x0, then x0 + sign*h
+    and x0 + 2*sign*h for h = h0, h0/2, ... over `levels` halvings.  First
+    derivative from one-sided differences, second from the three-point
+    one-sided stencil; each result has the shape of one row of f.
     """
-    f0 = f(x0)
+    hs = [h0 / 2**lv for lv in range(levels)]
+    xs = [x0]
+    for h in hs:
+        xs += [x0 + sign * h, x0 + 2.0 * sign * h]
+    f0, *fs = f(np.array(xs))
     d1 = []
     d2 = []
-    for lv in range(levels):
-        h = h0 / 2**lv
-        f1 = f(x0 + sign * h)
-        f2 = f(x0 + 2.0 * sign * h)
+    for h, f1, f2 in zip(hs, fs[0::2], fs[1::2]):
         d1.append((f1 - f0) / (sign * h))
         d2.append((f2 - 2.0 * f1 + f0) / (h * h))
     return f0, _richardson(d1), _richardson(d2)
@@ -445,13 +454,12 @@ def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
     B = Q_plus / (r_plus * r_plus * kappa_plus)
     # dm/dr -> 0 at the boundary, so only the explicit r-derivatives survive
     kappa_plus_prime = 2.0 * k.G * m_plus / (k.c2 * r_plus**2) - 2.0 * profile.Lambda * r_plus / 3.0
-    # du/dr from the inside: one-sided differences over 3 halvings of h, one dense call
-    hs = [1e-3 * r_plus / 2**lv for lv in range(3)]
-    u0, *us = profile.dense([r_plus] + [r_plus - h for h in hs])[:, 1].tolist()
-    du_dr_minus = _richardson([(u - u0) / -h for u, h in zip(us, hs)])
+    # du/dr from the inside over 3 halvings of h, one dense call
+    _, du_dr_minus, _ = _one_sided_derivatives(
+        lambda r: profile.dense(r)[:, 1], r_plus, 1e-3 * r_plus, -1.0, levels=3)
     return BoundaryQuantities(
         r_plus=r_plus, m_plus=m_plus, kappa_plus=kappa_plus, Q_plus=Q_plus,
-        B=B, kappa_plus_prime=kappa_plus_prime, du_dr_minus=du_dr_minus,
+        B=B, kappa_plus_prime=kappa_plus_prime, du_dr_minus=float(du_dr_minus),
     )
 
 

@@ -5,9 +5,9 @@ structure equations, the physical-unit germs, the Lambda = 0 enthalpy
 system, the explicit-c scaled system, the density inversion of the EOS, the
 numpy and mpmath evaluations of a series Omega and of Omega_u, the
 per-sample profile row, the pointwise boundary slope, the scaled right-hand
-side spelled through kappa_scaled and _check_kappa, and one DP5 attempt
-written with per-component comprehensions live here, as independent oracles
-for the code in src/.
+side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
+with per-component comprehensions, and a scalar dense-output evaluation on
+Python floats live here, as independent oracles for the code in src/.
 """
 
 import math
@@ -19,7 +19,6 @@ from numpy.polynomial import polynomial as npoly
 
 from tovds import integrate as ig
 from tovds.errors import KappaNonPositiveError, RootFindError
-from tovds.model import _one_sided_derivatives
 from tovds.odecore import (
     _check_kappa,
     kappa,
@@ -180,10 +179,17 @@ def profile_row(r, m, u, Lambda, eos, k) -> dict:
 
 
 def du_dr_minus_pointwise(profile, r_plus: float) -> float:
-    """du/dr at r_+ from inside, one scalar dense-output call per stencil point."""
-    _, slope, _ = _one_sided_derivatives(
-        lambda r: float(profile.dense(r)[1]), r_plus, 1e-3 * r_plus, sign=-1.0, levels=3)
-    return slope
+    """du/dr at r_+ from inside, one scalar dense-output evaluation per stencil
+    point: one-sided differences at h = 1e-3 r_+, h/2 and h/4, then two
+    Richardson passes for errors in h and h^2."""
+    u0 = dense_eval_scalar(profile.dense, r_plus)[1]
+    d = []
+    for lv in range(3):
+        h = 1e-3 * r_plus / 2**lv
+        d.append((dense_eval_scalar(profile.dense, r_plus - h)[1] - u0) / -h)
+    e1 = 2.0 * d[1] - d[0]
+    e2 = 2.0 * d[2] - d[1]
+    return (4.0 * e2 - e1) / 3.0
 
 
 # -- physical-unit germs ----------------------------------------------------------
@@ -218,6 +224,26 @@ def scale_state(sp, r: float, y) -> tuple:
 
 
 # -- integrator -----------------------------------------------------------------
+
+def dense_eval_scalar(sol, x: float) -> np.ndarray:
+    """State of a DenseSolution at one point, on Python floats: the stored
+    state on a node, else the step's quartic interpolant."""
+    xs = sol.xs
+    i = int(np.searchsorted(xs, x))
+    if i < len(xs) and xs[i] == x:
+        return sol.ys[i].copy()
+    if i == 0 or i > len(sol.interp):
+        raise ValueError(f"x = {x:g} outside the solution span [{xs[0]:g}, {sol.x_end:g}]")
+    k = i - 1
+    x_lo, x_hi = xs[k:i + 1].tolist()
+    h = x_hi - x_lo
+    t = (x - x_lo) / h
+    ht = h * t
+    return np.array([
+        y + ht * (((q3 * t + q2) * t + q1) * t + q0)
+        for y, (q0, q1, q2, q3) in zip(sol.ys[k].tolist(), sol.interp[k].tolist())
+    ])
+
 
 def dp5_attempt(f, x, y, h, k1, atol, rtol):
     """One DP5 attempt from (x, y) with slope k1, one comprehension per vector.

@@ -106,9 +106,14 @@ def test_omega_series_bitwise_equals_numpy_polynomial(tail, zeta):
 @pytest.mark.parametrize("eos", [
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
     fermi_fit_eos(FermiEosParams(K=1.0), delta_omega=0.1),
-], ids=["series", "fermi_fit"])
+    # 1 + zeta Omega = (1 + zeta/2)^2 has a double root at zeta = -2 (nearly
+    # double in the second): a closed form for Omega_u that assumes simple
+    # roots of 1 + zeta Omega goes wrong here
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.25))),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.25 - 1e-13))),
+], ids=["series", "fermi_fit", "double_root", "near_double_root"])
 def test_omega_u_matches_mpmath_quadrature(eos):
-    for zeta in (-0.09, 1e-5, 1e-3, 0.1, 0.7, 2.0):
+    for zeta in (-0.09, 1e-5, 1e-3, 0.1, 0.3, 0.7, 2.0):
         assert eos.omega_u(zeta) == pytest.approx(omega_u_mpmath(eos, zeta), rel=1e-12, abs=0.0)
 
 
@@ -353,6 +358,19 @@ def test_fermi_fit_quadrature_consistency():
     u_quad = sp_integrate.quad(du_dz, 0.0, z_top, epsabs=1e-14, epsrel=1e-12)[0]
     rho_top, _ = fermi_eos(z_top, params)
     assert feos.u_of_density(rho_top) == pytest.approx(u_quad, rel=1e-7)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("A", math.nan), ("A", math.inf),
+    ("c", math.nan), ("c", math.inf),
+    ("delta_omega", math.nan), ("delta_omega", math.inf),
+    ("eta_max", math.nan), ("eta_max", math.inf), ("eta_max", 0.0), ("eta_max", -1.0),
+])
+def test_eos_spec_rejects_bad_field(field, value):
+    kwargs = dict(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)))
+    kwargs[field] = value
+    with pytest.raises(NonPhysicalEosError, match=f"^{field} must be finite and positive"):
+        EosSpec(**kwargs)
 
 
 def test_gamma_range_validation():

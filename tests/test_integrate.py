@@ -19,7 +19,7 @@ from tovds.integrate import (
 )
 from tovds.odecore import rhs_lane_emden
 
-from oracles import dp5_attempt
+from oracles import dense_eval_scalar, dp5_attempt
 
 
 def locate_event(dense: DenseSolution, guard, direction="any", root_tol=1e-12):
@@ -160,14 +160,20 @@ def test_dense_array_call_matches_scalar_calls():
     mids = 0.5 * (sol.xs[:-1] + sol.xs[1:])
     thirds = sol.xs[:-1] + (sol.xs[1:] - sol.xs[:-1]) / 3.0
     x = np.concatenate([[sol.x_end, sol.x0], mids, sol.xs, thirds[::-1], [sol.x_end]])
-    want = np.array([sol(float(xi)) for xi in x])
+    want = np.array([dense_eval_scalar(sol, float(xi)) for xi in x])
     got = sol(x)
     assert got.shape == want.shape == (x.size, 2)
     assert got.tobytes() == want.tobytes()
     assert sol(list(x[:3])).tobytes() == want[:3].tobytes()
+    # a scalar goes through the same routine and returns one state
+    scalars = np.array([sol(float(xi)) for xi in x])
+    assert scalars.shape == (x.size, 2)
+    assert scalars.tobytes() == want.tobytes()
     for bad in (sol.x0 - 1e-3, sol.xs[-1] + 1e-3):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="outside the solution span"):
             sol(bad)
+        with pytest.raises(ValueError, match="outside the solution span"):
+            dense_eval_scalar(sol, bad)
         with pytest.raises(ValueError, match="outside the solution span"):
             sol(np.array([sol.x_end, bad, sol.x0]))
 

@@ -8,6 +8,7 @@ import pytest
 from tovds.constants import Constants
 from tovds.eos import EosSpec
 from tovds.errors import TovdsError
+from tovds.integrate import DenseSolution
 from tovds.metric import (
     BeyondHorizonError,
     MetricPatch,
@@ -136,6 +137,20 @@ def test_continuity_report(patch_m0):
     assert doc["pass"] is True
     assert len(doc["rows"]) == 12
     assert {"quantity", "side", "order", "value", "target", "rel_err", "pass"} <= set(doc["rows"][0])
+
+
+def test_continuity_report_makes_one_vector_dense_call(patch_m0, monkeypatch):
+    ndims = []
+    evaluate = DenseSolution.__call__
+
+    def spy(self, x):
+        ndims.append(np.ndim(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(DenseSolution, "__call__", spy)
+    report = continuity_report(patch_m0)
+    assert ndims == [1]
+    assert len(report.rows) == 12
 
 
 def test_g11_no_jump_as_step_shrinks(patch_m0):

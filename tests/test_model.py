@@ -29,7 +29,7 @@ from tovds.model import (
 )
 from tovds.odecore import FOUR_PI, ScalingParams, kappa
 
-from oracles import du_dr_minus_pointwise, profile_row, rhs_tov
+from oracles import dense_eval_scalar, du_dr_minus_pointwise, profile_row, rhs_tov
 
 GEOM = Constants(1.0, 1.0)
 XI1_MU2 = 4.352874595946  # frozen from the fixed-step oracle in test_analysis
@@ -151,7 +151,7 @@ def assert_profile_matches_rows(profile):
     """Every column equals the per-sample oracle on scalar dense calls, bit for bit."""
     rows = []
     for r in profile.r.tolist():
-        m, u = profile.dense(r).tolist()
+        m, u = dense_eval_scalar(profile.dense, r).tolist()
         rows.append(profile_row(r, m, u, profile.Lambda, profile.eos, profile.constants))
     for name in ("r", "m", "u", "P", "rho", "kappa", "Q", "dPdr"):
         want = np.array([row[name] for row in rows])
@@ -418,6 +418,43 @@ def test_model_input_validation(eos15):
         ModelInput(eos=eos15, rho_c=-1.0)
     with pytest.raises(ValueError):
         ModelInput(eos=eos15, rho_c=1.0, Lambda=-1e-3)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("u_c", math.nan), ("u_c", math.inf),
+    ("rho_c", math.nan), ("rho_c", math.inf),
+    ("Lambda", math.nan), ("Lambda", math.inf),
+    ("r_max", math.nan), ("r_max", math.inf), ("r_max", 0.0),
+    ("r_max_scaled", math.nan), ("r_max_scaled", math.inf), ("r_max_scaled", 0.0),
+    ("germ_radius_scaled", math.nan), ("germ_radius_scaled", 0.0),
+    ("kappa_min", math.nan), ("kappa_min", -1e-10),
+    ("mono_eps", math.nan), ("mono_eps", math.inf), ("mono_eps", 0.0),
+])
+def test_model_input_rejects_bad_field(eos15, field, value):
+    kwargs = {} if field == "rho_c" else {"u_c": 1e-3}
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        ModelInput(eos=eos15, **kwargs)
+
+
+def test_one_sided_stencil_is_one_call():
+    calls = []
+
+    def f(r):
+        calls.append(r.copy())
+        return np.column_stack([r**3, np.exp(r)])
+
+    x0, h0 = 1.0, 1e-3
+    for sign in (-1.0, 1.0):
+        calls.clear()
+        v0, v1, v2 = model._one_sided_derivatives(f, x0, h0, sign, levels=4)
+        assert len(calls) == 1
+        hs = h0 / 2.0 ** np.arange(4)
+        want = np.concatenate([[x0], np.column_stack([x0 + sign * hs, x0 + 2.0 * sign * hs]).ravel()])
+        assert calls[0].tobytes() == want.tobytes()
+        assert v0.tolist() == [1.0, math.e]
+        assert v1 == pytest.approx([3.0, math.e], rel=1e-9)
+        assert v2 == pytest.approx([6.0, math.e], rel=1e-6)
 
 
 def test_outcome_json(star_m0, tmp_path):
