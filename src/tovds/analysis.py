@@ -22,7 +22,7 @@ from .model import (
     MONOTONE_SHORT,
     ModelInput,
     SolutionProfile,
-    boundary_quantities,
+    _boundary_limits,
     solve_scaled,
     solve_star,
 )
@@ -67,8 +67,8 @@ def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = 100.0,
         # reach zero afterwards: the damping term only lowers the oscillation
         # energy, so later minima sit above the first one.
         events.append(EventSpec(
-            guard=lambda R, y: rhs_lane_emden(R, y, mu, lam)[1],
-            direction="rising", terminal=True, root_tol=1e-10, name="turning_point"))
+            guard=lambda R, y, dy: dy[1], direction="rising", terminal=True,
+            root_tol=1e-10, name="turning_point", slope=True))
     return integrate_adaptive(
         lambda R, y: rhs_lane_emden(R, y, mu, lam),
         np.array([M0, U0]), (R0, R_cap), _LE_CTRL, events=events,
@@ -201,8 +201,8 @@ def boundary_exponent_fit(profile: SolutionProfile, window: tuple = (1e-6, 1e-2)
     ev = profile.vacuum_event()
     if ev is None:
         raise ModelError("exponent fit needs a vacuum-terminated profile", profile=profile)
-    bq = boundary_quantities(profile)
-    r_plus = bq.r_plus
+    # r_+ and B need no du/dr stencil, so none is evaluated
+    r_plus, _, _, _, B, _ = _boundary_limits(profile, ev)
     x = r_plus - profile.r
     u_floor = 1e3 * np.finfo(float).eps * profile.u[0]
     mask = (
@@ -224,9 +224,9 @@ def boundary_exponent_fit(profile: SolutionProfile, window: tuple = (1e-6, 1e-2)
     y = np.log(rho)
     slope, intercept = np.polyfit(t, y, 1)
     mu = eos.mu
-    amplitude_target = ((eos.gamma - 1.0) * bq.B / (eos.gamma * eos.A)) ** mu
+    amplitude_target = ((eos.gamma - 1.0) * B / (eos.gamma * eos.A)) ** mu
 
-    resid_rel = u / (bq.B * xs) - 1.0
+    resid_rel = u / (B * xs) - 1.0
     exps = (1.0, mu + 1.0)
     M = np.column_stack([xs ** e for e in exps])
     coeffs, *_ = np.linalg.lstsq(M, resid_rel, rcond=None)
@@ -257,7 +257,7 @@ def boundary_exponent_fit(profile: SolutionProfile, window: tuple = (1e-6, 1e-2)
         resid_decay_slope=decay_slope,
         window=(float(xs.min() / r_plus), float(xs.max() / r_plus)),
         n_samples=n,
-        B=bq.B,
+        B=B,
     )
 
 

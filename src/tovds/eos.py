@@ -16,14 +16,16 @@ and its first two derivatives are evaluated by Horner on Python floats, in
 numpy.polynomial's polyval operation order, so the values are bit-identical
 to polyval's while each quadrature node costs no numpy call.
 
-That direct path is slow, so ODE right-hand sides call omega_rho_P_fast.  For
-the pure polytrope (OmegaOne) it evaluates the closed form
-Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, on any eta.  For a series
-Omega it evaluates piecewise Chebyshev interpolants on a fixed grid over
-[-0.98 delta_omega, eta_max]; each piece is fitted to the direct path the
-first time an eta lands in it, so a star pays only for the pieces it visits.
-Outside the grid, and in a piece with a node outside the EOS domain, it falls
-back to the direct path.
+That direct path is slow, so ODE right-hand sides bind the fast path once per
+solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
+EOS's constants, or its piece tables, bound as closure variables, and
+omega_rho_P_fast is that function called once.  For the pure polytrope
+(OmegaOne) it evaluates the closed form Omega_u = k eta / expm1(k eta),
+k = (gamma-1)/gamma, on any eta.  For a series Omega it evaluates piecewise
+Chebyshev interpolants on a fixed grid over [-0.98 delta_omega, eta_max]; each
+piece is fitted to the direct path the first time an eta lands in it, so a
+star pays only for the pieces it visits.  Outside the grid, and in a piece
+with a node outside the EOS domain, it falls back to the direct path.
 """
 
 from __future__ import annotations
@@ -381,41 +383,67 @@ class EosSpec:
             return None
         return _OmegaTables(-0.98 * self.delta_omega, self.eta_max)
 
-    def omega_rho_P_fast(self, eta: float) -> tuple:
-        """(Omega_rho, Omega_P) for ODE right-hand sides; reproduces the direct
-        values to ~1e-13.  Below -0.98 delta_omega, and for a series Omega above
-        eta_max or in a piece that leaves the EOS domain, it falls back to the
-        direct path."""
+    def fast_omega(self):
+        """The fast path eta -> (Omega_rho, Omega_P), with this EOS's constants
+        bound once; reproduces the direct values to ~1e-13.  Below
+        -0.98 delta_omega, and for a series Omega above eta_max or in a piece
+        that leaves the EOS domain, it falls back to the direct path.
+
+        A right-hand side binds it once per solve.  It is built afresh on
+        every call and never stored on the instance: an EosSpec is pickled
+        into worker processes, and a closure cannot be.
+        """
+        direct = self.omega_rho_P
         tab = self._tables
         if tab is None:
-            if eta < -0.98 * self.delta_omega:
-                return self.omega_rho_P(eta)
-            if eta == 0.0:
-                return 1.0, 1.0
+            lo = -0.98 * self.delta_omega
             k = (self.gamma - 1.0) / self.gamma  # zeta = expm1(k eta) when Omega == 1
-            omu = k * eta / math.expm1(k * eta)
-            omega_rho = omu ** (-self.mu)
-            return omega_rho, omega_rho / omu
-        if eta < tab.lo or eta > tab.hi:
-            if eta > tab.hi:
-                _log.debug("eta = %r above eta_max = %r: direct Omega_rho/Omega_P path", eta, tab.hi)
-            return self.omega_rho_P(eta)
-        i = int((eta - tab.lo) * tab.inv_halfw * 0.5)
-        if i >= tab.n:
-            i = tab.n - 1
-        s = (eta - tab.mids[i]) * tab.inv_halfw
-        piece = tab.pieces[i] or tab.build(i, self.omega_rho_P)
-        if piece is _OFF_DOMAIN:
-            _log.debug("eta = %r in a table piece that leaves the EOS domain: "
-                       "direct Omega_rho/Omega_P path", eta)
-            return self.omega_rho_P(eta)
-        cr, cP = piece
-        vr = cr[_TAB_DEG]
-        vP = cP[_TAB_DEG]
-        for k in range(_TAB_DEG - 1, -1, -1):
-            vr = vr * s + cr[k]
-            vP = vP * s + cP[k]
-        return vr, vP
+            mu = self.mu
+
+            def omega_closed_form(eta):
+                if eta < lo:
+                    return direct(eta)
+                if eta == 0.0:
+                    return 1.0, 1.0
+                omu = k * eta / math.expm1(k * eta)
+                omega_rho = omu ** (-mu)
+                return omega_rho, omega_rho / omu
+
+            return omega_closed_form
+
+        lo, hi, n, mids, inv_halfw, pieces, build = (
+            tab.lo, tab.hi, tab.n, tab.mids, tab.inv_halfw, tab.pieces, tab.build)
+
+        def omega_table(eta):
+            if eta < lo or eta > hi:
+                if eta > hi:
+                    _log.debug("eta = %r above eta_max = %r: direct Omega_rho/Omega_P path", eta, hi)
+                return direct(eta)
+            i = int((eta - lo) * inv_halfw * 0.5)
+            if i >= n:
+                i = n - 1
+            s = (eta - mids[i]) * inv_halfw
+            piece = pieces[i] or build(i, direct)
+            if piece is _OFF_DOMAIN:
+                _log.debug("eta = %r in a table piece that leaves the EOS domain: "
+                           "direct Omega_rho/Omega_P path", eta)
+                return direct(eta)
+            # Horner in degree _TAB_DEG = 12, highest coefficient first
+            cr, cP = piece
+            return (
+                ((((((((((((cr[12] * s + cr[11]) * s + cr[10]) * s + cr[9]) * s + cr[8]) * s
+                        + cr[7]) * s + cr[6]) * s + cr[5]) * s + cr[4]) * s + cr[3]) * s
+                   + cr[2]) * s + cr[1]) * s + cr[0]),
+                ((((((((((((cP[12] * s + cP[11]) * s + cP[10]) * s + cP[9]) * s + cP[8]) * s
+                        + cP[7]) * s + cP[6]) * s + cP[5]) * s + cP[4]) * s + cP[3]) * s
+                   + cP[2]) * s + cP[1]) * s + cP[0]),
+            )
+
+        return omega_table
+
+    def omega_rho_P_fast(self, eta: float) -> tuple:
+        """(Omega_rho, Omega_P) at one eta by the fast path (fast_omega)."""
+        return self.fast_omega()(eta)
 
     # -- state reconstruction from u -----------------------------------------
 

@@ -111,13 +111,21 @@ class StepControl:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar guard g(x, y) whose directed zero crossing is an event."""
+    """Scalar guard g(x, y) whose directed zero crossing is an event.
+
+    A slope guard (slope=True) is called as g(x, y, dy) with dy = rhs(x, y)
+    as the right-hand side returned it.  At a step end dy is the slope the
+    step has already computed there (the FSAL stage, or the start slope at
+    x0), so the guard costs no call; while a crossing is refined, each
+    refinement point makes one right-hand side call, counted in n_rhs.
+    """
 
     guard: object
     direction: str = "any"  # "falling" | "rising" | "any"
     root_tol: float = 1e-12
     terminal: bool = False
     name: str = ""
+    slope: bool = False
 
     def __post_init__(self):
         if self.direction not in ("falling", "rising", "any"):
@@ -303,19 +311,25 @@ def _initial_step(rhs, x0, y0, f0, rtol, atol, h_max):
     return min(100.0 * h0, h1, h_max)
 
 
-def _locate_in_step(sol_eval, guard, x_lo, x_hi, g_lo, g_hi, root_tol):
-    """Refine a sign change of guard on one interpolant segment."""
+def _locate_in_step(sol_eval, guard, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
+    """Refine a sign change of guard on one interpolant segment.
+
+    Returns (x, calls): the located abscissa and the right-hand side calls
+    made, one per guard evaluation of a slope guard (rhs not None), which
+    then receives rhs(x, y) as its third argument.
+    """
     if g_lo == 0.0:
-        return x_lo
+        return x_lo, 0
     if g_hi == 0.0:
-        return x_hi
+        return x_hi, 0
 
     def g(x):
-        return guard(x, sol_eval(x))
+        y = sol_eval(x)
+        return guard(x, y) if rhs is None else guard(x, y, rhs(x, y))
 
-    return brentq(
-        g, x_lo, x_hi, xtol=root_tol, rtol=_BRENT_RTOL, maxiter=_EVENT_MAXITER
-    )
+    x, info = brentq(g, x_lo, x_hi, xtol=root_tol, rtol=_BRENT_RTOL, maxiter=_EVENT_MAXITER,
+                     full_output=True)
+    return x, 0 if rhs is None else info.function_calls
 
 
 def _step_interpolant(x0, y0, h, q, x1, y1):
@@ -346,8 +360,9 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
         cannot be resolved.
     ctrl : StepControl
     events : sequence of EventSpec
-        Guards receive the state as a list of floats, like rhs.  Terminal
-        events truncate the solution at the located abscissa.
+        Guards receive the state as a list of floats, like rhs, and a slope
+        guard also the slope rhs returned there.  Terminal events truncate
+        the solution at the located abscissa.
     y_scale : sequence of float, optional
         Per-component magnitude scale; the absolute tolerance for component
         i is ctrl.abs_tol * y_scale[i].
@@ -369,8 +384,9 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
     else:
         atol = [ctrl.abs_tol * s for s in np.asarray(y_scale, dtype=float).ravel().tolist()]
     rtol, h_max = ctrl.rel_tol, ctrl.h_max
-    # (guard, falling counts, rising counts) per event
-    guards = [(ev.guard, ev.direction != "rising", ev.direction != "falling") for ev in events]
+    # (guard, falling counts, rising counts, slope guard) per event
+    guards = [(ev.guard, ev.direction != "rising", ev.direction != "falling", ev.slope)
+              for ev in events]
 
     xs = array("d", (x0,))
     ys = array("d", y0)
@@ -405,7 +421,8 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
     except DomainSignalError as exc:
         return _finish("domain_error", f"right-hand side undefined at start: {exc}", exc)
 
-    g_prev = [float(guard(x0, y0)) for guard, _, _ in guards]
+    g_prev = [float(guard(x0, y0, fy) if slope else guard(x0, y0))
+              for guard, _, _, slope in guards]
 
     h = ctrl.h_init
     if h is None:
@@ -458,14 +475,16 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
 
         hit = []  # (x_event, index)
         step_eval = None
-        for idx, (guard, falling, rising) in enumerate(guards):
+        for idx, (guard, falling, rising, slope) in enumerate(guards):
             g0 = g_prev[idx]
-            g1 = g_prev[idx] = float(guard(x_new, y_new))
+            g1 = g_prev[idx] = float(guard(x_new, y_new, k7) if slope else guard(x_new, y_new))
             if (falling and g0 > 0.0 >= g1) or (rising and g0 < 0.0 <= g1):
                 if step_eval is None:
                     step_eval = _step_interpolant(x, y, h, q, x_new, y_new)
-                hit.append((_locate_in_step(step_eval, guard, x, x_new, g0, g1,
-                                            events[idx].root_tol), idx))
+                x_ev, calls = _locate_in_step(step_eval, guard, rhs if slope else None,
+                                              x, x_new, g0, g1, events[idx].root_tol)
+                n_rhs += calls
+                hit.append((x_ev, idx))
 
         if hit:
             hit.sort()

@@ -132,10 +132,12 @@ class MetricPatch:
             raise BeyondHorizonError(f"r = {r:g} is at or beyond the cosmological horizon {self.r_E:g}")
         k = self.profile.constants
         if r < self.r_plus:
-            g00 = self.kappa_plus * math.exp(-2.0 * self.u_interior(r) / k.c2)
+            m, u = self.profile.state_at(r)  # one dense call gives both
+            g00 = self.kappa_plus * math.exp(-2.0 * u / k.c2)
         else:
-            g00 = kappa(r, self.m_plus, self.profile.Lambda, k)
-        kap_tilde = kappa(r, self.mtilde(r), self.profile.Lambda, k)
+            m = self.m_plus
+            g00 = kappa(r, m, self.profile.Lambda, k)
+        kap_tilde = kappa(r, m, self.profile.Lambda, k)
         if kap_tilde <= 0.0:
             raise BeyondHorizonError(f"kappa(r, mtilde) <= 0 at r = {r:g}")
         return g00, -1.0 / kap_tilde

@@ -36,7 +36,6 @@ from .odecore import (
     kappa,
     kappa_scaled,
     q_factor,
-    rhs_scaled,
     scaled_rhs,
 )
 
@@ -229,11 +228,12 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     # libm's pow in the last bit, and each sample keeps the bits of the float
     # expressions the right-hand side uses
     A1, mu, p_coeff = eos.A1, eos.mu, eos.p_coeff
+    omega_rho_P = eos.fast_omega()
     rho = np.zeros(rr.size)
     P = np.zeros(rr.size)
     for i, ui in enumerate(u.tolist()):
         if ui > 0.0:
-            omega_rho, omega_P = eos.omega_rho_P_fast(ui / k.c2)
+            omega_rho, omega_P = omega_rho_P(ui / k.c2)
             rho[i] = A1 * ui**mu * omega_rho
             P[i] = p_coeff * ui ** (mu + 1.0) * omega_P
     kap = kappa(rr, m, inp.Lambda, k)
@@ -273,33 +273,19 @@ def _solve_core(alpha, beta, eos, ctrl, R0, R_max, kappa_min, mono_eps) -> Scale
     """
     y0 = center_germ_scaled(alpha, beta, eos, R0)
     f = scaled_rhs(alpha, beta, eos)
-    # the latest rhs call: the integrator evaluates f(x + h, y_new) as its
-    # FSAL stage and then the guards at the same (x + h, y_new), so the rise
-    # guard reuses that slope instead of calling the right-hand side again
-    last_R = last_y = last_dy = None
-
-    def rhs(R, y):
-        nonlocal last_R, last_y, last_dy
-        last_dy = f(R, y)
-        last_R, last_y = R, y
-        return last_dy
-
-    def rise(R, y):
-        if y is last_y and R == last_R:
-            return last_dy[1] - mono_eps
-        return rhs_scaled(R, y, alpha, beta, eos)[1] - mono_eps
-
+    # the rise guard is a slope guard: at a step end it reads the FSAL slope
+    # the integrator already has, and its refinement calls are counted in n_rhs
     events = [
         EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True,
                   root_tol=1e-12, name="vacuum"),
         EventSpec(guard=lambda R, y: kappa_scaled(R, y[0], alpha, beta) - kappa_min,
                   direction="falling", terminal=True, root_tol=1e-12, name="horizon"),
-        EventSpec(guard=rise, direction="rising", terminal=False,
-                  root_tol=1e-10, name="pressure_rise"),
+        EventSpec(guard=lambda R, y, dy: dy[1] - mono_eps, direction="rising", terminal=False,
+                  root_tol=1e-10, name="pressure_rise", slope=True),
     ]
-    initial_rise = rise(R0, y0) >= 0.0
+    initial_rise = f(R0, y0)[1] - mono_eps >= 0.0
 
-    dense = integrate_adaptive(rhs, y0, (R0, R_max), ctrl, events=events)
+    dense = integrate_adaptive(f, y0, (R0, R_max), ctrl, events=events)
     if dense.status in _FAILED:
         raise ModelError(f"solver failed: {dense.status}: {dense.message} (x is the scaled radius R)",
                          profile=dense)
@@ -439,11 +425,9 @@ def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int) ->
     return f0, _richardson(d1), _richardson(d2)
 
 
-def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
-    """Limits at r_+ of a vacuum-terminated profile."""
-    ev = profile.vacuum_event()
-    if ev is None:
-        raise ModelError("profile did not terminate at a vacuum boundary", profile=profile)
+def _boundary_limits(profile: SolutionProfile, ev) -> tuple:
+    """(r_+, m_+, kappa_+, Q_+, B, kappa'_+) at the vacuum event ev of the
+    profile: the boundary limits that need no stencil."""
     k = profile.constants
     r_plus = ev.x
     m_plus = float(ev.y[0])
@@ -454,6 +438,15 @@ def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
     B = Q_plus / (r_plus * r_plus * kappa_plus)
     # dm/dr -> 0 at the boundary, so only the explicit r-derivatives survive
     kappa_plus_prime = 2.0 * k.G * m_plus / (k.c2 * r_plus**2) - 2.0 * profile.Lambda * r_plus / 3.0
+    return r_plus, m_plus, kappa_plus, Q_plus, B, kappa_plus_prime
+
+
+def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
+    """Limits at r_+ of a vacuum-terminated profile."""
+    ev = profile.vacuum_event()
+    if ev is None:
+        raise ModelError("profile did not terminate at a vacuum boundary", profile=profile)
+    r_plus, m_plus, kappa_plus, Q_plus, B, kappa_plus_prime = _boundary_limits(profile, ev)
     # du/dr from the inside over 3 halvings of h, one dense call
     _, du_dr_minus, _ = _one_sided_derivatives(
         lambda r: profile.dense(r)[:, 1], r_plus, 1e-3 * r_plus, -1.0, levels=3)

@@ -9,9 +9,9 @@ two floats.  State conventions:
 
 The solvers integrate the scaled form only; the enthalpy form is its
 physical-unit reference.  scaled_rhs(alpha, beta, eos) binds one star's
-constants once and returns its right-hand side R, y -> (dM/dR, dU/dR); a
-solve integrates that closure, and rhs_scaled is the same closure called
-once.
+constants and the EOS fast path once and returns its right-hand side
+R, y -> (dM/dR, dU/dR); a solve integrates that closure, and rhs_scaled is
+the same closure called once.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3 and
 Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled out in
@@ -90,8 +90,8 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
     """The right-hand side R, y -> (dM/dR, dU/dR) of the homology-scaled system.
 
-    alpha, beta and the EOS constants are bound once, so a solve pays for
-    them once and not at every stage.  At alpha = beta = 0 this reduces
+    alpha, beta, the EOS constants and the EOS fast path (eos.fast_omega())
+    are bound once, so a solve pays for them once and not at every stage.  At alpha = beta = 0 this reduces
     exactly (bitwise) to the Lane-Emden right-hand side with lambda = 0.
     Raises KappaNonPositiveError where kappa <= 0 (horizon contact).
     """
@@ -101,7 +101,7 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
     p_alpha = (g - 1.0) / g * alpha
     two_alpha = 2.0 * alpha
     alpha_beta = alpha * beta
-    omega_rho_P = eos.omega_rho_P_fast
+    omega_rho_P = eos.fast_omega()
     lane_emden = alpha == 0.0
 
     def rhs(R, y):

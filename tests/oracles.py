@@ -3,7 +3,8 @@
 The solvers integrate the scaled system alone.  The pressure form of the
 structure equations, the physical-unit germs, the Lambda = 0 enthalpy
 system, the explicit-c scaled system, the density inversion of the EOS, the
-numpy and mpmath evaluations of a series Omega and of Omega_u, the
+numpy and mpmath evaluations of a series Omega and of Omega_u, the fast
+Omega_rho/Omega_P path evaluated per point with a loop Horner, the
 per-sample profile row, the pointwise boundary slope, the scaled right-hand
 side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
 with per-component comprehensions, and a scalar dense-output evaluation on
@@ -18,6 +19,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from tovds import integrate as ig
+from tovds.eos import _OFF_DOMAIN, _TAB_DEG
 from tovds.errors import KappaNonPositiveError, RootFindError
 from tovds.odecore import (
     _check_kappa,
@@ -106,6 +108,38 @@ def density_of_pressure(eos, P: float) -> float:
     # final admissibility check at the found state
     eos.pressure_of_density(rho)
     return rho
+
+
+def omega_rho_P_fast_reference(eos, eta: float) -> tuple:
+    """(Omega_rho, Omega_P) by the fast path, every EOS constant read at the
+    call and the piece polynomial summed by a Horner loop; EosSpec.fast_omega
+    must give the same bits."""
+    tab = eos._tables
+    if tab is None:
+        if eta < -0.98 * eos.delta_omega:
+            return eos.omega_rho_P(eta)
+        if eta == 0.0:
+            return 1.0, 1.0
+        k = (eos.gamma - 1.0) / eos.gamma
+        omu = k * eta / math.expm1(k * eta)
+        omega_rho = omu ** (-eos.mu)
+        return omega_rho, omega_rho / omu
+    if eta < tab.lo or eta > tab.hi:
+        return eos.omega_rho_P(eta)
+    i = int((eta - tab.lo) * tab.inv_halfw * 0.5)
+    if i >= tab.n:
+        i = tab.n - 1
+    s = (eta - tab.mids[i]) * tab.inv_halfw
+    piece = tab.pieces[i] or tab.build(i, eos.omega_rho_P)
+    if piece is _OFF_DOMAIN:
+        return eos.omega_rho_P(eta)
+    cr, cP = piece
+    vr = cr[_TAB_DEG]
+    vP = cP[_TAB_DEG]
+    for k in range(_TAB_DEG - 1, -1, -1):
+        vr = vr * s + cr[k]
+        vP = vP * s + cP[k]
+    return vr, vP
 
 
 # -- right-hand sides -----------------------------------------------------------

@@ -18,7 +18,8 @@ from tovds.analysis import (
 from tovds.constants import Constants
 from tovds.eos import EosSpec
 from tovds.errors import AnalysisError
-from tovds.model import MONOTONE_SHORT, ModelInput, solve_star
+from tovds.integrate import DenseSolution
+from tovds.model import MONOTONE_SHORT, NON_MONOTONE, ModelInput, solve_scaled, solve_star
 from tovds.odecore import FOUR_PI
 
 GEOM = Constants(1.0, 1.0)
@@ -190,6 +191,25 @@ def test_exponent_fit_integer_mu_decay(star15):
     assert fit.resid_decay_slope == pytest.approx(2.0, abs=0.35)
 
 
+def test_exponent_fit_takes_no_boundary_stencil(star15, monkeypatch):
+    # the fit reads r_+ and B, which need no dense-output call, and its B is
+    # the one boundary_quantities reports
+    profile, outcome = star15
+    want = boundary_exponent_fit(profile)
+    calls = 0
+    evaluate = DenseSolution.__call__
+
+    def spy(self, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(DenseSolution, "__call__", spy)
+    assert boundary_exponent_fit(profile) == want
+    assert calls == 0
+    assert want.B == outcome.boundary.B
+
+
 def test_exponent_fit_rejects_sparse_window(star15):
     profile, _ = star15
     with pytest.raises(AnalysisError):
@@ -213,6 +233,18 @@ def test_sweep_epsilon0_positive(gamma):
     grid = np.array([1e-3, 3e-3])
     sweep = regime_sweep(gamma, grid, grid)
     assert sweep.epsilon0_estimate > 0.0
+
+
+def test_parallel_sweep_with_a_warm_eos():
+    # an EosSpec that has served a solve is still picklable into workers and
+    # gives the serial cells
+    eos = EosSpec(A=1.0, gamma=1.5)
+    solve_scaled(1e-3, 1e-3, eos)
+    grid = np.array([1e-3, 0.05])
+    serial = regime_sweep(1.5, grid, grid, eos=eos)
+    parallel = regime_sweep(1.5, grid, grid, eos=eos, jobs=2)
+    assert parallel.cells == serial.cells
+    assert {c.outcome for c in serial.cells} >= {MONOTONE_SHORT, NON_MONOTONE}
 
 
 def test_sweep_grid_validation():

@@ -21,7 +21,13 @@ from tovds.eos import (
 )
 from tovds.errors import EosDomainError, NonPhysicalEosError
 
-from oracles import density_of_pressure, omega_series_numpy, omega_u_mpmath, thermo_of_density
+from oracles import (
+    density_of_pressure,
+    omega_rho_P_fast_reference,
+    omega_series_numpy,
+    omega_u_mpmath,
+    thermo_of_density,
+)
 
 FERMI_COEFFS = fermi_fit_eos(FermiEosParams(K=1.0)).omega.coeffs
 
@@ -204,14 +210,20 @@ def test_fast_tables_match_direct():
     # outside the table the direct path is used
     assert eos.omega_rho_P_fast(5.0) == eos.omega_rho_P(5.0)
     # OmegaOne takes the closed form on any eta, with no table; eta = 12 lies
-    # past the default eta_max of 8
+    # past the default eta_max of 8, and below -0.98 delta_omega the direct
+    # path is used.  The bound evaluator keeps the bits of the per-point
+    # reference, which reads every constant at the call
     for gamma in (1.3, 1.5, 1.7, 2.0):
         eos = EosSpec(A=1.0, gamma=gamma, c=1.0)
-        for eta in list(np.linspace(-0.09, 12.0, 41)) + [1e-9, -1e-9]:
+        fast = eos.fast_omega()
+        lo = -0.98 * eos.delta_omega
+        for eta in list(np.linspace(-0.09, 12.0, 41)) + [1e-9, -1e-9, 0.0, math.nextafter(lo, -1.0),
+                                                         -0.099, -0.0999]:
             fr, fP = eos.omega_rho_P_fast(float(eta))
             dr, dP = eos.omega_rho_P(float(eta))
             assert fr == pytest.approx(dr, rel=1e-13, abs=0.0)
             assert fP == pytest.approx(dP, rel=1e-13, abs=0.0)
+            assert fast(float(eta)) == (fr, fP) == omega_rho_P_fast_reference(eos, float(eta))
         assert eos.omega_rho_P_fast(0.0) == (1.0, 1.0)
         assert eos._tables is None
         for eta in (-eos.delta_omega, -0.15):
@@ -220,19 +232,27 @@ def test_fast_tables_match_direct():
 
 
 def test_fast_pieces_independent_of_access_order():
-    etas = [float(e) for e in np.random.default_rng(11).uniform(-0.09, 3.9, 80)]
-
-    def fresh():
-        return EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0)
-
-    forward, backward = fresh(), fresh()
-    fwd = [forward.omega_rho_P_fast(e) for e in etas]
-    bwd = [backward.omega_rho_P_fast(e) for e in reversed(etas)][::-1]
-    assert fwd == bwd
-    # one query fits one piece
-    one = fresh()
-    one.omega_rho_P_fast(0.5)
-    assert sum(p is not None for p in one._tables.pieces) == 1
+    # per EOS, two fresh instances build their own pieces, one forward per
+    # point and one backward through one bound evaluator; both keep the bits
+    # of the per-point reference, which sums each piece by a Horner loop.
+    # The etas cover every piece and both fallbacks
+    for make in (
+        lambda: EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0),
+        lambda: fermi_fit_eos(FermiEosParams(K=1.0)),
+    ):
+        forward, backward = make(), make()
+        tab = forward._tables
+        etas = [tab.lo, tab.hi, 0.0, -0.99 * forward.delta_omega, tab.hi + 0.01, tab.hi + 0.5]
+        etas += [float(e) for e in np.random.default_rng(11).uniform(tab.lo, tab.hi, 1200 - len(etas))]
+        fwd = [forward.omega_rho_P_fast(e) for e in etas]
+        fast = backward.fast_omega()
+        bwd = [fast(e) for e in reversed(etas)][::-1]
+        assert fwd == bwd == [omega_rho_P_fast_reference(forward, e) for e in etas]
+        assert forward._tables.pieces == backward._tables.pieces
+        # one query fits one piece
+        one = make()
+        one.omega_rho_P_fast(0.5 * tab.hi)
+        assert sum(p is not None for p in one._tables.pieces) == 1
 
 
 def test_fast_fallback_above_eta_max_is_logged(caplog):

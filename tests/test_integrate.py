@@ -381,6 +381,40 @@ def test_nonterminal_events_recorded():
     assert abs(downs[1] - 3.0 * math.pi) < 1e-9
 
 
+def test_slope_guard_reads_the_step_slope_and_counts_refinements():
+    # dy/dx = cos x: the slope guard dy[0] falls through zero at pi/2 and
+    # 5 pi/2.  At step ends it reads the slopes the steps computed, and each
+    # refinement point makes one counted call, so every rhs call is in n_rhs
+    calls = 0
+    guard_calls = 0
+
+    def rhs(x, y):
+        nonlocal calls
+        calls += 1
+        return (math.cos(x),)
+
+    def slope_guard(x, y, dy):
+        nonlocal guard_calls
+        guard_calls += 1
+        return dy[0]
+
+    ctrl = StepControl(rel_tol=1e-11, abs_tol=1e-13)
+    sol = integrate_adaptive(rhs, [0.0], (0.0, 10.0), ctrl, events=[
+        EventSpec(guard=slope_guard, direction="falling", name="top", slope=True)])
+    assert calls == sol.n_rhs
+    tops = [ev.x for ev in sol.events]
+    assert len(tops) == 2
+    assert abs(tops[0] - 0.5 * math.pi) < 1e-9
+    assert abs(tops[1] - 2.5 * math.pi) < 1e-9
+    # the same guard spelled on (x, y) locates the same bits with no calls
+    plain = integrate_adaptive(rhs, [0.0], (0.0, 10.0), ctrl, events=[
+        EventSpec(guard=lambda x, y: math.cos(x), direction="falling", name="top")])
+    assert [ev.x for ev in plain.events] == tops
+    assert np.array_equal(plain.ys, sol.ys)
+    # refinement calls: guard calls beyond one at x0 and one per step end
+    assert sol.n_rhs - plain.n_rhs == guard_calls - 1 - sol.n_steps > 0
+
+
 def test_rhs_return_type_does_not_change_the_trajectory():
     # the right-hand side may return a tuple, a list or an ndarray of floats
     R0 = 1e-6

@@ -153,6 +153,28 @@ def test_continuity_report_makes_one_vector_dense_call(patch_m0, monkeypatch):
     assert len(report.rows) == 12
 
 
+def test_g_components_makes_one_dense_call_per_radius(patch_m0, monkeypatch):
+    calls = 0
+    evaluate = DenseSolution.__call__
+
+    def spy(self, x):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, x)
+
+    monkeypatch.setattr(DenseSolution, "__call__", spy)
+    r_p = patch_m0.r_plus
+    g00, g11 = patch_m0.g_components(0.5 * r_p)
+    assert calls == 1
+    m, u = patch_m0.profile.state_at(0.5 * r_p)
+    k = patch_m0.profile.constants
+    assert g00 == patch_m0.kappa_plus * math.exp(-2.0 * u / k.c2)
+    assert g11 == -1.0 / kappa(0.5 * r_p, m, patch_m0.profile.Lambda, k)
+    calls = 0
+    patch_m0.g_components(1.5 * r_p)
+    assert calls == 0
+
+
 def test_g11_no_jump_as_step_shrinks(patch_m0):
     # central differences of g11 across r_+ converge to the one-sided target:
     # no jump beyond discretization error

@@ -71,8 +71,9 @@ def test_step_counts_of_reference_solves(star_m0, eos15):
 
 def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
     # the guard at a step end reads the slope the integrator has just
-    # computed there; of all calls of the bound right-hand sides, only the
-    # check at the germ is not one of the integrator's n_rhs
+    # computed there, and its refinement calls are counted; of all calls of
+    # the bound right-hand sides, only the check at the germ is not one of
+    # the integrator's n_rhs
     calls = 0
     bind = odecore.scaled_rhs
 
@@ -87,10 +88,14 @@ def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
 
     monkeypatch.setattr(odecore, "scaled_rhs", counted_scaled_rhs)
     monkeypatch.setattr(model, "scaled_rhs", counted_scaled_rhs)
-    star = solve_scaled(1e-3, 1e-3, eos15)
-    assert star.kind == MONOTONE_SHORT
-    assert star.dense.n_steps > 0
-    assert calls == star.dense.n_rhs + 1
+    # the second star has five located rises, each refined with calls
+    for beta, kind, n_rises in ((1e-3, MONOTONE_SHORT, 0), (0.05, NON_MONOTONE, 5)):
+        calls = 0
+        star = solve_scaled(1e-3, beta, eos15)
+        assert star.kind == kind
+        assert star.dense.n_steps > 0
+        assert sum(ev.name == "pressure_rise" for ev in star.dense.events) == n_rises
+        assert calls == star.dense.n_rhs + 1
 
 
 def outcome_radius(outcome):
