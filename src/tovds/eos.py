@@ -21,11 +21,15 @@ solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
 EOS's constants, or its piece tables, bound as closure variables, and
 omega_rho_P_fast is that function called once.  For the pure polytrope
 (OmegaOne) it evaluates the closed form Omega_u = k eta / expm1(k eta),
-k = (gamma-1)/gamma, on any eta.  For a series Omega it evaluates piecewise
-Chebyshev interpolants on a fixed grid over [-0.98 delta_omega, eta_max]; each
-piece is fitted to the direct path the first time an eta lands in it, so a
-star pays only for the pieces it visits.  Outside the grid, and in a piece
-with a node outside the EOS domain, it falls back to the direct path.
+k = (gamma-1)/gamma, on any eta.  That closed form is written once, as the
+statements _CLOSED_FORM: fast_omega() compiles them, and
+EosSpec.fast_omega_source() hands them with their bound values to odecore,
+which writes them into the integrator's stages.  For a series Omega the fast
+path evaluates piecewise Chebyshev interpolants on a fixed grid over
+[-0.98 delta_omega, eta_max]; each piece is fitted to the direct path the
+first time an eta lands in it, so a star pays only for the pieces it visits.
+Outside the grid, and in a piece with a node outside the EOS domain, it falls
+back to the direct path.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import integrate as _quadlib
 
+from . import codegen
 from .errors import EosDomainError, NonPhysicalEosError, QuadratureError, RootFindError
 
 _log = logging.getLogger("tovds")
@@ -141,6 +146,23 @@ _TAB_PIECES_PER_UNIT = 6.0
 _TAB_NODES = np.cos(np.pi * (2.0 * np.arange(_TAB_DEG + 1) + 1.0) / (2.0 * (_TAB_DEG + 1)))
 # marks a piece that cannot be fitted because a node lies outside the EOS domain
 _OFF_DOMAIN = object()
+
+# The fast path for Omega == 1 as statements that set omega_rho and omega_P
+# from eta; EosSpec.fast_omega_source binds their free names.  fast_omega()
+# compiles them into a function, and odecore splices them into the
+# integrator's stages, so both run this one text.
+_CLOSED_FORM = """\
+if eta < lo:
+    omega_rho, omega_P = direct(eta)
+elif eta == 0.0:
+    omega_rho = omega_P = 1.0
+else:
+    omu = k * eta / expm1(k * eta)
+    omega_rho = omu ** (-mu)
+    omega_P = omega_rho / omu
+"""
+# a series Omega calls its bound table evaluator
+_TABLE_CALL = "omega_rho, omega_P = omega_table(eta)\n"
 
 
 class _OmegaTables:
@@ -383,6 +405,26 @@ class EosSpec:
             return None
         return _OmegaTables(-0.98 * self.delta_omega, self.eta_max)
 
+    def fast_omega_source(self) -> tuple:
+        """(label, text, values): the fast path as statements that set
+        omega_rho and omega_P from eta, and the values of their free names.
+
+        For OmegaOne the text is the closed form (_CLOSED_FORM), which
+        fast_omega() compiles; for a series Omega it calls the table
+        evaluator fast_omega() returns.  odecore splices the text into the
+        integrator's stages, so the values are built afresh on every call,
+        as the evaluator is.
+        """
+        if self._tables is None:
+            return "closed-form Omega", _CLOSED_FORM, {
+                "lo": -0.98 * self.delta_omega,
+                "k": (self.gamma - 1.0) / self.gamma,  # zeta = expm1(k eta) when Omega == 1
+                "mu": self.mu,
+                "direct": self.omega_rho_P,
+                "expm1": math.expm1,
+            }
+        return "table Omega", _TABLE_CALL, {"omega_table": self.fast_omega()}
+
     def fast_omega(self):
         """The fast path eta -> (Omega_rho, Omega_P), with this EOS's constants
         bound once; reproduces the direct values to ~1e-13.  Below
@@ -393,24 +435,13 @@ class EosSpec:
         every call and never stored on the instance: an EosSpec is pickled
         into worker processes, and a closure cannot be.
         """
-        direct = self.omega_rho_P
         tab = self._tables
         if tab is None:
-            lo = -0.98 * self.delta_omega
-            k = (self.gamma - 1.0) / self.gamma  # zeta = expm1(k eta) when Omega == 1
-            mu = self.mu
+            _, text, values = self.fast_omega_source()
+            return codegen.closure_factory("<fast Omega: closed form>", "eta", text,
+                                           "omega_rho, omega_P", tuple(values))(**values)
 
-            def omega_closed_form(eta):
-                if eta < lo:
-                    return direct(eta)
-                if eta == 0.0:
-                    return 1.0, 1.0
-                omu = k * eta / math.expm1(k * eta)
-                omega_rho = omu ** (-mu)
-                return omega_rho, omega_rho / omu
-
-            return omega_closed_form
-
+        direct = self.omega_rho_P
         lo, hi, n, mids, inv_halfw, pieces, build = (
             tab.lo, tab.hi, tab.n, tab.mids, tab.inv_halfw, tab.pieces, tab.build)
 

@@ -11,29 +11,36 @@ The right-hand side receives the state as a list of floats and may return
 any sequence of floats; it may raise DomainSignalError to have the step
 retried smaller.  The step loop runs on Python floats, since for the small
 systems solved here a numpy operation costs far more than its arithmetic.
-Each attempted step is one call of a kernel generated for the state's
-dimension from one template, with every stage sum, the error norm and the
-interpolant written out per component, so an attempt builds no
-per-component comprehensions.  Accepted nodes, states and interpolant
-coefficients go into flat ``array('d')`` buffers; numpy appears only when
-those become the ndarrays of the returned DenseSolution.  A DenseSolution
-evaluates a scalar and an array of points by one vectorised routine, so each
-point gets the same bits however it is asked for.
+The whole adaptive loop, with its step control and event guards, is
+generated from one template, _LOOP, once per state dimension and
+right-hand side stage; it keeps the state, the FSAL slope and the
+tolerances in locals across steps, and writes every stage sum, the error
+norm and the interpolant out per component.  Each stage is one slot of the
+template: for a plain callable the slot calls it, and for a right-hand side
+built by stage_rhs from statements (a Stage) the slot is those statements,
+so a step makes no Python call for its stages.  Accepted nodes, states and
+interpolant coefficients go into flat ``array('d')`` buffers; numpy appears
+only when those become the ndarrays of the returned DenseSolution.  A
+DenseSolution evaluates a scalar and an array of points by one vectorised
+routine, so each point gets the same bits however it is asked for.
 """
 
 from __future__ import annotations
 
+import builtins
 import math
 import numbers
 import re
+import textwrap
+import types
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
-from math import isfinite, sqrt  # for the generated kernel
+from math import isfinite, sqrt  # for the generated loop
 
 import numpy as np
 from scipy.optimize import brentq
 
+from . import codegen
 from .errors import DomainSignalError
 
 __all__ = [
@@ -41,6 +48,8 @@ __all__ = [
     "EventSpec",
     "EventRecord",
     "DenseSolution",
+    "Stage",
+    "stage_rhs",
     "integrate_adaptive",
 ]
 
@@ -130,8 +139,8 @@ class EventSpec:
     def __post_init__(self):
         if self.direction not in ("falling", "rising", "any"):
             raise ValueError(f"bad direction {self.direction!r}")
-        if self.root_tol <= 0.0:
-            raise ValueError("root_tol must be positive")
+        if not (math.isfinite(self.root_tol) and self.root_tol > 0.0):
+            raise ValueError(f"root_tol must be finite and positive, got {self.root_tol!r}")
 
 
 @dataclass(frozen=True)
@@ -201,91 +210,235 @@ def _rms(v) -> float:
     return math.sqrt(sum(e * e for e in v) / len(v))
 
 
-def _finite(*vectors) -> bool:
-    return all(map(math.isfinite, chain(*vectors)))
+def _finite(*values) -> bool:
+    return all(map(math.isfinite, values))
 
 
-# One attempted DP5 step, written out per state component.  In the template,
+@dataclass(frozen=True)
+class Stage:
+    """A right-hand side written as statements, for the step loop to inline.
+
+    body sets the slope components named in dy from the abscissa named x and
+    the state components named in y.  Every other free name of body is one
+    of consts, whose values stage_rhs binds; a name body uses must not be one
+    the step loop uses, which _loop checks.  name labels the generated
+    sources in tracebacks, so each body needs its own.
+    """
+
+    name: str
+    x: str
+    y: tuple
+    dy: tuple
+    body: str
+    consts: tuple
+
+
+def stage_rhs(stage: Stage, values: dict):
+    """The right-hand side (x, y) -> dy that runs stage's body with values
+    bound to its constants.
+
+    integrate_adaptive runs the same body inside its step loop instead of
+    calling the function; the start slope, the initial-step probe and the
+    refinement of slope guards call it, and compute the same bits.
+    """
+    rhs = codegen.closure_factory(
+        f"<rhs: {stage.name}>", f"{stage.x}, y", f"{', '.join(stage.y)}, = y\n{stage.body}",
+        f"{', '.join(stage.dy)},", stage.consts)(**values)
+    rhs.stage, rhs.values = stage, values
+    return rhs
+
+
+# The adaptive DP5 loop, written out per state component.  In the template,
 # `expr` stands for expr once per component, with @ replaced by the component
 # index, joined by ", " (or by " + " when the closing backtick is followed by
-# +).  _kernel generates the attempt once per dimension, so the hot loop makes
-# one Python call per attempt and builds no per-component comprehensions.
-# Every component is computed by the same expression, term by term in the
-# tableau's order, so the bits do not depend on the dimension.
+# +).  Each `kN = STAGE(x, y...)` line is one right-hand side evaluation:
+# for a plain callable it calls rhs(x, [y...]), for a Stage it runs the
+# stage's body on x and y and names its slopes kN_@.  FSAL is the step-end
+# slope as the right-hand side returned it, and CONSTS the stage's constants,
+# which make binds once per solve.  _loop generates the loop once per
+# dimension and stage.  Every component is computed by the same expression,
+# term by term in the tableau's order, so the bits do not depend on the
+# dimension or on whether the stage is inlined.
 #
-# attempt(rhs, x, y, h, k1, atol, rtol) -> (calls, err, y_new, k7, q)
-#   calls  right-hand side calls made, counting one that raised
-#   err    the scaled RMS error; on a failed attempt, the DomainSignalError
-#          that cut it short, or None for a non-finite slope
-#   y_new  the fifth-order state at x + h as a list, or None on a failure
-#   k7     rhs(x + h, y_new), the FSAL slope, as rhs returned it
-#   q      the interpolant coefficients, q0, q1, q2, q3 of each component in
-#          turn, or None unless err <= 1
-# A non-finite slope makes err non-finite, except k2, which the error
-# estimate does not weigh; the full scan runs only when that test fails.
-_ATTEMPT = """\
-def attempt(rhs, x, y, h, k1, atol, rtol):
-    `y@`, = y
-    `k1_@`, = k1
-    `atol@`, = atol
-    calls = 1
-    try:
-        k2 = rhs(x + _C2 * h, [`y@ + h * (_A21 * k1_@)`])
-        `k2_@`, = k2
-        calls = 2
-        k3 = rhs(x + _C3 * h, [`y@ + h * (_A31 * k1_@ + _A32 * k2_@)`])
-        `k3_@`, = k3
-        calls = 3
-        k4 = rhs(x + _C4 * h, [`y@ + h * (_A41 * k1_@ + _A42 * k2_@ + _A43 * k3_@)`])
-        `k4_@`, = k4
-        calls = 4
-        k5 = rhs(x + _C5 * h, [`y@ + h * (_A51 * k1_@ + _A52 * k2_@ + _A53 * k3_@
-                                           + _A54 * k4_@)`])
-        `k5_@`, = k5
-        calls = 5
-        k6 = rhs(x + h, [`y@ + h * (_A61 * k1_@ + _A62 * k2_@ + _A63 * k3_@
-                                     + _A64 * k4_@ + _A65 * k5_@)`])
-        `k6_@`, = k6
-        `yn@`, = y_new = [`y@ + h * (_B1 * k1_@ + _B3 * k3_@ + _B4 * k4_@ + _B5 * k5_@
-                                     + _B6 * k6_@)`]
-        calls = 6
-        k7 = rhs(x + h, y_new)
-        `k7_@`, = k7
-    except DomainSignalError as exc:
-        return calls, exc, None, None, None
-    `e@`, = (`h * (_E1 * k1_@ + _E3 * k3_@ + _E4 * k4_@ + _E5 * k5_@ + _E6 * k6_@
-                   + _E7 * k7_@) / (atol@ + rtol * max(abs(y@), abs(yn@)))`,)
-    err = sqrt((`e@ * e@`+) / DIM)
-    if not (isfinite(err + (`k2_@`+)) or _finite(k1, k2, k3, k4, k5, k6, k7)):
-        return 6, None, None, None, None
-    if err > 1.0:
-        return 6, err, y_new, k7, None
-    return 6, err, y_new, k7, (`
-        k1_@,
-        _D11 * k1_@ + _D13 * k3_@ + _D14 * k4_@ + _D15 * k5_@ + _D16 * k6_@ + _D17 * k7_@,
-        _D21 * k1_@ + _D23 * k3_@ + _D24 * k4_@ + _D25 * k5_@ + _D26 * k6_@ + _D27 * k7_@,
-        _D31 * k1_@ + _D33 * k3_@ + _D34 * k4_@ + _D35 * k5_@ + _D36 * k6_@ + _D37 * k7_@`,)
+# loop(...) -> (status, message, failure, x_end, y_end, n_rhs, n_rejected),
+# x_end and y_end None for the last node.  n_rhs counts a right-hand side
+# call that raised.  A non-finite slope makes err non-finite, except k2,
+# which the error estimate does not weigh; the full scan runs only when that
+# test fails.  min and max of two floats are written as conditionals that
+# give the same result, NaN included.
+_LOOP = """\
+def make(CONSTS):
+    def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, guards, g_prev, events,
+             xs, ys, coef, found, n_rhs):
+        `y@`, = y
+        `k1_@`, = k1
+        `atol@`, = atol
+        # array.fromlist takes a list far faster than extend takes any sequence
+        add_node, add_state, add_coef = xs.append, ys.fromlist, coef.fromlist
+        n_rejected = attempts = 0
+        rejected = False
+        while x < x1:
+            if attempts >= max_steps:
+                return ("step_budget", f"step budget {max_steps} exhausted at x = {x:g}",
+                        None, None, None, n_rhs, n_rejected)
+            if x1 - x < h:
+                h = x1 - x
+            ax = abs(x)
+            h_tiny = _H_TINY * (1.0 if 1.0 > ax else ax)
+            if h <= h_tiny:
+                return ("step_underflow", f"step size underflow at x = {x:g}",
+                        None, None, None, n_rhs, n_rejected)
+            attempts += 1
+            try:
+                calls = 1
+                k2 = STAGE(x + _C2 * h, `y@ + h * (_A21 * k1_@)`)
+                calls = 2
+                k3 = STAGE(x + _C3 * h, `y@ + h * (_A31 * k1_@ + _A32 * k2_@)`)
+                calls = 3
+                k4 = STAGE(x + _C4 * h, `y@ + h * (_A41 * k1_@ + _A42 * k2_@ + _A43 * k3_@)`)
+                calls = 4
+                k5 = STAGE(x + _C5 * h, `y@ + h * (_A51 * k1_@ + _A52 * k2_@ + _A53 * k3_@ + _A54 * k4_@)`)
+                calls = 5
+                k6 = STAGE(x + h, `y@ + h * (_A61 * k1_@ + _A62 * k2_@ + _A63 * k3_@ + _A64 * k4_@ + _A65 * k5_@)`)
+                `yn@`, = `y@ + h * (_B1 * k1_@ + _B3 * k3_@ + _B4 * k4_@ + _B5 * k5_@ + _B6 * k6_@)`,
+                calls = 6
+                k7 = STAGE(x + h, `yn@`)
+            except DomainSignalError as exc:
+                n_rhs += calls
+                failure = exc
+            else:
+                n_rhs += 6
+                `ay@`, = `abs(y@)`,
+                `an@`, = `abs(yn@)`,
+                `e@`, = `h * (_E1 * k1_@ + _E3 * k3_@ + _E4 * k4_@ + _E5 * k5_@ + _E6 * k6_@ + _E7 * k7_@) / (atol@ + rtol * (an@ if an@ > ay@ else ay@))`,
+                err = sqrt((`e@ * e@`+) / DIM)
+                if isfinite(err + (`k2_@`+)) or _finite(`k1_@`, `k2_@`, `k3_@`, `k4_@`, `k5_@`, `k6_@`, `k7_@`):
+                    if err > 1.0:
+                        factor = _SAFETY * err ** -0.2
+                        h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
+                        rejected = True
+                        n_rejected += 1
+                        continue
+                    # accepted
+                    if err == 0.0:
+                        factor = _MAX_FACTOR
+                    else:
+                        factor = _SAFETY * err ** -0.2
+                        if not factor < _MAX_FACTOR:
+                            factor = _MAX_FACTOR
+                    if rejected:
+                        if not factor < 1.0:
+                            factor = 1.0
+                        rejected = False
+                    x_new = x + h
+                    y_new = [`yn@`]
+                    q = [`
+                        k1_@,
+                        _D11 * k1_@ + _D13 * k3_@ + _D14 * k4_@ + _D15 * k5_@ + _D16 * k6_@ + _D17 * k7_@,
+                        _D21 * k1_@ + _D23 * k3_@ + _D24 * k4_@ + _D25 * k5_@ + _D26 * k6_@ + _D27 * k7_@,
+                        _D31 * k1_@ + _D33 * k3_@ + _D34 * k4_@ + _D35 * k5_@ + _D36 * k6_@ + _D37 * k7_@`]
+                    add_node(x_new)
+                    add_state(y_new)
+                    add_coef(q)
+
+                    # event guards: a sign change between the step's ends is
+                    # refined on the step's interpolant
+                    if guards:
+                        hit = []  # (x_event, index)
+                        step_eval = None
+                        for idx, (guard, falling, rising, slope) in enumerate(guards):
+                            g0 = g_prev[idx]
+                            g1 = g_prev[idx] = float(guard(x_new, y_new, FSAL) if slope
+                                                     else guard(x_new, y_new))
+                            if (falling and g0 > 0.0 >= g1) or (rising and g0 < 0.0 <= g1):
+                                if step_eval is None:
+                                    step_eval = _step_interpolant(x, [`y@`], h, q, x_new, y_new)
+                                x_ev, calls = _locate_in_step(step_eval, guard, rhs if slope else None,
+                                                              x, x_new, g0, g1, events[idx].root_tol)
+                                n_rhs += calls
+                                hit.append((x_ev, idx))
+                        if hit:
+                            hit.sort()
+                            for x_ev, idx in hit:
+                                found.append((x_ev, step_eval(x_ev), idx))
+                                if events[idx].terminal:
+                                    return ("event", f"terminal event at x = {x_ev:g}", None,
+                                            x_ev, step_eval(x_ev), n_rhs, n_rejected)
+
+                    x = x_new
+                    `y@`, = `yn@`,
+                    `k1_@`, = `k7_@`,
+                    h *= factor
+                    if h_max < h:
+                        h = h_max
+                    continue
+                failure = None
+            # boundary or blow-up inside the step: retry smaller
+            h *= 0.25
+            rejected = True
+            n_rejected += 1
+            if h <= h_tiny:
+                if failure is not None:
+                    return ("domain_error", f"domain exit at x = {x:g}: {failure}", failure,
+                            None, None, n_rhs, n_rejected)
+                return ("step_underflow", f"non-finite right-hand side at x = {x:g}", None,
+                        None, None, n_rhs, n_rejected)
+        return "completed", "", None, None, None, n_rhs, n_rejected
+    return loop
 """
 
-_KERNELS = {}  # dim -> attempt
+_LOOPS = {}  # (dim, stage or None) -> make
 
 
-def _kernel_source(dim: int) -> str:
-    def expand(m):
+def _loop_source(dim: int, stage: Stage | None) -> str:
+    def components(m):
         sep = " + " if m.group(2) else ", "
         return sep.join(m.group(1).replace("@", str(i)) for i in range(dim))
 
-    return re.sub(r"`([^`]*)`(\+?)", expand, _ATTEMPT).replace("DIM", str(dim))
+    def stage_call(m):
+        indent, k, args = m.group(1), m.group(2), m.group(3).split(", ")
+        slopes = ", ".join(f"{k}_{i}" for i in range(dim))
+        if stage is None:
+            return (f"{indent}{k} = rhs({args[0]}, [{', '.join(args[1:])}])\n"
+                    f"{indent}{slopes}, = {k}\n")
+        return (f"{indent}{stage.x} = {args[0]}\n"
+                f"{indent}{', '.join(stage.y)}, = {', '.join(args[1:])},\n"
+                f"{textwrap.indent(stage.body, indent)}"
+                f"{indent}{slopes}, = {', '.join(stage.dy)},\n")
+
+    source = re.sub(r"`([^`]*)`(\+?)", components, _LOOP).replace("DIM", str(dim))
+    if stage is None:
+        source = source.replace("CONSTS", "").replace("FSAL", "k7")
+    else:
+        fsal = "(" + ", ".join(f"k7_{i}" for i in range(dim)) + ",)"
+        source = source.replace("CONSTS", ", ".join(stage.consts)).replace("FSAL", fsal)
+    return re.sub(r"^( *)(k\d) = STAGE\((.*)\)\n", stage_call, source, flags=re.M)
 
 
-def _kernel(dim: int):
-    """The DP5 attempt for a dim-component state, generated on first use."""
-    attempt = _KERNELS.get(dim)
-    if attempt is None:
-        scope = {}
-        exec(compile(_kernel_source(dim), f"<dp5 attempt, dim {dim}>", "exec"), globals(), scope)
-        attempt = _KERNELS[dim] = scope["attempt"]
-    return attempt
+def _names(code) -> set:
+    """The names code and the code nested in it use, builtins left out."""
+    names = set(code.co_names + code.co_varnames + code.co_cellvars + code.co_freevars)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= _names(const)
+    return names - vars(builtins).keys()
+
+
+def _loop(dim: int, stage: Stage | None):
+    """The factory make(**stage constants) -> loop for a dim-component state
+    and stage (None for a plain callable), generated on first use."""
+    make = _LOOPS.get((dim, stage))
+    if make is None:
+        filename = f"<dp5 loop, dim {dim}>"
+        if stage is not None:
+            filename = f"<dp5 loop, dim {dim}, {stage.name}>"
+            own = {stage.x, *stage.y, *stage.dy, *stage.consts}
+            clash = ((_names(compile(stage.body, "<stage>", "exec")) | own)
+                     & _names(compile(_loop_source(dim, None), "<loop>", "exec")))
+            if clash:
+                raise ValueError(f"stage {stage.name!r} uses names of the step loop: {sorted(clash)}")
+        make = _LOOPS[(dim, stage)] = codegen.define(_loop_source(dim, stage), filename, globals())
+    return make
 
 
 def _initial_step(rhs, x0, y0, f0, rtol, atol, h_max):
@@ -357,32 +510,43 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
         sequence of dim floats (a tuple, a list or an ndarray).  May raise
         DomainSignalError to signal a domain exit; the step is then retried
         smaller and the run ends with status ``domain_error`` if the boundary
-        cannot be resolved.
+        cannot be resolved.  A right-hand side made by stage_rhs has its
+        stage's body inlined in the step loop.
+    y0 : sequence of finite floats
     ctrl : StepControl
     events : sequence of EventSpec
         Guards receive the state as a list of floats, like rhs, and a slope
         guard also the slope rhs returned there.  Terminal events truncate
         the solution at the located abscissa.
     y_scale : sequence of float, optional
-        Per-component magnitude scale; the absolute tolerance for component
-        i is ctrl.abs_tol * y_scale[i].
+        Per-component magnitude scale, finite and positive; the absolute
+        tolerance for component i is ctrl.abs_tol * y_scale[i].
 
-    Each attempted step is one call of the generated kernel for the state's
-    dimension.  Accepted nodes, states and interpolant coefficients go into
-    flat ``array('d')`` buffers; they become the xs, ys and interp ndarrays
-    of the result once, when the run ends.
+    The run is one call of the step loop generated for the state's dimension
+    and the right-hand side's stage.  Accepted nodes, states and interpolant
+    coefficients go into flat ``array('d')`` buffers; they become the xs, ys
+    and interp ndarrays of the result once, when the run ends.
     """
     ctrl = ctrl or StepControl()
     x0, x1 = float(span[0]), float(span[1])
     if not x1 > x0:
         raise ValueError("span must satisfy x1 > x0")
     y0 = np.asarray(y0, dtype=float).ravel().tolist()
+    if not _finite(*y0):
+        raise ValueError(f"y0 must be finite, got {y0!r}")
     dim = len(y0)
-    attempt = _kernel(dim)
     if y_scale is None:
         atol = [ctrl.abs_tol] * dim
     else:
-        atol = [ctrl.abs_tol * s for s in np.asarray(y_scale, dtype=float).ravel().tolist()]
+        scale = np.asarray(y_scale, dtype=float).ravel().tolist()
+        if len(scale) != dim or not all(math.isfinite(s) and s > 0.0 for s in scale):
+            raise ValueError(f"y_scale must be {dim} finite and positive values, got {y_scale!r}")
+        atol = [ctrl.abs_tol * s for s in scale]
+    stage = getattr(rhs, "stage", None)
+    if isinstance(stage, Stage) and len(stage.y) == dim:
+        loop = _loop(dim, stage)(**rhs.values)
+    else:
+        loop = _loop(dim, None)()
     rtol, h_max = ctrl.rel_tol, ctrl.h_max
     # (guard, falling counts, rising counts, slope guard) per event
     guards = [(ev.guard, ev.direction != "rising", ev.direction != "falling", ev.slope)
@@ -392,10 +556,8 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
     ys = array("d", y0)
     coef = array("d")  # per step and component: q0, q1, q2, q3
     found = []  # (x, y, index) of located events
-    n_rhs = 1  # the start slope, counted even when it raises
-    n_rejected = 0
 
-    def _finish(status, message="", failure=None, x_end=None, y_end=None):
+    def _finish(status, message="", failure=None, x_end=None, y_end=None, n_rhs=1, n_rejected=0):
         n = len(xs) - 1
         return DenseSolution(
             xs=np.frombuffer(xs, dtype=float),
@@ -416,85 +578,24 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
             n_rejected=n_rejected,
         )
 
+    # the start slope is counted even when it raises
     try:
         fy = rhs(x0, y0)
     except DomainSignalError as exc:
         return _finish("domain_error", f"right-hand side undefined at start: {exc}", exc)
+    if not _finite(*fy):
+        # no step from x0 can pass, whatever its size
+        return _finish("step_underflow", f"non-finite right-hand side at x = {x0:g}")
 
     g_prev = [float(guard(x0, y0, fy) if slope else guard(x0, y0))
               for guard, _, _, slope in guards]
 
+    n_rhs = 1
     h = ctrl.h_init
     if h is None:
         n_rhs += 1
         h = _initial_step(rhs, x0, y0, fy, rtol, atol, h_max)
     h = min(h, h_max, x1 - x0)
 
-    x, y, k1 = x0, y0, fy
-    attempts = 0
-    rejected = False
-
-    while x < x1:
-        if attempts >= ctrl.max_steps:
-            return _finish("step_budget", f"step budget {ctrl.max_steps} exhausted at x = {x:g}")
-        h = min(h, x1 - x)
-        if h <= _H_TINY * max(abs(x), 1.0):
-            return _finish("step_underflow", f"step size underflow at x = {x:g}")
-        attempts += 1
-
-        calls, err, y_new, k7, q = attempt(rhs, x, y, h, k1, atol, rtol)
-        n_rhs += calls
-
-        if y_new is None:
-            # boundary or blow-up inside the step: retry smaller
-            h *= 0.25
-            rejected = True
-            n_rejected += 1
-            if h <= _H_TINY * max(abs(x), 1.0):
-                if err is not None:
-                    return _finish("domain_error", f"domain exit at x = {x:g}: {err}", err)
-                return _finish("step_underflow", f"non-finite right-hand side at x = {x:g}")
-            continue
-
-        if err > 1.0:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            rejected = True
-            n_rejected += 1
-            continue
-
-        # accepted
-        factor = _MAX_FACTOR if err == 0.0 else min(_MAX_FACTOR, _SAFETY * err ** -0.2)
-        if rejected:
-            factor = min(1.0, factor)
-        rejected = False
-
-        x_new = x + h
-        xs.append(x_new)
-        ys.extend(y_new)
-        coef.extend(q)
-
-        hit = []  # (x_event, index)
-        step_eval = None
-        for idx, (guard, falling, rising, slope) in enumerate(guards):
-            g0 = g_prev[idx]
-            g1 = g_prev[idx] = float(guard(x_new, y_new, k7) if slope else guard(x_new, y_new))
-            if (falling and g0 > 0.0 >= g1) or (rising and g0 < 0.0 <= g1):
-                if step_eval is None:
-                    step_eval = _step_interpolant(x, y, h, q, x_new, y_new)
-                x_ev, calls = _locate_in_step(step_eval, guard, rhs if slope else None,
-                                              x, x_new, g0, g1, events[idx].root_tol)
-                n_rhs += calls
-                hit.append((x_ev, idx))
-
-        if hit:
-            hit.sort()
-            for x_ev, idx in hit:
-                found.append((x_ev, step_eval(x_ev), idx))
-                if events[idx].terminal:
-                    return _finish("event", f"terminal event at x = {x_ev:g}",
-                                   x_end=x_ev, y_end=step_eval(x_ev))
-
-        x, y, k1 = x_new, y_new, k7
-        h = min(h * factor, h_max)
-
-    return _finish("completed")
+    return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, guards,
+                         g_prev, events, xs, ys, coef, found, n_rhs))

@@ -8,10 +8,14 @@ two floats.  State conventions:
     scaled form              y = (M, U),   x = R
 
 The solvers integrate the scaled form only; the enthalpy form is its
-physical-unit reference.  scaled_rhs(alpha, beta, eos) binds one star's
-constants and the EOS fast path once and returns its right-hand side
-R, y -> (dM/dR, dU/dR); a solve integrates that closure, and rhs_scaled is
-the same closure called once.
+physical-unit reference.  The scaled right-hand side is written once, as the
+stage text _SCALED.  scaled_rhs(alpha, beta, eos) binds one star's
+constants and the EOS fast path to it and returns the right-hand side
+R, y -> (dM/dR, dU/dR) compiled from that text, which carries the text and
+its bound values.  A solve passes it to integrate_adaptive, whose step loop
+runs the same text in every stage instead of calling it; the germ check,
+the initial step and the refinement of slope guards call it.  rhs_scaled is
+that function called once.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3 and
 Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled out in
@@ -21,7 +25,9 @@ its own kappa, with the same expression as kappa_scaled.
 
 from __future__ import annotations
 
+import functools
 import math
+import textwrap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +35,7 @@ import numpy as np
 from .constants import Constants
 from .eos import EosSpec
 from .errors import KappaNonPositiveError
-from .integrate import DenseSolution
+from .integrate import DenseSolution, Stage, stage_rhs
 
 __all__ = [
     "kappa",
@@ -87,40 +93,59 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
     return dm, du
 
 
+# The scaled right-hand side as statements: dM and dU from R, M and U.  The
+# line OMEGA stands for the EOS fast path's statements (fast_omega_source),
+# which set omega_rho and omega_P from eta.  The free names are the constants
+# scaled_rhs binds; mu is the EOS's mu, as in the closed form's text.
+_SCALED = """\
+U_pos = U if U > 0.0 else 0.0
+if lane_emden:
+    omega_rho = omega_P = 1.0
+else:
+    eta = alpha * U
+    OMEGA
+R3 = R**3
+dM = R * R * U_pos**mu * omega_rho
+num = M + p_alpha * R3 * U_pos**mu1 * omega_P - beta * R3 / 3.0
+kap = 1.0 - two_alpha * M / R - alpha_beta * R * R / 3.0
+if kap <= 0.0:
+    raise KappaNonPositiveError(f"kappa = {kap:g} <= 0 at r = {R:g} (horizon contact)")
+dU = -num / (R * R * kap)
+"""
+
+
+@functools.cache
+def _scaled_stage(label: str, omega_text: str, consts: tuple) -> Stage:
+    return Stage(name=f"scaled, {label}", x="R", y=("M", "U"), dy=("dM", "dU"),
+                 body=_SCALED.replace("    OMEGA\n", textwrap.indent(omega_text, "    ")),
+                 consts=consts)
+
+
 def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
     """The right-hand side R, y -> (dM/dR, dU/dR) of the homology-scaled system.
 
-    alpha, beta, the EOS constants and the EOS fast path (eos.fast_omega())
-    are bound once, so a solve pays for them once and not at every stage.  At alpha = beta = 0 this reduces
-    exactly (bitwise) to the Lane-Emden right-hand side with lambda = 0.
-    Raises KappaNonPositiveError where kappa <= 0 (horizon contact).
+    alpha, beta, the EOS constants and the EOS fast path are bound once, so
+    a solve pays for them once and not at every stage.  The function is
+    built from the stage text _SCALED (integrate.stage_rhs), which
+    integrate_adaptive writes into its step loop; for OmegaOne the closed
+    form is written in too.  At alpha = beta = 0 this reduces exactly
+    (bitwise) to the Lane-Emden right-hand side with lambda = 0.  Raises
+    KappaNonPositiveError where kappa <= 0 (horizon contact).
     """
-    mu = eos.mu
-    mu1 = mu + 1.0
+    label, omega_text, values = eos.fast_omega_source()
     g = eos.gamma
-    p_alpha = (g - 1.0) / g * alpha
-    two_alpha = 2.0 * alpha
-    alpha_beta = alpha * beta
-    omega_rho_P = eos.fast_omega()
-    lane_emden = alpha == 0.0
-
-    def rhs(R, y):
-        M, U = y
-        U_pos = U if U > 0.0 else 0.0
-        if lane_emden:
-            omega_rho = omega_P = 1.0
-        else:
-            omega_rho, omega_P = omega_rho_P(alpha * U)
-        R3 = R**3
-        dM = R * R * U_pos**mu * omega_rho
-        num = M + p_alpha * R3 * U_pos**mu1 * omega_P - beta * R3 / 3.0
-        kap = 1.0 - two_alpha * M / R - alpha_beta * R * R / 3.0
-        if kap <= 0.0:
-            raise KappaNonPositiveError(f"kappa = {kap:g} <= 0 at r = {R:g} (horizon contact)")
-        dU = -num / (R * R * kap)
-        return dM, dU
-
-    return rhs
+    values.update(
+        alpha=alpha,
+        beta=beta,
+        mu=eos.mu,
+        mu1=eos.mu + 1.0,
+        p_alpha=(g - 1.0) / g * alpha,
+        two_alpha=2.0 * alpha,
+        alpha_beta=alpha * beta,
+        lane_emden=alpha == 0.0,
+        KappaNonPositiveError=KappaNonPositiveError,
+    )
+    return stage_rhs(_scaled_stage(label, omega_text, tuple(values)), values)
 
 
 def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec) -> tuple:

@@ -7,8 +7,9 @@ numpy and mpmath evaluations of a series Omega and of Omega_u, the fast
 Omega_rho/Omega_P path evaluated per point with a loop Horner, the
 per-sample profile row, the pointwise boundary slope, the scaled right-hand
 side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
-with per-component comprehensions, and a scalar dense-output evaluation on
-Python floats live here, as independent oracles for the code in src/.
+with per-component comprehensions and the adaptive loop around it, and a
+scalar dense-output evaluation on Python floats live here, as independent
+oracles for the code in src/.
 """
 
 import math
@@ -20,7 +21,7 @@ from numpy.polynomial import polynomial as npoly
 
 from tovds import integrate as ig
 from tovds.eos import _OFF_DOMAIN, _TAB_DEG
-from tovds.errors import KappaNonPositiveError, RootFindError
+from tovds.errors import DomainSignalError, KappaNonPositiveError, RootFindError
 from tovds.odecore import (
     _check_kappa,
     kappa,
@@ -283,8 +284,7 @@ def dp5_attempt(f, x, y, h, k1, atol, rtol):
     """One DP5 attempt from (x, y) with slope k1, one comprehension per vector.
 
     Returns (k2, k3, k4, k5, k6, k7, y_new, err, q), q as one (q0, q1, q2, q3)
-    per component; a DomainSignalError from f propagates.  The generated
-    kernel of integrate_adaptive must give the same bits.
+    per component; a DomainSignalError from f propagates.
     """
     rng = range(len(y))
     k2 = f(x + ig._C2 * h, [y[i] + h * (ig._A21 * k1[i]) for i in rng])
@@ -313,3 +313,70 @@ def dp5_attempt(f, x, y, h, k1, atol, rtol):
           + ig._D36 * k6[i] + ig._D37 * k7[i])
          for i in rng]
     return k2, k3, k4, k5, k6, k7, y_new, err, q
+
+
+def dp5_integrate(f, y0, span, ctrl, atol):
+    """The adaptive DP5 loop without events, one dp5_attempt per attempt.
+
+    Starts from the step ctrl.h_init, with the absolute tolerance atol[i]
+    for component i, and follows integrate_adaptive's step control with
+    builtin min and max.  n_rhs counts every call of f, one that raised
+    included.  Returns (xs, ys, q, status, message, n_rhs, n_rejected), q as
+    one (q0, q1, q2, q3) per step and component; the generated step loop of
+    integrate_adaptive must give the same bits and counts.
+    """
+    n_rhs = 0
+
+    def counted(x, y):
+        nonlocal n_rhs
+        n_rhs += 1
+        return f(x, y)
+
+    x, x1 = span
+    y = list(y0)
+    k1 = counted(x, y)
+    h = min(ctrl.h_init, ctrl.h_max, x1 - x)
+    xs, ys, qs = [x], [list(y)], []
+    n_rejected = attempts = 0
+    rejected = False
+
+    def result(status, message=""):
+        return xs, ys, qs, status, message, n_rhs, n_rejected
+
+    while x < x1:
+        if attempts >= ctrl.max_steps:
+            return result("step_budget", f"step budget {ctrl.max_steps} exhausted at x = {x:g}")
+        h = min(h, x1 - x)
+        if h <= ig._H_TINY * max(abs(x), 1.0):
+            return result("step_underflow", f"step size underflow at x = {x:g}")
+        attempts += 1
+        try:
+            *ks, y_new, err, q = dp5_attempt(counted, x, y, h, k1, atol, ctrl.rel_tol)
+            failure = None if all(map(math.isfinite, [*k1, *(c for k in ks for c in k)])) else "nan"
+        except DomainSignalError as exc:
+            failure = exc
+        if failure is not None:
+            h *= 0.25
+            rejected = True
+            n_rejected += 1
+            if h <= ig._H_TINY * max(abs(x), 1.0):
+                if failure == "nan":
+                    return result("step_underflow", f"non-finite right-hand side at x = {x:g}")
+                return result("domain_error", f"domain exit at x = {x:g}: {failure}")
+            continue
+        if err > 1.0:
+            h *= max(ig._MIN_FACTOR, ig._SAFETY * err ** -0.2)
+            rejected = True
+            n_rejected += 1
+            continue
+        factor = ig._MAX_FACTOR if err == 0.0 else min(ig._MAX_FACTOR, ig._SAFETY * err ** -0.2)
+        if rejected:
+            factor = min(1.0, factor)
+        rejected = False
+        x = x + h
+        y, k1 = y_new, ks[-1]
+        xs.append(x)
+        ys.append(list(y))
+        qs.append(q)
+        h = min(h * factor, ctrl.h_max)
+    return result("completed")

@@ -1,6 +1,7 @@
 """Integrator accuracy, event location, statuses and determinism."""
 
 import math
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -9,17 +10,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from tovds import integrate
+from tovds import codegen, integrate
+from tovds.eos import EosSpec, OmegaSeries
 from tovds.errors import DomainSignalError
 from tovds.integrate import (
     DenseSolution,
     EventSpec,
+    Stage,
     StepControl,
     integrate_adaptive,
+    stage_rhs,
 )
+from tovds.model import solve_scaled
 from tovds.odecore import rhs_lane_emden
 
-from oracles import dense_eval_scalar, dp5_attempt
+from oracles import dense_eval_scalar, dp5_integrate
 
 
 def locate_event(dense: DenseSolution, guard, direction="any", root_tol=1e-12):
@@ -264,14 +269,16 @@ def _bits(*values):
     dim=st.integers(1, 4),
     data=st.data(),
     x=st.floats(-5.0, 5.0),
+    length=st.floats(0.05, 2.0),
     h=st.floats(1e-4, 1.0),
     rtol=st.sampled_from([1e-12, 1e-6, 1e3]),
 )
-def test_kernel_matches_comprehension_oracle(dim, data, x, h, rtol):
-    # the generated per-component kernel against the parent's comprehensions,
-    # bit for bit, on a nonlinear right-hand side with random coefficients
+def test_loop_matches_reference_loop(dim, data, x, length, h, rtol):
+    # whole trajectories of the generated loop against a reference loop built
+    # on the comprehension attempt, bit for bit, with the same right-hand
+    # side calls, on a nonlinear right-hand side with random coefficients
     vec = st.lists(st.floats(-10.0, 10.0), min_size=dim, max_size=dim)
-    y, k1, atol = data.draw(vec), data.draw(vec), [abs(a) + 1e-14 for a in data.draw(vec)]
+    y0, y_scale = data.draw(vec), [abs(a) + 1e-2 for a in data.draw(vec)]
     a = [data.draw(vec) for _ in range(dim)]
 
     def make_rhs(log):
@@ -282,49 +289,42 @@ def test_kernel_matches_comprehension_oracle(dim, data, x, h, rtol):
             return out
         return rhs
 
+    ctrl = StepControl(rel_tol=rtol, abs_tol=1e-12, h_init=h, max_steps=300)
     want_log, got_log = [], []
-    k2, k3, k4, k5, k6, k7, y_new, err, q = dp5_attempt(make_rhs(want_log), x, y, h, k1, atol, rtol)
-    calls, got_err, got_y, got_k7, got_q = integrate._kernel(dim)(
-        make_rhs(got_log), x, y, h, k1, atol, rtol)
+    xs, ys, q, status, message, n_rhs, n_rejected = dp5_integrate(
+        make_rhs(want_log), y0, (x, x + length), ctrl, [1e-12 * s for s in y_scale])
+    sol = integrate_adaptive(make_rhs(got_log), y0, (x, x + length), ctrl, y_scale=y_scale)
 
-    assert calls == 6 and len(got_log) == len(want_log) == 6
+    assert len(got_log) == len(want_log) == sol.n_rhs == n_rhs
     for (xa, ya, ka), (xb, yb, kb) in zip(got_log, want_log):
         assert _bits(xa, *ya, *ka) == _bits(xb, *yb, *kb)
-    assert [out for _, _, out in want_log] == [k2, k3, k4, k5, k6, k7]
-    assert got_k7 is got_log[-1][2]
-    assert _bits(got_err, *got_y) == _bits(err, *y_new)
-    if err > 1.0:
-        assert got_q is None
-    else:
-        assert _bits(*got_q) == _bits(*(c for qi in q for c in qi))
+    assert (sol.status, sol.message, sol.n_steps, sol.n_rejected) == (
+        status, message, len(xs) - 1, n_rejected)
+    assert sol.xs.tobytes() == _bits(*xs)
+    assert sol.ys.tobytes() == _bits(*(c for y in ys for c in y))
+    assert sol.interp.tobytes() == _bits(*(c for qs in q for qi in qs for c in qi))
 
 
 @pytest.mark.parametrize("stage", [2, 3, 4, 5, 6, 7])
 def test_domain_exit_at_each_stage_counts_calls(stage):
-    # the attempt's (stage - 1)-th call raises; n_rhs counts that call and
-    # the ones before it, and the retry after it
-    def rhs_raising_at(n):
-        calls = 0
+    # the first attempt's stage-th call raises: n_rhs counts that call and
+    # the ones before it, and the retry after it; the start slope is call 1,
+    # so the first attempt's stage s is call s
+    calls = []
 
-        def rhs(x, y):
-            nonlocal calls
-            calls += 1
-            if calls == n:
-                raise DomainSignalError(f"call {n}")
-            return (-y[0], y[0] - y[1])
-        return rhs
+    def rhs(x, y):
+        calls.append(x)
+        if len(calls) == stage:
+            raise DomainSignalError(f"call {stage}")
+        return (-y[0], y[0] - y[1])
 
-    out = integrate._kernel(2)(rhs_raising_at(stage - 1), 0.0, [1.0, 0.5], 0.1, [-1.0, 0.5],
-                               [1e-12, 1e-12], 1e-10)
-    assert out[0] == stage - 1
-    assert isinstance(out[1], DomainSignalError) and out[2:] == (None, None, None)
-
-    # the start slope is call 1, so the first attempt's stage s is call s
-    sol = integrate_adaptive(rhs_raising_at(stage), [1.0, 0.5], (0.0, 1.0),
+    sol = integrate_adaptive(rhs, [1.0, 0.5], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-12, h_init=0.1))
     assert sol.status == "completed"
     assert sol.n_rejected >= 1
-    assert sol.n_rhs == 1 + (stage - 1) + 6 * (sol.n_steps + sol.n_rejected - 1)
+    assert sol.n_rhs == len(calls) == 1 + (stage - 1) + 6 * (sol.n_steps + sol.n_rejected - 1)
+    # the retry starts again from x = 0 with a quarter of the step
+    assert calls[stage] == integrate._C2 * 0.025
 
 
 def test_three_component_linear_system_against_closed_form():
@@ -353,18 +353,54 @@ def test_three_component_linear_system_against_closed_form():
     assert np.max(np.abs(ev.y - exact(ev.x))) < 1e-9
 
 
-def test_kernel_built_once_per_dimension(monkeypatch):
+def test_loop_built_once_per_dimension_and_stage(monkeypatch):
     built = []
-    source = integrate._kernel_source
-    monkeypatch.setattr(integrate, "_KERNELS", {})
-    monkeypatch.setattr(integrate, "_kernel_source", lambda dim: built.append(dim) or source(dim))
+    define = codegen.define
+
+    def recording(source, filename, namespace):
+        if filename.startswith("<dp5 loop"):
+            built.append(filename)
+        return define(source, filename, namespace)
+
+    monkeypatch.setattr(integrate, "_LOOPS", {})
+    monkeypatch.setattr(codegen, "define", recording)
     for _ in range(3):
         integrate_adaptive(lambda x, y: (y[1], -y[0], -y[2]), [1.0, 0.0, 1.0], (0.0, 1.0))
     integrate_adaptive(lambda x, y: (-y[0],), [1.0], (0.0, 1.0))
-    kernel = integrate._kernel(3)
+    make = integrate._loop(3, None)
     integrate_adaptive(lambda x, y: (y[1], -y[0], -y[2]), [1.0, 0.0, 1.0], (0.0, 1.0))
-    assert built == [3, 1]
-    assert integrate._kernel(3) is kernel
+    series = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
+    for eos in (EosSpec(A=1.0, gamma=1.5), EosSpec(A=2.0, gamma=1.7), series, series):
+        solve_scaled(0.01, 0.001, eos)
+    assert built == ["<dp5 loop, dim 3>", "<dp5 loop, dim 1>",
+                     "<dp5 loop, dim 2, scaled, closed-form Omega>",
+                     "<dp5 loop, dim 2, scaled, table Omega>"]
+    assert integrate._loop(3, None) is make
+
+
+def test_stage_may_not_use_the_loops_names():
+    stage = Stage(name="clash", x="x", y=("u",), dy=("du",), body="h = -u\ndu = h\n", consts=())
+    with pytest.raises(ValueError, match=r"names of the step loop: \['h', 'x'\]"):
+        integrate_adaptive(stage_rhs(stage, {}), [1.0], (0.0, 1.0))
+
+
+def test_generated_loop_lines_show_in_tracebacks():
+    # the loop's source is registered with linecache, so a traceback through
+    # it shows the stage's line
+    calls = 0
+
+    def rhs(x, y):
+        nonlocal calls
+        calls += 1
+        if calls == 3:  # the start slope, then stages 2 and 3 of the first attempt
+            raise ValueError("stage 3")
+        return (-y[0],)
+
+    with pytest.raises(ValueError, match="stage 3") as info:
+        integrate_adaptive(rhs, [1.0], (0.0, 1.0), StepControl(h_init=0.1))
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<dp5 loop, dim 1>"' in text
+    assert "k3 = rhs(x + _C3 * h, [y0 + h * (_A31 * k1_0 + _A32 * k2_0)])" in text
 
 
 def test_nonterminal_events_recorded():
@@ -507,3 +543,29 @@ def test_non_finite_second_stage_slope_is_retried():
     assert sol.status == "completed"
     assert sol.n_rejected == 1
     assert abs(sol.y_end[0] - 1.0) < 1e-12
+
+
+def test_non_finite_start_state_is_rejected():
+    with pytest.raises(ValueError, match=r"y0 must be finite, got \[nan\]"):
+        integrate_adaptive(lambda x, y: [-y[0]], [math.nan], (0.0, 1.0))
+
+
+@pytest.mark.parametrize("h_init", [None, 0.1])
+def test_non_finite_start_slope_ends_at_once(h_init):
+    # no step from x0 can pass, so the run ends before the first attempt
+    sol = integrate_adaptive(lambda x, y: [math.nan], [1.0], (0.0, 1.0), StepControl(h_init=h_init))
+    assert sol.status == "step_underflow"
+    assert sol.message == "non-finite right-hand side at x = 0"
+    assert (sol.n_steps, sol.n_rhs, sol.n_rejected) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("root_tol", [math.inf, math.nan, 0.0, -1e-12])
+def test_event_rejects_bad_root_tol(root_tol):
+    with pytest.raises(ValueError, match="root_tol must be finite and positive"):
+        EventSpec(guard=lambda x, y: y[0], root_tol=root_tol)
+
+
+@pytest.mark.parametrize("y_scale", [[0.0], [-1.0], [math.inf], [math.nan], [1.0, 1.0]])
+def test_integrate_rejects_bad_y_scale(y_scale):
+    with pytest.raises(ValueError, match="y_scale must be 1 finite and positive values"):
+        integrate_adaptive(lambda x, y: [-y[0]], [1.0], (0.0, 1.0), y_scale=y_scale)

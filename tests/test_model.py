@@ -2,6 +2,7 @@
 
 import json
 import math
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 from tovds.constants import SI, Constants
 from tovds.eos import EosSpec, OmegaSeries
 from tovds import model, odecore
-from tovds.errors import AnalysisError, ModelError
-from tovds.integrate import StepControl, integrate_adaptive
+from tovds.errors import AnalysisError, EosDomainError, ModelError
+from tovds.integrate import EventSpec, StepControl, integrate_adaptive
 from tovds.model import (
     HORIZON_DEGENERATE,
     MONOTONE_SHORT,
@@ -71,13 +72,15 @@ def test_step_counts_of_reference_solves(star_m0, eos15):
 
 def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
     # the guard at a step end reads the slope the integrator has just
-    # computed there, and its refinement calls are counted; of all calls of
-    # the bound right-hand sides, only the check at the germ is not one of
-    # the integrator's n_rhs
+    # computed there, and its refinement calls are counted.  On the called
+    # path, where the solve integrates a wrapper of the right-hand side, every
+    # call but the check at the germ is one of n_rhs; the fused path, which
+    # runs the right-hand side inside the step loop, reports that count
+    fused = {beta: solve_scaled(1e-3, beta, eos15) for beta in (1e-3, 0.05)}
     calls = 0
     bind = odecore.scaled_rhs
 
-    def counted_scaled_rhs(*args):
+    def called_scaled_rhs(*args):
         f = bind(*args)
 
         def counted(R, y):
@@ -86,16 +89,85 @@ def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
             return f(R, y)
         return counted
 
-    monkeypatch.setattr(odecore, "scaled_rhs", counted_scaled_rhs)
-    monkeypatch.setattr(model, "scaled_rhs", counted_scaled_rhs)
+    monkeypatch.setattr(model, "scaled_rhs", called_scaled_rhs)
     # the second star has five located rises, each refined with calls
     for beta, kind, n_rises in ((1e-3, MONOTONE_SHORT, 0), (0.05, NON_MONOTONE, 5)):
         calls = 0
         star = solve_scaled(1e-3, beta, eos15)
-        assert star.kind == kind
+        assert star.kind == fused[beta].kind == kind
         assert star.dense.n_steps > 0
         assert sum(ev.name == "pressure_rise" for ev in star.dense.events) == n_rises
         assert calls == star.dense.n_rhs + 1
+        assert fused[beta].dense.n_rhs == calls - 1
+
+
+SERIES_EOS = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
+# delta_omega = 0.004 puts -0.98 delta_omega within reach of alpha U past the
+# vacuum boundary: integrated to R = 15.5 without the vacuum guard, six
+# stages take the direct path, and to R = 16 one leaves the EOS domain
+NARROW_EOS = EosSpec(A=1.0, gamma=1.5, delta_omega=0.004)
+
+
+def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded):
+    """A scaled solve as _solve_core makes it, at the sweep tolerances; or
+    with no guards, to run past the vacuum boundary."""
+    R0 = 1e-6
+    events = [
+        EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True, name="vacuum"),
+        EventSpec(guard=lambda R, y: odecore.kappa_scaled(R, y[0], alpha, beta) - 1e-10,
+                  direction="falling", terminal=True, name="horizon"),
+        EventSpec(guard=lambda R, y, dy: dy[1] - 1e-6, direction="rising", root_tol=1e-10,
+                  name="pressure_rise", slope=True),
+    ] if guarded else []
+    return integrate_adaptive(rhs, odecore.center_germ_scaled(alpha, beta, eos, R0), (R0, R_max),
+                              StepControl(rel_tol=1e-9, abs_tol=1e-12), events=events)
+
+
+def _solution_bits(run):
+    """Everything a solve returns, as comparable values; or what it raised."""
+    try:
+        d = run()
+    except Exception as exc:  # compared, not handled
+        return type(exc), str(exc)
+    return (d.xs.tobytes(), d.ys.tobytes(), d.interp.tobytes(),
+            [(ev.x, ev.y.tobytes(), ev.index, ev.name) for ev in d.events],
+            d.status, d.message, d.x_end, d.y_end.tobytes(), d.n_steps, d.n_rhs, d.n_rejected,
+            repr(d.failure))
+
+
+@pytest.mark.parametrize("alpha, beta, eos, R_max, guarded, what", [
+    (1e-3, 1.0, "polytrope", 50.0, True, "HorizonDegenerate, with kappa <= 0 retries"),
+    (1e-3, 0.05, "polytrope", 50.0, True, "NonMonotone, with refined rises"),
+    (0.0, 0.01, "polytrope", 50.0, True, "alpha = 0"),
+    (0.05, 1e-3, "series", 50.0, True, "series Omega"),
+    (0.3, 0.1, "series", 50.0, True, "series Omega, HorizonDegenerate"),
+    (0.01, 0.0, "narrow", 15.5, False, "direct path below -0.98 delta_omega"),
+    (0.01, 0.0, "narrow", 16.0, False, "EosDomainError out of a stage"),
+])
+def test_fused_stages_match_the_called_right_hand_side(alpha, beta, eos, R_max, guarded, what):
+    # the step loop with the right-hand side written into its stages gives
+    # the bits, counts and outcome of the loop that calls it
+    eos = {"polytrope": EosSpec(A=1.0, gamma=1.5), "series": SERIES_EOS, "narrow": NARROW_EOS}[eos]
+    f = odecore.scaled_rhs(alpha, beta, eos)
+    fused = _solution_bits(lambda: _scaled_solve(f, alpha, beta, eos, R_max, guarded))
+    called = _solution_bits(lambda: _scaled_solve(lambda R, y: f(R, y), alpha, beta, eos,
+                                                  R_max, guarded))
+    assert fused == called
+    if what.startswith("EosDomainError"):
+        assert fused[0] is EosDomainError
+    else:
+        assert fused[4] in ("event", "completed")
+
+
+def test_fused_stage_error_shows_its_line(monkeypatch):
+    # the direct path's EosDomainError is not a DomainSignalError: it leaves
+    # the loop, and the traceback shows the loop's stage line
+    f = odecore.scaled_rhs(0.01, 0.0, NARROW_EOS)
+    with pytest.raises(EosDomainError) as info:
+        _scaled_solve(f, 0.01, 0.0, NARROW_EOS, 16.0, False)
+    text = "".join(traceback.format_exception(info.value))
+    assert 'File "<dp5 loop, dim 2, scaled, closed-form Omega>"' in text
+    assert "omega_rho, omega_P = direct(eta)" in text
 
 
 def outcome_radius(outcome):
