@@ -39,7 +39,7 @@ from .model import (
 )
 from .odecore import FOUR_PI
 
-__all__ = ["CriterionResult", "run_criteria", "CRITERIA"]
+__all__ = ["run_criteria", "CRITERIA"]
 
 GEOM = Constants(1.0, 1.0)
 
@@ -87,17 +87,16 @@ class _Ctx:
             self._eos[gamma] = EosSpec(A=1.0, gamma=gamma)
         return self._eos[gamma]
 
-    def star(self, gamma: float, alpha: float = 1e-3, beta: float = 1e-3):
+    def star(self, gamma: float):
         """Physical monotone-short model with u_c = alpha c^2 and the
-        cosmological constant back-solved from beta."""
-        key = (gamma, alpha, beta)
-        if key not in self._models:
+        cosmological constant back-solved from beta, alpha = beta = 1e-3."""
+        if gamma not in self._models:
             eos = self.eos(gamma)
-            u_c = alpha * GEOM.c2
-            Lambda = beta * FOUR_PI * GEOM.G * eos.A1 * u_c**eos.mu / GEOM.c2
+            u_c = 1e-3 * GEOM.c2
+            Lambda = 1e-3 * FOUR_PI * GEOM.G * eos.A1 * u_c**eos.mu / GEOM.c2
             inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOM, u_c=u_c)
-            self._models[key] = solve_star(inp)
-        return self._models[key]
+            self._models[gamma] = solve_star(inp)
+        return self._models[gamma]
 
 
 def _result(number, name, passed, tolerance, measured, t0) -> CriterionResult:

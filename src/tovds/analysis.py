@@ -1,9 +1,8 @@
 """Limit analyses and verification experiments.
 
-Lane-Emden first zeros, the mu = 1 closed-form study of the scaled-limit
-equation with a constant offset, convergence of the scaled system to its
-limit orbit, boundary exponent fits, and parameter sweeps over the homology
-plane.
+Lane-Emden first zeros, the mu = 1 closed form of the scaled-limit equation
+with a constant offset, boundary exponent fits, parameter sweeps over the
+homology plane, and the persistence of short solutions under small Lambda.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from .errors import AnalysisError, ModelError
 from .integrate import EventSpec, StepControl, integrate_adaptive
 from .model import (
     MONOTONE_SHORT,
+    R_MAX_SCALED,
     ModelInput,
     SolutionProfile,
     _boundary_limits,
@@ -32,22 +32,20 @@ __all__ = [
     "lane_emden_first_zero",
     "lane_emden_solution",
     "mu1_exact",
-    "scaled_limit_convergence",
     "boundary_exponent_fit",
-    "ExponentFit",
     "regime_sweep",
-    "SweepResult",
-    "SweepCell",
+    "SWEEP_CTRL",
     "perturbation_compare",
 ]
 
 _LE_CTRL = StepControl(rel_tol=1e-12, abs_tol=1e-14)
 _LE_GERM_R = 1e-6
+_LE_R_CAP = 100.0
 _FIT_MIN_SAMPLES = 50
 _PERTURB_CTRL = StepControl(rel_tol=1e-11, abs_tol=1e-13)
 
 
-def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = 100.0,
+def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP,
                         first_zero_only: bool = True):
     """Dense solution of the Lane-Emden system dM/dR = R^2 (U#)^mu,
     dU/dR = -(M - lam R^3/3)/R^2 from the center germ."""
@@ -75,7 +73,7 @@ def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = 100.0,
     )
 
 
-def lane_emden_first_zero(mu: float, lam: float = 0.0, R_cap: float = 100.0):
+def lane_emden_first_zero(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP):
     """First zero of U, event-located; None when U turns around above zero."""
     dense = lane_emden_solution(mu, lam, R_cap)
     for ev in dense.events:
@@ -125,49 +123,6 @@ def mu1_exact(lam: float, R: float) -> tuple:
         return 1.0, 0.0
     s, s1, _ = _sinc_jet(R)
     return lam + (1.0 - lam) * s, (1.0 - lam) * s1
-
-
-def mu1_residual(lam: float, R: float) -> float:
-    """Residual of the second-order form -(R^2 U')'/R^2 = U - lam at R."""
-    s, s1, s2 = _sinc_jet(R)
-    U = lam + (1.0 - lam) * s
-    return -(1.0 - lam) * s2 - 2.0 * (1.0 - lam) * s1 / R - (U - lam)
-
-
-# -- convergence of the scaled system to its limit orbit -------------------------
-
-def scaled_limit_convergence(gamma: float, alphas, betas) -> list:
-    """Distance of the scaled solution to the limit orbit, per (alpha, beta).
-
-    For each pair on the grid product, integrates the scaled system of the
-    polytrope A = 1 and records sup |U - U_limit| over 400 points of
-    [0.1, xi1] plus the located boundary radius.  Both integrations share
-    germ order and tolerances, so alpha = beta = 0 reproduces the limit orbit
-    bitwise and reports distance 0.
-    """
-    eos = EosSpec(A=1.0, gamma=gamma)
-    mu = 1.0 / (gamma - 1.0)
-    ref = lane_emden_solution(mu, 0.0)
-    vac = [ev for ev in ref.events if ev.name == "vacuum"]
-    if not vac:
-        raise AnalysisError(f"limit solution has no first zero for gamma = {gamma}")
-    xi1 = vac[0].x
-    R_grid = np.linspace(0.1, xi1 * (1.0 - 1e-9), 400)
-    U_ref = ref(R_grid)[:, 1]
-
-    rows = []
-    for alpha in alphas:
-        for beta in betas:
-            star = solve_scaled(alpha, beta, eos, ctrl=_LE_CTRL, germ_radius=_LE_GERM_R)
-            R_hi = star.R_plus if star.R_plus is not None else star.dense.x_end
-            inside = R_grid <= R_hi
-            dist = float(np.max(np.abs(star.dense(R_grid[inside])[:, 1] - U_ref[inside]),
-                                initial=0.0))
-            rows.append({
-                "alpha": alpha, "beta": beta, "sup_distance": dist,
-                "R_plus": star.R_plus, "outcome": star.kind,
-            })
-    return rows
 
 
 # -- boundary exponent fit -------------------------------------------------------
@@ -333,19 +288,24 @@ def _sweep_cell(args) -> SweepCell:
     )
 
 
+SWEEP_CTRL = StepControl(rel_tol=1e-9, abs_tol=1e-12)
+
+
 def regime_sweep(
     gamma: float,
     alpha_grid,
     beta_grid,
     eos: EosSpec | None = None,
-    ctrl: StepControl = StepControl(rel_tol=1e-9, abs_tol=1e-12),
-    R_max: float = 50.0,
+    ctrl: StepControl = SWEEP_CTRL,
+    R_max: float = R_MAX_SCALED,
     jobs: int = 1,
 ) -> SweepResult:
     """Classify the scaled system over a rectangular (alpha, beta) grid.
 
-    The empirical epsilon0 estimate is the largest g such that every cell
-    with alpha <= g and beta <= g is monotone-short.
+    eos defaults to the polytrope A = 1 with this gamma; an eos with another
+    gamma is refused, since the result reports gamma.  The empirical
+    epsilon0 estimate is the largest g such that every cell with
+    alpha <= g and beta <= g is monotone-short.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
@@ -356,6 +316,9 @@ def regime_sweep(
         raise ValueError("sweep grids must lie within [0, 1]")
     if eos is None:
         eos = EosSpec(A=1.0, gamma=gamma)
+    elif eos.gamma != gamma:
+        raise ValueError(f"regime_sweep got gamma = {gamma!r} but an eos with "
+                         f"gamma = {eos.gamma!r}")
 
     tasks = [(float(a), float(b), eos, ctrl, R_max) for a in alpha_grid for b in beta_grid]
     if jobs > 1:

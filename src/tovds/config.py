@@ -1,24 +1,31 @@
 """JSON run-configuration loading and validation.
 
 A config is a single JSON object; unknown keys are rejected at every level
-so typos fail fast with exit code 2.
+so typos fail fast with exit code 2.  An optional key is passed on only when
+the config sets it, so each default has one home, in the library: the
+fields of ModelInput and EosSpec, and the parameters of fermi_fit_eos,
+regime_sweep and lane_emden_first_zero.  A partial ctrl block keeps the
+other fields of the owning default: model.SOLVE_CTRL for a solve,
+analysis.SWEEP_CTRL for a sweep.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from .analysis import _LE_GERM_R, SWEEP_CTRL, lane_emden_first_zero
 from .constants import UNIT_SYSTEMS, Constants
-from .eos import EosSpec, FermiEosParams, OmegaOne, OmegaSeries, fermi_fit_eos
+from .eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
 from .errors import ConfigError
 from .integrate import StepControl
-from .model import ModelInput
+from .model import SOLVE_CTRL, ModelInput
 
-__all__ = ["load_json", "build_constants", "build_eos", "build_ctrl", "build_model_input",
-           "build_sweep", "build_lane_emden"]
+__all__ = ["load_json", "build_model_input", "build_sweep", "build_lane_emden"]
 
 
 def load_json(path) -> dict:
@@ -67,6 +74,12 @@ def _num(obj: dict, key: str, where: str, required: bool = False, default=None,
     return val
 
 
+def _given(obj: dict, where: str, keys: tuple, **checks) -> dict:
+    """{key: number} for each of keys that obj sets, checked by _num; a key
+    it omits is left to the library's default."""
+    return {key: _num(obj, key, where, **checks) for key in keys if key in obj}
+
+
 def build_constants(cfg: dict, units_flag: str | None = None) -> Constants:
     units = units_flag or cfg.get("units", "geom")
     if units not in UNIT_SYSTEMS:
@@ -77,10 +90,7 @@ def build_constants(cfg: dict, units_flag: str | None = None) -> Constants:
         if not isinstance(block, dict):
             raise ConfigError("'constants' must be an object")
         _check_keys(block, {"c", "G"}, "constants")
-        k = Constants(
-            c=_num(block, "c", "constants", default=k.c, positive=True),
-            G=_num(block, "G", "constants", default=k.G, positive=True),
-        )
+        k = replace(k, **_given(block, "constants", ("c", "G"), positive=True))
     return k
 
 
@@ -95,50 +105,37 @@ def build_eos(cfg: dict, k: Constants) -> EosSpec:
         _check_keys(block, {"type", "A", "gamma", "omega_coeffs", "delta_omega", "eta_max"}, "eos")
         A = _num(block, "A", "eos", required=True, positive=True)
         gamma = _num(block, "gamma", "eos", required=True)
-        coeffs = block.get("omega_coeffs", [1.0])
-        # checked before the OmegaOne shortcut: [True] == [1.0] in Python
-        if not isinstance(coeffs, list) or not coeffs or not all(map(_is_num, coeffs)):
-            raise ConfigError("'omega_coeffs' must be a nonempty list of finite numbers")
-        omega = OmegaOne() if coeffs == [1.0] else OmegaSeries(tuple(coeffs))
-        return EosSpec(
-            A=A, gamma=gamma, omega=omega,
-            delta_omega=_num(block, "delta_omega", "eos", default=0.1, positive=True),
-            c=k.c,
-            eta_max=_num(block, "eta_max", "eos", default=8.0, positive=True),
-        )
+        kwargs = {}
+        if "omega_coeffs" in block:
+            coeffs = block["omega_coeffs"]
+            if not isinstance(coeffs, list) or not coeffs or not all(map(_is_num, coeffs)):
+                raise ConfigError("'omega_coeffs' must be a nonempty list of finite numbers")
+            kwargs["omega"] = OmegaSeries(tuple(coeffs))
+        kwargs.update(_given(block, "eos", ("delta_omega", "eta_max"), positive=True))
+        return EosSpec(A=A, gamma=gamma, c=k.c, **kwargs)
     if kind == "fermi":
         _check_keys(block, {"type", "K", "zeta_fit_max", "delta_omega"}, "eos")
         params = FermiEosParams(K=_num(block, "K", "eos", required=True, positive=True), c=k.c)
-        return fermi_fit_eos(
-            params,
-            zeta_fit_max=_num(block, "zeta_fit_max", "eos", default=0.75, positive=True),
-            delta_omega=_num(block, "delta_omega", "eos", default=0.05, positive=True),
-        )
+        return fermi_fit_eos(params, **_given(block, "eos", ("zeta_fit_max", "delta_omega"),
+                                              positive=True))
     raise ConfigError("eos 'type' must be 'polytrope' or 'fermi'")
 
 
-def build_ctrl(cfg: dict, where: str = "ctrl",
-               default: StepControl = StepControl(rel_tol=1e-12, abs_tol=1e-14)) -> StepControl:
-    if where not in cfg:
-        return default
-    block = cfg[where]
+def build_ctrl(block, default: StepControl) -> StepControl:
+    """The StepControl of a ctrl block; the fields it omits keep default's."""
     if not isinstance(block, dict):
-        raise ConfigError(f"'{where}' must be an object")
-    _check_keys(block, {"rel_tol", "abs_tol", "h_init", "h_max", "max_steps"}, where)
-    kwargs = dict(
-        rel_tol=_num(block, "rel_tol", where, default=default.rel_tol, positive=True),
-        abs_tol=_num(block, "abs_tol", where, default=default.abs_tol, positive=True),
-    )
-    if "h_init" in block:
-        kwargs["h_init"] = _num(block, "h_init", where, positive=True)
-    if "h_max" in block:
-        kwargs["h_max"] = _num(block, "h_max", where, positive=True)
+        raise ConfigError("'ctrl' must be an object")
+    _check_keys(block, {"rel_tol", "abs_tol", "h_init", "h_max", "max_steps"}, "ctrl")
+    kwargs = _given(block, "ctrl", ("rel_tol", "abs_tol", "h_init", "h_max"), positive=True)
     if "max_steps" in block:
         ms = block["max_steps"]
         if isinstance(ms, bool) or not isinstance(ms, int) or ms <= 0:
             raise ConfigError("'max_steps' must be a positive integer")
         kwargs["max_steps"] = ms
-    return StepControl(**kwargs)
+    try:
+        return replace(default, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"ctrl: {exc}")
 
 
 _MODEL_KEYS = {
@@ -159,27 +156,24 @@ def build_model_input(cfg: dict, units_flag: str | None = None) -> ModelInput:
     u_c = _num(center, "u_c", "center", positive=True)
     if (rho_c is None) == (u_c is None):
         raise ConfigError("'center' must give exactly one of rho_c or u_c")
-    kwargs = dict(
-        eos=eos,
-        Lambda=_num(cfg, "Lambda", "config", default=0.0, nonnegative=True),
-        constants=k,
-        rho_c=rho_c,
-        u_c=u_c,
-        ctrl=build_ctrl(cfg),
-        r_max_scaled=_num(cfg, "r_max_scaled", "config", default=50.0, positive=True),
-        germ_radius_scaled=_num(cfg, "germ_radius_scaled", "config", default=1e-6, positive=True),
-        kappa_min=_num(cfg, "kappa_min", "config", default=1e-10, positive=True),
-        mono_eps=_num(cfg, "mono_eps", "config", default=1e-6, positive=True),
-    )
-    if "r_max" in cfg:
-        kwargs["r_max"] = _num(cfg, "r_max", "config", positive=True)
+    kwargs = _given(cfg, "config", ("Lambda",), nonnegative=True)
+    if "ctrl" in cfg:
+        kwargs["ctrl"] = build_ctrl(cfg["ctrl"], SOLVE_CTRL)
+    kwargs.update(_given(cfg, "config", ("r_max_scaled", "germ_radius_scaled", "kappa_min",
+                                         "mono_eps", "r_max"), positive=True))
     try:
-        inp = ModelInput(**kwargs)
+        inp = ModelInput(eos=eos, constants=k, rho_c=rho_c, u_c=u_c, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc))
     # sampled admissibility check of the configured EOS up to the center
     rho_center = inp.rho_c if inp.rho_c is not None else eos.density_of_u(inp.u_c)
     eos.validate_range(1e-6 * rho_center, rho_center)
+    # solve_star's test of r_max, which needs the center's length scale a
+    if inp.r_max is not None:
+        a = inp.scaling().a
+        if inp.r_max / a <= inp.germ_radius_scaled:
+            raise ConfigError(f"'r_max' in config must exceed the germ radius "
+                              f"{inp.germ_radius_scaled * a!r}, got {inp.r_max!r}")
     return inp
 
 
@@ -202,8 +196,8 @@ def _grid(cfg: dict, key: str) -> np.ndarray:
             raise ConfigError(f"'num' in {key} must be a positive integer")
         spacing = block.get("spacing", "log")
         if spacing == "log":
-            if start <= 0.0:
-                raise ConfigError(f"log spacing in {key} needs start > 0")
+            if start <= 0.0 or stop <= 0.0:
+                raise ConfigError(f"log spacing in {key} needs start > 0 and stop > 0")
             values = np.logspace(math.log10(start), math.log10(stop), num)
         elif spacing == "lin":
             values = np.linspace(start, stop, num)
@@ -221,24 +215,34 @@ def build_sweep(cfg: dict, units_flag: str | None = None) -> dict:
     _check_keys(cfg, {"gamma", "eos", "units", "constants", "alpha_grid", "beta_grid",
                       "ctrl", "R_max"}, "config")
     k = build_constants(cfg, units_flag)
-    return dict(
-        gamma=_num(cfg, "gamma", "config", required=True),
-        eos=build_eos(cfg, k) if "eos" in cfg else None,
-        alpha_grid=_grid(cfg, "alpha_grid"),
-        beta_grid=_grid(cfg, "beta_grid"),
-        ctrl=build_ctrl(cfg, default=StepControl(rel_tol=1e-9, abs_tol=1e-12)),
-        R_max=_num(cfg, "R_max", "config", default=50.0, positive=True),
-    )
+    kwargs = dict(gamma=_num(cfg, "gamma", "config", required=True))
+    if "eos" in cfg:
+        eos = build_eos(cfg, k)
+        if eos.gamma != kwargs["gamma"]:
+            raise ConfigError(f"'gamma' in config is {kwargs['gamma']!r} but the eos block's "
+                              f"gamma is {eos.gamma!r}")
+        kwargs["eos"] = eos
+    kwargs.update(alpha_grid=_grid(cfg, "alpha_grid"), beta_grid=_grid(cfg, "beta_grid"))
+    if "ctrl" in cfg:
+        kwargs["ctrl"] = build_ctrl(cfg["ctrl"], SWEEP_CTRL)
+    kwargs.update(_given(cfg, "config", ("R_max",), positive=True))
+    return kwargs
 
 
 def build_lane_emden(cfg: dict) -> tuple:
-    """(mus, lam, R_cap) of a lane-emden config; mu is a number or a list."""
+    """(mus, lam, R_cap) of a lane-emden config; mu is a number or a list, and
+    lam and R_cap default to lane_emden_first_zero's."""
     _check_keys(cfg, {"mu", "lambda", "R_cap"}, "config")
     mus = cfg.get("mu")
     if _is_num(mus):
         mus = [mus]
     if not isinstance(mus, list) or not mus or not all(_is_num(mu) for mu in mus):
         raise ConfigError("'mu' must be a number or a nonempty list of numbers")
-    lam = _num(cfg, "lambda", "config", default=0.0, nonnegative=True)
-    R_cap = _num(cfg, "R_cap", "config", default=100.0, positive=True)
+    if not all(mu > 0 for mu in mus):
+        raise ConfigError("'mu' values in config must be positive")
+    defaults = inspect.signature(lane_emden_first_zero).parameters
+    lam = _num(cfg, "lambda", "config", default=defaults["lam"].default, nonnegative=True)
+    R_cap = _num(cfg, "R_cap", "config", default=defaults["R_cap"].default, positive=True)
+    if R_cap <= _LE_GERM_R:
+        raise ConfigError(f"'R_cap' in config must exceed the germ radius {_LE_GERM_R!r}")
     return [float(mu) for mu in mus], lam, R_cap

@@ -19,24 +19,24 @@ to polyval's while each quadrature node costs no numpy call.
 That direct path is slow, so ODE right-hand sides bind the fast path once per
 solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
 EOS's constants, or its piece tables, bound as closure variables, and
-omega_rho_P_fast is that function called once.  For the pure polytrope
-(OmegaOne) it evaluates the closed form Omega_u = k eta / expm1(k eta),
-k = (gamma-1)/gamma, on any eta.  That closed form is written once, as the
-statements _CLOSED_FORM: fast_omega() compiles them, and
-EosSpec.fast_omega_source() hands them with their bound values to odecore,
-which writes them into the integrator's stages.  For a series Omega the fast
-path evaluates piecewise Chebyshev interpolants on a fixed grid over
-[-0.98 delta_omega, eta_max]; each piece is fitted to the direct path the
-first time an eta lands in it, so a star pays only for the pieces it visits.
-Outside the grid, and in a piece with a node outside the EOS domain, it falls
-back to the direct path.
+omega_rho_P_fast is that function called once.  For the pure polytrope,
+Omega == 1, which is OmegaSeries((1.0,)) and the default, it evaluates the
+closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, on any eta.
+That closed form is written once, as the statements _CLOSED_FORM:
+fast_omega() compiles them, and EosSpec.fast_omega_source() hands them with
+their bound values to odecore, which writes them into the integrator's
+stages.  For a series Omega the fast path evaluates piecewise Chebyshev
+interpolants on a fixed grid over [-0.98 delta_omega, eta_max]; each piece
+is fitted to the direct path the first time an eta lands in it, so a star
+pays only for the pieces it visits.  Outside the grid, and in a piece with a
+node outside the EOS domain, it falls back to the direct path.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -49,35 +49,12 @@ from .errors import EosDomainError, NonPhysicalEosError, QuadratureError, RootFi
 _log = logging.getLogger("tovds")
 
 __all__ = [
-    "OmegaOne",
     "OmegaSeries",
     "EosSpec",
     "FermiEosParams",
     "fermi_eos",
     "fermi_fit_eos",
 ]
-
-
-class OmegaOne:
-    """Omega == 1: the pure polytrope P = A rho^gamma."""
-
-    def value(self, zeta: float) -> float:
-        return 1.0
-
-    def deriv(self, zeta: float) -> float:
-        return 0.0
-
-    def deriv2(self, zeta: float) -> float:
-        return 0.0
-
-    def __eq__(self, other):
-        return isinstance(other, OmegaOne)
-
-    def __hash__(self):
-        return hash("OmegaOne")
-
-    def __repr__(self):
-        return "OmegaOne()"
 
 
 def _polyder(c: tuple) -> tuple:
@@ -95,7 +72,8 @@ def _horner(c: tuple, z: float) -> float:
 
 @dataclass(frozen=True)
 class OmegaSeries:
-    """Polynomial correction Omega(zeta) = sum_k coeffs[k] zeta^k, coeffs[0] = 1."""
+    """Polynomial correction Omega(zeta) = sum_k coeffs[k] zeta^k, coeffs[0] = 1;
+    OmegaSeries((1.0,)) is the pure polytrope, Omega == 1."""
 
     coeffs: tuple
 
@@ -206,7 +184,7 @@ class EosSpec:
 
     A: float
     gamma: float
-    omega: object = field(default_factory=OmegaOne)
+    omega: OmegaSeries = OmegaSeries((1.0,))
     delta_omega: float = 0.1
     c: float = 1.0
     eta_max: float = 8.0  # ceiling of the fast-path piece grid for a series Omega
@@ -218,8 +196,6 @@ class EosSpec:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise NonPhysicalEosError(f"{name} must be finite and positive, got {value!r}")
-        if abs(self.omega.value(0.0) - 1.0) > 1e-12:
-            raise NonPhysicalEosError("Omega(0) must equal 1")
 
     # -- derived constants -------------------------------------------------
 
@@ -274,11 +250,6 @@ class EosSpec:
                 f"(require P > 0 and 0 < dP/drho < c^2 = {self.c2:g})"
             )
         return P
-
-    def dpressure_drho(self, rho: float) -> float:
-        if rho <= 0.0:
-            return 0.0
-        return self._dpdrho_raw(rho)
 
     def validate_range(self, rho_lo: float, rho_hi: float) -> None:
         """Check P > 0 and 0 < dP/drho < c^2 on a log grid of 64 densities."""
@@ -400,8 +371,8 @@ class EosSpec:
 
     @cached_property
     def _tables(self) -> _OmegaTables | None:
-        """The fast path's piece grid; None for OmegaOne, which has a closed form."""
-        if isinstance(self.omega, OmegaOne):
+        """The fast path's piece grid; None for Omega == 1, which has a closed form."""
+        if self.omega.coeffs == (1.0,):
             return None
         return _OmegaTables(-0.98 * self.delta_omega, self.eta_max)
 
@@ -409,7 +380,7 @@ class EosSpec:
         """(label, text, values): the fast path as statements that set
         omega_rho and omega_P from eta, and the values of their free names.
 
-        For OmegaOne the text is the closed form (_CLOSED_FORM), which
+        For Omega == 1 the text is the closed form (_CLOSED_FORM), which
         fast_omega() compiles; for a series Omega it calls the table
         evaluator fast_omega() returns.  odecore splices the text into the
         integrator's stages, so the values are built afresh on every call,

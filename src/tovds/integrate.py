@@ -46,7 +46,6 @@ from .errors import DomainSignalError
 __all__ = [
     "StepControl",
     "EventSpec",
-    "EventRecord",
     "DenseSolution",
     "Stage",
     "stage_rhs",
@@ -169,10 +168,6 @@ class DenseSolution:
     n_rejected: int = 0       # error-test rejections plus domain and non-finite retries
     failure: Exception | None = None
 
-    @property
-    def x0(self) -> float:
-        return float(self.xs[0])
-
     def __call__(self, x):
         """State at x: shape (dim,) for a scalar, (n, dim) for n points.
 
@@ -201,9 +196,6 @@ class DenseSolution:
         q0, q1, q2, q3 = self.interp[k].transpose(2, 0, 1)
         out[between] = self.ys[k] + ht * (((q3 * t + q2) * t + q1) * t + q0)
         return out[0] if scalar else out
-
-    def span(self) -> tuple:
-        return float(self.xs[0]), float(self.x_end)
 
 
 def _rms(v) -> float:

@@ -19,13 +19,9 @@ from .model import BoundaryQuantities, SolutionProfile, _one_sided_derivatives, 
 from .odecore import kappa
 
 __all__ = [
-    "HorizonPair",
     "MetricPatch",
     "horizons",
-    "horizon_condition",
     "continuity_report",
-    "MetricReport",
-    "ReportRow",
     "BeyondHorizonError",
 ]
 
@@ -38,11 +34,6 @@ class BeyondHorizonError(TovdsError):
 class HorizonPair:
     r_I: float  # black-hole horizon
     r_E: float  # cosmological horizon
-
-
-def horizon_condition(m_plus: float, Lambda: float, k: Constants) -> bool:
-    """sqrt(Lambda) < c^2 / (3 G m_plus): horizons exist iff this holds."""
-    return math.sqrt(Lambda) * 3.0 * k.G * m_plus < k.c2
 
 
 def horizons(m_plus: float, Lambda: float, k: Constants) -> HorizonPair | None:
@@ -117,17 +108,9 @@ class MetricPatch:
     def r_E(self) -> float:
         return self.horizon_pair.r_E if self.horizon_pair is not None else math.inf
 
-    def mtilde(self, r: float) -> float:
-        """Piecewise mass: m(r) inside, m_+ outside; C^2 across r_+."""
-        if r < self.r_plus:
-            return self.profile.state_at(r)[0]
-        return self.m_plus
-
-    def u_interior(self, r: float) -> float:
-        return self.profile.state_at(r)[1]
-
     def g_components(self, r: float) -> tuple:
-        """(g00, g11) at radius r; signature (+, -, -, -)."""
+        """(g00, g11) at radius r; signature (+, -, -, -).  g11 = -1/kappa(r, mtilde)
+        with the piecewise mass mtilde: m(r) inside, m_+ outside."""
         if r >= self.r_E:
             raise BeyondHorizonError(f"r = {r:g} is at or beyond the cosmological horizon {self.r_E:g}")
         k = self.profile.constants
@@ -141,9 +124,6 @@ class MetricPatch:
         if kap_tilde <= 0.0:
             raise BeyondHorizonError(f"kappa(r, mtilde) <= 0 at r = {r:g}")
         return g00, -1.0 / kap_tilde
-
-    def g00_exterior(self, r: float) -> float:
-        return kappa(r, self.m_plus, self.profile.Lambda, self.profile.constants)
 
     def brackets_star(self) -> bool:
         """r_I < r_+ < r_E for the attached model (Lambda > 0 only)."""
@@ -184,9 +164,6 @@ class MetricReport:
     @property
     def passed(self) -> bool:
         return all(row.passed for row in self.rows)
-
-    def g00_rows(self):
-        return [r for r in self.rows if r.quantity == "g00"]
 
     def row(self, quantity: str, side: str, order: int) -> ReportRow:
         for r in self.rows:

@@ -8,7 +8,10 @@ boundary, terminal), kappa falling through kappa_min (horizon contact,
 terminal), and dU/dR rising through a small positive floor (monotonicity
 loss, recorded).  solve_scaled returns its result as is; solve_star maps the
 solution back to (r, m, u) through ScalingParams and adds the physical
-profile, boundary data and diagnostics.  The outcome is one of four tags:
+profile, boundary data and diagnostics.  The solve policy's defaults (step
+control, prolongation cap, germ radius, kappa_min, rise floor) are module
+constants: ModelInput's fields default to them, and solve_scaled uses the
+last three as they are.  The outcome is one of four tags:
 
     MonotoneShort      u -> 0 at finite radius with kappa_+ > 0, Q_+ > 0 and
                        du/dr < 0 throughout
@@ -43,15 +46,14 @@ __all__ = [
     "ModelInput",
     "SolutionProfile",
     "BoundaryQuantities",
-    "ModelOutcome",
-    "ScaledStar",
     "solve_star",
     "solve_scaled",
     "boundary_quantities",
     "d2u_at_boundary",
     "smallness_condition",
     "SmallnessResult",
-    "vacuum_continuation_lambda0",
+    "SOLVE_CTRL",
+    "R_MAX_SCALED",
     "MONOTONE_SHORT",
     "NON_MONOTONE",
     "HORIZON_DEGENERATE",
@@ -66,6 +68,13 @@ UNTERMINATED = "Unterminated"
 PROFILE_CSV_HEADER = "r,m,u,P,rho,kappa,Q,dPdr"
 
 _N_TAIL = 140  # extra profile samples packed against a vacuum boundary
+
+# solve policy defaults
+SOLVE_CTRL = StepControl(rel_tol=1e-12, abs_tol=1e-14)
+R_MAX_SCALED = 50.0   # prolongation cap in homology units
+_GERM_R = 1e-6        # scaled radius of the center germ
+_KAPPA_MIN = 1e-10    # horizon guard
+_MONO_EPS = 1e-6      # dU/dR floor distinguishing a rise from roundoff
 
 
 @dataclass(frozen=True)
@@ -83,11 +92,11 @@ class ModelInput:
     rho_c: float | None = None
     u_c: float | None = None
     r_max: float | None = None
-    r_max_scaled: float = 50.0
-    ctrl: StepControl = StepControl(rel_tol=1e-12, abs_tol=1e-14)
-    germ_radius_scaled: float = 1e-6
-    kappa_min: float = 1e-10
-    mono_eps: float = 1e-6  # dU/dR floor distinguishing a rise from roundoff
+    r_max_scaled: float = R_MAX_SCALED
+    ctrl: StepControl = SOLVE_CTRL
+    germ_radius_scaled: float = _GERM_R
+    kappa_min: float = _KAPPA_MIN
+    mono_eps: float = _MONO_EPS
 
     def __post_init__(self):
         if (self.rho_c is None) == (self.u_c is None):
@@ -188,9 +197,6 @@ class SolutionProfile:
             if ev.name == "horizon":
                 return ev
         return None
-
-    def rise_events(self):
-        return [ev for ev in self.events if ev.name == "pressure_rise"]
 
     def state_at(self, r: float) -> tuple:
         """(m, u) interpolated from the dense solution."""
@@ -316,18 +322,10 @@ def _solve_core(alpha, beta, eos, ctrl, R0, R_max, kappa_min, mono_eps) -> Scale
     )
 
 
-def solve_scaled(
-    alpha: float,
-    beta: float,
-    eos: EosSpec,
-    ctrl: StepControl = StepControl(rel_tol=1e-12, abs_tol=1e-14),
-    R_max: float = 50.0,
-    germ_radius: float = 1e-6,
-    kappa_min: float = 1e-10,
-    mono_eps: float = 1e-6,
-) -> ScaledStar:
+def solve_scaled(alpha: float, beta: float, eos: EosSpec, ctrl: StepControl = SOLVE_CTRL,
+                 R_max: float = R_MAX_SCALED) -> ScaledStar:
     """Integrate the scaled system from its germ and classify the outcome."""
-    return _solve_core(alpha, beta, eos, ctrl, germ_radius, R_max, kappa_min, mono_eps)
+    return _solve_core(alpha, beta, eos, ctrl, _GERM_R, R_max, _KAPPA_MIN, _MONO_EPS)
 
 
 def solve_star(inp: ModelInput) -> tuple:
@@ -468,7 +466,7 @@ def d2u_at_boundary(bq: BoundaryQuantities, Lambda: float, c: float) -> float:
     )
 
 
-# -- regime condition and the Lambda = 0 vacuum continuation -------------------
+# -- regime condition ------------------------------------------------------------
 
 @dataclass(frozen=True)
 class SmallnessResult:
@@ -506,25 +504,3 @@ def smallness_condition(u_c: float, Lambda: float, eos: EosSpec, k: Constants,
         lambda_cap=lambda_cap,
         lambda_feasible=(Lambda <= lambda_cap),
     )
-
-
-def vacuum_continuation_lambda0(m_plus0: float, r_plus0: float, k: Constants, r) -> tuple:
-    """Exterior continuation (m, u) of a Lambda = 0 star for r >= r_+.
-
-    m stays at m_+; u = (c^2/2) [log(1 - 2Gm_+/(c^2 r_+)) - log(1 - 2Gm_+/(c^2 r))],
-    which vanishes at r_+ and solves the Lambda = 0 enthalpy system in vacuum.
-    """
-    compactness = 2.0 * k.G * m_plus0 / (k.c2 * r_plus0)
-    if compactness >= 1.0:
-        raise ValueError("star inside its own Schwarzschild radius")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < r_plus0 * (1.0 - 1e-12)):
-        raise ValueError("continuation is defined for r >= r_+")
-    u = 0.5 * k.c2 * (
-        math.log1p(-compactness)
-        - np.log1p(-2.0 * k.G * m_plus0 / (k.c2 * r_arr))
-    )
-    m = np.full_like(u, m_plus0)
-    if np.ndim(r) == 0:
-        return float(m), float(u)
-    return m, u

@@ -37,13 +37,14 @@ from .eos import EosSpec
 from .errors import KappaNonPositiveError
 from .integrate import DenseSolution, Stage, stage_rhs
 
+# rhs_tovds_enthalpy and rhs_scaled are left out: no solve calls them, and
+# the test oracles and perfbench/spans.py reach them by name
 __all__ = [
+    "FOUR_PI",
     "kappa",
     "q_factor",
     "kappa_scaled",
-    "rhs_tovds_enthalpy",
     "scaled_rhs",
-    "rhs_scaled",
     "rhs_lane_emden",
     "center_germ_scaled",
     "ScalingParams",
@@ -127,7 +128,7 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
     alpha, beta, the EOS constants and the EOS fast path are bound once, so
     a solve pays for them once and not at every stage.  The function is
     built from the stage text _SCALED (integrate.stage_rhs), which
-    integrate_adaptive writes into its step loop; for OmegaOne the closed
+    integrate_adaptive writes into its step loop; for Omega == 1 the closed
     form is written in too.  At alpha = beta = 0 this reduces exactly
     (bitwise) to the Lane-Emden right-hand side with lambda = 0.  Raises
     KappaNonPositiveError where kappa <= 0 (horizon contact).

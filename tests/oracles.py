@@ -7,9 +7,11 @@ numpy and mpmath evaluations of a series Omega and of Omega_u, the fast
 Omega_rho/Omega_P path evaluated per point with a loop Horner, the
 per-sample profile row, the pointwise boundary slope, the scaled right-hand
 side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
-with per-component comprehensions and the adaptive loop around it, and a
-scalar dense-output evaluation on Python floats live here, as independent
-oracles for the code in src/.
+with per-component comprehensions and the adaptive loop around it, a
+scalar dense-output evaluation on Python floats, the Lambda = 0 vacuum
+continuation, the residual of the mu = 1 closed form and the distance of
+scaled stars to the Lane-Emden orbit live here, as independent oracles for
+the code in src/.
 """
 
 import math
@@ -20,8 +22,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from tovds import integrate as ig
-from tovds.eos import _OFF_DOMAIN, _TAB_DEG
-from tovds.errors import DomainSignalError, KappaNonPositiveError, RootFindError
+from tovds.analysis import _LE_CTRL, _sinc_jet, lane_emden_solution
+from tovds.eos import _OFF_DOMAIN, _TAB_DEG, EosSpec
+from tovds.errors import AnalysisError, DomainSignalError, KappaNonPositiveError, RootFindError
+from tovds.model import solve_scaled
 from tovds.odecore import (
     _check_kappa,
     kappa,
@@ -249,6 +253,74 @@ def center_germ_enthalpy(u_c: float, Lambda: float, eos, k, r: float) -> tuple:
     m = FOUR_PI / 3.0 * rho_c * r**3
     u = u_c - (FOUR_PI * k.G * (rho_c + 3.0 * P_c / k.c2) - k.c2 * Lambda) * r * r / 6.0
     return m, u
+
+
+# -- the Lambda = 0 exterior ----------------------------------------------------------
+
+def vacuum_continuation_lambda0(m_plus0: float, r_plus0: float, k, r) -> tuple:
+    """Exterior continuation (m, u) of a Lambda = 0 star for r >= r_+.
+
+    m stays at m_+; u = (c^2/2) [log(1 - 2Gm_+/(c^2 r_+)) - log(1 - 2Gm_+/(c^2 r))],
+    which vanishes at r_+ and solves the Lambda = 0 enthalpy system in vacuum.
+    """
+    compactness = 2.0 * k.G * m_plus0 / (k.c2 * r_plus0)
+    if compactness >= 1.0:
+        raise ValueError("star inside its own Schwarzschild radius")
+    r_arr = np.asarray(r, dtype=float)
+    if np.any(r_arr < r_plus0 * (1.0 - 1e-12)):
+        raise ValueError("continuation is defined for r >= r_+")
+    u = 0.5 * k.c2 * (
+        math.log1p(-compactness)
+        - np.log1p(-2.0 * k.G * m_plus0 / (k.c2 * r_arr))
+    )
+    m = np.full_like(u, m_plus0)
+    if np.ndim(r) == 0:
+        return float(m), float(u)
+    return m, u
+
+
+# -- scaled-limit equation ----------------------------------------------------------
+
+def mu1_residual(lam: float, R: float) -> float:
+    """Residual of the second-order form -(R^2 U')'/R^2 = U - lam at R of the
+    mu = 1 closed form U = lam + (1 - lam) sin(R)/R."""
+    s, s1, s2 = _sinc_jet(R)
+    U = lam + (1.0 - lam) * s
+    return -(1.0 - lam) * s2 - 2.0 * (1.0 - lam) * s1 / R - (U - lam)
+
+
+def scaled_limit_convergence(gamma: float, alphas, betas) -> list:
+    """Distance of the scaled solution to the limit orbit, per (alpha, beta).
+
+    For each pair on the grid product, integrates the scaled system of the
+    polytrope A = 1 and records sup |U - U_limit| over 400 points of
+    [0.1, xi1] plus the located boundary radius.  Both integrations share
+    germ radius, germ order and tolerances, so alpha = beta = 0 reproduces
+    the limit orbit bitwise and reports distance 0.
+    """
+    eos = EosSpec(A=1.0, gamma=gamma)
+    mu = 1.0 / (gamma - 1.0)
+    ref = lane_emden_solution(mu, 0.0)
+    vac = [ev for ev in ref.events if ev.name == "vacuum"]
+    if not vac:
+        raise AnalysisError(f"limit solution has no first zero for gamma = {gamma}")
+    xi1 = vac[0].x
+    R_grid = np.linspace(0.1, xi1 * (1.0 - 1e-9), 400)
+    U_ref = ref(R_grid)[:, 1]
+
+    rows = []
+    for alpha in alphas:
+        for beta in betas:
+            star = solve_scaled(alpha, beta, eos, ctrl=_LE_CTRL)
+            R_hi = star.R_plus if star.R_plus is not None else star.dense.x_end
+            inside = R_grid <= R_hi
+            dist = float(np.max(np.abs(star.dense(R_grid[inside])[:, 1] - U_ref[inside]),
+                                initial=0.0))
+            rows.append({
+                "alpha": alpha, "beta": beta, "sup_distance": dist,
+                "R_plus": star.R_plus, "outcome": star.kind,
+            })
+    return rows
 
 
 # -- homology scaling ---------------------------------------------------------------

@@ -10,10 +10,8 @@ from tovds.analysis import (
     boundary_exponent_fit,
     lane_emden_first_zero,
     mu1_exact,
-    mu1_residual,
     perturbation_compare,
     regime_sweep,
-    scaled_limit_convergence,
 )
 from tovds.constants import Constants
 from tovds.eos import EosSpec
@@ -21,6 +19,8 @@ from tovds.errors import AnalysisError
 from tovds.integrate import DenseSolution
 from tovds.model import MONOTONE_SHORT, NON_MONOTONE, ModelInput, solve_scaled, solve_star
 from tovds.odecore import FOUR_PI
+
+from oracles import mu1_residual, scaled_limit_convergence
 
 GEOM = Constants(1.0, 1.0)
 
@@ -259,6 +259,12 @@ def test_sweep_grid_validation():
 def test_sweep_empty_grid_is_named(alpha_grid, beta_grid, empty):
     with pytest.raises(ValueError, match=f"{empty} is empty"):
         regime_sweep(1.5, alpha_grid, beta_grid)
+
+
+def test_sweep_refuses_an_eos_of_another_gamma():
+    # the result reports gamma, so an eos at another gamma would mislabel its cells
+    with pytest.raises(ValueError, match=r"gamma = 1\.5 .*gamma = 1\.9"):
+        regime_sweep(1.5, [1e-3], [1e-3, 0.05], eos=EosSpec(A=1.0, gamma=1.9))
 
 
 def test_sweep_export(tmp_path):

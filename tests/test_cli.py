@@ -89,8 +89,11 @@ def _series_eos(coeffs):
     _series_eos([1, "0.3"]),
     _series_eos([math.nan]),
     {"ctrl": {"max_steps": True}},
+    {"r_max": 1e-12},                     # below the germ radius
+    {"ctrl": {"h_init": 2.0, "h_max": 1.0}},
 ], ids=["nan_lambda", "inf_center", "huge_int", "coeff_string", "coeff_bool",
-        "coeff_numeric_string", "coeff_nan", "max_steps_bool"])
+        "coeff_numeric_string", "coeff_nan", "max_steps_bool", "r_max_below_germ",
+        "h_init_above_h_max"])
 def test_solve_bad_number_exits_2(tmp_path, capsys, change):
     cfg = dict(M0_CONFIG, **change)
     code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
@@ -157,8 +160,10 @@ def test_sweep_parallel_matches_serial(tmp_path):
     {"beta_grid": [True, 1e-3]},                              # JSON boolean in a grid
     {"alpha_grid": {"start": 1e-3, "stop": 1e-2, "num": True}},
     {"alpha_grid": []},
+    {"alpha_grid": {"start": 1e-3, "stop": 0, "num": 3}},    # log spacing down to 0
+    {"eos": {"type": "polytrope", "A": 1.0, "gamma": 1.9}},   # disagrees with gamma 1.5
 ], ids=["non_numeric", "outside_unit", "generated_outside_unit", "bool_in_grid",
-        "bool_num", "empty"])
+        "bool_num", "empty", "log_stop_zero", "eos_gamma_mismatch"])
 def test_sweep_bad_grid_exits_2(tmp_path, capsys, change):
     cfg = dict({"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": [1e-3]}, **change)
     code = main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "s")])
@@ -167,9 +172,12 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys, change):
     assert err["error"] == "config"
 
 
-@pytest.mark.parametrize("mu", [["x"], [True], "3", []], ids=["non_numeric", "bool", "string", "empty"])
-def test_lane_emden_bad_mu_exits_2(tmp_path, capsys, mu):
-    code = main(["lane-emden", "--config", write_config(tmp_path, {"mu": mu}),
+@pytest.mark.parametrize("cfg", [
+    {"mu": ["x"]}, {"mu": [True]}, {"mu": "3"}, {"mu": []}, {"mu": [-1.0]},
+    {"mu": 1.5, "R_cap": 1e-7},           # below the germ radius
+], ids=["non_numeric", "bool", "string", "empty", "negative", "R_cap_below_germ"])
+def test_lane_emden_bad_mu_exits_2(tmp_path, capsys, cfg):
+    code = main(["lane-emden", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "le")])
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])

@@ -12,7 +12,6 @@ from scipy import integrate as sp_integrate
 from tovds.eos import (
     EosSpec,
     FermiEosParams,
-    OmegaOne,
     OmegaSeries,
     _fermi_density_dimless,
     _fermi_pressure_dimless,
@@ -55,7 +54,19 @@ def test_dpdrho_matches_finite_difference():
     for rho in (1e-3, 0.1, 1.0):
         h = 1e-6 * rho
         fd = (eos.pressure_of_density(rho + h) - eos.pressure_of_density(rho - h)) / (2 * h)
-        assert eos.dpressure_drho(rho) == pytest.approx(fd, rel=1e-8)
+        assert eos._dpdrho_raw(rho) == pytest.approx(fd, rel=1e-8)
+
+
+def test_pure_polytrope_is_the_one_term_series():
+    # the default Omega is OmegaSeries((1.0,)): Horner returns exactly 1 and 0,
+    # and only that series takes the closed form instead of tables
+    one = OmegaSeries((1.0,))
+    assert EosSpec(A=1.0, gamma=1.5).omega == one
+    for z in (0.0, -0.0, 1e-300, -0.05, 0.3, 7.5):
+        assert one.value(z) == 1.0
+        assert one.deriv(z) == 0.0 and one.deriv2(z) == 0.0
+    assert EosSpec(A=1.0, gamma=1.5)._tables is None
+    assert EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.0)))._tables is not None
 
 
 def test_causality_violation_raises():
@@ -144,7 +155,7 @@ def test_u_of_density_closed_form_and_quadrature(eos15):
         assert eos15.u_of_density(rho) == pytest.approx(closed, rel=1e-8)
 
     def integrand(rp):
-        return eos15.dpressure_drho(rp) / (rp + eos15._pressure_raw(rp) / c2)
+        return eos15._dpdrho_raw(rp) / (rp + eos15._pressure_raw(rp) / c2)
 
     for rho in (0.3, 1.0):
         quad = sp_integrate.quad(integrand, 0.0, rho, epsabs=1e-14, epsrel=1e-12)[0]
@@ -209,7 +220,7 @@ def test_fast_tables_match_direct():
         assert fP == pytest.approx(dP, rel=1e-12)
     # outside the table the direct path is used
     assert eos.omega_rho_P_fast(5.0) == eos.omega_rho_P(5.0)
-    # OmegaOne takes the closed form on any eta, with no table; eta = 12 lies
+    # Omega == 1 takes the closed form on any eta, with no table; eta = 12 lies
     # past the default eta_max of 8, and below -0.98 delta_omega the direct
     # path is used.  The bound evaluator keeps the bits of the per-point
     # reference, which reads every constant at the call

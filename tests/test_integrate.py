@@ -164,7 +164,7 @@ def test_dense_array_call_matches_scalar_calls():
     assert sol.status == "event" and sol.x_end < sol.xs[-1]
     mids = 0.5 * (sol.xs[:-1] + sol.xs[1:])
     thirds = sol.xs[:-1] + (sol.xs[1:] - sol.xs[:-1]) / 3.0
-    x = np.concatenate([[sol.x_end, sol.x0], mids, sol.xs, thirds[::-1], [sol.x_end]])
+    x = np.concatenate([[sol.x_end, sol.xs[0]], mids, sol.xs, thirds[::-1], [sol.x_end]])
     want = np.array([dense_eval_scalar(sol, float(xi)) for xi in x])
     got = sol(x)
     assert got.shape == want.shape == (x.size, 2)
@@ -174,13 +174,13 @@ def test_dense_array_call_matches_scalar_calls():
     scalars = np.array([sol(float(xi)) for xi in x])
     assert scalars.shape == (x.size, 2)
     assert scalars.tobytes() == want.tobytes()
-    for bad in (sol.x0 - 1e-3, sol.xs[-1] + 1e-3):
+    for bad in (sol.xs[0] - 1e-3, sol.xs[-1] + 1e-3):
         with pytest.raises(ValueError, match="outside the solution span"):
             sol(bad)
         with pytest.raises(ValueError, match="outside the solution span"):
             dense_eval_scalar(sol, bad)
         with pytest.raises(ValueError, match="outside the solution span"):
-            sol(np.array([sol.x_end, bad, sol.x0]))
+            sol(np.array([sol.x_end, bad, sol.xs[0]]))
 
 
 def test_bitwise_determinism():

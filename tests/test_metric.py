@@ -13,7 +13,6 @@ from tovds.metric import (
     BeyondHorizonError,
     MetricPatch,
     continuity_report,
-    horizon_condition,
     horizons,
 )
 from tovds.model import ModelInput, solve_star
@@ -40,8 +39,8 @@ def patch_lambda0():
 
 def test_g00_continuous_at_boundary(patch_m0):
     r_p = patch_m0.r_plus
-    inner = patch_m0.kappa_plus * math.exp(-2.0 * patch_m0.u_interior(r_p) / GEOM.c2)
-    outer = patch_m0.g00_exterior(r_p)
+    inner = patch_m0.kappa_plus * math.exp(-2.0 * patch_m0.profile.state_at(r_p)[1] / GEOM.c2)
+    outer = kappa(r_p, patch_m0.m_plus, patch_m0.profile.Lambda, GEOM)
     assert abs(inner - outer) < 1e-14 * abs(outer)
     # the patch itself is continuous across the branch switch
     g_in = patch_m0.g_components(r_p * (1.0 - 1e-12))[0]
@@ -72,9 +71,9 @@ def test_beyond_horizon_raises(patch_m0):
 
 
 def test_horizon_condition_and_none():
+    # horizons exist iff sqrt(Lambda) < c^2 / (3 G m_+)
     k = GEOM
-    assert horizon_condition(1.0, 1e-4, k)
-    assert not horizon_condition(1.0, 0.2, k)
+    assert horizons(1.0, 1e-4, k) is not None  # sqrt(1e-4) < 1/3
     assert horizons(1.0, 0.2, k) is None  # sqrt(0.2) > 1/3
     with pytest.raises(ValueError):
         horizons(0.0, 1e-4, k)
@@ -203,7 +202,9 @@ def test_patch_requires_vacuum_termination():
 
 
 def test_mtilde_c2_profile(patch_m0):
-    # mtilde is continuous with a flat exterior
+    # mtilde is continuous with a flat exterior: m(r) -> m_+ from inside, and
+    # g11 outside is -1/kappa(r, m_+)
     r_p = patch_m0.r_plus
-    assert patch_m0.mtilde(2.0 * r_p) == patch_m0.m_plus
-    assert patch_m0.mtilde(r_p * (1 - 1e-10)) == pytest.approx(patch_m0.m_plus, rel=1e-12)
+    assert patch_m0.g_components(2.0 * r_p)[1] == -1.0 / kappa(2.0 * r_p, patch_m0.m_plus,
+                                                               patch_m0.profile.Lambda, GEOM)
+    assert patch_m0.profile.state_at(r_p * (1 - 1e-10))[0] == pytest.approx(patch_m0.m_plus, rel=1e-12)

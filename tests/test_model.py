@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from tovds.constants import SI, Constants
 from tovds.eos import EosSpec, OmegaSeries
 from tovds import model, odecore
-from tovds.errors import AnalysisError, EosDomainError, ModelError
+from tovds.errors import EosDomainError, ModelError
 from tovds.integrate import EventSpec, StepControl, integrate_adaptive
 from tovds.model import (
     HORIZON_DEGENERATE,
@@ -26,11 +26,16 @@ from tovds.model import (
     smallness_condition,
     solve_scaled,
     solve_star,
-    vacuum_continuation_lambda0,
 )
 from tovds.odecore import FOUR_PI, ScalingParams, kappa
 
-from oracles import dense_eval_scalar, du_dr_minus_pointwise, profile_row, rhs_tov
+from oracles import (
+    dense_eval_scalar,
+    du_dr_minus_pointwise,
+    profile_row,
+    rhs_tov,
+    vacuum_continuation_lambda0,
+)
 
 GEOM = Constants(1.0, 1.0)
 XI1_MU2 = 4.352874595946  # frozen from the fixed-step oracle in test_analysis
@@ -365,7 +370,7 @@ def test_einstein_static_unterminated(eos15):
     profile, outcome = solve_star(inp)
     assert outcome.kind == UNTERMINATED
     assert float(np.max(np.abs(profile.P - P_c)) / P_c) < 1e-6
-    assert not profile.rise_events()
+    assert not [ev for ev in profile.events if ev.name == "pressure_rise"]
 
 
 def test_nonmonotone_near_gamma2(eos15):
@@ -378,13 +383,17 @@ def test_nonmonotone_near_gamma2(eos15):
 
 
 def test_initial_rise_recorded():
-    # beta above the germ coefficient: pressure rises from the center
+    # beta above the germ coefficient: pressure rises from the center; at a
+    # germ radius of 1e-4 the rise dU/dR ~ R/6 clears the rise floor
     eos = EosSpec(A=1.0, gamma=1.5, c=1.0)
-    star = solve_scaled(alpha=1e-3, beta=1.5, eos=eos, R_max=20.0,
-                        germ_radius=1e-4)
-    assert star.initial_rise
-    assert star.kind in (NON_MONOTONE, HORIZON_DEGENERATE)
-    assert star.first_rise_R is not None
+    u_c = 1e-3
+    inp = ModelInput(eos=eos, Lambda=lambda_from_beta(1.5, u_c, eos), constants=GEOM, u_c=u_c,
+                     r_max_scaled=20.0, germ_radius_scaled=1e-4)
+    profile, outcome = solve_star(inp)
+    assert outcome.kind == NON_MONOTONE
+    assert outcome.diagnostics["initial_rise"]
+    # an initial rise is recorded at the germ radius itself
+    assert outcome.first_rise_r == profile.scaling.a * 1e-4
 
 
 def test_horizon_degenerate_diagnostics(eos15):
