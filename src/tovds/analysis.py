@@ -41,6 +41,7 @@ __all__ = [
 _LE_CTRL = StepControl(rel_tol=1e-12, abs_tol=1e-14)
 _LE_GERM_R = 1e-6
 _LE_R_CAP = 100.0
+_FIT_WINDOW = (1e-6, 1e-2)  # x/r_+ range of the boundary exponent fit
 _FIT_MIN_SAMPLES = 50
 _PERTURB_CTRL = StepControl(rel_tol=1e-11, abs_tol=1e-13)
 
@@ -143,12 +144,12 @@ class ExponentFit:
     B: float
 
 
-def boundary_exponent_fit(profile: SolutionProfile, window: tuple = (1e-6, 1e-2)) -> ExponentFit:
+def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
     """Fit the vacuum-boundary behavior of a monotone-short profile.
 
     A log-log regression of rho against x = r_+ - r over the window
-    x/r_+ in [1e-6, 1e-2] estimates the leading exponent (target
-    1/(gamma-1)) and amplitude; the relative enthalpy residual
+    _FIT_WINDOW, x/r_+ in [1e-6, 1e-2], estimates the leading exponent
+    (target 1/(gamma-1)) and amplitude; the relative enthalpy residual
     u/(B x) - 1 is then fitted against {x, x^(mu+1)}.  The window must hold
     at least _FIT_MIN_SAMPLES usable samples.
     """
@@ -161,8 +162,8 @@ def boundary_exponent_fit(profile: SolutionProfile, window: tuple = (1e-6, 1e-2)
     x = r_plus - profile.r
     u_floor = 1e3 * np.finfo(float).eps * profile.u[0]
     mask = (
-        (x >= window[0] * r_plus)
-        & (x <= window[1] * r_plus)
+        (x >= _FIT_WINDOW[0] * r_plus)
+        & (x <= _FIT_WINDOW[1] * r_plus)
         & (profile.rho > 0.0)
         & (profile.u > u_floor)
     )

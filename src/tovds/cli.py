@@ -1,8 +1,15 @@
 """Command-line front end.
 
-Subcommands: solve, sweep, metric, lane-emden, verify.  Exit codes:
-0 success, 1 numerical failure, 2 configuration error.  All artifact files
-are deterministic functions of the configuration.
+Each subcommand takes only the options it reads:
+
+    solve       --config, --out, --format csv|json, --units geom|si
+    sweep       --config, --out, --units, --jobs
+    metric      --config, --out, --units
+    lane-emden  --config, --out, --format
+    verify      --out, --jobs, --criteria
+
+Exit codes: 0 success, 1 numerical failure, 2 configuration error.  All
+artifact files are deterministic functions of the configuration.
 """
 
 from __future__ import annotations
@@ -171,6 +178,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK if n_fail == 0 else EXIT_NUMERICAL
 
 
+_OPTIONS = {
+    "--config": dict(required=True, help="JSON configuration file"),
+    "--out": dict(default="out", help="output directory (default: ./out)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--units": dict(choices=("geom", "si"), help="override the config unit system"),
+    "--jobs": dict(type=int, default=1, help="parallel sweep workers"),
+    "--criteria": dict(help="comma list of criterion numbers (default: all)"),
+}
+
+# name, command, help, and the options the command reads
+_SUBCOMMANDS = (
+    ("solve", cmd_solve, "solve one star and classify the outcome",
+     ("--config", "--out", "--format", "--units")),
+    ("sweep", cmd_sweep, "classify the scaled system over an (alpha, beta) grid",
+     ("--config", "--out", "--units", "--jobs")),
+    ("metric", cmd_metric, "patch the vacuum metric and check C^2 matching",
+     ("--config", "--out", "--units")),
+    ("lane-emden", cmd_lane_emden, "first zeros of the scaled limit equation",
+     ("--config", "--out", "--format")),
+    ("verify", cmd_verify, "run the acceptance criteria", ("--out", "--jobs", "--criteria")),
+)
+_COMMANDS = {name: command for name, command, _, _ in _SUBCOMMANDS}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tovds",
@@ -178,34 +209,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "solve, classify, patch the vacuum metric, and verify.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON configuration file")
-        p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--units", choices=("geom", "si"), default=None,
-                       help="override the config unit system")
-        p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
-
-    common(sub.add_parser("solve", help="solve one star and classify the outcome"))
-    common(sub.add_parser("sweep", help="classify the scaled system over an (alpha, beta) grid"))
-    common(sub.add_parser("metric", help="patch the vacuum metric and check C^2 matching"))
-    common(sub.add_parser("lane-emden", help="first zeros of the scaled limit equation"))
-    verify = sub.add_parser("verify", help="run the acceptance criteria")
-    common(verify, needs_config=False)
-    verify.add_argument("--criteria", default=None,
-                        help="comma list of criterion numbers (default: all)")
+    for name, _, help_text, options in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options:
+            p.add_argument(option, **_OPTIONS[option])
     return parser
-
-
-_COMMANDS = {
-    "solve": cmd_solve,
-    "sweep": cmd_sweep,
-    "metric": cmd_metric,
-    "lane-emden": cmd_lane_emden,
-    "verify": cmd_verify,
-}
 
 
 def main(argv=None) -> int:

@@ -1,11 +1,13 @@
 """JSON run-configuration loading and validation.
 
-A config is a single JSON object; unknown keys are rejected at every level
-so typos fail fast with exit code 2.  An optional key is passed on only when
-the config sets it, so each default has one home, in the library: the
-fields of ModelInput and EosSpec, and the parameters of fermi_fit_eos,
-regime_sweep and lane_emden_first_zero.  A partial ctrl block keeps the
-other fields of the owning default: model.SOLVE_CTRL for a solve,
+A config is a single JSON object.  Unknown keys are rejected at every level,
+so typos fail fast with exit code 2, and so is every bad value, an eos block
+that the EOS classes refuse included.  A solve config describes the star:
+eos, units, constants, ctrl, center, Lambda and r_max.  An optional key is
+passed on only when the config sets it, so each default has one home, in
+the library: the fields of ModelInput and EosSpec, and the parameters of
+fermi_fit_eos, regime_sweep and lane_emden_first_zero.  A partial ctrl block
+keeps the other fields of the owning default: model.SOLVE_CTRL for a solve,
 analysis.SWEEP_CTRL for a sweep.
 """
 
@@ -21,7 +23,7 @@ import numpy as np
 from .analysis import _LE_GERM_R, SWEEP_CTRL, lane_emden_first_zero
 from .constants import UNIT_SYSTEMS, Constants
 from .eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
-from .errors import ConfigError
+from .errors import ConfigError, NonPhysicalEosError
 from .integrate import StepControl
 from .model import SOLVE_CTRL, ModelInput
 
@@ -101,23 +103,27 @@ def build_eos(cfg: dict, k: Constants) -> EosSpec:
     if not isinstance(block, dict):
         raise ConfigError("'eos' must be an object")
     kind = block.get("type")
-    if kind == "polytrope":
-        _check_keys(block, {"type", "A", "gamma", "omega_coeffs", "delta_omega", "eta_max"}, "eos")
-        A = _num(block, "A", "eos", required=True, positive=True)
-        gamma = _num(block, "gamma", "eos", required=True)
-        kwargs = {}
-        if "omega_coeffs" in block:
-            coeffs = block["omega_coeffs"]
-            if not isinstance(coeffs, list) or not coeffs or not all(map(_is_num, coeffs)):
-                raise ConfigError("'omega_coeffs' must be a nonempty list of finite numbers")
-            kwargs["omega"] = OmegaSeries(tuple(coeffs))
-        kwargs.update(_given(block, "eos", ("delta_omega", "eta_max"), positive=True))
-        return EosSpec(A=A, gamma=gamma, c=k.c, **kwargs)
-    if kind == "fermi":
-        _check_keys(block, {"type", "K", "zeta_fit_max", "delta_omega"}, "eos")
-        params = FermiEosParams(K=_num(block, "K", "eos", required=True, positive=True), c=k.c)
-        return fermi_fit_eos(params, **_given(block, "eos", ("zeta_fit_max", "delta_omega"),
-                                              positive=True))
+    try:
+        if kind == "polytrope":
+            _check_keys(block, {"type", "A", "gamma", "omega_coeffs", "delta_omega", "eta_max"},
+                        "eos")
+            A = _num(block, "A", "eos", required=True, positive=True)
+            gamma = _num(block, "gamma", "eos", required=True)
+            kwargs = {}
+            if "omega_coeffs" in block:
+                coeffs = block["omega_coeffs"]
+                if not isinstance(coeffs, list) or not coeffs or not all(map(_is_num, coeffs)):
+                    raise ConfigError("'omega_coeffs' must be a nonempty list of finite numbers")
+                kwargs["omega"] = OmegaSeries(tuple(coeffs))
+            kwargs.update(_given(block, "eos", ("delta_omega", "eta_max"), positive=True))
+            return EosSpec(A=A, gamma=gamma, c=k.c, **kwargs)
+        if kind == "fermi":
+            _check_keys(block, {"type", "K", "zeta_fit_max", "delta_omega"}, "eos")
+            params = FermiEosParams(K=_num(block, "K", "eos", required=True, positive=True), c=k.c)
+            return fermi_fit_eos(params, **_given(block, "eos", ("zeta_fit_max", "delta_omega"),
+                                                  positive=True))
+    except NonPhysicalEosError as exc:
+        raise ConfigError(f"eos: {exc}")
     raise ConfigError("eos 'type' must be 'polytrope' or 'fermi'")
 
 
@@ -138,10 +144,7 @@ def build_ctrl(block, default: StepControl) -> StepControl:
         raise ConfigError(f"ctrl: {exc}")
 
 
-_MODEL_KEYS = {
-    "eos", "units", "constants", "ctrl", "center", "Lambda",
-    "r_max", "r_max_scaled", "germ_radius_scaled", "kappa_min", "mono_eps",
-}
+_MODEL_KEYS = {"eos", "units", "constants", "ctrl", "center", "Lambda", "r_max"}
 
 
 def build_model_input(cfg: dict, units_flag: str | None = None) -> ModelInput:
@@ -159,8 +162,7 @@ def build_model_input(cfg: dict, units_flag: str | None = None) -> ModelInput:
     kwargs = _given(cfg, "config", ("Lambda",), nonnegative=True)
     if "ctrl" in cfg:
         kwargs["ctrl"] = build_ctrl(cfg["ctrl"], SOLVE_CTRL)
-    kwargs.update(_given(cfg, "config", ("r_max_scaled", "germ_radius_scaled", "kappa_min",
-                                         "mono_eps", "r_max"), positive=True))
+    kwargs.update(_given(cfg, "config", ("r_max",), positive=True))
     try:
         inp = ModelInput(eos=eos, constants=k, rho_c=rho_c, u_c=u_c, **kwargs)
     except ValueError as exc:
@@ -168,12 +170,6 @@ def build_model_input(cfg: dict, units_flag: str | None = None) -> ModelInput:
     # sampled admissibility check of the configured EOS up to the center
     rho_center = inp.rho_c if inp.rho_c is not None else eos.density_of_u(inp.u_c)
     eos.validate_range(1e-6 * rho_center, rho_center)
-    # solve_star's test of r_max, which needs the center's length scale a
-    if inp.r_max is not None:
-        a = inp.scaling().a
-        if inp.r_max / a <= inp.germ_radius_scaled:
-            raise ConfigError(f"'r_max' in config must exceed the germ radius "
-                              f"{inp.germ_radius_scaled * a!r}, got {inp.r_max!r}")
     return inp
 
 

@@ -11,7 +11,8 @@ boundary.  Three derived correction functions express the state through u:
 
 with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u is a quadrature of
 Omega; Omega_rho and Omega_P need the inverse map eta -> zeta, obtained by a
-bracketed Newton search.  All three equal 1 at argument 0.  A series Omega
+bracketed Newton search.  All three equal 1 at argument 0, and every path
+gives (Omega_rho, Omega_P) = (1.0, 1.0) exactly at eta = 0.  A series Omega
 and its first two derivatives are evaluated by Horner on Python floats, in
 numpy.polynomial's polyval operation order, so the values are bit-identical
 to polyval's while each quadrature node costs no numpy call.
@@ -417,6 +418,8 @@ class EosSpec:
             tab.lo, tab.hi, tab.n, tab.mids, tab.inv_halfw, tab.pieces, tab.build)
 
         def omega_table(eta):
+            if eta == 0.0:
+                return 1.0, 1.0
             if eta < lo or eta > hi:
                 if eta > hi:
                     _log.debug("eta = %r above eta_max = %r: direct Omega_rho/Omega_P path", eta, hi)

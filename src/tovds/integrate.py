@@ -264,7 +264,6 @@ def make(CONSTS):
              xs, ys, coef, found, n_rhs):
         `y@`, = y
         `k1_@`, = k1
-        `atol@`, = atol
         # array.fromlist takes a list far faster than extend takes any sequence
         add_node, add_state, add_coef = xs.append, ys.fromlist, coef.fromlist
         n_rejected = attempts = 0
@@ -302,7 +301,7 @@ def make(CONSTS):
                 n_rhs += 6
                 `ay@`, = `abs(y@)`,
                 `an@`, = `abs(yn@)`,
-                `e@`, = `h * (_E1 * k1_@ + _E3 * k3_@ + _E4 * k4_@ + _E5 * k5_@ + _E6 * k6_@ + _E7 * k7_@) / (atol@ + rtol * (an@ if an@ > ay@ else ay@))`,
+                `e@`, = `h * (_E1 * k1_@ + _E3 * k3_@ + _E4 * k4_@ + _E5 * k5_@ + _E6 * k6_@ + _E7 * k7_@) / (atol + rtol * (an@ if an@ > ay@ else ay@))`,
                 err = sqrt((`e@ * e@`+) / DIM)
                 if isfinite(err + (`k2_@`+)) or _finite(`k1_@`, `k2_@`, `k3_@`, `k4_@`, `k5_@`, `k6_@`, `k7_@`):
                     if err > 1.0:
@@ -437,7 +436,7 @@ def _initial_step(rhs, x0, y0, f0, rtol, atol, h_max):
     # span-free on purpose: the same problem must start with the same step
     # whatever the integration cap is; the caller clamps to the span.  Makes
     # exactly one rhs call.
-    scale = [a + rtol * abs(v) for a, v in zip(atol, y0)]
+    scale = [atol + rtol * abs(v) for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
@@ -492,7 +491,7 @@ def _step_interpolant(x0, y0, h, q, x1, y1):
     return step_eval
 
 
-def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> DenseSolution:
+def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
     """Integrate dy/dx = rhs(x, y) over span = (x0, x1), locating events.
 
     Parameters
@@ -506,13 +505,13 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
         stage's body inlined in the step loop.
     y0 : sequence of finite floats
     ctrl : StepControl
+        Its abs_tol is one absolute tolerance for every component; a system
+        whose components differ in magnitude is integrated in scaled
+        variables.
     events : sequence of EventSpec
         Guards receive the state as a list of floats, like rhs, and a slope
         guard also the slope rhs returned there.  Terminal events truncate
         the solution at the located abscissa.
-    y_scale : sequence of float, optional
-        Per-component magnitude scale, finite and positive; the absolute
-        tolerance for component i is ctrl.abs_tol * y_scale[i].
 
     The run is one call of the step loop generated for the state's dimension
     and the right-hand side's stage.  Accepted nodes, states and interpolant
@@ -527,19 +526,12 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=(), y_scale=None) -> Den
     if not _finite(*y0):
         raise ValueError(f"y0 must be finite, got {y0!r}")
     dim = len(y0)
-    if y_scale is None:
-        atol = [ctrl.abs_tol] * dim
-    else:
-        scale = np.asarray(y_scale, dtype=float).ravel().tolist()
-        if len(scale) != dim or not all(math.isfinite(s) and s > 0.0 for s in scale):
-            raise ValueError(f"y_scale must be {dim} finite and positive values, got {y_scale!r}")
-        atol = [ctrl.abs_tol * s for s in scale]
     stage = getattr(rhs, "stage", None)
     if isinstance(stage, Stage) and len(stage.y) == dim:
         loop = _loop(dim, stage)(**rhs.values)
     else:
         loop = _loop(dim, None)()
-    rtol, h_max = ctrl.rel_tol, ctrl.h_max
+    atol, rtol, h_max = ctrl.abs_tol, ctrl.rel_tol, ctrl.h_max
     # (guard, falling counts, rising counts, slope guard) per event
     guards = [(ev.guard, ev.direction != "rising", ev.direction != "falling", ev.slope)
               for ev in events]

@@ -8,10 +8,11 @@ boundary, terminal), kappa falling through kappa_min (horizon contact,
 terminal), and dU/dR rising through a small positive floor (monotonicity
 loss, recorded).  solve_scaled returns its result as is; solve_star maps the
 solution back to (r, m, u) through ScalingParams and adds the physical
-profile, boundary data and diagnostics.  The solve policy's defaults (step
-control, prolongation cap, germ radius, kappa_min, rise floor) are module
-constants: ModelInput's fields default to them, and solve_scaled uses the
-last three as they are.  The outcome is one of four tags:
+profile, boundary data and diagnostics.  The solve policy is module
+constants, not fields: the default step control SOLVE_CTRL and prolongation
+cap R_MAX_SCALED, which a caller may override, and the germ radius, the
+horizon guard kappa_min and the rise floor, which every solve uses as they
+are.  The outcome is one of four tags:
 
     MonotoneShort      u -> 0 at finite radius with kappa_+ > 0, Q_+ > 0 and
                        du/dr < 0 throughout
@@ -75,15 +76,16 @@ R_MAX_SCALED = 50.0   # prolongation cap in homology units
 _GERM_R = 1e-6        # scaled radius of the center germ
 _KAPPA_MIN = 1e-10    # horizon guard
 _MONO_EPS = 1e-6      # dU/dR floor distinguishing a rise from roundoff
+_KAPPA_FLOOR = max(1e3 * _KAPPA_MIN, 1e-8)  # kappa_+ that counts as safely positive
 
 
 @dataclass(frozen=True)
 class ModelInput:
-    """Central data and solver policy for one star.
+    """Central data, cosmological constant and step control for one star.
 
     Exactly one of rho_c / u_c must be given; the other is derived through
-    the EOS.  r_max is a physical prolongation cap; when None it defaults to
-    r_max_scaled homology units.
+    the EOS.  r_max is a physical prolongation cap, which must exceed the
+    germ radius; when None the cap is R_MAX_SCALED homology units.
     """
 
     eos: EosSpec
@@ -92,24 +94,22 @@ class ModelInput:
     rho_c: float | None = None
     u_c: float | None = None
     r_max: float | None = None
-    r_max_scaled: float = R_MAX_SCALED
     ctrl: StepControl = SOLVE_CTRL
-    germ_radius_scaled: float = _GERM_R
-    kappa_min: float = _KAPPA_MIN
-    mono_eps: float = _MONO_EPS
 
     def __post_init__(self):
         if (self.rho_c is None) == (self.u_c is None):
             raise ValueError("give exactly one of rho_c or u_c")
         if not (math.isfinite(self.Lambda) and self.Lambda >= 0.0):
             raise ValueError(f"Lambda must be finite and nonnegative, got {self.Lambda!r}")
-        for name in ("rho_c", "u_c", "r_max", "r_max_scaled", "germ_radius_scaled",
-                     "kappa_min", "mono_eps"):
+        for name in ("rho_c", "u_c", "r_max"):
             value = getattr(self, name)
-            if value is None and name in ("rho_c", "u_c", "r_max"):
-                continue
-            if not (math.isfinite(value) and value > 0.0):
+            if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if self.r_max is not None:
+            a = self.scaling().a
+            if self.r_max / a <= _GERM_R:
+                raise ValueError(f"'r_max' must exceed the germ radius {_GERM_R * a!r}, "
+                                 f"got {self.r_max!r}")
 
     def center_enthalpy(self) -> float:
         if self.u_c is not None:
@@ -271,33 +271,33 @@ class ScaledStar:
     dense: DenseSolution
 
 
-def _solve_core(alpha, beta, eos, ctrl, R0, R_max, kappa_min, mono_eps) -> ScaledStar:
+def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     """Germ, guards, integration and outcome tag of one scaled star.
 
     A failed integration raises ModelError carrying the partial
     DenseSolution as its profile.
     """
-    y0 = center_germ_scaled(alpha, beta, eos, R0)
+    y0 = center_germ_scaled(alpha, beta, eos, _GERM_R)
     f = scaled_rhs(alpha, beta, eos)
     # the rise guard is a slope guard: at a step end it reads the FSAL slope
     # the integrator already has, and its refinement calls are counted in n_rhs
     events = [
         EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True,
                   root_tol=1e-12, name="vacuum"),
-        EventSpec(guard=lambda R, y: kappa_scaled(R, y[0], alpha, beta) - kappa_min,
+        EventSpec(guard=lambda R, y: kappa_scaled(R, y[0], alpha, beta) - _KAPPA_MIN,
                   direction="falling", terminal=True, root_tol=1e-12, name="horizon"),
-        EventSpec(guard=lambda R, y, dy: dy[1] - mono_eps, direction="rising", terminal=False,
+        EventSpec(guard=lambda R, y, dy: dy[1] - _MONO_EPS, direction="rising", terminal=False,
                   root_tol=1e-10, name="pressure_rise", slope=True),
     ]
-    initial_rise = f(R0, y0)[1] - mono_eps >= 0.0
+    initial_rise = f(_GERM_R, y0)[1] - _MONO_EPS >= 0.0
 
-    dense = integrate_adaptive(f, y0, (R0, R_max), ctrl, events=events)
+    dense = integrate_adaptive(f, y0, (_GERM_R, R_max), ctrl, events=events)
     if dense.status in _FAILED:
         raise ModelError(f"solver failed: {dense.status}: {dense.message} (x is the scaled radius R)",
                          profile=dense)
 
     rises = [ev for ev in dense.events if ev.name == "pressure_rise"]
-    first_rise = R0 if initial_rise else (rises[0].x if rises else None)
+    first_rise = _GERM_R if initial_rise else (rises[0].x if rises else None)
     vacuum = next((ev for ev in dense.events if ev.name == "vacuum"), None)
     horizon = next((ev for ev in dense.events if ev.name == "horizon"), None)
     end = horizon if horizon is not None else vacuum
@@ -308,8 +308,7 @@ def _solve_core(alpha, beta, eos, ctrl, R0, R_max, kappa_min, mono_eps) -> Scale
         kind = NON_MONOTONE
     elif vacuum is not None:
         R, M = vacuum.x, float(vacuum.y[0])
-        kappa_floor = max(1e3 * kappa_min, 1e-8)
-        safe = kappa_scaled(R, M, alpha, beta) > kappa_floor and M - beta * R**3 / 3.0 > 0.0
+        safe = kappa_scaled(R, M, alpha, beta) > _KAPPA_FLOOR and M - beta * R**3 / 3.0 > 0.0
         kind = MONOTONE_SHORT if safe else HORIZON_DEGENERATE
     else:
         kind = UNTERMINATED
@@ -325,7 +324,7 @@ def _solve_core(alpha, beta, eos, ctrl, R0, R_max, kappa_min, mono_eps) -> Scale
 def solve_scaled(alpha: float, beta: float, eos: EosSpec, ctrl: StepControl = SOLVE_CTRL,
                  R_max: float = R_MAX_SCALED) -> ScaledStar:
     """Integrate the scaled system from its germ and classify the outcome."""
-    return _solve_core(alpha, beta, eos, ctrl, _GERM_R, R_max, _KAPPA_MIN, _MONO_EPS)
+    return _solve_core(alpha, beta, eos, ctrl, R_max)
 
 
 def solve_star(inp: ModelInput) -> tuple:
@@ -337,15 +336,11 @@ def solve_star(inp: ModelInput) -> tuple:
     """
     scaling = inp.scaling()
     a = scaling.a
-    R0 = inp.germ_radius_scaled
-    R_max = inp.r_max / a if inp.r_max is not None else inp.r_max_scaled
-    if R_max <= R0:
-        raise ValueError("r_max must exceed the germ radius")
+    R_max = inp.r_max / a if inp.r_max is not None else R_MAX_SCALED
     ctrl = replace(inp.ctrl, h_max=inp.ctrl.h_max / a,
                    h_init=None if inp.ctrl.h_init is None else inp.ctrl.h_init / a)
     try:
-        star = _solve_core(scaling.alpha, scaling.beta, inp.eos, ctrl, R0, R_max,
-                           inp.kappa_min, inp.mono_eps)
+        star = _solve_core(scaling.alpha, scaling.beta, inp.eos, ctrl, R_max)
     except ModelError as exc:
         partial = _build_profile(scaling.unscale_solution(exc.profile), inp, scaling)
         raise ModelError(str(exc), profile=partial) from None

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import textwrap
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,15 +95,14 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 
 # The scaled right-hand side as statements: dM and dU from R, M and U.  The
 # line OMEGA stands for the EOS fast path's statements (fast_omega_source),
-# which set omega_rho and omega_P from eta.  The free names are the constants
-# scaled_rhs binds; mu is the EOS's mu, as in the closed form's text.
+# which set omega_rho and omega_P from eta; every fast path gives exactly
+# (1.0, 1.0) at eta = 0, so alpha = 0 takes no branch of its own.  The free
+# names are the constants scaled_rhs binds; mu is the EOS's mu, as in the
+# closed form's text.
 _SCALED = """\
 U_pos = U if U > 0.0 else 0.0
-if lane_emden:
-    omega_rho = omega_P = 1.0
-else:
-    eta = alpha * U
-    OMEGA
+eta = alpha * U
+OMEGA
 R3 = R**3
 dM = R * R * U_pos**mu * omega_rho
 num = M + p_alpha * R3 * U_pos**mu1 * omega_P - beta * R3 / 3.0
@@ -118,7 +116,7 @@ dU = -num / (R * R * kap)
 @functools.cache
 def _scaled_stage(label: str, omega_text: str, consts: tuple) -> Stage:
     return Stage(name=f"scaled, {label}", x="R", y=("M", "U"), dy=("dM", "dU"),
-                 body=_SCALED.replace("    OMEGA\n", textwrap.indent(omega_text, "    ")),
+                 body=_SCALED.replace("OMEGA\n", omega_text),
                  consts=consts)
 
 
@@ -143,7 +141,6 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
         p_alpha=(g - 1.0) / g * alpha,
         two_alpha=2.0 * alpha,
         alpha_beta=alpha * beta,
-        lane_emden=alpha == 0.0,
         KappaNonPositiveError=KappaNonPositiveError,
     )
     return stage_rhs(_scaled_stage(label, omega_text, tuple(values)), values)
@@ -168,20 +165,14 @@ def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
 def scaled_germ_u_coeff(alpha: float, eos: EosSpec, beta: float) -> float:
     """Quadratic coefficient of the scaled germ:
     Omega_rho(alpha) + 3 (gamma-1)/gamma alpha Omega_P(alpha) - beta."""
-    if alpha == 0.0:
-        omega_rho, omega_P = 1.0, 1.0
-    else:
-        omega_rho, omega_P = eos.omega_rho_P_fast(alpha)
+    omega_rho, omega_P = eos.omega_rho_P_fast(alpha)
     g = eos.gamma
     return omega_rho + 3.0 * (g - 1.0) / g * alpha * omega_P - beta
 
 
 def center_germ_scaled(alpha: float, beta: float, eos: EosSpec, R: float) -> tuple:
     """Leading series (M, U) at R -> +0 of the scaled system."""
-    if alpha == 0.0:
-        omega_rho = 1.0
-    else:
-        omega_rho, _ = eos.omega_rho_P_fast(alpha)
+    omega_rho, _ = eos.omega_rho_P_fast(alpha)
     M = omega_rho * R**3 / 3.0
     U = 1.0 - scaled_germ_u_coeff(alpha, eos, beta) * R * R / 6.0
     return M, U

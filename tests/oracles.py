@@ -118,13 +118,13 @@ def density_of_pressure(eos, P: float) -> float:
 def omega_rho_P_fast_reference(eos, eta: float) -> tuple:
     """(Omega_rho, Omega_P) by the fast path, every EOS constant read at the
     call and the piece polynomial summed by a Horner loop; EosSpec.fast_omega
-    must give the same bits."""
+    must give the same bits.  Both paths give exactly (1.0, 1.0) at eta = 0."""
+    if eta == 0.0:
+        return 1.0, 1.0
     tab = eos._tables
     if tab is None:
         if eta < -0.98 * eos.delta_omega:
             return eos.omega_rho_P(eta)
-        if eta == 0.0:
-            return 1.0, 1.0
         k = (eos.gamma - 1.0) / eos.gamma
         omu = k * eta / math.expm1(k * eta)
         omega_rho = omu ** (-eos.mu)
@@ -373,7 +373,7 @@ def dp5_attempt(f, x, y, h, k1, atol, rtol):
     err = 0.0
     for i in rng:
         e = h * (ig._E1 * k1[i] + ig._E3 * k3[i] + ig._E4 * k4[i] + ig._E5 * k5[i]
-                 + ig._E6 * k6[i] + ig._E7 * k7[i]) / (atol[i] + rtol * max(abs(y[i]), abs(y_new[i])))
+                 + ig._E6 * k6[i] + ig._E7 * k7[i]) / (atol + rtol * max(abs(y[i]), abs(y_new[i])))
         err += e * e
     err = math.sqrt(err / len(y))
     q = [(k1[i],
@@ -387,13 +387,12 @@ def dp5_attempt(f, x, y, h, k1, atol, rtol):
     return k2, k3, k4, k5, k6, k7, y_new, err, q
 
 
-def dp5_integrate(f, y0, span, ctrl, atol):
+def dp5_integrate(f, y0, span, ctrl):
     """The adaptive DP5 loop without events, one dp5_attempt per attempt.
 
-    Starts from the step ctrl.h_init, with the absolute tolerance atol[i]
-    for component i, and follows integrate_adaptive's step control with
-    builtin min and max.  n_rhs counts every call of f, one that raised
-    included.  Returns (xs, ys, q, status, message, n_rhs, n_rejected), q as
+    Starts from the step ctrl.h_init and follows integrate_adaptive's step
+    control with builtin min and max.  n_rhs counts every call of f, one
+    that raised included.  Returns (xs, ys, q, status, message, n_rhs, n_rejected), q as
     one (q0, q1, q2, q3) per step and component; the generated step loop of
     integrate_adaptive must give the same bits and counts.
     """
@@ -423,7 +422,7 @@ def dp5_integrate(f, y0, span, ctrl, atol):
             return result("step_underflow", f"step size underflow at x = {x:g}")
         attempts += 1
         try:
-            *ks, y_new, err, q = dp5_attempt(counted, x, y, h, k1, atol, ctrl.rel_tol)
+            *ks, y_new, err, q = dp5_attempt(counted, x, y, h, k1, ctrl.abs_tol, ctrl.rel_tol)
             failure = None if all(map(math.isfinite, [*k1, *(c for k in ks for c in k)])) else "nan"
         except DomainSignalError as exc:
             failure = exc

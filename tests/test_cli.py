@@ -1,10 +1,12 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import argparse
 import json
 import math
 
 import pytest
 
+from tovds import cli
 from tovds.cli import main
 
 M0_CONFIG = {
@@ -91,9 +93,11 @@ def _series_eos(coeffs):
     {"ctrl": {"max_steps": True}},
     {"r_max": 1e-12},                     # below the germ radius
     {"ctrl": {"h_init": 2.0, "h_max": 1.0}},
+    _series_eos([2.0]),                   # Omega(0) != 1
+    {"eos": {"type": "polytrope", "A": 1.0, "gamma": 2.5}},
 ], ids=["nan_lambda", "inf_center", "huge_int", "coeff_string", "coeff_bool",
         "coeff_numeric_string", "coeff_nan", "max_steps_bool", "r_max_below_germ",
-        "h_init_above_h_max"])
+        "h_init_above_h_max", "omega_0_not_1", "gamma_above_2"])
 def test_solve_bad_number_exits_2(tmp_path, capsys, change):
     cfg = dict(M0_CONFIG, **change)
     code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
@@ -258,3 +262,30 @@ def test_fermi_eos_config_solves(tmp_path):
     assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     outcome = json.loads((out / "outcome.json").read_text())
     assert outcome["tag"] == "MonotoneShort"
+
+
+@pytest.mark.parametrize("argv, cfg", [
+    (["solve"], M0_CONFIG),
+    (["sweep"], {"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": [1e-3]}),
+    (["metric"], M0_CONFIG),
+    (["lane-emden"], {"mu": 1.0}),
+    (["verify", "--criteria", "1"], None),
+], ids=["solve", "sweep", "metric", "lane-emden", "verify"])
+def test_every_option_is_read(tmp_path, argv, cfg):
+    # a subcommand's options are only those its command reads: parse into a
+    # namespace that records attribute reads, then run the command on it
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    argv = argv + ["--out", str(tmp_path / "out")]
+    if cfg is not None:
+        argv += ["--config", write_config(tmp_path, cfg)]
+    args = cli._build_parser().parse_args(argv, namespace=Recording())
+    reads.clear()
+    assert cli._COMMANDS[argv[0]](args) == 0
+    parsed = set(vars(args)) - {"command"}
+    assert parsed - reads == set()

@@ -244,11 +244,12 @@ def test_profile_columns_match_the_sample_oracle(star_m0, eos15):
     assert_profile_matches_rows(star_m0[0])
     u_c = 1e-3
     series = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
+    a = ScalingParams.from_center(u_c, 0.0, eos15, GEOM).a
     inputs = [
         (ModelInput(eos=series, constants=GEOM, u_c=u_c), MONOTONE_SHORT),
-        (ModelInput(eos=eos15, constants=GEOM, u_c=u_c, r_max_scaled=3.0), UNTERMINATED),
+        (ModelInput(eos=eos15, constants=GEOM, u_c=u_c, r_max=3.0 * a), UNTERMINATED),
         (ModelInput(eos=eos15, Lambda=lambda_from_beta(1.2, u_c, eos15), constants=GEOM,
-                    u_c=u_c, r_max_scaled=60.0), HORIZON_DEGENERATE),
+                    u_c=u_c, r_max=60.0 * a), HORIZON_DEGENERATE),
     ]
     for inp, kind in inputs:
         profile, outcome = solve_star(inp)
@@ -383,17 +384,21 @@ def test_nonmonotone_near_gamma2(eos15):
 
 
 def test_initial_rise_recorded():
-    # beta above the germ coefficient: pressure rises from the center; at a
-    # germ radius of 1e-4 the rise dU/dR ~ R/6 clears the rise floor
+    # beta well above the germ coefficient: pressure rises from the center;
+    # at the germ radius 1e-6 the rise dU/dR ~ (beta - 1) R/3 clears the
+    # rise floor 1e-6
     eos = EosSpec(A=1.0, gamma=1.5, c=1.0)
     u_c = 1e-3
-    inp = ModelInput(eos=eos, Lambda=lambda_from_beta(1.5, u_c, eos), constants=GEOM, u_c=u_c,
-                     r_max_scaled=20.0, germ_radius_scaled=1e-4)
+    star = solve_scaled(u_c, 5.0, eos, R_max=10.0)
+    assert star.kind == NON_MONOTONE and star.initial_rise and star.first_rise_R == 1e-6
+    a = ScalingParams.from_center(u_c, 0.0, eos, GEOM).a
+    inp = ModelInput(eos=eos, Lambda=lambda_from_beta(5.0, u_c, eos), constants=GEOM, u_c=u_c,
+                     r_max=10.0 * a)
     profile, outcome = solve_star(inp)
     assert outcome.kind == NON_MONOTONE
     assert outcome.diagnostics["initial_rise"]
     # an initial rise is recorded at the germ radius itself
-    assert outcome.first_rise_r == profile.scaling.a * 1e-4
+    assert outcome.first_rise_r == profile.scaling.a * 1e-6
 
 
 def test_horizon_degenerate_diagnostics(eos15):
@@ -504,6 +509,11 @@ def test_model_input_validation(eos15):
         ModelInput(eos=eos15, rho_c=-1.0)
     with pytest.raises(ValueError):
         ModelInput(eos=eos15, rho_c=1.0, Lambda=-1e-3)
+    # r_max must lie beyond the germ, whose radius is 1e-6 a
+    a = ModelInput(eos=eos15, u_c=1e-3).scaling().a
+    with pytest.raises(ValueError, match="'r_max' must exceed the germ radius"):
+        ModelInput(eos=eos15, u_c=1e-3, r_max=5e-7 * a)
+    assert ModelInput(eos=eos15, u_c=1e-3, r_max=2e-6 * a).r_max == 2e-6 * a
 
 
 @pytest.mark.parametrize("field, value", [
@@ -511,10 +521,6 @@ def test_model_input_validation(eos15):
     ("rho_c", math.nan), ("rho_c", math.inf),
     ("Lambda", math.nan), ("Lambda", math.inf),
     ("r_max", math.nan), ("r_max", math.inf), ("r_max", 0.0),
-    ("r_max_scaled", math.nan), ("r_max_scaled", math.inf), ("r_max_scaled", 0.0),
-    ("germ_radius_scaled", math.nan), ("germ_radius_scaled", 0.0),
-    ("kappa_min", math.nan), ("kappa_min", -1e-10),
-    ("mono_eps", math.nan), ("mono_eps", math.inf), ("mono_eps", 0.0),
 ])
 def test_model_input_rejects_bad_field(eos15, field, value):
     kwargs = {} if field == "rho_c" else {"u_c": 1e-3}

@@ -36,6 +36,12 @@ from oracles import (
 GEOM = Constants(1.0, 1.0)
 
 
+def in_units(rhs, s):
+    """The right-hand side of the same system in the state z = y / s, whose
+    absolute tolerance then acts on each component y_i in units of s_i."""
+    return lambda x, z: np.asarray(rhs(x, z * s)) / s
+
+
 @pytest.fixture(scope="module")
 def eos15():
     return EosSpec(A=1.0, gamma=1.5, c=1.0)
@@ -218,12 +224,12 @@ def test_homology_trajectory_consistency(eos15):
     sol_s = integrate_adaptive(lambda R, y: rhs_scaled(R, y, sp.alpha, sp.beta, eos15),
                                y0s, (R0, R1), ctrl)
     r0, y0p = sp.unscale_state(R0, y0s)
-    sol_p = integrate_adaptive(lambda r, y: rhs_tovds_enthalpy(r, y, Lam, eos15, GEOM),
-                               y0p, (r0, sp.a * R1), ctrl,
-                               y_scale=np.array([sp.mass_scale, sp.b]))
+    s = np.array([sp.mass_scale, sp.b])
+    sol_p = integrate_adaptive(in_units(lambda r, y: rhs_tovds_enthalpy(r, y, Lam, eos15, GEOM), s),
+                               y0p / s, (r0, sp.a * R1), ctrl)
     for R in (0.5, 1.0, 1.9):
         ys = sol_s(R)
-        yp = sol_p(sp.a * R)
+        yp = sol_p(sp.a * R) * s
         assert yp[0] == pytest.approx(sp.mass_scale * ys[0], rel=1e-8)
         assert yp[1] == pytest.approx(sp.b * ys[1], rel=1e-8)
 
@@ -299,17 +305,18 @@ def test_physical_germ_matches_integration(eos15):
     r0 = 1e-6 * sp.a
     r1 = 1e-2 * sp.a
     y0 = np.array(center_germ_enthalpy(u_c, Lam, eos15, GEOM, r0))
-    sol = integrate_adaptive(lambda r, y: rhs_tovds_enthalpy(r, y, Lam, eos15, GEOM),
-                             y0, (r0, r1), StepControl(rel_tol=1e-13, abs_tol=1e-16),
-                             y_scale=np.array([sp.mass_scale, sp.b]))
+    s = np.array([sp.mass_scale, sp.b])
+    sol = integrate_adaptive(in_units(lambda r, y: rhs_tovds_enthalpy(r, y, Lam, eos15, GEOM), s),
+                             y0 / s, (r0, r1), StepControl(rel_tol=1e-13, abs_tol=1e-16))
+    m_end, u_end = sol.y_end * s
     m_g, u_g = center_germ_enthalpy(u_c, Lam, eos15, GEOM, r1)
     # germ truncation is O(r^4) in u and O(r^5) in m: at R = 1e-2 the defects
     # are ~1e-8 u_c absolute and ~1e-4 relative to m(R)
-    assert abs(sol.y_end[1] - u_g) < 1e-8 * u_c
-    assert abs(sol.y_end[0] - m_g) / m_g < 1e-4
+    assert abs(u_end - u_g) < 1e-8 * u_c
+    assert abs(m_end - m_g) / m_g < 1e-4
 
     P_g = eos15.pressure_of_u(u_g)
-    P_num = eos15.pressure_of_u(sol.y_end[1])
+    P_num = eos15.pressure_of_u(u_end)
     P_c = eos15.pressure_of_u(u_c)
     assert abs(P_num - P_g) / P_c < 1e-8
 
