@@ -1,7 +1,10 @@
 """Acceptance criteria, runnable from the CLI (verify) and from the tests.
 
-Each criterion returns a CriterionResult with the measured numbers and its
-pinned tolerance; cached model solves are shared across criteria.  Reported
+Each criterion is a check registered in the table CRITERIA by the
+_criterion decorator, which declares its number, name and pinned tolerance
+once.  A check returns (passed, measured numbers); run_criteria times every
+check and builds its CriterionResult, also when the check raises a
+TovdsError.  Cached model solves are shared across criteria.  Reported
 artifacts contain no timestamps or runtimes, so verify output files are
 byte-identical across runs.
 """
@@ -13,7 +16,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate as sp_integrate
@@ -26,7 +29,7 @@ from .analysis import (
     perturbation_compare,
     regime_sweep,
 )
-from .constants import Constants
+from .constants import GEOMETRIZED
 from .eos import EosSpec, FermiEosParams, _fermi_density_dimless, _fermi_pressure_dimless, fermi_eos
 from .errors import TovdsError
 from .integrate import StepControl
@@ -41,8 +44,6 @@ from .odecore import FOUR_PI
 
 __all__ = ["run_criteria", "CRITERIA"]
 
-GEOM = Constants(1.0, 1.0)
-
 # first zero of the mu = 2 limit equation, frozen from the independent
 # fixed-step oracle in the test suite (tests/test_analysis.py)
 XI1_MU2 = 4.352874595946
@@ -54,8 +55,8 @@ class CriterionResult:
     name: str
     passed: bool
     tolerance: str
-    measured: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
+    measured: dict
+    runtime_s: float
 
     def to_json_dict(self) -> dict:
         # runtimes are excluded so the verify artifact is run-independent
@@ -92,30 +93,34 @@ class _Ctx:
         cosmological constant back-solved from beta, alpha = beta = 1e-3."""
         if gamma not in self._models:
             eos = self.eos(gamma)
-            u_c = 1e-3 * GEOM.c2
-            Lambda = 1e-3 * FOUR_PI * GEOM.G * eos.A1 * u_c**eos.mu / GEOM.c2
-            inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOM, u_c=u_c)
+            u_c = 1e-3 * GEOMETRIZED.c2
+            Lambda = 1e-3 * FOUR_PI * GEOMETRIZED.G * eos.A1 * u_c**eos.mu / GEOMETRIZED.c2
+            inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOMETRIZED, u_c=u_c)
             self._models[gamma] = solve_star(inp)
         return self._models[gamma]
 
 
-def _result(number, name, passed, tolerance, measured, t0) -> CriterionResult:
-    return CriterionResult(
-        number=number, name=name, passed=bool(passed), tolerance=tolerance,
-        measured=measured, runtime_s=time.perf_counter() - t0,
-    )
+CRITERIA = {}  # number -> (name, tolerance, check); check(ctx) -> (passed, measured)
 
 
-def c01_lane_emden_mu1(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+def _criterion(number: int, name: str, tolerance: str):
+    """Register the decorated check as criterion number."""
+    def register(check):
+        CRITERIA[number] = (name, tolerance, check)
+        return check
+    return register
+
+
+@_criterion(1, "lane_emden_mu1_first_zero", "|xi1 - pi| < 1e-8")
+def _lane_emden_mu1(ctx) -> tuple:
     xi1 = lane_emden_first_zero(1.0, 0.0)
     err = abs(xi1 - math.pi)
-    return _result(1, "lane_emden_mu1_first_zero", err < 1e-8, "|xi1 - pi| < 1e-8",
-                   {"xi1": xi1, "abs_err": err}, t0)
+    return err < 1e-8, {"xi1": xi1, "abs_err": err}
 
 
-def c02_lane_emden_ds_mu1(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(2, "lane_emden_ds_mu1_closed_form",
+            "sup|U - U_exact| < 1e-8 on [0, 4pi]; dU/dR > 0 in (3pi/2, 2pi)")
+def _lane_emden_ds_mu1(ctx) -> tuple:
     sup_err = 0.0
     min_rise = math.inf
     R_hi = 4.0 * math.pi
@@ -130,41 +135,36 @@ def c02_lane_emden_ds_mu1(ctx) -> CriterionResult:
             dU = -(y[0] - lam * R**3 / 3.0) / (R * R)
             min_rise = min(min_rise, float(dU))
     passed = sup_err < 1e-8 and min_rise > 0.0
-    return _result(2, "lane_emden_ds_mu1_closed_form", passed,
-                   "sup|U - U_exact| < 1e-8 on [0, 4pi]; dU/dR > 0 in (3pi/2, 2pi)",
-                   {"sup_err": sup_err, "min_dUdR_in_window": min_rise}, t0)
+    return passed, {"sup_err": sup_err, "min_dUdR_in_window": min_rise}
 
 
-def c03_einstein_static(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(3, "einstein_static_constant_pressure",
+            "relative pressure drift < 1e-6 up to 0.9 sqrt(3/L)")
+def _einstein_static(ctx) -> tuple:
     eos = ctx.eos(1.5)
     rho_c = 0.1
     P_c = eos.pressure_of_density(rho_c)
-    Lambda = FOUR_PI * GEOM.G * (rho_c + 3.0 * P_c / GEOM.c2) / GEOM.c2
-    L = 8.0 * math.pi * GEOM.G * rho_c / GEOM.c2 + Lambda
+    Lambda = FOUR_PI * GEOMETRIZED.G * (rho_c + 3.0 * P_c / GEOMETRIZED.c2) / GEOMETRIZED.c2
+    L = 8.0 * math.pi * GEOMETRIZED.G * rho_c / GEOMETRIZED.c2 + Lambda
     r_cap = 0.9 * math.sqrt(3.0 / L)
-    inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOM, rho_c=rho_c, r_max=r_cap)
+    inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOMETRIZED, rho_c=rho_c, r_max=r_cap)
     profile, outcome = solve_star(inp)
     drift = float(np.max(np.abs(profile.P - P_c)) / P_c)
     passed = outcome.kind == UNTERMINATED and drift < 1e-6
-    return _result(3, "einstein_static_constant_pressure", passed,
-                   "relative pressure drift < 1e-6 up to 0.9 sqrt(3/L)",
-                   {"outcome": outcome.kind, "max_rel_drift": drift}, t0)
+    return passed, {"outcome": outcome.kind, "max_rel_drift": drift}
 
 
-def c04_boundary_derivative(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(4, "boundary_derivative_identity", "|du/dr + Q_+/(r_+^2 kappa_+)| / B < 1e-5")
+def _boundary_derivative(ctx) -> tuple:
     profile, outcome = ctx.star(1.5)
     bq = outcome.boundary
     rel = abs(bq.du_dr_minus + bq.B) / bq.B
     passed = outcome.kind == MONOTONE_SHORT and rel < 1e-5
-    return _result(4, "boundary_derivative_identity", passed,
-                   "|du/dr + Q_+/(r_+^2 kappa_+)| / B < 1e-5",
-                   {"du_dr_minus": bq.du_dr_minus, "minus_B": -bq.B, "rel_err": rel}, t0)
+    return passed, {"du_dr_minus": bq.du_dr_minus, "minus_B": -bq.B, "rel_err": rel}
 
 
-def c05_metric_c2(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(5, "metric_c2_patching", "one-sided dg00/dr rel 1e-5; d2g00/dr2 rel 1e-3 (both sides)")
+def _metric_c2(ctx) -> tuple:
     profile, outcome = ctx.star(1.5)
     patch = MetricPatch.from_model(profile, outcome.boundary)
     report = continuity_report(patch)
@@ -172,46 +172,43 @@ def c05_metric_c2(ctx) -> CriterionResult:
     worst2 = max(report.row("g00", s, 2).rel_err for s in ("interior", "exterior"))
     worst0 = max(report.row("g00", s, 0).rel_err for s in ("interior", "exterior"))
     passed = worst0 < 1e-12 and worst1 < 1e-5 and worst2 < 1e-3
-    return _result(5, "metric_c2_patching", passed,
-                   "one-sided dg00/dr rel 1e-5; d2g00/dr2 rel 1e-3 (both sides)",
-                   {"rel_err_order0": worst0, "rel_err_order1": worst1,
-                    "rel_err_order2": worst2}, t0)
+    return passed, {"rel_err_order0": worst0, "rel_err_order1": worst1,
+                    "rel_err_order2": worst2}
 
 
-def c06_horizon_algebra(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(6, "horizon_cubic_algebra",
+            "|kappa(r_I)|,|kappa(r_E)| < 1e-12; factorization < 1e-10; "
+            "r_I < r_+ < r_E; double root |r - 3| < 1e-8")
+def _horizon_algebra(ctx) -> tuple:
     from .odecore import kappa as kappa_fn
 
     profile, outcome = ctx.star(1.5)
     bq = outcome.boundary
     Lam = profile.Lambda
-    hp = horizons(bq.m_plus, Lam, GEOM)
-    res_I = abs(kappa_fn(hp.r_I, bq.m_plus, Lam, GEOM))
-    res_E = abs(kappa_fn(hp.r_E, bq.m_plus, Lam, GEOM))
+    hp = horizons(bq.m_plus, Lam, GEOMETRIZED)
+    res_I = abs(kappa_fn(hp.r_I, bq.m_plus, Lam, GEOMETRIZED))
+    res_E = abs(kappa_fn(hp.r_E, bq.m_plus, Lam, GEOMETRIZED))
     grid = np.linspace(hp.r_I, hp.r_E, 1000)
     fact = Lam / (3.0 * grid) * (grid - hp.r_I) * (hp.r_E - grid) * (grid + hp.r_I + hp.r_E)
-    kap = 1.0 - 2.0 * GEOM.G * bq.m_plus / (GEOM.c2 * grid) - Lam * grid**2 / 3.0
+    kap = 1.0 - 2.0 * GEOMETRIZED.G * bq.m_plus / (GEOMETRIZED.c2 * grid) - Lam * grid**2 / 3.0
     fact_res = float(np.max(np.abs(kap - fact)))
     # every monotone-short Lambda > 0 model must be bracketed by its horizons
     brackets = True
     for gamma in (1.4, 1.5, 1.7):
         prof_i, out_i = ctx.star(gamma)
         if out_i.kind == MONOTONE_SHORT and prof_i.Lambda > 0.0:
-            hp_i = horizons(out_i.boundary.m_plus, prof_i.Lambda, GEOM)
+            hp_i = horizons(out_i.boundary.m_plus, prof_i.Lambda, GEOMETRIZED)
             brackets = brackets and hp_i.r_I < out_i.boundary.r_plus < hp_i.r_E
-    dbl = horizons(1.0, 1.0 / 9.0, GEOM)
+    dbl = horizons(1.0, 1.0 / 9.0, GEOMETRIZED)
     dbl_err = max(abs(dbl.r_I - 3.0), abs(dbl.r_E - 3.0))
     passed = (res_I < 1e-12 and res_E < 1e-12 and fact_res < 1e-10
               and brackets and dbl_err < 1e-8)
-    return _result(6, "horizon_cubic_algebra", passed,
-                   "|kappa(r_I)|,|kappa(r_E)| < 1e-12; factorization < 1e-10; "
-                   "r_I < r_+ < r_E; double root |r - 3| < 1e-8",
-                   {"res_I": res_I, "res_E": res_E, "factorization_res": fact_res,
-                    "brackets_star": brackets, "double_root_err": dbl_err}, t0)
+    return passed, {"res_I": res_I, "res_E": res_E, "factorization_res": fact_res,
+                    "brackets_star": brackets, "double_root_err": dbl_err}
 
 
-def c07_boundary_exponent(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(7, "boundary_exponent_fit", "exponent within 2% of 1/(gamma-1); amplitude within 2%")
+def _boundary_exponent(ctx) -> tuple:
     worst_exp = 0.0
     worst_amp = 0.0
     details = {}
@@ -227,64 +224,61 @@ def c07_boundary_exponent(ctx) -> CriterionResult:
     details["worst_exponent_rel"] = worst_exp
     details["worst_amplitude_rel"] = worst_amp
     passed = worst_exp < 0.02 and worst_amp < 0.02
-    return _result(7, "boundary_exponent_fit", passed,
-                   "exponent within 2% of 1/(gamma-1); amplitude within 2%",
-                   details, t0)
+    return passed, details
 
 
-def c08_regime_grid(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(8, "smallness_regime_grid",
+            "all cells with alpha, beta <= 1e-2 monotone-short; "
+            "R_+(1e-3, 1e-3) within 5% of the mu = 2 first zero")
+def _regime_grid(ctx) -> tuple:
     grid = np.logspace(-3, -2, 10)
     sweep = regime_sweep(1.5, grid, grid, eos=ctx.eos(1.5), jobs=ctx.jobs)
     all_short = all(c.outcome == MONOTONE_SHORT for c in sweep.cells)
     corner = sweep.cell(0, 0)
     radius_rel = abs(corner.R_plus - XI1_MU2) / XI1_MU2 if corner.R_plus else math.inf
     passed = all_short and radius_rel < 0.05
-    return _result(8, "smallness_regime_grid", passed,
-                   "all cells with alpha, beta <= 1e-2 monotone-short; "
-                   "R_+(1e-3, 1e-3) within 5% of the mu = 2 first zero",
-                   {"all_monotone_short": all_short,
+    return passed, {"all_monotone_short": all_short,
                     "R_plus_corner": corner.R_plus or math.nan,
-                    "radius_rel_dev": radius_rel}, t0)
+                    "radius_rel_dev": radius_rel}
 
 
-def c09_small_lambda_persistence(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(9, "small_lambda_persistence",
+            "smallest Lambda > 0 stays monotone-short, radius shift < 5%")
+def _small_lambda_persistence(ctx) -> tuple:
     eos = ctx.eos(1.5)
     rho_c = 1e-2
     u_c = eos.u_of_density(rho_c)
-    lam_unit = FOUR_PI * GEOM.G * eos.A1 * u_c**eos.mu / GEOM.c2
+    lam_unit = FOUR_PI * GEOMETRIZED.G * eos.A1 * u_c**eos.mu / GEOMETRIZED.c2
     rows = perturbation_compare(rho_c, eos, [b * lam_unit for b in (1e-4, 1e-3, 1e-2)],
-                                constants=GEOM)
+                                constants=GEOMETRIZED)
     smallest = rows[1]
     passed = smallest["outcome"] == MONOTONE_SHORT and smallest["radius_shift_rel"] < 0.05
     shifts = [r["radius_shift_rel"] for r in rows[1:]]
-    return _result(9, "small_lambda_persistence", passed,
-                   "smallest Lambda > 0 stays monotone-short, radius shift < 5%",
-                   {"outcome": smallest["outcome"],
+    return passed, {"outcome": smallest["outcome"],
                     "radius_shift_rel": smallest["radius_shift_rel"],
-                    "largest_tested_shift": max(shifts)}, t0)
+                    "largest_tested_shift": max(shifts)}
 
 
-def c10_lambda0_monotone(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(10, "lambda0_short_is_monotone",
+            "no Lambda = 0 short solution classifies NonMonotone (10-point grid)")
+def _lambda0_monotone(ctx) -> tuple:
     eos = ctx.eos(1.5)
     outcomes = []
     for rho_c in np.logspace(-3, -0.5, 10):
-        inp = ModelInput(eos=eos, Lambda=0.0, constants=GEOM, rho_c=float(rho_c),
+        inp = ModelInput(eos=eos, Lambda=0.0, constants=GEOMETRIZED, rho_c=float(rho_c),
                          ctrl=StepControl(rel_tol=1e-11, abs_tol=1e-13))
         _, out = solve_star(inp)
         outcomes.append(out.kind)
     n_short = sum(o == MONOTONE_SHORT for o in outcomes)
     none_nonmono = all(o != "NonMonotone" for o in outcomes)
     passed = none_nonmono and n_short == len(outcomes)
-    return _result(10, "lambda0_short_is_monotone", passed,
-                   "no Lambda = 0 short solution classifies NonMonotone (10-point grid)",
-                   {"n_models": len(outcomes), "n_monotone_short": n_short}, t0)
+    return passed, {"n_models": len(outcomes), "n_monotone_short": n_short}
 
 
-def c11_eos_self_consistency(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
+@_criterion(11, "eos_self_consistency",
+            "round trip < 1e-8; closed-form u < 1e-8; Fermi forms < 1e-10; "
+            "low-density slope 5/3 within 1e-3")
+def _eos_self_consistency(ctx) -> tuple:
     eos = ctx.eos(1.5)
     worst_rt = 0.0
     for rho in np.logspace(-3, 3, 25):
@@ -314,21 +308,18 @@ def c11_eos_self_consistency(ctx) -> CriterionResult:
     slope_err = abs(slope - 5.0 / 3.0)
     passed = (worst_rt < 1e-8 and worst_u < 1e-8 and worst_fermi < 1e-10
               and slope_err < 1e-3)
-    return _result(11, "eos_self_consistency", passed,
-                   "round trip < 1e-8; closed-form u < 1e-8; Fermi forms < 1e-10; "
-                   "low-density slope 5/3 within 1e-3",
-                   {"roundtrip_rel": worst_rt, "u_closed_form_rel": worst_u,
-                    "fermi_rel": worst_fermi, "slope_err": slope_err}, t0)
+    return passed, {"roundtrip_rel": worst_rt, "u_closed_form_rel": worst_u,
+                    "fermi_rel": worst_fermi, "slope_err": slope_err}
 
 
-def c12_determinism(ctx) -> CriterionResult:
-    t0 = time.perf_counter()
-
+@_criterion(12, "determinism_byte_identical",
+            "repeated identical runs produce byte-identical artifacts")
+def _determinism(ctx) -> tuple:
     def one_run(out_dir: str) -> None:
         eos = EosSpec(A=1.0, gamma=1.5)  # fresh instance: tables rebuilt
         u_c = 1e-3
-        Lambda = 1e-3 * FOUR_PI * GEOM.G * eos.A1 * u_c**eos.mu / GEOM.c2
-        inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOM, u_c=u_c,
+        Lambda = 1e-3 * FOUR_PI * GEOMETRIZED.G * eos.A1 * u_c**eos.mu / GEOMETRIZED.c2
+        inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOMETRIZED, u_c=u_c,
                          ctrl=StepControl(rel_tol=1e-10, abs_tol=1e-12))
         profile, outcome = solve_star(inp)
         profile.write_csv(os.path.join(out_dir, "profile.csv"))
@@ -348,41 +339,26 @@ def c12_determinism(ctx) -> CriterionResult:
         same_json = filecmp.cmp(os.path.join(d1, "outcome.json"),
                                 os.path.join(d2, "outcome.json"), shallow=False)
     passed = same_csv and same_json
-    return _result(12, "determinism_byte_identical", passed,
-                   "repeated identical runs produce byte-identical artifacts",
-                   {"profile_csv_identical": same_csv,
-                    "outcome_json_identical": same_json}, t0)
-
-
-CRITERIA = [
-    c01_lane_emden_mu1,
-    c02_lane_emden_ds_mu1,
-    c03_einstein_static,
-    c04_boundary_derivative,
-    c05_metric_c2,
-    c06_horizon_algebra,
-    c07_boundary_exponent,
-    c08_regime_grid,
-    c09_small_lambda_persistence,
-    c10_lambda0_monotone,
-    c11_eos_self_consistency,
-    c12_determinism,
-]
+    return passed, {"profile_csv_identical": same_csv,
+                    "outcome_json_identical": same_json}
 
 
 def run_criteria(numbers=None, jobs: int = 1) -> list:
-    """Run the selected acceptance criteria (all by default), sharing solves."""
+    """Run the selected acceptance criteria (all by default), sharing solves.
+
+    A check that raises a TovdsError fails with the error as its measurement.
+    """
     ctx = _Ctx(jobs=jobs)
     results = []
-    for fn in CRITERIA:
-        number = int(fn.__name__[1:3])
+    for number, (name, tolerance, check) in sorted(CRITERIA.items()):
         if numbers is not None and number not in numbers:
             continue
+        t0 = time.perf_counter()
         try:
-            results.append(fn(ctx))
+            passed, measured = check(ctx)
         except TovdsError as exc:
-            results.append(CriterionResult(
-                number=number, name=fn.__name__[4:], passed=False,
-                tolerance="", measured={"error": f"{type(exc).__name__}: {exc}"},
-            ))
+            passed, measured = False, {"error": f"{type(exc).__name__}: {exc}"}
+        results.append(CriterionResult(number=number, name=name, passed=bool(passed),
+                                       tolerance=tolerance, measured=measured,
+                                       runtime_s=time.perf_counter() - t0))
     return results

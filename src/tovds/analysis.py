@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import Constants
 from .eos import EosSpec
-from .errors import AnalysisError, ModelError
+from .errors import AnalysisError, ModelError, TovdsError
 from .integrate import EventSpec, StepControl, integrate_adaptive
 from .model import (
     MONOTONE_SHORT,
@@ -91,28 +91,22 @@ def lane_emden_first_zero(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP)
 # -- mu = 1 closed form ---------------------------------------------------------
 
 def _sinc_jet(R: float) -> tuple:
-    """(s, s', s'') for s(R) = sin(R)/R, series-stable near R = 0."""
+    """(s, s') for s(R) = sin(R)/R, series-stable near R = 0."""
     if abs(R) < 0.5:
         s = 0.0
         s1 = 0.0
-        s2 = 0.0
         R2 = R * R
         term = 1.0
         for n in range(12):
-            k = 2 * n
             # term = (-1)^n R^(2n) / (2n+1)!
             if n > 0:
                 term *= -R2 / (2 * n * (2 * n + 1))
             s += term
             if n > 0:
-                s1 += term * k / R
-                s2 += term * k * (k - 1) / R2
-        return s, s1, s2
+                s1 += term * (2 * n) / R
+        return s, s1
     s = math.sin(R) / R
-    c = math.cos(R)
-    s1 = (c - s) / R
-    s2 = (-math.sin(R) - 2.0 * s1) / R
-    return s, s1, s2
+    return s, (math.cos(R) - s) / R
 
 
 def mu1_exact(lam: float, R: float) -> tuple:
@@ -122,7 +116,7 @@ def mu1_exact(lam: float, R: float) -> tuple:
         raise ValueError("R must be nonnegative")
     if R == 0.0:
         return 1.0, 0.0
-    s, s1, _ = _sinc_jet(R)
+    s, s1 = _sinc_jet(R)
     return lam + (1.0 - lam) * s, (1.0 - lam) * s1
 
 
@@ -135,13 +129,11 @@ class ExponentFit:
     exponent: float            # fitted leading exponent of rho vs (r_+ - r)
     amplitude: float           # fitted prefactor of the leading power
     amplitude_target: float    # ((gamma-1) B / (gamma A))^(1/(gamma-1))
-    correction_exponents: tuple
-    correction_coeffs: tuple   # least-squares coefficients of u/(B x) - 1
+    correction_coeffs: tuple   # least-squares coefficients of x and x^(mu+1) in u/(B x) - 1
     resid_rms: float           # RMS residual after the correction fit
     resid_decay_slope: float   # log-log slope of the residual after the x-term fit
     window: tuple              # (x/r_+ lower, upper) actually used
     n_samples: int
-    B: float
 
 
 def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
@@ -183,8 +175,7 @@ def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
     amplitude_target = ((eos.gamma - 1.0) * B / (eos.gamma * eos.A)) ** mu
 
     resid_rel = u / (B * xs) - 1.0
-    exps = (1.0, mu + 1.0)
-    M = np.column_stack([xs ** e for e in exps])
+    M = np.column_stack([xs ** e for e in (1.0, mu + 1.0)])
     coeffs, *_ = np.linalg.lstsq(M, resid_rel, rcond=None)
     resid = resid_rel - M @ coeffs
     resid_rms = float(np.sqrt(np.mean(resid**2)))
@@ -207,13 +198,11 @@ def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
         exponent=float(slope),
         amplitude=float(math.exp(intercept)),
         amplitude_target=float(amplitude_target),
-        correction_exponents=exps,
         correction_coeffs=tuple(float(c) for c in coeffs),
         resid_rms=resid_rms,
         resid_decay_slope=decay_slope,
         window=(float(xs.min() / r_plus), float(xs.max() / r_plus)),
         n_samples=n,
-        B=B,
     )
 
 
@@ -278,7 +267,7 @@ def _sweep_cell(args) -> SweepCell:
     alpha, beta, eos, ctrl, R_max = args
     try:
         star = solve_scaled(alpha, beta, eos, ctrl=ctrl, R_max=R_max)
-    except Exception as exc:  # per-cell failures recorded, sweep continues
+    except TovdsError as exc:  # a cell that fails is recorded, the sweep goes on
         return SweepCell(alpha=alpha, beta=beta, outcome="error", R_plus=None,
                          M_plus=None, initial_rise=False, first_rise_R=None,
                          error=f"{type(exc).__name__}: {exc}")
@@ -304,9 +293,11 @@ def regime_sweep(
     """Classify the scaled system over a rectangular (alpha, beta) grid.
 
     eos defaults to the polytrope A = 1 with this gamma; an eos with another
-    gamma is refused, since the result reports gamma.  The empirical
-    epsilon0 estimate is the largest g such that every cell with
-    alpha <= g and beta <= g is monotone-short.
+    gamma is refused, since the result reports gamma.  A cell whose solve
+    raises a TovdsError is recorded with outcome "error"; any other
+    exception ends the sweep.  The empirical epsilon0 estimate is the
+    largest g such that every cell with alpha <= g and beta <= g is
+    monotone-short.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)

@@ -3,10 +3,13 @@
 Each subcommand takes only the options it reads:
 
     solve       --config, --out, --format csv|json, --units geom|si
-    sweep       --config, --out, --units, --jobs
-    metric      --config, --out, --units
-    lane-emden  --config, --out, --format
+    sweep       --config, --out, --jobs
+    metric      --config, --out, --units geom|si
+    lane-emden  --config, --out, --format csv|json
     verify      --out, --jobs, --criteria
+
+A sweep is solved in the scaled variables, which carry no units, so it
+takes no --units.
 
 Exit codes: 0 success, 1 numerical failure, 2 configuration error.  All
 artifact files are deterministic functions of the configuration.
@@ -22,10 +25,10 @@ import sys
 
 from . import acceptance
 from .analysis import lane_emden_first_zero, regime_sweep
-from .config import build_lane_emden, build_model_input, build_sweep, load_json
+from .config import build_lane_emden, build_model_input, build_sweep, load_json, unit_system
 from .errors import ConfigError, TovdsError
 from .metric import MetricPatch, continuity_report
-from .model import MONOTONE_SHORT, solve_star
+from .model import MONOTONE_SHORT, PROFILE_COLUMNS, solve_star
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -43,10 +46,9 @@ def _error_json(kind: str, message: str) -> None:
 
 
 def _profile_json_rows(profile) -> list:
-    cols = ("r", "m", "u", "P", "rho", "kappa", "Q", "dPdr")
-    arrays = [getattr(profile, c) for c in cols]
+    arrays = [getattr(profile, c) for c in PROFILE_COLUMNS]
     return [
-        {c: float(a[i]) for c, a in zip(cols, arrays)}
+        {c: float(a[i]) for c, a in zip(PROFILE_COLUMNS, arrays)}
         for i in range(profile.r.size)
     ]
 
@@ -54,7 +56,7 @@ def _profile_json_rows(profile) -> list:
 def cmd_solve(args) -> int:
     cfg = load_json(args.config)
     inp = build_model_input(cfg, args.units)
-    units_label = args.units or cfg.get("units", "geom")
+    units_label = unit_system(cfg, args.units)
     os.makedirs(args.out, exist_ok=True)
 
     profile, outcome = solve_star(inp)
@@ -102,7 +104,7 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_json(args.config)
-    result = regime_sweep(**build_sweep(cfg, args.units), jobs=args.jobs)
+    result = regime_sweep(**build_sweep(cfg), jobs=args.jobs)
     os.makedirs(args.out, exist_ok=True)
     result.to_csv(os.path.join(args.out, "sweep.csv"))
     _write_json(os.path.join(args.out, "sweep.json"), result.to_json_dict())
@@ -125,7 +127,7 @@ def cmd_metric(args) -> int:
     doc = report.to_json_dict()
     hp = patch.horizon_pair
     doc["horizons"] = None if hp is None else {"r_I": hp.r_I, "r_E": hp.r_E}
-    doc["r_plus"] = patch.r_plus
+    doc["r_plus"] = patch.bq.r_plus
     doc["brackets_star"] = patch.brackets_star() if hp is not None else None
     _write_json(os.path.join(args.out, "metric_report.json"), doc)
     for row in report.rows:
@@ -164,7 +166,7 @@ def cmd_verify(args) -> int:
             numbers = {int(tok) for tok in args.criteria.split(",")}
         except ValueError:
             raise ConfigError(f"--criteria must be a comma list of integers, got {args.criteria!r}")
-        unknown = numbers - set(range(1, len(acceptance.CRITERIA) + 1))
+        unknown = numbers - acceptance.CRITERIA.keys()
         if unknown:
             raise ConfigError(f"unknown criterion number(s): {sorted(unknown)}")
     results = acceptance.run_criteria(numbers=numbers, jobs=args.jobs)
@@ -192,7 +194,7 @@ _SUBCOMMANDS = (
     ("solve", cmd_solve, "solve one star and classify the outcome",
      ("--config", "--out", "--format", "--units")),
     ("sweep", cmd_sweep, "classify the scaled system over an (alpha, beta) grid",
-     ("--config", "--out", "--units", "--jobs")),
+     ("--config", "--out", "--jobs")),
     ("metric", cmd_metric, "patch the vacuum metric and check C^2 matching",
      ("--config", "--out", "--units")),
     ("lane-emden", cmd_lane_emden, "first zeros of the scaled limit equation",

@@ -3,12 +3,16 @@
 A config is a single JSON object.  Unknown keys are rejected at every level,
 so typos fail fast with exit code 2, and so is every bad value, an eos block
 that the EOS classes refuse included.  A solve config describes the star:
-eos, units, constants, ctrl, center, Lambda and r_max.  An optional key is
-passed on only when the config sets it, so each default has one home, in
-the library: the fields of ModelInput and EosSpec, and the parameters of
-fermi_fit_eos, regime_sweep and lane_emden_first_zero.  A partial ctrl block
-keeps the other fields of the owning default: model.SOLVE_CTRL for a solve,
-analysis.SWEEP_CTRL for a sweep.
+eos, units, constants, ctrl, center, Lambda and r_max; unit_system alone
+decides the unit system of a run.  A sweep config has gamma, eos,
+alpha_grid, beta_grid, ctrl and R_max: the scaled problem has no units, so
+a sweep's EOS is built at c = G = 1 and a sweep config takes no units or
+constants.  An optional key is passed on only when the config sets it, so
+each default has one home, in the library: the fields of ModelInput and
+EosSpec, and the parameters of fermi_fit_eos, regime_sweep and
+lane_emden_first_zero.  A partial ctrl block keeps the other fields of the
+owning default: model.SOLVE_CTRL for a solve, analysis.SWEEP_CTRL for a
+sweep.
 """
 
 from __future__ import annotations
@@ -21,13 +25,13 @@ from dataclasses import replace
 import numpy as np
 
 from .analysis import _LE_GERM_R, SWEEP_CTRL, lane_emden_first_zero
-from .constants import UNIT_SYSTEMS, Constants
+from .constants import GEOMETRIZED, UNIT_SYSTEMS, Constants
 from .eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
 from .errors import ConfigError, NonPhysicalEosError
 from .integrate import StepControl
 from .model import SOLVE_CTRL, ModelInput
 
-__all__ = ["load_json", "build_model_input", "build_sweep", "build_lane_emden"]
+__all__ = ["load_json", "unit_system", "build_model_input", "build_sweep", "build_lane_emden"]
 
 
 def load_json(path) -> dict:
@@ -82,11 +86,17 @@ def _given(obj: dict, where: str, keys: tuple, **checks) -> dict:
     return {key: _num(obj, key, where, **checks) for key in keys if key in obj}
 
 
-def build_constants(cfg: dict, units_flag: str | None = None) -> Constants:
+def unit_system(cfg: dict, units_flag: str | None) -> str:
+    """The name of the run's unit system: the --units flag, else the config's
+    units, else geom."""
     units = units_flag or cfg.get("units", "geom")
     if units not in UNIT_SYSTEMS:
         raise ConfigError(f"unknown unit system '{units}' (use geom or si)")
-    k = UNIT_SYSTEMS[units]
+    return units
+
+
+def build_constants(cfg: dict, units_flag: str | None) -> Constants:
+    k = UNIT_SYSTEMS[unit_system(cfg, units_flag)]
     if "constants" in cfg:
         block = cfg["constants"]
         if not isinstance(block, dict):
@@ -206,14 +216,12 @@ def _grid(cfg: dict, key: str) -> np.ndarray:
     return values
 
 
-def build_sweep(cfg: dict, units_flag: str | None = None) -> dict:
+def build_sweep(cfg: dict) -> dict:
     """Keyword arguments of analysis.regime_sweep from a sweep config."""
-    _check_keys(cfg, {"gamma", "eos", "units", "constants", "alpha_grid", "beta_grid",
-                      "ctrl", "R_max"}, "config")
-    k = build_constants(cfg, units_flag)
+    _check_keys(cfg, {"gamma", "eos", "alpha_grid", "beta_grid", "ctrl", "R_max"}, "config")
     kwargs = dict(gamma=_num(cfg, "gamma", "config", required=True))
     if "eos" in cfg:
-        eos = build_eos(cfg, k)
+        eos = build_eos(cfg, GEOMETRIZED)
         if eos.gamma != kwargs["gamma"]:
             raise ConfigError(f"'gamma' in config is {kwargs['gamma']!r} but the eos block's "
                               f"gamma is {eos.gamma!r}")

@@ -93,18 +93,6 @@ class MetricPatch:
         return cls(profile=profile, bq=bq if bq is not None else boundary_quantities(profile))
 
     @property
-    def r_plus(self) -> float:
-        return self.bq.r_plus
-
-    @property
-    def m_plus(self) -> float:
-        return self.bq.m_plus
-
-    @property
-    def kappa_plus(self) -> float:
-        return self.bq.kappa_plus
-
-    @property
     def r_E(self) -> float:
         return self.horizon_pair.r_E if self.horizon_pair is not None else math.inf
 
@@ -114,11 +102,11 @@ class MetricPatch:
         if r >= self.r_E:
             raise BeyondHorizonError(f"r = {r:g} is at or beyond the cosmological horizon {self.r_E:g}")
         k = self.profile.constants
-        if r < self.r_plus:
+        if r < self.bq.r_plus:
             m, u = self.profile.state_at(r)  # one dense call gives both
-            g00 = self.kappa_plus * math.exp(-2.0 * u / k.c2)
+            g00 = self.bq.kappa_plus * math.exp(-2.0 * u / k.c2)
         else:
-            m = self.m_plus
+            m = self.bq.m_plus
             g00 = kappa(r, m, self.profile.Lambda, k)
         kap_tilde = kappa(r, m, self.profile.Lambda, k)
         if kap_tilde <= 0.0:
@@ -130,7 +118,7 @@ class MetricPatch:
         hp = self.horizon_pair
         if hp is None:
             return False
-        return hp.r_I < self.r_plus < hp.r_E
+        return hp.r_I < self.bq.r_plus < hp.r_E
 
 
 # -- twice-differentiability report --------------------------------------------

@@ -53,6 +53,7 @@ __all__ = [
     "d2u_at_boundary",
     "smallness_condition",
     "SmallnessResult",
+    "PROFILE_COLUMNS",
     "SOLVE_CTRL",
     "R_MAX_SCALED",
     "MONOTONE_SHORT",
@@ -66,7 +67,7 @@ NON_MONOTONE = "NonMonotone"
 HORIZON_DEGENERATE = "HorizonDegenerate"
 UNTERMINATED = "Unterminated"
 
-PROFILE_CSV_HEADER = "r,m,u,P,rho,kappa,Q,dPdr"
+PROFILE_COLUMNS = ("r", "m", "u", "P", "rho", "kappa", "Q", "dPdr")
 
 _N_TAIL = 140  # extra profile samples packed against a vacuum boundary
 
@@ -85,7 +86,9 @@ class ModelInput:
 
     Exactly one of rho_c / u_c must be given; the other is derived through
     the EOS.  r_max is a physical prolongation cap, which must exceed the
-    germ radius; when None the cap is R_MAX_SCALED homology units.
+    germ radius; when None the cap is R_MAX_SCALED homology units.  The
+    solve reads c from constants and the EOS reads its own c, so eos.c must
+    equal constants.c; a mismatch is refused.
     """
 
     eos: EosSpec
@@ -97,6 +100,9 @@ class ModelInput:
     ctrl: StepControl = SOLVE_CTRL
 
     def __post_init__(self):
+        if self.eos.c != self.constants.c:
+            raise ValueError(f"the EOS has c = {self.eos.c!r} but constants has "
+                             f"c = {self.constants.c!r}; they must agree")
         if (self.rho_c is None) == (self.u_c is None):
             raise ValueError("give exactly one of rho_c or u_c")
         if not (math.isfinite(self.Lambda) and self.Lambda >= 0.0):
@@ -164,7 +170,8 @@ class ModelOutcome:
 
 @dataclass
 class SolutionProfile:
-    """Dense radial trajectory of (r, m, u, P, rho, kappa, Q, dP/dr)."""
+    """Dense radial trajectory of the PROFILE_COLUMNS; its events and status
+    are those of dense."""
 
     r: np.ndarray
     m: np.ndarray
@@ -174,8 +181,6 @@ class SolutionProfile:
     kappa: np.ndarray
     Q: np.ndarray
     dPdr: np.ndarray
-    events: list
-    status: str
     eos: EosSpec
     constants: Constants
     Lambda: float
@@ -187,16 +192,10 @@ class SolutionProfile:
         return float(self.dense.x_end)
 
     def vacuum_event(self):
-        for ev in self.events:
-            if ev.name == "vacuum":
-                return ev
-        return None
+        return next((ev for ev in self.dense.events if ev.name == "vacuum"), None)
 
     def horizon_event(self):
-        for ev in self.events:
-            if ev.name == "horizon":
-                return ev
-        return None
+        return next((ev for ev in self.dense.events if ev.name == "horizon"), None)
 
     def state_at(self, r: float) -> tuple:
         """(m, u) interpolated from the dense solution."""
@@ -206,8 +205,8 @@ class SolutionProfile:
     def write_csv(self, path, units_label: str = "geom") -> None:
         k = self.constants
         lines = [f"# units={units_label} c={k.c!r} G={k.G!r} Lambda={self.Lambda!r}"]
-        lines.append(PROFILE_CSV_HEADER)
-        cols = (self.r, self.m, self.u, self.P, self.rho, self.kappa, self.Q, self.dPdr)
+        lines.append(",".join(PROFILE_COLUMNS))
+        cols = [getattr(self, name) for name in PROFILE_COLUMNS]
         for i in range(self.r.size):
             lines.append(",".join(repr(float(c[i])) for c in cols))
         with open(path, "w") as fh:
@@ -247,7 +246,6 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     dPdr = (rho + P / k.c2) * (-Q / (rr * rr * kap))
     return SolutionProfile(
         r=rr, m=m, u=u, P=P, rho=rho, kappa=kap, Q=Q, dPdr=dPdr,
-        events=list(dense.events), status=dense.status,
         eos=eos, constants=k, Lambda=inp.Lambda, scaling=scaling, dense=dense,
     )
 
@@ -261,8 +259,6 @@ _FAILED = ("step_budget", "step_underflow", "domain_error")
 class ScaledStar:
     """Outcome of one homology-scaled solve."""
 
-    alpha: float
-    beta: float
     kind: str
     R_plus: float | None
     M_plus: float | None
@@ -314,7 +310,7 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
         kind = UNTERMINATED
 
     return ScaledStar(
-        alpha=alpha, beta=beta, kind=kind,
+        kind=kind,
         R_plus=None if end is None else end.x,
         M_plus=None if end is None else float(end.y[0]),
         first_rise_R=first_rise, initial_rise=initial_rise, dense=dense,

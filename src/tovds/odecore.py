@@ -186,20 +186,15 @@ class ScalingParams:
 
     r = a R,  u = b U,  m = mass_scale * M  with  mass_scale = 4 pi A1 a^3 b^mu,
     and 4 pi G A1 a^2 b^(mu-1) = 1.  alpha = b/c^2 measures how relativistic
-    the star is; beta = lam * b^(-mu) is the scaled cosmological constant.
+    the star is; beta = lam * b^(-mu), lam = c^2 Lambda / (4 pi G A1), is the
+    scaled cosmological constant.
     """
 
     a: float
     b: float
     alpha: float
     beta: float
-    lam: float
-    Lambda: float
     mass_scale: float
-    mu: float
-    A1: float
-    G: float
-    c: float
 
     @classmethod
     def from_center(cls, u_c: float, Lambda: float, eos: EosSpec, k: Constants) -> "ScalingParams":
@@ -212,19 +207,8 @@ class ScalingParams:
         A1 = eos.A1
         a = (FOUR_PI * k.G * A1 * b ** (mu - 1.0)) ** -0.5
         lam = k.c2 * Lambda / (FOUR_PI * k.G * A1)
-        return cls(
-            a=a,
-            b=b,
-            alpha=b / k.c2,
-            beta=lam * b**-mu,
-            lam=lam,
-            Lambda=Lambda,
-            mass_scale=FOUR_PI * A1 * a**3 * b**mu,
-            mu=mu,
-            A1=A1,
-            G=k.G,
-            c=k.c,
-        )
+        return cls(a=a, b=b, alpha=b / k.c2, beta=lam * b**-mu,
+                   mass_scale=FOUR_PI * A1 * a**3 * b**mu)
 
     def unscale_state(self, R: float, y) -> tuple:
         """(R, (M, U)) -> (r, (m, u))."""

@@ -9,9 +9,9 @@ per-sample profile row, the pointwise boundary slope, the scaled right-hand
 side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
 with per-component comprehensions and the adaptive loop around it, a
 scalar dense-output evaluation on Python floats, the Lambda = 0 vacuum
-continuation, the residual of the mu = 1 closed form and the distance of
-scaled stars to the Lane-Emden orbit live here, as independent oracles for
-the code in src/.
+continuation, the second derivative of sin(R)/R, the residual of the mu = 1
+closed form and the distance of scaled stars to the Lane-Emden orbit live
+here, as independent oracles for the code in src/.
 """
 
 import math
@@ -281,10 +281,25 @@ def vacuum_continuation_lambda0(m_plus0: float, r_plus0: float, k, r) -> tuple:
 
 # -- scaled-limit equation ----------------------------------------------------------
 
+def sinc_d2(R: float) -> float:
+    """s''(R) of s(R) = sin(R)/R: below R = 0.5 the series of s differentiated
+    term by term, above it the closed form."""
+    if abs(R) < 0.5:
+        R2 = R * R
+        term = 1.0
+        s2 = 0.0
+        for n in range(1, 12):
+            term *= -R2 / (2 * n * (2 * n + 1))  # (-1)^n R^(2n) / (2n+1)!
+            s2 += term * (2 * n) * (2 * n - 1) / R2
+        return s2
+    return ((2.0 - R * R) * math.sin(R) - 2.0 * R * math.cos(R)) / R**3
+
+
 def mu1_residual(lam: float, R: float) -> float:
     """Residual of the second-order form -(R^2 U')'/R^2 = U - lam at R of the
     mu = 1 closed form U = lam + (1 - lam) sin(R)/R."""
-    s, s1, s2 = _sinc_jet(R)
+    s, s1 = _sinc_jet(R)
+    s2 = sinc_d2(R)
     U = lam + (1.0 - lam) * s
     return -(1.0 - lam) * s2 - 2.0 * (1.0 - lam) * s1 / R - (U - lam)
 

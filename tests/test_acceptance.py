@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import tovds
+from tovds import acceptance
 from tovds.acceptance import CRITERIA, run_criteria
+from tovds.errors import AnalysisError
 
 
 @pytest.fixture(scope="module")
@@ -23,14 +25,31 @@ def results():
 
 
 def test_all_criteria_present(results):
-    assert sorted(results) == list(range(1, 13))
+    assert sorted(results) == sorted(CRITERIA) == list(range(1, 13))
 
 
-@pytest.mark.parametrize("number", range(1, 13))
+@pytest.mark.parametrize("number", sorted(CRITERIA))
 def test_criterion(results, number):
     r = results[number]
     print(r.format_line())
     assert r.passed, f"criterion {number} ({r.name}) failed: {r.measured} [{r.tolerance}]"
+
+
+@pytest.mark.parametrize("number, callee", [(1, "lane_emden_first_zero"),
+                                            (5, "continuity_report")])
+def test_raising_criterion_keeps_its_record(results, monkeypatch, number, callee):
+    # a check that raises reports the number, name and tolerance of its
+    # passing record, with the error as its measurement
+    def fail(*args, **kwargs):
+        raise AnalysisError("injected")
+
+    monkeypatch.setattr(acceptance, callee, fail)
+    (r,) = run_criteria(numbers={number})
+    passing = results[number]
+    assert (r.number, r.name, r.tolerance) == (passing.number, passing.name, passing.tolerance)
+    assert not r.passed
+    assert r.measured == {"error": "AnalysisError: injected"}
+    assert r.runtime_s > 0.0
 
 
 def test_verify_cli_byte_identical(tmp_path):

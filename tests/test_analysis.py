@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tovds import analysis
 from tovds.analysis import (
     _sinc_jet,
     boundary_exponent_fit,
@@ -17,8 +18,15 @@ from tovds.analysis import (
 from tovds.constants import Constants
 from tovds.eos import EosSpec
 from tovds.errors import AnalysisError
-from tovds.integrate import DenseSolution
-from tovds.model import MONOTONE_SHORT, NON_MONOTONE, ModelInput, solve_scaled, solve_star
+from tovds.integrate import DenseSolution, StepControl
+from tovds.model import (
+    MONOTONE_SHORT,
+    NON_MONOTONE,
+    PROFILE_COLUMNS,
+    ModelInput,
+    solve_scaled,
+    solve_star,
+)
 from tovds.odecore import FOUR_PI
 
 from oracles import mu1_residual, scaled_limit_convergence
@@ -145,7 +153,7 @@ def test_mu1_residual_pointwise():
 
 def test_sinc_jet_series_matches_trig_branch():
     for R in (0.4999, 0.5001):
-        s, s1, s2 = _sinc_jet(R)
+        s, s1 = _sinc_jet(R)
         assert s == pytest.approx(math.sin(R) / R, rel=1e-14)
         assert s1 == pytest.approx((math.cos(R) - math.sin(R) / R) / R, rel=1e-12)
 
@@ -193,9 +201,8 @@ def test_exponent_fit_integer_mu_decay(star15):
 
 
 def test_exponent_fit_takes_no_boundary_stencil(star15, monkeypatch):
-    # the fit reads r_+ and B, which need no dense-output call, and its B is
-    # the one boundary_quantities reports
-    profile, outcome = star15
+    # the fit reads r_+ and B, which need no dense-output call
+    profile, _ = star15
     want = boundary_exponent_fit(profile)
     calls = 0
     evaluate = DenseSolution.__call__
@@ -208,14 +215,12 @@ def test_exponent_fit_takes_no_boundary_stencil(star15, monkeypatch):
     monkeypatch.setattr(DenseSolution, "__call__", spy)
     assert boundary_exponent_fit(profile) == want
     assert calls == 0
-    assert want.B == outcome.boundary.B
 
 
 def test_exponent_fit_rejects_sparse_window(star15):
     profile, _ = star15
     # every second sample leaves fewer than the fit needs in its window
-    columns = ("r", "m", "u", "P", "rho", "kappa", "Q", "dPdr")
-    thin = replace(profile, **{c: getattr(profile, c)[::2] for c in columns})
+    thin = replace(profile, **{c: getattr(profile, c)[::2] for c in PROFILE_COLUMNS})
     with pytest.raises(AnalysisError, match="usable samples in the fit window"):
         boundary_exponent_fit(thin)
 
@@ -282,6 +287,27 @@ def test_sweep_export(tmp_path):
     doc = sweep.to_json_dict()
     assert doc["epsilon0_estimate"] == 3e-3
     assert len(doc["cells"]) == 4
+
+
+def test_sweep_records_a_failed_cell(tmp_path):
+    # a solve that fails with a package error becomes an "error" cell
+    sweep = regime_sweep(1.5, [1e-3], [1e-3], ctrl=StepControl(max_steps=5))
+    (cell,) = sweep.cells
+    assert cell.outcome == "error" and cell.R_plus is None
+    assert cell.error.startswith("ModelError: solver failed: step_budget")
+    path = tmp_path / "sweep.csv"
+    sweep.to_csv(path)
+    row = path.read_text().splitlines()[2]
+    assert row.startswith("0.001,0.001,error,,initial_rise=0;error=ModelError: ")
+
+
+def test_sweep_lets_a_programming_error_through(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken solve")
+
+    monkeypatch.setattr(analysis, "solve_scaled", broken)
+    with pytest.raises(TypeError, match="broken solve"):
+        regime_sweep(1.5, [1e-3], [1e-3])
 
 
 # -- persistence table ---------------------------------------------------------------

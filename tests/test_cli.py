@@ -69,6 +69,36 @@ def test_einstein_static_flagged(tmp_path):
     assert "Unterminated" in summary
 
 
+# beta = 0.05 and beta = 1.2 for the M0 center (alpha = 1e-3); the HorizonDegenerate
+# star is capped at 60 homology lengths a
+NON_MONOTONE_CONFIG = dict(M0_CONFIG, Lambda=6.981317007977318e-08)
+HORIZON_CONFIG = dict(M0_CONFIG, Lambda=1.6755160819145562e-06, r_max=1605.711704537494)
+
+
+@pytest.mark.parametrize("cfg, tag, keys", [
+    (NON_MONOTONE_CONFIG, "NonMonotone", {"first_rise_r", "end_r", "initial_rise"}),
+    (HORIZON_CONFIG, "HorizonDegenerate",
+     {"horizon_r", "u_end", "Q_end", "lambda_r2", "simultaneous_vacuum", "first_rise_r"}),
+], ids=["non_monotone", "horizon_degenerate"])
+def test_solve_artifacts_of_each_tag(tmp_path, cfg, tag, keys):
+    out = tmp_path / "run"
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    outcome = json.loads((out / "outcome.json").read_text())
+    assert outcome["tag"] == tag
+    payload = outcome["payload"]
+    assert set(payload) == keys
+    summary = (out / "summary.txt").read_text().splitlines()
+    assert summary[0] == f"outcome: {tag}"
+    if tag == "NonMonotone":
+        assert 0.0 < payload["first_rise_r"] < payload["end_r"]
+        assert summary[1:] == [f"first pressure rise at r = {payload['first_rise_r']!r}",
+                               f"integration ended at r = {payload['end_r']!r}"]
+    else:
+        # a rise before the horizon is a diagnostic, not an outcome field
+        assert 0.0 < payload["first_rise_r"] < payload["horizon_r"]
+        assert not any(line.startswith("first pressure rise") for line in summary)
+
+
 def test_missing_gamma_exits_2(tmp_path, capsys):
     cfg = {"eos": {"type": "polytrope", "A": 1.0}, "center": {"u_c": 1e-3}}
     code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
@@ -174,6 +204,24 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys, change):
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("key, value", [("units", "geom"), ("constants", {"c": 2.0})])
+def test_sweep_config_takes_no_units(tmp_path, capsys, key, value):
+    # the scaled problem has no units: a sweep config that sets them is refused
+    cfg = {"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": [1e-3], key: value}
+    code = main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "config", "message": f"unknown key(s) in config: ['{key}']"}
+
+
+def test_sweep_has_no_units_option(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": [1e-3]})
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", cfg, "--out", str(tmp_path / "s"), "--units", "si"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --units si" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cfg", [

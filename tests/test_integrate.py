@@ -560,6 +560,52 @@ def test_non_finite_start_slope_ends_at_once(h_init):
     assert (sol.n_steps, sol.n_rhs, sol.n_rejected) == (0, 1, 0)
 
 
+def test_domain_error_at_the_start_takes_no_step():
+    def rhs(x, y):
+        raise DomainSignalError("undefined here")
+
+    sol = integrate_adaptive(rhs, [1.0], (0.0, 1.0))
+    assert sol.status == "domain_error"
+    assert sol.message == "right-hand side undefined at start: undefined here"
+    assert isinstance(sol.failure, DomainSignalError)
+    assert (sol.n_steps, sol.n_rhs, sol.n_rejected) == (0, 1, 0)
+    assert sol.xs.tolist() == [0.0] and sol.y_end.tolist() == [1.0]
+
+
+def test_initial_step_probe_without_a_finite_slope_falls_back():
+    # a probe slope that is not finite, or a probe that leaves the domain,
+    # leaves the start slope's estimate d1 in place of d2; an infinite d2
+    # would give a zero first step
+    y0, f0, rtol, atol = [1.0], [2.0], 1e-6, 1e-9
+    scale = atol + rtol * y0[0]
+    d1 = f0[0] / scale
+    h0 = 0.01 * (y0[0] / scale) / d1
+    want = min(100.0 * h0, (0.01 / d1) ** 0.2)
+
+    def domain_exit(x, y):
+        raise DomainSignalError("probe left the domain")
+
+    for probe in (lambda x, y: [math.inf], lambda x, y: [math.nan], domain_exit):
+        h = integrate._initial_step(probe, 0.0, y0, f0, rtol, atol, math.inf)
+        assert h == pytest.approx(want, rel=1e-14)
+
+
+def test_zero_slope_starts_with_the_floor_step():
+    # d1 = d2 = 0: the first step is the 1e-6 floor, and a zero error then
+    # grows each step by the largest factor
+    sol = integrate_adaptive(lambda x, y: [0.0, 0.0], [1.0, 2.0], (0.0, 1.0))
+    assert sol.status == "completed"
+    assert sol.xs[1] == 1e-6
+    assert sol.xs[2] == 1e-6 + 1e-6 * 5.0
+    assert sol.y_end.tolist() == [1.0, 2.0]
+
+
+@pytest.mark.parametrize("span", [(1.0, 1.0), (1.0, 0.5), (0.0, math.nan)])
+def test_empty_or_reversed_span_is_rejected(span):
+    with pytest.raises(ValueError, match="span must satisfy x1 > x0"):
+        integrate_adaptive(lambda x, y: [-y[0]], [1.0], span)
+
+
 @pytest.mark.parametrize("root_tol", [math.inf, math.nan, 0.0, -1e-12])
 def test_event_rejects_bad_root_tol(root_tol):
     with pytest.raises(ValueError, match="root_tol must be finite and positive"):

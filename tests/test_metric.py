@@ -38,9 +38,9 @@ def patch_lambda0():
 
 
 def test_g00_continuous_at_boundary(patch_m0):
-    r_p = patch_m0.r_plus
-    inner = patch_m0.kappa_plus * math.exp(-2.0 * patch_m0.profile.state_at(r_p)[1] / GEOM.c2)
-    outer = kappa(r_p, patch_m0.m_plus, patch_m0.profile.Lambda, GEOM)
+    r_p = patch_m0.bq.r_plus
+    inner = patch_m0.bq.kappa_plus * math.exp(-2.0 * patch_m0.profile.state_at(r_p)[1] / GEOM.c2)
+    outer = kappa(r_p, patch_m0.bq.m_plus, patch_m0.profile.Lambda, GEOM)
     assert abs(inner - outer) < 1e-14 * abs(outer)
     # the patch itself is continuous across the branch switch
     g_in = patch_m0.g_components(r_p * (1.0 - 1e-12))[0]
@@ -49,7 +49,7 @@ def test_g00_continuous_at_boundary(patch_m0):
 
 
 def test_exterior_inverse_identity(patch_m0):
-    for r in np.linspace(patch_m0.r_plus, 3.0 * patch_m0.r_plus, 9):
+    for r in np.linspace(patch_m0.bq.r_plus, 3.0 * patch_m0.bq.r_plus, 9):
         g00, g11 = patch_m0.g_components(float(r))
         # same kappa float in both slots: product is 1 up to one rounding
         assert abs(g00 * (-g11) - 1.0) < 1e-15
@@ -57,8 +57,9 @@ def test_exterior_inverse_identity(patch_m0):
 
 def test_lambda0_schwarzschild_exterior(patch_lambda0):
     k = GEOM
-    m_p = patch_lambda0.m_plus
-    for r in (patch_lambda0.r_plus, 2.0 * patch_lambda0.r_plus, 10.0 * patch_lambda0.r_plus):
+    m_p = patch_lambda0.bq.m_plus
+    r_p = patch_lambda0.bq.r_plus
+    for r in (r_p, 2.0 * r_p, 10.0 * r_p):
         g00, g11 = patch_lambda0.g_components(float(r))
         assert g00 == pytest.approx(1.0 - 2.0 * k.G * m_p / (k.c2 * r), rel=1e-14)
     assert patch_lambda0.r_E == math.inf
@@ -99,7 +100,7 @@ def test_horizons_small_lambda_limits():
 def test_factorization_identity(patch_m0):
     hp = patch_m0.horizon_pair
     Lam = patch_m0.profile.Lambda
-    m_p = patch_m0.m_plus
+    m_p = patch_m0.bq.m_plus
     grid = np.linspace(hp.r_I, hp.r_E, 1000)
     kap = np.array([kappa(float(r), m_p, Lam, GEOM) for r in grid])
     fact = Lam / (3.0 * grid) * (grid - hp.r_I) * (hp.r_E - grid) * (grid + hp.r_I + hp.r_E)
@@ -112,7 +113,7 @@ def test_factorization_identity(patch_m0):
 
 def test_horizons_bracket_star(patch_m0):
     hp = patch_m0.horizon_pair
-    assert hp.r_I < patch_m0.r_plus < hp.r_E
+    assert hp.r_I < patch_m0.bq.r_plus < hp.r_E
     assert patch_m0.brackets_star()
 
 
@@ -162,12 +163,12 @@ def test_g_components_makes_one_dense_call_per_radius(patch_m0, monkeypatch):
         return evaluate(self, x)
 
     monkeypatch.setattr(DenseSolution, "__call__", spy)
-    r_p = patch_m0.r_plus
+    r_p = patch_m0.bq.r_plus
     g00, g11 = patch_m0.g_components(0.5 * r_p)
     assert calls == 1
     m, u = patch_m0.profile.state_at(0.5 * r_p)
     k = patch_m0.profile.constants
-    assert g00 == patch_m0.kappa_plus * math.exp(-2.0 * u / k.c2)
+    assert g00 == patch_m0.bq.kappa_plus * math.exp(-2.0 * u / k.c2)
     assert g11 == -1.0 / kappa(0.5 * r_p, m, patch_m0.profile.Lambda, k)
     calls = 0
     patch_m0.g_components(1.5 * r_p)
@@ -177,7 +178,7 @@ def test_g_components_makes_one_dense_call_per_radius(patch_m0, monkeypatch):
 def test_g11_no_jump_as_step_shrinks(patch_m0):
     # central differences of g11 across r_+ converge to the one-sided target:
     # no jump beyond discretization error
-    r_p = patch_m0.r_plus
+    r_p = patch_m0.bq.r_plus
     bq = patch_m0.bq
     target1 = bq.kappa_plus_prime / bq.kappa_plus**2
     errs = []
@@ -204,7 +205,7 @@ def test_patch_requires_vacuum_termination():
 def test_mtilde_c2_profile(patch_m0):
     # mtilde is continuous with a flat exterior: m(r) -> m_+ from inside, and
     # g11 outside is -1/kappa(r, m_+)
-    r_p = patch_m0.r_plus
-    assert patch_m0.g_components(2.0 * r_p)[1] == -1.0 / kappa(2.0 * r_p, patch_m0.m_plus,
+    r_p = patch_m0.bq.r_plus
+    assert patch_m0.g_components(2.0 * r_p)[1] == -1.0 / kappa(2.0 * r_p, patch_m0.bq.m_plus,
                                                                patch_m0.profile.Lambda, GEOM)
-    assert patch_m0.profile.state_at(r_p * (1 - 1e-10))[0] == pytest.approx(patch_m0.m_plus, rel=1e-12)
+    assert patch_m0.profile.state_at(r_p * (1 - 1e-10))[0] == pytest.approx(patch_m0.bq.m_plus, rel=1e-12)

@@ -259,7 +259,7 @@ def test_profile_columns_match_the_sample_oracle(star_m0, eos15):
     inp = ModelInput(eos=eos15, constants=GEOM, u_c=u_c, ctrl=StepControl(max_steps=20))
     with pytest.raises(ModelError) as info:
         solve_star(inp)
-    assert info.value.profile.status == "step_budget"
+    assert info.value.profile.dense.status == "step_budget"
     assert_profile_matches_rows(info.value.profile)
 
 
@@ -371,7 +371,7 @@ def test_einstein_static_unterminated(eos15):
     profile, outcome = solve_star(inp)
     assert outcome.kind == UNTERMINATED
     assert float(np.max(np.abs(profile.P - P_c)) / P_c) < 1e-6
-    assert not [ev for ev in profile.events if ev.name == "pressure_rise"]
+    assert not [ev for ev in profile.dense.events if ev.name == "pressure_rise"]
 
 
 def test_nonmonotone_near_gamma2(eos15):
@@ -514,6 +514,13 @@ def test_model_input_validation(eos15):
     with pytest.raises(ValueError, match="'r_max' must exceed the germ radius"):
         ModelInput(eos=eos15, u_c=1e-3, r_max=5e-7 * a)
     assert ModelInput(eos=eos15, u_c=1e-3, r_max=2e-6 * a).r_max == 2e-6 * a
+
+
+def test_model_input_refuses_two_speeds_of_light():
+    # the solve reads c from constants and the EOS its own: they must agree
+    with pytest.raises(ValueError, match=r"EOS has c = 1\.0 but constants has c = 2\.0"):
+        ModelInput(eos=EosSpec(A=1.0, gamma=1.5), constants=Constants(c=2.0), u_c=0.5)
+    ModelInput(eos=EosSpec(A=1.0, gamma=1.5, c=2.0), constants=Constants(c=2.0), u_c=0.5)
 
 
 @pytest.mark.parametrize("field, value", [

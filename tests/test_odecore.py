@@ -31,6 +31,7 @@ from oracles import (
     rhs_tov,
     rhs_tovds_pressure,
     scale_state,
+    sinc_d2,
 )
 
 GEOM = Constants(1.0, 1.0)
@@ -260,7 +261,8 @@ def test_lane_emden_mu1_analytic_residual():
     # Valid while U > 0 (the positive-part cutoff is inactive).
     for lam, Rs in ((0.0, (0.3, 1.0, 2.5, 3.0)), (0.75, (0.3, 1.0, 4.0, 8.0))):
         for R in Rs:
-            s, s1, s2 = _sinc_jet(R)
+            s, s1 = _sinc_jet(R)
+            s2 = sinc_d2(R)
             U = lam + (1 - lam) * s
             dU = (1 - lam) * s1
             M = lam * R**3 / 3.0 - R * R * dU
@@ -337,7 +339,8 @@ def test_scaling_params_invariants(eos15):
         unit = 4 * math.pi * GEOM.G * eos15.A1 * sp.a**2 * sp.b ** ((2 - eos15.gamma) / (eos15.gamma - 1))
         assert unit == pytest.approx(1.0, rel=1e-12)
         assert sp.alpha == u_c / GEOM.c2
-        assert sp.beta * sp.b**sp.mu == pytest.approx(sp.lam, rel=1e-12)
+        lam = GEOM.c2 * Lam / (4 * math.pi * GEOM.G * eos15.A1)
+        assert sp.beta * sp.b**eos15.mu == pytest.approx(lam, rel=1e-12)
         r, y = sp.unscale_state(1.2, (0.3, 0.7))
         R, ys = scale_state(sp, r, y)
         assert R == pytest.approx(1.2, rel=1e-14)
