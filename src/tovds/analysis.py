@@ -18,8 +18,10 @@ from .eos import EosSpec
 from .errors import AnalysisError, ModelError, TovdsError
 from .integrate import EventSpec, StepControl, integrate_adaptive
 from .model import (
+    _GERM_R,
     MONOTONE_SHORT,
     R_MAX_SCALED,
+    SOLVE_CTRL,
     ModelInput,
     SolutionProfile,
     _boundary_limits,
@@ -38,8 +40,6 @@ __all__ = [
     "perturbation_compare",
 ]
 
-_LE_CTRL = StepControl(rel_tol=1e-12, abs_tol=1e-14)
-_LE_GERM_R = 1e-6
 _LE_R_CAP = 100.0
 _FIT_WINDOW = (1e-6, 1e-2)  # x/r_+ range of the boundary exponent fit
 _FIT_MIN_SAMPLES = 50
@@ -49,12 +49,12 @@ _PERTURB_CTRL = StepControl(rel_tol=1e-11, abs_tol=1e-13)
 def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP,
                         first_zero_only: bool = True):
     """Dense solution of the Lane-Emden system dM/dR = R^2 (U#)^mu,
-    dU/dR = -(M - lam R^3/3)/R^2 from the center germ."""
+    dU/dR = -(M - lam R^3/3)/R^2 from a solve's center germ, at its step control."""
     if mu <= 0.0:
         raise ValueError("mu must be positive")
     if lam < 0.0:
         raise ValueError("lam must be nonnegative")
-    R0 = _LE_GERM_R
+    R0 = _GERM_R
     # the scaled germ at alpha = 0, beta = lam is exactly the Lane-Emden germ
     M0 = R0**3 / 3.0
     U0 = 1.0 - (1.0 - lam) * R0 * R0 / 6.0
@@ -70,7 +70,7 @@ def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP,
             root_tol=1e-10, name="turning_point", slope=True))
     return integrate_adaptive(
         lambda R, y: rhs_lane_emden(R, y, mu, lam),
-        np.array([M0, U0]), (R0, R_cap), _LE_CTRL, events=events,
+        np.array([M0, U0]), (R0, R_cap), SOLVE_CTRL, events=events,
     )
 
 

@@ -93,6 +93,8 @@ def cmd_solve(args) -> int:
         ]
     if outcome.first_rise_r is not None:
         lines.append(f"first pressure rise at r = {outcome.first_rise_r!r}")
+    if outcome.horizon_r is not None:
+        lines.append(f"horizon at r = {outcome.horizon_r!r}")
     if outcome.end_r is not None:
         lines.append(f"integration ended at r = {outcome.end_r!r}")
     summary = "\n".join(lines) + "\n"

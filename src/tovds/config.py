@@ -4,14 +4,15 @@ A config is a single JSON object.  Unknown keys are rejected at every level,
 so typos fail fast with exit code 2, and so is every bad value, an eos block
 that the EOS classes refuse included.  A solve config describes the star:
 eos, units, constants, ctrl, center, Lambda and r_max; unit_system alone
-decides the unit system of a run.  A sweep config has gamma, eos,
-alpha_grid, beta_grid, ctrl and R_max: the scaled problem has no units, so
-a sweep's EOS is built at c = G = 1 and a sweep config takes no units or
-constants.  An optional key is passed on only when the config sets it, so
-each default has one home, in the library: the fields of ModelInput and
-EosSpec, and the parameters of fermi_fit_eos, regime_sweep and
-lane_emden_first_zero.  A partial ctrl block keeps the other fields of the
-owning default: model.SOLVE_CTRL for a solve, analysis.SWEEP_CTRL for a
+decides the unit system of a run.  An eos block is a polytrope (A, gamma,
+omega_coeffs, eta_max) or a Fermi fit (K, zeta_fit_max).  A sweep config has
+gamma, eos, alpha_grid, beta_grid, ctrl and R_max: the scaled problem has no
+units, so a sweep's EOS is built at c = G = 1 and a sweep config takes no
+units or constants.  An optional key is passed on only when the
+config sets it, so each default has one home, in the library: the fields of
+ModelInput and EosSpec, and the parameters of fermi_fit_eos, regime_sweep
+and lane_emden_first_zero.  A partial ctrl block keeps the other fields of
+the owning default: model.SOLVE_CTRL for a solve, analysis.SWEEP_CTRL for a
 sweep.
 """
 
@@ -24,12 +25,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .analysis import _LE_GERM_R, SWEEP_CTRL, lane_emden_first_zero
+from .analysis import SWEEP_CTRL, lane_emden_first_zero
 from .constants import GEOMETRIZED, UNIT_SYSTEMS, Constants
 from .eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
 from .errors import ConfigError, NonPhysicalEosError
 from .integrate import StepControl
-from .model import SOLVE_CTRL, ModelInput
+from .model import _GERM_R, SOLVE_CTRL, ModelInput
 
 __all__ = ["load_json", "unit_system", "build_model_input", "build_sweep", "build_lane_emden"]
 
@@ -115,8 +116,7 @@ def build_eos(cfg: dict, k: Constants) -> EosSpec:
     kind = block.get("type")
     try:
         if kind == "polytrope":
-            _check_keys(block, {"type", "A", "gamma", "omega_coeffs", "delta_omega", "eta_max"},
-                        "eos")
+            _check_keys(block, {"type", "A", "gamma", "omega_coeffs", "eta_max"}, "eos")
             A = _num(block, "A", "eos", required=True, positive=True)
             gamma = _num(block, "gamma", "eos", required=True)
             kwargs = {}
@@ -125,13 +125,12 @@ def build_eos(cfg: dict, k: Constants) -> EosSpec:
                 if not isinstance(coeffs, list) or not coeffs or not all(map(_is_num, coeffs)):
                     raise ConfigError("'omega_coeffs' must be a nonempty list of finite numbers")
                 kwargs["omega"] = OmegaSeries(tuple(coeffs))
-            kwargs.update(_given(block, "eos", ("delta_omega", "eta_max"), positive=True))
+            kwargs.update(_given(block, "eos", ("eta_max",), positive=True))
             return EosSpec(A=A, gamma=gamma, c=k.c, **kwargs)
         if kind == "fermi":
-            _check_keys(block, {"type", "K", "zeta_fit_max", "delta_omega"}, "eos")
+            _check_keys(block, {"type", "K", "zeta_fit_max"}, "eos")
             params = FermiEosParams(K=_num(block, "K", "eos", required=True, positive=True), c=k.c)
-            return fermi_fit_eos(params, **_given(block, "eos", ("zeta_fit_max", "delta_omega"),
-                                                  positive=True))
+            return fermi_fit_eos(params, **_given(block, "eos", ("zeta_fit_max",), positive=True))
     except NonPhysicalEosError as exc:
         raise ConfigError(f"eos: {exc}")
     raise ConfigError("eos 'type' must be 'polytrope' or 'fermi'")
@@ -247,6 +246,6 @@ def build_lane_emden(cfg: dict) -> tuple:
     defaults = inspect.signature(lane_emden_first_zero).parameters
     lam = _num(cfg, "lambda", "config", default=defaults["lam"].default, nonnegative=True)
     R_cap = _num(cfg, "R_cap", "config", default=defaults["R_cap"].default, positive=True)
-    if R_cap <= _LE_GERM_R:
-        raise ConfigError(f"'R_cap' in config must exceed the germ radius {_LE_GERM_R!r}")
+    if R_cap <= _GERM_R:
+        raise ConfigError(f"'R_cap' in config must exceed the germ radius {_GERM_R!r}")
     return [float(mu) for mu in mus], lam, R_cap

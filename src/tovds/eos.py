@@ -1,6 +1,7 @@
 """Barotropic equation of state with an analytic correction factor.
 
-P(rho) = A rho^gamma Omega(zeta),  zeta = A rho^(gamma-1) / c^2,  Omega(0) = 1.
+P(rho) = A rho^gamma Omega(zeta),  zeta = A rho^(gamma-1) / c^2,  Omega(0) = 1,
+for rho >= 0: the EOS lives on zeta, eta >= 0; the direct path refuses below 0.
 
 The enthalpy variable u = int_0^rho dP / (rho + P/c^2) linearises the vacuum
 boundary.  Three derived correction functions express the state through u:
@@ -22,15 +23,15 @@ solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
 EOS's constants, or its piece tables, bound as closure variables, and
 omega_rho_P_fast is that function called once.  For the pure polytrope,
 Omega == 1, which is OmegaSeries((1.0,)) and the default, it evaluates the
-closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, on any eta.
-That closed form is written once, as the statements _CLOSED_FORM:
+closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma.  That
+closed form is written once, as the statements _CLOSED_FORM:
 fast_omega() compiles them, and EosSpec.fast_omega_source() hands them with
 their bound values to odecore, which writes them into the integrator's
 stages.  For a series Omega the fast path evaluates piecewise Chebyshev
-interpolants on a fixed grid over [-0.98 delta_omega, eta_max]; each piece
-is fitted to the direct path the first time an eta lands in it, so a star
-pays only for the pieces it visits.  Outside the grid, and in a piece with a
-node outside the EOS domain, it falls back to the direct path.
+interpolants on a fixed grid over [0, eta_max]; each piece is fitted to the
+direct path the first time an eta lands in it, so a star pays only for the
+pieces it visits.  Outside the grid, and in a piece with a node outside the
+EOS domain, it falls back to the direct path.
 """
 
 from __future__ import annotations
@@ -131,9 +132,7 @@ _OFF_DOMAIN = object()
 # compiles them into a function, and odecore splices them into the
 # integrator's stages, so both run this one text.
 _CLOSED_FORM = """\
-if eta < lo:
-    omega_rho, omega_P = direct(eta)
-elif eta == 0.0:
+if eta == 0.0:
     omega_rho = omega_P = 1.0
 else:
     omu = k * eta / expm1(k * eta)
@@ -145,14 +144,13 @@ _TABLE_CALL = "omega_rho, omega_P = omega_table(eta)\n"
 
 
 class _OmegaTables:
-    """Piece grid over [lo, hi]; pieces[i] is None until an eta first lands in it,
+    """Piece grid over [0, hi]; pieces[i] is None until an eta first lands in it,
     then (coef_rho, coef_P), each deg+1 floats, lowest degree first, or
     _OFF_DOMAIN when a node of the piece lies outside the EOS domain."""
 
-    def __init__(self, lo: float, hi: float):
-        n = max(_TAB_PIECES_MIN, int(math.ceil((hi - lo) * _TAB_PIECES_PER_UNIT)))
-        edges = np.linspace(lo, hi, n + 1)
-        self.lo = float(lo)
+    def __init__(self, hi: float):
+        n = max(_TAB_PIECES_MIN, int(math.ceil(hi * _TAB_PIECES_PER_UNIT)))
+        edges = np.linspace(0.0, hi, n + 1)
         self.hi = float(hi)
         self.n = n
         self.mids = tuple(float(m) for m in 0.5 * (edges[:-1] + edges[1:]))
@@ -186,14 +184,13 @@ class EosSpec:
     A: float
     gamma: float
     omega: OmegaSeries = OmegaSeries((1.0,))
-    delta_omega: float = 0.1
     c: float = 1.0
     eta_max: float = 8.0  # ceiling of the fast-path piece grid for a series Omega
 
     def __post_init__(self):
         if not (1.0 < self.gamma <= 2.0):
             raise NonPhysicalEosError(f"gamma must satisfy 1 < gamma <= 2, got {self.gamma}")
-        for name in ("A", "delta_omega", "c", "eta_max"):
+        for name in ("A", "c", "eta_max"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise NonPhysicalEosError(f"{name} must be finite and positive, got {value!r}")
@@ -222,20 +219,11 @@ class EosSpec:
     def zeta_of_density(self, rho: float) -> float:
         return self.A * rho ** (self.gamma - 1.0) / self.c2
 
-    def _check_zeta(self, zeta: float) -> None:
-        if zeta < -self.delta_omega:
-            raise EosDomainError(
-                f"zeta = {zeta:g} below the Omega domain margin -{self.delta_omega:g}"
-            )
-
     def _pressure_raw(self, rho: float) -> float:
-        zeta = self.zeta_of_density(rho)
-        self._check_zeta(zeta)
-        return self.A * rho**self.gamma * self.omega.value(zeta)
+        return self.A * rho**self.gamma * self.omega.value(self.zeta_of_density(rho))
 
     def _dpdrho_raw(self, rho: float) -> float:
         zeta = self.zeta_of_density(rho)
-        self._check_zeta(zeta)
         bracket = self.omega.value(zeta) + (self.gamma - 1.0) / self.gamma * zeta * self.omega.deriv(zeta)
         return self.A * self.gamma * rho ** (self.gamma - 1.0) * bracket
 
@@ -272,8 +260,9 @@ class EosSpec:
 
     def omega_u(self, zeta: float) -> float:
         """Omega_u(zeta) = (1/zeta) int_0^zeta w; removable singularity at 0."""
-        self._check_zeta(zeta)
-        if abs(zeta) < 1e-6:
+        if not zeta >= 0.0:
+            raise EosDomainError(f"zeta = {zeta!r}: the EOS is defined for zeta >= 0 only")
+        if zeta < 1e-6:
             # series around 0 avoids the 0/0; w'(0), w''(0) from Omega's jet
             d1 = self.omega.deriv(0.0)
             d2 = self.omega.deriv2(0.0)
@@ -300,41 +289,25 @@ class EosSpec:
         derivative of zeta*Omega_u(zeta) is the integrand w, so no extra
         quadrature is needed for the Newton slope.
         """
+        if not eta >= 0.0:
+            raise EosDomainError(f"eta = {eta!r}: the EOS is defined for eta >= 0 only")
         if eta == 0.0:
             return 0.0
-        if eta <= -self.delta_omega:
-            raise EosDomainError(f"eta = {eta:g} below the domain margin -{self.delta_omega:g}")
         gfac = self.gamma / (self.gamma - 1.0)
 
         def F(z: float) -> float:
             return gfac * z * self.omega_u(z) - eta
 
         z0 = eta / gfac
-        if eta > 0.0:
-            lo, hi = 0.0, z0
-            for _ in range(200):
-                if F(hi) >= 0.0:
-                    break
-                hi *= 2.0
-            else:
-                raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
+        lo, hi = 0.0, z0
+        for _ in range(200):
+            if F(hi) >= 0.0:
+                break
+            hi *= 2.0
         else:
-            lo, hi = z0, 0.0
-            zmin = -self.delta_omega * (1.0 - 1e-12)
-            for _ in range(200):
-                if lo <= zmin:
-                    lo = zmin
-                if F(lo) <= 0.0:
-                    break
-                if lo == zmin:
-                    raise EosDomainError(
-                        f"eta = {eta:g} maps below the Omega domain margin"
-                    )
-                lo *= 2.0
-            else:
-                raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
+            raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
 
-        z = min(max(z0, lo), hi)
+        z = z0
         for _ in range(100):
             f = F(z)
             if f < 0.0:
@@ -353,7 +326,7 @@ class EosSpec:
         )
 
     def omega_rho_P(self, eta: float) -> tuple:
-        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta.
+        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0.
 
         Omega_rho = Omega_u(zeta)^(-1/(gamma-1)) so that
         rho = A1 u^(1/(gamma-1)) Omega_rho(eta) reproduces the density, and
@@ -375,7 +348,7 @@ class EosSpec:
         """The fast path's piece grid; None for Omega == 1, which has a closed form."""
         if self.omega.coeffs == (1.0,):
             return None
-        return _OmegaTables(-0.98 * self.delta_omega, self.eta_max)
+        return _OmegaTables(self.eta_max)
 
     def fast_omega_source(self) -> tuple:
         """(label, text, values): the fast path as statements that set
@@ -389,19 +362,17 @@ class EosSpec:
         """
         if self._tables is None:
             return "closed-form Omega", _CLOSED_FORM, {
-                "lo": -0.98 * self.delta_omega,
                 "k": (self.gamma - 1.0) / self.gamma,  # zeta = expm1(k eta) when Omega == 1
                 "mu": self.mu,
-                "direct": self.omega_rho_P,
                 "expm1": math.expm1,
             }
         return "table Omega", _TABLE_CALL, {"omega_table": self.fast_omega()}
 
     def fast_omega(self):
         """The fast path eta -> (Omega_rho, Omega_P), with this EOS's constants
-        bound once; reproduces the direct values to ~1e-13.  Below
-        -0.98 delta_omega, and for a series Omega above eta_max or in a piece
-        that leaves the EOS domain, it falls back to the direct path.
+        bound once; reproduces the direct values to ~1e-13 on eta >= 0.  For a
+        series Omega below 0 or above eta_max, or in a piece that leaves the
+        EOS domain, it falls back to the direct path, which refuses eta < 0.
 
         A right-hand side binds it once per solve.  It is built afresh on
         every call and never stored on the instance: an EosSpec is pickled
@@ -414,17 +385,17 @@ class EosSpec:
                                            "omega_rho, omega_P", tuple(values))(**values)
 
         direct = self.omega_rho_P
-        lo, hi, n, mids, inv_halfw, pieces, build = (
-            tab.lo, tab.hi, tab.n, tab.mids, tab.inv_halfw, tab.pieces, tab.build)
+        hi, n, mids, inv_halfw, pieces, build = (
+            tab.hi, tab.n, tab.mids, tab.inv_halfw, tab.pieces, tab.build)
 
         def omega_table(eta):
             if eta == 0.0:
                 return 1.0, 1.0
-            if eta < lo or eta > hi:
+            if eta < 0.0 or eta > hi:
                 if eta > hi:
                     _log.debug("eta = %r above eta_max = %r: direct Omega_rho/Omega_P path", eta, hi)
                 return direct(eta)
-            i = int((eta - lo) * inv_halfw * 0.5)
+            i = int(eta * inv_halfw * 0.5)
             if i >= n:
                 i = n - 1
             s = (eta - mids[i]) * inv_halfw
@@ -534,7 +505,6 @@ _FERMI_SAMPLES = 80
 def fermi_fit_eos(
     params: FermiEosParams,
     zeta_fit_max: float = 0.75,
-    delta_omega: float = 0.05,
 ) -> EosSpec:
     """EosSpec with gamma = 5/3 and a series Omega fitted to the Fermi fluid.
 
@@ -566,7 +536,6 @@ def fermi_fit_eos(
         A=A,
         gamma=gamma,
         omega=OmegaSeries(tuple(coeffs)),
-        delta_omega=delta_omega,
         c=params.c,
         eta_max=1.25 * u_top / c2,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import Constants
 from .errors import ModelError, TovdsError
-from .model import BoundaryQuantities, SolutionProfile, _one_sided_derivatives, boundary_quantities
+from .model import BoundaryQuantities, SolutionProfile, _one_sided_derivatives
 from .odecore import kappa
 
 __all__ = [
@@ -87,10 +87,10 @@ class MetricPatch:
             self.horizon_pair = horizons(self.bq.m_plus, self.profile.Lambda, self.profile.constants)
 
     @classmethod
-    def from_model(cls, profile: SolutionProfile, bq: BoundaryQuantities | None = None) -> "MetricPatch":
+    def from_model(cls, profile: SolutionProfile, bq: BoundaryQuantities) -> "MetricPatch":
         if profile.vacuum_event() is None:
             raise ModelError("metric patching needs a vacuum-terminated profile", profile=profile)
-        return cls(profile=profile, bq=bq if bq is not None else boundary_quantities(profile))
+        return cls(profile=profile, bq=bq)
 
     @property
     def r_E(self) -> float:

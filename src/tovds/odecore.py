@@ -77,12 +77,11 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 
     The positive part u# = max(u, 0) enters through the powers mu and mu+1,
     both C^1 across u = 0 because mu > 1; Omega_rho and Omega_P are
-    evaluated at the true eta = u/c^2.
+    evaluated at eta = u#/c^2: past the vacuum they multiply 0.
     """
     m, u = y
-    eta = u / k.c2
-    omega_rho, omega_P = eos.omega_rho_P_fast(eta)
     u_pos = u if u > 0.0 else 0.0
+    omega_rho, omega_P = eos.omega_rho_P_fast(u_pos / k.c2)
     rho = eos.A1 * u_pos**eos.mu * omega_rho
     P = eos.p_coeff * u_pos ** (eos.mu + 1.0) * omega_P
     kap = kappa(r, m, Lambda, k)
@@ -95,13 +94,14 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 
 # The scaled right-hand side as statements: dM and dU from R, M and U.  The
 # line OMEGA stands for the EOS fast path's statements (fast_omega_source),
-# which set omega_rho and omega_P from eta; every fast path gives exactly
-# (1.0, 1.0) at eta = 0, so alpha = 0 takes no branch of its own.  The free
-# names are the constants scaled_rhs binds; mu is the EOS's mu, as in the
-# closed form's text.
+# which set omega_rho and omega_P from eta = alpha U#: past the vacuum they
+# multiply U#^mu = 0, and every fast path gives exactly (1.0, 1.0) at eta = 0,
+# so neither U <= 0 nor alpha = 0 takes a branch of its own.  The free names
+# are the constants scaled_rhs binds; mu is the EOS's mu, as in the closed
+# form's text.
 _SCALED = """\
 U_pos = U if U > 0.0 else 0.0
-eta = alpha * U
+eta = alpha * U_pos
 OMEGA
 R3 = R**3
 dM = R * R * U_pos**mu * omega_rho

@@ -22,10 +22,10 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from tovds import integrate as ig
-from tovds.analysis import _LE_CTRL, _sinc_jet, lane_emden_solution
+from tovds.analysis import _sinc_jet, lane_emden_solution
 from tovds.eos import _OFF_DOMAIN, _TAB_DEG, EosSpec
 from tovds.errors import AnalysisError, DomainSignalError, KappaNonPositiveError, RootFindError
-from tovds.model import solve_scaled
+from tovds.model import SOLVE_CTRL, solve_scaled
 from tovds.odecore import (
     _check_kappa,
     kappa,
@@ -123,15 +123,13 @@ def omega_rho_P_fast_reference(eos, eta: float) -> tuple:
         return 1.0, 1.0
     tab = eos._tables
     if tab is None:
-        if eta < -0.98 * eos.delta_omega:
-            return eos.omega_rho_P(eta)
         k = (eos.gamma - 1.0) / eos.gamma
         omu = k * eta / math.expm1(k * eta)
         omega_rho = omu ** (-eos.mu)
         return omega_rho, omega_rho / omu
-    if eta < tab.lo or eta > tab.hi:
+    if eta < 0.0 or eta > tab.hi:
         return eos.omega_rho_P(eta)
-    i = int((eta - tab.lo) * tab.inv_halfw * 0.5)
+    i = int(eta * tab.inv_halfw * 0.5)
     if i >= tab.n:
         i = tab.n - 1
     s = (eta - tab.mids[i]) * tab.inv_halfw
@@ -176,7 +174,7 @@ def rhs_scaled_reference(R: float, y, alpha: float, beta: float, eos) -> tuple:
         omega_rho = 1.0
         omega_P = 1.0
     else:
-        omega_rho, omega_P = eos.omega_rho_P_fast(alpha * U)
+        omega_rho, omega_P = eos.omega_rho_P_fast(alpha * U_pos)
     g = eos.gamma
     R3 = R**3
     dM = R * R * U_pos**eos.mu * omega_rho
@@ -326,7 +324,7 @@ def scaled_limit_convergence(gamma: float, alphas, betas) -> list:
     rows = []
     for alpha in alphas:
         for beta in betas:
-            star = solve_scaled(alpha, beta, eos, ctrl=_LE_CTRL)
+            star = solve_scaled(alpha, beta, eos, ctrl=SOLVE_CTRL)
             R_hi = star.R_plus if star.R_plus is not None else star.dense.x_end
             inside = R_grid <= R_hi
             dist = float(np.max(np.abs(star.dense(R_grid[inside])[:, 1] - U_ref[inside]),

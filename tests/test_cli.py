@@ -96,6 +96,7 @@ def test_solve_artifacts_of_each_tag(tmp_path, cfg, tag, keys):
     else:
         # a rise before the horizon is a diagnostic, not an outcome field
         assert 0.0 < payload["first_rise_r"] < payload["horizon_r"]
+        assert summary[1:] == [f"horizon at r = {payload['horizon_r']!r}"]
         assert not any(line.startswith("first pressure rise") for line in summary)
 
 
@@ -134,6 +135,20 @@ def test_solve_bad_number_exits_2(tmp_path, capsys, change):
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "config"
+
+
+@pytest.mark.parametrize("eos", [
+    dict(M0_CONFIG["eos"], delta_omega=0.1),
+    {"type": "fermi", "K": 1.0, "delta_omega": 0.05},
+], ids=["polytrope", "fermi"])
+def test_eos_margin_below_the_vacuum_exits_2(tmp_path, capsys, eos):
+    # the EOS is evaluated on eta >= 0 only, so no block sets delta_omega
+    cfg = dict(M0_CONFIG, eos=eos)
+    code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err["error"] == "config"
+    assert "delta_omega" in err["message"]
 
 
 def test_unknown_key_exits_2(tmp_path):

@@ -79,11 +79,19 @@ def test_causality_violation_raises():
         eos.validate_range(1e-4, 1.0)
 
 
-def test_zeta_below_margin_raises(eos15):
-    with pytest.raises(EosDomainError):
-        eos15.omega_u(-0.2)
-    with pytest.raises(EosDomainError):
-        eos15.zeta_of_eta(-0.15)
+@pytest.mark.parametrize("eos", [
+    EosSpec(A=1.0, gamma=1.5),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
+    fermi_fit_eos(FermiEosParams(K=1.0)),
+], ids=["polytrope", "series", "fermi_fit"])
+def test_direct_path_refuses_negative_arguments(eos):
+    # the EOS lives on zeta, eta >= 0; each refusal names the value
+    for x in (-5e-324, -1e-9, -0.05, -0.2, math.nan):
+        for method in (eos.omega_u, eos.zeta_of_eta, eos.omega_rho_P):
+            with pytest.raises(EosDomainError, match=f"= {x!r}: the EOS is defined for"):
+                method(x)
+    assert eos.omega_u(0.0) == 1.0 and eos.zeta_of_eta(0.0) == 0.0
+    assert eos.omega_rho_P(0.0) == (1.0, 1.0)
 
 
 def test_omega_series_normalization():
@@ -122,7 +130,7 @@ def test_omega_series_bitwise_equals_numpy_polynomial(tail, zeta):
 
 @pytest.mark.parametrize("eos", [
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
-    fermi_fit_eos(FermiEosParams(K=1.0), delta_omega=0.1),
+    fermi_fit_eos(FermiEosParams(K=1.0)),
     # 1 + zeta Omega = (1 + zeta/2)^2 has a double root at zeta = -2 (nearly
     # double in the second): a closed form for Omega_u that assumes simple
     # roots of 1 + zeta Omega goes wrong here
@@ -130,8 +138,10 @@ def test_omega_series_bitwise_equals_numpy_polynomial(tail, zeta):
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.25 - 1e-13))),
 ], ids=["series", "fermi_fit", "double_root", "near_double_root"])
 def test_omega_u_matches_mpmath_quadrature(eos):
-    for zeta in (-0.09, 1e-5, 1e-3, 0.1, 0.3, 0.7, 2.0):
+    for zeta in (1e-5, 1e-3, 0.1, 0.3, 0.7, 2.0):
         assert eos.omega_u(zeta) == pytest.approx(omega_u_mpmath(eos, zeta), rel=1e-12, abs=0.0)
+    with pytest.raises(EosDomainError, match="zeta = -0.09"):
+        eos.omega_u(-0.09)
 
 
 def test_omega_u_closed_form(eos15):
@@ -184,12 +194,16 @@ def test_omega_rho_P_normalization(eos15):
 def test_zeta_eta_analytic_inversion(eos15):
     # Omega == 1, gamma = 3/2: eta = 3 log(1+zeta)  =>  zeta = e^(eta/3) - 1
     g = eos15.gamma
-    for eta in (1e-8, 1e-3, 0.3, 1.0, 5.0, -0.05):
+    for eta in (1e-8, 1e-3, 0.3, 1.0, 5.0):
         zeta_exact = math.expm1(eta * (g - 1.0) / g)
         assert eos15.zeta_of_eta(eta) == pytest.approx(zeta_exact, rel=1e-10)
         omu = (g - 1.0) / g * eta / zeta_exact
         omega_rho_exact = omu ** (-eos15.mu)
         assert eos15.omega_rho_P(eta)[0] == pytest.approx(omega_rho_exact, rel=1e-10)
+    # the closed form continues below 0, but the EOS does not
+    for method in (eos15.zeta_of_eta, eos15.omega_rho_P):
+        with pytest.raises(EosDomainError, match="eta = -0.05"):
+            method(-0.05)
 
 
 def test_round_trip_density(eos15):
@@ -213,23 +227,24 @@ def test_thermo_state_round_trip(eos15):
 def test_fast_tables_match_direct():
     eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0)
     rng = np.random.default_rng(7)
-    for eta in rng.uniform(-0.09, 3.9, 60):
+    for eta in rng.uniform(0.0, 3.9, 60):
         fr, fP = eos.omega_rho_P_fast(float(eta))
         dr, dP = eos.omega_rho_P(float(eta))
         assert fr == pytest.approx(dr, rel=1e-12)
         assert fP == pytest.approx(dP, rel=1e-12)
-    # outside the table the direct path is used
+    # outside the table the direct path is used: above it the value, below 0
+    # the refusal
     assert eos.omega_rho_P_fast(5.0) == eos.omega_rho_P(5.0)
-    # Omega == 1 takes the closed form on any eta, with no table; eta = 12 lies
-    # past the default eta_max of 8, and below -0.98 delta_omega the direct
-    # path is used.  The bound evaluator keeps the bits of the per-point
-    # reference, which reads every constant at the call
+    for eta in (-1e-9, -0.09):
+        with pytest.raises(EosDomainError, match=f"eta = {eta!r}"):
+            eos.omega_rho_P_fast(eta)
+    # Omega == 1 takes the closed form, with no table; eta = 12 lies past the
+    # default eta_max of 8.  The bound evaluator keeps the bits of the
+    # per-point reference, which reads every constant at the call
     for gamma in (1.3, 1.5, 1.7, 2.0):
         eos = EosSpec(A=1.0, gamma=gamma, c=1.0)
         fast = eos.fast_omega()
-        lo = -0.98 * eos.delta_omega
-        for eta in list(np.linspace(-0.09, 12.0, 41)) + [1e-9, -1e-9, 0.0, math.nextafter(lo, -1.0),
-                                                         -0.099, -0.0999]:
+        for eta in list(np.linspace(0.0, 12.0, 41)) + [1e-9]:
             fr, fP = eos.omega_rho_P_fast(float(eta))
             dr, dP = eos.omega_rho_P(float(eta))
             assert fr == pytest.approx(dr, rel=1e-13, abs=0.0)
@@ -237,28 +252,32 @@ def test_fast_tables_match_direct():
             assert fast(float(eta)) == (fr, fP) == omega_rho_P_fast_reference(eos, float(eta))
         assert eos.omega_rho_P_fast(0.0) == (1.0, 1.0)
         assert eos._tables is None
-        for eta in (-eos.delta_omega, -0.15):
-            with pytest.raises(EosDomainError):
-                eos.omega_rho_P_fast(eta)
+        for eta in (-1e-9, -0.09, -0.15):
+            with pytest.raises(EosDomainError, match=f"eta = {eta!r}"):
+                eos.omega_rho_P(eta)
 
 
 def test_fast_pieces_independent_of_access_order():
     # per EOS, two fresh instances build their own pieces, one forward per
     # point and one backward through one bound evaluator; both keep the bits
     # of the per-point reference, which sums each piece by a Horner loop.
-    # The etas cover every piece and both fallbacks
+    # The etas cover every piece and the fallback above the grid; below it,
+    # at eta < 0, both refuse
     for make in (
         lambda: EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0),
         lambda: fermi_fit_eos(FermiEosParams(K=1.0)),
     ):
         forward, backward = make(), make()
         tab = forward._tables
-        etas = [tab.lo, tab.hi, 0.0, -0.99 * forward.delta_omega, tab.hi + 0.01, tab.hi + 0.5]
-        etas += [float(e) for e in np.random.default_rng(11).uniform(tab.lo, tab.hi, 1200 - len(etas))]
+        etas = [0.0, tab.hi, tab.hi + 0.01, tab.hi + 0.5]
+        etas += [float(e) for e in np.random.default_rng(11).uniform(0.0, tab.hi, 1200 - len(etas))]
         fwd = [forward.omega_rho_P_fast(e) for e in etas]
         fast = backward.fast_omega()
         bwd = [fast(e) for e in reversed(etas)][::-1]
         assert fwd == bwd == [omega_rho_P_fast_reference(forward, e) for e in etas]
+        for evaluate in (forward.omega_rho_P_fast, fast):
+            with pytest.raises(EosDomainError, match="eta = -0.01"):
+                evaluate(-0.01)
         assert forward._tables.pieces == backward._tables.pieces
         # one query fits one piece
         one = make()
@@ -400,7 +419,11 @@ def test_fermi_fit_quadrature_consistency():
 def test_eos_spec_rejects_bad_field(field, value):
     kwargs = dict(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)))
     kwargs[field] = value
-    with pytest.raises(NonPhysicalEosError, match=f"^{field} must be finite and positive"):
+    # delta_omega is no field at all: the EOS is never evaluated below eta = 0
+    error, match = ((TypeError, "unexpected keyword argument 'delta_omega'")
+                    if field == "delta_omega" else
+                    (NonPhysicalEosError, f"^{field} must be finite and positive"))
+    with pytest.raises(error, match=match):
         EosSpec(**kwargs)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from tovds.constants import Constants
 from tovds.eos import EosSpec
-from tovds.errors import TovdsError
+from tovds.errors import ModelError
 from tovds.integrate import DenseSolution
 from tovds.metric import (
     BeyondHorizonError,
@@ -198,8 +198,8 @@ def test_patch_requires_vacuum_termination():
     L = 8 * math.pi * GEOM.G * rho_c / GEOM.c2 + Lam
     profile, outcome = solve_star(ModelInput(
         eos=eos, Lambda=Lam, constants=GEOM, rho_c=rho_c, r_max=0.9 * math.sqrt(3 / L)))
-    with pytest.raises(TovdsError):
-        MetricPatch.from_model(profile)
+    with pytest.raises(ModelError, match="vacuum-terminated"):
+        MetricPatch.from_model(profile, outcome.boundary)
 
 
 def test_mtilde_c2_profile(patch_m0):

@@ -107,10 +107,10 @@ def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
 
 
 SERIES_EOS = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
-# delta_omega = 0.004 puts -0.98 delta_omega within reach of alpha U past the
-# vacuum boundary: integrated to R = 15.5 without the vacuum guard, six
-# stages take the direct path, and to R = 16 one leaves the EOS domain
-NARROW_EOS = EosSpec(A=1.0, gamma=1.5, delta_omega=0.004)
+# 1 + zeta Omega(zeta) of SERIES_EOS reaches 0 near eta = 4.228.  At
+# alpha = 4.15, beta = 60 the germ's U rises from 1, and a stage of the loop
+# meets that edge before the horizon: the direct path raises EosDomainError
+EDGE_STAR = (4.15, 60.0)
 
 
 def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded):
@@ -146,13 +146,14 @@ def _solution_bits(run):
     (0.0, 0.01, "polytrope", 50.0, True, "alpha = 0"),
     (0.05, 1e-3, "series", 50.0, True, "series Omega"),
     (0.3, 0.1, "series", 50.0, True, "series Omega, HorizonDegenerate"),
-    (0.01, 0.0, "narrow", 15.5, False, "direct path below -0.98 delta_omega"),
-    (0.01, 0.0, "narrow", 16.0, False, "EosDomainError out of a stage"),
+    (0.01, 0.0, "polytrope", 16.0, False, "past the vacuum, at eta = 0"),
+    (0.01, 0.0, "series", 16.0, False, "series Omega past the vacuum, at eta = 0"),
+    (*EDGE_STAR, "series", 2.0, False, "EosDomainError out of a stage"),
 ])
 def test_fused_stages_match_the_called_right_hand_side(alpha, beta, eos, R_max, guarded, what):
     # the step loop with the right-hand side written into its stages gives
     # the bits, counts and outcome of the loop that calls it
-    eos = {"polytrope": EosSpec(A=1.0, gamma=1.5), "series": SERIES_EOS, "narrow": NARROW_EOS}[eos]
+    eos = {"polytrope": EosSpec(A=1.0, gamma=1.5), "series": SERIES_EOS}[eos]
     f = odecore.scaled_rhs(alpha, beta, eos)
     fused = _solution_bits(lambda: _scaled_solve(f, alpha, beta, eos, R_max, guarded))
     called = _solution_bits(lambda: _scaled_solve(lambda R, y: f(R, y), alpha, beta, eos,
@@ -167,12 +168,12 @@ def test_fused_stages_match_the_called_right_hand_side(alpha, beta, eos, R_max, 
 def test_fused_stage_error_shows_its_line(monkeypatch):
     # the direct path's EosDomainError is not a DomainSignalError: it leaves
     # the loop, and the traceback shows the loop's stage line
-    f = odecore.scaled_rhs(0.01, 0.0, NARROW_EOS)
-    with pytest.raises(EosDomainError) as info:
-        _scaled_solve(f, 0.01, 0.0, NARROW_EOS, 16.0, False)
+    f = odecore.scaled_rhs(*EDGE_STAR, SERIES_EOS)
+    with pytest.raises(EosDomainError, match="1 \\+ zeta\\*Omega") as info:
+        _scaled_solve(f, *EDGE_STAR, SERIES_EOS, 2.0, False)
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "<dp5 loop, dim 2, scaled, closed-form Omega>"' in text
-    assert "omega_rho, omega_P = direct(eta)" in text
+    assert 'File "<dp5 loop, dim 2, scaled, table Omega>"' in text
+    assert "omega_rho, omega_P = omega_table(eta)" in text
 
 
 def outcome_radius(outcome):

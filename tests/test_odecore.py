@@ -4,17 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tovds.constants import Constants
-from tovds.eos import EosSpec, OmegaSeries
+from tovds.eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
 from tovds.errors import KappaNonPositiveError
 from tovds.integrate import StepControl, integrate_adaptive
 from tovds.odecore import (
     ScalingParams,
     center_germ_scaled,
     kappa,
+    kappa_scaled,
     q_factor,
     rhs_lane_emden,
     rhs_scaled,
@@ -179,6 +180,35 @@ def test_scaled_rhs_matches_reference_on_random_points():
             beta, M = (0.0, 0.0) if k % 2 else (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5))
             want = _outcome(rhs_scaled_reference, R, [M, U], alpha, beta, eos)
             assert _outcome(scaled_rhs(alpha, beta, eos), R, [M, U]) == want
+
+
+# one gamma, so that only Omega differs; the Fermi fit's Omega meets no domain
+# edge on [0, eta_max], the series' one near eta = 4.228
+PAST_VACUUM_EOS = (
+    EosSpec(A=0.2, gamma=5.0 / 3.0),
+    EosSpec(A=0.2, gamma=5.0 / 3.0, omega=OmegaSeries((1.0, 0.3, -0.1))),
+    fermi_fit_eos(FermiEosParams(K=1.0)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    alpha=st.one_of(st.just(0.0), st.floats(1e-4, 1.0)),
+    beta=st.one_of(st.just(0.0), st.floats(1e-4, 5.0)),
+    R=st.floats(1e-6, 50.0),
+    M=st.floats(0.0, 3.0),
+    U=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-2.0, 0.0)),
+)
+@example(alpha=1.0, beta=0.0, R=1.0, M=0.1, U=-0.1)
+@example(alpha=0.5, beta=1e-3, R=20.0, M=2.0, U=-1.5)
+def test_scaled_rhs_past_the_vacuum_does_not_ask_the_eos(alpha, beta, R, M, U):
+    # at U <= 0 Omega enters only times U#^mu = 0 and eta = alpha U# = 0, so
+    # every Omega gives the bits of the vacuum slopes and none raises
+    kap = kappa_scaled(R, M, alpha, beta)
+    assume(kap > 0.0)
+    vacuum = (0.0, -(M - beta * R**3 / 3.0) / (R * R * kap))
+    for eos in PAST_VACUUM_EOS:
+        assert scaled_rhs(alpha, beta, eos)(R, [M, U]) == vacuum
 
 
 def test_scaled_rhs_kappa_nonpositive_raises(eos15):
