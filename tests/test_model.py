@@ -165,7 +165,7 @@ def test_fused_stages_match_the_called_right_hand_side(alpha, beta, eos, R_max, 
         assert fused[4] in ("event", "completed")
 
 
-def test_fused_stage_error_shows_its_line(monkeypatch):
+def test_fused_stage_error_shows_its_line():
     # the direct path's EosDomainError is not a DomainSignalError: it leaves
     # the loop, and the traceback shows the loop's stage line
     f = odecore.scaled_rhs(*EDGE_STAR, SERIES_EOS)
