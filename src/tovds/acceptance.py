@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as sp_integrate
+from numpy.polynomial.legendre import leggauss
 
 from .analysis import (
     boundary_exponent_fit,
@@ -290,12 +290,16 @@ def _eos_self_consistency(ctx) -> tuple:
             eos.A * float(rho) ** (eos.gamma - 1.0) / eos.c2)
         u_quad = eos.u_of_density(float(rho))
         worst_u = max(worst_u, abs(u_quad - u_closed) / u_closed)
+    # reference: the 40-point Gauss-Legendre rule on [0, z]; both integrands
+    # are analytic there, with branch points at q = +-i, so the rule's
+    # truncation error lies far below rounding
+    nodes, weights = leggauss(40)
     worst_fermi = 0.0
     for z in (0.5, 1.0, 2.0):
-        qP = sp_integrate.quad(lambda q: q**4 / math.sqrt(1.0 + q * q), 0.0, z,
-                               epsabs=1e-15, epsrel=1e-13)[0]
-        qR = sp_integrate.quad(lambda q: math.sqrt(1.0 + q * q) * q * q, 0.0, z,
-                               epsabs=1e-15, epsrel=1e-13)[0]
+        q = 0.5 * z * (nodes + 1.0)
+        root = np.sqrt(1.0 + q * q)
+        qP = 0.5 * z * float(weights @ (q**4 / root))
+        qR = 0.5 * z * float(weights @ (root * q * q))
         worst_fermi = max(worst_fermi,
                           abs(_fermi_pressure_dimless(z) - qP) / qP,
                           abs(_fermi_density_dimless(z) - qR) / qR)

@@ -10,13 +10,15 @@ boundary.  Three derived correction functions express the state through u:
     rho = A1 * u^(1/(gamma-1))     * Omega_rho(eta),   eta = u / c^2
     P   = A A1^gamma * u^(gamma/(gamma-1)) * Omega_P(eta)
 
-with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u is a quadrature of
-Omega; Omega_rho and Omega_P need the inverse map eta -> zeta, obtained by a
-bracketed Newton search.  All three equal 1 at argument 0, and every path
-gives (Omega_rho, Omega_P) = (1.0, 1.0) exactly at eta = 0.  A series Omega
-and its first two derivatives are evaluated by Horner on Python floats, in
-numpy.polynomial's polyval operation order, so the values are bit-identical
-to polyval's while each quadrature node costs no numpy call.
+with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u(zeta) is the mean
+over [0, zeta] of w = [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega),
+computed by an adaptive Gauss-Legendre rule (_mean) that evaluates w on all
+nodes of a level at once; Omega_rho and Omega_P need the inverse map
+eta -> zeta, obtained by a bracketed Newton search.  All three equal 1 at
+argument 0, and every path gives (Omega_rho, Omega_P) = (1.0, 1.0) exactly at
+eta = 0.  A series Omega and its derivative are evaluated by Horner, on a
+float or elementwise on an array, in numpy.polynomial's polyval operation
+order, so the values are bit-identical to polyval's.
 
 That direct path is slow, so ODE right-hand sides bind the fast path once per
 solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
@@ -43,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import integrate as _quadlib
+from numpy.polynomial.legendre import leggauss
 
 from . import codegen
 from .errors import EosDomainError, NonPhysicalEosError, QuadratureError, RootFindError
@@ -65,10 +67,13 @@ def _polyder(c: tuple) -> tuple:
 
 
 def _horner(c: tuple, z: float) -> float:
-    """sum_k c[k] z^k in numpy.polynomial's polyval operation order, on floats."""
+    """sum_k c[k] z^k in numpy.polynomial's polyval operation order, on a float
+    or elementwise on an array."""
     v = c[-1] + z * 0.0
     for ck in c[-2::-1]:
-        v = ck + v * z
+        # in place on an array: v is this function's own
+        v *= z
+        v += ck
     return v
 
 
@@ -86,15 +91,11 @@ class OmegaSeries:
         if not self.coeffs or abs(self.coeffs[0] - 1.0) > 1e-12:
             raise NonPhysicalEosError("OmegaSeries requires coeffs[0] == 1 (Omega(0) = 1)")
 
-    # derivative coefficients, cached on first use; not dataclass fields, so
+    # derivative coefficients, cached on first use; not a dataclass field, so
     # ==, hash and repr still see coeffs alone
     @cached_property
     def _d1(self) -> tuple:
         return _polyder(self.coeffs)
-
-    @cached_property
-    def _d2(self) -> tuple:
-        return _polyder(self._d1)
 
     def value(self, zeta: float) -> float:
         return _horner(self.coeffs, zeta)
@@ -102,18 +103,63 @@ class OmegaSeries:
     def deriv(self, zeta: float) -> float:
         return _horner(self._d1, zeta)
 
-    def deriv2(self, zeta: float) -> float:
-        return _horner(self._d2, zeta)
+
+def _gauss_legendre(n: int) -> tuple:
+    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    x, w = leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _quad(f, a: float, b: float) -> float:
-    out = _quadlib.quad(f, a, b, epsabs=1e-12, epsrel=1e-10, limit=200, full_output=1)
-    if len(out) >= 4:
-        raise QuadratureError(
-            f"quadrature over [{a:g}, {b:g}] did not converge; "
-            f"achieved error estimate {out[1]:.3e}"
-        )
-    return out[0]
+# _mean's rule pair: the 21-point rule gives a panel's mean and the 10-point
+# rule's distance from it that mean's error estimate, a large overestimate for
+# an analytic integrand (21 points integrate degree 41 exactly, 10 degree 19).
+# Both rules' nodes in one row; column 0 of _GL_WEIGHTS weighs them for the
+# 21-point mean, column 1 for the 10-point mean.
+_GL21_NODES, _GL21_WEIGHTS = _gauss_legendre(21)
+_GL10_NODES, _GL10_WEIGHTS = _gauss_legendre(10)
+_GL_NODES = np.concatenate((_GL21_NODES, _GL10_NODES))
+_GL_WEIGHTS = np.zeros((31, 2))
+_GL_WEIGHTS[:21, 0] = _GL21_WEIGHTS
+_GL_WEIGHTS[21:, 1] = _GL10_WEIGHTS
+_QUAD_RTOL = 1e-10
+_QUAD_PANELS = 400
+
+
+def _mean(f, b: float) -> float:
+    """(1 / b) int_0^b f, b > 0, by adaptive Gauss-Legendre quadrature.
+
+    f maps an array of abscissae to the array of its values.  Each level
+    evaluates every open panel at the nodes of both rules in one call of f;
+    a panel closes when its two means differ by at most _QUAD_RTOL times the
+    current mean over [0, b], and every other panel is halved.  Panels are
+    kept as fractions of [0, b], so their weights are exact powers of 2 and
+    nothing is divided by b, however small it is.  QuadratureError when
+    more than _QUAD_PANELS panels would be needed.
+    """
+    lo = np.zeros(1)  # left ends of the open panels, as fractions of [0, b]
+    width = 1.0
+    total = 0.0
+    evaluated = 1
+    x = b * _GL_NODES[None, :]
+    while True:
+        means = f(x) @ _GL_WEIGHTS
+        m21 = means[:, 0]
+        err = np.abs(m21 - means[:, 1])
+        done = err <= _QUAD_RTOL * abs(total + width * m21.sum())
+        total += width * m21[done].sum()
+        if done.all():
+            return float(total)
+        open_err = width * err[~done].sum()
+        width *= 0.5
+        lo = lo[~done]
+        lo = np.concatenate((lo, lo + width))
+        evaluated += lo.size
+        if evaluated > _QUAD_PANELS:
+            raise QuadratureError(
+                f"quadrature over [0, {b:g}] did not converge in {_QUAD_PANELS} panels; "
+                f"error estimate of the mean {open_err:.3e}"
+            )
+        x = b * (lo[:, None] + width * _GL_NODES)
 
 
 # Sub-interval tables for the fast Omega_rho / Omega_P path: degree per piece
@@ -132,7 +178,7 @@ _OFF_DOMAIN = object()
 # compiles them into a function, and odecore splices them into the
 # integrator's stages, so both run this one text.
 _CLOSED_FORM = """\
-if eta == 0.0:
+if k * eta == 0.0:
     omega_rho = omega_P = 1.0
 else:
     omu = k * eta / expm1(k * eta)
@@ -249,27 +295,26 @@ class EosSpec:
 
     # -- the enthalpy transform ---------------------------------------------
 
-    def _w(self, zp: float) -> float:
-        """Integrand of Omega_u: [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega)."""
+    def _w(self, zp):
+        """Integrand of Omega_u: [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega),
+        at a float or elementwise on an array."""
         om = self.omega.value(zp)
         den = 1.0 + zp * om
-        if den <= 0.0:
-            raise EosDomainError(f"1 + zeta*Omega(zeta) <= 0 at zeta = {zp:g}")
+        bad = den <= 0.0
+        if np.any(bad):
+            first = np.min(zp, where=bad, initial=np.inf)
+            raise EosDomainError(f"1 + zeta*Omega(zeta) <= 0 at zeta = {first:g}")
         num = om + (self.gamma - 1.0) / self.gamma * zp * self.omega.deriv(zp)
         return num / den
 
     def omega_u(self, zeta: float) -> float:
-        """Omega_u(zeta) = (1/zeta) int_0^zeta w; removable singularity at 0."""
+        """Omega_u(zeta) = (1/zeta) int_0^zeta w, the mean of w over [0, zeta];
+        the removable singularity at 0 takes its limit, 1."""
         if not zeta >= 0.0:
             raise EosDomainError(f"zeta = {zeta!r}: the EOS is defined for zeta >= 0 only")
-        if zeta < 1e-6:
-            # series around 0 avoids the 0/0; w'(0), w''(0) from Omega's jet
-            d1 = self.omega.deriv(0.0)
-            d2 = self.omega.deriv2(0.0)
-            w1 = (2.0 - 1.0 / self.gamma) * d1 - 1.0
-            w2 = (3.0 - 2.0 / self.gamma) * d2 - (6.0 - 2.0 / self.gamma) * d1 + 2.0
-            return 1.0 + 0.5 * w1 * zeta + w2 * zeta * zeta / 6.0
-        return _quad(self._w, 0.0, zeta) / zeta
+        if zeta == 0.0:
+            return 1.0
+        return _mean(self._w, zeta)
 
     def u_of_density(self, rho: float) -> float:
         """Enthalpy u(rho) through the closed transform; u(0) = 0."""
@@ -318,7 +363,7 @@ class EosSpec:
             z_new = z - f / slope if slope > 0.0 else 0.5 * (lo + hi)
             if not (lo < z_new < hi):
                 z_new = 0.5 * (lo + hi)
-            if abs(z_new - z) <= 1e-15 * max(abs(z_new), 1e-30):
+            if abs(z_new - z) <= 1e-15 * z_new:
                 return z_new
             z = z_new
         raise RootFindError(

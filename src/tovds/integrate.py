@@ -2,10 +2,10 @@
 
 Dormand-Prince pair, FSAL, with the standard quartic free interpolant
 (Hairer, Norsett & Wanner, Solving ODEs I, II.4-II.6).  Event guards are
-root-located on the interpolant by a safeguarded bisection/secant hybrid
-(scipy brentq), and a terminal event truncates the solution at the located
-abscissa.  Everything is deterministic: identical inputs give
-bitwise-identical trajectories within one build.
+root-located on the interpolant by Brent's method (brentq, a safeguarded
+bisection/secant/inverse-quadratic hybrid), and a terminal event truncates
+the solution at the located abscissa.  Everything is deterministic:
+identical inputs give bitwise-identical trajectories within one build.
 
 The right-hand side receives the state as a list of floats and may return
 any sequence of floats; it may raise DomainSignalError to have the step
@@ -38,10 +38,9 @@ from dataclasses import dataclass, field
 from math import isfinite, sqrt  # for the generated loop
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import codegen
-from .errors import DomainSignalError
+from .errors import DomainSignalError, RootFindError
 
 __all__ = [
     "StepControl",
@@ -455,6 +454,65 @@ def _initial_step(rhs, x0, y0, f0, rtol, atol, h_max):
     return min(100.0 * h0, h1, h_max)
 
 
+def brentq(f, xa, xb, xtol, rtol, maxiter):
+    """Root of f in [xa, xb] by Brent's method: (root, calls).
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4, in
+    the form of scipy's brentq.c, statement for statement, so that it takes
+    the same steps and returns the same bits; calls counts the evaluations
+    of f, both ends included.  f(xa) and f(xb) must differ in sign.
+    """
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    calls = 2
+    if fpre != fpre or fcur != fcur:
+        raise RootFindError(f"brentq: f is NaN at an end of [{xa:g}, {xb:g}]")
+    if fpre == 0.0:
+        return xpre, calls
+    if fcur == 0.0:
+        return xcur, calls
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise RootFindError(f"brentq: f has the same sign at both ends of [{xa:g}, {xb:g}]")
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = f(xcur)
+        calls += 1
+        if fcur != fcur:
+            raise RootFindError(f"brentq: f is NaN at x = {xcur!r}")
+    raise RootFindError(f"brentq: no convergence in {maxiter} iterations; last x = {xcur!r}")
+
+
 def _locate_in_step(sol_eval, guard, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
     """Refine a sign change of guard on one interpolant segment.
 
@@ -471,9 +529,8 @@ def _locate_in_step(sol_eval, guard, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
         y = sol_eval(x)
         return guard(x, y) if rhs is None else guard(x, y, rhs(x, y))
 
-    x, info = brentq(g, x_lo, x_hi, xtol=root_tol, rtol=_BRENT_RTOL, maxiter=_EVENT_MAXITER,
-                     full_output=True)
-    return x, 0 if rhs is None else info.function_calls
+    x, calls = brentq(g, x_lo, x_hi, root_tol, _BRENT_RTOL, _EVENT_MAXITER)
+    return x, 0 if rhs is None else calls
 
 
 def _step_interpolant(x0, y0, h, q, x1, y1):

@@ -3,9 +3,14 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tovds
 from tovds import cli
 from tovds.cli import main
 
@@ -352,3 +357,37 @@ def test_every_option_is_read(tmp_path, argv, cfg):
     assert cli._COMMANDS[argv[0]](args) == 0
     parsed = set(vars(args)) - {"command"}
     assert parsed - reads == set()
+
+
+# Run in a fresh interpreter, where the test oracles have not imported scipy:
+# after each step it prints the scipy modules loaded so far.
+_LOADED_SCIPY = """
+import json, sys
+from tovds.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+loaded = {"import": scipy_modules()}
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded[argv[0]] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    # a series Omega takes the quadrature and the direct inversion, and its
+    # vacuum event the root search: the paths that used scipy
+    series = dict(M0_CONFIG, eos={"type": "polytrope", "A": 1.0, "gamma": 1.5,
+                                  "omega_coeffs": [1.0, 0.3, -0.1]})
+    runs = [["solve", "--config", write_config(tmp_path, series), "--out", str(tmp_path / "s")],
+            ["verify", "--out", str(tmp_path / "v")]]
+    env = dict(os.environ, PYTHONPATH=str(Path(tovds.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, json.dumps(runs)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout.splitlines()[-1])
+    assert loaded == {"import": [], "solve": [], "verify": []}
+    outcome = json.loads((tmp_path / "s" / "outcome.json").read_text())
+    assert outcome["tag"] == "MonotoneShort"

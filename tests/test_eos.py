@@ -15,10 +15,11 @@ from tovds.eos import (
     OmegaSeries,
     _fermi_density_dimless,
     _fermi_pressure_dimless,
+    _mean,
     fermi_eos,
     fermi_fit_eos,
 )
-from tovds.errors import EosDomainError, NonPhysicalEosError
+from tovds.errors import EosDomainError, NonPhysicalEosError, QuadratureError
 
 from oracles import (
     density_of_pressure,
@@ -64,7 +65,7 @@ def test_pure_polytrope_is_the_one_term_series():
     assert EosSpec(A=1.0, gamma=1.5).omega == one
     for z in (0.0, -0.0, 1e-300, -0.05, 0.3, 7.5):
         assert one.value(z) == 1.0
-        assert one.deriv(z) == 0.0 and one.deriv2(z) == 0.0
+        assert one.deriv(z) == 0.0
     assert EosSpec(A=1.0, gamma=1.5)._tables is None
     assert EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.0)))._tables is not None
 
@@ -100,7 +101,6 @@ def test_omega_series_normalization():
     om = OmegaSeries((1.0, -0.5, 0.25))
     assert om.value(0.0) == 1.0
     assert om.deriv(0.0) == -0.5
-    assert om.deriv2(0.0) == 0.5
 
 
 @pytest.mark.parametrize("coeffs", [(math.nan,), (1.0, math.nan), (1.0, math.inf)],
@@ -123,7 +123,7 @@ def test_omega_series_rejects_non_finite_coefficients(coeffs):
 def test_omega_series_bitwise_equals_numpy_polynomial(tail, zeta):
     coeffs = (1.0, *tail)
     om = OmegaSeries(coeffs)
-    for order, got in enumerate((om.value(zeta), om.deriv(zeta), om.deriv2(zeta))):
+    for order, got in enumerate((om.value(zeta), om.deriv(zeta))):
         want = omega_series_numpy(coeffs, zeta, order)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
@@ -142,6 +142,12 @@ def test_omega_u_matches_mpmath_quadrature(eos):
         assert eos.omega_u(zeta) == pytest.approx(omega_u_mpmath(eos, zeta), rel=1e-12, abs=0.0)
     with pytest.raises(EosDomainError, match="zeta = -0.09"):
         eos.omega_u(-0.09)
+
+
+def test_quadrature_that_cannot_converge_raises_a_typed_error():
+    # a non-integrable pole keeps the panels around it open at every level
+    with pytest.raises(QuadratureError, match="did not converge in 400 panels"):
+        _mean(lambda x: 1.0 / np.abs(x - 1.0 / 3.0), 1.0)
 
 
 def test_omega_u_closed_form(eos15):
@@ -189,6 +195,18 @@ def test_u_strictly_increasing(eos15):
 
 def test_omega_rho_P_normalization(eos15):
     assert eos15.omega_rho_P(0.0) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [1.3, 1.5, 2.0])
+def test_tiny_eta_gives_the_eta0_limit(gamma):
+    # where k eta rounds to 0 the closed form takes its eta = 0 value instead of
+    # dividing by zero; the direct path converges to zeta, not to a bisection
+    # midpoint, however far below 1 zeta lies
+    eos = EosSpec(A=1.0, gamma=gamma)
+    for eta in (5e-324, 1e-320, 1e-300, 1e-40):
+        assert eos.omega_rho_P_fast(eta) == (1.0, 1.0)
+    for eta in (1e-300, 1e-40):
+        assert eos.omega_rho_P(eta) == pytest.approx((1.0, 1.0), rel=1e-14, abs=0.0)
 
 
 def test_zeta_eta_analytic_inversion(eos15):

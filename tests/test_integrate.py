@@ -12,7 +12,7 @@ from scipy.optimize import brentq
 
 from tovds import codegen, integrate
 from tovds.eos import EosSpec, OmegaSeries
-from tovds.errors import DomainSignalError
+from tovds.errors import DomainSignalError, RootFindError
 from tovds.integrate import (
     DenseSolution,
     EventSpec,
@@ -95,6 +95,43 @@ def test_event_direction_filter():
     )
     assert sol.status == "event"
     assert abs(sol.x_end - 2.0 * math.pi) < 1e-9
+
+
+# guards with a simple zero at c, from flat to steep, and one whose tails are linear
+BRENT_FUNCTIONS = (
+    lambda x, c: (x - c) ** 3,
+    lambda x, c: (x - c) ** 5,
+    lambda x, c: math.tanh(x - c) + 1e-3 * (x - c) ** 3,
+    lambda x, c: math.expm1(x - c),
+    lambda x, c: math.sin(x - c) if abs(x - c) < 3.0 else x - c,
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    kind=st.integers(0, len(BRENT_FUNCTIONS) - 1),
+    c=st.floats(-3.0, 3.0),
+    left=st.floats(1e-9, 5.0),
+    right=st.floats(1e-9, 5.0),
+    xtol=st.sampled_from([1e-14, 1e-12, 2e-12, 1e-6]),
+    maxiter=st.sampled_from([4, 80]),
+)
+def test_brentq_matches_scipy(kind, c, left, right, xtol, maxiter):
+    # integrate.brentq takes scipy's steps: the same root bits and the same
+    # number of calls, or it fails to converge where scipy does
+    def f(x):
+        return BRENT_FUNCTIONS[kind](x, c)
+
+    a, b = c - left, c + right
+    rtol = 4.0 * math.ulp(1.0)
+    try:
+        want, info = brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter, full_output=True)
+    except RuntimeError:
+        with pytest.raises(RootFindError, match="no convergence"):
+            integrate.brentq(f, a, b, xtol, rtol, maxiter)
+        return
+    got, calls = integrate.brentq(f, a, b, xtol, rtol, maxiter)
+    assert got == want and calls == info.function_calls
 
 
 def test_locate_event_linear_guard():

@@ -384,6 +384,15 @@ def test_nonmonotone_near_gamma2(eos15):
     assert star.first_rise_R is not None and star.first_rise_R > math.pi
 
 
+def test_subnormal_alpha_is_the_alpha0_star():
+    # at alpha = 5e-324 the closed-form Omega sees k eta round to 0; it must take
+    # its eta = 0 value, not divide by zero, and give the alpha = 0 star
+    eos = EosSpec(A=1.0, gamma=1.5)
+    tiny, limit = solve_scaled(5e-324, 0.01, eos), solve_scaled(0.0, 0.01, eos)
+    assert tiny.kind == limit.kind == MONOTONE_SHORT
+    assert (tiny.R_plus, tiny.M_plus) == (limit.R_plus, limit.M_plus)
+
+
 def test_initial_rise_recorded():
     # beta well above the germ coefficient: pressure rises from the center;
     # at the germ radius 1e-6 the rise dU/dR ~ (beta - 1) R/3 clears the
