@@ -48,6 +48,7 @@ __all__ = [
     "DenseSolution",
     "Stage",
     "stage_rhs",
+    "stage_guard",
     "integrate_adaptive",
 ]
 
@@ -239,17 +240,61 @@ def stage_rhs(stage: Stage, values: dict):
     return rhs
 
 
+def stage_guard(rhs, expr: str, values: dict):
+    """The event guard (x, y) -> expr over the names of rhs's stage, or
+    (x, y, dy) -> expr when expr reads a slope name; rhs is a function that
+    stage_rhs made, and the guard's other free names are those of values.
+
+    expr sees the stage's abscissa, state and slope names and its
+    constants, bound to rhs's values, and the names of values, bound to
+    them.  When a solve integrates rhs itself, integrate_adaptive writes
+    expr into its step loop's guard block, where it reads the step end's
+    state and FSAL slope; everywhere else, and to refine a crossing, the
+    function runs and gives the same bits.  The values stay bound
+    constants, never text, so a new set of values compiles nothing.
+    """
+    stage = rhs.stage
+    names = _names(compile(expr, f"<guard: {expr}>", "eval"))
+    stage_names = {stage.x, *stage.y, *stage.dy, *stage.consts}
+    unknown = names - stage_names - values.keys()
+    if unknown:
+        raise ValueError(f"guard {expr!r} uses names that are not its stage's or its own: "
+                         f"{sorted(unknown)}")
+    if stage_names & values.keys():
+        raise ValueError(f"guard {expr!r} binds names of its stage: "
+                         f"{sorted(stage_names & values.keys())}")
+    slope = bool(names & set(stage.dy))
+    params = f"{stage.x}, y, dy" if slope else f"{stage.x}, y"
+    body = f"{', '.join(stage.y)}, = y\n"
+    if slope:
+        body += f"{', '.join(stage.dy)}, = dy\n"
+    guard = codegen.closure_factory(f"<guard: {stage.name}: {expr}>", params, body, expr,
+                                    stage.consts + tuple(values))(**rhs.values, **values)
+    guard.rhs, guard.expr, guard.values, guard.slope = rhs, expr, values, slope
+    return guard
+
+
 # The adaptive DP5 loop, written out per state component.  In the template,
 # `expr` stands for expr once per component, with @ replaced by the component
 # index, joined by ", " (or by " + " when the closing backtick is followed by
 # +).  Each `kN = STAGE(x, y...)` line is one right-hand side evaluation:
 # for a plain callable it calls rhs(x, [y...]), for a Stage it runs the
 # stage's body on x and y and names its slopes kN_@.  FSAL is the step-end
-# slope as the right-hand side returned it, and CONSTS the stage's constants,
-# which make binds once per solve.  _loop generates the loop once per
-# dimension and stage.  Every component is computed by the same expression,
-# term by term in the tableau's order, so the bits do not depend on the
-# dimension or on whether the stage is inlined.
+# slope as the right-hand side returned it, and CONSTS the stage's and the
+# written-in guards' constants, which make binds once per solve.  The
+# tableau's _A, _B, _C, _D and _E constants are written in as literals.
+# _loop generates the loop once per dimension, stage and set of written-in
+# guards.  Every component is computed by the same expression, term by term
+# in the tableau's order, so the bits do not depend on the dimension or on
+# whether the stage is inlined.
+#
+# An accepted step stores its node, its state and the six slopes k1, k3 ... k7
+# its interpolant is made of; integrate_adaptive forms the interpolants from
+# them once, when the run ends.  The guard block tests every guard at the
+# step end: GUARD_TEXT stands for the guards written in as text (_guard_text),
+# each a local g_prev, and the called guards follow in a loop.  Only on a
+# step where a guard changes sign are the interpolant's coefficients formed,
+# here on floats, and the crossings located.
 #
 # loop(...) -> (status, message, failure, x_end, y_end, n_rhs, n_rejected),
 # x_end and y_end None for the last node.  n_rhs counts a right-hand side
@@ -260,11 +305,12 @@ def stage_rhs(stage: Stage, values: dict):
 _LOOP = """\
 def make(CONSTS):
     def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, guards, g_prev, events,
-             xs, ys, coef, found, n_rhs):
+             xs, ys, slopes, found, n_rhs):
         `y@`, = y
         `k1_@`, = k1
+        GUARD_INIT
         # array.fromlist takes a list far faster than extend takes any sequence
-        add_node, add_state, add_coef = xs.append, ys.fromlist, coef.fromlist
+        add_node, add_state, add_slopes = xs.append, ys.fromlist, slopes.fromlist
         n_rejected = attempts = 0
         rejected = False
         while x < x1:
@@ -322,38 +368,33 @@ def make(CONSTS):
                         rejected = False
                     x_new = x + h
                     y_new = [`yn@`]
-                    q = [`
-                        k1_@,
-                        _D11 * k1_@ + _D13 * k3_@ + _D14 * k4_@ + _D15 * k5_@ + _D16 * k6_@ + _D17 * k7_@,
-                        _D21 * k1_@ + _D23 * k3_@ + _D24 * k4_@ + _D25 * k5_@ + _D26 * k6_@ + _D27 * k7_@,
-                        _D31 * k1_@ + _D33 * k3_@ + _D34 * k4_@ + _D35 * k5_@ + _D36 * k6_@ + _D37 * k7_@`]
                     add_node(x_new)
                     add_state(y_new)
-                    add_coef(q)
+                    add_slopes([`k1_@, k3_@, k4_@, k5_@, k6_@, k7_@`])
 
                     # event guards: a sign change between the step's ends is
                     # refined on the step's interpolant
+                    hit = []  # (index, value at x, value at x_new)
+                    GUARD_TEXT
                     if guards:
-                        hit = []  # (x_event, index)
-                        step_eval = None
-                        for idx, (guard, falling, rising, slope) in enumerate(guards):
+                        for idx, guard, falling, rising, slope in guards:
                             g0 = g_prev[idx]
                             g1 = g_prev[idx] = float(guard(x_new, y_new, FSAL) if slope
                                                      else guard(x_new, y_new))
                             if (falling and g0 > 0.0 >= g1) or (rising and g0 < 0.0 <= g1):
-                                if step_eval is None:
-                                    step_eval = _step_interpolant(x, [`y@`], h, q, x_new, y_new)
-                                x_ev, calls = _locate_in_step(step_eval, guard, rhs if slope else None,
-                                                              x, x_new, g0, g1, events[idx].root_tol)
-                                n_rhs += calls
-                                hit.append((x_ev, idx))
-                        if hit:
-                            hit.sort()
-                            for x_ev, idx in hit:
-                                found.append((x_ev, step_eval(x_ev), idx))
-                                if events[idx].terminal:
-                                    return ("event", f"terminal event at x = {x_ev:g}", None,
-                                            x_ev, step_eval(x_ev), n_rhs, n_rejected)
+                                hit.append((idx, g0, g1))
+                    if hit:
+                        step_eval = _step_interpolant(x, [`y@`], h, [`
+                            k1_@,
+                            _D11 * k1_@ + _D13 * k3_@ + _D14 * k4_@ + _D15 * k5_@ + _D16 * k6_@ + _D17 * k7_@,
+                            _D21 * k1_@ + _D23 * k3_@ + _D24 * k4_@ + _D25 * k5_@ + _D26 * k6_@ + _D27 * k7_@,
+                            _D31 * k1_@ + _D33 * k3_@ + _D34 * k4_@ + _D35 * k5_@ + _D36 * k6_@ + _D37 * k7_@`],
+                            x_new, y_new)
+                        x_ev, calls = _step_events(step_eval, hit, events, rhs, x, x_new, found)
+                        n_rhs += calls
+                        if x_ev is not None:
+                            return ("event", f"terminal event at x = {x_ev:g}", None,
+                                    x_ev, step_eval(x_ev), n_rhs, n_rejected)
 
                     x = x_new
                     `y@`, = `yn@`,
@@ -377,10 +418,43 @@ def make(CONSTS):
     return loop
 """
 
-_LOOPS = {}  # (dim, stage or None) -> make
+_LOOPS = {}  # (dim, stage or None, written-in guards) -> make
 
 
-def _loop_source(dim: int, stage: Stage | None) -> str:
+@dataclass(frozen=True)
+class _TextGuard:
+    """A guard the step loop writes in: its event's index and direction,
+    the expression and the names of its own constants."""
+
+    index: int
+    expr: str
+    slope: bool
+    falling: bool
+    rising: bool
+    consts: tuple
+
+
+def _guard_text(dim: int, stage: Stage, guards: tuple) -> tuple:
+    """(init, block): the statements that load each written-in guard's value
+    at the start into its local g_prev, and the statements that evaluate the
+    guards at a step end on the stage's names and collect sign changes."""
+    init = "".join(f"gp{j} = g_prev[{g.index}]\n" for j, g in enumerate(guards))
+    block = ""
+    if guards:
+        block = (f"{stage.x} = x_new\n"
+                 f"{', '.join(stage.y)}, = {', '.join(f'yn{i}' for i in range(dim))},\n")
+        if any(g.slope for g in guards):
+            block += f"{', '.join(stage.dy)}, = {', '.join(f'k7_{i}' for i in range(dim))},\n"
+    for j, g in enumerate(guards):
+        tests = [f"gp{j} > 0.0 >= g1"] * g.falling + [f"gp{j} < 0.0 <= g1"] * g.rising
+        block += (f"g1 = {g.expr}\n"
+                  f"if {' or '.join(tests)}:\n"
+                  f"    hit.append(({g.index}, gp{j}, g1))\n"
+                  f"gp{j} = g1\n")
+    return init, block
+
+
+def _loop_source(dim: int, stage: Stage | None, guards: tuple = ()) -> str:
     def components(m):
         sep = " + " if m.group(2) else ", "
         return sep.join(m.group(1).replace("@", str(i)) for i in range(dim))
@@ -396,12 +470,18 @@ def _loop_source(dim: int, stage: Stage | None) -> str:
                 f"{textwrap.indent(stage.body, indent)}"
                 f"{indent}{slopes}, = {', '.join(stage.dy)},\n")
 
+    init, block = ("", "") if stage is None else _guard_text(dim, stage, guards)
     source = re.sub(r"`([^`]*)`(\+?)", components, _LOOP).replace("DIM", str(dim))
+    source = re.sub(r"\b_[ABCDE]\d+\b", lambda m: repr(globals()[m.group()]), source)
+    for slot, text in (("GUARD_INIT", init), ("GUARD_TEXT", block)):
+        source = re.sub(rf"^( *){slot}\n", lambda m: textwrap.indent(text, m.group(1)), source,
+                        flags=re.M)
     if stage is None:
         source = source.replace("CONSTS", "").replace("FSAL", "k7")
     else:
         fsal = "(" + ", ".join(f"k7_{i}" for i in range(dim)) + ",)"
-        source = source.replace("CONSTS", ", ".join(stage.consts)).replace("FSAL", fsal)
+        consts = stage.consts + tuple(c for g in guards for c in g.consts)
+        source = source.replace("CONSTS", ", ".join(consts)).replace("FSAL", fsal)
     return re.sub(r"^( *)(k\d) = STAGE\((.*)\)\n", stage_call, source, flags=re.M)
 
 
@@ -414,20 +494,25 @@ def _names(code) -> set:
     return names - vars(builtins).keys()
 
 
-def _loop(dim: int, stage: Stage | None):
-    """The factory make(**stage constants) -> loop for a dim-component state
-    and stage (None for a plain callable), generated on first use."""
-    make = _LOOPS.get((dim, stage))
+def _loop(dim: int, stage: Stage | None, guards: tuple = ()):
+    """The factory make(**constants) -> loop for a dim-component state,
+    stage (None for a plain callable) and written-in guards, generated on
+    first use."""
+    key = (dim, stage, guards)
+    make = _LOOPS.get(key)
     if make is None:
         filename = f"<dp5 loop, dim {dim}>"
         if stage is not None:
             filename = f"<dp5 loop, dim {dim}, {stage.name}>"
             own = {stage.x, *stage.y, *stage.dy, *stage.consts}
-            clash = ((_names(compile(stage.body, "<stage>", "exec")) | own)
-                     & _names(compile(_loop_source(dim, None), "<loop>", "exec")))
+            for g in guards:
+                own |= set(g.consts)
+            loop_names = (_names(compile(_loop_source(dim, None), "<loop>", "exec"))
+                          | {f"gp{j}" for j in range(len(guards))})
+            clash = (_names(compile(stage.body, "<stage>", "exec")) | own) & loop_names
             if clash:
                 raise ValueError(f"stage {stage.name!r} uses names of the step loop: {sorted(clash)}")
-        make = _LOOPS[(dim, stage)] = codegen.define(_loop_source(dim, stage), filename, globals())
+        make = _LOOPS[key] = codegen.define(_loop_source(dim, stage, guards), filename, globals())
     return make
 
 
@@ -533,6 +618,30 @@ def _locate_in_step(sol_eval, guard, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
     return x, 0 if rhs is None else calls
 
 
+def _step_events(step_eval, hit, events, rhs, x_lo, x_hi, found):
+    """Locate the crossings of one accepted step and record them in found,
+    in order of x, up to the first terminal one.
+
+    hit holds (index, value at x_lo, value at x_hi) of each guard that
+    changed sign.  Returns (x of the terminal event or None, right-hand side
+    calls made by the slope guards' refinement).
+    """
+    located = []
+    n_calls = 0
+    for idx, g0, g1 in hit:
+        ev = events[idx]
+        x_ev, calls = _locate_in_step(step_eval, ev.guard, rhs if ev.slope else None,
+                                      x_lo, x_hi, g0, g1, ev.root_tol)
+        n_calls += calls
+        located.append((x_ev, idx))
+    located.sort()
+    for x_ev, idx in located:
+        found.append((x_ev, step_eval(x_ev), idx))
+        if events[idx].terminal:
+            return x_ev, n_calls
+    return None, n_calls
+
+
 def _step_interpolant(x0, y0, h, q, x1, y1):
     """State on one accepted step [x0, x1 = x0 + h], as a list of floats;
     q holds q0, q1, q2, q3 of each component in turn."""
@@ -567,13 +676,16 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         variables.
     events : sequence of EventSpec
         Guards receive the state as a list of floats, like rhs, and a slope
-        guard also the slope rhs returned there.  Terminal events truncate
-        the solution at the located abscissa.
+        guard also the slope rhs returned there.  A guard that stage_guard
+        made for rhs is written into the step loop; two such guards may not
+        bind the same name.  Terminal events truncate the solution at the
+        located abscissa.
 
-    The run is one call of the step loop generated for the state's dimension
-    and the right-hand side's stage.  Accepted nodes, states and interpolant
-    coefficients go into flat ``array('d')`` buffers; they become the xs, ys
-    and interp ndarrays of the result once, when the run ends.
+    The run is one call of the step loop generated for the state's
+    dimension, the right-hand side's stage and the written-in guards.
+    Accepted nodes, states and the slopes of each step go into flat
+    ``array('d')`` buffers; they become the xs, ys and interp ndarrays of
+    the result once, when the run ends.
     """
     ctrl = ctrl or StepControl()
     x0, x1 = float(span[0]), float(span[1])
@@ -584,26 +696,47 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         raise ValueError(f"y0 must be finite, got {y0!r}")
     dim = len(y0)
     stage = getattr(rhs, "stage", None)
-    if isinstance(stage, Stage) and len(stage.y) == dim:
-        loop = _loop(dim, stage)(**rhs.values)
-    else:
-        loop = _loop(dim, None)()
+    if not (isinstance(stage, Stage) and len(stage.y) == dim):
+        stage = None
     atol, rtol, h_max = ctrl.abs_tol, ctrl.rel_tol, ctrl.h_max
-    # (guard, falling counts, rising counts, slope guard) per event
-    guards = [(ev.guard, ev.direction != "rising", ev.direction != "falling", ev.slope)
-              for ev in events]
+    # guards made by stage_guard for rhs are written into the loop; the
+    # others are called: (index, guard, falling counts, rising counts, slope)
+    text, called, values = [], [], dict(rhs.values) if stage is not None else {}
+    for idx, ev in enumerate(events):
+        falling, rising = ev.direction != "rising", ev.direction != "falling"
+        if getattr(ev.guard, "slope", ev.slope) != ev.slope:
+            raise ValueError(f"event {ev.name!r} has slope={ev.slope}, but its guard "
+                             f"{ev.guard.expr!r} is of the other kind")
+        if stage is not None and getattr(ev.guard, "rhs", None) is rhs:
+            if values.keys() & ev.guard.values.keys():
+                raise ValueError(f"event {ev.name!r}: two guards of one solve bind "
+                                 f"{sorted(values.keys() & ev.guard.values.keys())}")
+            values.update(ev.guard.values)
+            text.append(_TextGuard(idx, ev.guard.expr, ev.slope, falling, rising,
+                                   tuple(ev.guard.values)))
+        else:
+            called.append((idx, ev.guard, falling, rising, ev.slope))
+    loop = _loop(dim, stage, tuple(text))(**values)
 
     xs = array("d", (x0,))
     ys = array("d", y0)
-    coef = array("d")  # per step and component: q0, q1, q2, q3
+    slopes = array("d")  # per step and component: k1, k3, k4, k5, k6, k7
     found = []  # (x, y, index) of located events
 
     def _finish(status, message="", failure=None, x_end=None, y_end=None, n_rhs=1, n_rejected=0):
         n = len(xs) - 1
+        k1, k3, k4, k5, k6, k7 = np.frombuffer(slopes, dtype=float).reshape(n, dim, 6).transpose(2, 0, 1)
+        # the step loop's expressions, term by term, on whole columns
+        interp = np.stack((
+            k1,
+            _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7,
+            _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7,
+            _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7,
+        ), axis=2)
         return DenseSolution(
             xs=np.frombuffer(xs, dtype=float),
             ys=np.frombuffer(ys, dtype=float).reshape(n + 1, dim),
-            interp=np.frombuffer(coef, dtype=float).reshape(n, dim, 4),
+            interp=interp,
             events=[
                 EventRecord(x=x_ev, y=np.array(y_ev), index=idx,
                             name=events[idx].name, terminal=events[idx].terminal)
@@ -628,8 +761,7 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         # no step from x0 can pass, whatever its size
         return _finish("step_underflow", f"non-finite right-hand side at x = {x0:g}")
 
-    g_prev = [float(guard(x0, y0, fy) if slope else guard(x0, y0))
-              for guard, _, _, slope in guards]
+    g_prev = [float(ev.guard(x0, y0, fy) if ev.slope else ev.guard(x0, y0)) for ev in events]
 
     n_rhs = 1
     h = ctrl.h_init
@@ -638,5 +770,5 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         h = _initial_step(rhs, x0, y0, fy, rtol, atol, h_max)
     h = min(h, h_max, x1 - x0)
 
-    return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, guards,
-                         g_prev, events, xs, ys, coef, found, n_rhs))
+    return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, called,
+                         g_prev, events, xs, ys, slopes, found, n_rhs))

@@ -32,7 +32,7 @@ import numpy as np
 from .constants import Constants
 from .eos import EosSpec
 from .errors import ModelError
-from .integrate import DenseSolution, EventSpec, StepControl, integrate_adaptive
+from .integrate import DenseSolution, EventSpec, StepControl, integrate_adaptive, stage_guard
 from .odecore import (
     FOUR_PI,
     ScalingParams,
@@ -253,6 +253,8 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
 # -- the solve core ------------------------------------------------------------
 
 _FAILED = ("step_budget", "step_underflow", "domain_error")
+# kappa_scaled - kappa_min over the scaled stage's names
+_HORIZON = "1.0 - two_alpha * M / R - alpha_beta * R * R / 3.0 - kappa_min"
 
 
 @dataclass
@@ -275,15 +277,17 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     """
     y0 = center_germ_scaled(alpha, beta, eos, _GERM_R)
     f = scaled_rhs(alpha, beta, eos)
-    # the rise guard is a slope guard: at a step end it reads the FSAL slope
-    # the integrator already has, and its refinement calls are counted in n_rhs
+    # the guards are text over the stage's names, which the step loop writes
+    # in; the rise guard reads the step end's FSAL slope, and its refinement
+    # calls are counted in n_rhs
     events = [
-        EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True,
+        EventSpec(guard=stage_guard(f, "U", {}), direction="falling", terminal=True,
                   root_tol=1e-12, name="vacuum"),
-        EventSpec(guard=lambda R, y: kappa_scaled(R, y[0], alpha, beta) - _KAPPA_MIN,
+        EventSpec(guard=stage_guard(f, _HORIZON, {"kappa_min": _KAPPA_MIN}),
                   direction="falling", terminal=True, root_tol=1e-12, name="horizon"),
-        EventSpec(guard=lambda R, y, dy: dy[1] - _MONO_EPS, direction="rising", terminal=False,
-                  root_tol=1e-10, name="pressure_rise", slope=True),
+        EventSpec(guard=stage_guard(f, "dU - mono_eps", {"mono_eps": _MONO_EPS}),
+                  direction="rising", terminal=False, root_tol=1e-10, name="pressure_rise",
+                  slope=True),
     ]
     initial_rise = f(_GERM_R, y0)[1] - _MONO_EPS >= 0.0
 

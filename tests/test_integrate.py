@@ -438,7 +438,8 @@ def test_generated_loop_lines_show_in_tracebacks():
         integrate_adaptive(rhs, [1.0], (0.0, 1.0), StepControl(h_init=0.1))
     text = "".join(traceback.format_exception(info.value))
     assert 'File "<dp5 loop, dim 1>"' in text
-    assert "k3 = rhs(x + _C3 * h, [y0 + h * (_A31 * k1_0 + _A32 * k2_0)])" in text
+    # the tableau's constants are written in as literals
+    assert "k3 = rhs(x + 0.3 * h, [y0 + h * (0.075 * k1_0 + 0.225 * k2_0)])" in text
 
 
 def test_nonterminal_events_recorded():

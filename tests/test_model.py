@@ -78,23 +78,23 @@ def test_step_counts_of_reference_solves(star_m0, eos15):
 def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
     # the guard at a step end reads the slope the integrator has just
     # computed there, and its refinement calls are counted.  On the called
-    # path, where the solve integrates a wrapper of the right-hand side, every
-    # call but the check at the germ is one of n_rhs; the fused path, which
-    # runs the right-hand side inside the step loop, reports that count
+    # path, where the solve integrates a wrapper of the right-hand side (so
+    # that neither its stage nor its guards are written into the loop),
+    # every call of the wrapper is one of n_rhs; the fused path, which runs
+    # the right-hand side and the guards inside the step loop, reports that
+    # count
     fused = {beta: solve_scaled(1e-3, beta, eos15) for beta in (1e-3, 0.05)}
     calls = 0
-    bind = odecore.scaled_rhs
+    integrate = model.integrate_adaptive
 
-    def called_scaled_rhs(*args):
-        f = bind(*args)
-
+    def called_integrate(rhs, *args, **kwargs):
         def counted(R, y):
             nonlocal calls
             calls += 1
-            return f(R, y)
-        return counted
+            return rhs(R, y)
+        return integrate(counted, *args, **kwargs)
 
-    monkeypatch.setattr(model, "scaled_rhs", called_scaled_rhs)
+    monkeypatch.setattr(model, "integrate_adaptive", called_integrate)
     # the second star has five located rises, each refined with calls
     for beta, kind, n_rises in ((1e-3, MONOTONE_SHORT, 0), (0.05, NON_MONOTONE, 5)):
         calls = 0
@@ -102,8 +102,7 @@ def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
         assert star.kind == fused[beta].kind == kind
         assert star.dense.n_steps > 0
         assert sum(ev.name == "pressure_rise" for ev in star.dense.events) == n_rises
-        assert calls == star.dense.n_rhs + 1
-        assert fused[beta].dense.n_rhs == calls - 1
+        assert calls == star.dense.n_rhs == fused[beta].dense.n_rhs
 
 
 SERIES_EOS = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
