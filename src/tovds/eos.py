@@ -25,21 +25,24 @@ solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
 EOS's constants, or its piece tables, bound as closure variables, and
 omega_rho_P_fast is that function called once.  For the pure polytrope,
 Omega == 1, which is OmegaSeries((1.0,)) and the default, it evaluates the
-closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma.  That
-closed form is written once, as the statements _CLOSED_FORM:
-fast_omega() compiles them, and EosSpec.fast_omega_source() hands them with
-their bound values to odecore, which writes them into the integrator's
-stages.  For a series Omega the fast path evaluates piecewise Chebyshev
-interpolants on a fixed grid over [0, eta_max]; each piece is fitted to the
-direct path the first time an eta lands in it, so a star pays only for the
-pieces it visits.  Outside the grid, and in a piece with a node outside the
-EOS domain, it falls back to the direct path.
+closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, written
+once as the statements _CLOSED_FORM, which fast_omega() compiles.  The
+scaled stage needs only U^mu Omega_rho and U^(mu+1) Omega_P, and
+EosSpec.stage_terms_source() hands odecore the statements that set them,
+with their bound values, to be written into the integrator's stages: for
+Omega == 1 the closed form _CLOSED_FORM_TERMS in Z = U / Omega_u, which
+takes one pow.  For a series Omega the fast path evaluates piecewise
+Chebyshev interpolants on a fixed grid over [0, eta_max]; each piece is
+fitted to the direct path the first time an eta lands in it, so a star pays
+only for the pieces it visits.  Outside the grid, and in a piece with a node
+outside the EOS domain, it falls back to the direct path.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -174,9 +177,7 @@ _TAB_NODES = np.cos(np.pi * (2.0 * np.arange(_TAB_DEG + 1) + 1.0) / (2.0 * (_TAB
 _OFF_DOMAIN = object()
 
 # The fast path for Omega == 1 as statements that set omega_rho and omega_P
-# from eta; EosSpec.fast_omega_source binds their free names.  fast_omega()
-# compiles them into a function, and odecore splices them into the
-# integrator's stages, so both run this one text.
+# from eta, with k = (gamma-1)/gamma; fast_omega() compiles them.
 _CLOSED_FORM = """\
 if k * eta == 0.0:
     omega_rho = omega_P = 1.0
@@ -185,8 +186,25 @@ else:
     omega_rho = omu ** (-mu)
     omega_P = omega_rho / omu
 """
+# The terms rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P of the
+# scaled stage, from U_pos = U# and eta = alpha U#, as statements that
+# EosSpec.stage_terms_source hands to odecore.  For Omega == 1,
+# Omega_rho = Omega_u^(-mu) and Omega_P = Omega_u^(-mu-1), so with
+# Z = U# / Omega_u = U# expm1(keta) / keta, keta = k eta, the terms are Z^mu
+# and Z^(mu+1): one pow.  expm1(keta) / keta is 1.0 exactly for a tiny or
+# subnormal keta, where dividing by k alpha instead would not be.
+_CLOSED_FORM_TERMS = """\
+keta = k * eta
+Z = U_pos * (expm1(keta) / keta) if keta != 0.0 else U_pos
+rho_term = Z**mu
+p_term = rho_term * Z
+"""
 # a series Omega calls its bound table evaluator
-_TABLE_CALL = "omega_rho, omega_P = omega_table(eta)\n"
+_TABLE_TERMS = """\
+omega_rho, omega_P = omega_table(eta)
+rho_term = U_pos**mu * omega_rho
+p_term = U_pos**mu1 * omega_P
+"""
 
 
 class _OmegaTables:
@@ -344,6 +362,10 @@ class EosSpec:
             return gfac * z * self.omega_u(z) - eta
 
         z0 = eta / gfac
+        if z0 == 0.0:
+            # eta is subnormal and zeta ~ eta / gfac rounds to 0: that is the
+            # correctly rounded root, and no bracket [0, z0] is left to search
+            return 0.0
         lo, hi = 0.0, z0
         for _ in range(200):
             if F(hi) >= 0.0:
@@ -377,9 +399,11 @@ class EosSpec:
         rho = A1 u^(1/(gamma-1)) Omega_rho(eta) reproduces the density, and
         Omega_P = Omega(zeta) * Omega_u(zeta)^(-gamma/(gamma-1)).
         """
-        if eta == 0.0:
-            return 1.0, 1.0
         zeta = self.zeta_of_eta(eta)
+        if zeta < sys.float_info.min:
+            # zeta is 0 or subnormal: Omega_u(zeta) = 1 + O(zeta) rounds to 1,
+            # which the ratio below, of two subnormals, would not give
+            return 1.0, 1.0
         # at the root, Omega_u(zeta) = (gamma-1)/gamma * eta / zeta exactly
         omu = (self.gamma - 1.0) / self.gamma * eta / zeta
         omega_rho = omu ** (-self.mu)
@@ -395,23 +419,28 @@ class EosSpec:
             return None
         return _OmegaTables(self.eta_max)
 
-    def fast_omega_source(self) -> tuple:
-        """(label, text, values): the fast path as statements that set
-        omega_rho and omega_P from eta, and the values of their free names.
+    def _closed_form_values(self) -> dict:
+        return {
+            "k": (self.gamma - 1.0) / self.gamma,  # zeta = expm1(k eta) when Omega == 1
+            "mu": self.mu,
+            "expm1": math.expm1,
+        }
 
-        For Omega == 1 the text is the closed form (_CLOSED_FORM), which
-        fast_omega() compiles; for a series Omega it calls the table
-        evaluator fast_omega() returns.  odecore splices the text into the
+    def stage_terms_source(self) -> tuple:
+        """(label, text, values): statements that set rho_term =
+        U_pos^mu Omega_rho(eta) and p_term = U_pos^(mu+1) Omega_P(eta) from
+        the scaled stage's U_pos and eta = alpha U_pos, and the values of
+        their free names but mu and mu1 = mu + 1, which the stage binds.
+
+        For Omega == 1 the text is the closed form in Z = U_pos / Omega_u
+        (_CLOSED_FORM_TERMS); for a series Omega it calls the table evaluator
+        fast_omega() returns.  odecore splices the text into the
         integrator's stages, so the values are built afresh on every call,
         as the evaluator is.
         """
         if self._tables is None:
-            return "closed-form Omega", _CLOSED_FORM, {
-                "k": (self.gamma - 1.0) / self.gamma,  # zeta = expm1(k eta) when Omega == 1
-                "mu": self.mu,
-                "expm1": math.expm1,
-            }
-        return "table Omega", _TABLE_CALL, {"omega_table": self.fast_omega()}
+            return "closed-form Omega", _CLOSED_FORM_TERMS, self._closed_form_values()
+        return "table Omega", _TABLE_TERMS, {"omega_table": self.fast_omega()}
 
     def fast_omega(self):
         """The fast path eta -> (Omega_rho, Omega_P), with this EOS's constants
@@ -425,8 +454,8 @@ class EosSpec:
         """
         tab = self._tables
         if tab is None:
-            _, text, values = self.fast_omega_source()
-            return codegen.closure_factory("<fast Omega: closed form>", "eta", text,
+            values = self._closed_form_values()
+            return codegen.closure_factory("<fast Omega: closed form>", "eta", _CLOSED_FORM,
                                            "omega_rho, omega_P", tuple(values))(**values)
 
         direct = self.omega_rho_P

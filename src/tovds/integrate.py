@@ -28,6 +28,7 @@ routine, so each point gets the same bits however it is asked for.
 from __future__ import annotations
 
 import builtins
+import functools
 import math
 import numbers
 import re
@@ -240,6 +241,30 @@ def stage_rhs(stage: Stage, values: dict):
     return rhs
 
 
+@functools.cache
+def _guard_factory(stage: Stage, expr: str, own: tuple) -> tuple:
+    """(make, slope) for the guard expr over stage's names and the names in
+    own, checked and compiled once: make(**stage constants, **own values)
+    -> the guard."""
+    names = _names(compile(expr, f"<guard: {expr}>", "eval"))
+    stage_names = {stage.x, *stage.y, *stage.dy, *stage.consts}
+    unknown = names - stage_names - set(own)
+    if unknown:
+        raise ValueError(f"guard {expr!r} uses names that are not its stage's or its own: "
+                         f"{sorted(unknown)}")
+    if stage_names & set(own):
+        raise ValueError(f"guard {expr!r} binds names of its stage: "
+                         f"{sorted(stage_names & set(own))}")
+    slope = bool(names & set(stage.dy))
+    body = f"{', '.join(stage.y)}, = y\n"
+    if slope:
+        body += f"{', '.join(stage.dy)}, = dy\n"
+    make = codegen.closure_factory(f"<guard: {stage.name}: {expr}>",
+                                   f"{stage.x}, y, dy" if slope else f"{stage.x}, y",
+                                   body, expr, stage.consts + own)
+    return make, slope
+
+
 def stage_guard(rhs, expr: str, values: dict):
     """The event guard (x, y) -> expr over the names of rhs's stage, or
     (x, y, dy) -> expr when expr reads a slope name; rhs is a function that
@@ -253,23 +278,8 @@ def stage_guard(rhs, expr: str, values: dict):
     function runs and gives the same bits.  The values stay bound
     constants, never text, so a new set of values compiles nothing.
     """
-    stage = rhs.stage
-    names = _names(compile(expr, f"<guard: {expr}>", "eval"))
-    stage_names = {stage.x, *stage.y, *stage.dy, *stage.consts}
-    unknown = names - stage_names - values.keys()
-    if unknown:
-        raise ValueError(f"guard {expr!r} uses names that are not its stage's or its own: "
-                         f"{sorted(unknown)}")
-    if stage_names & values.keys():
-        raise ValueError(f"guard {expr!r} binds names of its stage: "
-                         f"{sorted(stage_names & values.keys())}")
-    slope = bool(names & set(stage.dy))
-    params = f"{stage.x}, y, dy" if slope else f"{stage.x}, y"
-    body = f"{', '.join(stage.y)}, = y\n"
-    if slope:
-        body += f"{', '.join(stage.dy)}, = dy\n"
-    guard = codegen.closure_factory(f"<guard: {stage.name}: {expr}>", params, body, expr,
-                                    stage.consts + tuple(values))(**rhs.values, **values)
+    make, slope = _guard_factory(rhs.stage, expr, tuple(values))
+    guard = make(**rhs.values, **values)
     guard.rhs, guard.expr, guard.values, guard.slope = rhs, expr, values, slope
     return guard
 
@@ -423,10 +433,11 @@ _LOOPS = {}  # (dim, stage or None, written-in guards) -> make
 
 @dataclass(frozen=True)
 class _TextGuard:
-    """A guard the step loop writes in: its event's index and direction,
-    the expression and the names of its own constants."""
+    """A guard the step loop writes in: its event's index, name and
+    direction, the expression and the names of its own constants."""
 
     index: int
+    name: str
     expr: str
     slope: bool
     falling: bool
@@ -504,6 +515,9 @@ def _loop(dim: int, stage: Stage | None, guards: tuple = ()):
         filename = f"<dp5 loop, dim {dim}>"
         if stage is not None:
             filename = f"<dp5 loop, dim {dim}, {stage.name}>"
+            if guards:  # each loop its own name, so that tracebacks show its lines
+                filename = (f"<dp5 loop, dim {dim}, {stage.name}, "
+                            f"guards {', '.join(g.name for g in guards)}>")
             own = {stage.x, *stage.y, *stage.dy, *stage.consts}
             for g in guards:
                 own |= set(g.consts)
@@ -712,7 +726,7 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
                 raise ValueError(f"event {ev.name!r}: two guards of one solve bind "
                                  f"{sorted(values.keys() & ev.guard.values.keys())}")
             values.update(ev.guard.values)
-            text.append(_TextGuard(idx, ev.guard.expr, ev.slope, falling, rising,
+            text.append(_TextGuard(idx, ev.name, ev.guard.expr, ev.slope, falling, rising,
                                    tuple(ev.guard.values)))
         else:
             called.append((idx, ev.guard, falling, rising, ev.slope))

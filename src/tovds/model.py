@@ -232,18 +232,18 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     # the powers stay on Python floats: numpy's vector pow can differ from
     # libm's pow in the last bit, and each sample keeps the bits of the float
     # expressions the right-hand side uses
-    A1, mu, p_coeff = eos.A1, eos.mu, eos.p_coeff
+    A1, mu, p_coeff, c2 = eos.A1, eos.mu, eos.p_coeff, k.c2
     omega_rho_P = eos.fast_omega()
     rho = np.zeros(rr.size)
     P = np.zeros(rr.size)
     for i, ui in enumerate(u.tolist()):
         if ui > 0.0:
-            omega_rho, omega_P = omega_rho_P(ui / k.c2)
+            omega_rho, omega_P = omega_rho_P(ui / c2)
             rho[i] = A1 * ui**mu * omega_rho
             P[i] = p_coeff * ui ** (mu + 1.0) * omega_P
     kap = kappa(rr, m, inp.Lambda, k)
     Q = q_factor(rr, m, P, inp.Lambda, k)
-    dPdr = (rho + P / k.c2) * (-Q / (rr * rr * kap))
+    dPdr = (rho + P / c2) * (-Q / (rr * rr * kap))
     return SolutionProfile(
         r=rr, m=m, u=u, P=P, rho=rho, kappa=kap, Q=Q, dPdr=dPdr,
         eos=eos, constants=k, Lambda=inp.Lambda, scaling=scaling, dense=dense,

@@ -93,19 +93,23 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 
 
 # The scaled right-hand side as statements: dM and dU from R, M and U.  The
-# line OMEGA stands for the EOS fast path's statements (fast_omega_source),
-# which set omega_rho and omega_P from eta = alpha U#: past the vacuum they
-# multiply U#^mu = 0, and every fast path gives exactly (1.0, 1.0) at eta = 0,
-# so neither U <= 0 nor alpha = 0 takes a branch of its own.  The free names
-# are the constants scaled_rhs binds; mu is the EOS's mu, as in the closed
-# form's text.
+# line TERMS stands for the EOS's statements (EosSpec.stage_terms_source),
+# which set rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P from
+# U_pos = U# and eta = alpha U#: for Omega == 1 they are Z^mu and Z^(mu+1)
+# with Z = U# / Omega_u, one pow; for a series Omega, the table's Omega_rho
+# and Omega_P times U#^mu and U#^(mu+1).  Past the vacuum both terms are 0 and
+# every path gives exactly Omega_rho = Omega_P = 1 at eta = 0, so neither
+# U <= 0 nor alpha = 0 takes a branch of its own.  R3 stays R**3, the
+# Lane-Emden right-hand side's power, so that alpha = beta = 0 reduces to it
+# bit for bit.  The free names are the constants scaled_rhs binds; mu is the
+# EOS's mu, as in the terms' text.
 _SCALED = """\
 U_pos = U if U > 0.0 else 0.0
 eta = alpha * U_pos
-OMEGA
+TERMS
 R3 = R**3
-dM = R * R * U_pos**mu * omega_rho
-num = M + p_alpha * R3 * U_pos**mu1 * omega_P - beta * R3 / 3.0
+dM = R * R * rho_term
+num = M + p_alpha * R3 * p_term - beta * R3 / 3.0
 kap = 1.0 - two_alpha * M / R - alpha_beta * R * R / 3.0
 if kap <= 0.0:
     raise KappaNonPositiveError(f"kappa = {kap:g} <= 0 at r = {R:g} (horizon contact)")
@@ -114,9 +118,9 @@ dU = -num / (R * R * kap)
 
 
 @functools.cache
-def _scaled_stage(label: str, omega_text: str, consts: tuple) -> Stage:
+def _scaled_stage(label: str, terms_text: str, consts: tuple) -> Stage:
     return Stage(name=f"scaled, {label}", x="R", y=("M", "U"), dy=("dM", "dU"),
-                 body=_SCALED.replace("OMEGA\n", omega_text),
+                 body=_SCALED.replace("TERMS\n", terms_text),
                  consts=consts)
 
 
@@ -127,11 +131,14 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
     a solve pays for them once and not at every stage.  The function is
     built from the stage text _SCALED (integrate.stage_rhs), which
     integrate_adaptive writes into its step loop; for Omega == 1 the closed
-    form is written in too.  At alpha = beta = 0 this reduces exactly
-    (bitwise) to the Lane-Emden right-hand side with lambda = 0.  Raises
+    form is written in too, by the identities U^mu Omega_rho = Z^mu and
+    U^(mu+1) Omega_P = Z^(mu+1), Z = U / Omega_u, which make one pow of
+    Z where Omega_rho, Omega_P and the two powers of U took three.  At
+    alpha = beta = 0 this reduces exactly (bitwise) to the Lane-Emden
+    right-hand side with lambda = 0, whose R**3 it keeps.  Raises
     KappaNonPositiveError where kappa <= 0 (horizon contact).
     """
-    label, omega_text, values = eos.fast_omega_source()
+    label, terms_text, values = eos.stage_terms_source()
     g = eos.gamma
     values.update(
         alpha=alpha,
@@ -143,7 +150,7 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
         alpha_beta=alpha * beta,
         KappaNonPositiveError=KappaNonPositiveError,
     )
-    return stage_rhs(_scaled_stage(label, omega_text, tuple(values)), values)
+    return stage_rhs(_scaled_stage(label, terms_text, tuple(values)), values)
 
 
 def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec) -> tuple:

@@ -167,7 +167,36 @@ def rhs_tov(r: float, y, eos, k) -> tuple:
 
 def rhs_scaled_reference(R: float, y, alpha: float, beta: float, eos) -> tuple:
     """(dM/dR, dU/dR) of the homology-scaled system, with every constant
-    formed at the call; scaled_rhs must give the same bits."""
+    formed at the call; scaled_rhs must give the same bits.
+
+    The stage needs U#^mu Omega_rho and U#^(mu+1) Omega_P.  For Omega == 1
+    they are Z^mu and Z^(mu+1) with Z = U# / Omega_u = U# expm1(x) / x,
+    x = k alpha U#; a series Omega multiplies the fast path's values."""
+    M, U = y
+    U_pos = U if U > 0.0 else 0.0
+    g = eos.gamma
+    eta = alpha * U_pos
+    if eos._tables is None:
+        x = (g - 1.0) / g * eta
+        Z = U_pos * (math.expm1(x) / x) if x != 0.0 else U_pos
+        rho_term = Z**eos.mu
+        p_term = rho_term * Z
+    else:
+        omega_rho, omega_P = eos.omega_rho_P_fast(eta)
+        rho_term = U_pos**eos.mu * omega_rho
+        p_term = U_pos ** (eos.mu + 1.0) * omega_P
+    R3 = R**3
+    dM = R * R * rho_term
+    num = M + (g - 1.0) / g * alpha * R3 * p_term - beta * R3 / 3.0
+    kap = kappa_scaled(R, M, alpha, beta)
+    _check_kappa(kap, R)
+    dU = -num / (R * R * kap)
+    return dM, dU
+
+
+def rhs_scaled_u_form(R: float, y, alpha: float, beta: float, eos) -> tuple:
+    """(dM/dR, dU/dR) of the homology-scaled system in the powers of U#:
+    Omega_rho and Omega_P by the fast path, times U#^mu and U#^(mu+1)."""
     M, U = y
     U_pos = U if U > 0.0 else 0.0
     if alpha == 0.0:

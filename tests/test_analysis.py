@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tovds import analysis
+from tovds import analysis, integrate
 from tovds.analysis import (
     _sinc_jet,
     boundary_exponent_fit,
@@ -235,6 +235,16 @@ def test_sweep_corner_and_determinism():
     assert all(c.outcome == MONOTONE_SHORT for c in s1.cells)
     assert s1.epsilon0_estimate == 3e-3
     assert [c.R_plus for c in s1.cells] == [c.R_plus for c in s2.cells]
+
+
+def test_sweep_compiles_one_step_loop(monkeypatch):
+    # each cell binds its own alpha, beta and guard constants as values, not
+    # as text, so a whole 12 x 12 grid runs one generated loop
+    monkeypatch.setattr(integrate, "_LOOPS", {})
+    grid = np.logspace(-3, 0, 12)
+    sweep = regime_sweep(1.5, grid, grid)
+    assert len(sweep.cells) == 144
+    assert len(integrate._LOOPS) == 1
 
 
 @pytest.mark.parametrize("gamma", [1.3, 1.5, 1.8])

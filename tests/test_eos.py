@@ -209,6 +209,21 @@ def test_tiny_eta_gives_the_eta0_limit(gamma):
         assert eos.omega_rho_P(eta) == pytest.approx((1.0, 1.0), rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("eos", [
+    EosSpec(A=1.0, gamma=1.5),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
+    fermi_fit_eos(FermiEosParams(K=1.0)),
+], ids=["polytrope", "series", "fermi"])
+def test_subnormal_eta_in_the_direct_path(eos):
+    # at a subnormal eta the start point eta (gamma-1)/gamma rounds to 0,
+    # which is then the correctly rounded zeta, and Omega_u(zeta) rounds to 1
+    # wherever zeta is subnormal, as the ratio k eta / zeta of two subnormals
+    # does not
+    assert eos.zeta_of_eta(5e-324) == 0.0
+    for eta in (5e-324, 1e-320, 1e-310, 2.2e-308):
+        assert eos.omega_rho_P(eta) == (1.0, 1.0)
+
+
 def test_zeta_eta_analytic_inversion(eos15):
     # Omega == 1, gamma = 3/2: eta = 3 log(1+zeta)  =>  zeta = e^(eta/3) - 1
     g = eos15.gamma

@@ -410,9 +410,10 @@ def test_loop_built_once_per_dimension_and_stage(monkeypatch):
     series = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
     for eos in (EosSpec(A=1.0, gamma=1.5), EosSpec(A=2.0, gamma=1.7), series, series):
         solve_scaled(0.01, 0.001, eos)
+    guards = "guards vacuum, horizon, pressure_rise"
     assert built == ["<dp5 loop, dim 3>", "<dp5 loop, dim 1>",
-                     "<dp5 loop, dim 2, scaled, closed-form Omega>",
-                     "<dp5 loop, dim 2, scaled, table Omega>"]
+                     f"<dp5 loop, dim 2, scaled, closed-form Omega, {guards}>",
+                     f"<dp5 loop, dim 2, scaled, table Omega, {guards}>"]
     assert integrate._loop(3, None) is make
 
 

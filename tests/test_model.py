@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from tovds.constants import SI, Constants
 from tovds.eos import EosSpec, OmegaSeries
-from tovds import model, odecore
+from tovds import integrate, model, odecore
 from tovds.errors import EosDomainError, ModelError
 from tovds.integrate import EventSpec, StepControl, integrate_adaptive
 from tovds.model import (
@@ -112,15 +112,23 @@ SERIES_EOS = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_
 EDGE_STAR = (4.15, 60.0)
 
 
-def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded):
+def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded, text=False):
     """A scaled solve as _solve_core makes it, at the sweep tolerances; or
-    with no guards, to run past the vacuum boundary."""
+    with no guards, to run past the vacuum boundary.  The guards are called
+    lambdas, or with text=True stage guards of rhs, as _solve_core's are."""
     R0 = 1e-6
+    if text:
+        guards = [integrate.stage_guard(rhs, "U", {}),
+                  integrate.stage_guard(rhs, model._HORIZON, {"kappa_min": 1e-10}),
+                  integrate.stage_guard(rhs, "dU - mono_eps", {"mono_eps": 1e-6})]
+    else:
+        guards = [lambda R, y: y[1],
+                  lambda R, y: odecore.kappa_scaled(R, y[0], alpha, beta) - 1e-10,
+                  lambda R, y, dy: dy[1] - 1e-6]
     events = [
-        EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True, name="vacuum"),
-        EventSpec(guard=lambda R, y: odecore.kappa_scaled(R, y[0], alpha, beta) - 1e-10,
-                  direction="falling", terminal=True, name="horizon"),
-        EventSpec(guard=lambda R, y, dy: dy[1] - 1e-6, direction="rising", root_tol=1e-10,
+        EventSpec(guard=guards[0], direction="falling", terminal=True, name="vacuum"),
+        EventSpec(guard=guards[1], direction="falling", terminal=True, name="horizon"),
+        EventSpec(guard=guards[2], direction="rising", root_tol=1e-10,
                   name="pressure_rise", slope=True),
     ] if guarded else []
     return integrate_adaptive(rhs, odecore.center_germ_scaled(alpha, beta, eos, R0), (R0, R_max),
@@ -162,6 +170,29 @@ def test_fused_stages_match_the_called_right_hand_side(alpha, beta, eos, R_max, 
         assert fused[0] is EosDomainError
     else:
         assert fused[4] in ("event", "completed")
+
+
+@pytest.mark.parametrize("alpha, beta, eos, what", [
+    (1e-3, 1.0, "polytrope", "HorizonDegenerate, with kappa <= 0 retries"),
+    (1e-3, 0.05, "polytrope", "NonMonotone, with refined rises"),
+    (1e-3, 1e-3, "polytrope", "MonotoneShort"),
+    (*EDGE_STAR, "series", "EosDomainError out of a stage, past guarded steps"),
+])
+def test_written_in_guards_match_called_guards(alpha, beta, eos, what):
+    # the guards written into the step loop as text give the bits, counts,
+    # events and outcome of the same guards called as lambdas
+    eos = {"polytrope": EosSpec(A=1.0, gamma=1.5), "series": SERIES_EOS}[eos]
+    f = odecore.scaled_rhs(alpha, beta, eos)
+    text = _solution_bits(lambda: _scaled_solve(f, alpha, beta, eos, 50.0, True, text=True))
+    called = _solution_bits(lambda: _scaled_solve(f, alpha, beta, eos, 50.0, True))
+    assert text == called
+    assert any(stage == f.stage and len(guards) == 3 for _, stage, guards in integrate._LOOPS)
+    if what.startswith("EosDomainError"):
+        assert text[0] is EosDomainError
+    else:
+        assert {ev[3] for ev in text[3]} >= {"HorizonDegenerate": {"horizon"},
+                                             "NonMonotone": {"pressure_rise"},
+                                             "MonotoneShort": {"vacuum"}}[what.split(",")[0]]
 
 
 def test_fused_stage_error_shows_its_line():

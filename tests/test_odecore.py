@@ -29,6 +29,7 @@ from oracles import (
     center_germ_physical,
     rhs_scaled_c,
     rhs_scaled_reference,
+    rhs_scaled_u_form,
     rhs_tov,
     rhs_tovds_pressure,
     scale_state,
@@ -180,6 +181,44 @@ def test_scaled_rhs_matches_reference_on_random_points():
             beta, M = (0.0, 0.0) if k % 2 else (rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5))
             want = _outcome(rhs_scaled_reference, R, [M, U], alpha, beta, eos)
             assert _outcome(scaled_rhs(alpha, beta, eos), R, [M, U]) == want
+
+
+def _assert_near_u_form(eos, alpha, beta, R, M, U):
+    """scaled_rhs against the stage in the powers of U#: dM within 4e-15
+    relative, dU within 4e-15 of the sum of the moduli of its terms."""
+    dM, dU = scaled_rhs(alpha, beta, eos)(R, [M, U])
+    dM_u, dU_u = rhs_scaled_u_form(R, [M, U], alpha, beta, eos)
+    assert abs(dM - dM_u) <= 4e-15 * abs(dM_u)
+    U_pos = max(U, 0.0)
+    omega_P = eos.omega_rho_P_fast(alpha * U_pos)[1]
+    p_term = U_pos ** (eos.mu + 1.0) * omega_P
+    p_alpha = (eos.gamma - 1.0) / eos.gamma * alpha
+    scale = (abs(M) + p_alpha * R**3 * p_term + beta * R**3 / 3.0) / (
+        R * R * kappa_scaled(R, M, alpha, beta))
+    assert abs(dU - dU_u) <= 4e-15 * scale
+
+
+def test_scaled_rhs_is_near_the_u_form():
+    # U#^mu Omega_rho = Z^mu and U#^(mu+1) Omega_P = Z^(mu+1), Z = U# / Omega_u,
+    # change the stage's rounding only
+    rng = np.random.default_rng(17)
+    for eos in SCALED_EOS.values():
+        for _ in range(5000):
+            alpha, beta = rng.uniform(1e-4, 1.0), rng.uniform(0.0, 1.0)
+            R, M, U = rng.uniform(1e-3, 2.0), rng.uniform(0.0, 0.5), rng.uniform(-0.2, 1.5)
+            if kappa_scaled(R, M, alpha, beta) > 0.0:
+                _assert_near_u_form(eos, alpha, beta, R, M, U)
+
+
+@pytest.mark.parametrize("alpha", [1e-320, 1e-310, 2.2e-308])
+def test_scaled_rhs_at_a_subnormal_alpha(alpha):
+    # k alpha U# is subnormal, and expm1(x) / x is 1.0 exactly there: dividing
+    # by k alpha instead would be off by up to 14%
+    rng = np.random.default_rng(19)
+    for eos in SCALED_EOS.values():
+        for _ in range(200):
+            R, M, U = rng.uniform(1e-3, 2.0), rng.uniform(0.0, 0.5), rng.uniform(-0.2, 1.5)
+            _assert_near_u_form(eos, alpha, rng.uniform(0.0, 1.0), R, M, U)
 
 
 # one gamma, so that only Omega differs; the Fermi fit's Omega meets no domain
