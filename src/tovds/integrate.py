@@ -12,17 +12,24 @@ any sequence of floats; it may raise DomainSignalError to have the step
 retried smaller.  The step loop runs on Python floats, since for the small
 systems solved here a numpy operation costs far more than its arithmetic.
 The whole adaptive loop, with its step control and event guards, is
-generated from one template, _LOOP, once per state dimension and
-right-hand side stage; it keeps the state, the FSAL slope and the
-tolerances in locals across steps, and writes every stage sum, the error
-norm and the interpolant out per component.  Each stage is one slot of the
-template: for a plain callable the slot calls it, and for a right-hand side
-built by stage_rhs from statements (a Stage) the slot is those statements,
-so a step makes no Python call for its stages.  Accepted nodes, states and
-interpolant coefficients go into flat ``array('d')`` buffers; numpy appears
-only when those become the ndarrays of the returned DenseSolution.  A
-DenseSolution evaluates a scalar and an array of points by one vectorised
-routine, so each point gets the same bits however it is asked for.
+generated from one template, _LOOP, once per state dimension, right-hand
+side stage and set of written-in guards; it keeps the state, the FSAL slope
+and the tolerances in locals across steps, writes every stage sum and the
+error norm out per component, and has the tableau's coefficients as
+literals.  Each stage is one slot of the template: for a plain callable the
+slot calls it, and for a right-hand side built by stage_rhs from statements
+(a Stage) the slot is those statements, so a step makes no Python call for
+its stages.  A guard built by stage_guard from an expression over a stage's
+names is written into the loop's guard block in the same way when the solve
+integrates that stage's right-hand side; its constants are bound, not
+written in, so one loop serves every solve of a stage.  Accepted nodes,
+states and the six slopes of each step's interpolant go into flat
+``array('d')`` buffers.  The interpolant is formed on floats only on a step
+where a guard changes sign, to locate the crossing; numpy forms all of them
+when the buffers become the ndarrays of the returned DenseSolution, by the
+same expressions, so the bits agree.  A DenseSolution evaluates a scalar
+and an array of points by one vectorised routine, so each point gets the
+same bits however it is asked for.
 """
 
 from __future__ import annotations
