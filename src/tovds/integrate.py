@@ -21,19 +21,23 @@ slot calls it, and for a right-hand side built by stage_rhs from statements
 (a Stage) the slot is those statements, so a step makes no Python call for
 its stages.  A guard built by stage_guard from an expression over a stage's
 names is written into the loop's guard block in the same way when the solve
-integrates that stage's right-hand side; its constants are bound, not
-written in, so one loop serves every solve of a stage.  Accepted nodes,
-states and the six slopes of each step's interpolant go into flat
-``array('d')`` buffers.  The interpolant is formed on floats only on a step
-where a guard changes sign, to locate the crossing; numpy forms all of them
-when the buffers become the ndarrays of the returned DenseSolution, by the
-same expressions, so the bits agree.  A DenseSolution evaluates a scalar
-and an array of points by one vectorised routine, so each point gets the
-same bits however it is asked for.
+integrates that stage's right-hand side; it reads the names as the FSAL
+stage, the last one a step runs, left them, so a stage may not assign its
+own abscissa or state.  Its constants are bound, not written in, so one
+loop serves every solve of a stage.  Each accepted step appends its node,
+its state and the six slopes of its interpolant to one flat ``array('d')``
+buffer, with one call.  The interpolant is formed on floats only on a step
+where a guard changes sign, to locate the crossing; the returned
+DenseSolution forms all of them with numpy on first read, by the same
+expressions, so the bits agree, and a solve whose dense output is never
+read never forms them.  A DenseSolution evaluates a scalar and an array of
+points by one vectorised routine, so each point gets the same bits however
+it is asked for.
 """
 
 from __future__ import annotations
 
+import ast
 import builtins
 import functools
 import math
@@ -43,7 +47,7 @@ import textwrap
 import types
 from array import array
 from dataclasses import dataclass, field
-from math import isfinite, sqrt  # for the generated loop
+from math import sqrt  # for the generated loop
 
 import numpy as np
 
@@ -165,7 +169,7 @@ class DenseSolution:
 
     xs: np.ndarray            # accepted nodes, shape (n+1,)
     ys: np.ndarray            # states at nodes, shape (n+1, dim)
-    interp: np.ndarray        # per-step quartic coefficients, shape (n, dim, 4)
+    slopes: np.ndarray        # per-step slopes k1, k3, k4, k5, k6, k7, shape (n, dim, 6)
     events: list = field(default_factory=list)
     status: str = "completed"  # completed|event|step_budget|step_underflow|domain_error
     message: str = ""
@@ -175,6 +179,22 @@ class DenseSolution:
     n_rhs: int = 0
     n_rejected: int = 0       # error-test rejections plus domain and non-finite retries
     failure: Exception | None = None
+    _interp: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def interp(self) -> np.ndarray:
+        """Per-step quartic coefficients q0 ... q3, shape (n, dim, 4), formed
+        from slopes on first read by the step loop's expressions, term by
+        term, so they have the bits the loop forms on a step with an event."""
+        if self._interp is None:
+            k1, k3, k4, k5, k6, k7 = self.slopes.transpose(2, 0, 1)
+            self._interp = np.stack((
+                k1,
+                _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7,
+                _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7,
+                _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7,
+            ), axis=2)
+        return self._interp
 
     def __call__(self, x):
         """State at x: shape (dim,) for a scalar, (n, dim) for n points.
@@ -305,29 +325,34 @@ def stage_guard(rhs, expr: str, values: dict):
 # in the tableau's order, so the bits do not depend on the dimension or on
 # whether the stage is inlined.
 #
-# An accepted step stores its node, its state and the six slopes k1, k3 ... k7
-# its interpolant is made of; integrate_adaptive forms the interpolants from
-# them once, when the run ends.  The guard block tests every guard at the
-# step end: GUARD_TEXT stands for the guards written in as text (_guard_text),
-# each a local g_prev, and the called guards follow in a loop.  Only on a
-# step where a guard changes sign are the interpolant's coefficients formed,
-# here on floats, and the crossings located.
+# An accepted step appends one record to the buffer steps: its node, its
+# state and the six slopes k1, k3 ... k7 its interpolant is made of.  The
+# guard block tests every guard at the step end: GUARD_TEXT stands for the
+# guards written in as text (_guard_text), each a local g_prev, which read
+# the stage's names as the FSAL stage left them; the called guards follow in
+# a loop, on a state list built for them.  Only on a step where a guard
+# changes sign are the interpolant's coefficients formed, here on floats,
+# and the crossings located.
 #
 # loop(...) -> (status, message, failure, x_end, y_end, n_rhs, n_rejected),
 # x_end and y_end None for the last node.  n_rhs counts a right-hand side
 # call that raised.  A non-finite slope makes err non-finite, except k2,
-# which the error estimate does not weigh; the full scan runs only when that
-# test fails.  min and max of two floats are written as conditionals that
-# give the same result, NaN included.
+# which the error estimate does not weigh; fin - fin is 0.0 exactly for a
+# finite fin, and the full scan runs only when that test fails.  min and max
+# of two floats, and the moduli ay@ and an@, are written as conditionals;
+# only the larger modulus enters atol + rtol * max, so they give abs's
+# result, NaN and a signed zero included.  ay@ is the modulus of the step's
+# start state, carried over from an@ on acceptance.
 _LOOP = """\
 def make(CONSTS):
     def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, guards, g_prev, events,
-             xs, ys, slopes, found, n_rhs):
+             steps, found, n_rhs):
         `y@`, = y
         `k1_@`, = k1
+        `ay@`, = `abs(y@)`,
         GUARD_INIT
         # array.fromlist takes a list far faster than extend takes any sequence
-        add_node, add_state, add_slopes = xs.append, ys.fromlist, slopes.fromlist
+        add_step = steps.fromlist
         n_rejected = attempts = 0
         rejected = False
         while x < x1:
@@ -361,11 +386,11 @@ def make(CONSTS):
                 failure = exc
             else:
                 n_rhs += 6
-                `ay@`, = `abs(y@)`,
-                `an@`, = `abs(yn@)`,
+                `an@`, = `yn@ if yn@ >= 0.0 else -yn@`,
                 `e@`, = `h * (_E1 * k1_@ + _E3 * k3_@ + _E4 * k4_@ + _E5 * k5_@ + _E6 * k6_@ + _E7 * k7_@) / (atol + rtol * (an@ if an@ > ay@ else ay@))`,
                 err = sqrt((`e@ * e@`+) / DIM)
-                if isfinite(err + (`k2_@`+)) or _finite(`k1_@`, `k2_@`, `k3_@`, `k4_@`, `k5_@`, `k6_@`, `k7_@`):
+                fin = err + (`k2_@`+)
+                if fin - fin == 0.0 or _finite(`k1_@`, `k2_@`, `k3_@`, `k4_@`, `k5_@`, `k6_@`, `k7_@`):
                     if err > 1.0:
                         factor = _SAFETY * err ** -0.2
                         h *= factor if factor > _MIN_FACTOR else _MIN_FACTOR
@@ -384,16 +409,14 @@ def make(CONSTS):
                             factor = 1.0
                         rejected = False
                     x_new = x + h
-                    y_new = [`yn@`]
-                    add_node(x_new)
-                    add_state(y_new)
-                    add_slopes([`k1_@, k3_@, k4_@, k5_@, k6_@, k7_@`])
+                    add_step([x_new, `yn@`, `k1_@, k3_@, k4_@, k5_@, k6_@, k7_@`])
 
                     # event guards: a sign change between the step's ends is
                     # refined on the step's interpolant
                     hit = []  # (index, value at x, value at x_new)
                     GUARD_TEXT
                     if guards:
+                        y_new = [`yn@`]
                         for idx, guard, falling, rising, slope in guards:
                             g0 = g_prev[idx]
                             g1 = g_prev[idx] = float(guard(x_new, y_new, FSAL) if slope
@@ -406,7 +429,7 @@ def make(CONSTS):
                             _D11 * k1_@ + _D13 * k3_@ + _D14 * k4_@ + _D15 * k5_@ + _D16 * k6_@ + _D17 * k7_@,
                             _D21 * k1_@ + _D23 * k3_@ + _D24 * k4_@ + _D25 * k5_@ + _D26 * k6_@ + _D27 * k7_@,
                             _D31 * k1_@ + _D33 * k3_@ + _D34 * k4_@ + _D35 * k5_@ + _D36 * k6_@ + _D37 * k7_@`],
-                            x_new, y_new)
+                            x_new, [`yn@`])
                         x_ev, calls = _step_events(step_eval, hit, events, rhs, x, x_new, found)
                         n_rhs += calls
                         if x_ev is not None:
@@ -415,6 +438,7 @@ def make(CONSTS):
 
                     x = x_new
                     `y@`, = `yn@`,
+                    `ay@`, = `an@`,
                     `k1_@`, = `k7_@`,
                     h *= factor
                     if h_max < h:
@@ -452,17 +476,14 @@ class _TextGuard:
     consts: tuple
 
 
-def _guard_text(dim: int, stage: Stage, guards: tuple) -> tuple:
+def _guard_text(guards: tuple) -> tuple:
     """(init, block): the statements that load each written-in guard's value
     at the start into its local g_prev, and the statements that evaluate the
-    guards at a step end on the stage's names and collect sign changes."""
+    guards at a step end and collect sign changes.  The guards read the
+    stage's names as the FSAL stage, the last one run, left them: the step
+    end's abscissa, state and slopes."""
     init = "".join(f"gp{j} = g_prev[{g.index}]\n" for j, g in enumerate(guards))
     block = ""
-    if guards:
-        block = (f"{stage.x} = x_new\n"
-                 f"{', '.join(stage.y)}, = {', '.join(f'yn{i}' for i in range(dim))},\n")
-        if any(g.slope for g in guards):
-            block += f"{', '.join(stage.dy)}, = {', '.join(f'k7_{i}' for i in range(dim))},\n"
     for j, g in enumerate(guards):
         tests = [f"gp{j} > 0.0 >= g1"] * g.falling + [f"gp{j} < 0.0 <= g1"] * g.rising
         block += (f"g1 = {g.expr}\n"
@@ -488,7 +509,7 @@ def _loop_source(dim: int, stage: Stage | None, guards: tuple = ()) -> str:
                 f"{textwrap.indent(stage.body, indent)}"
                 f"{indent}{slopes}, = {', '.join(stage.dy)},\n")
 
-    init, block = ("", "") if stage is None else _guard_text(dim, stage, guards)
+    init, block = _guard_text(guards)
     source = re.sub(r"`([^`]*)`(\+?)", components, _LOOP).replace("DIM", str(dim))
     source = re.sub(r"\b_[ABCDE]\d+\b", lambda m: repr(globals()[m.group()]), source)
     for slot, text in (("GUARD_INIT", init), ("GUARD_TEXT", block)):
@@ -533,6 +554,13 @@ def _loop(dim: int, stage: Stage | None, guards: tuple = ()):
             clash = (_names(compile(stage.body, "<stage>", "exec")) | own) & loop_names
             if clash:
                 raise ValueError(f"stage {stage.name!r} uses names of the step loop: {sorted(clash)}")
+            # the written-in guards read the abscissa and state the FSAL stage was given
+            rebound = {node.id for node in ast.walk(ast.parse(stage.body))
+                       if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+                       } & {stage.x, *stage.y}
+            if rebound:
+                raise ValueError(f"stage {stage.name!r} assigns its own abscissa or state: "
+                                 f"{sorted(rebound)}")
         make = _LOOPS[key] = codegen.define(_loop_source(dim, stage, guards), filename, globals())
     return make
 
@@ -704,9 +732,10 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
 
     The run is one call of the step loop generated for the state's
     dimension, the right-hand side's stage and the written-in guards.
-    Accepted nodes, states and the slopes of each step go into flat
-    ``array('d')`` buffers; they become the xs, ys and interp ndarrays of
-    the result once, when the run ends.
+    Accepted nodes, states and the slopes of each step go into one flat
+    ``array('d')`` buffer; it becomes the xs, ys and slopes ndarrays of the
+    result once, when the run ends, and interp is formed from the slopes on
+    first read.
     """
     ctrl = ctrl or StepControl()
     x0, x1 = float(span[0]), float(span[1])
@@ -739,25 +768,18 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
             called.append((idx, ev.guard, falling, rising, ev.slope))
     loop = _loop(dim, stage, tuple(text))(**values)
 
-    xs = array("d", (x0,))
-    ys = array("d", y0)
-    slopes = array("d")  # per step and component: k1, k3, k4, k5, k6, k7
+    # one record per node: x, the state, then the slopes of the step that
+    # ends there (zeros at x0)
+    steps = array("d", [x0, *y0] + [0.0] * (6 * dim))
     found = []  # (x, y, index) of located events
 
     def _finish(status, message="", failure=None, x_end=None, y_end=None, n_rhs=1, n_rejected=0):
-        n = len(xs) - 1
-        k1, k3, k4, k5, k6, k7 = np.frombuffer(slopes, dtype=float).reshape(n, dim, 6).transpose(2, 0, 1)
-        # the step loop's expressions, term by term, on whole columns
-        interp = np.stack((
-            k1,
-            _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7,
-            _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7,
-            _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7,
-        ), axis=2)
+        nodes = np.frombuffer(steps, dtype=float).reshape(-1, 1 + 7 * dim)
+        ys = nodes[:, 1:1 + dim].copy()
         return DenseSolution(
-            xs=np.frombuffer(xs, dtype=float),
-            ys=np.frombuffer(ys, dtype=float).reshape(n + 1, dim),
-            interp=interp,
+            xs=nodes[:, 0].copy(),
+            ys=ys,
+            slopes=nodes[1:, 1 + dim:].reshape(-1, dim, 6),
             events=[
                 EventRecord(x=x_ev, y=np.array(y_ev), index=idx,
                             name=events[idx].name, terminal=events[idx].terminal)
@@ -766,9 +788,9 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
             status=status,
             message=message,
             failure=failure,
-            x_end=xs[-1] if x_end is None else x_end,
-            y_end=np.array(ys[-dim:] if y_end is None else y_end),
-            n_steps=n,
+            x_end=float(nodes[-1, 0]) if x_end is None else x_end,
+            y_end=ys[-1].copy() if y_end is None else np.array(y_end),
+            n_steps=len(nodes) - 1,
             n_rhs=n_rhs,
             n_rejected=n_rejected,
         )
@@ -792,4 +814,4 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
     h = min(h, h_max, x1 - x0)
 
     return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, called,
-                         g_prev, events, xs, ys, slopes, found, n_rhs))
+                         g_prev, events, steps, found, n_rhs))

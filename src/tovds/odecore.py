@@ -223,9 +223,12 @@ class ScalingParams:
 
     def unscale_solution(self, dense: DenseSolution) -> DenseSolution:
         """A solution of the scaled system in (r, (m, u)): nodes, states,
-        interpolant coefficients (slopes, so scaled by (mass_scale, b)/a),
-        end point and events."""
+        step slopes and interpolant coefficients (slopes, so scaled by
+        (mass_scale, b)/a), end point and events.  The coefficients are the
+        scaled solution's times that factor, not formed afresh from the
+        scaled slopes, which would round differently."""
         y_scale = np.array([self.mass_scale, self.b])
+        slope_scale = (y_scale / self.a)[:, None]
         events = []
         for ev in dense.events:
             x, y = self.unscale_state(ev.x, ev.y)
@@ -234,7 +237,8 @@ class ScalingParams:
             dense,
             xs=self.a * dense.xs,
             ys=dense.ys * y_scale,
-            interp=dense.interp * (y_scale / self.a)[:, None],
+            slopes=dense.slopes * slope_scale,
+            _interp=dense.interp * slope_scale,
             events=events,
             x_end=self.a * dense.x_end,
             y_end=dense.y_end * y_scale,

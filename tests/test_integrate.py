@@ -423,6 +423,31 @@ def test_stage_may_not_use_the_loops_names():
         integrate_adaptive(stage_rhs(stage, {}), [1.0], (0.0, 1.0))
 
 
+@pytest.mark.parametrize("body, rebound", [
+    ("u = 2.0 * u\ndu = -u\n", "u"),
+    ("t += 0.0\ndu = -u\n", "t"),
+])
+def test_stage_may_not_assign_its_abscissa_or_state(body, rebound):
+    # the written-in guards read the abscissa and state the FSAL stage was
+    # given, so a body that rebinds them would move the guards' values
+    stage = Stage(name="rebinds", x="t", y=("u",), dy=("du",), body=body, consts=())
+    with pytest.raises(ValueError, match=rf"assigns its own abscissa or state: \['{rebound}'\]"):
+        integrate_adaptive(stage_rhs(stage, {}), [1.0], (0.0, 1.0))
+
+
+def test_interpolant_is_formed_on_first_read():
+    # a sweep reads only a solve's tag and end point: the quartic
+    # coefficients wait until dense output asks for them
+    dense = solve_scaled(0.01, 0.001, EosSpec(A=1.0, gamma=1.5)).dense
+    assert dense._interp is None
+    mid = 0.5 * (dense.xs[3] + dense.xs[4])
+    y_mid = dense(mid)
+    interp = dense._interp
+    assert interp is not None and interp.shape == (dense.n_steps, 2, 4)
+    assert dense.interp is interp
+    assert y_mid.tobytes() == np.asarray(dense_eval_scalar(dense, mid)).tobytes()
+
+
 def test_generated_loop_lines_show_in_tracebacks():
     # the loop's source is registered with linecache, so a traceback through
     # it shows the stage's line
