@@ -187,23 +187,27 @@ else:
     omega_P = omega_rho / omu
 """
 # The terms rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P of the
-# scaled stage, from U_pos = U# and eta = alpha U#, as statements that
-# EosSpec.stage_terms_source hands to odecore.  For Omega == 1,
-# Omega_rho = Omega_u^(-mu) and Omega_P = Omega_u^(-mu-1), so with
-# Z = U# / Omega_u = U# expm1(keta) / keta, keta = k eta, the terms are Z^mu
-# and Z^(mu+1): one pow.  expm1(keta) / keta is 1.0 exactly for a tiny or
-# subnormal keta, where dividing by k alpha instead would not be.
+# scaled stage, from U_pos = U# and the stage's constants alpha, mu and
+# p_alpha = k alpha, as statements that EosSpec.stage_terms_source hands to
+# odecore.  For Omega == 1, Omega_rho = Omega_u^(-mu) and
+# Omega_P = Omega_u^(-mu-1), so with Z = U# / Omega_u = U# expm1(keta) / keta,
+# keta = k alpha U#, the terms are Z^mu and Z^(mu+1): one pow.
+# expm1(keta) / keta is 1.0 exactly for a tiny or subnormal keta, where
+# dividing by k alpha instead would not be.
 _CLOSED_FORM_TERMS = """\
-keta = k * eta
+keta = p_alpha * U_pos
 Z = U_pos * (expm1(keta) / keta) if keta != 0.0 else U_pos
 rho_term = Z**mu
 p_term = rho_term * Z
 """
-# a series Omega calls its bound table evaluator
+# a series Omega calls its bound table evaluator at eta = alpha U#, and
+# U#^(mu+1) is U#^mu U#: one pow
 _TABLE_TERMS = """\
+eta = alpha * U_pos
 omega_rho, omega_P = omega_table(eta)
-rho_term = U_pos**mu * omega_rho
-p_term = U_pos**mu1 * omega_P
+Um = U_pos**mu
+rho_term = Um * omega_rho
+p_term = Um * U_pos * omega_P
 """
 
 
@@ -419,18 +423,12 @@ class EosSpec:
             return None
         return _OmegaTables(self.eta_max)
 
-    def _closed_form_values(self) -> dict:
-        return {
-            "k": (self.gamma - 1.0) / self.gamma,  # zeta = expm1(k eta) when Omega == 1
-            "mu": self.mu,
-            "expm1": math.expm1,
-        }
-
     def stage_terms_source(self) -> tuple:
         """(label, text, values): statements that set rho_term =
-        U_pos^mu Omega_rho(eta) and p_term = U_pos^(mu+1) Omega_P(eta) from
-        the scaled stage's U_pos and eta = alpha U_pos, and the values of
-        their free names but mu and mu1 = mu + 1, which the stage binds.
+        U_pos^mu Omega_rho(eta) and p_term = U_pos^(mu+1) Omega_P(eta),
+        eta = alpha U_pos, from the scaled stage's U_pos, and the values of
+        their free names but alpha, mu and p_alpha = (gamma - 1) / gamma
+        alpha, which the stage binds.
 
         For Omega == 1 the text is the closed form in Z = U_pos / Omega_u
         (_CLOSED_FORM_TERMS); for a series Omega it calls the table evaluator
@@ -439,7 +437,7 @@ class EosSpec:
         as the evaluator is.
         """
         if self._tables is None:
-            return "closed-form Omega", _CLOSED_FORM_TERMS, self._closed_form_values()
+            return "closed-form Omega", _CLOSED_FORM_TERMS, {"expm1": math.expm1}
         return "table Omega", _TABLE_TERMS, {"omega_table": self.fast_omega()}
 
     def fast_omega(self):
@@ -454,7 +452,11 @@ class EosSpec:
         """
         tab = self._tables
         if tab is None:
-            values = self._closed_form_values()
+            values = {
+                "k": (self.gamma - 1.0) / self.gamma,  # zeta = expm1(k eta) when Omega == 1
+                "mu": self.mu,
+                "expm1": math.expm1,
+            }
             return codegen.closure_factory("<fast Omega: closed form>", "eta", _CLOSED_FORM,
                                            "omega_rho, omega_P", tuple(values))(**values)
 

@@ -230,8 +230,10 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     eos = inp.eos
     m, u = np.ascontiguousarray(dense(rr).T)
     # the powers stay on Python floats: numpy's vector pow can differ from
-    # libm's pow in the last bit, and each sample keeps the bits of the float
-    # expressions the right-hand side uses
+    # libm's pow in the last bit, and each sample keeps the bits of
+    # tests/oracles.py::profile_row, which evaluates one sample on floats.
+    # These are not the scaled stage's bits: it forms U#^mu Omega_rho as
+    # Z^mu, in scaled variables
     A1, mu, p_coeff, c2 = eos.A1, eos.mu, eos.p_coeff, k.c2
     omega_rho_P = eos.fast_omega()
     rho = np.zeros(rr.size)
@@ -253,8 +255,8 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
 # -- the solve core ------------------------------------------------------------
 
 _FAILED = ("step_budget", "step_underflow", "domain_error")
-# kappa_scaled - kappa_min over the scaled stage's names
-_HORIZON = "1.0 - two_alpha * M / R - alpha_beta * R * R / 3.0 - kappa_min"
+# kappa_scaled - kappa_min over the scaled stage's names, bit for bit
+_HORIZON = "(R - two_alpha * M - ab3 * (R * R * R)) / R - kappa_min"
 
 
 @dataclass

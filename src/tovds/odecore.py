@@ -19,8 +19,12 @@ that function called once.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3 and
 Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled out in
-kappa and q_factor, which the enthalpy form calls; the scaled form spells out
-its own kappa, with the same expression as kappa_scaled.
+kappa and q_factor, which the enthalpy form calls.  The scaled form spells
+out R kappa = R - 2 alpha M - alpha beta R^3 / 3 and divides by R (R kappa)
+instead of R^2 kappa, which takes neither a division for kappa nor a pow
+for R^3.  kappa_scaled is R kappa / R by the same expression, so the
+stage's kappa <= 0 test, the solve's horizon guard (model._HORIZON) and
+kappa_scaled share their bits.
 """
 
 from __future__ import annotations
@@ -64,7 +68,9 @@ def q_factor(r: float, m: float, P: float, Lambda: float, k: Constants) -> float
 
 
 def kappa_scaled(R: float, M: float, alpha: float, beta: float) -> float:
-    return 1.0 - 2.0 * alpha * M / R - alpha * beta * R * R / 3.0
+    """1 - 2 alpha M / R - alpha beta R^2 / 3, as R kappa / R: the bits of the
+    scaled stage's kappa test and of the solve's horizon guard."""
+    return (R - 2.0 * alpha * M - alpha * beta / 3.0 * (R * R * R)) / R
 
 
 def _check_kappa(kap: float, r: float) -> None:
@@ -95,25 +101,29 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 # The scaled right-hand side as statements: dM and dU from R, M and U.  The
 # line TERMS stands for the EOS's statements (EosSpec.stage_terms_source),
 # which set rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P from
-# U_pos = U# and eta = alpha U#: for Omega == 1 they are Z^mu and Z^(mu+1)
-# with Z = U# / Omega_u, one pow; for a series Omega, the table's Omega_rho
-# and Omega_P times U#^mu and U#^(mu+1).  Past the vacuum both terms are 0 and
-# every path gives exactly Omega_rho = Omega_P = 1 at eta = 0, so neither
-# U <= 0 nor alpha = 0 takes a branch of its own.  R3 stays R**3, the
-# Lane-Emden right-hand side's power, so that alpha = beta = 0 reduces to it
-# bit for bit.  The free names are the constants scaled_rhs binds; mu is the
-# EOS's mu, as in the terms' text.
+# U_pos = U# and the star's constants: for Omega == 1 they are Z^mu and
+# Z^(mu+1) with Z = U# / Omega_u, one pow; for a series Omega, the table's
+# Omega_rho and Omega_P at eta = alpha U# times U#^mu and U#^(mu+1), one pow.
+# Past the vacuum both terms are 0 and every path gives exactly
+# Omega_rho = Omega_P = 1 at eta = 0, so neither U <= 0 nor alpha = 0 takes
+# a branch of its own.  The denominator R^2 kappa is written R (R kappa),
+# with R kappa = R - 2 alpha M - alpha beta R^3 / 3: no division by R and no
+# pow, for R^3 = (R R) R.  R^3 no longer needs to be R**3, the Lane-Emden
+# right-hand side's power: it enters dU only times beta / 3 - p_alpha p_term
+# and R kappa only times alpha beta / 3, both 0 at alpha = beta = 0, where
+# the stage reduces to Lane-Emden bit for bit.  The free names are the
+# constants scaled_rhs binds; mu and p_alpha = (gamma - 1) / gamma alpha are
+# also the terms' own.
 _SCALED = """\
 U_pos = U if U > 0.0 else 0.0
-eta = alpha * U_pos
 TERMS
-R3 = R**3
-dM = R * R * rho_term
-num = M + p_alpha * R3 * p_term - beta * R3 / 3.0
-kap = 1.0 - two_alpha * M / R - alpha_beta * R * R / 3.0
-if kap <= 0.0:
-    raise KappaNonPositiveError(f"kappa = {kap:g} <= 0 at r = {R:g} (horizon contact)")
-dU = -num / (R * R * kap)
+RR = R * R
+R3 = RR * R
+dM = RR * rho_term
+Rkap = R - two_alpha * M - ab3 * R3
+if Rkap <= 0.0:
+    raise KappaNonPositiveError(f"kappa = {Rkap / R:g} <= 0 at r = {R:g} (horizon contact)")
+dU = -(M - R3 * (beta3 - p_alpha * p_term)) / (R * Rkap)
 """
 
 
@@ -133,21 +143,23 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
     integrate_adaptive writes into its step loop; for Omega == 1 the closed
     form is written in too, by the identities U^mu Omega_rho = Z^mu and
     U^(mu+1) Omega_P = Z^(mu+1), Z = U / Omega_u, which make one pow of
-    Z where Omega_rho, Omega_P and the two powers of U took three.  At
+    Z where Omega_rho, Omega_P and the two powers of U took three.  The
+    denominator R^2 kappa is R (R - 2 alpha M - alpha beta R^3 / 3), with
+    R^3 = (R R) R: no pow, and no division but the one for dU.  At
     alpha = beta = 0 this reduces exactly (bitwise) to the Lane-Emden
-    right-hand side with lambda = 0, whose R**3 it keeps.  Raises
-    KappaNonPositiveError where kappa <= 0 (horizon contact).
+    right-hand side with lambda = 0, since R^3 then enters only times 0.
+    Raises KappaNonPositiveError where kappa <= 0 (horizon contact),
+    reporting kappa_scaled's value.
     """
     label, terms_text, values = eos.stage_terms_source()
     g = eos.gamma
     values.update(
         alpha=alpha,
-        beta=beta,
+        beta3=beta / 3.0,
         mu=eos.mu,
-        mu1=eos.mu + 1.0,
         p_alpha=(g - 1.0) / g * alpha,
         two_alpha=2.0 * alpha,
-        alpha_beta=alpha * beta,
+        ab3=alpha * beta / 3.0,
         KappaNonPositiveError=KappaNonPositiveError,
     )
     return stage_rhs(_scaled_stage(label, terms_text, tuple(values)), values)

@@ -171,26 +171,28 @@ def rhs_scaled_reference(R: float, y, alpha: float, beta: float, eos) -> tuple:
 
     The stage needs U#^mu Omega_rho and U#^(mu+1) Omega_P.  For Omega == 1
     they are Z^mu and Z^(mu+1) with Z = U# / Omega_u = U# expm1(x) / x,
-    x = k alpha U#; a series Omega multiplies the fast path's values."""
+    x = k alpha U#; a series Omega multiplies the fast path's values by U#^mu
+    and U#^mu U#.  The denominator R^2 kappa is R (R kappa), and
+    kappa_scaled is R kappa / R, which _check_kappa tests."""
     M, U = y
     U_pos = U if U > 0.0 else 0.0
     g = eos.gamma
-    eta = alpha * U_pos
     if eos._tables is None:
-        x = (g - 1.0) / g * eta
+        x = (g - 1.0) / g * alpha * U_pos
         Z = U_pos * (math.expm1(x) / x) if x != 0.0 else U_pos
         rho_term = Z**eos.mu
         p_term = rho_term * Z
     else:
-        omega_rho, omega_P = eos.omega_rho_P_fast(eta)
-        rho_term = U_pos**eos.mu * omega_rho
-        p_term = U_pos ** (eos.mu + 1.0) * omega_P
-    R3 = R**3
-    dM = R * R * rho_term
-    num = M + (g - 1.0) / g * alpha * R3 * p_term - beta * R3 / 3.0
-    kap = kappa_scaled(R, M, alpha, beta)
-    _check_kappa(kap, R)
-    dU = -num / (R * R * kap)
+        omega_rho, omega_P = eos.omega_rho_P_fast(alpha * U_pos)
+        Um = U_pos**eos.mu
+        rho_term = Um * omega_rho
+        p_term = Um * U_pos * omega_P
+    RR = R * R
+    R3 = RR * R
+    dM = RR * rho_term
+    Rkap = R - 2.0 * alpha * M - alpha * beta / 3.0 * R3
+    _check_kappa(kappa_scaled(R, M, alpha, beta), R)
+    dU = -(M - R3 * (beta / 3.0 - (g - 1.0) / g * alpha * p_term)) / (R * Rkap)
     return dM, dU
 
 

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tovds import model
 from tovds.constants import Constants
 from tovds.eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
 from tovds.errors import KappaNonPositiveError
-from tovds.integrate import StepControl, integrate_adaptive
+from tovds.integrate import StepControl, integrate_adaptive, stage_guard
 from tovds.odecore import (
     ScalingParams,
     center_germ_scaled,
@@ -243,9 +244,10 @@ PAST_VACUUM_EOS = (
 def test_scaled_rhs_past_the_vacuum_does_not_ask_the_eos(alpha, beta, R, M, U):
     # at U <= 0 Omega enters only times U#^mu = 0 and eta = alpha U# = 0, so
     # every Omega gives the bits of the vacuum slopes and none raises
-    kap = kappa_scaled(R, M, alpha, beta)
-    assume(kap > 0.0)
-    vacuum = (0.0, -(M - beta * R**3 / 3.0) / (R * R * kap))
+    assume(kappa_scaled(R, M, alpha, beta) > 0.0)
+    R3 = R * R * R
+    Rkap = R - 2.0 * alpha * M - alpha * beta / 3.0 * R3
+    vacuum = (0.0, -(M - R3 * (beta / 3.0)) / (R * Rkap))
     for eos in PAST_VACUUM_EOS:
         assert scaled_rhs(alpha, beta, eos)(R, [M, U]) == vacuum
 
@@ -259,6 +261,38 @@ def test_scaled_rhs_kappa_nonpositive_raises(eos15):
         with pytest.raises(KappaNonPositiveError) as want:
             rhs_scaled_reference(1.0, [M, 0.5], 0.4, 0.3, eos15)
         assert str(got.value) == str(want.value)
+
+
+def test_stage_kappa_test_and_horizon_guard_are_kappa_scaled(eos15):
+    # the stage's kappa test, the horizon guard written into the step loop
+    # and kappa_scaled share their bits: the stage raises exactly where
+    # kappa_scaled <= 0 and reports its value, and the guard is
+    # kappa_scaled - kappa_min, at random points and a few ulps either side
+    # of the M where kappa = 0
+    rng = np.random.default_rng(23)
+    points = []
+    for _ in range(300):
+        alpha, beta, R = rng.uniform(1e-4, 1.0), rng.uniform(0.0, 2.0), rng.uniform(1e-3, 3.0)
+        points.append((alpha, beta, R, rng.uniform(0.0, 2.0)))
+        M0 = (R - alpha * beta / 3.0 * R**3) / (2.0 * alpha)
+        if M0 > 0.0:
+            points += [(alpha, beta, R, M0 + k * math.ulp(M0)) for k in range(-3, 4)]
+    signs = set()
+    for alpha, beta, R, M in points:
+        f = scaled_rhs(alpha, beta, eos15)
+        kap = kappa_scaled(R, M, alpha, beta)
+        signs.add(kap > 0.0)
+        want = (kap - 1e-10).hex()
+        names = {**f.values, "kappa_min": 1e-10, "R": R, "M": M, "U": 0.5}
+        assert eval(model._HORIZON, names).hex() == want  # the text the loop writes in
+        assert stage_guard(f, model._HORIZON, {"kappa_min": 1e-10})(R, [M, 0.5]).hex() == want
+        if kap <= 0.0:
+            with pytest.raises(KappaNonPositiveError) as info:
+                f(R, [M, 0.5])
+            assert str(info.value) == f"kappa = {kap:g} <= 0 at r = {R:g} (horizon contact)"
+        else:
+            f(R, [M, 0.5])
+    assert signs == {True, False}
 
 
 def test_scaled_negative_u(eos15):
