@@ -470,7 +470,6 @@ class _TextGuard:
     index: int
     name: str
     expr: str
-    slope: bool
     falling: bool
     rising: bool
     consts: tuple
@@ -762,7 +761,7 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
                 raise ValueError(f"event {ev.name!r}: two guards of one solve bind "
                                  f"{sorted(values.keys() & ev.guard.values.keys())}")
             values.update(ev.guard.values)
-            text.append(_TextGuard(idx, ev.name, ev.guard.expr, ev.slope, falling, rising,
+            text.append(_TextGuard(idx, ev.name, ev.guard.expr, falling, rising,
                                    tuple(ev.guard.values)))
         else:
             called.append((idx, ev.guard, falling, rising, ev.slope))
