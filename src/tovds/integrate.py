@@ -169,7 +169,9 @@ class DenseSolution:
 
     xs: np.ndarray            # accepted nodes, shape (n+1,)
     ys: np.ndarray            # states at nodes, shape (n+1, dim)
-    slopes: np.ndarray        # per-step slopes k1, k3, k4, k5, k6, k7, shape (n, dim, 6)
+    # per-step slopes k1, k3, k4, k5, k6, k7, shape (n, dim, 6); None where
+    # interp was given instead
+    slopes: np.ndarray | None
     events: list = field(default_factory=list)
     status: str = "completed"  # completed|event|step_budget|step_underflow|domain_error
     message: str = ""
@@ -241,8 +243,10 @@ class Stage:
     body sets the slope components named in dy from the abscissa named x and
     the state components named in y.  Every other free name of body is one
     of consts, whose values stage_rhs binds; a name body uses must not be one
-    the step loop uses, which _loop checks.  name labels the generated
-    sources in tracebacks, so each body needs its own.
+    the step loop uses, and body must not assign x or a name of y, which
+    the written-in guards read after the step's last stage; _loop checks
+    both.  name labels the generated sources in tracebacks, so each body
+    needs its own.
     """
 
     name: str

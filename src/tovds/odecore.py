@@ -235,12 +235,11 @@ class ScalingParams:
 
     def unscale_solution(self, dense: DenseSolution) -> DenseSolution:
         """A solution of the scaled system in (r, (m, u)): nodes, states,
-        step slopes and interpolant coefficients (slopes, so scaled by
-        (mass_scale, b)/a), end point and events.  The coefficients are the
-        scaled solution's times that factor, not formed afresh from the
-        scaled slopes, which would round differently."""
+        interpolant coefficients (slopes, so scaled by (mass_scale, b)/a),
+        end point and events.  The coefficients are the scaled solution's
+        times that factor, which forming them from scaled step slopes would
+        round differently, so the result carries no step slopes."""
         y_scale = np.array([self.mass_scale, self.b])
-        slope_scale = (y_scale / self.a)[:, None]
         events = []
         for ev in dense.events:
             x, y = self.unscale_state(ev.x, ev.y)
@@ -249,8 +248,8 @@ class ScalingParams:
             dense,
             xs=self.a * dense.xs,
             ys=dense.ys * y_scale,
-            slopes=dense.slopes * slope_scale,
-            _interp=dense.interp * slope_scale,
+            slopes=None,
+            _interp=dense.interp * (y_scale / self.a)[:, None],
             events=events,
             x_end=self.a * dense.x_end,
             y_end=dense.y_end * y_scale,
