@@ -169,8 +169,8 @@ class DenseSolution:
 
     xs: np.ndarray            # accepted nodes, shape (n+1,)
     ys: np.ndarray            # states at nodes, shape (n+1, dim)
-    # per-step slopes k1, k3, k4, k5, k6, k7, shape (n, dim, 6); None where
-    # interp was given instead
+    # per-step slopes k1, k3, k4, k5, k6, k7, shape (n, dim, 6), until
+    # interp is formed from them or given; then None
     slopes: np.ndarray | None
     events: list = field(default_factory=list)
     status: str = "completed"  # completed|event|step_budget|step_underflow|domain_error
@@ -187,7 +187,8 @@ class DenseSolution:
     def interp(self) -> np.ndarray:
         """Per-step quartic coefficients q0 ... q3, shape (n, dim, 4), formed
         from slopes on first read by the step loop's expressions, term by
-        term, so they have the bits the loop forms on a step with an event."""
+        term, so they have the bits the loop forms on a step with an event.
+        The slopes are dropped then: they view the step loop's whole buffer."""
         if self._interp is None:
             k1, k3, k4, k5, k6, k7 = self.slopes.transpose(2, 0, 1)
             self._interp = np.stack((
@@ -196,6 +197,7 @@ class DenseSolution:
                 _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7,
                 _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7,
             ), axis=2)
+            self.slopes = None
         return self._interp
 
     def __call__(self, x):

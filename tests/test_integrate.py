@@ -437,14 +437,15 @@ def test_stage_may_not_assign_its_abscissa_or_state(body, rebound):
 
 def test_interpolant_is_formed_on_first_read():
     # a sweep reads only a solve's tag and end point: the quartic
-    # coefficients wait until dense output asks for them
+    # coefficients wait until dense output asks for them, and then replace
+    # the step slopes they are formed from
     dense = solve_scaled(0.01, 0.001, EosSpec(A=1.0, gamma=1.5)).dense
     assert dense._interp is None
     mid = 0.5 * (dense.xs[3] + dense.xs[4])
     y_mid = dense(mid)
     interp = dense._interp
     assert interp is not None and interp.shape == (dense.n_steps, 2, 4)
-    assert dense.interp is interp
+    assert dense.interp is interp and dense.slopes is None
     assert y_mid.tobytes() == np.asarray(dense_eval_scalar(dense, mid)).tobytes()
 
 
