@@ -40,7 +40,7 @@ from .model import (
     ModelInput,
     solve_star,
 )
-from .odecore import FOUR_PI
+from .odecore import ScalingParams, einstein_static_lambda
 
 __all__ = ["run_criteria", "CRITERIA"]
 
@@ -94,7 +94,7 @@ class _Ctx:
         if gamma not in self._models:
             eos = self.eos(gamma)
             u_c = 1e-3 * GEOMETRIZED.c2
-            Lambda = 1e-3 * FOUR_PI * GEOMETRIZED.G * eos.A1 * u_c**eos.mu / GEOMETRIZED.c2
+            Lambda = ScalingParams.lambda_of_beta(1e-3, u_c, eos, GEOMETRIZED)
             inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOMETRIZED, u_c=u_c)
             self._models[gamma] = solve_star(inp)
         return self._models[gamma]
@@ -144,7 +144,7 @@ def _einstein_static(ctx) -> tuple:
     eos = ctx.eos(1.5)
     rho_c = 0.1
     P_c = eos.pressure_of_density(rho_c)
-    Lambda = FOUR_PI * GEOMETRIZED.G * (rho_c + 3.0 * P_c / GEOMETRIZED.c2) / GEOMETRIZED.c2
+    Lambda = einstein_static_lambda(rho_c, P_c, GEOMETRIZED)
     L = 8.0 * math.pi * GEOMETRIZED.G * rho_c / GEOMETRIZED.c2 + Lambda
     r_cap = 0.9 * math.sqrt(3.0 / L)
     inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOMETRIZED, rho_c=rho_c, r_max=r_cap)
@@ -248,9 +248,8 @@ def _small_lambda_persistence(ctx) -> tuple:
     eos = ctx.eos(1.5)
     rho_c = 1e-2
     u_c = eos.u_of_density(rho_c)
-    lam_unit = FOUR_PI * GEOMETRIZED.G * eos.A1 * u_c**eos.mu / GEOMETRIZED.c2
-    rows = perturbation_compare(rho_c, eos, [b * lam_unit for b in (1e-4, 1e-3, 1e-2)],
-                                constants=GEOMETRIZED)
+    lambdas = [ScalingParams.lambda_of_beta(b, u_c, eos, GEOMETRIZED) for b in (1e-4, 1e-3, 1e-2)]
+    rows = perturbation_compare(rho_c, eos, lambdas, constants=GEOMETRIZED)
     smallest = rows[1]
     passed = smallest["outcome"] == MONOTONE_SHORT and smallest["radius_shift_rel"] < 0.05
     shifts = [r["radius_shift_rel"] for r in rows[1:]]
@@ -322,7 +321,7 @@ def _determinism(ctx) -> tuple:
     def one_run(out_dir: str) -> None:
         eos = EosSpec(A=1.0, gamma=1.5)  # fresh instance: tables rebuilt
         u_c = 1e-3
-        Lambda = 1e-3 * FOUR_PI * GEOMETRIZED.G * eos.A1 * u_c**eos.mu / GEOMETRIZED.c2
+        Lambda = ScalingParams.lambda_of_beta(1e-3, u_c, eos, GEOMETRIZED)
         inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOMETRIZED, u_c=u_c,
                          ctrl=StepControl(rel_tol=1e-10, abs_tol=1e-12))
         profile, outcome = solve_star(inp)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -29,6 +28,7 @@ from .config import build_lane_emden, build_model_input, build_sweep, load_json,
 from .errors import ConfigError, TovdsError
 from .metric import MetricPatch, continuity_report
 from .model import MONOTONE_SHORT, PROFILE_COLUMNS, solve_star
+from .odecore import einstein_static_lambda
 
 EXIT_OK = 0
 EXIT_NUMERICAL = 1
@@ -69,10 +69,7 @@ def cmd_solve(args) -> int:
         })
     _write_json(os.path.join(args.out, "outcome.json"), outcome.to_json_dict())
 
-    k = inp.constants
-    rho_c = profile.rho[0]
-    P_c = profile.P[0]
-    lambda_static = 4.0 * math.pi * k.G * (rho_c + 3.0 * P_c / k.c2) / k.c2
+    lambda_static = einstein_static_lambda(profile.rho[0], profile.P[0], inp.constants)
     static_case = (
         lambda_static > 0.0
         and abs(inp.Lambda - lambda_static) <= 1e-10 * lambda_static

@@ -1,8 +1,7 @@
 """Functions compiled from generated source text.
 
-The DP5 step loop, right-hand sides and event guards written as stage
-text and the closed form of the EOS fast path are compiled from text, each
-once per process.
+The DP5 step loop, and the right-hand sides and event guards written as
+stage text, are compiled from text, each once per process.
 Every source is registered with linecache under its file name, so
 tracebacks, pdb and cProfile show the generated lines.
 """

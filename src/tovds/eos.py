@@ -20,22 +20,20 @@ eta = 0.  A series Omega and its derivative are evaluated by Horner, on a
 float or elementwise on an array, in numpy.polynomial's polyval operation
 order, so the values are bit-identical to polyval's.
 
-That direct path is slow, so ODE right-hand sides bind the fast path once per
+That direct path is slow, so the solve chain binds the fast path once per
 solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
-EOS's constants, or its piece tables, bound as closure variables, and
-omega_rho_P_fast is that function called once.  For the pure polytrope,
-Omega == 1, which is OmegaSeries((1.0,)) and the default, it evaluates the
-closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, written
-once as the statements _CLOSED_FORM, which fast_omega() compiles.  The
-scaled stage needs only U^mu Omega_rho and U^(mu+1) Omega_P, and
-EosSpec.stage_terms_source() hands odecore the statements that set them,
-with their bound values, to be written into the integrator's stages: for
-Omega == 1 the closed form _CLOSED_FORM_TERMS in Z = U / Omega_u, which
-takes one pow.  For a series Omega the fast path evaluates piecewise
-Chebyshev interpolants on a fixed grid over [0, eta_max]; each piece is
-fitted to the direct path the first time an eta lands in it, so a star pays
-only for the pieces it visits.  Outside the grid, and in a piece with a node
-outside the EOS domain, it falls back to the direct path.
+EOS's constants, or its piece tables, bound as closure variables;
+omega_rho_P_fast is that function called once, and rho_P_of_u, the state
+map of the physical-unit callers, maps enthalpies to rho and P through it.
+For the pure polytrope, Omega == 1, which is OmegaSeries((1.0,)) and the
+default, it evaluates the closed form Omega_u = k eta / expm1(k eta),
+k = (gamma-1)/gamma.  The scaled stage takes its EOS terms as statements,
+written into the integrator's stages (stage_terms_source).  For a series
+Omega the fast path evaluates piecewise Chebyshev interpolants on a fixed
+grid over [0, eta_max]; each piece is fitted to the direct path the first
+time an eta lands in it, so a star pays only for the pieces it visits.
+Outside the grid, and in a piece with a node outside the EOS domain, it
+falls back to the direct path.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.legendre import leggauss
 
-from . import codegen
 from .errors import EosDomainError, NonPhysicalEosError, QuadratureError, RootFindError
 
 _log = logging.getLogger("tovds")
@@ -176,16 +173,6 @@ _TAB_NODES = np.cos(np.pi * (2.0 * np.arange(_TAB_DEG + 1) + 1.0) / (2.0 * (_TAB
 # marks a piece that cannot be fitted because a node lies outside the EOS domain
 _OFF_DOMAIN = object()
 
-# The fast path for Omega == 1 as statements that set omega_rho and omega_P
-# from eta, with k = (gamma-1)/gamma; fast_omega() compiles them.
-_CLOSED_FORM = """\
-if k * eta == 0.0:
-    omega_rho = omega_P = 1.0
-else:
-    omu = k * eta / expm1(k * eta)
-    omega_rho = omu ** (-mu)
-    omega_P = omega_rho / omu
-"""
 # The terms rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P of the
 # scaled stage, from U_pos = U# and the stage's constants alpha, mu and
 # p_alpha = k alpha, as statements that EosSpec.stage_terms_source hands to
@@ -414,7 +401,7 @@ class EosSpec:
         omega_P = self.omega.value(zeta) * omu ** (-(self.mu + 1.0))
         return omega_rho, omega_P
 
-    # -- fast path (used inside ODE right-hand sides) ------------------------
+    # -- fast path (bound once per solve) -------------------------------------
 
     @cached_property
     def _tables(self) -> _OmegaTables | None:
@@ -452,13 +439,17 @@ class EosSpec:
         """
         tab = self._tables
         if tab is None:
-            values = {
-                "k": (self.gamma - 1.0) / self.gamma,  # zeta = expm1(k eta) when Omega == 1
-                "mu": self.mu,
-                "expm1": math.expm1,
-            }
-            return codegen.closure_factory("<fast Omega: closed form>", "eta", _CLOSED_FORM,
-                                           "omega_rho, omega_P", tuple(values))(**values)
+            k, mu, expm1 = (self.gamma - 1.0) / self.gamma, self.mu, math.expm1
+
+            def omega_closed(eta):
+                # Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, when Omega == 1
+                if k * eta == 0.0:
+                    return 1.0, 1.0
+                omu = k * eta / expm1(k * eta)
+                omega_rho = omu ** (-mu)
+                return omega_rho, omega_rho / omu
+
+            return omega_closed
 
         direct = self.omega_rho_P
         hi, n, mids, inv_halfw, pieces, build = (
@@ -499,19 +490,31 @@ class EosSpec:
 
     # -- state reconstruction from u -----------------------------------------
 
+    def rho_P_of_u(self, us) -> tuple:
+        """(rho, P), two lists, at each enthalpy u of the sequence us:
+        rho = A1 u^mu Omega_rho(u/c^2) and P = A A1^gamma u^(mu+1) Omega_P(u/c^2),
+        both zero for u <= 0.
+
+        The powers are libm's pow on Python floats: numpy's vector pow can
+        differ from it in the last bit.
+        """
+        omega_rho_P = self.fast_omega()
+        A1, mu, p_coeff, c2 = self.A1, self.mu, self.p_coeff, self.c2
+        rho, P = [0.0] * len(us), [0.0] * len(us)
+        for i, u in enumerate(us):
+            if u > 0.0:
+                omega_rho, omega_P = omega_rho_P(u / c2)
+                rho[i] = A1 * u**mu * omega_rho
+                P[i] = p_coeff * u ** (mu + 1.0) * omega_P
+        return rho, P
+
     def density_of_u(self, u: float) -> float:
         """rho(u) = A1 u^mu Omega_rho(u/c^2); zero for u <= 0."""
-        if u <= 0.0:
-            return 0.0
-        omega_rho, _ = self.omega_rho_P_fast(u / self.c2)
-        return self.A1 * u**self.mu * omega_rho
+        return self.rho_P_of_u((u,))[0][0]
 
     def pressure_of_u(self, u: float) -> float:
         """P(u) = A A1^gamma u^(mu+1) Omega_P(u/c^2); zero for u <= 0."""
-        if u <= 0.0:
-            return 0.0
-        _, omega_P = self.omega_rho_P_fast(u / self.c2)
-        return self.p_coeff * u ** (self.mu + 1.0) * omega_P
+        return self.rho_P_of_u((u,))[1][0]
 
 
 # -- relativistic zero-temperature Fermi gas ---------------------------------

@@ -24,15 +24,7 @@ names is written into the loop's guard block in the same way when the solve
 integrates that stage's right-hand side; it reads the names as the FSAL
 stage, the last one a step runs, left them, so a stage may not assign its
 own abscissa or state.  Its constants are bound, not written in, so one
-loop serves every solve of a stage.  Each accepted step appends its node,
-its state and the six slopes of its interpolant to one flat ``array('d')``
-buffer, with one call.  The interpolant is formed on floats only on a step
-where a guard changes sign, to locate the crossing; the returned
-DenseSolution forms all of them with numpy on first read, by the same
-expressions, so the bits agree, and a solve whose dense output is never
-read never forms them.  A DenseSolution evaluates a scalar and an array of
-points by one vectorised routine, so each point gets the same bits however
-it is asked for.
+loop serves every solve of a stage.
 """
 
 from __future__ import annotations
@@ -186,9 +178,11 @@ class DenseSolution:
     @property
     def interp(self) -> np.ndarray:
         """Per-step quartic coefficients q0 ... q3, shape (n, dim, 4), formed
-        from slopes on first read by the step loop's expressions, term by
-        term, so they have the bits the loop forms on a step with an event.
-        The slopes are dropped then: they view the step loop's whole buffer."""
+        from slopes on first read, so a solve whose dense output is never
+        read never forms them.  They are formed by the step loop's
+        expressions, term by term, so they have the bits the loop forms on a
+        step with an event.  The slopes are dropped then: they view the step
+        loop's whole buffer."""
         if self._interp is None:
             k1, k3, k4, k5, k6, k7 = self.slopes.transpose(2, 0, 1)
             self._interp = np.stack((
@@ -205,19 +199,21 @@ class DenseSolution:
 
         Every point is evaluated independently by the same arithmetic, so a
         point gets the same bits whether it comes alone or in an array.
+        ValueError for a point outside [xs[0], x_end]: a solution cut at a
+        terminal event ends inside its last step.
         """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
         x = x.ravel()
         xs = self.xs
-        i = np.searchsorted(xs, x)
-        # snap exactly onto stored nodes so endpoint states are reproduced exactly
-        on_node = xs.take(i, mode="clip") == x
-        between = ~on_node
-        outside = between & ((i == 0) | (i > len(self.interp)))
+        outside = ~((x >= xs[0]) & (x <= self.x_end))
         if outside.any():
             raise ValueError(f"x = {x[outside][0]:g} outside the solution span "
                              f"[{xs[0]:g}, {self.x_end:g}]")
+        i = np.searchsorted(xs, x)
+        # snap exactly onto stored nodes so endpoint states are reproduced exactly
+        on_node = xs[i] == x
+        between = ~on_node
         out = np.empty((x.size, self.ys.shape[1]))
         out[on_node] = self.ys[i[on_node]]
         k = i[between] - 1
@@ -331,12 +327,14 @@ def stage_guard(rhs, expr: str, values: dict):
 # in the tableau's order, so the bits do not depend on the dimension or on
 # whether the stage is inlined.
 #
-# An accepted step appends one record to the buffer steps: its node, its
-# state and the six slopes k1, k3 ... k7 its interpolant is made of.  The
-# guard block tests every guard at the step end: GUARD_TEXT stands for the
-# guards written in as text (_guard_text), each a local g_prev, which read
-# the stage's names as the FSAL stage left them; the called guards follow in
-# a loop, on a state list built for them.  Only on a step where a guard
+# An accepted step appends one record to the flat array('d') buffer steps,
+# with one call: its node, its state and the six slopes k1, k3 ... k7 its
+# interpolant is made of; _finish turns the buffer into the xs, ys and
+# slopes of the DenseSolution once, when the run ends.  The guard block
+# tests every guard at the step end: GUARD_TEXT stands for the guards
+# written in as text (_guard_text), each a local g_prev, which read the
+# stage's names as the FSAL stage left them; the called guards follow in a
+# loop, on a state list built for them.  Only on a step where a guard
 # changes sign are the interpolant's coefficients formed, here on floats,
 # and the crossings located.
 #
@@ -737,10 +735,6 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
 
     The run is one call of the step loop generated for the state's
     dimension, the right-hand side's stage and the written-in guards.
-    Accepted nodes, states and the slopes of each step go into one flat
-    ``array('d')`` buffer; it becomes the xs, ys and slopes ndarrays of the
-    result once, when the run ends, and interp is formed from the slopes on
-    first read.
     """
     ctrl = ctrl or StepControl()
     x0, x1 = float(span[0]), float(span[1])

@@ -16,7 +16,7 @@ import numpy as np
 from .constants import Constants
 from .errors import ModelError, TovdsError
 from .model import BoundaryQuantities, SolutionProfile, _one_sided_derivatives
-from .odecore import kappa
+from .odecore import dkappa_dr, kappa
 
 __all__ = [
     "MetricPatch",
@@ -63,15 +63,11 @@ def horizons(m_plus: float, Lambda: float, k: Constants) -> HorizonPair | None:
     # one Newton polish per root (skipped when nearly degenerate)
     if r_E - r_I > 1e-6 * r_E:
         for _ in range(2):
-            r_I -= kappa(r_I, m_plus, Lambda, k) / _dkappa_m(r_I, m_plus, Lambda, k)
-            r_E -= kappa(r_E, m_plus, Lambda, k) / _dkappa_m(r_E, m_plus, Lambda, k)
+            r_I -= kappa(r_I, m_plus, Lambda, k) / dkappa_dr(r_I, m_plus, Lambda, k)
+            r_E -= kappa(r_E, m_plus, Lambda, k) / dkappa_dr(r_E, m_plus, Lambda, k)
     if not (0.0 < r_I <= r_E):
         return None
     return HorizonPair(r_I=r_I, r_E=r_E)
-
-
-def _dkappa_m(r, m_plus, Lambda, k):
-    return 2.0 * k.G * m_plus / (k.c2 * r * r) - 2.0 * Lambda * r / 3.0
 
 
 @dataclass

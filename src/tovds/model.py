@@ -37,6 +37,7 @@ from .odecore import (
     FOUR_PI,
     ScalingParams,
     center_germ_scaled,
+    dkappa_dr,
     kappa,
     kappa_scaled,
     q_factor,
@@ -229,23 +230,12 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     k = inp.constants
     eos = inp.eos
     m, u = np.ascontiguousarray(dense(rr).T)
-    # the powers stay on Python floats: numpy's vector pow can differ from
-    # libm's pow in the last bit, and each sample keeps the bits of
-    # tests/oracles.py::profile_row, which evaluates one sample on floats.
-    # These are not the scaled stage's bits: it forms U#^mu Omega_rho as
-    # Z^mu, in scaled variables
-    A1, mu, p_coeff, c2 = eos.A1, eos.mu, eos.p_coeff, k.c2
-    omega_rho_P = eos.fast_omega()
-    rho = np.zeros(rr.size)
-    P = np.zeros(rr.size)
-    for i, ui in enumerate(u.tolist()):
-        if ui > 0.0:
-            omega_rho, omega_P = omega_rho_P(ui / c2)
-            rho[i] = A1 * ui**mu * omega_rho
-            P[i] = p_coeff * ui ** (mu + 1.0) * omega_P
+    # each sample keeps the bits of tests/oracles.py::profile_row, which
+    # evaluates one sample on floats
+    rho, P = map(np.array, eos.rho_P_of_u(u.tolist()))
     kap = kappa(rr, m, inp.Lambda, k)
     Q = q_factor(rr, m, P, inp.Lambda, k)
-    dPdr = (rho + P / c2) * (-Q / (rr * rr * kap))
+    dPdr = (rho + P / k.c2) * (-Q / (rr * rr * kap))
     return SolutionProfile(
         r=rr, m=m, u=u, P=P, rho=rho, kappa=kap, Q=Q, dPdr=dPdr,
         eos=eos, constants=k, Lambda=inp.Lambda, scaling=scaling, dense=dense,
@@ -432,7 +422,7 @@ def _boundary_limits(profile: SolutionProfile, ev) -> tuple:
     Q_plus = q_factor(r_plus, m_plus, P_plus, profile.Lambda, k)
     B = Q_plus / (r_plus * r_plus * kappa_plus)
     # dm/dr -> 0 at the boundary, so only the explicit r-derivatives survive
-    kappa_plus_prime = 2.0 * k.G * m_plus / (k.c2 * r_plus**2) - 2.0 * profile.Lambda * r_plus / 3.0
+    kappa_plus_prime = dkappa_dr(r_plus, m_plus, profile.Lambda, k)
     return r_plus, m_plus, kappa_plus, Q_plus, B, kappa_plus_prime
 
 

@@ -17,14 +17,10 @@ runs the same text in every stage instead of calling it; the germ check,
 the initial step and the refinement of slope guards call it.  rhs_scaled is
 that function called once.
 
-kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3 and
-Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled out in
-kappa and q_factor, which the enthalpy form calls.  The scaled form spells
-out R kappa = R - 2 alpha M - alpha beta R^3 / 3 and divides by R (R kappa)
-instead of R^2 kappa, which takes neither a division for kappa nor a pow
-for R^3.  kappa_scaled is R kappa / R by the same expression, so the
-stage's kappa <= 0 test, the solve's horizon guard (model._HORIZON) and
-kappa_scaled share their bits.
+kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3, its r-derivative at fixed m
+and Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled
+out once, in kappa, dkappa_dr and q_factor.  The scaled form writes kappa
+as R kappa (_SCALED).
 """
 
 from __future__ import annotations
@@ -46,6 +42,8 @@ __all__ = [
     "FOUR_PI",
     "kappa",
     "q_factor",
+    "dkappa_dr",
+    "einstein_static_lambda",
     "kappa_scaled",
     "scaled_rhs",
     "rhs_lane_emden",
@@ -67,6 +65,17 @@ def q_factor(r: float, m: float, P: float, Lambda: float, k: Constants) -> float
     return k.G * (m + FOUR_PI * r3 * P / k.c2) - k.c2 * Lambda * r3 / 3.0
 
 
+def dkappa_dr(r: float, m: float, Lambda: float, k: Constants) -> float:
+    """Partial r-derivative of kappa at fixed m: 2Gm/(c^2 r^2) - 2 Lambda r / 3."""
+    return 2.0 * k.G * m / (k.c2 * r * r) - 2.0 * Lambda * r / 3.0
+
+
+def einstein_static_lambda(rho: float, P: float, k: Constants) -> float:
+    """The Lambda = 4 pi G (rho + 3 P/c^2) / c^2 at which a fluid of constant
+    rho and P is static (the Einstein static universe)."""
+    return FOUR_PI * k.G * (rho + 3.0 * P / k.c2) / k.c2
+
+
 def kappa_scaled(R: float, M: float, alpha: float, beta: float) -> float:
     """1 - 2 alpha M / R - alpha beta R^2 / 3, as R kappa / R: the bits of the
     scaled stage's kappa test and of the solve's horizon guard."""
@@ -81,15 +90,12 @@ def _check_kappa(kap: float, r: float) -> None:
 def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -> tuple:
     """(dm/dr, du/dr) of the enthalpy-form system.
 
-    The positive part u# = max(u, 0) enters through the powers mu and mu+1,
-    both C^1 across u = 0 because mu > 1; Omega_rho and Omega_P are
-    evaluated at eta = u#/c^2: past the vacuum they multiply 0.
+    rho and P are EosSpec.rho_P_of_u's, zero past the vacuum: they enter
+    through the powers mu and mu+1 of u, both C^1 across u = 0 because
+    mu > 1.
     """
     m, u = y
-    u_pos = u if u > 0.0 else 0.0
-    omega_rho, omega_P = eos.omega_rho_P_fast(u_pos / k.c2)
-    rho = eos.A1 * u_pos**eos.mu * omega_rho
-    P = eos.p_coeff * u_pos ** (eos.mu + 1.0) * omega_P
+    (rho,), (P,) = eos.rho_P_of_u((u,))
     kap = kappa(r, m, Lambda, k)
     _check_kappa(kap, r)
     Q = q_factor(r, m, P, Lambda, k)
@@ -101,19 +107,17 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 # The scaled right-hand side as statements: dM and dU from R, M and U.  The
 # line TERMS stands for the EOS's statements (EosSpec.stage_terms_source),
 # which set rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P from
-# U_pos = U# and the star's constants: for Omega == 1 they are Z^mu and
-# Z^(mu+1) with Z = U# / Omega_u, one pow; for a series Omega, the table's
-# Omega_rho and Omega_P at eta = alpha U# times U#^mu and U#^(mu+1), one pow.
-# Past the vacuum both terms are 0 and every path gives exactly
-# Omega_rho = Omega_P = 1 at eta = 0, so neither U <= 0 nor alpha = 0 takes
-# a branch of its own.  The denominator R^2 kappa is written R (R kappa),
-# with R kappa = R - 2 alpha M - alpha beta R^3 / 3: no division by R and no
-# pow, for R^3 = (R R) R.  R^3 no longer needs to be R**3, the Lane-Emden
-# right-hand side's power: it enters dU only times beta / 3 - p_alpha p_term
-# and R kappa only times alpha beta / 3, both 0 at alpha = beta = 0, where
-# the stage reduces to Lane-Emden bit for bit.  The free names are the
-# constants scaled_rhs binds; mu and p_alpha = (gamma - 1) / gamma alpha are
-# also the terms' own.
+# U_pos = U# and the star's constants.  Past the vacuum both terms are 0 and
+# every path gives exactly Omega_rho = Omega_P = 1 at eta = 0, so neither
+# U <= 0 nor alpha = 0 takes a branch of its own.  The denominator R^2 kappa
+# is written R (R kappa), with R kappa = R - 2 alpha M - alpha beta R^3 / 3
+# and R^3 = (R R) R: no division for kappa and no pow.  R^3 enters dU only
+# times beta / 3 - p_alpha p_term and R kappa only times alpha beta / 3, both
+# 0 at alpha = beta = 0, where the stage is Lane-Emden's bit for bit.
+# kappa_scaled and model._HORIZON write R kappa / R by the same expression,
+# so the stage's kappa test and the horizon guard share their bits.  The free
+# names are the constants scaled_rhs binds; mu and p_alpha = (gamma - 1) /
+# gamma alpha are also the terms' own.
 _SCALED = """\
 U_pos = U if U > 0.0 else 0.0
 TERMS
@@ -140,14 +144,8 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
     alpha, beta, the EOS constants and the EOS fast path are bound once, so
     a solve pays for them once and not at every stage.  The function is
     built from the stage text _SCALED (integrate.stage_rhs), which
-    integrate_adaptive writes into its step loop; for Omega == 1 the closed
-    form is written in too, by the identities U^mu Omega_rho = Z^mu and
-    U^(mu+1) Omega_P = Z^(mu+1), Z = U / Omega_u, which make one pow of
-    Z where Omega_rho, Omega_P and the two powers of U took three.  The
-    denominator R^2 kappa is R (R - 2 alpha M - alpha beta R^3 / 3), with
-    R^3 = (R R) R: no pow, and no division but the one for dU.  At
-    alpha = beta = 0 this reduces exactly (bitwise) to the Lane-Emden
-    right-hand side with lambda = 0, since R^3 then enters only times 0.
+    integrate_adaptive writes into its step loop.  At alpha = beta = 0 it
+    is the Lane-Emden right-hand side with lambda = 0, bit for bit.
     Raises KappaNonPositiveError where kappa <= 0 (horizon contact),
     reporting kappa_scaled's value.
     """
@@ -181,19 +179,16 @@ def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
 
 # -- center germs -------------------------------------------------------------
 
-def scaled_germ_u_coeff(alpha: float, eos: EosSpec, beta: float) -> float:
-    """Quadratic coefficient of the scaled germ:
-    Omega_rho(alpha) + 3 (gamma-1)/gamma alpha Omega_P(alpha) - beta."""
+def center_germ_scaled(alpha: float, beta: float, eos: EosSpec, R: float) -> tuple:
+    """Leading series (M, U) at R -> +0 of the scaled system:
+    M = Omega_rho R^3 / 3 and U = 1 - c2 R^2 / 6, with the quadratic
+    coefficient c2 = Omega_rho + 3 (gamma-1)/gamma alpha Omega_P - beta and
+    Omega_rho, Omega_P at eta = alpha."""
     omega_rho, omega_P = eos.omega_rho_P_fast(alpha)
     g = eos.gamma
-    return omega_rho + 3.0 * (g - 1.0) / g * alpha * omega_P - beta
-
-
-def center_germ_scaled(alpha: float, beta: float, eos: EosSpec, R: float) -> tuple:
-    """Leading series (M, U) at R -> +0 of the scaled system."""
-    omega_rho, _ = eos.omega_rho_P_fast(alpha)
+    c2 = omega_rho + 3.0 * (g - 1.0) / g * alpha * omega_P - beta
     M = omega_rho * R**3 / 3.0
-    U = 1.0 - scaled_germ_u_coeff(alpha, eos, beta) * R * R / 6.0
+    U = 1.0 - c2 * R * R / 6.0
     return M, U
 
 
@@ -228,6 +223,12 @@ class ScalingParams:
         lam = k.c2 * Lambda / (FOUR_PI * k.G * A1)
         return cls(a=a, b=b, alpha=b / k.c2, beta=lam * b**-mu,
                    mass_scale=FOUR_PI * A1 * a**3 * b**mu)
+
+    @staticmethod
+    def lambda_of_beta(beta: float, u_c: float, eos: EosSpec, k: Constants) -> float:
+        """The Lambda whose scaled constant is beta at the central enthalpy
+        u_c, the inverse of from_center's beta = lam u_c^(-mu)."""
+        return beta * FOUR_PI * k.G * eos.A1 * u_c**eos.mu / k.c2
 
     def unscale_state(self, R: float, y) -> tuple:
         """(R, (M, U)) -> (r, (m, u))."""

@@ -380,11 +380,11 @@ def dense_eval_scalar(sol, x: float) -> np.ndarray:
     """State of a DenseSolution at one point, on Python floats: the stored
     state on a node, else the step's quartic interpolant."""
     xs = sol.xs
-    i = int(np.searchsorted(xs, x))
-    if i < len(xs) and xs[i] == x:
-        return sol.ys[i].copy()
-    if i == 0 or i > len(sol.interp):
+    if not xs[0] <= x <= sol.x_end:
         raise ValueError(f"x = {x:g} outside the solution span [{xs[0]:g}, {sol.x_end:g}]")
+    i = int(np.searchsorted(xs, x))
+    if xs[i] == x:
+        return sol.ys[i].copy()
     k = i - 1
     x_lo, x_hi = xs[k:i + 1].tolist()
     h = x_hi - x_lo

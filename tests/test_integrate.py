@@ -202,6 +202,7 @@ def test_dense_array_call_matches_scalar_calls():
     mids = 0.5 * (sol.xs[:-1] + sol.xs[1:])
     thirds = sol.xs[:-1] + (sol.xs[1:] - sol.xs[:-1]) / 3.0
     x = np.concatenate([[sol.x_end, sol.xs[0]], mids, sol.xs, thirds[::-1], [sol.x_end]])
+    x = x[x <= sol.x_end]  # the solution ends at x_end, inside its last step
     want = np.array([dense_eval_scalar(sol, float(xi)) for xi in x])
     got = sol(x)
     assert got.shape == want.shape == (x.size, 2)
@@ -211,7 +212,9 @@ def test_dense_array_call_matches_scalar_calls():
     scalars = np.array([sol(float(xi)) for xi in x])
     assert scalars.shape == (x.size, 2)
     assert scalars.tobytes() == want.tobytes()
-    for bad in (sol.xs[0] - 1e-3, sol.xs[-1] + 1e-3):
+    past_end = 0.5 * (sol.x_end + sol.xs[-1])
+    assert sol.x_end < past_end <= sol.xs[-1]
+    for bad in (sol.xs[0] - 1e-3, past_end, sol.xs[-1], sol.xs[-1] + 1e-3):
         with pytest.raises(ValueError, match="outside the solution span"):
             sol(bad)
         with pytest.raises(ValueError, match="outside the solution span"):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tovds.constants import SI, Constants
-from tovds.eos import EosSpec, OmegaSeries
+from tovds.eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
 from tovds import integrate, model, odecore
 from tovds.errors import EosDomainError, ModelError
 from tovds.integrate import EventSpec, StepControl, integrate_adaptive
@@ -246,6 +246,37 @@ def test_extreme_length_scales(gamma, A, kind):
     R_end = star.R_plus if star.R_plus is not None else star.dense.x_end
     assert outcome_radius(outcome) / inp.scaling().a == pytest.approx(R_end, rel=1e-12, abs=0.0)
     assert profile.r_end == pytest.approx(outcome_radius(outcome), rel=1e-12)
+
+
+def test_a_solution_cut_at_a_terminal_event_ends_there(star_m0, eos15):
+    # the step that holds the vacuum event ends past R_+, where its
+    # interpolant gives U < 0: no part of the solution
+    dense = solve_scaled(1e-3, 1e-3, eos15).dense
+    past = 0.5 * (dense.x_end + dense.xs[-1])
+    assert dense.x_end < past < dense.xs[-1]
+    for x in (past, dense.xs[-1]):
+        with pytest.raises(ValueError, match="outside the solution span"):
+            dense(x)
+    profile, outcome = star_m0
+    r_plus = outcome.boundary.r_plus
+    assert profile.state_at(r_plus)[0] == pytest.approx(outcome.boundary.m_plus, rel=1e-12)
+    with pytest.raises(ValueError, match="outside the solution span"):
+        profile.state_at(0.5 * (r_plus + profile.dense.xs[-1]))
+
+
+@pytest.mark.parametrize("eos", [
+    EosSpec(A=1.0, gamma=1.5),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0),
+    fermi_fit_eos(FermiEosParams(K=1.0)),
+], ids=["omega-one", "series", "fermi-fit"])
+def test_profile_state_columns_are_the_eos_of_u(eos):
+    u_c = 1e-2
+    inp = ModelInput(eos=eos, Lambda=lambda_from_beta(1e-3, u_c, eos), constants=GEOM, u_c=u_c)
+    profile, outcome = solve_star(inp)
+    assert outcome.kind == MONOTONE_SHORT
+    us = profile.u.tolist()
+    assert profile.rho.tobytes() == np.array([eos.density_of_u(u) for u in us]).tobytes()
+    assert profile.P.tobytes() == np.array([eos.pressure_of_u(u) for u in us]).tobytes()
 
 
 def test_h_max_bounds_the_physical_step(eos15):

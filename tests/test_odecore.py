@@ -2,26 +2,27 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tovds import model
-from tovds.constants import Constants
+from tovds.constants import SI, Constants
 from tovds.eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
 from tovds.errors import KappaNonPositiveError
 from tovds.integrate import StepControl, integrate_adaptive, stage_guard
 from tovds.odecore import (
     ScalingParams,
     center_germ_scaled,
+    dkappa_dr,
     kappa,
     kappa_scaled,
     q_factor,
     rhs_lane_emden,
     rhs_scaled,
     rhs_tovds_enthalpy,
-    scaled_germ_u_coeff,
     scaled_rhs,
 )
 
@@ -399,7 +400,8 @@ def test_scaled_germ_trivials(eos15):
     assert U == pytest.approx(1.0 - 0.3**2 / 6.0, rel=1e-15)
     # beta equal to the germ coefficient freezes U through O(R^4)
     alpha = 0.2
-    beta = scaled_germ_u_coeff(alpha, eos15, 0.0)
+    omega_rho, omega_P = eos15.omega_rho_P_fast(alpha)
+    beta = omega_rho + 3.0 * (eos15.gamma - 1.0) / eos15.gamma * alpha * omega_P
     _, U2 = center_germ_scaled(alpha, beta, eos15, 0.1)
     assert U2 == 1.0
 
@@ -458,3 +460,18 @@ def test_kappa_q_definitions():
         1 - 2 * 3.0 * m / (4.0 * r) - Lam * r**2 / 3, rel=1e-15)
     assert q_factor(r, m, P, Lam, k) == pytest.approx(
         3.0 * (m + 4 * math.pi * r**3 * P / 4.0) - 4.0 * Lam * r**3 / 3, rel=1e-15)
+
+
+@pytest.mark.parametrize("k", [GEOM, SI], ids=["geom", "si"])
+@given(r=st.floats(1e-2, 1e2), compactness=st.floats(1e-6, 0.4), lambda_r2=st.floats(1e-6, 0.5))
+@settings(derandomize=True, deadline=None, max_examples=100)
+def test_dkappa_dr_is_the_r_derivative_of_kappa(k, r, compactness, lambda_r2):
+    # 2Gm/(c^2 r) = compactness and Lambda r^2 = lambda_r2 at r, both well
+    # above the 40-digit rounding of kappa ~ 1; the tolerance is relative to
+    # the two terms, which cancel where dkappa/dr crosses 0
+    m = compactness * k.c2 * r / (2.0 * k.G)
+    Lam = lambda_r2 / (r * r)
+    with mpmath.workdps(40):
+        want = float(mpmath.diff(lambda x: kappa(x, m, Lam, k), mpmath.mpf(r)))
+    scale = 2.0 * k.G * m / (k.c2 * r * r) + 2.0 * Lam * r / 3.0
+    assert abs(dkappa_dr(r, m, Lam, k) - want) <= 1e-14 * scale
