@@ -23,17 +23,18 @@ order, so the values are bit-identical to polyval's.
 That direct path is slow, so the solve chain binds the fast path once per
 solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
 EOS's constants, or its piece tables, bound as closure variables;
-omega_rho_P_fast is that function called once, and rho_P_of_u, the state
-map of the physical-unit callers, maps enthalpies to rho and P through it.
-For the pure polytrope, Omega == 1, which is OmegaSeries((1.0,)) and the
-default, it evaluates the closed form Omega_u = k eta / expm1(k eta),
-k = (gamma-1)/gamma.  The scaled stage takes its EOS terms as statements,
-written into the integrator's stages (stage_terms_source).  For a series
-Omega the fast path evaluates piecewise Chebyshev interpolants on a fixed
-grid over [0, eta_max]; each piece is fitted to the direct path the first
-time an eta lands in it, so a star pays only for the pieces it visits.
-Outside the grid, and in a piece with a node outside the EOS domain, it
-falls back to the direct path.
+omega_rho_P_fast is that function called once.  For the pure polytrope,
+Omega == 1, which is OmegaSeries((1.0,)) and the default, it evaluates the
+closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma.  For a
+series Omega it evaluates piecewise Chebyshev interpolants on a fixed grid
+over [0, eta_max]; each piece is fitted to the direct path the first time
+an eta lands in it, so a star pays only for the pieces it visits.  Outside
+the grid, and in a piece with a node outside the EOS domain, it falls back
+to the direct path.  rho_P_of_u, the state map of the physical-unit
+callers, maps enthalpies to rho and P through the fast path; for
+Omega == 1 it writes the closed form out in its loop, so a sample makes no
+call.  The scaled stage takes its EOS terms as statements, written into the
+integrator's stages (stage_terms_source).
 """
 
 from __future__ import annotations
@@ -357,17 +358,21 @@ class EosSpec:
             # eta is subnormal and zeta ~ eta / gfac rounds to 0: that is the
             # correctly rounded root, and no bracket [0, z0] is left to search
             return 0.0
+        # F(z0) is both the bracket's first test and Newton's first residual
+        f = f_hi = F(z0)
         lo, hi = 0.0, z0
-        for _ in range(200):
-            if F(hi) >= 0.0:
-                break
+        tries = 1
+        while f_hi < 0.0:
+            if tries == 200:
+                raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
             hi *= 2.0
-        else:
-            raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
+            f_hi = F(hi)
+            tries += 1
 
         z = z0
-        for _ in range(100):
-            f = F(z)
+        for i in range(100):
+            if i:
+                f = F(z)
             if f < 0.0:
                 lo = z
             else:
@@ -496,16 +501,33 @@ class EosSpec:
         both zero for u <= 0.
 
         The powers are libm's pow on Python floats: numpy's vector pow can
-        differ from it in the last bit.
+        differ from it in the last bit.  For Omega == 1 the loop evaluates
+        fast_omega's closed form in place, statement for statement, and
+        makes no call per sample; a series Omega calls its table evaluator.
         """
-        omega_rho_P = self.fast_omega()
         A1, mu, p_coeff, c2 = self.A1, self.mu, self.p_coeff, self.c2
+        mu1 = mu + 1.0
         rho, P = [0.0] * len(us), [0.0] * len(us)
+        if self._tables is None:
+            k, neg_mu, expm1 = (self.gamma - 1.0) / self.gamma, -mu, math.expm1
+            for i, u in enumerate(us):
+                if u > 0.0:
+                    keta = k * (u / c2)
+                    if keta == 0.0:
+                        omega_rho = omega_P = 1.0
+                    else:
+                        omu = keta / expm1(keta)
+                        omega_rho = omu**neg_mu
+                        omega_P = omega_rho / omu
+                    rho[i] = A1 * u**mu * omega_rho
+                    P[i] = p_coeff * u**mu1 * omega_P
+            return rho, P
+        omega_rho_P = self.fast_omega()
         for i, u in enumerate(us):
             if u > 0.0:
                 omega_rho, omega_P = omega_rho_P(u / c2)
                 rho[i] = A1 * u**mu * omega_rho
-                P[i] = p_coeff * u ** (mu + 1.0) * omega_P
+                P[i] = p_coeff * u**mu1 * omega_P
         return rho, P
 
     def density_of_u(self, u: float) -> float:

@@ -9,8 +9,11 @@ identical inputs give bitwise-identical trajectories within one build.
 
 The right-hand side receives the state as a list of floats and may return
 any sequence of floats; it may raise DomainSignalError to have the step
-retried smaller.  The step loop runs on Python floats, since for the small
-systems solved here a numpy operation costs far more than its arithmetic.
+retried smaller.  An OverflowError in a step's stages rejects the step the
+same way: a trial state far off the solution may overflow a pow or an
+expm1 that the accepted steps never reach.  The step loop runs on Python
+floats, since for the small systems solved here a numpy operation costs far
+more than its arithmetic.
 The whole adaptive loop, with its step control and event guards, is
 generated from one template, _LOOP, once per state dimension, right-hand
 side stage and set of written-in guards; it keeps the state, the FSAL slope
@@ -171,7 +174,7 @@ class DenseSolution:
     y_end: np.ndarray | None = None
     n_steps: int = 0
     n_rhs: int = 0
-    n_rejected: int = 0       # error-test rejections plus domain and non-finite retries
+    n_rejected: int = 0       # error-test rejections plus domain, overflow and non-finite retries
     failure: Exception | None = None
     _interp: np.ndarray | None = field(default=None, repr=False)
 
@@ -182,9 +185,11 @@ class DenseSolution:
         read never forms them.  They are formed by the step loop's
         expressions, term by term, so they have the bits the loop forms on a
         step with an event.  The slopes are dropped then: they view the step
-        loop's whole buffer."""
+        loop's whole buffer.  Each slope is first copied out of the buffer's
+        stride into a contiguous block, on which numpy's elementwise
+        operations run faster."""
         if self._interp is None:
-            k1, k3, k4, k5, k6, k7 = self.slopes.transpose(2, 0, 1)
+            k1, k3, k4, k5, k6, k7 = np.ascontiguousarray(self.slopes.transpose(2, 0, 1))
             self._interp = np.stack((
                 k1,
                 _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7,
@@ -340,7 +345,8 @@ def stage_guard(rhs, expr: str, values: dict):
 #
 # loop(...) -> (status, message, failure, x_end, y_end, n_rhs, n_rejected),
 # x_end and y_end None for the last node.  n_rhs counts a right-hand side
-# call that raised.  A non-finite slope makes err non-finite, except k2,
+# call that raised, DomainSignalError or OverflowError, and the step is
+# retried smaller.  A non-finite slope makes err non-finite, except k2,
 # which the error estimate does not weigh; fin - fin is 0.0 exactly for a
 # finite fin, and the full scan runs only when that test fails.  min and max
 # of two floats, and the moduli ay@ and an@, are written as conditionals;
@@ -385,7 +391,7 @@ def make(CONSTS):
                 `yn@`, = `y@ + h * (_B1 * k1_@ + _B3 * k3_@ + _B4 * k4_@ + _B5 * k5_@ + _B6 * k6_@)`,
                 calls = 6
                 k7 = STAGE(x + h, `yn@`)
-            except DomainSignalError as exc:
+            except (DomainSignalError, OverflowError) as exc:
                 n_rhs += calls
                 failure = exc
             else:
@@ -719,7 +725,8 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         sequence of dim floats (a tuple, a list or an ndarray).  May raise
         DomainSignalError to signal a domain exit; the step is then retried
         smaller and the run ends with status ``domain_error`` if the boundary
-        cannot be resolved.  A right-hand side made by stage_rhs has its
+        cannot be resolved.  An OverflowError inside a step is handled the
+        same way.  A right-hand side made by stage_rhs has its
         stage's body inlined in the step loop.
     y0 : sequence of finite floats
     ctrl : StepControl

@@ -71,6 +71,7 @@ UNTERMINATED = "Unterminated"
 PROFILE_COLUMNS = ("r", "m", "u", "P", "rho", "kappa", "Q", "dPdr")
 
 _N_TAIL = 140  # extra profile samples packed against a vacuum boundary
+_TAIL_OFFSETS = np.logspace(-8.0, -1.2, _N_TAIL)
 
 # solve policy defaults
 SOLVE_CTRL = StepControl(rel_tol=1e-12, abs_tol=1e-14)
@@ -216,15 +217,18 @@ class SolutionProfile:
 
 def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionProfile:
     r_end = dense.x_end
-    samples = [x for x in dense.xs if x <= r_end]
+    xs = dense.xs
+    # the grid is formed on Python floats, which hash, compare and sort
+    # faster than numpy scalars
+    samples = xs[xs <= r_end].tolist()
     if not samples or samples[-1] < r_end:
         samples.append(r_end)
     vacuum_hit = any(ev.name == "vacuum" and ev.terminal for ev in dense.events)
     if vacuum_hit:
-        # pack log-spaced samples against the boundary for the exponent fits
-        offsets = r_end * np.logspace(-8.0, -1.2, _N_TAIL)
-        tail = r_end - offsets
-        samples = sorted(set(samples) | {float(t) for t in tail if t > dense.xs[0]})
+        # pack log-spaced samples against the boundary for the exponent fits,
+        # at relative offsets _TAIL_OFFSETS below r_end
+        tail = r_end - r_end * _TAIL_OFFSETS
+        samples = sorted(set(samples).union(tail[tail > xs[0]].tolist()))
     rr = np.array(samples)
 
     k = inp.constants

@@ -5,13 +5,14 @@ structure equations, the physical-unit germs, the Lambda = 0 enthalpy
 system, the explicit-c scaled system, the density inversion of the EOS, the
 numpy and mpmath evaluations of a series Omega and of Omega_u, the fast
 Omega_rho/Omega_P path evaluated per point with a loop Horner, the
-per-sample profile row, the pointwise boundary slope, the scaled right-hand
-side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
-with per-component comprehensions and the adaptive loop around it, a
-scalar dense-output evaluation on Python floats, the Lambda = 0 vacuum
-continuation, the second derivative of sin(R)/R, the residual of the mu = 1
-closed form and the distance of scaled stars to the Lane-Emden orbit live
-here, as independent oracles for the code in src/.
+profile's sample grid formed on numpy scalars, the per-sample profile row,
+the pointwise boundary slope, the scaled right-hand side spelled through
+kappa_scaled and _check_kappa, one DP5 attempt written with per-component
+comprehensions and the adaptive loop around it, a scalar dense-output
+evaluation on Python floats, the Lambda = 0 vacuum continuation, the second
+derivative of sin(R)/R, the residual of the mu = 1 closed form and the
+distance of scaled stars to the Lane-Emden orbit live here, as independent
+oracles for the code in src/.
 """
 
 import math
@@ -226,6 +227,22 @@ def rhs_scaled_c(R: float, y, lam: float, c: float, eos) -> tuple:
 
 
 # -- profile ------------------------------------------------------------------------
+
+def profile_samples(dense) -> np.ndarray:
+    """The radii of a SolutionProfile of dense: its nodes up to x_end, then
+    x_end, and past a terminal vacuum event 140 log-spaced radii packed
+    against it, merged by a set union on numpy float64 scalars."""
+    r_end = dense.x_end
+    samples = [x for x in dense.xs if x <= r_end]
+    if not samples or samples[-1] < r_end:
+        samples.append(r_end)
+    vacuum_hit = any(ev.name == "vacuum" and ev.terminal for ev in dense.events)
+    if vacuum_hit:
+        offsets = r_end * np.logspace(-8.0, -1.2, 140)
+        tail = r_end - offsets
+        samples = sorted(set(samples) | {float(t) for t in tail if t > dense.xs[0]})
+    return np.array(samples)
+
 
 def profile_row(r, m, u, Lambda, eos, k) -> dict:
     """One sample of a SolutionProfile, from the state (m, u) at r on floats."""

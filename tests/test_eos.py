@@ -365,6 +365,28 @@ def test_pressure_density_of_u_vanish_below_zero(eos15):
     assert eos15.density_of_u(0.0) == 0.0
 
 
+@pytest.mark.parametrize("c", [1.0, 2.5, 299792458.0])
+@pytest.mark.parametrize("gamma", [1.2, 1.5, 5.0 / 3.0, 2.0])
+def test_closed_form_state_map_is_the_fast_path_per_sample(gamma, c):
+    # for Omega == 1 the state map writes fast_omega's closed form out in its
+    # loop: each sample has the bits of one call of the bound evaluator, at
+    # u <= 0, where k u / c^2 rounds to 0, and over the range of a star
+    eos = EosSpec(A=0.7, gamma=gamma, c=c)
+    c2 = c * c
+    rng = np.random.default_rng(20)
+    us = [-1.0, 0.0, 5e-324, 1e-300 * c2] + (c2 * 10.0 ** rng.uniform(-12.0, 1.5, 400)).tolist()
+    omega_rho_P = eos.fast_omega()
+    want = []
+    for u in us:
+        if u > 0.0:
+            omega_rho, omega_P = omega_rho_P(u / c2)
+            want.append((eos.A1 * u**eos.mu * omega_rho, eos.p_coeff * u ** (eos.mu + 1.0) * omega_P))
+        else:
+            want.append((0.0, 0.0))
+    rho, P = eos.rho_P_of_u(us)
+    assert np.array([rho, P]).T.tobytes() == np.array(want).tobytes()
+
+
 # -- Fermi fluid ---------------------------------------------------------------
 
 

@@ -368,6 +368,35 @@ def test_domain_exit_at_each_stage_counts_calls(stage):
     assert calls[stage] == integrate._C2 * 0.025
 
 
+def test_overflow_in_a_stage_is_a_rejected_step():
+    # an OverflowError in a trial stage is counted and retried as a domain
+    # exit is; one that persists ends the run as domain_error
+    calls = []
+
+    def rhs(x, y):
+        calls.append(x)
+        if len(calls) == 4:
+            raise OverflowError("math range error")
+        return (-y[0], y[0] - y[1])
+
+    sol = integrate_adaptive(rhs, [1.0, 0.5], (0.0, 1.0),
+                             StepControl(rel_tol=1e-10, abs_tol=1e-12, h_init=0.1))
+    assert sol.status == "completed"
+    assert sol.n_rhs == len(calls) == 1 + 3 + 6 * (sol.n_steps + sol.n_rejected - 1)
+    assert calls[4] == integrate._C2 * 0.025
+
+    def overflowing(x, y):
+        if x > 0.5:
+            raise OverflowError("math range error")
+        return (1.0,)
+
+    sol = integrate_adaptive(overflowing, [0.0], (0.0, 1.0),
+                             StepControl(rel_tol=1e-10, abs_tol=1e-12))
+    assert sol.status == "domain_error"
+    assert isinstance(sol.failure, OverflowError)
+    assert 0.5 - 1e-9 < sol.x_end <= 0.5
+
+
 def test_three_component_linear_system_against_closed_form():
     # a decaying rotation in (y0, y1) and a decay in y2:
     # y0 = exp(-d x) cos(w x), y1 = exp(-d x) sin(w x), y2 = 2 exp(-c x)

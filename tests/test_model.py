@@ -33,6 +33,7 @@ from oracles import (
     dense_eval_scalar,
     du_dr_minus_pointwise,
     profile_row,
+    profile_samples,
     rhs_tov,
     vacuum_continuation_lambda0,
 )
@@ -292,7 +293,9 @@ def test_h_max_bounds_the_physical_step(eos15):
 
 
 def assert_profile_matches_rows(profile):
-    """Every column equals the per-sample oracle on scalar dense calls, bit for bit."""
+    """The sample grid is the oracle's and every column equals the per-sample
+    oracle on scalar dense calls, bit for bit."""
+    assert profile.r.tobytes() == profile_samples(profile.dense).tobytes()
     rows = []
     for r in profile.r.tolist():
         m, u = dense_eval_scalar(profile.dense, r).tolist()
@@ -452,6 +455,16 @@ def test_subnormal_alpha_is_the_alpha0_star():
     tiny, limit = solve_scaled(5e-324, 0.01, eos), solve_scaled(0.0, 0.01, eos)
     assert tiny.kind == limit.kind == MONOTONE_SHORT
     assert (tiny.R_plus, tiny.M_plus) == (limit.R_plus, limit.M_plus)
+
+
+def test_an_overflow_in_a_trial_stage_rejects_the_step():
+    # at alpha = 24 a trial stage's expm1 overflows, far off the solution;
+    # the step is retried smaller, and the star lies between its neighbours
+    eos = EosSpec(A=1.0, gamma=1.5)
+    lo, star, hi = (solve_scaled(alpha, 0.0, eos) for alpha in (23.0, 24.0, 30.0))
+    assert star.kind == MONOTONE_SHORT
+    assert star.dense.n_rejected > 0
+    assert lo.R_plus < star.R_plus < hi.R_plus
 
 
 def test_initial_rise_recorded():
