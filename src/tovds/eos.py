@@ -361,13 +361,13 @@ class EosSpec:
         # F(z0) is both the bracket's first test and Newton's first residual
         f = f_hi = F(z0)
         lo, hi = 0.0, z0
-        tries = 1
-        while f_hi < 0.0:
-            if tries == 200:
-                raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
+        for _ in range(199):
+            if f_hi >= 0.0:
+                break
             hi *= 2.0
             f_hi = F(hi)
-            tries += 1
+        if f_hi < 0.0:
+            raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
 
         z = z0
         for i in range(100):

@@ -239,6 +239,24 @@ def test_zeta_eta_analytic_inversion(eos15):
             method(-0.05)
 
 
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.3, -0.1), FERMI_COEFFS])
+def test_zeta_of_eta_integrates_once_per_zeta(coeffs, monkeypatch):
+    # the bracket's first test and Newton's first residual are one quadrature
+    eos = EosSpec(A=1.0, gamma=5.0 / 3.0, omega=OmegaSeries(coeffs))
+    for eta in (1e-6, 0.05, 0.4, 1.3):
+        zetas = []
+        omega_u = EosSpec.omega_u
+
+        def counted(self, zeta):
+            zetas.append(zeta)
+            return omega_u(self, zeta)
+
+        monkeypatch.setattr(EosSpec, "omega_u", counted)
+        eos.zeta_of_eta(eta)
+        monkeypatch.undo()
+        assert len(zetas) == len(set(zetas)) >= 2
+
+
 def test_round_trip_density(eos15):
     for rho in [1e-3, 1.0, 1e3] + list(np.logspace(-3, 3, 13)):
         u = eos15.u_of_density(float(rho))
