@@ -447,7 +447,8 @@ class EosSpec:
             k, mu, expm1 = (self.gamma - 1.0) / self.gamma, self.mu, math.expm1
 
             def omega_closed(eta):
-                # Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, when Omega == 1
+                # Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, when Omega == 1;
+                # rho_P_of_u repeats these statements in its loop: change both
                 if k * eta == 0.0:
                     return 1.0, 1.0
                 omu = k * eta / expm1(k * eta)

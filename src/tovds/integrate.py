@@ -184,19 +184,19 @@ class DenseSolution:
         from slopes on first read, so a solve whose dense output is never
         read never forms them.  They are formed by the step loop's
         expressions, term by term, so they have the bits the loop forms on a
-        step with an event.  The slopes are dropped then: they view the step
-        loop's whole buffer.  Each slope is first copied out of the buffer's
-        stride into a contiguous block, on which numpy's elementwise
-        operations run faster."""
+        step with an event.  The slopes view the step loop's whole buffer:
+        they are copied out of its stride into one contiguous block, on
+        which numpy's elementwise operations run faster, and dropped before
+        the coefficients are formed, so the buffer and the copy are not
+        both held while they are."""
         if self._interp is None:
             k1, k3, k4, k5, k6, k7 = np.ascontiguousarray(self.slopes.transpose(2, 0, 1))
-            self._interp = np.stack((
-                k1,
-                _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7,
-                _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7,
-                _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7,
-            ), axis=2)
             self.slopes = None
+            q = self._interp = np.empty(k1.shape + (4,))
+            q[..., 0] = k1
+            q[..., 1] = _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7
+            q[..., 2] = _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7
+            q[..., 3] = _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7
         return self._interp
 
     def __call__(self, x):
