@@ -187,8 +187,7 @@ class DenseSolution:
         step with an event.  The slopes view the step loop's whole buffer:
         they are copied out of its stride into one contiguous block, on
         which numpy's elementwise operations run faster, and dropped before
-        the coefficients are formed, so the buffer and the copy are not
-        both held while they are."""
+        the coefficients are formed, which frees the buffer."""
         if self._interp is None:
             k1, k3, k4, k5, k6, k7 = np.ascontiguousarray(self.slopes.transpose(2, 0, 1))
             self.slopes = None
