@@ -14,11 +14,13 @@ with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u(zeta) is the mean
 over [0, zeta] of w = [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega),
 computed by an adaptive Gauss-Legendre rule (_mean) that evaluates w on all
 nodes of a level at once; Omega_rho and Omega_P need the inverse map
-eta -> zeta, obtained by a bracketed Newton search.  All three equal 1 at
-argument 0, and every path gives (Omega_rho, Omega_P) = (1.0, 1.0) exactly at
-eta = 0.  A series Omega and its derivative are evaluated by Horner, on a
-float or elementwise on an array, in numpy.polynomial's polyval operation
-order, so the values are bit-identical to polyval's.
+eta -> zeta, a bracketed Newton search per eta that _zetas_of_etas runs on
+many etas at once, with their bits alone, by one batched quadrature per
+round (_means).  All three equal 1 at argument 0, and every path gives
+(Omega_rho, Omega_P) = (1.0, 1.0) exactly at eta = 0.  A series Omega and
+its derivative are evaluated by Horner, on a float or elementwise on an
+array, in numpy.polynomial's polyval operation order, so the values are
+bit-identical to polyval's.
 
 That direct path is slow, so the solve chain binds the fast path once per
 solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
@@ -27,14 +29,14 @@ omega_rho_P_fast is that function called once.  For the pure polytrope,
 Omega == 1, which is OmegaSeries((1.0,)) and the default, it evaluates the
 closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma.  For a
 series Omega it evaluates piecewise Chebyshev interpolants on a fixed grid
-over [0, eta_max]; each piece is fitted to the direct path the first time
-an eta lands in it, so a star pays only for the pieces it visits.  Outside
-the grid, and in a piece with a node outside the EOS domain, it falls back
-to the direct path.  rho_P_of_u, the state map of the physical-unit
-callers, maps enthalpies to rho and P through the fast path; for
-Omega == 1 it writes the closed form out in its loop, so a sample makes no
-call.  The scaled stage takes its EOS terms as statements, written into the
-integrator's stages (stage_terms_source).
+over [0, eta_max]; each piece is fitted to the direct path at its 13 nodes,
+inverted in one batch, the first time an eta lands in it, so a star pays
+only for the pieces it visits.  Outside the grid, and in a piece with a
+node outside the EOS domain, it falls back to the direct path.  rho_P_of_u,
+the state map of the physical-unit callers, maps enthalpies to rho and P
+through the fast path; for Omega == 1 it writes the closed form out in its
+loop, so a sample makes no call.  The scaled stage takes its EOS terms as
+statements, written into the integrator's stages (stage_terms_source).
 """
 
 from __future__ import annotations
@@ -126,6 +128,18 @@ _QUAD_RTOL = 1e-10
 _QUAD_PANELS = 400
 
 
+def _means(f, bs) -> list:
+    """_mean(f, b) at each b of bs, bit for bit: every first level in one call
+    of f and one stacked matmul of _mean's own (1, 31) rows (an (n, 31) matmul
+    can differ in the last bit); a b whose first level does not close is _mean's."""
+    means = (f(np.asarray(bs)[:, None] * _GL_NODES)[:, None, :] @ _GL_WEIGHTS)[:, 0]
+    done = np.abs(means[:, 0] - means[:, 1]) <= _QUAD_RTOL * np.abs(means[:, 0])
+    out = (0.0 + means[:, 0]).tolist()  # _mean's total, 0.0 + 1.0 * m21
+    for j in np.flatnonzero(~done).tolist():
+        out[j] = _mean(f, bs[j])
+    return out
+
+
 def _mean(f, b: float) -> float:
     """(1 / b) int_0^b f, b > 0, by adaptive Gauss-Legendre quadrature.
 
@@ -214,14 +228,16 @@ class _OmegaTables:
         self.inv_halfw = 1.0 / self.halfw
         self.pieces = [None] * n
 
-    def build(self, i: int, omega_rho_P) -> tuple:
-        """Fit piece i to omega_rho_P at its nodes; depends on no other piece."""
-        etas = self.mids[i] + self.halfw * _TAB_NODES
+    def build(self, i: int, eos: EosSpec) -> tuple:
+        """Fit piece i to eos.omega_rho_P's bits at its nodes, from one batched
+        inversion eos._zetas_of_etas; depends on no other piece."""
+        etas = (self.mids[i] + self.halfw * _TAB_NODES).tolist()
         try:
-            vals = np.array([omega_rho_P(float(e)) for e in etas])
+            zetas = eos._zetas_of_etas(etas)
         except EosDomainError:
             self.pieces[i] = _OFF_DOMAIN
             return _OFF_DOMAIN
+        vals = np.array([eos._omega_rho_P_at(eta, zeta) for eta, zeta in zip(etas, zetas)])
         cr = npoly.polyfit(_TAB_NODES, vals[:, 0], _TAB_DEG)
         cP = npoly.polyfit(_TAB_NODES, vals[:, 1], _TAB_DEG)
         piece = (tuple(float(x) for x in cr), tuple(float(x) for x in cP))
@@ -297,11 +313,15 @@ class EosSpec:
         return P
 
     def validate_range(self, rho_lo: float, rho_hi: float) -> None:
-        """Check P > 0 and 0 < dP/drho < c^2 on a log grid of 64 densities."""
+        """Check P > 0 and 0 < dP/drho < c^2 on a log grid of 64 densities in
+        one array pass; pressure_of_density raises at the first it flags."""
         if not (0.0 < rho_lo < rho_hi):
             raise ValueError("need 0 < rho_lo < rho_hi")
-        for rho in np.geomspace(rho_lo, rho_hi, 64):
-            self.pressure_of_density(float(rho))
+        rho = np.geomspace(rho_lo, rho_hi, 64)
+        with np.errstate(all="ignore"):  # pressure_of_density raises an overflow
+            P, dP = self._pressure_raw(rho), self._dpdrho_raw(rho)
+        for bad in rho[~((0.0 < P) & (P < np.inf) & (0.0 < dP) & (dP < self.c2))].tolist():
+            self.pressure_of_density(bad)
 
     # -- the enthalpy transform ---------------------------------------------
 
@@ -338,41 +358,53 @@ class EosSpec:
     # -- eta <-> zeta inversion ----------------------------------------------
 
     def zeta_of_eta(self, eta: float) -> float:
-        """Solve eta = gamma/(gamma-1) * zeta * Omega_u(zeta) for zeta.
+        """Solve eta = gamma/(gamma-1) * zeta * Omega_u(zeta) for zeta: the
+        batched inversion _zetas_of_etas on one eta."""
+        return self._zetas_of_etas((eta,))[0]
 
-        Bracketing plus Newton refinement safeguarded by bisection; the
-        derivative of zeta*Omega_u(zeta) is the integrand w, so no extra
-        quadrature is needed for the Newton slope.
-        """
+    def _zetas_of_etas(self, etas) -> list:
+        """zeta_of_eta at each eta of etas, with its bits: each eta runs its own
+        _zeta_search, and one _means call answers each round of their asks."""
+        zetas, searches = [0.0] * len(etas), [self._zeta_search(eta) for eta in etas]
+        replies = dict.fromkeys(range(len(etas)))
+        while replies:
+            asks = {}
+            for j, reply in replies.items():
+                try:
+                    asks[j] = searches[j].send(reply)
+                except StopIteration as stop:
+                    zetas[j] = stop.value
+            replies = dict(zip(asks, _means(self._w, list(asks.values())) if asks else ()))
+        return zetas
+
+    def _zeta_search(self, eta: float):
+        """Bracketing plus Newton safeguarded by bisection, as a generator that
+        yields each z whose Omega_u(z) it needs, is sent that value and returns
+        zeta.  The Newton slope is the integrand w, which needs no quadrature;
+        no z is integrated twice, F(z0) being the bracket's first test and
+        Newton's first residual."""
         if not eta >= 0.0:
             raise EosDomainError(f"eta = {eta!r}: the EOS is defined for eta >= 0 only")
-        if eta == 0.0:
-            return 0.0
         gfac = self.gamma / (self.gamma - 1.0)
-
-        def F(z: float) -> float:
-            return gfac * z * self.omega_u(z) - eta
-
         z0 = eta / gfac
         if z0 == 0.0:
-            # eta is subnormal and zeta ~ eta / gfac rounds to 0: that is the
-            # correctly rounded root, and no bracket [0, z0] is left to search
+            # eta is 0, or subnormal and zeta ~ eta / gfac rounds to 0: that is
+            # the correctly rounded root, and no bracket [0, z0] is left to search
             return 0.0
-        # F(z0) is both the bracket's first test and Newton's first residual
-        f = f_hi = F(z0)
+        f = f_hi = gfac * z0 * (yield z0) - eta
         lo, hi = 0.0, z0
         for _ in range(199):
             if f_hi >= 0.0:
                 break
             hi *= 2.0
-            f_hi = F(hi)
+            f_hi = gfac * hi * (yield hi) - eta
         if f_hi < 0.0:
             raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
 
         z = z0
         for i in range(100):
             if i:
-                f = F(z)
+                f = gfac * z * (yield z) - eta
             if f < 0.0:
                 lo = z
             else:
@@ -389,13 +421,16 @@ class EosSpec:
         )
 
     def omega_rho_P(self, eta: float) -> tuple:
-        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0.
+        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0."""
+        return self._omega_rho_P_at(eta, self.zeta_of_eta(eta))
+
+    def _omega_rho_P_at(self, eta: float, zeta: float) -> tuple:
+        """(Omega_rho, Omega_P) at eta from its root zeta, on Python floats.
 
         Omega_rho = Omega_u(zeta)^(-1/(gamma-1)) so that
         rho = A1 u^(1/(gamma-1)) Omega_rho(eta) reproduces the density, and
         Omega_P = Omega(zeta) * Omega_u(zeta)^(-gamma/(gamma-1)).
         """
-        zeta = self.zeta_of_eta(eta)
         if zeta < sys.float_info.min:
             # zeta is 0 or subnormal: Omega_u(zeta) = 1 + O(zeta) rounds to 1,
             # which the ratio below, of two subnormals, would not give
@@ -472,7 +507,7 @@ class EosSpec:
             if i >= n:
                 i = n - 1
             s = (eta - mids[i]) * inv_halfw
-            piece = pieces[i] or build(i, direct)
+            piece = pieces[i] or build(i, self)
             if piece is _OFF_DOMAIN:
                 _log.debug("eta = %r in a table piece that leaves the EOS domain: "
                            "direct Omega_rho/Omega_P path", eta)

@@ -587,7 +587,7 @@ def _initial_step(rhs, x0, y0, f0, rtol, atol, h_max):
         d2 = _rms([(b - a) / s for a, b, s in zip(f0, f1, scale)]) / h0
         if not math.isfinite(d2):
             d2 = d1
-    except DomainSignalError:
+    except (DomainSignalError, OverflowError):
         d2 = d1
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -803,7 +803,7 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
     # the start slope is counted even when it raises
     try:
         fy = rhs(x0, y0)
-    except DomainSignalError as exc:
+    except (DomainSignalError, OverflowError) as exc:
         return _finish("domain_error", f"right-hand side undefined at start: {exc}", exc)
     if not _finite(*fy):
         # no step from x0 can pass, whatever its size

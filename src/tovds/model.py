@@ -285,12 +285,12 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
                   direction="rising", terminal=False, root_tol=1e-10, name="pressure_rise",
                   slope=True),
     ]
-    initial_rise = f(_GERM_R, y0)[1] - _MONO_EPS >= 0.0
-
     dense = integrate_adaptive(f, y0, (_GERM_R, R_max), ctrl, events=events)
     if dense.status in _FAILED:
         raise ModelError(f"solver failed: {dense.status}: {dense.message} (x is the scaled radius R)",
                          profile=dense)
+    # the germ's slope dU/dR is the start slope, k1 of the first step
+    initial_rise = float(dense.slopes[0, 1, 0]) - _MONO_EPS >= 0.0
 
     rises = [ev for ev in dense.events if ev.name == "pressure_rise"]
     first_rise = _GERM_R if initial_rise else (rises[0].x if rises else None)
@@ -328,7 +328,7 @@ def solve_star(inp: ModelInput) -> tuple:
 
     The scaled system is solved and mapped back to physical units.  Returns
     (SolutionProfile, ModelOutcome).  Solver failures raise ModelError with
-    the partial profile attached.
+    the partial profile attached, or None when its state overflows.
     """
     scaling = inp.scaling()
     a = scaling.a
@@ -338,7 +338,10 @@ def solve_star(inp: ModelInput) -> tuple:
     try:
         star = _solve_core(scaling.alpha, scaling.beta, inp.eos, ctrl, R_max)
     except ModelError as exc:
-        partial = _build_profile(scaling.unscale_solution(exc.profile), inp, scaling)
+        try:
+            partial = _build_profile(scaling.unscale_solution(exc.profile), inp, scaling)
+        except OverflowError:  # a germ state past the EOS state map's float range
+            partial = None
         raise ModelError(str(exc), profile=partial) from None
     profile = _build_profile(scaling.unscale_solution(star.dense), inp, scaling)
     return profile, _physical_outcome(star, profile, inp)

@@ -3,7 +3,9 @@
 The solvers integrate the scaled system alone.  The pressure form of the
 structure equations, the physical-unit germs, the Lambda = 0 enthalpy
 system, the explicit-c scaled system, the density inversion of the EOS, the
-numpy and mpmath evaluations of a series Omega and of Omega_u, the fast
+numpy and mpmath evaluations of a series Omega and of Omega_u, the scalar
+eta -> zeta search, a table piece fitted node by node through the scalar
+direct path, the per-density range check of an EOS, the fast
 Omega_rho/Omega_P path evaluated per point with a loop Horner, the
 profile's sample grid formed on numpy scalars, the per-sample profile row,
 the pointwise boundary slope, the scaled right-hand side spelled through
@@ -24,8 +26,14 @@ from numpy.polynomial import polynomial as npoly
 
 from tovds import integrate as ig
 from tovds.analysis import _sinc_jet, lane_emden_solution
-from tovds.eos import _OFF_DOMAIN, _TAB_DEG, EosSpec
-from tovds.errors import AnalysisError, DomainSignalError, KappaNonPositiveError, RootFindError
+from tovds.eos import _OFF_DOMAIN, _TAB_DEG, _TAB_NODES, EosSpec
+from tovds.errors import (
+    AnalysisError,
+    DomainSignalError,
+    EosDomainError,
+    KappaNonPositiveError,
+    RootFindError,
+)
 from tovds.model import SOLVE_CTRL, solve_scaled
 from tovds.odecore import (
     _check_kappa,
@@ -116,6 +124,73 @@ def density_of_pressure(eos, P: float) -> float:
     return rho
 
 
+def validate_range_reference(eos, rho_lo: float, rho_hi: float) -> None:
+    """EosSpec.validate_range one density at a time: the first of 64 log-spaced
+    densities where the EOS is not admissible raises its NonPhysicalEosError."""
+    if not (0.0 < rho_lo < rho_hi):
+        raise ValueError("need 0 < rho_lo < rho_hi")
+    for rho in np.geomspace(rho_lo, rho_hi, 64):
+        eos.pressure_of_density(float(rho))
+
+
+def zeta_of_eta_reference(eos, eta: float) -> float:
+    """eta -> zeta by one scalar search: bracketing plus Newton safeguarded
+    by bisection, each residual one eos.omega_u, each slope one eos._w on a
+    float.  EosSpec's batched inversion must give the same bits."""
+    if not eta >= 0.0:
+        raise EosDomainError(f"eta = {eta!r}: the EOS is defined for eta >= 0 only")
+    if eta == 0.0:
+        return 0.0
+    gfac = eos.gamma / (eos.gamma - 1.0)
+
+    def F(z: float) -> float:
+        return gfac * z * eos.omega_u(z) - eta
+
+    z0 = eta / gfac
+    if z0 == 0.0:
+        return 0.0
+    f = f_hi = F(z0)
+    lo, hi = 0.0, z0
+    for _ in range(199):
+        if f_hi >= 0.0:
+            break
+        hi *= 2.0
+        f_hi = F(hi)
+    if f_hi < 0.0:
+        raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
+    z = z0
+    for i in range(100):
+        if i:
+            f = F(z)
+        if f < 0.0:
+            lo = z
+        else:
+            hi = z
+        slope = gfac * eos._w(z)
+        z_new = z - f / slope if slope > 0.0 else 0.5 * (lo + hi)
+        if not (lo < z_new < hi):
+            z_new = 0.5 * (lo + hi)
+        if abs(z_new - z) <= 1e-15 * z_new:
+            return z_new
+        z = z_new
+    raise RootFindError(f"zeta(eta) did not converge for eta = {eta:g}; last bracket [{lo:g}, {hi:g}]")
+
+
+def piece_reference(eos, i: int):
+    """Table piece i fitted node by node through the scalar eos.omega_rho_P:
+    (coef_rho, coef_P), or _OFF_DOMAIN when a node leaves the EOS domain.
+    _OmegaTables.build must give the same bits."""
+    tab = eos._tables
+    etas = tab.mids[i] + tab.halfw * _TAB_NODES
+    try:
+        vals = np.array([eos.omega_rho_P(float(e)) for e in etas])
+    except EosDomainError:
+        return _OFF_DOMAIN
+    cr = npoly.polyfit(_TAB_NODES, vals[:, 0], _TAB_DEG)
+    cP = npoly.polyfit(_TAB_NODES, vals[:, 1], _TAB_DEG)
+    return tuple(float(x) for x in cr), tuple(float(x) for x in cP)
+
+
 def omega_rho_P_fast_reference(eos, eta: float) -> tuple:
     """(Omega_rho, Omega_P) by the fast path, every EOS constant read at the
     call and the piece polynomial summed by a Horner loop; EosSpec.fast_omega
@@ -134,7 +209,7 @@ def omega_rho_P_fast_reference(eos, eta: float) -> tuple:
     if i >= tab.n:
         i = tab.n - 1
     s = (eta - tab.mids[i]) * tab.inv_halfw
-    piece = tab.pieces[i] or tab.build(i, eos.omega_rho_P)
+    piece = tab.pieces[i] or tab.build(i, eos)
     if piece is _OFF_DOMAIN:
         return eos.omega_rho_P(eta)
     cr, cP = piece

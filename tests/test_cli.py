@@ -156,6 +156,23 @@ def test_eos_margin_below_the_vacuum_exits_2(tmp_path, capsys, eos):
     assert "delta_omega" in err["message"]
 
 
+def test_germ_slope_overflow_exits_1(tmp_path, capsys):
+    # beta ~ 6e33: the start slope at the germ and the germ's state map
+    # overflow; the solve fails with a numerical error, not a traceback
+    cfg = {"eos": {"type": "polytrope", "A": 0.001349306088439885, "gamma": 1.157},
+           "center": {"u_c": 1.7324720909284593e-08}, "units": "geom",
+           "Lambda": 0.015631472754373966}
+    code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out.strip().splitlines()[-1]) == {
+        "error": "numerical",
+        "message": "solver failed: domain_error: right-hand side undefined at start: "
+                   "math range error (x is the scaled radius R)",
+    }
+    assert "Traceback" not in err
+
+
 def test_unknown_key_exits_2(tmp_path):
     cfg = dict(M0_CONFIG)
     cfg["surprise"] = 1

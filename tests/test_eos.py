@@ -2,6 +2,7 @@
 
 import logging
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
+from tovds import eos as eos_module
 from tovds.eos import (
+    _OFF_DOMAIN,
+    _TAB_NODES,
     EosSpec,
     FermiEosParams,
     OmegaSeries,
@@ -26,7 +30,10 @@ from oracles import (
     omega_rho_P_fast_reference,
     omega_series_numpy,
     omega_u_mpmath,
+    piece_reference,
     thermo_of_density,
+    validate_range_reference,
+    zeta_of_eta_reference,
 )
 
 FERMI_COEFFS = fermi_fit_eos(FermiEosParams(K=1.0)).omega.coeffs
@@ -68,6 +75,29 @@ def test_pure_polytrope_is_the_one_term_series():
         assert one.deriv(z) == 0.0
     assert EosSpec(A=1.0, gamma=1.5)._tables is None
     assert EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.0)))._tables is not None
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    tail=st.lists(st.floats(-2.0, 2.0), max_size=3),
+    gamma=st.floats(1.05, 2.0),
+    A=st.floats(0.1, 3.0),
+    c=st.sampled_from([1.0, 3.0]),
+    log_hi=st.floats(-3.0, 1.0),
+)
+def test_validate_range_is_the_per_density_check(tail, gamma, A, c, log_hi):
+    # one array pass passes or fails as the per-density loop does, at the
+    # same first density and with the same message
+    eos = EosSpec(A=A, gamma=gamma, omega=OmegaSeries((1.0, *tail)), c=c)
+    hi = 10.0**log_hi
+    outcomes = []
+    for check in (eos.validate_range, partial(validate_range_reference, eos)):
+        try:
+            check(1e-6 * hi, hi)
+            outcomes.append(None)
+        except NonPhysicalEosError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_causality_violation_raises():
@@ -239,22 +269,80 @@ def test_zeta_eta_analytic_inversion(eos15):
             method(-0.05)
 
 
+def counted_means(monkeypatch):
+    """Record the abscissae of every batched quadrature, one list per call."""
+    calls = []
+
+    def counted(f, bs):
+        calls.append(list(bs))
+        return means(f, bs)
+
+    means = eos_module._means
+    monkeypatch.setattr(eos_module, "_means", counted)
+    return calls
+
+
 @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.3, -0.1), FERMI_COEFFS])
 def test_zeta_of_eta_integrates_once_per_zeta(coeffs, monkeypatch):
     # the bracket's first test and Newton's first residual are one quadrature
     eos = EosSpec(A=1.0, gamma=5.0 / 3.0, omega=OmegaSeries(coeffs))
     for eta in (1e-6, 0.05, 0.4, 1.3):
-        zetas = []
-        omega_u = EosSpec.omega_u
-
-        def counted(self, zeta):
-            zetas.append(zeta)
-            return omega_u(self, zeta)
-
-        monkeypatch.setattr(EosSpec, "omega_u", counted)
+        calls = counted_means(monkeypatch)
         eos.zeta_of_eta(eta)
         monkeypatch.undo()
+        zetas = [z for bs in calls for z in bs]
         assert len(zetas) == len(set(zetas)) >= 2
+        assert all(len(bs) == 1 for bs in calls)
+
+
+def test_piece_build_batches_its_quadratures(monkeypatch):
+    # a piece's 13 nodes share each round of quadratures: series piece 0
+    # makes 8 batched calls where its per-node searches make 63 scalar ones
+    eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
+    tab = eos._tables
+    per_node = 0
+    for eta in (tab.mids[0] + tab.halfw * _TAB_NODES).tolist():
+        calls = counted_means(monkeypatch)
+        eos.zeta_of_eta(eta)
+        monkeypatch.undo()
+        per_node += len(calls)
+    calls = counted_means(monkeypatch)
+    tab.build(0, eos)
+    assert len(calls) <= 10
+    assert sum(map(len, calls)) == per_node == 63
+
+
+# every piece of six EOS, 53 of them off the EOS domain
+PIECE_EOS = [
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0),
+    fermi_fit_eos(FermiEosParams(K=1.0)),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), eta_max=4.0),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -2.0)), eta_max=4.0),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -1.0, 0.1)), eta_max=6.0),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.5, -0.4)), eta_max=3.0),
+]
+
+
+def test_pieces_match_the_per_node_fit():
+    # one batched inversion per piece keeps the bits of a fit node by node
+    # through the scalar direct path, and an off-domain piece stays one
+    off = 0
+    for eos in PIECE_EOS:
+        for i in range(eos._tables.n):
+            want = piece_reference(eos, i)
+            assert eos._tables.build(i, eos) == want
+            off += want is _OFF_DOMAIN
+    assert sum(eos._tables.n for eos in PIECE_EOS) == 156 and off == 53
+
+
+@pytest.mark.parametrize("eos", PIECE_EOS[:3] + [EosSpec(A=1.0, gamma=1.3)],
+                         ids=["series", "fermi_fit", "series_eta_max_4", "polytrope"])
+def test_zeta_of_eta_is_the_scalar_search(eos):
+    # alone or in one batch, each eta takes the scalar search's steps
+    etas = [5e-324, 1e-320, 1e-300, 1e-40, 1e-9] + np.geomspace(1e-6, 4.0, 40).tolist()
+    want = [zeta_of_eta_reference(eos, eta) for eta in etas]
+    assert [eos.zeta_of_eta(eta) for eta in etas] == want
+    assert eos._zetas_of_etas(etas) == want
 
 
 def test_round_trip_density(eos15):

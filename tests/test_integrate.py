@@ -658,21 +658,23 @@ def test_non_finite_start_slope_ends_at_once(h_init):
 
 
 def test_domain_error_at_the_start_takes_no_step():
-    def rhs(x, y):
-        raise DomainSignalError("undefined here")
+    # an overflow in the start slope ends the run as a domain exit does
+    for error in (DomainSignalError, OverflowError):
+        def rhs(x, y):
+            raise error("undefined here")
 
-    sol = integrate_adaptive(rhs, [1.0], (0.0, 1.0))
-    assert sol.status == "domain_error"
-    assert sol.message == "right-hand side undefined at start: undefined here"
-    assert isinstance(sol.failure, DomainSignalError)
-    assert (sol.n_steps, sol.n_rhs, sol.n_rejected) == (0, 1, 0)
-    assert sol.xs.tolist() == [0.0] and sol.y_end.tolist() == [1.0]
+        sol = integrate_adaptive(rhs, [1.0], (0.0, 1.0))
+        assert sol.status == "domain_error"
+        assert sol.message == "right-hand side undefined at start: undefined here"
+        assert isinstance(sol.failure, error)
+        assert (sol.n_steps, sol.n_rhs, sol.n_rejected) == (0, 1, 0)
+        assert sol.xs.tolist() == [0.0] and sol.y_end.tolist() == [1.0]
 
 
 def test_initial_step_probe_without_a_finite_slope_falls_back():
-    # a probe slope that is not finite, or a probe that leaves the domain,
-    # leaves the start slope's estimate d1 in place of d2; an infinite d2
-    # would give a zero first step
+    # a probe slope that is not finite, or a probe that leaves the domain or
+    # overflows, leaves the start slope's estimate d1 in place of d2; an
+    # infinite d2 would give a zero first step
     y0, f0, rtol, atol = [1.0], [2.0], 1e-6, 1e-9
     scale = atol + rtol * y0[0]
     d1 = f0[0] / scale
@@ -682,7 +684,10 @@ def test_initial_step_probe_without_a_finite_slope_falls_back():
     def domain_exit(x, y):
         raise DomainSignalError("probe left the domain")
 
-    for probe in (lambda x, y: [math.inf], lambda x, y: [math.nan], domain_exit):
+    def overflow(x, y):
+        raise OverflowError("math range error")
+
+    for probe in (lambda x, y: [math.inf], lambda x, y: [math.nan], domain_exit, overflow):
         h = integrate._initial_step(probe, 0.0, y0, f0, rtol, atol, math.inf)
         assert h == pytest.approx(want, rel=1e-14)
 
