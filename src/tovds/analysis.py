@@ -16,7 +16,7 @@ import numpy as np
 from .constants import Constants
 from .eos import EosSpec
 from .errors import AnalysisError, ModelError, TovdsError
-from .integrate import EventSpec, StepControl, integrate_adaptive
+from .integrate import EventSpec, StepControl, integrate_adaptive, stage_guard
 from .model import (
     _GERM_R,
     MONOTONE_SHORT,
@@ -28,7 +28,7 @@ from .model import (
     solve_scaled,
     solve_star,
 )
-from .odecore import rhs_lane_emden
+from .odecore import lane_emden_rhs
 
 __all__ = [
     "lane_emden_first_zero",
@@ -58,20 +58,18 @@ def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP,
     # the scaled germ at alpha = 0, beta = lam is exactly the Lane-Emden germ
     M0 = R0**3 / 3.0
     U0 = 1.0 - (1.0 - lam) * R0 * R0 / 6.0
+    f = lane_emden_rhs(mu, lam)
     events = []
     if first_zero_only:
-        events.append(EventSpec(guard=lambda R, y: y[1], direction="falling",
+        events.append(EventSpec(guard=stage_guard(f, "U", {}), direction="falling",
                                 terminal=True, root_tol=1e-13, name="vacuum"))
         # Once a local minimum of U occurs with U > 0 the trajectory can never
         # reach zero afterwards: the damping term only lowers the oscillation
         # energy, so later minima sit above the first one.
         events.append(EventSpec(
-            guard=lambda R, y, dy: dy[1], direction="rising", terminal=True,
+            guard=stage_guard(f, "dU", {}), direction="rising", terminal=True,
             root_tol=1e-10, name="turning_point", slope=True))
-    return integrate_adaptive(
-        lambda R, y: rhs_lane_emden(R, y, mu, lam),
-        np.array([M0, U0]), (R0, R_cap), SOLVE_CTRL, events=events,
-    )
+    return integrate_adaptive(f, np.array([M0, U0]), (R0, R_cap), SOLVE_CTRL, events=events)
 
 
 def lane_emden_first_zero(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP):

@@ -300,12 +300,15 @@ class EosSpec:
         return self.A * self.gamma * rho ** (self.gamma - 1.0) * bracket
 
     def pressure_of_density(self, rho: float) -> float:
-        """P(rho); raises NonPhysicalEosError when P <= 0 or dP/drho not in (0, c^2)."""
+        """P(rho); NonPhysicalEosError unless 0 < P < inf and 0 < dP/drho < c^2."""
         if rho <= 0.0:
             return 0.0
-        P = self._pressure_raw(rho)
-        dP = self._dpdrho_raw(rho)
-        if P <= 0.0 or not (0.0 < dP < self.c2):
+        try:
+            P, dP = self._pressure_raw(rho), self._dpdrho_raw(rho)
+        except OverflowError:
+            raise NonPhysicalEosError(
+                f"EOS not admissible at rho = {rho:g}: P or dP/drho overflows") from None
+        if not (0.0 < P < math.inf and 0.0 < dP < self.c2):
             raise NonPhysicalEosError(
                 f"EOS not admissible at rho = {rho:g}: P = {P:g}, dP/drho = {dP:g} "
                 f"(require P > 0 and 0 < dP/drho < c^2 = {self.c2:g})"

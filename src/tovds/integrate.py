@@ -16,18 +16,18 @@ floats, since for the small systems solved here a numpy operation costs far
 more than its arithmetic.
 The whole adaptive loop, with its step control and event guards, is
 generated from one template, _LOOP, once per state dimension, right-hand
-side stage and set of written-in guards; it keeps the state, the FSAL slope
-and the tolerances in locals across steps, writes every stage sum and the
-error norm out per component, and has the tableau's coefficients as
-literals.  Each stage is one slot of the template: for a plain callable the
-slot calls it, and for a right-hand side built by stage_rhs from statements
-(a Stage) the slot is those statements, so a step makes no Python call for
-its stages.  A guard built by stage_guard from an expression over a stage's
-names is written into the loop's guard block in the same way when the solve
-integrates that stage's right-hand side; it reads the names as the FSAL
-stage, the last one a step runs, left them, so a stage may not assign its
-own abscissa or state.  Its constants are bound, not written in, so one
-loop serves every solve of a stage.
+side stage and set of guards; it keeps the state, the FSAL slope and the
+tolerances in locals across steps, writes every stage sum and the error
+norm out per component, and has the tableau's coefficients as literals.
+Each stage is one slot of the template, filled with a Stage's statements:
+a right-hand side built by stage_rhs brings its own, so a step makes no
+Python call for its stages; a plain callable's stage calls it.  Every guard is an expression in the loop's
+guard block: a guard built by stage_guard for the solve's right-hand side
+is its expression over the stage's names, and any other guard a call of it
+on them.  The guards read the names as the FSAL stage, the last one a step
+runs, left them, so a stage may not assign its own abscissa or state.
+Callables and constants are bound, not written in, so one loop serves
+every solve of a stage.
 """
 
 from __future__ import annotations
@@ -128,11 +128,11 @@ class StepControl:
 class EventSpec:
     """Scalar guard g(x, y) whose directed zero crossing is an event.
 
-    A slope guard (slope=True) is called as g(x, y, dy) with dy = rhs(x, y)
-    as the right-hand side returned it.  At a step end dy is the slope the
-    step has already computed there (the FSAL stage, or the start slope at
-    x0), so the guard costs no call; while a crossing is refined, each
-    refinement point makes one right-hand side call, counted in n_rhs.
+    A slope guard (slope=True) is called as g(x, y, dy) with dy the slope
+    at (x, y): at a step end the tuple of the FSAL stage's slope components,
+    and at x0 the start slope, so the guard costs no call; while a crossing
+    is refined, the return value of one right-hand side call per refinement
+    point, counted in n_rhs.
     """
 
     guard: object
@@ -246,9 +246,8 @@ class Stage:
     the state components named in y.  Every other free name of body is one
     of consts, whose values stage_rhs binds; a name body uses must not be one
     the step loop uses, and body must not assign x or a name of y, which
-    the written-in guards read after the step's last stage; _loop checks
-    both.  name labels the generated sources in tracebacks, so each body
-    needs its own.
+    the guards read after the step's last stage; _loop checks both.  name
+    labels the generated sources in tracebacks, so each body needs its own.
     """
 
     name: str
@@ -272,6 +271,13 @@ def stage_rhs(stage: Stage, values: dict):
         f"{', '.join(stage.dy)},", stage.consts)(**values)
     rhs.stage, rhs.values = stage, values
     return rhs
+
+
+@functools.cache
+def _call_stage(dim: int) -> Stage:
+    """The stage that calls a plain right-hand side, bound as fn."""
+    y, dy = (tuple(f"{c}{i}_" for i in range(dim)) for c in "sd")
+    return Stage("call", "t_", y, dy, f"{', '.join(dy)}, = fn(t_, [{', '.join(y)}])\n", ("fn",))
 
 
 @functools.cache
@@ -321,26 +327,23 @@ def stage_guard(rhs, expr: str, values: dict):
 # `expr` stands for expr once per component, with @ replaced by the component
 # index, joined by ", " (or by " + " when the closing backtick is followed by
 # +).  Each `kN = STAGE(x, y...)` line is one right-hand side evaluation:
-# for a plain callable it calls rhs(x, [y...]), for a Stage it runs the
-# stage's body on x and y and names its slopes kN_@.  FSAL is the step-end
-# slope as the right-hand side returned it, and CONSTS the stage's and the
-# written-in guards' constants, which make binds once per solve.  The
-# tableau's _A, _B, _C, _D and _E constants are written in as literals.
-# _loop generates the loop once per dimension, stage and set of written-in
+# it runs the stage's body on x and y and names its slopes kN_@.  CONSTS
+# are the stage's and the guards' constants, which make binds once per
+# solve.  The tableau's _A, _B, _C, _D and _E constants are written in as
+# literals.  _loop generates the loop once per dimension, stage and set of
 # guards.  Every component is computed by the same expression, term by term
-# in the tableau's order, so the bits do not depend on the dimension or on
-# whether the stage is inlined.
+# in the tableau's order, so the bits depend neither on the dimension nor on
+# whether the stage's body is a right-hand side's or a call of it.
 #
 # An accepted step appends one record to the flat array('d') buffer steps,
 # with one call: its node, its state and the six slopes k1, k3 ... k7 its
 # interpolant is made of; _finish turns the buffer into the xs, ys and
-# slopes of the DenseSolution once, when the run ends.  The guard block
-# tests every guard at the step end: GUARD_TEXT stands for the guards
-# written in as text (_guard_text), each a local g_prev, which read the
-# stage's names as the FSAL stage left them; the called guards follow in a
-# loop, on a state list built for them.  Only on a step where a guard
-# changes sign are the interpolant's coefficients formed, here on floats,
-# and the crossings located.
+# slopes of the DenseSolution once, when the run ends.  GUARD_TEXT stands
+# for the guard block (_guard_text), which tests every guard at the step
+# end, each against its value at the step start in a local; the guards
+# read the stage's names as the FSAL stage left them.  Only on a step where
+# a guard changes sign are the interpolant's coefficients formed, here on
+# floats, and the crossings located.
 #
 # loop(...) -> (status, message, failure, x_end, y_end, n_rhs, n_rejected),
 # x_end and y_end None for the last node.  n_rhs counts a right-hand side
@@ -354,8 +357,8 @@ def stage_guard(rhs, expr: str, values: dict):
 # start state, carried over from an@ on acceptance.
 _LOOP = """\
 def make(CONSTS):
-    def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, guards, g_prev, events,
-             steps, found, n_rhs):
+    def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, g_prev, events, steps,
+             found, n_rhs):
         `y@`, = y
         `k1_@`, = k1
         `ay@`, = `abs(y@)`,
@@ -424,14 +427,6 @@ def make(CONSTS):
                     # refined on the step's interpolant
                     hit = []  # (index, value at x, value at x_new)
                     GUARD_TEXT
-                    if guards:
-                        y_new = [`yn@`]
-                        for idx, guard, falling, rising, slope in guards:
-                            g0 = g_prev[idx]
-                            g1 = g_prev[idx] = float(guard(x_new, y_new, FSAL) if slope
-                                                     else guard(x_new, y_new))
-                            if (falling and g0 > 0.0 >= g1) or (rising and g0 < 0.0 <= g1):
-                                hit.append((idx, g0, g1))
                     if hit:
                         step_eval = _step_interpolant(x, [`y@`], h, [`
                             k1_@,
@@ -468,15 +463,15 @@ def make(CONSTS):
     return loop
 """
 
-_LOOPS = {}  # (dim, stage or None, written-in guards) -> make
+_LOOPS = {}  # (dim, stage, guards) -> make
 
 
 @dataclass(frozen=True)
 class _TextGuard:
-    """A guard the step loop writes in: its event's index, name and
-    direction, the expression and the names of its own constants."""
+    """A guard as the step loop writes it in, one per event in their order:
+    the event's name and direction, the expression and the names of its own
+    constants."""
 
-    index: int
     name: str
     expr: str
     falling: bool
@@ -485,37 +480,34 @@ class _TextGuard:
 
 
 def _guard_text(guards: tuple) -> tuple:
-    """(init, block): the statements that load each written-in guard's value
-    at the start into its local g_prev, and the statements that evaluate the
-    guards at a step end and collect sign changes.  The guards read the
-    stage's names as the FSAL stage, the last one run, left them: the step
-    end's abscissa, state and slopes."""
-    init = "".join(f"gp{j} = g_prev[{g.index}]\n" for j, g in enumerate(guards))
+    """(init, block): the statements that load each guard's value at the
+    start into its local g_prev, and the statements that evaluate the guards
+    at a step end and collect sign changes.  The guards read the stage's
+    names as the FSAL stage, the last one run, left them: the step end's
+    abscissa, state and slopes."""
+    init = "".join(f"gp{j} = g_prev[{j}]\n" for j in range(len(guards)))
     block = ""
     for j, g in enumerate(guards):
         tests = [f"gp{j} > 0.0 >= g1"] * g.falling + [f"gp{j} < 0.0 <= g1"] * g.rising
         block += (f"g1 = {g.expr}\n"
                   f"if {' or '.join(tests)}:\n"
-                  f"    hit.append(({g.index}, gp{j}, g1))\n"
+                  f"    hit.append(({j}, gp{j}, g1))\n"
                   f"gp{j} = g1\n")
     return init, block
 
 
-def _loop_source(dim: int, stage: Stage | None, guards: tuple = ()) -> str:
+def _loop_source(dim: int, stage: Stage, guards: tuple) -> str:
     def components(m):
         sep = " + " if m.group(2) else ", "
         return sep.join(m.group(1).replace("@", str(i)) for i in range(dim))
 
     def stage_call(m):
         indent, k, args = m.group(1), m.group(2), m.group(3).split(", ")
-        slopes = ", ".join(f"{k}_{i}" for i in range(dim))
-        if stage is None:
-            return (f"{indent}{k} = rhs({args[0]}, [{', '.join(args[1:])}])\n"
-                    f"{indent}{slopes}, = {k}\n")
         return (f"{indent}{stage.x} = {args[0]}\n"
                 f"{indent}{', '.join(stage.y)}, = {', '.join(args[1:])},\n"
                 f"{textwrap.indent(stage.body, indent)}"
-                f"{indent}{slopes}, = {', '.join(stage.dy)},\n")
+                f"{indent}{', '.join(f'{k}_{i}' for i in range(dim))}, = "
+                f"{', '.join(stage.dy)},\n")
 
     init, block = _guard_text(guards)
     source = re.sub(r"`([^`]*)`(\+?)", components, _LOOP).replace("DIM", str(dim))
@@ -523,12 +515,8 @@ def _loop_source(dim: int, stage: Stage | None, guards: tuple = ()) -> str:
     for slot, text in (("GUARD_INIT", init), ("GUARD_TEXT", block)):
         source = re.sub(rf"^( *){slot}\n", lambda m: textwrap.indent(text, m.group(1)), source,
                         flags=re.M)
-    if stage is None:
-        source = source.replace("CONSTS", "").replace("FSAL", "k7")
-    else:
-        fsal = "(" + ", ".join(f"k7_{i}" for i in range(dim)) + ",)"
-        consts = stage.consts + tuple(c for g in guards for c in g.consts)
-        source = source.replace("CONSTS", ", ".join(consts)).replace("FSAL", fsal)
+    consts = stage.consts + tuple(c for g in guards for c in g.consts)
+    source = source.replace("CONSTS", ", ".join(consts))
     return re.sub(r"^( *)(k\d) = STAGE\((.*)\)\n", stage_call, source, flags=re.M)
 
 
@@ -541,34 +529,34 @@ def _names(code) -> set:
     return names - vars(builtins).keys()
 
 
-def _loop(dim: int, stage: Stage | None, guards: tuple = ()):
+# the step loop's own names, read once from its source for one component and
+# one guard, its stage made of loop names, with a trailing index written N
+_LOOP_NAMES = {re.sub(r"\d+$", "N", name) for name in _names(compile(_loop_source(
+    1, Stage("", "x", ("y0",), ("k1_0",), "", ()), (_TextGuard("", "0.0", True, True, ()),)),
+    "<loop>", "exec"))}
+
+
+def _loop(dim: int, stage: Stage, guards: tuple):
     """The factory make(**constants) -> loop for a dim-component state,
-    stage (None for a plain callable) and written-in guards, generated on
-    first use."""
+    stage and guards, generated on first use."""
     key = (dim, stage, guards)
     make = _LOOPS.get(key)
     if make is None:
-        filename = f"<dp5 loop, dim {dim}>"
-        if stage is not None:
-            filename = f"<dp5 loop, dim {dim}, {stage.name}>"
-            if guards:  # each loop its own name, so that tracebacks show its lines
-                filename = (f"<dp5 loop, dim {dim}, {stage.name}, "
-                            f"guards {', '.join(g.name for g in guards)}>")
-            own = {stage.x, *stage.y, *stage.dy, *stage.consts}
-            for g in guards:
-                own |= set(g.consts)
-            loop_names = (_names(compile(_loop_source(dim, None), "<loop>", "exec"))
-                          | {f"gp{j}" for j in range(len(guards))})
-            clash = (_names(compile(stage.body, "<stage>", "exec")) | own) & loop_names
-            if clash:
-                raise ValueError(f"stage {stage.name!r} uses names of the step loop: {sorted(clash)}")
-            # the written-in guards read the abscissa and state the FSAL stage was given
-            rebound = {node.id for node in ast.walk(ast.parse(stage.body))
-                       if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
-                       } & {stage.x, *stage.y}
-            if rebound:
-                raise ValueError(f"stage {stage.name!r} assigns its own abscissa or state: "
-                                 f"{sorted(rebound)}")
+        # each loop its own name, so that tracebacks show its lines
+        listed = f", guards {', '.join(g.name for g in guards)}" if guards else ""
+        filename = f"<dp5 loop, dim {dim}, {stage.name}{listed}>"
+        names = _names(compile(stage.body, "<stage>", "exec")) | {
+            stage.x, *stage.y, *stage.dy, *stage.consts, *(c for g in guards for c in g.consts)}
+        clash = {name for name in names if re.sub(r"\d+$", "N", name) in _LOOP_NAMES}
+        if clash:
+            raise ValueError(f"stage {stage.name!r} uses names of the step loop: {sorted(clash)}")
+        # the guards read the abscissa and state the FSAL stage was given
+        rebound = {node.id for node in ast.walk(ast.parse(stage.body))
+                   if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+                   } & {stage.x, *stage.y}
+        if rebound:
+            raise ValueError(f"stage {stage.name!r} assigns its own abscissa or state: "
+                             f"{sorted(rebound)}")
         make = _LOOPS[key] = codegen.define(_loop_source(dim, stage, guards), filename, globals())
     return make
 
@@ -725,8 +713,8 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         DomainSignalError to signal a domain exit; the step is then retried
         smaller and the run ends with status ``domain_error`` if the boundary
         cannot be resolved.  An OverflowError inside a step is handled the
-        same way.  A right-hand side made by stage_rhs has its
-        stage's body inlined in the step loop.
+        same way.  A right-hand side made by stage_rhs has its stage's body
+        written into the step loop, and any other is called from a stage.
     y0 : sequence of finite floats
     ctrl : StepControl
         Its abs_tol is one absolute tolerance for every component; a system
@@ -734,13 +722,13 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         variables.
     events : sequence of EventSpec
         Guards receive the state as a list of floats, like rhs, and a slope
-        guard also the slope rhs returned there.  A guard that stage_guard
-        made for rhs is written into the step loop; two such guards may not
-        bind the same name.  Terminal events truncate the solution at the
-        located abscissa.
+        guard also the slope there.  A guard that stage_guard made for rhs
+        is written into the step loop as its expression, any other as a
+        call; two guards may not bind the same name.  Terminal events
+        truncate the solution at the located abscissa.
 
     The run is one call of the step loop generated for the state's
-    dimension, the right-hand side's stage and the written-in guards.
+    dimension, the right-hand side's stage and the guards.
     """
     ctrl = ctrl or StepControl()
     x0, x1 = float(span[0]), float(span[1])
@@ -750,28 +738,27 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
     if not _finite(*y0):
         raise ValueError(f"y0 must be finite, got {y0!r}")
     dim = len(y0)
-    stage = getattr(rhs, "stage", None)
-    if not (isinstance(stage, Stage) and len(stage.y) == dim):
-        stage = None
+    inlined = isinstance(getattr(rhs, "stage", None), Stage) and len(rhs.stage.y) == dim
+    stage, values = (rhs.stage, dict(rhs.values)) if inlined else (_call_stage(dim), {"fn": rhs})
     atol, rtol, h_max = ctrl.abs_tol, ctrl.rel_tol, ctrl.h_max
-    # guards made by stage_guard for rhs are written into the loop; the
-    # others are called: (index, guard, falling counts, rising counts, slope)
-    text, called, values = [], [], dict(rhs.values) if stage is not None else {}
+    guards = []
     for idx, ev in enumerate(events):
-        falling, rising = ev.direction != "rising", ev.direction != "falling"
         if getattr(ev.guard, "slope", ev.slope) != ev.slope:
             raise ValueError(f"event {ev.name!r} has slope={ev.slope}, but its guard "
                              f"{ev.guard.expr!r} is of the other kind")
-        if stage is not None and getattr(ev.guard, "rhs", None) is rhs:
-            if values.keys() & ev.guard.values.keys():
-                raise ValueError(f"event {ev.name!r}: two guards of one solve bind "
-                                 f"{sorted(values.keys() & ev.guard.values.keys())}")
-            values.update(ev.guard.values)
-            text.append(_TextGuard(idx, ev.name, ev.guard.expr, falling, rising,
-                                   tuple(ev.guard.values)))
+        if inlined and getattr(ev.guard, "rhs", None) is rhs:
+            expr, own = ev.guard.expr, ev.guard.values
         else:
-            called.append((idx, ev.guard, falling, rising, ev.slope))
-    loop = _loop(dim, stage, tuple(text))(**values)
+            # a slope guard also gets the FSAL stage's slope tuple
+            args = f"{stage.x}, [{', '.join(stage.y)}]" + f", ({', '.join(stage.dy)},)" * ev.slope
+            expr, own = f"float(guard_{idx}({args}))", {f"guard_{idx}": ev.guard}
+        if values.keys() & own.keys():
+            raise ValueError(f"event {ev.name!r}: two guards of one solve bind "
+                             f"{sorted(values.keys() & own.keys())}")
+        values.update(own)
+        guards.append(_TextGuard(ev.name, expr, ev.direction != "rising",
+                                 ev.direction != "falling", tuple(own)))
+    loop = _loop(dim, stage, tuple(guards))(**values)
 
     # one record per node: x, the state, then the slopes of the step that
     # ends there (zeros at x0)
@@ -818,5 +805,5 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         h = _initial_step(rhs, x0, y0, fy, rtol, atol, h_max)
     h = min(h, h_max, x1 - x0)
 
-    return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, called,
-                         g_prev, events, steps, found, n_rhs))
+    return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, g_prev,
+                         events, steps, found, n_rhs))

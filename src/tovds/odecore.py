@@ -9,13 +9,14 @@ two floats.  State conventions:
 
 The solvers integrate the scaled form only; the enthalpy form is its
 physical-unit reference.  The scaled right-hand side is written once, as the
-stage text _SCALED.  scaled_rhs(alpha, beta, eos) binds one star's
-constants and the EOS fast path to it and returns the right-hand side
-R, y -> (dM/dR, dU/dR) compiled from that text, which carries the text and
-its bound values.  A solve passes it to integrate_adaptive, whose step loop
-runs the same text in every stage instead of calling it; the germ check,
-the initial step and the refinement of slope guards call it.  rhs_scaled is
-that function called once.
+stage text _SCALED, and its Newtonian limit, Lane-Emden(-de Sitter), as
+_LANE_EMDEN.  scaled_rhs(alpha, beta, eos) and lane_emden_rhs(mu, lam) bind
+their constants to the text and return the right-hand side R, y -> (dM/dR,
+dU/dR) compiled from it, which carries the text and its bound values.  A
+solve passes it to integrate_adaptive, whose step loop runs the same text in
+every stage instead of calling it; the germ check, the initial step and the
+refinement of slope guards call it.  rhs_scaled and rhs_lane_emden are
+those functions called once.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3, its r-derivative at fixed m
 and Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled
@@ -36,8 +37,9 @@ from .eos import EosSpec
 from .errors import KappaNonPositiveError
 from .integrate import DenseSolution, Stage, stage_rhs
 
-# rhs_tovds_enthalpy and rhs_scaled are left out: no solve calls them, and
-# the test oracles and perfbench/spans.py reach them by name
+# rhs_tovds_enthalpy, rhs_scaled and rhs_lane_emden, the called forms, are
+# left out: no solve calls them, and the tests and perfbench/spans.py reach
+# them by name
 __all__ = [
     "FOUR_PI",
     "kappa",
@@ -46,7 +48,7 @@ __all__ = [
     "einstein_static_lambda",
     "kappa_scaled",
     "scaled_rhs",
-    "rhs_lane_emden",
+    "lane_emden_rhs",
     "center_germ_scaled",
     "ScalingParams",
 ]
@@ -168,13 +170,22 @@ def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec) -> tuple:
     return scaled_rhs(alpha, beta, eos)(R, y)
 
 
+_LANE_EMDEN = Stage(name="Lane-Emden", x="R", y=("M", "U"), dy=("dM", "dU"), body="""\
+U_pos = U if U > 0.0 else 0.0
+dM = R * R * U_pos**mu
+dU = -(M - lam * R**3 / 3.0) / (R * R)
+""", consts=("mu", "lam"))
+
+
+def lane_emden_rhs(mu: float, lam: float = 0.0):
+    """The Lane-Emden right-hand side R, y -> (dM/dR, dU/dR) = (R^2 (U#)^mu,
+    -(M - lam R^3/3)/R^2), built from the stage text _LANE_EMDEN."""
+    return stage_rhs(_LANE_EMDEN, {"mu": mu, "lam": lam})
+
+
 def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
-    """(dM/dR, dU/dR) = (R^2 (U#)^mu, -(M - lam R^3/3)/R^2)."""
-    M, U = y
-    U_pos = U if U > 0.0 else 0.0
-    dM = R * R * U_pos**mu
-    dU = -(M - lam * R**3 / 3.0) / (R * R)
-    return dM, dU
+    """(dM/dR, dU/dR) of the Lane-Emden system at one point."""
+    return lane_emden_rhs(mu, lam)(R, y)
 
 
 # -- center germs -------------------------------------------------------------

@@ -27,7 +27,7 @@ from tovds.model import (
     solve_scaled,
     solve_star,
 )
-from tovds.odecore import FOUR_PI
+from tovds.odecore import FOUR_PI, rhs_lane_emden
 
 from oracles import mu1_residual, scaled_limit_convergence
 
@@ -119,6 +119,38 @@ def test_unterminated_diagnostic():
 
 
 # -- mu = 1 closed form -----------------------------------------------------------
+
+
+def _dense_bits(d):
+    return (d.xs.tobytes(), d.ys.tobytes(), d.interp.tobytes(),
+            [(ev.x, ev.y.tobytes(), ev.index, ev.name) for ev in d.events],
+            d.status, d.message, d.x_end, d.y_end.tobytes(), d.n_steps, d.n_rhs, d.n_rejected)
+
+
+def test_lane_emden_stage_matches_the_called_form(monkeypatch):
+    # the Lane-Emden stage and its expression guards, written into the step
+    # loop, give the bits and counts of rhs_lane_emden and lambda guards,
+    # which the loop calls; the stage's solves all run one generated loop
+    inputs = []
+    integrate_adaptive = analysis.integrate_adaptive
+
+    def recording(rhs, y0, span, ctrl, events):
+        inputs.append((y0, span, ctrl, events))
+        return integrate_adaptive(rhs, y0, span, ctrl, events=events)
+
+    monkeypatch.setattr(analysis, "integrate_adaptive", recording)
+    monkeypatch.setattr(integrate, "_LOOPS", {})
+    cases = [(mu, lam) for mu in (1.0, 1.5, 2.0, 3.0) for lam in (0.0, 0.1, 0.17)]
+    written = [analysis.lane_emden_solution(mu, lam) for mu, lam in cases]
+    assert len(integrate._LOOPS) == 1
+    assert {ev.name for d in written for ev in d.events} == {"vacuum", "turning_point"}
+    for (mu, lam), (y0, span, ctrl, events), want in zip(cases, inputs, written):
+        guards = [lambda R, y: y[1], lambda R, y, dy: dy[1]]
+        called = integrate_adaptive(
+            lambda R, y: rhs_lane_emden(R, y, mu, lam), y0, span, ctrl,
+            events=[replace(ev, guard=g) for ev, g in zip(events, guards)])
+        assert _dense_bits(called) == _dense_bits(want), (mu, lam)
+    assert len(integrate._LOOPS) == 2
 
 
 def test_mu1_exact_center_and_infinity():

@@ -173,6 +173,21 @@ def test_germ_slope_overflow_exits_1(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_overflowing_density_exits_1(tmp_path, capsys):
+    # rho_c**gamma overflows in the EOS check up to the center: a numerical
+    # error naming the first density checked, not a traceback
+    cfg = {"eos": {"type": "polytrope", "A": 1.0, "gamma": 2.0}, "center": {"rho_c": 1e200},
+           "units": "geom"}
+    code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert [json.loads(line) for line in out.strip().splitlines()] == [{
+        "error": "numerical",
+        "message": "EOS not admissible at rho = 1e+194: P or dP/drho overflows",
+    }]
+    assert "Traceback" not in err
+
+
 def test_unknown_key_exits_2(tmp_path):
     cfg = dict(M0_CONFIG)
     cfg["surprise"] = 1

@@ -110,6 +110,15 @@ def test_causality_violation_raises():
         eos.validate_range(1e-4, 1.0)
 
 
+def test_overflowing_density_is_not_admissible():
+    # rho**gamma overflows the float range: a typed error that names rho
+    eos = EosSpec(A=1.0, gamma=2.0)
+    with pytest.raises(NonPhysicalEosError, match=r"rho = 1e\+200: P or dP/drho overflows"):
+        eos.pressure_of_density(1e200)
+    with pytest.raises(NonPhysicalEosError, match=r"rho = 1e\+194: P or dP/drho overflows"):
+        eos.validate_range(1e194, 1e200)
+
+
 @pytest.mark.parametrize("eos", [
     EosSpec(A=1.0, gamma=1.5),
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),

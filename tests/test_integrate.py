@@ -1,5 +1,6 @@
 """Integrator accuracy, event location, statuses and determinism."""
 
+import linecache
 import math
 import traceback
 from dataclasses import replace
@@ -437,16 +438,17 @@ def test_loop_built_once_per_dimension_and_stage(monkeypatch):
     for _ in range(3):
         integrate_adaptive(lambda x, y: (y[1], -y[0], -y[2]), [1.0, 0.0, 1.0], (0.0, 1.0))
     integrate_adaptive(lambda x, y: (-y[0],), [1.0], (0.0, 1.0))
-    make = integrate._loop(3, None)
+    # a plain callable runs in the stage that calls it, one per dimension
+    make = integrate._loop(3, integrate._call_stage(3), ())
     integrate_adaptive(lambda x, y: (y[1], -y[0], -y[2]), [1.0, 0.0, 1.0], (0.0, 1.0))
     series = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
     for eos in (EosSpec(A=1.0, gamma=1.5), EosSpec(A=2.0, gamma=1.7), series, series):
         solve_scaled(0.01, 0.001, eos)
     guards = "guards vacuum, horizon, pressure_rise"
-    assert built == ["<dp5 loop, dim 3>", "<dp5 loop, dim 1>",
+    assert built == ["<dp5 loop, dim 3, call>", "<dp5 loop, dim 1, call>",
                      f"<dp5 loop, dim 2, scaled, closed-form Omega, {guards}>",
                      f"<dp5 loop, dim 2, scaled, table Omega, {guards}>"]
-    assert integrate._loop(3, None) is make
+    assert integrate._loop(3, integrate._call_stage(3), ()) is make
 
 
 def test_stage_may_not_use_the_loops_names():
@@ -460,7 +462,7 @@ def test_stage_may_not_use_the_loops_names():
     ("t += 0.0\ndu = -u\n", "t"),
 ])
 def test_stage_may_not_assign_its_abscissa_or_state(body, rebound):
-    # the written-in guards read the abscissa and state the FSAL stage was
+    # the guards read the abscissa and state the FSAL stage was
     # given, so a body that rebinds them would move the guards' values
     stage = Stage(name="rebinds", x="t", y=("u",), dy=("du",), body=body, consts=())
     with pytest.raises(ValueError, match=rf"assigns its own abscissa or state: \['{rebound}'\]"):
@@ -496,9 +498,14 @@ def test_generated_loop_lines_show_in_tracebacks():
     with pytest.raises(ValueError, match="stage 3") as info:
         integrate_adaptive(rhs, [1.0], (0.0, 1.0), StepControl(h_init=0.1))
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "<dp5 loop, dim 1>"' in text
-    # the tableau's constants are written in as literals
-    assert "k3 = rhs(x + 0.3 * h, [y0 + h * (0.075 * k1_0 + 0.225 * k2_0)])" in text
+    assert 'File "<dp5 loop, dim 1, call>"' in text
+    # the stage calls the right-hand side on its arguments, which the line
+    # before it computes, with the tableau's constants written in as literals
+    assert "d0_, = fn(t_, [s0_])" in text
+    lines = linecache.getlines("<dp5 loop, dim 1, call>")
+    call = lines.index("                d0_, = fn(t_, [s0_])\n", lines.index("                calls = 2\n"))
+    assert lines[call - 2:call] == ["                t_ = x + 0.3 * h\n",
+                                    "                s0_, = y0 + h * (0.075 * k1_0 + 0.225 * k2_0),\n"]
 
 
 def test_nonterminal_events_recorded():

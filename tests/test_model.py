@@ -78,12 +78,12 @@ def test_step_counts_of_reference_solves(star_m0, eos15):
 
 def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
     # the guard at a step end reads the slope the integrator has just
-    # computed there, and its refinement calls are counted.  On the called
-    # path, where the solve integrates a wrapper of the right-hand side (so
-    # that neither its stage nor its guards are written into the loop),
-    # every call of the wrapper is one of n_rhs; the fused path, which runs
-    # the right-hand side and the guards inside the step loop, reports that
-    # count
+    # computed there, and its refinement calls are counted.  When the solve
+    # integrates a wrapper of the right-hand side, the loop calls the
+    # wrapper from its stages and the guards from its guard block, and every
+    # call of the wrapper is one of n_rhs; the fused path, which runs the
+    # right-hand side and the guard expressions inside the step loop,
+    # reports that count
     fused = {beta: solve_scaled(1e-3, beta, eos15) for beta in (1e-3, 0.05)}
     calls = 0
     integrate = model.integrate_adaptive
@@ -115,8 +115,9 @@ EDGE_STAR = (4.15, 60.0)
 
 def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded, text=False):
     """A scaled solve as _solve_core makes it, at the sweep tolerances; or
-    with no guards, to run past the vacuum boundary.  The guards are called
-    lambdas, or with text=True stage guards of rhs, as _solve_core's are."""
+    with no guards, to run past the vacuum boundary.  The guards are
+    lambdas, which the step loop calls, or with text=True stage guards of
+    rhs, as _solve_core's are."""
     R0 = 1e-6
     if text:
         guards = [integrate.stage_guard(rhs, "U", {}),
@@ -180,14 +181,19 @@ def test_fused_stages_match_the_called_right_hand_side(alpha, beta, eos, R_max, 
     (*EDGE_STAR, "series", "EosDomainError out of a stage, past guarded steps"),
 ])
 def test_written_in_guards_match_called_guards(alpha, beta, eos, what):
-    # the guards written into the step loop as text give the bits, counts,
-    # events and outcome of the same guards called as lambdas
+    # the guards written into the step loop as their expressions give the
+    # bits, counts, events and outcome of the same guards as lambdas, which
+    # the loop writes in as calls on the stage's names
     eos = {"polytrope": EosSpec(A=1.0, gamma=1.5), "series": SERIES_EOS}[eos]
     f = odecore.scaled_rhs(alpha, beta, eos)
     text = _solution_bits(lambda: _scaled_solve(f, alpha, beta, eos, 50.0, True, text=True))
     called = _solution_bits(lambda: _scaled_solve(f, alpha, beta, eos, 50.0, True))
     assert text == called
-    assert any(stage == f.stage and len(guards) == 3 for _, stage, guards in integrate._LOOPS)
+    exprs = {tuple(g.expr for g in guards) for _, stage, guards in integrate._LOOPS
+             if stage == f.stage}
+    assert exprs >= {("U", model._HORIZON, "dU - mono_eps"),
+                     ("float(guard_0(R, [M, U]))", "float(guard_1(R, [M, U]))",
+                      "float(guard_2(R, [M, U], (dM, dU,)))")}
     if what.startswith("EosDomainError"):
         assert text[0] is EosDomainError
     else:
