@@ -21,13 +21,13 @@ tolerances in locals across steps, writes every stage sum and the error
 norm out per component, and has the tableau's coefficients as literals.
 Each stage is one slot of the template, filled with a Stage's statements:
 a right-hand side built by stage_rhs brings its own, so a step makes no
-Python call for its stages; a plain callable's stage calls it.  Every guard is an expression in the loop's
-guard block: a guard built by stage_guard for the solve's right-hand side
-is its expression over the stage's names, and any other guard a call of it
-on them.  The guards read the names as the FSAL stage, the last one a step
-runs, left them, so a stage may not assign its own abscissa or state.
-Callables and constants are bound, not written in, so one loop serves
-every solve of a stage.
+Python call for its stages; a plain callable's stage calls it.  Every
+guard is an expression in the loop's guard block: a guard built by
+stage_guard for the solve's right-hand side is its expression over the
+stage's names, and any other guard a call of it on them.  The guards read
+the names as the FSAL stage, the last one a step runs, left them, so a
+stage may not assign its own abscissa or state.  Callables and constants
+are bound, not written in, so one loop serves every solve of a stage.
 """
 
 from __future__ import annotations
