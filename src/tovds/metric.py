@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .constants import Constants
 from .errors import ModelError, TovdsError
 from .model import BoundaryQuantities, SolutionProfile, _one_sided_derivatives
@@ -180,7 +178,8 @@ def continuity_report(patch: MetricPatch) -> MetricReport:
     exterior closed form evaluated at r_+.  Each side takes its limits on a
     four-level stencil of first step _H0_FRAC * r_+; row tolerances by order
     are _TOLS for g00 and _G11_TOLS for g11.  The interior states at all
-    stencil radii come from one dense-output call.
+    stencil radii come from one dense-output call; the rows, the difference
+    quotients and the Richardson passes are formed on Python floats.
     """
     prof = patch.profile
     if prof.vacuum_event() is None:
@@ -199,15 +198,15 @@ def continuity_report(patch: MetricPatch) -> MetricReport:
 
     # side-specific closed forms so each one-sided limit is taken on its own
     # branch (the interior expressions remain valid at r_+ itself); each maps
-    # the stencil radii to rows (g00, g11), computed on Python floats
+    # the stencil radii to a list of rows (g00, g11), computed on Python floats
     def interior(rs):
-        return np.array([
+        return [
             (kp * math.exp(-2.0 * u / k.c2), -1.0 / kappa(r, m, Lam, k))
             for r, (m, u) in zip(rs.tolist(), prof.dense(rs).tolist())
-        ])
+        ]
 
     def exterior(rs):
-        return np.array([(g, -1.0 / g) for g in (kappa(r, bq.m_plus, Lam, k) for r in rs.tolist())])
+        return [(g, -1.0 / g) for g in (kappa(r, bq.m_plus, Lam, k) for r in rs.tolist())]
 
     rows = []
     for side, sign, f in (("interior", -1.0, interior), ("exterior", 1.0, exterior)):
@@ -215,6 +214,6 @@ def continuity_report(patch: MetricPatch) -> MetricReport:
         for col, (quantity, targets, tols) in enumerate((("g00", g00_targets, _TOLS),
                                                          ("g11", g11_targets, _G11_TOLS))):
             for order, (d, target, tol) in enumerate(zip(derivs, targets, tols)):
-                value = float(d[col])
+                value = d[col]
                 rows.append(ReportRow(quantity, side, order, value, target, _rel_err(value, target), tol))
     return MetricReport(rows=rows)

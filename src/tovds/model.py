@@ -25,6 +25,7 @@ are.  The outcome is one of four tags:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -226,17 +227,25 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     vacuum_hit = any(ev.name == "vacuum" and ev.terminal for ev in dense.events)
     if vacuum_hit:
         # pack log-spaced samples against the boundary for the exponent fits,
-        # at relative offsets _TAIL_OFFSETS below r_end
-        tail = r_end - r_end * _TAIL_OFFSETS
-        samples = sorted(set(samples).union(tail[tail > xs[0]].tolist()))
-    rr = np.array(samples)
+        # at relative offsets _TAIL_OFFSETS below r_end, in ascending order
+        tail = r_end - r_end * _TAIL_OFFSETS[::-1]
+        tail = tail[tail > xs[0]].tolist()
+        if tail:
+            # the tail lies within the last 10^-1.2 (6.3%) of r_end, so it
+            # meets only the nodes of the last steps: merge it into the
+            # suffix of samples from its first radius on; the nodes below
+            # that radius are sorted, distinct and not in the tail
+            i = bisect_left(samples, tail[0])
+            samples[i:] = sorted(set(samples[i:]).union(tail))
+    n = len(samples)
+    rr = np.fromiter(samples, float, n)
 
     k = inp.constants
     eos = inp.eos
     m, u = np.ascontiguousarray(dense(rr).T)
     # each sample keeps the bits of tests/oracles.py::profile_row, which
     # evaluates one sample on floats
-    rho, P = map(np.array, eos.rho_P_of_u(u.tolist()))
+    rho, P = (np.fromiter(col, float, n) for col in eos.rho_P_of_u(u.tolist()))
     kap = kappa(rr, m, inp.Lambda, k)
     Q = q_factor(rr, m, P, inp.Lambda, k)
     dPdr = (rho + P / k.c2) * (-Q / (rr * rr * kap))
@@ -269,7 +278,8 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     """Germ, guards, integration and outcome tag of one scaled star.
 
     A failed integration raises ModelError carrying the partial
-    DenseSolution as its profile.
+    DenseSolution as its profile; its message ends with the star's alpha
+    and beta.
     """
     y0 = center_germ_scaled(alpha, beta, eos, _GERM_R)
     f = scaled_rhs(alpha, beta, eos)
@@ -287,8 +297,8 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     ]
     dense = integrate_adaptive(f, y0, (_GERM_R, R_max), ctrl, events=events)
     if dense.status in _FAILED:
-        raise ModelError(f"solver failed: {dense.status}: {dense.message} (x is the scaled radius R)",
-                         profile=dense)
+        raise ModelError(f"solver failed: {dense.status}: {dense.message} (x is the scaled radius R) "
+                         f"for alpha = {alpha!r} and beta = {beta!r}", profile=dense)
     # the germ's slope dU/dR is the start slope, k1 of the first step
     initial_rise = float(dense.slopes[0, 1, 0]) - _MONO_EPS >= 0.0
 
@@ -383,8 +393,8 @@ def _physical_outcome(star: ScaledStar, profile: SolutionProfile, inp: ModelInpu
 # -- boundary data ---------------------------------------------------------------
 
 def _richardson(table: list):
-    """Richardson extrapolation of estimates (floats or arrays) at h0, h0/2,
-    h0/4, ... whose error series runs in integer powers of h; the table is
+    """Richardson extrapolation of float estimates at h0, h0/2, h0/4, ...
+    whose error series runs in integer powers of h; the table is
     overwritten."""
     n = len(table)
     fac = 2.0
@@ -398,17 +408,31 @@ def _richardson(table: list):
 def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int) -> tuple:
     """(f, f', f'') at x0 from the side sign*h > 0, Richardson-extrapolated.
 
-    f maps an ndarray of radii to an ndarray of their values (one row per
-    radius) and is called once, on the whole stencil: x0, then x0 + sign*h
-    and x0 + 2*sign*h for h = h0, h0/2, ... over `levels` halvings.  First
-    derivative from one-sided differences, second from the three-point
-    one-sided stencil; each result has the shape of one row of f.
+    f maps an ndarray of radii to their values, one row per radius, and is
+    called once, on the whole stencil: x0, then x0 + sign*h and
+    x0 + 2*sign*h for h = h0, h0/2, ... over `levels` halvings.  The rows
+    may be floats (a scalar f) or sequences of floats, as an ndarray or a
+    list.  First derivative from one-sided differences, second from the
+    three-point one-sided stencil.  The quotients and Richardson passes run
+    on Python floats, which round as float64 arrays do: for a scalar f each
+    result is a float, otherwise a tuple with one float per column.
     """
     hs = [h0 / 2**lv for lv in range(levels)]
     xs = [x0]
     for h in hs:
         xs += [x0 + sign * h, x0 + 2.0 * sign * h]
-    f0, *fs = f(np.array(xs))
+    rows = f(np.array(xs))
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    if isinstance(rows[0], float):
+        return _stencil_limits(rows, hs, sign)
+    return tuple(zip(*(_stencil_limits(col, hs, sign) for col in zip(*rows))))
+
+
+def _stencil_limits(values, hs: list, sign: float) -> tuple:
+    """(f, f', f'') of _one_sided_derivatives from the float values of f on
+    its stencil."""
+    f0, *fs = values
     d1 = []
     d2 = []
     for h, f1, f2 in zip(hs, fs[0::2], fs[1::2]):
@@ -444,7 +468,7 @@ def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
         lambda r: profile.dense(r)[:, 1], r_plus, 1e-3 * r_plus, -1.0, levels=3)
     return BoundaryQuantities(
         r_plus=r_plus, m_plus=m_plus, kappa_plus=kappa_plus, Q_plus=Q_plus,
-        B=B, kappa_plus_prime=kappa_plus_prime, du_dr_minus=float(du_dr_minus),
+        B=B, kappa_plus_prime=kappa_plus_prime, du_dr_minus=du_dr_minus,
     )
 
 

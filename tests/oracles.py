@@ -8,13 +8,13 @@ eta -> zeta search, a table piece fitted node by node through the scalar
 direct path, the per-density range check of an EOS, the fast
 Omega_rho/Omega_P path evaluated per point with a loop Horner, the
 profile's sample grid formed on numpy scalars, the per-sample profile row,
-the pointwise boundary slope, the scaled right-hand side spelled through
-kappa_scaled and _check_kappa, one DP5 attempt written with per-component
-comprehensions and the adaptive loop around it, a scalar dense-output
-evaluation on Python floats, the Lambda = 0 vacuum continuation, the second
-derivative of sin(R)/R, the residual of the mu = 1 closed form and the
-distance of scaled stars to the Lane-Emden orbit live here, as independent
-oracles for the code in src/.
+the pointwise boundary slope and continuity report, the scaled right-hand
+side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
+with per-component comprehensions and the adaptive loop around it, a scalar
+dense-output evaluation on Python floats, the Lambda = 0 vacuum
+continuation, the second derivative of sin(R)/R, the residual of the mu = 1
+closed form and the distance of scaled stars to the Lane-Emden orbit live
+here, as independent oracles for the code in src/.
 """
 
 import math
@@ -350,6 +350,51 @@ def du_dr_minus_pointwise(profile, r_plus: float) -> float:
     e1 = 2.0 * d[1] - d[0]
     e2 = 2.0 * d[2] - d[1]
     return (4.0 * e2 - e1) / 3.0
+
+
+def continuity_values_pointwise(patch) -> dict:
+    """The values of metric.continuity_report's 12 rows, keyed by (quantity,
+    side, order), from one scalar dense-output evaluation per interior
+    stencil radius.  Each side evaluates (g00, g11) on floats at r_+ and at
+    r_+ + sign h, r_+ + 2 sign h for h = 1e-3 r_+, h/2, h/4 and h/8, forms
+    one-sided first and three-point second differences, and removes errors
+    in h, h^2 and h^3 by three Richardson passes written out."""
+    prof = patch.profile
+    k = prof.constants
+    bq = patch.bq
+    r_p = bq.r_plus
+    Lam = prof.Lambda
+
+    def interior(r):
+        m, u = dense_eval_scalar(prof.dense, r).tolist()
+        return bq.kappa_plus * math.exp(-2.0 * u / k.c2), -1.0 / kappa(r, m, Lam, k)
+
+    def exterior(r):
+        g00 = kappa(r, bq.m_plus, Lam, k)
+        return g00, -1.0 / g00
+
+    def extrapolate(d0, d1, d2, d3):
+        e1, e2, e3 = 2.0 * d1 - d0, 2.0 * d2 - d1, 2.0 * d3 - d2
+        f2, f3 = (4.0 * e2 - e1) / 3.0, (4.0 * e3 - e2) / 3.0
+        return (8.0 * f3 - f2) / 7.0
+
+    h0 = 1e-3 * r_p
+    hs = (h0, h0 / 2.0, h0 / 4.0, h0 / 8.0)
+    values = {}
+    for side, sign, g in (("interior", -1.0, interior), ("exterior", 1.0, exterior)):
+        at_r_p = g(r_p)
+        for col, quantity in enumerate(("g00", "g11")):
+            v0 = at_r_p[col]
+            first, second = [], []
+            for h in hs:
+                v1 = g(r_p + sign * h)[col]
+                v2 = g(r_p + 2.0 * sign * h)[col]
+                first.append((v1 - v0) / (sign * h))
+                second.append((v2 - 2.0 * v1 + v0) / (h * h))
+            values[quantity, side, 0] = v0
+            values[quantity, side, 1] = extrapolate(*first)
+            values[quantity, side, 2] = extrapolate(*second)
+    return values
 
 
 # -- physical-unit germs ----------------------------------------------------------

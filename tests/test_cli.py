@@ -158,7 +158,8 @@ def test_eos_margin_below_the_vacuum_exits_2(tmp_path, capsys, eos):
 
 def test_germ_slope_overflow_exits_1(tmp_path, capsys):
     # beta ~ 6e33: the start slope at the germ and the germ's state map
-    # overflow; the solve fails with a numerical error, not a traceback
+    # overflow; the solve fails with a numerical error that names the
+    # star's scaled alpha and beta, not a traceback
     cfg = {"eos": {"type": "polytrope", "A": 0.001349306088439885, "gamma": 1.157},
            "center": {"u_c": 1.7324720909284593e-08}, "units": "geom",
            "Lambda": 0.015631472754373966}
@@ -168,7 +169,8 @@ def test_germ_slope_overflow_exits_1(tmp_path, capsys):
     assert json.loads(out.strip().splitlines()[-1]) == {
         "error": "numerical",
         "message": "solver failed: domain_error: right-hand side undefined at start: "
-                   "math range error (x is the scaled radius R)",
+                   "math range error (x is the scaled radius R) for alpha = 1.7324720909284593e-08 "
+                   "and beta = 5.964049517594313e+33",
     }
     assert "Traceback" not in err
 

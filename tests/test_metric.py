@@ -18,6 +18,8 @@ from tovds.metric import (
 from tovds.model import ModelInput, solve_star
 from tovds.odecore import FOUR_PI, kappa
 
+from oracles import continuity_values_pointwise
+
 GEOM = Constants(1.0, 1.0)
 
 
@@ -137,6 +139,32 @@ def test_continuity_report(patch_m0):
     assert doc["pass"] is True
     assert len(doc["rows"]) == 12
     assert {"quantity", "side", "order", "value", "target", "rel_err", "pass"} <= set(doc["rows"][0])
+
+
+@pytest.fixture(scope="module")
+def patch_g17():
+    """gamma = 1.7 star with alpha = beta = 1e-3, whose g11 interior 2 row
+    fails: the density near r_+ goes as (r_+ - r)^mu with mu < 2."""
+    eos = EosSpec(A=1.0, gamma=1.7, c=1.0)
+    u_c = 1e-3
+    Lam = 1e-3 * FOUR_PI * GEOM.G * eos.A1 * u_c**eos.mu / GEOM.c2
+    profile, outcome = solve_star(ModelInput(eos=eos, Lambda=Lam, constants=GEOM, u_c=u_c))
+    return MetricPatch.from_model(profile, outcome.boundary)
+
+
+@pytest.mark.parametrize("name", ["patch_m0", "patch_g17"])
+def test_continuity_rows_match_the_pointwise_oracle(name, request):
+    # every row's value, bit for bit, against scalar dense calls and the
+    # Richardson tables written out on floats
+    patch = request.getfixturevalue(name)
+    report = continuity_report(patch)
+    want = continuity_values_pointwise(patch)
+    assert [(r.quantity, r.side, r.order) for r in report.rows] == list(want)
+    for row in report.rows:
+        assert type(row.value) is float
+        assert row.value.hex() == want[row.quantity, row.side, row.order].hex(), row
+    failed = [(r.quantity, r.side, r.order) for r in report.rows if not r.passed]
+    assert failed == ([] if name == "patch_m0" else [("g11", "interior", 2)])
 
 
 def test_continuity_report_makes_one_vector_dense_call(patch_m0, monkeypatch):

@@ -334,6 +334,40 @@ def test_profile_columns_match_the_sample_oracle(star_m0, eos15):
     assert_profile_matches_rows(info.value.profile)
 
 
+def synthetic_vacuum_solution(xs, x_end):
+    """A DenseSolution on the nodes xs whose state is constant over each
+    step, cut by a terminal vacuum event at x_end inside its last step."""
+    xs = np.array(xs)
+    ys = np.column_stack([np.linspace(0.1, 0.2, xs.size), np.linspace(1e-3, 1e-4, xs.size)])
+    y_end = ys[-2].copy()
+    vacuum = integrate.EventRecord(x=x_end, y=y_end, index=xs.size - 2, name="vacuum", terminal=True)
+    return integrate.DenseSolution(xs=xs, ys=ys, slopes=None, events=[vacuum], status="event",
+                                   x_end=x_end, y_end=y_end, _interp=np.zeros((xs.size - 1, 2, 4)))
+
+
+# the tail radii of r_end = 10, in ascending order
+TAIL_10 = (10.0 - 10.0 * np.logspace(-8.0, -1.2, 140))[::-1].tolist()
+
+
+@pytest.mark.parametrize("xs, n_samples", [
+    # a node equal to a tail radius, which the merge keeps once, and one
+    # node among the tail radii below it
+    ([1.0, 4.0, 9.5, TAIL_10[70], 11.0], 4 + 140),
+    # a vacuum inside the first step, whose start equals a tail radius: that
+    # radius and those below it are left out
+    ([TAIL_10[10], 11.0], 1 + 1 + 129),
+    # a first step that starts above every tail radius: no tail survives
+    ([10.0 - 1e-9, 11.0], 2),
+], ids=["node-on-tail", "first-step", "no-tail"])
+def test_tail_splice_matches_the_sample_oracle(eos15, xs, n_samples):
+    dense = synthetic_vacuum_solution(xs, 10.0)
+    inp = ModelInput(eos=eos15, constants=GEOM, u_c=1e-3)
+    profile = model._build_profile(dense, inp, inp.scaling())
+    assert profile.r.size == n_samples
+    assert np.all(np.diff(profile.r) > 0.0)
+    assert_profile_matches_rows(profile)
+
+
 def test_profile_invariants(star_m0):
     profile, outcome = star_m0
     assert np.all(np.diff(profile.m) >= 0.0)
@@ -641,7 +675,9 @@ def test_one_sided_stencil_is_one_call():
         hs = h0 / 2.0 ** np.arange(4)
         want = np.concatenate([[x0], np.column_stack([x0 + sign * hs, x0 + 2.0 * sign * hs]).ravel()])
         assert calls[0].tobytes() == want.tobytes()
-        assert v0.tolist() == [1.0, math.e]
+        # one float per column, as the row's float64 entries would give
+        assert all(type(v) is float for v in (*v0, *v1, *v2))
+        assert list(v0) == [1.0, math.e]
         assert v1 == pytest.approx([3.0, math.e], rel=1e-9)
         assert v2 == pytest.approx([6.0, math.e], rel=1e-6)
 
