@@ -8,6 +8,7 @@ homology plane, and the persistence of short solutions under small Lambda.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -295,13 +296,15 @@ def regime_sweep(
     raises a TovdsError is recorded with outcome "error"; any other
     exception ends the sweep.  The empirical epsilon0 estimate is the
     largest g such that every cell with alpha <= g and beta <= g is
-    monotone-short.
+    monotone-short.  min(jobs, cells, CPUs) worker processes solve the cells.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
     for name, grid in (("alpha_grid", alpha_grid), ("beta_grid", beta_grid)):
         if grid.size == 0:
             raise ValueError(f"sweep grid {name} is empty")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs!r}")
     if alpha_grid.min() < 0.0 or beta_grid.min() < 0.0 or alpha_grid.max() > 1.0 or beta_grid.max() > 1.0:
         raise ValueError("sweep grids must lie within [0, 1]")
     if eos is None:
@@ -311,8 +314,9 @@ def regime_sweep(
                          f"gamma = {eos.gamma!r}")
 
     tasks = [(float(a), float(b), eos, ctrl, R_max) for a in alpha_grid for b in beta_grid]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_sweep_cell, tasks, chunksize=4))
     else:
         cells = [_sweep_cell(t) for t in tasks]

@@ -221,6 +221,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "jobs", 1) < 1:
+            raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         _error_json("config", str(exc))

@@ -22,28 +22,27 @@ its derivative are evaluated by Horner, on a float or elementwise on an
 array, in numpy.polynomial's polyval operation order, so the values are
 bit-identical to polyval's.
 
-That direct path is slow, so the solve chain binds the fast path once per
-solve: EosSpec.fast_omega() returns eta -> (Omega_rho, Omega_P) with the
-EOS's constants, or its piece tables, bound as closure variables;
-omega_rho_P_fast is that function called once.  For the pure polytrope,
-Omega == 1, which is OmegaSeries((1.0,)) and the default, it evaluates the
-closed form Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma.  For a
-series Omega it evaluates piecewise Chebyshev interpolants on a fixed grid
-over [0, eta_max]; each piece is fitted to the direct path at its 13 nodes,
-inverted in one batch, the first time an eta lands in it, so a star pays
-only for the pieces it visits.  Outside the grid, and in a piece with a
-node outside the EOS domain, it falls back to the direct path.  rho_P_of_u,
-the state map of the physical-unit callers, maps enthalpies to rho and P
-through the fast path; for Omega == 1 it writes the closed form out in its
-loop, so a sample makes no call.  The scaled stage takes its EOS terms as
-statements, written into the integrator's stages (stage_terms_source).
+That direct path is slow.  The fast path has one definition, the terms
+text of EosSpec.stage_terms_source, which sets rho_term = U#^mu Omega_rho
+and p_term = U#^(mu+1) Omega_P at eta = alpha U#.  For the pure polytrope,
+Omega == 1, which is OmegaSeries((1.0,)) and the default, it is the closed
+form in Z = U# / Omega_u = U# (e^(k eta) - 1) / (k eta), k = (gamma-1)/gamma.
+For a series Omega it calls piecewise Chebyshev interpolants on a grid over
+[0, eta_max]; a piece is fitted to the direct path at its 13 nodes, inverted
+in one batch, when an eta first lands in it.  Outside the grid, and in a
+piece with a node outside the EOS domain, the direct path answers.  Three
+consumers run the text, each compiled once per text: the scaled stage
+(odecore), the germ fast_omega() at U# = 1, where the terms are Omega_rho
+and Omega_P, and the state map rho_P_of_u at U# = u.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import sys
+import textwrap
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +50,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 from numpy.polynomial.legendre import leggauss
 
+from . import codegen
 from .errors import EosDomainError, NonPhysicalEosError, QuadratureError, RootFindError
 
 _log = logging.getLogger("tovds")
@@ -188,14 +188,12 @@ _TAB_NODES = np.cos(np.pi * (2.0 * np.arange(_TAB_DEG + 1) + 1.0) / (2.0 * (_TAB
 # marks a piece that cannot be fitted because a node lies outside the EOS domain
 _OFF_DOMAIN = object()
 
-# The terms rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P of the
-# scaled stage, from U_pos = U# and the stage's constants alpha, mu and
-# p_alpha = k alpha, as statements that EosSpec.stage_terms_source hands to
-# odecore.  For Omega == 1, Omega_rho = Omega_u^(-mu) and
-# Omega_P = Omega_u^(-mu-1), so with Z = U# / Omega_u = U# expm1(keta) / keta,
-# keta = k alpha U#, the terms are Z^mu and Z^(mu+1): one pow.
-# expm1(keta) / keta is 1.0 exactly for a tiny or subnormal keta, where
-# dividing by k alpha instead would not be.
+# The terms rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P from
+# U_pos = U# and alpha, mu and p_alpha = k alpha.  For Omega == 1,
+# Omega_rho = Omega_u^(-mu) and Omega_P = Omega_u^(-mu-1), so with
+# Z = U# / Omega_u = U# expm1(keta) / keta, keta = k alpha U#, they are Z^mu
+# and Z^(mu+1): one pow.  expm1(keta) / keta is 1.0 exactly for a tiny or
+# subnormal keta, where dividing by k alpha instead would not be.
 _CLOSED_FORM_TERMS = """\
 keta = p_alpha * U_pos
 Z = U_pos * (expm1(keta) / keta) if keta != 0.0 else U_pos
@@ -211,6 +209,30 @@ Um = U_pos**mu
 rho_term = Um * omega_rho
 p_term = Um * U_pos * omega_P
 """
+# The germ and the state map, (name, params, body, result), run the terms at
+# their line TERMS: the germ at U# = 1, alpha = eta, where the terms are
+# Omega_rho(eta) and Omega_P(eta), for a series Omega the table's own bits
+# (1.0**mu is 1.0), and the state map at U# = u > 0, alpha = 1/c^2.
+_GERM = ("germ", "eta", "U_pos = 1.0\nalpha = eta\np_alpha = k * eta\nTERMS\n", "rho_term, p_term")
+_STATE_MAP = ("state map", "us", """\
+rho, P = [0.0] * len(us), [0.0] * len(us)
+for i, U_pos in enumerate(us):
+    if U_pos > 0.0:
+        TERMS
+        rho[i] = A1 * rho_term
+        P[i] = p_coeff * p_term
+""", "rho, P")
+
+
+@functools.cache
+def _terms_factory(form: tuple, label: str, terms: str, consts: tuple):
+    """make(**values) of form's function with terms, at the indent of its
+    line TERMS, compiled once per text."""
+    name, params, body, result = form
+    head, _, tail = body.partition("TERMS\n")
+    start = head.rfind("\n") + 1
+    body = head[:start] + textwrap.indent(terms, head[start:]) + tail
+    return codegen.closure_factory(f"<eos {name}: {label}>", params, body, result, consts)
 
 
 class _OmegaTables:
@@ -449,53 +471,28 @@ class EosSpec:
     @cached_property
     def _tables(self) -> _OmegaTables | None:
         """The fast path's piece grid; None for Omega == 1, which has a closed form."""
-        if self.omega.coeffs == (1.0,):
-            return None
-        return _OmegaTables(self.eta_max)
+        return None if self.omega.coeffs == (1.0,) else _OmegaTables(self.eta_max)
 
     def stage_terms_source(self) -> tuple:
-        """(label, text, values): statements that set rho_term =
-        U_pos^mu Omega_rho(eta) and p_term = U_pos^(mu+1) Omega_P(eta),
-        eta = alpha U_pos, from the scaled stage's U_pos, and the values of
-        their free names but alpha, mu and p_alpha = (gamma - 1) / gamma
-        alpha, which the stage binds.
-
-        For Omega == 1 the text is the closed form in Z = U_pos / Omega_u
-        (_CLOSED_FORM_TERMS); for a series Omega it calls the table evaluator
-        fast_omega() returns.  odecore splices the text into the
-        integrator's stages, so the values are built afresh on every call,
-        as the evaluator is.
-        """
+        """(label, text, values): the terms, statements that set rho_term and
+        p_term from U_pos, and the values of their free names but alpha, mu
+        and p_alpha = (gamma - 1) / gamma alpha, which each consumer sets;
+        a series Omega's table evaluator is built afresh on every call."""
         if self._tables is None:
             return "closed-form Omega", _CLOSED_FORM_TERMS, {"expm1": math.expm1}
-        return "table Omega", _TABLE_TERMS, {"omega_table": self.fast_omega()}
+        return "table Omega", _TABLE_TERMS, {"omega_table": self._omega_table()}
 
-    def fast_omega(self):
-        """The fast path eta -> (Omega_rho, Omega_P), with this EOS's constants
-        bound once; reproduces the direct values to ~1e-13 on eta >= 0.  For a
-        series Omega below 0 or above eta_max, or in a piece that leaves the
-        EOS domain, it falls back to the direct path, which refuses eta < 0.
+    def _run_terms(self, form: tuple, **values):
+        """form's function with the terms' values and values bound."""
+        label, terms, bound = self.stage_terms_source()
+        bound.update(values)
+        return _terms_factory(form, label, terms, tuple(bound))(**bound)
 
-        A right-hand side binds it once per solve.  It is built afresh on
-        every call and never stored on the instance: an EosSpec is pickled
-        into worker processes, and a closure cannot be.
-        """
-        tab = self._tables
-        if tab is None:
-            k, mu, expm1 = (self.gamma - 1.0) / self.gamma, self.mu, math.expm1
-
-            def omega_closed(eta):
-                # Omega_u = k eta / expm1(k eta), k = (gamma-1)/gamma, when Omega == 1;
-                # rho_P_of_u repeats these statements in its loop: change both
-                if k * eta == 0.0:
-                    return 1.0, 1.0
-                omu = k * eta / expm1(k * eta)
-                omega_rho = omu ** (-mu)
-                return omega_rho, omega_rho / omu
-
-            return omega_closed
-
-        direct = self.omega_rho_P
+    def _omega_table(self):
+        """eta -> (Omega_rho, Omega_P) by the piece tables of a series Omega;
+        below 0, above eta_max or in a piece that leaves the EOS domain, by
+        the direct path, which refuses eta < 0."""
+        direct, tab = self.omega_rho_P, self._tables
         hi, n, mids, inv_halfw, pieces, build = (
             tab.hi, tab.n, tab.mids, tab.inv_halfw, tab.pieces, tab.build)
 
@@ -528,6 +525,12 @@ class EosSpec:
 
         return omega_table
 
+    def fast_omega(self):
+        """The fast path eta -> (Omega_rho, Omega_P), the terms at U_pos = 1
+        (_GERM), within ~1e-13 of the direct path on eta >= 0.  Never stored
+        on the instance: an EosSpec is pickled into workers, a closure cannot be."""
+        return self._run_terms(_GERM, k=(self.gamma - 1.0) / self.gamma, mu=self.mu)
+
     def omega_rho_P_fast(self, eta: float) -> tuple:
         """(Omega_rho, Omega_P) at one eta by the fast path (fast_omega)."""
         return self.fast_omega()(eta)
@@ -537,37 +540,12 @@ class EosSpec:
     def rho_P_of_u(self, us) -> tuple:
         """(rho, P), two lists, at each enthalpy u of the sequence us:
         rho = A1 u^mu Omega_rho(u/c^2) and P = A A1^gamma u^(mu+1) Omega_P(u/c^2),
-        both zero for u <= 0.
-
-        The powers are libm's pow on Python floats: numpy's vector pow can
-        differ from it in the last bit.  For Omega == 1 the loop evaluates
-        fast_omega's closed form in place, statement for statement, and
-        makes no call per sample; a series Omega calls its table evaluator.
-        """
-        A1, mu, p_coeff, c2 = self.A1, self.mu, self.p_coeff, self.c2
-        mu1 = mu + 1.0
-        rho, P = [0.0] * len(us), [0.0] * len(us)
-        if self._tables is None:
-            k, neg_mu, expm1 = (self.gamma - 1.0) / self.gamma, -mu, math.expm1
-            for i, u in enumerate(us):
-                if u > 0.0:
-                    keta = k * (u / c2)
-                    if keta == 0.0:
-                        omega_rho = omega_P = 1.0
-                    else:
-                        omu = keta / expm1(keta)
-                        omega_rho = omu**neg_mu
-                        omega_P = omega_rho / omu
-                    rho[i] = A1 * u**mu * omega_rho
-                    P[i] = p_coeff * u**mu1 * omega_P
-            return rho, P
-        omega_rho_P = self.fast_omega()
-        for i, u in enumerate(us):
-            if u > 0.0:
-                omega_rho, omega_P = omega_rho_P(u / c2)
-                rho[i] = A1 * u**mu * omega_rho
-                P[i] = p_coeff * u**mu1 * omega_P
-        return rho, P
+        both zero for u <= 0.  One loop (_STATE_MAP) runs the terms at
+        U_pos = u on Python floats, as numpy's vector pow may differ from
+        libm's in the last bit; for Omega == 1 a sample makes one pow."""
+        g, alpha = self.gamma, 1.0 / self.c2
+        return self._run_terms(_STATE_MAP, alpha=alpha, p_alpha=(g - 1.0) / g * alpha, mu=self.mu,
+                               A1=self.A1, p_coeff=self.p_coeff)(us)
 
     def density_of_u(self, u: float) -> float:
         """rho(u) = A1 u^mu Omega_rho(u/c^2); zero for u <= 0."""

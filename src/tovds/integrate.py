@@ -11,7 +11,7 @@ The right-hand side receives the state as a list of floats and may return
 any sequence of floats; it may raise DomainSignalError to have the step
 retried smaller.  An OverflowError in a step's stages rejects the step the
 same way: a trial state far off the solution may overflow a pow or an
-expm1 that the accepted steps never reach.  The step loop runs on Python
+exponential that the accepted steps never reach.  The step loop runs on Python
 floats, since for the small systems solved here a numpy operation costs far
 more than its arithmetic.
 The whole adaptive loop, with its step control and event guards, is

@@ -9,14 +9,14 @@ two floats.  State conventions:
 
 The solvers integrate the scaled form only; the enthalpy form is its
 physical-unit reference.  The scaled right-hand side is written once, as the
-stage text _SCALED, and its Newtonian limit, Lane-Emden(-de Sitter), as
-_LANE_EMDEN.  scaled_rhs(alpha, beta, eos) and lane_emden_rhs(mu, lam) bind
-their constants to the text and return the right-hand side R, y -> (dM/dR,
-dU/dR) compiled from it, which carries the text and its bound values.  A
-solve passes it to integrate_adaptive, whose step loop runs the same text in
-every stage instead of calling it; the germ check, the initial step and the
-refinement of slope guards call it.  rhs_scaled and rhs_lane_emden are
-those functions called once.
+stage text _SCALED around the EOS's terms text, and its Newtonian limit,
+Lane-Emden(-de Sitter), as _LANE_EMDEN.  scaled_rhs(alpha, beta, eos) and
+lane_emden_rhs(mu, lam) bind their constants to the text and return the
+right-hand side R, y -> (dM/dR, dU/dR) compiled from it, which carries the
+text and its bound values.  A solve passes it to integrate_adaptive, whose
+step loop runs the same text in every stage instead of calling it; the germ
+check, the initial step and the refinement of slope guards call it, and
+rhs_scaled calls it once.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3, its r-derivative at fixed m
 and Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled
@@ -37,9 +37,8 @@ from .eos import EosSpec
 from .errors import KappaNonPositiveError
 from .integrate import DenseSolution, Stage, stage_rhs
 
-# rhs_tovds_enthalpy, rhs_scaled and rhs_lane_emden, the called forms, are
-# left out: no solve calls them, and the tests and perfbench/spans.py reach
-# them by name
+# rhs_tovds_enthalpy and rhs_scaled, the called forms, are left out: no
+# solve calls them, and the tests and perfbench/spans.py reach them by name
 __all__ = [
     "FOUR_PI",
     "kappa",
@@ -107,17 +106,18 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 
 
 # The scaled right-hand side as statements: dM and dU from R, M and U.  The
-# line TERMS stands for the EOS's statements (EosSpec.stage_terms_source),
-# which set rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P from
-# U_pos = U# and the star's constants.  Past the vacuum both terms are 0 and
-# every path gives exactly Omega_rho = Omega_P = 1 at eta = 0, so neither
-# U <= 0 nor alpha = 0 takes a branch of its own.  The denominator R^2 kappa
-# is written R (R kappa), with R kappa = R - 2 alpha M - alpha beta R^3 / 3
-# and R^3 = (R R) R: no division for kappa and no pow.  R^3 enters dU only
-# times beta / 3 - p_alpha p_term and R kappa only times alpha beta / 3, both
-# 0 at alpha = beta = 0, where the stage is Lane-Emden's bit for bit.
-# kappa_scaled and model._HORIZON write R kappa / R by the same expression,
-# so the stage's kappa test and the horizon guard share their bits.  The free
+# line TERMS stands for the EOS's terms text (EosSpec.stage_terms_source), the
+# one definition of rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P,
+# here from U_pos = U# and the star's constants.  Past the vacuum both terms
+# are 0 and every path gives exactly Omega_rho = Omega_P = 1 at eta = 0, so
+# neither U <= 0 nor alpha = 0 takes a branch of its own.  The denominator
+# R^2 kappa is written R (R kappa), with R kappa = R - 2 alpha M -
+# alpha beta R^3 / 3 and R^3 = (R R) R: no division for kappa and no pow.
+# R^3 enters dU only times beta / 3 - p_alpha p_term and R kappa only times
+# alpha beta / 3, both 0 at alpha = beta = 0, where the stage is Lane-Emden's
+# bit for bit.
+# kappa_scaled and model._HORIZON write R kappa / R by the same expression, so
+# the stage's kappa test and the horizon guard share their bits.  The free
 # names are the constants scaled_rhs binds; mu and p_alpha = (gamma - 1) /
 # gamma alpha are also the terms' own.
 _SCALED = """\
@@ -181,11 +181,6 @@ def lane_emden_rhs(mu: float, lam: float = 0.0):
     """The Lane-Emden right-hand side R, y -> (dM/dR, dU/dR) = (R^2 (U#)^mu,
     -(M - lam R^3/3)/R^2), built from the stage text _LANE_EMDEN."""
     return stage_rhs(_LANE_EMDEN, {"mu": mu, "lam": lam})
-
-
-def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
-    """(dM/dR, dU/dR) of the Lane-Emden system at one point."""
-    return lane_emden_rhs(mu, lam)(R, y)
 
 
 # -- center germs -------------------------------------------------------------

@@ -6,7 +6,8 @@ system, the explicit-c scaled system, the density inversion of the EOS, the
 numpy and mpmath evaluations of a series Omega and of Omega_u, the scalar
 eta -> zeta search, a table piece fitted node by node through the scalar
 direct path, the per-density range check of an EOS, the fast
-Omega_rho/Omega_P path evaluated per point with a loop Horner, the
+Omega_rho/Omega_P path and its terms in the Z form evaluated per point
+with a loop Horner, the Lane-Emden right-hand side called once, the
 profile's sample grid formed on numpy scalars, the per-sample profile row,
 the pointwise boundary slope and continuity report, the scaled right-hand
 side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
@@ -39,6 +40,7 @@ from tovds.odecore import (
     _check_kappa,
     kappa,
     kappa_scaled,
+    lane_emden_rhs,
     q_factor,
     rhs_scaled,
     rhs_tovds_enthalpy,
@@ -90,6 +92,29 @@ def omega_u_mpmath(eos, zeta: float, dps: int = 30) -> float:
 
         z = mpmath.mpf(zeta)
         return float(mpmath.quad(w, [0, z]) / z)
+
+
+def closed_form_omegas_mpmath(eos, eta, dps: int = 40) -> tuple:
+    """(Omega_rho, Omega_P) of Omega == 1 at eta, two mpmath numbers of dps
+    digits: Omega_u = x / expm1(x), x = k eta, k = (gamma-1)/gamma,
+    Omega_rho = Omega_u^(-mu) and Omega_P = Omega_u^(-mu-1).  gamma and eta
+    are exact; the exponent mu is the EOS's float, as a half-ulp change of
+    it moves u^mu by up to ln(u) / 2 ulp."""
+    with mpmath.workdps(dps):
+        g, mu = mpmath.mpf(eos.gamma), mpmath.mpf(eos.mu)
+        x = (g - 1) / g * mpmath.mpf(eta)
+        omu = x / mpmath.expm1(x)
+        return omu**-mu, omu ** (-mu - 1)
+
+
+def closed_form_state_mpmath(eos, u: float, dps: int = 40) -> tuple:
+    """(rho, P) of Omega == 1 at the enthalpy u > 0 by mpmath:
+    rho = A1 u^mu Omega_rho(u/c^2) and P = A A1^gamma u^(mu+1) Omega_P(u/c^2),
+    with u and c exact and A1, A A1^gamma and mu the EOS's floats."""
+    with mpmath.workdps(dps):
+        u, mu = mpmath.mpf(u), mpmath.mpf(eos.mu)
+        omega_rho, omega_P = closed_form_omegas_mpmath(eos, u / mpmath.mpf(eos.c) ** 2, dps)
+        return float(eos.A1 * u**mu * omega_rho), float(eos.p_coeff * u ** (mu + 1) * omega_P)
 
 
 def density_of_pressure(eos, P: float) -> float:
@@ -191,18 +216,36 @@ def piece_reference(eos, i: int):
     return tuple(float(x) for x in cr), tuple(float(x) for x in cP)
 
 
+def terms_reference(eos, alpha: float, U_pos: float) -> tuple:
+    """(U#^mu Omega_rho, U#^(mu+1) Omega_P) at eta = alpha U#, U# = U_pos,
+    on floats with every constant formed at the call.  For Omega == 1 they
+    are Z^mu and Z^mu Z with Z = U# / Omega_u = U# expm1(x) / x,
+    x = k alpha U#, k = (gamma-1)/gamma, and Z = U# where x is 0; for a
+    series Omega, the table's values times U#^mu and U#^mu U#.  The terms
+    text of EosSpec.stage_terms_source must give the same bits."""
+    if eos._tables is None:
+        x = (eos.gamma - 1.0) / eos.gamma * alpha * U_pos
+        Z = U_pos * (math.expm1(x) / x) if x != 0.0 else U_pos
+        return Z**eos.mu, Z**eos.mu * Z
+    omega_rho, omega_P = omega_table_reference(eos, alpha * U_pos)
+    Um = U_pos**eos.mu
+    return Um * omega_rho, Um * U_pos * omega_P
+
+
 def omega_rho_P_fast_reference(eos, eta: float) -> tuple:
-    """(Omega_rho, Omega_P) by the fast path, every EOS constant read at the
-    call and the piece polynomial summed by a Horner loop; EosSpec.fast_omega
-    must give the same bits.  Both paths give exactly (1.0, 1.0) at eta = 0."""
+    """(Omega_rho, Omega_P) by the fast path: the terms at U# = 1, alpha = eta;
+    EosSpec.fast_omega must give the same bits.  Both give exactly
+    (1.0, 1.0) at eta = 0."""
+    return terms_reference(eos, eta, 1.0)
+
+
+def omega_table_reference(eos, eta: float) -> tuple:
+    """(Omega_rho, Omega_P) of a series Omega by its piece tables, every
+    constant read at the call and the piece polynomial summed by a Horner
+    loop, or by the direct path off the grid or in an off-domain piece."""
     if eta == 0.0:
         return 1.0, 1.0
     tab = eos._tables
-    if tab is None:
-        k = (eos.gamma - 1.0) / eos.gamma
-        omu = k * eta / math.expm1(k * eta)
-        omega_rho = omu ** (-eos.mu)
-        return omega_rho, omega_rho / omu
     if eta < 0.0 or eta > tab.hi:
         return eos.omega_rho_P(eta)
     i = int(eta * tab.inv_halfw * 0.5)
@@ -245,24 +288,13 @@ def rhs_scaled_reference(R: float, y, alpha: float, beta: float, eos) -> tuple:
     """(dM/dR, dU/dR) of the homology-scaled system, with every constant
     formed at the call; scaled_rhs must give the same bits.
 
-    The stage needs U#^mu Omega_rho and U#^(mu+1) Omega_P.  For Omega == 1
-    they are Z^mu and Z^(mu+1) with Z = U# / Omega_u = U# expm1(x) / x,
-    x = k alpha U#; a series Omega multiplies the fast path's values by U#^mu
-    and U#^mu U#.  The denominator R^2 kappa is R (R kappa), and
+    The stage needs U#^mu Omega_rho and U#^(mu+1) Omega_P, the terms of
+    terms_reference.  The denominator R^2 kappa is R (R kappa), and
     kappa_scaled is R kappa / R, which _check_kappa tests."""
     M, U = y
     U_pos = U if U > 0.0 else 0.0
     g = eos.gamma
-    if eos._tables is None:
-        x = (g - 1.0) / g * alpha * U_pos
-        Z = U_pos * (math.expm1(x) / x) if x != 0.0 else U_pos
-        rho_term = Z**eos.mu
-        p_term = rho_term * Z
-    else:
-        omega_rho, omega_P = eos.omega_rho_P_fast(alpha * U_pos)
-        Um = U_pos**eos.mu
-        rho_term = Um * omega_rho
-        p_term = Um * U_pos * omega_P
+    rho_term, p_term = terms_reference(eos, alpha, U_pos)
     RR = R * R
     R3 = RR * R
     dM = RR * rho_term
@@ -290,6 +322,12 @@ def rhs_scaled_u_form(R: float, y, alpha: float, beta: float, eos) -> tuple:
     _check_kappa(kap, R)
     dU = -num / (R * R * kap)
     return dM, dU
+
+
+def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
+    """(dM/dR, dU/dR) of the Lane-Emden system at one point, by the function
+    that lane_emden_rhs compiles."""
+    return lane_emden_rhs(mu, lam)(R, y)
 
 
 def rhs_scaled_c(R: float, y, lam: float, c: float, eos) -> tuple:
@@ -320,12 +358,12 @@ def profile_samples(dense) -> np.ndarray:
 
 
 def profile_row(r, m, u, Lambda, eos, k) -> dict:
-    """One sample of a SolutionProfile, from the state (m, u) at r on floats."""
-    eta = u / k.c2
+    """One sample of a SolutionProfile, from the state (m, u) at r on floats:
+    rho and P are A1 and A A1^gamma times the terms at U# = u, alpha = 1/c^2."""
     if u > 0.0:
-        omega_rho, omega_P = eos.omega_rho_P_fast(eta)
-        rho = eos.A1 * u**eos.mu * omega_rho
-        P = eos.p_coeff * u ** (eos.mu + 1.0) * omega_P
+        rho_term, p_term = terms_reference(eos, 1.0 / k.c2, u)
+        rho = eos.A1 * rho_term
+        P = eos.p_coeff * p_term
     else:
         rho = 0.0
         P = 0.0

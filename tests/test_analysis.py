@@ -1,6 +1,7 @@
 """Limit analyses: first zeros, closed forms, convergence, exponent fits."""
 
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -27,9 +28,9 @@ from tovds.model import (
     solve_scaled,
     solve_star,
 )
-from tovds.odecore import FOUR_PI, rhs_lane_emden
+from tovds.odecore import FOUR_PI
 
-from oracles import mu1_residual, scaled_limit_convergence
+from oracles import mu1_residual, rhs_lane_emden, scaled_limit_convergence
 
 GEOM = Constants(1.0, 1.0)
 
@@ -296,6 +297,44 @@ def test_parallel_sweep_with_a_warm_eos():
     parallel = regime_sweep(1.5, grid, grid, eos=eos, jobs=2)
     assert parallel.cells == serial.cells
     assert {c.outcome for c in serial.cells} >= {MONOTONE_SHORT, NON_MONOTONE}
+
+
+class RecordingPool:
+    """ProcessPoolExecutor's stand-in: records max_workers and maps serially,
+    so that no process starts."""
+
+    def __init__(self, made, max_workers):
+        made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
+
+
+def test_sweep_workers_are_bounded(monkeypatch):
+    # no more workers than cells or CPUs; an unknown CPU count counts as 1
+    made = []
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+                        lambda max_workers: RecordingPool(made, max_workers))
+    grid = [1e-3, 2e-3]
+    serial = regime_sweep(1.5, grid, grid).cells
+    for jobs, cpus, workers in ((10000, 8, [4]), (3, 8, [3]), (10000, 2, [2]),
+                                (10000, None, []), (1, 8, [])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        made.clear()
+        assert regime_sweep(1.5, grid, grid, jobs=jobs).cells == serial
+        assert made == workers, (jobs, cpus)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_refuses_jobs_below_1(jobs):
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        regime_sweep(1.5, [1e-3], [1e-3], jobs=jobs)
 
 
 def test_sweep_grid_validation():

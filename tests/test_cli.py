@@ -241,6 +241,23 @@ def test_sweep_parallel_matches_serial(tmp_path):
         assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--config", "CONFIG"],
+    ["verify", "--criteria", "8"],
+])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_1_exits_2(tmp_path, capsys, monkeypatch, command, jobs):
+    # refused before any output, cell or worker process
+    monkeypatch.setattr(tovds.analysis, "ProcessPoolExecutor", None)
+    path = write_config(tmp_path, {"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": [1e-3]})
+    argv = [path if arg == "CONFIG" else arg for arg in command]
+    code = main(argv + ["--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "config", "message": f"--jobs must be at least 1, got {jobs}"}
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("change", [
     {"alpha_grid": ["x"]},                                    # not a number
     {"beta_grid": [1e-3, 1.5]},                               # outside [0, 1]

@@ -26,11 +26,14 @@ from tovds.eos import (
 from tovds.errors import EosDomainError, NonPhysicalEosError, QuadratureError
 
 from oracles import (
+    closed_form_omegas_mpmath,
+    closed_form_state_mpmath,
     density_of_pressure,
     omega_rho_P_fast_reference,
     omega_series_numpy,
     omega_u_mpmath,
     piece_reference,
+    terms_reference,
     thermo_of_density,
     validate_range_reference,
     zeta_of_eta_reference,
@@ -483,23 +486,43 @@ def test_pressure_density_of_u_vanish_below_zero(eos15):
 @pytest.mark.parametrize("c", [1.0, 2.5, 299792458.0])
 @pytest.mark.parametrize("gamma", [1.2, 1.5, 5.0 / 3.0, 2.0])
 def test_closed_form_state_map_is_the_fast_path_per_sample(gamma, c):
-    # for Omega == 1 the state map writes fast_omega's closed form out in its
-    # loop: each sample has the bits of one call of the bound evaluator, at
-    # u <= 0, where k u / c^2 rounds to 0, and over the range of a star
+    # for Omega == 1 the state map runs the terms text in its loop: each
+    # sample has the bits of the Z form at U# = u, alpha = 1/c^2, written on
+    # floats, at u <= 0, where k u / c^2 rounds to 0, and over the range of
+    # a star
     eos = EosSpec(A=0.7, gamma=gamma, c=c)
     c2 = c * c
     rng = np.random.default_rng(20)
     us = [-1.0, 0.0, 5e-324, 1e-300 * c2] + (c2 * 10.0 ** rng.uniform(-12.0, 1.5, 400)).tolist()
-    omega_rho_P = eos.fast_omega()
     want = []
     for u in us:
         if u > 0.0:
-            omega_rho, omega_P = omega_rho_P(u / c2)
-            want.append((eos.A1 * u**eos.mu * omega_rho, eos.p_coeff * u ** (eos.mu + 1.0) * omega_P))
+            rho_term, p_term = terms_reference(eos, 1.0 / c2, u)
+            want.append((eos.A1 * rho_term, eos.p_coeff * p_term))
         else:
             want.append((0.0, 0.0))
     rho, P = eos.rho_P_of_u(us)
     assert np.array([rho, P]).T.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("c", [1.0, 2.5, 299792458.0])
+@pytest.mark.parametrize("gamma", [1.2, 1.5, 5.0 / 3.0, 2.0])
+def test_closed_form_is_accurate_against_mpmath(gamma, c):
+    # the state map and the germ within 24 ulp of mpmath over u / c^2 in
+    # [1e-12, 30]
+    eos = EosSpec(A=0.7, gamma=gamma, c=c)
+    c2 = c * c
+    rng = np.random.default_rng(24)
+    etas = [1e-12, 30.0] + (10.0 ** rng.uniform(-12.0, math.log10(30.0), 200)).tolist()
+    us = [c2 * eta for eta in etas]
+    bound = 24 * 2.0**-52
+    rho, P = eos.rho_P_of_u(us)
+    for u, got in zip(us, zip(rho, P)):
+        want = closed_form_state_mpmath(eos, u)
+        assert all(abs(g - w) <= bound * w for g, w in zip(got, want))
+        got = eos.omega_rho_P_fast(u / c2)
+        want = [float(w) for w in closed_form_omegas_mpmath(eos, u / c2)]
+        assert all(abs(g - w) <= bound * w for g, w in zip(got, want))
 
 
 # -- Fermi fluid ---------------------------------------------------------------

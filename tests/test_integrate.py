@@ -23,9 +23,8 @@ from tovds.integrate import (
     stage_rhs,
 )
 from tovds.model import solve_scaled
-from tovds.odecore import rhs_lane_emden
 
-from oracles import dense_eval_scalar, dp5_integrate
+from oracles import dense_eval_scalar, dp5_integrate, rhs_lane_emden
 
 
 def locate_event(dense: DenseSolution, guard, direction="any", root_tol=1e-12):

@@ -20,7 +20,6 @@ from tovds.odecore import (
     kappa,
     kappa_scaled,
     q_factor,
-    rhs_lane_emden,
     rhs_scaled,
     rhs_tovds_enthalpy,
     scaled_rhs,
@@ -29,6 +28,7 @@ from tovds.odecore import (
 from oracles import (
     center_germ_enthalpy,
     center_germ_physical,
+    rhs_lane_emden,
     rhs_scaled_c,
     rhs_scaled_reference,
     rhs_scaled_u_form,
