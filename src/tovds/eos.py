@@ -226,8 +226,7 @@ for i, U_pos in enumerate(us):
 
 @functools.cache
 def _terms_factory(form: tuple, label: str, terms: str, consts: tuple):
-    """make(**values) of form's function with terms, at the indent of its
-    line TERMS, compiled once per text."""
+    """make(**values) of form's function with terms spliced in, compiled once per text."""
     name, params, body, result = form
     head, _, tail = body.partition("TERMS\n")
     start = head.rfind("\n") + 1

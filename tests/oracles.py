@@ -5,10 +5,10 @@ structure equations, the physical-unit germs, the Lambda = 0 enthalpy
 system, the explicit-c scaled system, the density inversion of the EOS, the
 numpy and mpmath evaluations of a series Omega and of Omega_u, the scalar
 eta -> zeta search, a table piece fitted node by node through the scalar
-direct path, the per-density range check of an EOS, the fast
-Omega_rho/Omega_P path and its terms in the Z form evaluated per point
-with a loop Horner, the Lane-Emden right-hand side called once, the
-profile's sample grid formed on numpy scalars, the per-sample profile row,
+direct path, the per-density range check of an EOS, the EOS terms per
+point on floats (the Z form of Omega == 1, a series Omega's tables summed
+by a loop Horner), the mpmath closed form of Omega == 1, the Lane-Emden
+right-hand side called once, the profile's sample grid formed on numpy scalars, the per-sample profile row,
 the pointwise boundary slope and continuity report, the scaled right-hand
 side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
 with per-component comprehensions and the adaptive loop around it, a scalar
