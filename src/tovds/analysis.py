@@ -17,7 +17,7 @@ import numpy as np
 from .constants import Constants
 from .eos import EosSpec
 from .errors import AnalysisError, ModelError, TovdsError
-from .integrate import EventSpec, StepControl, integrate_adaptive, stage_guard
+from .integrate import EventSpec, StepControl, integrate_adaptive
 from .model import (
     _GERM_R,
     MONOTONE_SHORT,
@@ -62,14 +62,13 @@ def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP,
     f = lane_emden_rhs(mu, lam)
     events = []
     if first_zero_only:
-        events.append(EventSpec(guard=stage_guard(f, "U", {}), direction="falling",
-                                terminal=True, root_tol=1e-13, name="vacuum"))
+        events.append(EventSpec("U", direction="falling", root_tol=1e-13, terminal=True,
+                                name="vacuum"))
         # Once a local minimum of U occurs with U > 0 the trajectory can never
         # reach zero afterwards: the damping term only lowers the oscillation
         # energy, so later minima sit above the first one.
-        events.append(EventSpec(
-            guard=stage_guard(f, "dU", {}), direction="rising", terminal=True,
-            root_tol=1e-10, name="turning_point", slope=True))
+        events.append(EventSpec("dU", direction="rising", root_tol=1e-10, terminal=True,
+                                name="turning_point"))
     return integrate_adaptive(f, np.array([M0, U0]), (R0, R_cap), SOLVE_CTRL, events=events)
 
 

@@ -29,11 +29,14 @@ def closure_factory(filename: str, params: str, body: str, result: str, consts: 
 
     The names in consts are the parameters of make, so each bound value is a
     closure cell of the function; a new set of values costs one call of
-    make, not a compile.  body may use no other free name but builtins.
+    make, not a compile.  body may use no other free name but builtins, and
+    no constant the function's own name, compiled.
     """
+    if "compiled" in consts:
+        raise ValueError(f"{filename}: no constant may be named 'compiled'")
     source = (f"def make({', '.join(consts)}):\n"
-              f"    def fn({params}):\n"
+              f"    def compiled({params}):\n"
               f"{textwrap.indent(body, ' ' * 8)}"
               f"        return {result}\n"
-              f"    return fn\n")
+              f"    return compiled\n")
     return define(source, filename, {})

@@ -183,8 +183,9 @@ def build_model_input(cfg: dict, units_flag: str | None = None) -> ModelInput:
 
 
 def _grid(cfg: dict, key: str) -> np.ndarray:
-    """A sweep grid: a nonempty list of numbers, or start/stop/num/spacing;
-    every value must lie in [0, 1]."""
+    """A sweep grid: a nonempty list of numbers, or start/stop/num/spacing
+    with num at most 1000, about 40 times the largest grid in use; every
+    value must lie in [0, 1]."""
     if key not in cfg:
         raise ConfigError(f"missing required '{key}'")
     block = cfg[key]
@@ -197,8 +198,8 @@ def _grid(cfg: dict, key: str) -> np.ndarray:
         start = _num(block, "start", key, required=True, nonnegative=True)
         stop = _num(block, "stop", key, required=True, nonnegative=True)
         num = block.get("num", 10)
-        if isinstance(num, bool) or not isinstance(num, int) or num < 1:
-            raise ConfigError(f"'num' in {key} must be a positive integer")
+        if isinstance(num, bool) or not isinstance(num, int) or not 1 <= num <= 1000:
+            raise ConfigError(f"'num' in {key} must be an integer from 1 to 1000")
         spacing = block.get("spacing", "log")
         if spacing == "log":
             if start <= 0.0 or stop <= 0.0:

@@ -7,27 +7,23 @@ bisection/secant/inverse-quadratic hybrid), and a terminal event truncates
 the solution at the located abscissa.  Everything is deterministic:
 identical inputs give bitwise-identical trajectories within one build.
 
-The right-hand side receives the state as a list of floats and may return
-any sequence of floats; it may raise DomainSignalError to have the step
-retried smaller.  An OverflowError in a step's stages rejects the step the
-same way: a trial state far off the solution may overflow a pow or an
-exponential that the accepted steps never reach.  The step loop runs on Python
-floats, since for the small systems solved here a numpy operation costs far
-more than its arithmetic.
-The whole adaptive loop, with its step control and event guards, is
-generated from one template, _LOOP, once per state dimension, right-hand
-side stage and set of guards; it keeps the state, the FSAL slope and the
-tolerances in locals across steps, writes every stage sum and the error
-norm out per component, and has the tableau's coefficients as literals.
-Each stage is one slot of the template, filled with a Stage's statements:
-a right-hand side built by stage_rhs brings its own, so a step makes no
-Python call for its stages; a plain callable's stage calls it.  Every
-guard is an expression in the loop's guard block: a guard built by
-stage_guard for the solve's right-hand side is its expression over the
-stage's names, and any other guard a call of it on them.  The guards read
-the names as the FSAL stage, the last one a step runs, left them, so a
-stage may not assign its own abscissa or state.  Callables and constants
-are bound, not written in, so one loop serves every solve of a stage.
+The right-hand side is a Stage's statements bound to its constants by
+stage_rhs, and each event's guard an expression over the stage's names
+(EventSpec).  The stage may raise DomainSignalError to have the step retried
+smaller.  An OverflowError in a step's stages rejects the step the same way:
+a trial state far off the solution may overflow a pow or an exponential that
+the accepted steps never reach.  The step loop runs on Python floats, since
+for the small systems solved here a numpy operation costs far more than its
+arithmetic.  The whole adaptive loop, with its step control and event
+guards, is generated from one template, _LOOP, once per state dimension,
+stage and set of guards; it keeps the state, the FSAL slope and the
+tolerances in locals across steps, writes every stage sum and the error norm
+out per component, and has the tableau's coefficients as literals.  The
+stage's statements fill each stage slot, so a step makes no Python call for
+its stages, and the guard expressions the guard block.  The guards read the
+names as the FSAL stage, the last one a step runs, left them, so a stage may
+not assign its own abscissa or state.  Constants are bound, not written in,
+so one loop serves every solve of a stage.
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ __all__ = [
     "DenseSolution",
     "Stage",
     "stage_rhs",
-    "stage_guard",
     "integrate_adaptive",
 ]
 
@@ -126,21 +121,21 @@ class StepControl:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar guard g(x, y) whose directed zero crossing is an event.
+    """An event: a directed zero crossing of the guard expr, an expression
+    over the names of the solve's stage (abscissa, state, slopes, constants)
+    and those of values, bound as constants, so new values compile nothing.
 
-    A slope guard (slope=True) is called as g(x, y, dy) with dy the slope
-    at (x, y): at a step end the tuple of the FSAL stage's slope components,
-    and at x0 the start slope, so the guard costs no call; while a crossing
-    is refined, the return value of one right-hand side call per refinement
-    point, counted in n_rhs.
+    A guard that reads a slope name reads at a step end the FSAL stage's
+    slopes, and at x0 the start slope; refining its crossing costs one
+    right-hand side call per point, counted in n_rhs.
     """
 
-    guard: object
+    expr: str
     direction: str = "any"  # "falling" | "rising" | "any"
     root_tol: float = 1e-12
     terminal: bool = False
     name: str = ""
-    slope: bool = False
+    values: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.direction not in ("falling", "rising", "any"):
@@ -274,13 +269,6 @@ def stage_rhs(stage: Stage, values: dict):
 
 
 @functools.cache
-def _call_stage(dim: int) -> Stage:
-    """The stage that calls a plain right-hand side, bound as fn."""
-    y, dy = (tuple(f"{c}{i}_" for i in range(dim)) for c in "sd")
-    return Stage("call", "t_", y, dy, f"{', '.join(dy)}, = fn(t_, [{', '.join(y)}])\n", ("fn",))
-
-
-@functools.cache
 def _guard_factory(stage: Stage, expr: str, own: tuple) -> tuple:
     """(make, slope) for the guard expr over stage's names and the names in
     own, checked and compiled once: make(**stage constants, **own values)
@@ -304,25 +292,6 @@ def _guard_factory(stage: Stage, expr: str, own: tuple) -> tuple:
     return make, slope
 
 
-def stage_guard(rhs, expr: str, values: dict):
-    """The event guard (x, y) -> expr over the names of rhs's stage, or
-    (x, y, dy) -> expr when expr reads a slope name; rhs is a function that
-    stage_rhs made, and the guard's other free names are those of values.
-
-    expr sees the stage's abscissa, state and slope names and its
-    constants, bound to rhs's values, and the names of values, bound to
-    them.  When a solve integrates rhs itself, integrate_adaptive writes
-    expr into its step loop's guard block, where it reads the step end's
-    state and FSAL slope; everywhere else, and to refine a crossing, the
-    function runs and gives the same bits.  The values stay bound
-    constants, never text, so a new set of values compiles nothing.
-    """
-    make, slope = _guard_factory(rhs.stage, expr, tuple(values))
-    guard = make(**rhs.values, **values)
-    guard.rhs, guard.expr, guard.values, guard.slope = rhs, expr, values, slope
-    return guard
-
-
 # The adaptive DP5 loop, written out per state component.  In the template,
 # `expr` stands for expr once per component, with @ replaced by the component
 # index, joined by ", " (or by " + " when the closing backtick is followed by
@@ -332,8 +301,7 @@ def stage_guard(rhs, expr: str, values: dict):
 # solve.  The tableau's _A, _B, _C, _D and _E constants are written in as
 # literals.  _loop generates the loop once per dimension, stage and set of
 # guards.  Every component is computed by the same expression, term by term
-# in the tableau's order, so the bits depend neither on the dimension nor on
-# whether the stage's body is a right-hand side's or a call of it.
+# in the tableau's order, so the bits do not depend on the dimension.
 #
 # An accepted step appends one record to the flat array('d') buffer steps,
 # with one call: its node, its state and the six slopes k1, k3 ... k7 its
@@ -357,8 +325,8 @@ def stage_guard(rhs, expr: str, values: dict):
 # start state, carried over from an@ on acceptance.
 _LOOP = """\
 def make(CONSTS):
-    def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, g_prev, events, steps,
-             found, n_rhs):
+    def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, g_prev, events, guards,
+             steps, found, n_rhs):
         `y@`, = y
         `k1_@`, = k1
         `ay@`, = `abs(y@)`,
@@ -434,7 +402,8 @@ def make(CONSTS):
                             _D21 * k1_@ + _D23 * k3_@ + _D24 * k4_@ + _D25 * k5_@ + _D26 * k6_@ + _D27 * k7_@,
                             _D31 * k1_@ + _D33 * k3_@ + _D34 * k4_@ + _D35 * k5_@ + _D36 * k6_@ + _D37 * k7_@`],
                             x_new, [`yn@`])
-                        x_ev, calls = _step_events(step_eval, hit, events, rhs, x, x_new, found)
+                        x_ev, calls = _step_events(step_eval, hit, events, guards, rhs, x, x_new,
+                                                   found)
                         n_rhs += calls
                         if x_ev is not None:
                             return ("event", f"terminal event at x = {x_ev:g}", None,
@@ -663,20 +632,21 @@ def _locate_in_step(sol_eval, guard, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
     return x, 0 if rhs is None else calls
 
 
-def _step_events(step_eval, hit, events, rhs, x_lo, x_hi, found):
+def _step_events(step_eval, hit, events, guards, rhs, x_lo, x_hi, found):
     """Locate the crossings of one accepted step and record them in found,
     in order of x, up to the first terminal one.
 
     hit holds (index, value at x_lo, value at x_hi) of each guard that
-    changed sign.  Returns (x of the terminal event or None, right-hand side
-    calls made by the slope guards' refinement).
+    changed sign, and guards a (guard, slope) pair per event.  Returns (x of
+    the terminal event or None, right-hand side calls made by the slope
+    guards' refinement).
     """
     located = []
     n_calls = 0
     for idx, g0, g1 in hit:
-        ev = events[idx]
-        x_ev, calls = _locate_in_step(step_eval, ev.guard, rhs if ev.slope else None,
-                                      x_lo, x_hi, g0, g1, ev.root_tol)
+        guard, slope = guards[idx]
+        x_ev, calls = _locate_in_step(step_eval, guard, rhs if slope else None,
+                                      x_lo, x_hi, g0, g1, events[idx].root_tol)
         n_calls += calls
         located.append((x_ev, idx))
     located.sort()
@@ -702,35 +672,33 @@ def _step_interpolant(x0, y0, h, q, x1, y1):
     return step_eval
 
 
-def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
+def integrate_adaptive(rhs, y0, span, ctrl, events=()) -> DenseSolution:
     """Integrate dy/dx = rhs(x, y) over span = (x0, x1), locating events.
 
     Parameters
     ----------
-    rhs : callable (x, y) -> sequence of floats
-        Receives the state y as a list of dim floats and returns dy/dx as any
-        sequence of dim floats (a tuple, a list or an ndarray).  May raise
+    rhs : a right-hand side made by stage_rhs
+        Its stage's body is written into the step loop.  The body may raise
         DomainSignalError to signal a domain exit; the step is then retried
         smaller and the run ends with status ``domain_error`` if the boundary
         cannot be resolved.  An OverflowError inside a step is handled the
-        same way.  A right-hand side made by stage_rhs has its stage's body
-        written into the step loop, and any other is called from a stage.
-    y0 : sequence of finite floats
+        same way.  TypeError for any other callable.
+    y0 : sequence of finite floats, one per state name of the stage
     ctrl : StepControl
         Its abs_tol is one absolute tolerance for every component; a system
         whose components differ in magnitude is integrated in scaled
         variables.
     events : sequence of EventSpec
-        Guards receive the state as a list of floats, like rhs, and a slope
-        guard also the slope there.  A guard that stage_guard made for rhs
-        is written into the step loop as its expression, any other as a
-        call; two guards may not bind the same name.  Terminal events
-        truncate the solution at the located abscissa.
+        Each guard expression is written into the step loop's guard block.
+        An event may not bind a name of the stage, nor two events the same
+        name.  Terminal events truncate the solution at the located abscissa.
 
     The run is one call of the step loop generated for the state's
-    dimension, the right-hand side's stage and the guards.
+    dimension, the stage and the guards.
     """
-    ctrl = ctrl or StepControl()
+    stage = getattr(rhs, "stage", None)
+    if not isinstance(stage, Stage):
+        raise TypeError(f"rhs must be a right-hand side made by stage_rhs, got {rhs!r}")
     x0, x1 = float(span[0]), float(span[1])
     if not x1 > x0:
         raise ValueError("span must satisfy x1 > x0")
@@ -738,27 +706,22 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
     if not _finite(*y0):
         raise ValueError(f"y0 must be finite, got {y0!r}")
     dim = len(y0)
-    inlined = isinstance(getattr(rhs, "stage", None), Stage) and len(rhs.stage.y) == dim
-    stage, values = (rhs.stage, dict(rhs.values)) if inlined else (_call_stage(dim), {"fn": rhs})
+    if dim != len(stage.y):
+        raise ValueError(f"y0 has {dim} components, but stage {stage.name!r} has the state "
+                         f"{', '.join(stage.y)}")
     atol, rtol, h_max = ctrl.abs_tol, ctrl.rel_tol, ctrl.h_max
-    guards = []
-    for idx, ev in enumerate(events):
-        if getattr(ev.guard, "slope", ev.slope) != ev.slope:
-            raise ValueError(f"event {ev.name!r} has slope={ev.slope}, but its guard "
-                             f"{ev.guard.expr!r} is of the other kind")
-        if inlined and getattr(ev.guard, "rhs", None) is rhs:
-            expr, own = ev.guard.expr, ev.guard.values
-        else:
-            # a slope guard also gets the FSAL stage's slope tuple
-            args = f"{stage.x}, [{', '.join(stage.y)}]" + f", ({', '.join(stage.dy)},)" * ev.slope
-            expr, own = f"float(guard_{idx}({args}))", {f"guard_{idx}": ev.guard}
-        if values.keys() & own.keys():
+    values = dict(rhs.values)
+    guards, texts = [], []
+    for ev in events:
+        make, slope = _guard_factory(stage, ev.expr, tuple(ev.values))
+        if values.keys() & ev.values.keys():
             raise ValueError(f"event {ev.name!r}: two guards of one solve bind "
-                             f"{sorted(values.keys() & own.keys())}")
-        values.update(own)
-        guards.append(_TextGuard(ev.name, expr, ev.direction != "rising",
-                                 ev.direction != "falling", tuple(own)))
-    loop = _loop(dim, stage, tuple(guards))(**values)
+                             f"{sorted(values.keys() & ev.values.keys())}")
+        guards.append((make(**rhs.values, **ev.values), slope))
+        values.update(ev.values)
+        texts.append(_TextGuard(ev.name, ev.expr, ev.direction != "rising",
+                                ev.direction != "falling", tuple(ev.values)))
+    loop = _loop(dim, stage, tuple(texts))(**values)
 
     # one record per node: x, the state, then the slopes of the step that
     # ends there (zeros at x0)
@@ -796,7 +759,7 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
         # no step from x0 can pass, whatever its size
         return _finish("step_underflow", f"non-finite right-hand side at x = {x0:g}")
 
-    g_prev = [float(ev.guard(x0, y0, fy) if ev.slope else ev.guard(x0, y0)) for ev in events]
+    g_prev = [float(g(x0, y0, fy) if slope else g(x0, y0)) for g, slope in guards]
 
     n_rhs = 1
     h = ctrl.h_init
@@ -806,4 +769,4 @@ def integrate_adaptive(rhs, y0, span, ctrl=None, events=()) -> DenseSolution:
     h = min(h, h_max, x1 - x0)
 
     return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, g_prev,
-                         events, steps, found, n_rhs))
+                         events, guards, steps, found, n_rhs))

@@ -33,7 +33,7 @@ import numpy as np
 from .constants import Constants
 from .eos import EosSpec
 from .errors import ModelError
-from .integrate import DenseSolution, EventSpec, StepControl, integrate_adaptive, stage_guard
+from .integrate import DenseSolution, EventSpec, StepControl, integrate_adaptive
 from .odecore import (
     FOUR_PI,
     ScalingParams,
@@ -283,17 +283,15 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     """
     y0 = center_germ_scaled(alpha, beta, eos, _GERM_R)
     f = scaled_rhs(alpha, beta, eos)
-    # the guards are text over the stage's names, which the step loop writes
-    # in; the rise guard reads the step end's FSAL slope, and its refinement
-    # calls are counted in n_rhs
+    # each guard is an expression over the scaled stage's names, with its own
+    # constant bound; the rise guard reads the step end's FSAL slope dU, and
+    # its refinement calls are counted in n_rhs
     events = [
-        EventSpec(guard=stage_guard(f, "U", {}), direction="falling", terminal=True,
-                  root_tol=1e-12, name="vacuum"),
-        EventSpec(guard=stage_guard(f, _HORIZON, {"kappa_min": _KAPPA_MIN}),
-                  direction="falling", terminal=True, root_tol=1e-12, name="horizon"),
-        EventSpec(guard=stage_guard(f, "dU - mono_eps", {"mono_eps": _MONO_EPS}),
-                  direction="rising", terminal=False, root_tol=1e-10, name="pressure_rise",
-                  slope=True),
+        EventSpec("U", direction="falling", terminal=True, name="vacuum"),
+        EventSpec(_HORIZON, direction="falling", terminal=True, name="horizon",
+                  values={"kappa_min": _KAPPA_MIN}),
+        EventSpec("dU - mono_eps", direction="rising", root_tol=1e-10, name="pressure_rise",
+                  values={"mono_eps": _MONO_EPS}),
     ]
     dense = integrate_adaptive(f, y0, (_GERM_R, R_max), ctrl, events=events)
     if dense.status in _FAILED:

@@ -12,11 +12,11 @@ physical-unit reference.  The scaled right-hand side is written once, as the
 stage text _SCALED around the EOS's terms text, and its Newtonian limit,
 Lane-Emden(-de Sitter), as _LANE_EMDEN.  scaled_rhs(alpha, beta, eos) and
 lane_emden_rhs(mu, lam) bind their constants to the text and return the
-right-hand side R, y -> (dM/dR, dU/dR) compiled from it, which carries the
-text and its bound values.  A solve passes it to integrate_adaptive, whose
-step loop runs the same text in every stage instead of calling it; the germ
-check, the initial step and the refinement of slope guards call it, and
-rhs_scaled calls it once.
+right-hand side compiled from it, which carries the text and its bound
+values: the only kind integrate_adaptive takes.  Its step loop runs the text
+in every stage, and a solve's guards are expressions over the stage's names
+(integrate.EventSpec).  The start slope, the initial step and the refinement
+of slope guards call the function, and rhs_scaled calls it once.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3, its r-derivative at fixed m
 and Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled

@@ -15,11 +15,14 @@ with per-component comprehensions and the adaptive loop around it, a scalar
 dense-output evaluation on Python floats, the Lambda = 0 vacuum
 continuation, the second derivative of sin(R)/R, the residual of the mu = 1
 closed form and the distance of scaled stars to the Lane-Emden orbit live
-here, as independent oracles for the code in src/.
+here, as independent oracles for the code in src/.  So does the stage that
+calls a plain function as its right-hand side, with guards that call plain
+functions, for comparisons of a stage's written-in text with calls of it.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import mpmath
 import numpy as np
@@ -550,6 +553,44 @@ def scale_state(sp, r: float, y) -> tuple:
 
 
 # -- integrator -----------------------------------------------------------------
+
+@functools.cache
+def _called_stage(dim: int) -> ig.Stage:
+    # the names end in _, since x, yN and kN_M are the step loop's
+    y, dy = (tuple(f"{c}{i}_" for i in range(dim)) for c in "sd")
+    return ig.Stage("call", "t_", y, dy, f"{', '.join(dy)}, = fn(t_, [{', '.join(y)}])\n", ("fn",))
+
+
+def called_rhs(fn, dim: int):
+    """A plain function fn(x, y) -> dy of a dim-component state as a
+    right-hand side: its stage's one statement is
+    d0_, d1_, ..., = fn(t_, [s0_, s1_, ...]), so fn may return any sequence,
+    and a guard over it reads t_, sN_ and dN_."""
+    return ig.stage_rhs(_called_stage(dim), {"fn": fn})
+
+
+def guard_call(stage, name: str, slope: bool = False) -> str:
+    """The guard text float(name(x, [y...])) over stage's names, which calls
+    the function bound as name; with slope, name(x, [y...], (dy...,))."""
+    args = f"{stage.x}, [{', '.join(stage.y)}]" + f", ({', '.join(stage.dy)},)" * slope
+    return f"float({name}({args}))"
+
+
+def guard_of(rhs, ev):
+    """(guard, slope): ev's guard for a solve of rhs as integrate_adaptive
+    builds it, a function (x, y) -> value, or (x, y, dy) -> value for a
+    slope guard."""
+    make, slope = ig._guard_factory(rhs.stage, ev.expr, tuple(ev.values))
+    return make(**rhs.values, **ev.values), slope
+
+
+def called_event(rhs, ev, name: str):
+    """ev for a solve of called_rhs(rhs, dim): its guard for rhs, bound as
+    name and called on the called stage's names."""
+    guard, slope = guard_of(rhs, ev)
+    stage = _called_stage(len(rhs.stage.y))
+    return replace(ev, expr=guard_call(stage, name, slope), values={name: guard})
+
 
 def dense_eval_scalar(sol, x: float) -> np.ndarray:
     """State of a DenseSolution at one point, on Python floats: the stored

@@ -30,7 +30,13 @@ from tovds.model import (
 )
 from tovds.odecore import FOUR_PI
 
-from oracles import mu1_residual, rhs_lane_emden, scaled_limit_convergence
+from oracles import (
+    called_rhs,
+    guard_call,
+    mu1_residual,
+    rhs_lane_emden,
+    scaled_limit_convergence,
+)
 
 GEOM = Constants(1.0, 1.0)
 
@@ -146,10 +152,11 @@ def test_lane_emden_stage_matches_the_called_form(monkeypatch):
     assert len(integrate._LOOPS) == 1
     assert {ev.name for d in written for ev in d.events} == {"vacuum", "turning_point"}
     for (mu, lam), (y0, span, ctrl, events), want in zip(cases, inputs, written):
+        rhs = called_rhs(lambda R, y: rhs_lane_emden(R, y, mu, lam), 2)
         guards = [lambda R, y: y[1], lambda R, y, dy: dy[1]]
-        called = integrate_adaptive(
-            lambda R, y: rhs_lane_emden(R, y, mu, lam), y0, span, ctrl,
-            events=[replace(ev, guard=g) for ev, g in zip(events, guards)])
+        called = integrate_adaptive(rhs, y0, span, ctrl, events=[
+            replace(ev, expr=guard_call(rhs.stage, f"guard_{i}", i == 1), values={f"guard_{i}": g})
+            for i, (ev, g) in enumerate(zip(events, guards))])
         assert _dense_bits(called) == _dense_bits(want), (mu, lam)
     assert len(integrate._LOOPS) == 2
 

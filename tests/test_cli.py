@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import tovds
@@ -275,6 +276,24 @@ def test_sweep_bad_grid_exits_2(tmp_path, capsys, change):
     assert code == 2
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "config"
+
+
+def test_sweep_grid_past_the_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # a num of 10^12 is a config error, refused before the grid is formed
+    # or a sweep runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(np, "logspace", forbidden)
+    monkeypatch.setattr(cli, "regime_sweep", forbidden)
+    cfg = {"gamma": 1.5, "alpha_grid": {"start": 1e-3, "stop": 1e-2, "num": 10**12},
+           "beta_grid": [1e-3]}
+    code = main(["sweep", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "s")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert err == {"error": "config",
+                   "message": "'num' in alpha_grid must be an integer from 1 to 1000"}
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("key, value", [("units", "geom"), ("constants", {"c": 2.0})])

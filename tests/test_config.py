@@ -4,6 +4,7 @@ value is a ConfigError that names its key."""
 import inspect
 from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
 from tovds.analysis import SWEEP_CTRL, lane_emden_first_zero, regime_sweep
@@ -71,3 +72,23 @@ def test_partial_ctrl_keeps_the_owning_default():
 def test_bad_value_names_its_key(build, cfg, key):
     with pytest.raises(ConfigError, match=key):
         build(cfg)
+
+
+def test_sweep_grid_num_is_capped(monkeypatch):
+    # a num past 1000 per axis is refused before the grid is formed, so a
+    # huge one is a ConfigError and not a failed allocation
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the grid was formed")
+
+    monkeypatch.setattr(np, "logspace", no_grid)
+    monkeypatch.setattr(np, "linspace", no_grid)
+    for num in (1001, 10**12):
+        for spacing in ("log", "lin"):
+            grid = {"start": 1e-3, "stop": 1e-2, "num": num, "spacing": spacing}
+            with pytest.raises(ConfigError,
+                               match="'num' in beta_grid must be an integer from 1 to 1000"):
+                build_sweep({"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": grid})
+    monkeypatch.undo()
+    grid = {"start": 1e-3, "stop": 1e-2, "num": 1000}
+    assert build_sweep({"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": grid})[
+        "beta_grid"].size == 1000

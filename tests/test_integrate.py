@@ -24,7 +24,7 @@ from tovds.integrate import (
 )
 from tovds.model import solve_scaled
 
-from oracles import dense_eval_scalar, dp5_integrate, rhs_lane_emden
+from oracles import called_rhs, dense_eval_scalar, dp5_integrate, rhs_lane_emden
 
 
 def locate_event(dense: DenseSolution, guard, direction="any", root_tol=1e-12):
@@ -55,7 +55,7 @@ def locate_event(dense: DenseSolution, guard, direction="any", root_tol=1e-12):
 
 
 def test_exponential_decay():
-    sol = integrate_adaptive(lambda x, y: [-y[0]], [1.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-14))
     assert sol.status == "completed"
     assert abs(sol.y_end[0] - math.exp(-1.0)) < 1e-9
@@ -66,7 +66,7 @@ def test_harmonic_oscillator_energy_drift():
         return np.array([y[1], -y[0]])
 
     T = 10 * 2 * math.pi
-    sol = integrate_adaptive(rhs, [1.0, 0.0], (0.0, T),
+    sol = integrate_adaptive(called_rhs(rhs, 2), [1.0, 0.0], (0.0, T),
                              StepControl(rel_tol=1e-10, abs_tol=1e-13))
     E = sol.y_end[0] ** 2 + sol.y_end[1] ** 2
     assert abs(E - 1.0) < 1e-8
@@ -75,9 +75,9 @@ def test_harmonic_oscillator_energy_drift():
 
 def test_event_sin_zero_at_pi():
     sol = integrate_adaptive(
-        lambda x, y: np.array([math.cos(x)]), [math.sin(0.5)], (0.5, 6.0),
+        called_rhs(lambda x, y: np.array([math.cos(x)]), 1), [math.sin(0.5)], (0.5, 6.0),
         StepControl(rel_tol=1e-13, abs_tol=1e-15),
-        events=[EventSpec(guard=lambda x, y: y[0], direction="falling",
+        events=[EventSpec("s0_", direction="falling",
                           terminal=True, root_tol=1e-13, name="zero")],
     )
     assert sol.status == "event"
@@ -88,9 +88,9 @@ def test_event_sin_zero_at_pi():
 def test_event_direction_filter():
     # y = cos grows through zero at 3pi/2 going up; falling filter must skip it
     sol = integrate_adaptive(
-        lambda x, y: np.array([math.cos(x)]), [math.sin(2.0)], (2.0, 8.0),
+        called_rhs(lambda x, y: np.array([math.cos(x)]), 1), [math.sin(2.0)], (2.0, 8.0),
         StepControl(rel_tol=1e-12, abs_tol=1e-14),
-        events=[EventSpec(guard=lambda x, y: y[0], direction="rising",
+        events=[EventSpec("s0_", direction="rising",
                           terminal=True, root_tol=1e-12, name="up")],
     )
     assert sol.status == "event"
@@ -135,7 +135,7 @@ def test_brentq_matches_scipy(kind, c, left, right, xtol, maxiter):
 
 
 def test_locate_event_linear_guard():
-    sol = integrate_adaptive(lambda x, y: np.array([1.0]), [0.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(lambda x, y: np.array([1.0]), 1), [0.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-12))
     hit = locate_event(sol, lambda x, y: x - 0.5, direction="any", root_tol=1e-14)
     assert hit is not None
@@ -144,7 +144,7 @@ def test_locate_event_linear_guard():
 
 def test_locate_event_rejects_tangential_touch():
     # (x-0.5)^2 (x+2) touches zero without a sign change: no event
-    sol = integrate_adaptive(lambda x, y: np.array([1.0]), [0.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(lambda x, y: np.array([1.0]), 1), [0.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-12))
 
     def guard(x, y):
@@ -158,7 +158,7 @@ def test_locate_event_lane_emden_mu1():
     # U = sin(R)/R crosses zero at pi
     R0 = 1e-6
     y0 = np.array([R0**3 / 3.0, 1.0 - R0**2 / 6.0])
-    sol = integrate_adaptive(lambda R, y: rhs_lane_emden(R, y, 1.0, 0.0),
+    sol = integrate_adaptive(called_rhs(lambda R, y: rhs_lane_emden(R, y, 1.0, 0.0), 2),
                              y0, (R0, 6.0), StepControl(rel_tol=1e-12, abs_tol=1e-14))
     hit = locate_event(sol, lambda R, y: y[1], direction="falling", root_tol=1e-12)
     assert hit is not None
@@ -168,7 +168,7 @@ def test_locate_event_lane_emden_mu1():
 def test_error_scales_with_tolerance():
     errs = []
     for rtol in (1e-6, 1e-8, 1e-10, 1e-12):
-        sol = integrate_adaptive(lambda x, y: [-y[0]], [1.0], (0.0, 2.0),
+        sol = integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0], (0.0, 2.0),
                                  StepControl(rel_tol=rtol, abs_tol=rtol * 1e-3))
         errs.append(abs(sol.y_end[0] - math.exp(-2.0)))
     for coarse, fine in zip(errs, errs[1:]):
@@ -176,14 +176,14 @@ def test_error_scales_with_tolerance():
 
 
 def test_dense_output_matches_nodes_exactly():
-    sol = integrate_adaptive(lambda x, y: np.array([-y[0], y[1]]), [1.0, 0.5],
+    sol = integrate_adaptive(called_rhs(lambda x, y: np.array([-y[0], y[1]]), 2), [1.0, 0.5],
                              (0.0, 1.5), StepControl(rel_tol=1e-9, abs_tol=1e-12))
     for i, x in enumerate(sol.xs):
         assert np.array_equal(sol(float(x)), sol.ys[i])
 
 
 def test_dense_output_accuracy_between_nodes():
-    sol = integrate_adaptive(lambda x, y: [-y[0]], [1.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-13))
     grid = np.linspace(0.0, 1.0, 257)
     worst = max(abs(float(sol(float(x))[0]) - math.exp(-x)) for x in grid)
@@ -193,9 +193,9 @@ def test_dense_output_accuracy_between_nodes():
 def test_dense_array_call_matches_scalar_calls():
     # a two-component system stopped by a terminal event, so x_end is not a node
     sol = integrate_adaptive(
-        lambda x, y: [math.cos(x) * y[1], -y[0]], [0.3, 1.0], (0.5, 8.0),
+        called_rhs(lambda x, y: [math.cos(x) * y[1], -y[0]], 2), [0.3, 1.0], (0.5, 8.0),
         StepControl(rel_tol=1e-9, abs_tol=1e-12),
-        events=[EventSpec(guard=lambda x, y: y[1], direction="falling",
+        events=[EventSpec("s1_", direction="falling",
                           terminal=True, root_tol=1e-12, name="zero")],
     )
     assert sol.status == "event" and sol.x_end < sol.xs[-1]
@@ -226,7 +226,7 @@ def test_dense_array_call_matches_scalar_calls():
 def test_bitwise_determinism():
     def run():
         return integrate_adaptive(
-            lambda x, y: np.array([math.sin(x) * y[0]]), [1.0], (0.0, 3.0),
+            called_rhs(lambda x, y: np.array([math.sin(x) * y[0]]), 1), [1.0], (0.0, 3.0),
             StepControl(rel_tol=1e-10, abs_tol=1e-13),
         )
 
@@ -237,7 +237,7 @@ def test_bitwise_determinism():
 
 
 def test_step_budget_exhaustion():
-    sol = integrate_adaptive(lambda x, y: [-y[0]], [1.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-13, max_steps=3))
     assert sol.status == "step_budget"
     assert sol.x_end < 1.0
@@ -249,7 +249,7 @@ def test_domain_error_keeps_last_good_state():
             raise DomainSignalError(f"left the domain at x = {x}")
         return np.array([1.0])
 
-    sol = integrate_adaptive(rhs, [0.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-12))
     assert sol.status == "domain_error"
     assert sol.failure is not None
@@ -258,7 +258,7 @@ def test_domain_error_keeps_last_good_state():
 
 
 def test_h_max_respected():
-    sol = integrate_adaptive(lambda x, y: [-y[0]], [1.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-6, abs_tol=1e-9, h_max=0.01))
     assert np.max(np.diff(sol.xs)) <= 0.01 + 1e-12
 
@@ -271,9 +271,9 @@ def test_control_validation():
     with pytest.raises(ValueError):
         StepControl(max_steps=0)
     with pytest.raises(ValueError):
-        EventSpec(guard=lambda x, y: x, direction="sideways")
+        EventSpec("t_", direction="sideways")
     with pytest.raises(ValueError):
-        EventSpec(guard=lambda x, y: x, root_tol=0.0)
+        EventSpec("t_", root_tol=0.0)
 
 
 @pytest.mark.parametrize("kwargs, field", [
@@ -334,7 +334,7 @@ def test_loop_matches_reference_loop(dim, data, x, length, h, rtol, atol):
     want_log, got_log = [], []
     xs, ys, q, status, message, n_rhs, n_rejected = dp5_integrate(
         make_rhs(want_log), y0, (x, x + length), ctrl)
-    sol = integrate_adaptive(make_rhs(got_log), y0, (x, x + length), ctrl)
+    sol = integrate_adaptive(called_rhs(make_rhs(got_log), dim), y0, (x, x + length), ctrl)
 
     assert len(got_log) == len(want_log) == sol.n_rhs == n_rhs
     for (xa, ya, ka), (xb, yb, kb) in zip(got_log, want_log):
@@ -359,7 +359,7 @@ def test_domain_exit_at_each_stage_counts_calls(stage):
             raise DomainSignalError(f"call {stage}")
         return (-y[0], y[0] - y[1])
 
-    sol = integrate_adaptive(rhs, [1.0, 0.5], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(rhs, 2), [1.0, 0.5], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-12, h_init=0.1))
     assert sol.status == "completed"
     assert sol.n_rejected >= 1
@@ -379,7 +379,7 @@ def test_overflow_in_a_stage_is_a_rejected_step():
             raise OverflowError("math range error")
         return (-y[0], y[0] - y[1])
 
-    sol = integrate_adaptive(rhs, [1.0, 0.5], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(rhs, 2), [1.0, 0.5], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-12, h_init=0.1))
     assert sol.status == "completed"
     assert sol.n_rhs == len(calls) == 1 + 3 + 6 * (sol.n_steps + sol.n_rejected - 1)
@@ -390,7 +390,7 @@ def test_overflow_in_a_stage_is_a_rejected_step():
             raise OverflowError("math range error")
         return (1.0,)
 
-    sol = integrate_adaptive(overflowing, [0.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(overflowing, 1), [0.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-12))
     assert sol.status == "domain_error"
     assert isinstance(sol.failure, OverflowError)
@@ -407,9 +407,9 @@ def test_three_component_linear_system_against_closed_form():
                          2.0 * math.exp(-c * x)])
 
     sol = integrate_adaptive(
-        lambda x, y: (-d * y[0] - w * y[1], w * y[0] - d * y[1], -c * y[2]),
+        called_rhs(lambda x, y: (-d * y[0] - w * y[1], w * y[0] - d * y[1], -c * y[2]), 3),
         [1.0, 0.0, 2.0], (0.0, 3.0), StepControl(rel_tol=1e-12, abs_tol=1e-14),
-        events=[EventSpec(guard=lambda x, y: y[0], direction="falling", root_tol=1e-13,
+        events=[EventSpec("s0_", direction="falling", root_tol=1e-13,
                           name="down")],
     )
     assert sol.status == "completed"
@@ -434,12 +434,16 @@ def test_loop_built_once_per_dimension_and_stage(monkeypatch):
 
     monkeypatch.setattr(integrate, "_LOOPS", {})
     monkeypatch.setattr(codegen, "define", recording)
+    ctrl = StepControl()
     for _ in range(3):
-        integrate_adaptive(lambda x, y: (y[1], -y[0], -y[2]), [1.0, 0.0, 1.0], (0.0, 1.0))
-    integrate_adaptive(lambda x, y: (-y[0],), [1.0], (0.0, 1.0))
-    # a plain callable runs in the stage that calls it, one per dimension
-    make = integrate._loop(3, integrate._call_stage(3), ())
-    integrate_adaptive(lambda x, y: (y[1], -y[0], -y[2]), [1.0, 0.0, 1.0], (0.0, 1.0))
+        integrate_adaptive(called_rhs(lambda x, y: (y[1], -y[0], -y[2]), 3), [1.0, 0.0, 1.0],
+                           (0.0, 1.0), ctrl)
+    integrate_adaptive(called_rhs(lambda x, y: (-y[0],), 1), [1.0], (0.0, 1.0), ctrl)
+    # the stages that call a function, one per dimension, are equal for
+    # every function, and so share one loop
+    rhs = called_rhs(lambda x, y: (y[1], -y[0], -y[2]), 3)
+    make = integrate._loop(3, rhs.stage, ())
+    integrate_adaptive(rhs, [1.0, 0.0, 1.0], (0.0, 1.0), ctrl)
     series = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
     for eos in (EosSpec(A=1.0, gamma=1.5), EosSpec(A=2.0, gamma=1.7), series, series):
         solve_scaled(0.01, 0.001, eos)
@@ -447,13 +451,13 @@ def test_loop_built_once_per_dimension_and_stage(monkeypatch):
     assert built == ["<dp5 loop, dim 3, call>", "<dp5 loop, dim 1, call>",
                      f"<dp5 loop, dim 2, scaled, closed-form Omega, {guards}>",
                      f"<dp5 loop, dim 2, scaled, table Omega, {guards}>"]
-    assert integrate._loop(3, integrate._call_stage(3), ()) is make
+    assert integrate._loop(3, called_rhs(print, 3).stage, ()) is make
 
 
 def test_stage_may_not_use_the_loops_names():
     stage = Stage(name="clash", x="x", y=("u",), dy=("du",), body="h = -u\ndu = h\n", consts=())
     with pytest.raises(ValueError, match=r"names of the step loop: \['h', 'x'\]"):
-        integrate_adaptive(stage_rhs(stage, {}), [1.0], (0.0, 1.0))
+        integrate_adaptive(stage_rhs(stage, {}), [1.0], (0.0, 1.0), StepControl())
 
 
 @pytest.mark.parametrize("body, rebound", [
@@ -465,7 +469,32 @@ def test_stage_may_not_assign_its_abscissa_or_state(body, rebound):
     # given, so a body that rebinds them would move the guards' values
     stage = Stage(name="rebinds", x="t", y=("u",), dy=("du",), body=body, consts=())
     with pytest.raises(ValueError, match=rf"assigns its own abscissa or state: \['{rebound}'\]"):
-        integrate_adaptive(stage_rhs(stage, {}), [1.0], (0.0, 1.0))
+        integrate_adaptive(stage_rhs(stage, {}), [1.0], (0.0, 1.0), StepControl())
+
+
+def test_plain_callable_is_not_a_right_hand_side():
+    with pytest.raises(TypeError, match="made by stage_rhs"):
+        integrate_adaptive(lambda x, y: [-y[0]], [1.0], (0.0, 1.0), StepControl())
+
+
+@pytest.mark.parametrize("events, message", [
+    ([EventSpec("s0_ - level")], r"uses names that are not its stage's or its own: \['level'\]"),
+    ([EventSpec("s0_ - fn", values={"fn": 0.5})], r"binds names of its stage: \['fn'\]"),
+    ([EventSpec("s0_ - c", name="a", values={"c": 0.5}),
+      EventSpec("s0_ + c", name="b", values={"c": 0.5})],
+     r"event 'b': two guards of one solve bind \['c'\]"),
+], ids=["unknown_name", "binds_stage_name", "two_bind_one_name"])
+def test_bad_event_is_rejected(events, message):
+    with pytest.raises(ValueError, match=message):
+        integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0], (0.0, 1.0), StepControl(),
+                           events=events)
+
+
+def test_start_state_of_the_wrong_length_is_rejected():
+    message = r"y0 has 2 components, but stage 'call' has the state s0_$"
+    with pytest.raises(ValueError, match=message):
+        integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0, 2.0], (0.0, 1.0),
+                           StepControl())
 
 
 def test_interpolant_is_formed_on_first_read():
@@ -495,7 +524,7 @@ def test_generated_loop_lines_show_in_tracebacks():
         return (-y[0],)
 
     with pytest.raises(ValueError, match="stage 3") as info:
-        integrate_adaptive(rhs, [1.0], (0.0, 1.0), StepControl(h_init=0.1))
+        integrate_adaptive(called_rhs(rhs, 1), [1.0], (0.0, 1.0), StepControl(h_init=0.1))
     text = "".join(traceback.format_exception(info.value))
     assert 'File "<dp5 loop, dim 1, call>"' in text
     # the stage calls the right-hand side on its arguments, which the line
@@ -509,9 +538,9 @@ def test_generated_loop_lines_show_in_tracebacks():
 
 def test_nonterminal_events_recorded():
     sol = integrate_adaptive(
-        lambda x, y: np.array([math.cos(x)]), [0.0], (0.0, 10.0),
+        called_rhs(lambda x, y: np.array([math.cos(x)]), 1), [0.0], (0.0, 10.0),
         StepControl(rel_tol=1e-11, abs_tol=1e-13),
-        events=[EventSpec(guard=lambda x, y: y[0], direction="falling",
+        events=[EventSpec("s0_", direction="falling",
                           terminal=False, root_tol=1e-12, name="down")],
     )
     assert sol.status == "completed"
@@ -539,16 +568,18 @@ def test_slope_guard_reads_the_step_slope_and_counts_refinements():
         return dy[0]
 
     ctrl = StepControl(rel_tol=1e-11, abs_tol=1e-13)
-    sol = integrate_adaptive(rhs, [0.0], (0.0, 10.0), ctrl, events=[
-        EventSpec(guard=slope_guard, direction="falling", name="top", slope=True)])
+    sol = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 10.0), ctrl, events=[
+        EventSpec("float(g(t_, [s0_], (d0_,)))", direction="falling", name="top",
+                  values={"g": slope_guard})])
     assert calls == sol.n_rhs
     tops = [ev.x for ev in sol.events]
     assert len(tops) == 2
     assert abs(tops[0] - 0.5 * math.pi) < 1e-9
     assert abs(tops[1] - 2.5 * math.pi) < 1e-9
     # the same guard spelled on (x, y) locates the same bits with no calls
-    plain = integrate_adaptive(rhs, [0.0], (0.0, 10.0), ctrl, events=[
-        EventSpec(guard=lambda x, y: math.cos(x), direction="falling", name="top")])
+    plain = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 10.0), ctrl, events=[
+        EventSpec("float(g(t_, [s0_]))", direction="falling", name="top",
+                  values={"g": lambda x, y: math.cos(x)})])
     assert [ev.x for ev in plain.events] == tops
     assert np.array_equal(plain.ys, sol.ys)
     # refinement calls: guard calls beyond one at x0 and one per step end
@@ -556,15 +587,16 @@ def test_slope_guard_reads_the_step_slope_and_counts_refinements():
 
 
 def test_rhs_return_type_does_not_change_the_trajectory():
-    # the right-hand side may return a tuple, a list or an ndarray of floats
+    # a function called from a stage may return a tuple, a list or an
+    # ndarray of floats
     R0 = 1e-6
     y0 = [R0**3 / 3.0, 1.0 - R0**2 / 6.0]
-    vacuum = EventSpec(guard=lambda R, y: y[1], direction="falling", terminal=True,
+    vacuum = EventSpec("s1_", direction="falling", terminal=True,
                        root_tol=1e-12, name="vacuum")
 
     def run(wrap):
-        return integrate_adaptive(lambda R, y: wrap(rhs_lane_emden(R, y, 1.5, 0.0)),
-                                  y0, (R0, 6.0), StepControl(rel_tol=1e-10, abs_tol=1e-12),
+        rhs = called_rhs(lambda R, y: wrap(rhs_lane_emden(R, y, 1.5, 0.0)), 2)
+        return integrate_adaptive(rhs, y0, (R0, 6.0), StepControl(rel_tol=1e-10, abs_tol=1e-12),
                                   events=[vacuum])
 
     ref = run(tuple)
@@ -584,17 +616,18 @@ def test_rejections_counted():
     def rhs(x, y):
         return [-50.0 * y[0]]
 
-    sol = integrate_adaptive(rhs, [1.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(rhs, 1), [1.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-13, h_init=0.5))
     assert sol.status == "completed"
     assert sol.n_rejected > 0  # the oversized first step cannot pass
     assert sol.n_rhs == 1 + 6 * (sol.n_steps + sol.n_rejected)
 
-    sol = integrate_adaptive(rhs, [1.0], (0.0, 1.0), StepControl(rel_tol=1e-10, abs_tol=1e-13))
+    sol = integrate_adaptive(called_rhs(rhs, 1), [1.0], (0.0, 1.0),
+                             StepControl(rel_tol=1e-10, abs_tol=1e-13))
     assert sol.n_rhs == 2 + 6 * (sol.n_steps + sol.n_rejected)
 
     budget = 7
-    sol = integrate_adaptive(rhs, [1.0], (0.0, 1.0),
+    sol = integrate_adaptive(called_rhs(rhs, 1), [1.0], (0.0, 1.0),
                              StepControl(rel_tol=1e-10, abs_tol=1e-13, h_init=0.5,
                                          max_steps=budget))
     assert sol.status == "step_budget"
@@ -609,14 +642,16 @@ def test_domain_retries_counted_as_rejections():
         return (1.0,)
 
     ctrl = StepControl(rel_tol=1e-10, abs_tol=1e-12)
-    sol = integrate_adaptive(rhs, [0.0], (0.0, 1.0), ctrl)
+    sol = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 1.0), ctrl)
     assert sol.status == "domain_error"
     assert sol.n_rejected > 0
     # the run took exactly n_steps + n_rejected attempts
     attempts = sol.n_steps + sol.n_rejected
-    capped = integrate_adaptive(rhs, [0.0], (0.0, 1.0), replace(ctrl, max_steps=attempts))
+    capped = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 1.0),
+                                replace(ctrl, max_steps=attempts))
     assert capped.status == "domain_error"
-    capped = integrate_adaptive(rhs, [0.0], (0.0, 1.0), replace(ctrl, max_steps=attempts - 1))
+    capped = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 1.0),
+                                replace(ctrl, max_steps=attempts - 1))
     assert capped.status == "step_budget"
 
 
@@ -626,7 +661,8 @@ def test_non_finite_slope_ends_in_underflow():
     def rhs(x, y):
         return (math.nan if x > 0.5 else 1.0,)
 
-    sol = integrate_adaptive(rhs, [0.0], (0.0, 1.0), StepControl(rel_tol=1e-10, abs_tol=1e-12))
+    sol = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 1.0),
+                             StepControl(rel_tol=1e-10, abs_tol=1e-12))
     assert sol.status == "step_underflow"
     assert "non-finite" in sol.message
     assert sol.n_rejected > 0
@@ -643,7 +679,7 @@ def test_non_finite_second_stage_slope_is_retried():
         calls.append(x)
         return (math.nan if len(calls) == 2 else 1.0,)
 
-    sol = integrate_adaptive(rhs, [0.0], (0.0, 1.0), StepControl(h_init=0.1))
+    sol = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 1.0), StepControl(h_init=0.1))
     assert sol.status == "completed"
     assert sol.n_rejected == 1
     assert abs(sol.y_end[0] - 1.0) < 1e-12
@@ -651,13 +687,14 @@ def test_non_finite_second_stage_slope_is_retried():
 
 def test_non_finite_start_state_is_rejected():
     with pytest.raises(ValueError, match=r"y0 must be finite, got \[nan\]"):
-        integrate_adaptive(lambda x, y: [-y[0]], [math.nan], (0.0, 1.0))
+        integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [math.nan], (0.0, 1.0), StepControl())
 
 
 @pytest.mark.parametrize("h_init", [None, 0.1])
 def test_non_finite_start_slope_ends_at_once(h_init):
     # no step from x0 can pass, so the run ends before the first attempt
-    sol = integrate_adaptive(lambda x, y: [math.nan], [1.0], (0.0, 1.0), StepControl(h_init=h_init))
+    sol = integrate_adaptive(called_rhs(lambda x, y: [math.nan], 1), [1.0], (0.0, 1.0),
+                             StepControl(h_init=h_init))
     assert sol.status == "step_underflow"
     assert sol.message == "non-finite right-hand side at x = 0"
     assert (sol.n_steps, sol.n_rhs, sol.n_rejected) == (0, 1, 0)
@@ -669,7 +706,7 @@ def test_domain_error_at_the_start_takes_no_step():
         def rhs(x, y):
             raise error("undefined here")
 
-        sol = integrate_adaptive(rhs, [1.0], (0.0, 1.0))
+        sol = integrate_adaptive(called_rhs(rhs, 1), [1.0], (0.0, 1.0), StepControl())
         assert sol.status == "domain_error"
         assert sol.message == "right-hand side undefined at start: undefined here"
         assert isinstance(sol.failure, error)
@@ -701,7 +738,8 @@ def test_initial_step_probe_without_a_finite_slope_falls_back():
 def test_zero_slope_starts_with_the_floor_step():
     # d1 = d2 = 0: the first step is the 1e-6 floor, and a zero error then
     # grows each step by the largest factor
-    sol = integrate_adaptive(lambda x, y: [0.0, 0.0], [1.0, 2.0], (0.0, 1.0))
+    sol = integrate_adaptive(called_rhs(lambda x, y: [0.0, 0.0], 2), [1.0, 2.0], (0.0, 1.0),
+                             StepControl())
     assert sol.status == "completed"
     assert sol.xs[1] == 1e-6
     assert sol.xs[2] == 1e-6 + 1e-6 * 5.0
@@ -711,11 +749,11 @@ def test_zero_slope_starts_with_the_floor_step():
 @pytest.mark.parametrize("span", [(1.0, 1.0), (1.0, 0.5), (0.0, math.nan)])
 def test_empty_or_reversed_span_is_rejected(span):
     with pytest.raises(ValueError, match="span must satisfy x1 > x0"):
-        integrate_adaptive(lambda x, y: [-y[0]], [1.0], span)
+        integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0], span, StepControl())
 
 
 @pytest.mark.parametrize("root_tol", [math.inf, math.nan, 0.0, -1e-12])
 def test_event_rejects_bad_root_tol(root_tol):
     with pytest.raises(ValueError, match="root_tol must be finite and positive"):
-        EventSpec(guard=lambda x, y: y[0], root_tol=root_tol)
+        EventSpec("s0_", root_tol=root_tol)
 

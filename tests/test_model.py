@@ -30,8 +30,11 @@ from tovds.model import (
 from tovds.odecore import FOUR_PI, ScalingParams, kappa
 
 from oracles import (
+    called_event,
+    called_rhs,
     dense_eval_scalar,
     du_dr_minus_pointwise,
+    guard_call,
     profile_row,
     profile_samples,
     rhs_tov,
@@ -88,12 +91,13 @@ def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
     calls = 0
     integrate = model.integrate_adaptive
 
-    def called_integrate(rhs, *args, **kwargs):
+    def called_integrate(rhs, y0, span, ctrl, events):
         def counted(R, y):
             nonlocal calls
             calls += 1
             return rhs(R, y)
-        return integrate(counted, *args, **kwargs)
+        return integrate(called_rhs(counted, 2), y0, span, ctrl,
+                         [called_event(rhs, ev, f"guard_{i}") for i, ev in enumerate(events)])
 
     monkeypatch.setattr(model, "integrate_adaptive", called_integrate)
     # the second star has five located rises, each refined with calls
@@ -116,22 +120,23 @@ EDGE_STAR = (4.15, 60.0)
 def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded, text=False):
     """A scaled solve as _solve_core makes it, at the sweep tolerances; or
     with no guards, to run past the vacuum boundary.  The guards are
-    lambdas, which the step loop calls, or with text=True stage guards of
-    rhs, as _solve_core's are."""
+    lambdas, which the step loop calls on the names of rhs's stage, or with
+    text=True expressions over the scaled stage's names, as _solve_core's
+    are."""
     R0 = 1e-6
     if text:
-        guards = [integrate.stage_guard(rhs, "U", {}),
-                  integrate.stage_guard(rhs, model._HORIZON, {"kappa_min": 1e-10}),
-                  integrate.stage_guard(rhs, "dU - mono_eps", {"mono_eps": 1e-6})]
+        exprs = ["U", model._HORIZON, "dU - mono_eps"]
+        values = [{}, {"kappa_min": 1e-10}, {"mono_eps": 1e-6}]
     else:
-        guards = [lambda R, y: y[1],
-                  lambda R, y: odecore.kappa_scaled(R, y[0], alpha, beta) - 1e-10,
-                  lambda R, y, dy: dy[1] - 1e-6]
+        exprs = [guard_call(rhs.stage, f"guard_{i}", i == 2) for i in range(3)]
+        values = [{"guard_0": lambda R, y: y[1]},
+                  {"guard_1": lambda R, y: odecore.kappa_scaled(R, y[0], alpha, beta) - 1e-10},
+                  {"guard_2": lambda R, y, dy: dy[1] - 1e-6}]
     events = [
-        EventSpec(guard=guards[0], direction="falling", terminal=True, name="vacuum"),
-        EventSpec(guard=guards[1], direction="falling", terminal=True, name="horizon"),
-        EventSpec(guard=guards[2], direction="rising", root_tol=1e-10,
-                  name="pressure_rise", slope=True),
+        EventSpec(exprs[0], direction="falling", terminal=True, name="vacuum", values=values[0]),
+        EventSpec(exprs[1], direction="falling", terminal=True, name="horizon", values=values[1]),
+        EventSpec(exprs[2], direction="rising", root_tol=1e-10, name="pressure_rise",
+                  values=values[2]),
     ] if guarded else []
     return integrate_adaptive(rhs, odecore.center_germ_scaled(alpha, beta, eos, R0), (R0, R_max),
                               StepControl(rel_tol=1e-9, abs_tol=1e-12), events=events)
@@ -165,7 +170,7 @@ def test_fused_stages_match_the_called_right_hand_side(alpha, beta, eos, R_max, 
     eos = {"polytrope": EosSpec(A=1.0, gamma=1.5), "series": SERIES_EOS}[eos]
     f = odecore.scaled_rhs(alpha, beta, eos)
     fused = _solution_bits(lambda: _scaled_solve(f, alpha, beta, eos, R_max, guarded))
-    called = _solution_bits(lambda: _scaled_solve(lambda R, y: f(R, y), alpha, beta, eos,
+    called = _solution_bits(lambda: _scaled_solve(called_rhs(f, 2), alpha, beta, eos,
                                                   R_max, guarded))
     assert fused == called
     if what.startswith("EosDomainError"):

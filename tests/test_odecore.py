@@ -12,7 +12,7 @@ from tovds import model
 from tovds.constants import SI, Constants
 from tovds.eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
 from tovds.errors import KappaNonPositiveError
-from tovds.integrate import StepControl, integrate_adaptive, stage_guard
+from tovds.integrate import EventSpec, StepControl, integrate_adaptive
 from tovds.odecore import (
     ScalingParams,
     center_germ_scaled,
@@ -26,8 +26,10 @@ from tovds.odecore import (
 )
 
 from oracles import (
+    called_rhs,
     center_germ_enthalpy,
     center_germ_physical,
+    guard_of,
     rhs_lane_emden,
     rhs_scaled_c,
     rhs_scaled_reference,
@@ -44,7 +46,7 @@ GEOM = Constants(1.0, 1.0)
 def in_units(rhs, s):
     """The right-hand side of the same system in the state z = y / s, whose
     absolute tolerance then acts on each component y_i in units of s_i."""
-    return lambda x, z: np.asarray(rhs(x, z * s)) / s
+    return called_rhs(lambda x, z: np.asarray(rhs(x, z * s)) / s, len(s))
 
 
 @pytest.fixture(scope="module")
@@ -287,7 +289,8 @@ def test_stage_kappa_test_and_horizon_guard_are_kappa_scaled(eos15):
         want = (kap - 1e-10).hex()
         names = {**f.values, "kappa_min": 1e-10, "R": R, "M": M, "U": 0.5}
         assert eval(model._HORIZON, names).hex() == want  # the text the loop writes in
-        assert stage_guard(f, model._HORIZON, {"kappa_min": 1e-10})(R, [M, 0.5]).hex() == want
+        guard, _ = guard_of(f, EventSpec(model._HORIZON, values={"kappa_min": 1e-10}))
+        assert guard(R, [M, 0.5]).hex() == want
         if kap <= 0.0:
             with pytest.raises(KappaNonPositiveError) as info:
                 f(R, [M, 0.5])
@@ -327,8 +330,8 @@ def test_homology_trajectory_consistency(eos15):
     ctrl = StepControl(rel_tol=1e-12, abs_tol=1e-14)
     R0, R1 = 1e-6, 2.0
     y0s = np.array(center_germ_scaled(sp.alpha, sp.beta, eos15, R0))
-    sol_s = integrate_adaptive(lambda R, y: rhs_scaled(R, y, sp.alpha, sp.beta, eos15),
-                               y0s, (R0, R1), ctrl)
+    f = called_rhs(lambda R, y: rhs_scaled(R, y, sp.alpha, sp.beta, eos15), 2)
+    sol_s = integrate_adaptive(f, y0s, (R0, R1), ctrl)
     r0, y0p = sp.unscale_state(R0, y0s)
     s = np.array([sp.mass_scale, sp.b])
     sol_p = integrate_adaptive(in_units(lambda r, y: rhs_tovds_enthalpy(r, y, Lam, eos15, GEOM), s),
@@ -433,7 +436,7 @@ def test_scaled_germ_matches_integration(eos15):
     alpha, beta = 0.3, 0.1
     R0, R1 = 1e-6, 1e-2
     y0 = np.array(center_germ_scaled(alpha, beta, eos15, R0))
-    sol = integrate_adaptive(lambda R, y: rhs_scaled(R, y, alpha, beta, eos15),
+    sol = integrate_adaptive(called_rhs(lambda R, y: rhs_scaled(R, y, alpha, beta, eos15), 2),
                              y0, (R0, R1), StepControl(rel_tol=1e-13, abs_tol=1e-16))
     _, U_g = center_germ_scaled(alpha, beta, eos15, R1)
     assert abs(sol.y_end[1] - U_g) < 1e-9
