@@ -134,6 +134,16 @@ class ExponentFit:
     n_samples: int
 
 
+def _line_fit(t: np.ndarray, y: np.ndarray) -> tuple:
+    """(slope, intercept) of the least-squares line through (t, y), in
+    closed form about the mean of t."""
+    t_mean = t.mean()
+    y_mean = y.mean()
+    dt = t - t_mean
+    slope = float(dt @ (y - y_mean) / (dt @ dt))
+    return slope, float(y_mean - slope * t_mean)
+
+
 def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
     """Fit the vacuum-boundary behavior of a monotone-short profile.
 
@@ -141,7 +151,8 @@ def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
     _FIT_WINDOW, x/r_+ in [1e-6, 1e-2], estimates the leading exponent
     (target 1/(gamma-1)) and amplitude; the relative enthalpy residual
     u/(B x) - 1 is then fitted against {x, x^(mu+1)}.  The window must hold
-    at least _FIT_MIN_SAMPLES usable samples.
+    at least _FIT_MIN_SAMPLES usable samples.  It is picked from r and u,
+    and only its samples are mapped to rho, with the bits of profile.rho.
     """
     eos = profile.eos
     ev = profile.vacuum_event()
@@ -151,24 +162,22 @@ def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
     r_plus, _, _, _, B, _ = _boundary_limits(profile, ev)
     x = r_plus - profile.r
     u_floor = 1e3 * np.finfo(float).eps * profile.u[0]
-    mask = (
+    window = (
         (x >= _FIT_WINDOW[0] * r_plus)
         & (x <= _FIT_WINDOW[1] * r_plus)
-        & (profile.rho > 0.0)
         & (profile.u > u_floor)
     )
-    n = int(mask.sum())
+    u = profile.u[window]
+    rho = np.fromiter(eos.rho_P_of_u(u.tolist())[0], float, u.size)
+    usable = rho > 0.0
+    xs, rho, u = x[window][usable], rho[usable], u[usable]
+    n = xs.size
     if n < _FIT_MIN_SAMPLES:
         raise AnalysisError(
             f"only {n} usable samples in the fit window; need >= {_FIT_MIN_SAMPLES}"
         )
-    xs = x[mask]
-    rho = profile.rho[mask]
-    u = profile.u[mask]
 
-    t = np.log(xs)
-    y = np.log(rho)
-    slope, intercept = np.polyfit(t, y, 1)
+    slope, intercept = _line_fit(np.log(xs), np.log(rho))
     mu = eos.mu
     amplitude_target = ((eos.gamma - 1.0) * B / (eos.gamma * eos.A)) ** mu
 
@@ -188,13 +197,13 @@ def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
         c_lin = float(np.mean(resid_rel[anchor] / xs[anchor]))
         r1 = np.abs(resid_rel - c_lin * xs)
         good = meas & (r1 > 0.0)
-        decay_slope = float(np.polyfit(np.log(xs[good]), np.log(r1[good]), 1)[0])
+        decay_slope = _line_fit(np.log(xs[good]), np.log(r1[good]))[0]
     else:
         decay_slope = math.nan
 
     return ExponentFit(
-        exponent=float(slope),
-        amplitude=float(math.exp(intercept)),
+        exponent=slope,
+        amplitude=math.exp(intercept),
         amplitude_target=float(amplitude_target),
         correction_coeffs=tuple(float(c) for c in coeffs),
         resid_rms=resid_rms,

@@ -155,13 +155,19 @@ class EventRecord:
 
 @dataclass
 class DenseSolution:
-    """Accepted steps, interpolants, event log and termination status."""
+    """Accepted steps, their slopes, event log and termination status.
+
+    Dense output forms the quartic coefficients of a step (its row) from the
+    step's slopes when a point in that step is read: a call forms the rows
+    of the distinct steps its points fall in, and only interp forms every
+    row.  A solution mapped to other units (odecore.ScalingParams) keeps the
+    slopes it was solved with and carries their scale, slope_scale, by which
+    each row is multiplied once it is formed.
+    """
 
     xs: np.ndarray            # accepted nodes, shape (n+1,)
     ys: np.ndarray            # states at nodes, shape (n+1, dim)
-    # per-step slopes k1, k3, k4, k5, k6, k7, shape (n, dim, 6), until
-    # interp is formed from them or given; then None
-    slopes: np.ndarray | None
+    slopes: np.ndarray        # per-step slopes k1, k3, k4, k5, k6, k7, shape (n, dim, 6)
     events: list = field(default_factory=list)
     status: str = "completed"  # completed|event|step_budget|step_underflow|domain_error
     message: str = ""
@@ -171,35 +177,39 @@ class DenseSolution:
     n_rhs: int = 0
     n_rejected: int = 0       # error-test rejections plus domain, overflow and non-finite retries
     failure: Exception | None = None
-    _interp: np.ndarray | None = field(default=None, repr=False)
+    slope_scale: np.ndarray | None = None  # per component, shape (dim,); None for 1
+
+    def _rows(self, slopes: np.ndarray) -> np.ndarray:
+        """Quartic coefficients q0 ... q3 of the steps whose slopes are given,
+        shape (m, dim, 4), formed by the step loop's expressions term by
+        term, so they have the bits the loop forms on a step with an event,
+        then times slope_scale.  The slopes are copied into one contiguous
+        block first, on which numpy's elementwise operations run faster."""
+        k1, k3, k4, k5, k6, k7 = np.ascontiguousarray(slopes.transpose(2, 0, 1))
+        q = np.empty(k1.shape + (4,))
+        q[..., 0] = k1
+        q[..., 1] = _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7
+        q[..., 2] = _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7
+        q[..., 3] = _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7
+        if self.slope_scale is not None:
+            q *= self.slope_scale[:, None]
+        return q
 
     @property
     def interp(self) -> np.ndarray:
-        """Per-step quartic coefficients q0 ... q3, shape (n, dim, 4), formed
-        from slopes on first read, so a solve whose dense output is never
-        read never forms them.  They are formed by the step loop's
-        expressions, term by term, so they have the bits the loop forms on a
-        step with an event.  The slopes view the step loop's whole buffer:
-        they are copied out of its stride into one contiguous block, on
-        which numpy's elementwise operations run faster, and dropped before
-        the coefficients are formed, which frees the buffer."""
-        if self._interp is None:
-            k1, k3, k4, k5, k6, k7 = np.ascontiguousarray(self.slopes.transpose(2, 0, 1))
-            self.slopes = None
-            q = self._interp = np.empty(k1.shape + (4,))
-            q[..., 0] = k1
-            q[..., 1] = _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7
-            q[..., 2] = _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7
-            q[..., 3] = _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7
-        return self._interp
+        """Every step's quartic coefficients q0 ... q3, shape (n, dim, 4),
+        formed on each read; dense output does not read them."""
+        return self._rows(self.slopes)
 
     def __call__(self, x):
         """State at x: shape (dim,) for a scalar, (n, dim) for n points.
 
         Every point is evaluated independently by the same arithmetic, so a
-        point gets the same bits whether it comes alone or in an array.
-        ValueError for a point outside [xs[0], x_end]: a solution cut at a
-        terminal event ends inside its last step.
+        point gets the same bits whether it comes alone or in an array.  A
+        point on a node gets the node's stored state; the rows of the steps
+        the other points fall in are formed once per step.  ValueError for
+        a point outside [xs[0], x_end]: a solution cut at a terminal event
+        ends inside its last step.
         """
         x = np.asarray(x, dtype=float)
         scalar = x.ndim == 0
@@ -216,11 +226,13 @@ class DenseSolution:
         out = np.empty((x.size, self.ys.shape[1]))
         out[on_node] = self.ys[i[on_node]]
         k = i[between] - 1
+        steps = np.flatnonzero(np.bincount(k))  # distinct, ascending
         x_lo = xs[k]
         h = xs[k + 1] - x_lo
         t = ((x[between] - x_lo) / h)[:, None]
         ht = h[:, None] * t
-        q0, q1, q2, q3 = self.interp[k].transpose(2, 0, 1)
+        q = self._rows(self.slopes[steps])[np.searchsorted(steps, k)]
+        q0, q1, q2, q3 = q.transpose(2, 0, 1)
         out[between] = self.ys[k] + ht * (((q3 * t + q2) * t + q1) * t + q0)
         return out[0] if scalar else out
 

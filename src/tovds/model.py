@@ -8,11 +8,13 @@ boundary, terminal), kappa falling through kappa_min (horizon contact,
 terminal), and dU/dR rising through a small positive floor (monotonicity
 loss, recorded).  solve_scaled returns its result as is; solve_star maps the
 solution back to (r, m, u) through ScalingParams and adds the physical
-profile, boundary data and diagnostics.  The solve policy is module
-constants, not fields: the default step control SOLVE_CTRL and prolongation
-cap R_MAX_SCALED, which a caller may override, and the germ radius, the
-horizon guard kappa_min and the rise floor, which every solve uses as they
-are.  The outcome is one of four tags:
+profile, boundary data and diagnostics.  A profile stores the columns r, m
+and u; P, rho, kappa, Q and dPdr are derived from them on first read, which
+the metric patch, the boundary data and the continuity report never make.
+The solve policy is module constants, not fields: the default step control
+SOLVE_CTRL and prolongation cap R_MAX_SCALED, which a caller may override,
+and the germ radius, the horizon guard kappa_min and the rise floor, which
+every solve uses as they are.  The outcome is one of four tags:
 
     MonotoneShort      u -> 0 at finite radius with kappa_+ > 0, Q_+ > 0 and
                        du/dr < 0 throughout
@@ -27,6 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -174,21 +177,39 @@ class ModelOutcome:
 @dataclass
 class SolutionProfile:
     """Dense radial trajectory of the PROFILE_COLUMNS; its events and status
-    are those of dense."""
+    are those of dense.
+
+    r, m and u are stored.  P, rho, kappa, Q and dPdr are derived from them
+    and the EOS, all five in one pass on the first read of any, and kept;
+    a copy made by dataclasses.replace derives its own.
+    """
 
     r: np.ndarray
     m: np.ndarray
     u: np.ndarray
-    P: np.ndarray
-    rho: np.ndarray
-    kappa: np.ndarray
-    Q: np.ndarray
-    dPdr: np.ndarray
     eos: EosSpec
     constants: Constants
     Lambda: float
     scaling: ScalingParams
     dense: DenseSolution
+
+    @cached_property
+    def _derived(self) -> dict:
+        k = self.constants
+        r, m, n = self.r, self.m, self.r.size
+        # each sample keeps the bits of tests/oracles.py::profile_row, which
+        # evaluates one sample on floats
+        rho, P = (np.fromiter(col, float, n) for col in self.eos.rho_P_of_u(self.u.tolist()))
+        kap = kappa(r, m, self.Lambda, k)
+        Q = q_factor(r, m, P, self.Lambda, k)
+        dPdr = (rho + P / k.c2) * (-Q / (r * r * kap))
+        return {"P": P, "rho": rho, "kappa": kap, "Q": Q, "dPdr": dPdr}
+
+    P = property(lambda self: self._derived["P"])
+    rho = property(lambda self: self._derived["rho"])
+    kappa = property(lambda self: self._derived["kappa"])
+    Q = property(lambda self: self._derived["Q"])
+    dPdr = property(lambda self: self._derived["dPdr"])
 
     @property
     def r_end(self) -> float:
@@ -222,6 +243,7 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     # the grid is formed on Python floats, which hash, compare and sort
     # faster than numpy scalars
     samples = xs[xs <= r_end].tolist()
+    n_nodes = len(samples)  # samples[:n_nodes] are the nodes xs[:n_nodes]
     if not samples or samples[-1] < r_end:
         samples.append(r_end)
     vacuum_hit = any(ev.name == "vacuum" and ev.terminal for ev in dense.events)
@@ -235,24 +257,15 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
             # meets only the nodes of the last steps: merge it into the
             # suffix of samples from its first radius on; the nodes below
             # that radius are sorted, distinct and not in the tail
-            i = bisect_left(samples, tail[0])
-            samples[i:] = sorted(set(samples[i:]).union(tail))
+            n_nodes = bisect_left(samples, tail[0])
+            samples[n_nodes:] = sorted(set(samples[n_nodes:]).union(tail))
     n = len(samples)
     rr = np.fromiter(samples, float, n)
-
-    k = inp.constants
-    eos = inp.eos
-    m, u = np.ascontiguousarray(dense(rr).T)
-    # each sample keeps the bits of tests/oracles.py::profile_row, which
-    # evaluates one sample on floats
-    rho, P = (np.fromiter(col, float, n) for col in eos.rho_P_of_u(u.tolist()))
-    kap = kappa(rr, m, inp.Lambda, k)
-    Q = q_factor(rr, m, P, inp.Lambda, k)
-    dPdr = (rho + P / k.c2) * (-Q / (rr * rr * kap))
-    return SolutionProfile(
-        r=rr, m=m, u=u, P=P, rho=rho, kappa=kap, Q=Q, dPdr=dPdr,
-        eos=eos, constants=k, Lambda=inp.Lambda, scaling=scaling, dense=dense,
-    )
+    # dense output gives a node its stored state, so the leading nodes take
+    # their rows from dense.ys and only the samples after them are evaluated
+    m, u = np.ascontiguousarray(np.concatenate((dense.ys[:n_nodes], dense(rr[n_nodes:]))).T)
+    return SolutionProfile(r=rr, m=m, u=u, eos=inp.eos, constants=inp.constants,
+                           Lambda=inp.Lambda, scaling=scaling, dense=dense)
 
 
 # -- the solve core ------------------------------------------------------------
@@ -278,10 +291,15 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     """Germ, guards, integration and outcome tag of one scaled star.
 
     A failed integration raises ModelError carrying the partial
-    DenseSolution as its profile; its message ends with the star's alpha
-    and beta.
+    DenseSolution as its profile, and a germ that overflows ModelError
+    with none; each message ends with the star's alpha and beta.
     """
-    y0 = center_germ_scaled(alpha, beta, eos, _GERM_R)
+    try:
+        y0 = center_germ_scaled(alpha, beta, eos, _GERM_R)
+    except OverflowError:  # in Omega_rho and Omega_P at eta = alpha
+        y0 = None
+    if y0 is None or not (math.isfinite(y0[0]) and math.isfinite(y0[1])):
+        raise ModelError(f"the center germ overflows for alpha = {alpha!r} and beta = {beta!r}")
     f = scaled_rhs(alpha, beta, eos)
     # each guard is an expression over the scaled stage's names, with its own
     # constant bound; the rise guard reads the step end's FSAL slope dU, and
@@ -336,7 +354,8 @@ def solve_star(inp: ModelInput) -> tuple:
 
     The scaled system is solved and mapped back to physical units.  Returns
     (SolutionProfile, ModelOutcome).  Solver failures raise ModelError with
-    the partial profile attached, or None when its state overflows.
+    the partial profile attached, its derived columns formed, or None when
+    there is no solution or its state overflows.
     """
     scaling = inp.scaling()
     a = scaling.a
@@ -346,10 +365,13 @@ def solve_star(inp: ModelInput) -> tuple:
     try:
         star = _solve_core(scaling.alpha, scaling.beta, inp.eos, ctrl, R_max)
     except ModelError as exc:
-        try:
-            partial = _build_profile(scaling.unscale_solution(exc.profile), inp, scaling)
-        except OverflowError:  # a germ state past the EOS state map's float range
-            partial = None
+        partial = None
+        if exc.profile is not None:
+            try:
+                partial = _build_profile(scaling.unscale_solution(exc.profile), inp, scaling)
+                partial.P  # derives the state columns
+            except OverflowError:  # a germ state past the EOS state map's float range
+                partial = None
         raise ModelError(str(exc), profile=partial) from None
     profile = _build_profile(scaling.unscale_solution(star.dense), inp, scaling)
     return profile, _physical_outcome(star, profile, inp)

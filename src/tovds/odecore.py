@@ -241,11 +241,12 @@ class ScalingParams:
         return self.a * R, np.array([self.mass_scale * y[0], self.b * y[1]])
 
     def unscale_solution(self, dense: DenseSolution) -> DenseSolution:
-        """A solution of the scaled system in (r, (m, u)): nodes, states,
-        interpolant coefficients (slopes, so scaled by (mass_scale, b)/a),
-        end point and events.  The coefficients are the scaled solution's
-        times that factor, which forming them from scaled step slopes would
-        round differently, so the result carries no step slopes."""
+        """A solution of the scaled system in (r, (m, u)): nodes, states, end
+        point and events.  It keeps the scaled step slopes and carries their
+        scale (mass_scale, b)/a, so dense output forms the rows of the steps
+        it reads and multiplies them by that scale: the scaled rows times
+        the scale, as forming rows from unscaled slopes would round
+        differently.  No row is formed here."""
         y_scale = np.array([self.mass_scale, self.b])
         events = []
         for ev in dense.events:
@@ -255,8 +256,7 @@ class ScalingParams:
             dense,
             xs=self.a * dense.xs,
             ys=dense.ys * y_scale,
-            slopes=None,
-            _interp=dense.interp * (y_scale / self.a)[:, None],
+            slope_scale=y_scale / self.a,
             events=events,
             x_end=self.a * dense.x_end,
             y_end=dense.y_end * y_scale,

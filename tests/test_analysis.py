@@ -23,7 +23,6 @@ from tovds.integrate import DenseSolution, StepControl
 from tovds.model import (
     MONOTONE_SHORT,
     NON_MONOTONE,
-    PROFILE_COLUMNS,
     ModelInput,
     solve_scaled,
     solve_star,
@@ -259,8 +258,10 @@ def test_exponent_fit_takes_no_boundary_stencil(star15, monkeypatch):
 
 def test_exponent_fit_rejects_sparse_window(star15):
     profile, _ = star15
-    # every second sample leaves fewer than the fit needs in its window
-    thin = replace(profile, **{c: getattr(profile, c)[::2] for c in PROFILE_COLUMNS})
+    # every second sample leaves fewer than the fit needs in its window; the
+    # copy derives its P, rho, kappa, Q and dPdr from the stored columns
+    thin = replace(profile, r=profile.r[::2], m=profile.m[::2], u=profile.u[::2])
+    assert np.array_equal(thin.rho, profile.rho[::2])
     with pytest.raises(AnalysisError, match="usable samples in the fit window"):
         boundary_exponent_fit(thin)
 

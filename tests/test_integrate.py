@@ -497,18 +497,31 @@ def test_start_state_of_the_wrong_length_is_rejected():
                            StepControl())
 
 
-def test_interpolant_is_formed_on_first_read():
-    # a sweep reads only a solve's tag and end point: the quartic
-    # coefficients wait until dense output asks for them, and then replace
-    # the step slopes they are formed from
+def test_interpolant_is_formed_on_first_read(monkeypatch):
+    # a sweep reads only a solve's tag and end point: no quartic row is
+    # formed until dense output reads a point, and then only the rows of the
+    # distinct steps its points fall in, each once
+    formed = []
+    rows = DenseSolution._rows
+
+    def spy(self, slopes):
+        formed.append(len(slopes))
+        return rows(self, slopes)
+
+    monkeypatch.setattr(DenseSolution, "_rows", spy)
     dense = solve_scaled(0.01, 0.001, EosSpec(A=1.0, gamma=1.5)).dense
-    assert dense._interp is None
-    mid = 0.5 * (dense.xs[3] + dense.xs[4])
-    y_mid = dense(mid)
-    interp = dense._interp
-    assert interp is not None and interp.shape == (dense.n_steps, 2, 4)
-    assert dense.interp is interp and dense.slopes is None
-    assert y_mid.tobytes() == np.asarray(dense_eval_scalar(dense, mid)).tobytes()
+    assert formed == []
+    mid3, mid5 = (0.5 * (dense.xs[k] + dense.xs[k + 1]) for k in (3, 5))
+    ys = dense([mid5, mid3, dense.xs[4], mid5])
+    assert formed == [2]
+    y_mid = dense(mid3)
+    assert formed == [2, 1]
+    assert y_mid.tobytes() == ys[1].tobytes()
+    assert ys[2].tobytes() == dense.ys[4].tobytes()
+    # the oracle reads every row, through interp
+    for x, y in ((mid3, y_mid), (mid5, ys[0]), (mid5, ys[3])):
+        assert y.tobytes() == np.asarray(dense_eval_scalar(dense, x)).tobytes()
+    assert formed[2] == dense.n_steps
 
 
 def test_generated_loop_lines_show_in_tracebacks():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import traceback
 from pathlib import Path
 
@@ -27,6 +28,8 @@ from tovds.model import (
     solve_scaled,
     solve_star,
 )
+from tovds.analysis import boundary_exponent_fit
+from tovds.metric import MetricPatch, continuity_report
 from tovds.odecore import FOUR_PI, ScalingParams, kappa
 
 from oracles import (
@@ -346,8 +349,8 @@ def synthetic_vacuum_solution(xs, x_end):
     ys = np.column_stack([np.linspace(0.1, 0.2, xs.size), np.linspace(1e-3, 1e-4, xs.size)])
     y_end = ys[-2].copy()
     vacuum = integrate.EventRecord(x=x_end, y=y_end, index=xs.size - 2, name="vacuum", terminal=True)
-    return integrate.DenseSolution(xs=xs, ys=ys, slopes=None, events=[vacuum], status="event",
-                                   x_end=x_end, y_end=y_end, _interp=np.zeros((xs.size - 1, 2, 4)))
+    return integrate.DenseSolution(xs=xs, ys=ys, slopes=np.zeros((xs.size - 1, 2, 6)),
+                                   events=[vacuum], status="event", x_end=x_end, y_end=y_end)
 
 
 # the tail radii of r_end = 10, in ascending order
@@ -371,6 +374,47 @@ def test_tail_splice_matches_the_sample_oracle(eos15, xs, n_samples):
     assert profile.r.size == n_samples
     assert np.all(np.diff(profile.r) > 0.0)
     assert_profile_matches_rows(profile)
+
+
+def test_metric_path_forms_only_what_it_reads(eos15, monkeypatch):
+    # the star_m0 solve, its metric patch and continuity report, then the
+    # exponent fit: the EOS state map sees only the fit window's samples and
+    # one boundary pressure each for boundary_quantities and the fit, and
+    # dense output forms only the rows of the steps its points fall in
+    mapped = []
+    state_map = EosSpec.rho_P_of_u
+
+    def map_spy(self, us):
+        mapped.append(len(us))
+        return state_map(self, us)
+
+    formed, read = [], []
+    rows, evaluate = integrate.DenseSolution._rows, integrate.DenseSolution.__call__
+
+    def rows_spy(self, slopes):
+        formed.append(len(slopes))
+        return rows(self, slopes)
+
+    def call_spy(self, x):
+        xq = np.atleast_1d(np.asarray(x, dtype=float))
+        i = np.searchsorted(self.xs, xq)
+        read.append(len(set((i[self.xs[i] != xq] - 1).tolist())))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(EosSpec, "rho_P_of_u", map_spy)
+    monkeypatch.setattr(integrate.DenseSolution, "_rows", rows_spy)
+    monkeypatch.setattr(integrate.DenseSolution, "__call__", call_spy)
+    inp = ModelInput(eos=eos15, Lambda=lambda_from_beta(1e-3, 1e-3, eos15), constants=GEOM,
+                     u_c=1e-3)
+    profile, outcome = solve_star(inp)
+    assert outcome.kind == MONOTONE_SHORT
+    continuity_report(MetricPatch.from_model(profile, outcome.boundary))
+    fit = boundary_exponent_fit(profile)
+    assert sorted(mapped) == [1, 1, fit.n_samples]
+    assert formed and formed == read
+    assert sum(formed) < profile.dense.n_steps / 10
+    # no reader of P, rho, kappa, Q or dPdr ran
+    assert "_derived" not in vars(profile)
 
 
 def test_profile_invariants(star_m0):
@@ -510,6 +554,20 @@ def test_an_overflow_in_a_trial_stage_rejects_the_step():
     assert star.kind == MONOTONE_SHORT
     assert star.dense.n_rejected > 0
     assert lo.R_plus < star.R_plus < hi.R_plus
+
+
+@pytest.mark.parametrize("alpha", [1e3, 1.2e3])
+def test_an_overflowing_germ_is_a_model_error(alpha):
+    # at alpha = 1e3 the germ's U is -inf, and at 1.2e3 its Omega overflows:
+    # a typed error whose message ends with alpha and beta, with no partial
+    # solution to carry
+    eos = EosSpec(A=1.0, gamma=1.5)
+    for solve in (lambda: solve_scaled(alpha, 0.0, eos),
+                  lambda: solve_star(ModelInput(eos=eos, u_c=alpha))):
+        with pytest.raises(ModelError, match=re.escape(f"for alpha = {alpha!r} and beta = 0.0")
+                           + "$") as info:
+            solve()
+        assert info.value.profile is None
 
 
 def test_initial_rise_recorded():
