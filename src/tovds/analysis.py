@@ -25,7 +25,6 @@ from .model import (
     SOLVE_CTRL,
     ModelInput,
     SolutionProfile,
-    _boundary_limits,
     solve_scaled,
     solve_star,
 )
@@ -158,8 +157,8 @@ def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
     ev = profile.vacuum_event()
     if ev is None:
         raise ModelError("exponent fit needs a vacuum-terminated profile", profile=profile)
-    # r_+ and B need no du/dr stencil, so none is evaluated
-    r_plus, _, _, _, B, _ = _boundary_limits(profile, ev)
+    # r_+ and B need no stencil; the profile forms them once for both readers
+    r_plus, _, _, _, B, _ = profile.boundary_limits
     x = r_plus - profile.r
     u_floor = 1e3 * np.finfo(float).eps * profile.u[0]
     window = (

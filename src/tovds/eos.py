@@ -351,11 +351,12 @@ class EosSpec:
 
     def _w(self, zp):
         """Integrand of Omega_u: [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega),
-        at a float or elementwise on an array."""
+        at a float or elementwise on an array.  A float's test is a plain
+        comparison, which costs far less than np.any on a bool."""
         om = self.omega.value(zp)
         den = 1.0 + zp * om
         bad = den <= 0.0
-        if np.any(bad):
+        if bad if isinstance(bad, bool) else bad.any():
             first = np.min(zp, where=bad, initial=np.inf)
             raise EosDomainError(f"1 + zeta*Omega(zeta) <= 0 at zeta = {first:g}")
         num = om + (self.gamma - 1.0) / self.gamma * zp * self.omega.deriv(zp)

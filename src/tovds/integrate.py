@@ -24,6 +24,12 @@ its stages, and the guard expressions the guard block.  The guards read the
 names as the FSAL stage, the last one a step runs, left them, so a stage may
 not assign its own abscissa or state.  Constants are bound, not written in,
 so one loop serves every solve of a stage.
+
+An accepted step appends its node, state and slopes to one flat buffer as
+one packed record.  One function, _quartic, forms the quartic coefficients
+of a step from its slopes on floats: the step loop calls it on a step where
+a guard changes sign, and dense output once per call, for the distinct
+steps the call's points fall in.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ import types
 from array import array
 from dataclasses import dataclass, field
 from math import sqrt  # for the generated loop
+from struct import Struct  # for the generated loop
 
 import numpy as np
 
@@ -159,7 +166,8 @@ class DenseSolution:
 
     Dense output forms the quartic coefficients of a step (its row) from the
     step's slopes when a point in that step is read: a call forms the rows
-    of the distinct steps its points fall in, and only interp forms every
+    of the distinct steps its points fall in by one call of _quartic, on
+    floats, and evaluates the quartics in numpy; only interp forms every
     row.  A solution mapped to other units (odecore.ScalingParams) keeps the
     slopes it was solved with and carries their scale, slope_scale, by which
     each row is multiplied once it is formed.
@@ -179,18 +187,11 @@ class DenseSolution:
     failure: Exception | None = None
     slope_scale: np.ndarray | None = None  # per component, shape (dim,); None for 1
 
-    def _rows(self, slopes: np.ndarray) -> np.ndarray:
-        """Quartic coefficients q0 ... q3 of the steps whose slopes are given,
-        shape (m, dim, 4), formed by the step loop's expressions term by
-        term, so they have the bits the loop forms on a step with an event,
-        then times slope_scale.  The slopes are copied into one contiguous
-        block first, on which numpy's elementwise operations run faster."""
-        k1, k3, k4, k5, k6, k7 = np.ascontiguousarray(slopes.transpose(2, 0, 1))
-        q = np.empty(k1.shape + (4,))
-        q[..., 0] = k1
-        q[..., 1] = _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7
-        q[..., 2] = _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7
-        q[..., 3] = _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7
+    def _quartics(self, steps: np.ndarray) -> np.ndarray:
+        """Quartic coefficients q0 ... q3 of the given steps, shape
+        (len(steps), dim, 4): _quartic's floats, then times slope_scale."""
+        q = np.array(_quartic(self.slopes[steps].ravel().tolist()))
+        q = q.reshape(len(steps), self.ys.shape[1], 4)
         if self.slope_scale is not None:
             q *= self.slope_scale[:, None]
         return q
@@ -199,7 +200,7 @@ class DenseSolution:
     def interp(self) -> np.ndarray:
         """Every step's quartic coefficients q0 ... q3, shape (n, dim, 4),
         formed on each read; dense output does not read them."""
-        return self._rows(self.slopes)
+        return self._quartics(np.arange(len(self.slopes)))
 
     def __call__(self, x):
         """State at x: shape (dim,) for a scalar, (n, dim) for n points.
@@ -231,10 +232,26 @@ class DenseSolution:
         h = xs[k + 1] - x_lo
         t = ((x[between] - x_lo) / h)[:, None]
         ht = h[:, None] * t
-        q = self._rows(self.slopes[steps])[np.searchsorted(steps, k)]
+        q = self._quartics(steps)[np.searchsorted(steps, k)]
         q0, q1, q2, q3 = q.transpose(2, 0, 1)
         out[between] = self.ys[k] + ht * (((q3 * t + q2) * t + q1) * t + q0)
         return out[0] if scalar else out
+
+
+def _quartic(slopes) -> list:
+    """The quartic coefficients q0, q1, q2, q3 of each component of each
+    step in turn, as floats, from the slopes k1, k3, k4, k5, k6, k7 of each
+    component of each step in turn.  Dense output and the step loop's event
+    interpolant both form a step's coefficients here, so they have the
+    same bits."""
+    q = []
+    for i in range(0, len(slopes), 6):
+        k1, k3, k4, k5, k6, k7 = slopes[i:i + 6]
+        q += (k1,
+              _D11 * k1 + _D13 * k3 + _D14 * k4 + _D15 * k5 + _D16 * k6 + _D17 * k7,
+              _D21 * k1 + _D23 * k3 + _D24 * k4 + _D25 * k5 + _D26 * k6 + _D27 * k7,
+              _D31 * k1 + _D33 * k3 + _D34 * k4 + _D35 * k5 + _D36 * k6 + _D37 * k7)
+    return q
 
 
 def _rms(v) -> float:
@@ -310,20 +327,21 @@ def _guard_factory(stage: Stage, expr: str, own: tuple) -> tuple:
 # +).  Each `kN = STAGE(x, y...)` line is one right-hand side evaluation:
 # it runs the stage's body on x and y and names its slopes kN_@.  CONSTS
 # are the stage's and the guards' constants, which make binds once per
-# solve.  The tableau's _A, _B, _C, _D and _E constants are written in as
+# solve.  The tableau's _A, _B, _C and _E constants are written in as
 # literals.  _loop generates the loop once per dimension, stage and set of
 # guards.  Every component is computed by the same expression, term by term
 # in the tableau's order, so the bits do not depend on the dimension.
 #
-# An accepted step appends one record to the flat array('d') buffer steps,
-# with one call: its node, its state and the six slopes k1, k3 ... k7 its
-# interpolant is made of; _finish turns the buffer into the xs, ys and
-# slopes of the DenseSolution once, when the run ends.  GUARD_TEXT stands
-# for the guard block (_guard_text), which tests every guard at the step
-# end, each against its value at the step start in a local; the guards
-# read the stage's names as the FSAL stage left them.  Only on a step where
-# a guard changes sign are the interpolant's coefficients formed, here on
-# floats, and the crossings located.
+# An accepted step appends one record to the flat array('d') buffer steps:
+# its node, its state and the six slopes k1, k3 ... k7 its interpolant is
+# made of, packed into bytes by a struct bound once per loop and appended by
+# frombytes; _finish turns the buffer into the xs, ys and slopes of the
+# DenseSolution once, when the run ends.  GUARD_TEXT stands for the guard
+# block (_guard_text), which tests every guard at the step end, each
+# against its value at the step start in a local; the guards read the
+# stage's names as the FSAL stage left them.  Only on a step where a guard
+# changes sign are the interpolant's coefficients formed, by _quartic, the
+# function dense output forms them with, and the crossings located.
 #
 # loop(...) -> (status, message, failure, x_end, y_end, n_rhs, n_rejected),
 # x_end and y_end None for the last node.  n_rhs counts a right-hand side
@@ -343,8 +361,10 @@ def make(CONSTS):
         `k1_@`, = k1
         `ay@`, = `abs(y@)`,
         GUARD_INIT
-        # array.fromlist takes a list far faster than extend takes any sequence
-        add_step = steps.fromlist
+        # one packed record per accepted step: struct packs the floats
+        # faster than array.fromlist unboxes a list of them
+        add_step = steps.frombytes
+        pack = Struct(f"{1 + 7 * DIM}d").pack
         n_rejected = attempts = 0
         rejected = False
         while x < x1:
@@ -401,18 +421,15 @@ def make(CONSTS):
                             factor = 1.0
                         rejected = False
                     x_new = x + h
-                    add_step([x_new, `yn@`, `k1_@, k3_@, k4_@, k5_@, k6_@, k7_@`])
+                    add_step(pack(x_new, `yn@`, `k1_@, k3_@, k4_@, k5_@, k6_@, k7_@`))
 
                     # event guards: a sign change between the step's ends is
                     # refined on the step's interpolant
                     hit = []  # (index, value at x, value at x_new)
                     GUARD_TEXT
                     if hit:
-                        step_eval = _step_interpolant(x, [`y@`], h, [`
-                            k1_@,
-                            _D11 * k1_@ + _D13 * k3_@ + _D14 * k4_@ + _D15 * k5_@ + _D16 * k6_@ + _D17 * k7_@,
-                            _D21 * k1_@ + _D23 * k3_@ + _D24 * k4_@ + _D25 * k5_@ + _D26 * k6_@ + _D27 * k7_@,
-                            _D31 * k1_@ + _D33 * k3_@ + _D34 * k4_@ + _D35 * k5_@ + _D36 * k6_@ + _D37 * k7_@`],
+                        step_eval = _step_interpolant(
+                            x, [`y@`], h, _quartic([`k1_@, k3_@, k4_@, k5_@, k6_@, k7_@`]),
                             x_new, [`yn@`])
                         x_ev, calls = _step_events(step_eval, hit, events, guards, rhs, x, x_new,
                                                    found)
@@ -492,7 +509,7 @@ def _loop_source(dim: int, stage: Stage, guards: tuple) -> str:
 
     init, block = _guard_text(guards)
     source = re.sub(r"`([^`]*)`(\+?)", components, _LOOP).replace("DIM", str(dim))
-    source = re.sub(r"\b_[ABCDE]\d+\b", lambda m: repr(globals()[m.group()]), source)
+    source = re.sub(r"\b_[ABCE]\d+\b", lambda m: repr(globals()[m.group()]), source)
     for slot, text in (("GUARD_INIT", init), ("GUARD_TEXT", block)):
         source = re.sub(rf"^( *){slot}\n", lambda m: textwrap.indent(text, m.group(1)), source,
                         flags=re.M)

@@ -13,7 +13,13 @@ from dataclasses import dataclass, field
 
 from .constants import Constants
 from .errors import ModelError, TovdsError
-from .model import BoundaryQuantities, SolutionProfile, _one_sided_derivatives
+from .model import (
+    BoundaryQuantities,
+    SolutionProfile,
+    _boundary_stencil,
+    _stencil,
+    _stencil_limits,
+)
 from .odecore import dkappa_dr, kappa
 
 __all__ = [
@@ -157,9 +163,7 @@ class MetricReport:
         return {"rows": [r.to_json_dict() for r in self.rows], "pass": self.passed}
 
 
-# first stencil step of the continuity report, as a fraction of r_+, and the
-# row tolerances by derivative order
-_H0_FRAC = 1e-3
+# the row tolerances by derivative order
 _TOLS = (1e-12, 1e-5, 1e-3)
 _G11_TOLS = (1e-12, 1e-5, 1e-2)
 
@@ -175,11 +179,13 @@ def continuity_report(patch: MetricPatch) -> MetricReport:
 
     Targets: g00 -> kappa_+, dg00/dr -> 2 Q_+/(c^2 r_+^2),
     d^2 g00/dr^2 -> -4 Q_+/(c^2 r_+^3) - 2 Lambda; g11 targets come from the
-    exterior closed form evaluated at r_+.  Each side takes its limits on a
-    four-level stencil of first step _H0_FRAC * r_+; row tolerances by order
-    are _TOLS for g00 and _G11_TOLS for g11.  The interior states at all
-    stencil radii come from one dense-output call; the rows, the difference
-    quotients and the Richardson passes are formed on Python floats.
+    exterior closed form evaluated at r_+.  Each side takes its limits on
+    the four-level stencil of model._stencil, of first step
+    _STENCIL_H0 * r_+; row tolerances by order are _TOLS for g00 and
+    _G11_TOLS for g11.  The interior side reads its states from the
+    profile's boundary stencil, so the report makes no dense-output call;
+    the rows, the difference quotients and the Richardson passes are formed
+    on Python floats.
     """
     prof = patch.profile
     if prof.vacuum_event() is None:
@@ -188,7 +194,6 @@ def continuity_report(patch: MetricPatch) -> MetricReport:
     bq = patch.bq
     r_p = bq.r_plus
     Lam = prof.Lambda
-    h0 = _H0_FRAC * r_p
 
     kp = bq.kappa_plus
     kp1 = bq.kappa_plus_prime
@@ -197,23 +202,19 @@ def continuity_report(patch: MetricPatch) -> MetricReport:
     g11_targets = (-1.0 / kp, kp1 / kp**2, kp2 / kp**2 - 2.0 * kp1**2 / kp**3)
 
     # side-specific closed forms so each one-sided limit is taken on its own
-    # branch (the interior expressions remain valid at r_+ itself); each maps
-    # the stencil radii to a list of rows (g00, g11), computed on Python floats
-    def interior(rs):
-        return [
-            (kp * math.exp(-2.0 * u / k.c2), -1.0 / kappa(r, m, Lam, k))
-            for r, (m, u) in zip(rs.tolist(), prof.dense(rs).tolist())
-        ]
-
-    def exterior(rs):
-        return [(g, -1.0 / g) for g in (kappa(r, bq.m_plus, Lam, k) for r in rs.tolist())]
+    # branch (the interior expressions remain valid at r_+ itself); each side
+    # is a list of rows (g00, g11) over its stencil radii
+    inner, hs = _stencil(r_p, -1.0)
+    outer, _ = _stencil(r_p, 1.0)
+    interior = [(kp * math.exp(-2.0 * u / k.c2), -1.0 / kappa(r, m, Lam, k))
+                for r, (m, u) in zip(inner, _boundary_stencil(prof))]
+    exterior = [(g, -1.0 / g) for g in (kappa(r, bq.m_plus, Lam, k) for r in outer)]
 
     rows = []
-    for side, sign, f in (("interior", -1.0, interior), ("exterior", 1.0, exterior)):
-        derivs = _one_sided_derivatives(f, r_p, h0, sign, levels=4)
+    for side, sign, side_rows in (("interior", -1.0, interior), ("exterior", 1.0, exterior)):
         for col, (quantity, targets, tols) in enumerate((("g00", g00_targets, _TOLS),
                                                          ("g11", g11_targets, _G11_TOLS))):
-            for order, (d, target, tol) in enumerate(zip(derivs, targets, tols)):
-                value = d[col]
+            derivs = _stencil_limits([row[col] for row in side_rows], hs, sign)
+            for order, (value, target, tol) in enumerate(zip(derivs, targets, tols)):
                 rows.append(ReportRow(quantity, side, order, value, target, _rel_err(value, target), tol))
     return MetricReport(rows=rows)

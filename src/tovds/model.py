@@ -11,6 +11,9 @@ solution back to (r, m, u) through ScalingParams and adds the physical
 profile, boundary data and diagnostics.  A profile stores the columns r, m
 and u; P, rho, kappa, Q and dPdr are derived from them on first read, which
 the metric patch, the boundary data and the continuity report never make.
+A vacuum-terminated profile also carries the states of its boundary
+stencil, from the dense-output call that forms its tail, so the boundary
+data and the continuity report make no dense-output call.
 The solve policy is module constants, not fields: the default step control
 SOLVE_CTRL and prolongation cap R_MAX_SCALED, which a caller may override,
 and the germ radius, the horizon guard kappa_min and the rise floor, which
@@ -84,6 +87,8 @@ _GERM_R = 1e-6        # scaled radius of the center germ
 _KAPPA_MIN = 1e-10    # horizon guard
 _MONO_EPS = 1e-6      # dU/dR floor distinguishing a rise from roundoff
 _KAPPA_FLOOR = max(1e3 * _KAPPA_MIN, 1e-8)  # kappa_+ that counts as safely positive
+_STENCIL_H0 = 1e-3    # first step of the boundary stencil, as a fraction of r_+
+_STENCIL_LEVELS = 4   # halvings of the boundary stencil's step
 
 
 @dataclass(frozen=True)
@@ -182,6 +187,14 @@ class SolutionProfile:
     r, m and u are stored.  P, rho, kappa, Q and dPdr are derived from them
     and the EOS, all five in one pass on the first read of any, and kept;
     a copy made by dataclasses.replace derives its own.
+
+    A vacuum-terminated profile also carries its boundary stencil: the
+    (m, u) pairs, as floats, at the radii of _stencil(r_+, -1.0), r_+ and
+    r_+ - h, r_+ - 2h for h = h0/2^l, l = 0 ... 3, h0 = _STENCIL_H0 * r_+.
+    The dense-output call that forms the profile's tail forms it too.  It
+    is None for any other profile, and when the stencil would leave the
+    solution span.  The boundary limits that need no stencil are formed on
+    first read and kept, like the derived columns.
     """
 
     r: np.ndarray
@@ -192,6 +205,7 @@ class SolutionProfile:
     Lambda: float
     scaling: ScalingParams
     dense: DenseSolution
+    stencil: list | None = None
 
     @cached_property
     def _derived(self) -> dict:
@@ -210,6 +224,22 @@ class SolutionProfile:
     kappa = property(lambda self: self._derived["kappa"])
     Q = property(lambda self: self._derived["Q"])
     dPdr = property(lambda self: self._derived["dPdr"])
+
+    @cached_property
+    def boundary_limits(self) -> tuple:
+        """(r_+, m_+, kappa_+, Q_+, B, kappa'_+) at the vacuum event: the
+        boundary limits that need no stencil."""
+        ev = self.vacuum_event()
+        k = self.constants
+        r_plus = ev.x
+        m_plus = float(ev.y[0])
+        P_plus = self.eos.pressure_of_u(float(ev.y[1]))
+        kappa_plus = kappa(r_plus, m_plus, self.Lambda, k)
+        Q_plus = q_factor(r_plus, m_plus, P_plus, self.Lambda, k)
+        B = Q_plus / (r_plus * r_plus * kappa_plus)
+        # dm/dr -> 0 at the boundary, so only the explicit r-derivatives survive
+        kappa_plus_prime = dkappa_dr(r_plus, m_plus, self.Lambda, k)
+        return r_plus, m_plus, kappa_plus, Q_plus, B, kappa_plus_prime
 
     @property
     def r_end(self) -> float:
@@ -246,8 +276,9 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     n_nodes = len(samples)  # samples[:n_nodes] are the nodes xs[:n_nodes]
     if not samples or samples[-1] < r_end:
         samples.append(r_end)
-    vacuum_hit = any(ev.name == "vacuum" and ev.terminal for ev in dense.events)
-    if vacuum_hit:
+    vacuum = next((ev for ev in dense.events if ev.name == "vacuum" and ev.terminal), None)
+    radii = []
+    if vacuum is not None:
         # pack log-spaced samples against the boundary for the exponent fits,
         # at relative offsets _TAIL_OFFSETS below r_end, in ascending order
         tail = r_end - r_end * _TAIL_OFFSETS[::-1]
@@ -259,13 +290,19 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
             # that radius are sorted, distinct and not in the tail
             n_nodes = bisect_left(samples, tail[0])
             samples[n_nodes:] = sorted(set(samples[n_nodes:]).union(tail))
+        radii, _ = _stencil(vacuum.x, -1.0)
+        if min(radii) < xs[0]:
+            radii = []
     n = len(samples)
     rr = np.fromiter(samples, float, n)
     # dense output gives a node its stored state, so the leading nodes take
-    # their rows from dense.ys and only the samples after them are evaluated
-    m, u = np.ascontiguousarray(np.concatenate((dense.ys[:n_nodes], dense(rr[n_nodes:]))).T)
+    # their rows from dense.ys; the samples after them and the boundary
+    # stencil are evaluated in one call
+    states = dense(np.concatenate((rr[n_nodes:], radii)))
+    m, u = np.ascontiguousarray(np.concatenate((dense.ys[:n_nodes], states[:n - n_nodes])).T)
     return SolutionProfile(r=rr, m=m, u=u, eos=inp.eos, constants=inp.constants,
-                           Lambda=inp.Lambda, scaling=scaling, dense=dense)
+                           Lambda=inp.Lambda, scaling=scaling, dense=dense,
+                           stencil=states[n - n_nodes:].tolist() or None)
 
 
 # -- the solve core ------------------------------------------------------------
@@ -425,33 +462,25 @@ def _richardson(table: list):
     return table[-1]
 
 
-def _one_sided_derivatives(f, x0: float, h0: float, sign: float, levels: int) -> tuple:
-    """(f, f', f'') at x0 from the side sign*h > 0, Richardson-extrapolated.
-
-    f maps an ndarray of radii to their values, one row per radius, and is
-    called once, on the whole stencil: x0, then x0 + sign*h and
-    x0 + 2*sign*h for h = h0, h0/2, ... over `levels` halvings.  The rows
-    may be floats (a scalar f) or sequences of floats, as an ndarray or a
-    list.  First derivative from one-sided differences, second from the
-    three-point one-sided stencil.  The quotients and Richardson passes run
-    on Python floats, which round as float64 arrays do: for a scalar f each
-    result is a float, otherwise a tuple with one float per column.
-    """
-    hs = [h0 / 2**lv for lv in range(levels)]
-    xs = [x0]
+def _stencil(x0: float, sign: float) -> tuple:
+    """(radii, hs): the one-sided stencil at x0 from the side sign*h > 0,
+    x0, then x0 + sign*h and x0 + 2*sign*h for each h in hs = h0, h0/2, ...
+    over _STENCIL_LEVELS halvings, h0 = _STENCIL_H0 * x0.  Its first
+    1 + 2*l radii are the stencil of the first l levels."""
+    h0 = _STENCIL_H0 * x0
+    hs = [h0 / 2**lv for lv in range(_STENCIL_LEVELS)]
+    radii = [x0]
     for h in hs:
-        xs += [x0 + sign * h, x0 + 2.0 * sign * h]
-    rows = f(np.array(xs))
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    if isinstance(rows[0], float):
-        return _stencil_limits(rows, hs, sign)
-    return tuple(zip(*(_stencil_limits(col, hs, sign) for col in zip(*rows))))
+        radii += [x0 + sign * h, x0 + 2.0 * sign * h]
+    return radii, hs
 
 
 def _stencil_limits(values, hs: list, sign: float) -> tuple:
-    """(f, f', f'') of _one_sided_derivatives from the float values of f on
-    its stencil."""
+    """(f, f', f'') at x0 from the side sign*h > 0, Richardson-extrapolated,
+    from the float values of f on the stencil of _stencil, over the levels
+    of hs.  First derivative from one-sided differences, second from the
+    three-point one-sided stencil; the quotients and Richardson passes run
+    on Python floats, which round as float64 arrays do."""
     f0, *fs = values
     d1 = []
     d2 = []
@@ -461,31 +490,22 @@ def _stencil_limits(values, hs: list, sign: float) -> tuple:
     return f0, _richardson(d1), _richardson(d2)
 
 
-def _boundary_limits(profile: SolutionProfile, ev) -> tuple:
-    """(r_+, m_+, kappa_+, Q_+, B, kappa'_+) at the vacuum event ev of the
-    profile: the boundary limits that need no stencil."""
-    k = profile.constants
-    r_plus = ev.x
-    m_plus = float(ev.y[0])
-    u_plus = float(ev.y[1])
-    P_plus = profile.eos.pressure_of_u(u_plus)
-    kappa_plus = kappa(r_plus, m_plus, profile.Lambda, k)
-    Q_plus = q_factor(r_plus, m_plus, P_plus, profile.Lambda, k)
-    B = Q_plus / (r_plus * r_plus * kappa_plus)
-    # dm/dr -> 0 at the boundary, so only the explicit r-derivatives survive
-    kappa_plus_prime = dkappa_dr(r_plus, m_plus, profile.Lambda, k)
-    return r_plus, m_plus, kappa_plus, Q_plus, B, kappa_plus_prime
+def _boundary_stencil(profile: SolutionProfile) -> list:
+    """The profile's boundary stencil; ModelError when it has none."""
+    if profile.stencil is None:
+        raise ModelError("the boundary stencil leaves the solution span", profile=profile)
+    return profile.stencil
 
 
 def boundary_quantities(profile: SolutionProfile) -> BoundaryQuantities:
-    """Limits at r_+ of a vacuum-terminated profile."""
+    """Limits at r_+ of a vacuum-terminated profile; du/dr from the inside
+    over the first three levels of the profile's boundary stencil."""
     ev = profile.vacuum_event()
     if ev is None:
         raise ModelError("profile did not terminate at a vacuum boundary", profile=profile)
-    r_plus, m_plus, kappa_plus, Q_plus, B, kappa_plus_prime = _boundary_limits(profile, ev)
-    # du/dr from the inside over 3 halvings of h, one dense call
-    _, du_dr_minus, _ = _one_sided_derivatives(
-        lambda r: profile.dense(r)[:, 1], r_plus, 1e-3 * r_plus, -1.0, levels=3)
+    r_plus, m_plus, kappa_plus, Q_plus, B, kappa_plus_prime = profile.boundary_limits
+    _, hs = _stencil(r_plus, -1.0)
+    _, du_dr_minus, _ = _stencil_limits([u for _, u in _boundary_stencil(profile)], hs[:3], -1.0)
     return BoundaryQuantities(
         r_plus=r_plus, m_plus=m_plus, kappa_plus=kappa_plus, Q_plus=Q_plus,
         B=B, kappa_plus_prime=kappa_plus_prime, du_dr_minus=du_dr_minus,

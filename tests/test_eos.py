@@ -186,6 +186,28 @@ def test_omega_u_matches_mpmath_quadrature(eos):
         eos.omega_u(-0.09)
 
 
+@pytest.mark.parametrize("omega", [OmegaSeries((1.0,)), OmegaSeries((1.0, 0.3, -0.1)),
+                                   OmegaSeries((1.0, -2.0))])
+def test_w_float_and_array_paths_agree(omega):
+    # the float path tests its denominator by a plain comparison, the array
+    # path elementwise: the same bits, and at a zero of 1 + zeta Omega
+    # (zeta = 1 for Omega = 1 - 2 zeta) the same error
+    eos = EosSpec(A=1.0, gamma=1.5, omega=omega)
+    zs = [0.0, 1e-3, 0.25, 0.5, 0.75]
+    on_array = eos._w(np.array(zs))
+    for z, w in zip(zs, on_array.tolist()):
+        on_float = eos._w(z)
+        assert type(on_float) is float
+        assert np.float64(on_float).tobytes() == np.float64(w).tobytes()
+    if omega.value(1.0) == -1.0:
+        errors = []
+        for zp in (1.0, np.array([0.5, 1.0, 1.5])):
+            with pytest.raises(EosDomainError) as info:
+                eos._w(zp)
+            errors.append(str(info.value))
+        assert errors == ["1 + zeta*Omega(zeta) <= 0 at zeta = 1"] * 2
+
+
 def test_quadrature_that_cannot_converge_raises_a_typed_error():
     # a non-integrable pole keeps the panels around it open at every level
     with pytest.raises(QuadratureError, match="did not converge in 400 panels"):

@@ -498,30 +498,35 @@ def test_start_state_of_the_wrong_length_is_rejected():
 
 
 def test_interpolant_is_formed_on_first_read(monkeypatch):
-    # a sweep reads only a solve's tag and end point: no quartic row is
-    # formed until dense output reads a point, and then only the rows of the
-    # distinct steps its points fall in, each once
+    # a sweep reads only a solve's tag and end point: the solve forms the
+    # quartic coefficients of only the step its vacuum event falls in, and
+    # a dense-output call those of the distinct steps its points fall in,
+    # each once, in one call of the row function
     formed = []
-    rows = DenseSolution._rows
+    quartic = integrate._quartic
 
-    def spy(self, slopes):
-        formed.append(len(slopes))
-        return rows(self, slopes)
+    def spy(slopes):
+        formed.append(len(slopes) // 12)  # steps of two components, six slopes each
+        return quartic(slopes)
 
-    monkeypatch.setattr(DenseSolution, "_rows", spy)
+    monkeypatch.setattr(integrate, "_quartic", spy)
     dense = solve_scaled(0.01, 0.001, EosSpec(A=1.0, gamma=1.5)).dense
-    assert formed == []
+    assert [ev.name for ev in dense.events] == ["vacuum"]
+    assert formed == [1]
     mid3, mid5 = (0.5 * (dense.xs[k] + dense.xs[k + 1]) for k in (3, 5))
     ys = dense([mid5, mid3, dense.xs[4], mid5])
-    assert formed == [2]
+    assert formed == [1, 2]
     y_mid = dense(mid3)
-    assert formed == [2, 1]
+    assert formed == [1, 2, 1]
     assert y_mid.tobytes() == ys[1].tobytes()
     assert ys[2].tobytes() == dense.ys[4].tobytes()
-    # the oracle reads every row, through interp
+    assert dense([dense.xs[4]]).tobytes() == dense.ys[4].tobytes()
+    assert dense([]).shape == (0, 2)
+    assert formed == [1, 2, 1, 0, 0]
+    # the oracle reads every step's coefficients, through interp, per call
     for x, y in ((mid3, y_mid), (mid5, ys[0]), (mid5, ys[3])):
         assert y.tobytes() == np.asarray(dense_eval_scalar(dense, x)).tobytes()
-    assert formed[2] == dense.n_steps
+    assert formed == [1, 2, 1, 0, 0] + [dense.n_steps] * 3
 
 
 def test_generated_loop_lines_show_in_tracebacks():

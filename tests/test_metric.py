@@ -1,6 +1,7 @@
 """Patched metric, horizon cubic, and C^2 matching at the boundary."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,18 +168,24 @@ def test_continuity_rows_match_the_pointwise_oracle(name, request):
     assert failed == ([] if name == "patch_m0" else [("g11", "interior", 2)])
 
 
-def test_continuity_report_makes_one_vector_dense_call(patch_m0, monkeypatch):
-    ndims = []
+def test_continuity_report_makes_no_dense_call(patch_m0, monkeypatch):
+    # the interior side reads the profile's boundary stencil
+    calls = 0
     evaluate = DenseSolution.__call__
 
     def spy(self, x):
-        ndims.append(np.ndim(x))
+        nonlocal calls
+        calls += 1
         return evaluate(self, x)
 
     monkeypatch.setattr(DenseSolution, "__call__", spy)
     report = continuity_report(patch_m0)
-    assert ndims == [1]
+    assert calls == 0
     assert len(report.rows) == 12
+    # a profile without a stencil has no interior side
+    patch = MetricPatch(replace(patch_m0.profile, stencil=None), patch_m0.bq)
+    with pytest.raises(ModelError, match="boundary stencil leaves the solution span"):
+        continuity_report(patch)
 
 
 def test_g_components_makes_one_dense_call_per_radius(patch_m0, monkeypatch):

@@ -374,13 +374,22 @@ def test_tail_splice_matches_the_sample_oracle(eos15, xs, n_samples):
     assert profile.r.size == n_samples
     assert np.all(np.diff(profile.r) > 0.0)
     assert_profile_matches_rows(profile)
+    # the stencil reaches 2e-3 * r_+ = 0.02 below r_+ = 10
+    radii, _ = model._stencil(10.0, -1.0)
+    if min(radii) < xs[0]:
+        assert profile.stencil is None
+        with pytest.raises(ModelError, match="boundary stencil leaves the solution span"):
+            model.boundary_quantities(profile)
+    else:
+        assert profile.stencil == [dense_eval_scalar(dense, r).tolist() for r in radii]
 
 
 def test_metric_path_forms_only_what_it_reads(eos15, monkeypatch):
     # the star_m0 solve, its metric patch and continuity report, then the
     # exponent fit: the EOS state map sees only the fit window's samples and
-    # one boundary pressure each for boundary_quantities and the fit, and
-    # dense output forms only the rows of the steps its points fall in
+    # one boundary pressure, which boundary_quantities and the fit share,
+    # and the quartic coefficients are formed only for the step the vacuum
+    # event falls in and the steps dense output's points fall in
     mapped = []
     state_map = EosSpec.rho_P_of_u
 
@@ -389,11 +398,11 @@ def test_metric_path_forms_only_what_it_reads(eos15, monkeypatch):
         return state_map(self, us)
 
     formed, read = [], []
-    rows, evaluate = integrate.DenseSolution._rows, integrate.DenseSolution.__call__
+    quartic, evaluate = integrate._quartic, integrate.DenseSolution.__call__
 
-    def rows_spy(self, slopes):
-        formed.append(len(slopes))
-        return rows(self, slopes)
+    def quartic_spy(slopes):
+        formed.append(len(slopes) // 12)  # steps of two components, six slopes each
+        return quartic(slopes)
 
     def call_spy(self, x):
         xq = np.atleast_1d(np.asarray(x, dtype=float))
@@ -402,19 +411,53 @@ def test_metric_path_forms_only_what_it_reads(eos15, monkeypatch):
         return evaluate(self, x)
 
     monkeypatch.setattr(EosSpec, "rho_P_of_u", map_spy)
-    monkeypatch.setattr(integrate.DenseSolution, "_rows", rows_spy)
+    monkeypatch.setattr(integrate, "_quartic", quartic_spy)
     monkeypatch.setattr(integrate.DenseSolution, "__call__", call_spy)
     inp = ModelInput(eos=eos15, Lambda=lambda_from_beta(1e-3, 1e-3, eos15), constants=GEOM,
                      u_c=1e-3)
     profile, outcome = solve_star(inp)
     assert outcome.kind == MONOTONE_SHORT
+    assert [ev.name for ev in profile.dense.events] == ["vacuum"]
     continuity_report(MetricPatch.from_model(profile, outcome.boundary))
     fit = boundary_exponent_fit(profile)
-    assert sorted(mapped) == [1, 1, fit.n_samples]
-    assert formed and formed == read
+    assert sorted(mapped) == [1, fit.n_samples]
+    assert len(read) == 1
+    assert formed == [1] + read
     assert sum(formed) < profile.dense.n_steps / 10
     # no reader of P, rho, kappa, Q or dPdr ran
     assert "_derived" not in vars(profile)
+
+
+def test_metric_path_makes_one_dense_call(star_m0, monkeypatch):
+    # the profile's tail and its boundary stencil come from one dense-output
+    # call in the solve; boundary_quantities, the metric patch, the
+    # continuity report and the exponent fit make none
+    calls = []
+    evaluate = integrate.DenseSolution.__call__
+
+    def spy(self, x):
+        calls.append(np.size(x))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(integrate.DenseSolution, "__call__", spy)
+    profile, outcome = solve_star(ModelInput(eos=star_m0[0].eos, Lambda=star_m0[0].Lambda,
+                                             constants=GEOM, u_c=1e-3))
+    assert outcome == star_m0[1]
+    report = continuity_report(MetricPatch.from_model(profile, outcome.boundary))
+    boundary_exponent_fit(profile)
+    assert len(calls) == 1
+    assert calls[0] >= 140 + 1 + 9  # the tail, r_+ and the stencil at least
+    assert len(report.rows) == 12
+
+
+def test_boundary_stencil_holds_the_dense_states(star_m0):
+    # the stencil's pairs are dense output's states at model._stencil's radii
+    profile, outcome = star_m0
+    radii, _ = model._stencil(outcome.boundary.r_plus, -1.0)
+    assert len(profile.stencil) == 9
+    for r, pair in zip(radii, profile.stencil):
+        assert all(type(v) is float for v in pair)
+        assert np.array(pair).tobytes() == dense_eval_scalar(profile.dense, r).tobytes()
 
 
 def test_profile_invariants(star_m0):
@@ -724,25 +767,28 @@ def test_model_input_rejects_bad_field(eos15, field, value):
 
 
 def test_one_sided_stencil_is_one_call():
-    calls = []
-
+    # the stencil is one list of radii, so its reader evaluates it in one
+    # call, and the limits are formed from the values of that call
     def f(r):
-        calls.append(r.copy())
         return np.column_stack([r**3, np.exp(r)])
 
     x0, h0 = 1.0, 1e-3
     for sign in (-1.0, 1.0):
-        calls.clear()
-        v0, v1, v2 = model._one_sided_derivatives(f, x0, h0, sign, levels=4)
-        assert len(calls) == 1
-        hs = h0 / 2.0 ** np.arange(4)
-        want = np.concatenate([[x0], np.column_stack([x0 + sign * hs, x0 + 2.0 * sign * hs]).ravel()])
-        assert calls[0].tobytes() == want.tobytes()
+        radii, hs = model._stencil(x0, sign)
+        assert hs == (h0 / 2.0 ** np.arange(4)).tolist()
+        want = np.concatenate([[x0], np.column_stack([x0 + sign * np.array(hs),
+                                                      x0 + 2.0 * sign * np.array(hs)]).ravel()])
+        assert np.array(radii).tobytes() == want.tobytes()
+        rows = f(np.array(radii)).tolist()
+        v0, v1, v2 = zip(*(model._stencil_limits(col, hs, sign) for col in zip(*rows)))
         # one float per column, as the row's float64 entries would give
         assert all(type(v) is float for v in (*v0, *v1, *v2))
         assert list(v0) == [1.0, math.e]
         assert v1 == pytest.approx([3.0, math.e], rel=1e-9)
         assert v2 == pytest.approx([6.0, math.e], rel=1e-6)
+        # the first three levels take the first seven radii and no others
+        assert model._stencil_limits([r**3 for r in radii[:7]], hs[:3], sign) == \
+            model._stencil_limits([r**3 for r in radii], hs[:3], sign)
 
 
 def test_outcome_json(star_m0, tmp_path):

@@ -5,8 +5,9 @@ digest as its parent.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/trajectory_digest.py
 
-It prints the digest and how many integrations, sweeps, stars and Lane-Emden
-zeros went into it.  pytest does not collect this file.
+It prints the digest and how many integrations, sweeps, stars, boundary
+analyses and Lane-Emden zeros went into it.  pytest does not collect this
+file.
 
 Hashed, in this order:
 - every DenseSolution that integrate_adaptive returns, as the solve gets it:
@@ -18,18 +19,21 @@ Hashed, in this order:
 - 12 physical stars: Omega == 1 and OmegaSeries((1, 0.3, -0.1)) at
   gamma 1.5, u_c in {1e-3, 1e-2, 5e-2}, Lambda in {1e-9, 1e-6}, each with its
   outcome JSON and all eight profile columns, or the type and text of its
-  error;
+  error; for each MonotoneShort star, the JSON of the continuity report of
+  its metric patch and every field of its boundary exponent fit, or the
+  type and text of the fit's error;
 - 4 Lane-Emden first zeros.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
 import numpy as np
 
-from tovds import analysis, integrate, model
+from tovds import analysis, integrate, metric, model
 from tovds.eos import EosSpec, OmegaSeries
 from tovds.errors import TovdsError
 from tovds.model import PROFILE_COLUMNS, ModelInput
@@ -61,10 +65,21 @@ def _dense(h, d) -> None:
     _text(h, d.status, d.message, d.n_steps, d.n_rhs, d.n_rejected, failure)
 
 
+def _boundary(h, profile, outcome) -> None:
+    report = metric.continuity_report(metric.MetricPatch.from_model(profile, outcome.boundary))
+    _text(h, json.dumps(report.to_json_dict(), sort_keys=True))
+    try:
+        fit = analysis.boundary_exponent_fit(profile)
+    except TovdsError as exc:
+        _text(h, type(exc).__name__, str(exc))
+    else:
+        _text(h, *dataclasses.astuple(fit))
+
+
 def digest() -> tuple:
     """(hex digest, counts) of the whole solve set."""
     h = hashlib.sha256()
-    counts = {"integrations": 0, "sweeps": 0, "stars": 0, "lane_emden": 0}
+    counts = {"integrations": 0, "sweeps": 0, "stars": 0, "boundaries": 0, "lane_emden": 0}
     original = integrate.integrate_adaptive
 
     def hashed(*args, **kwargs):
@@ -92,6 +107,9 @@ def digest() -> tuple:
                     else:
                         _text(h, json.dumps(outcome.to_json_dict(), sort_keys=True))
                         _floats(h, *(getattr(profile, c) for c in PROFILE_COLUMNS))
+                        if outcome.kind == model.MONOTONE_SHORT:
+                            _boundary(h, profile, outcome)
+                            counts["boundaries"] += 1
                     counts["stars"] += 1
         for mu, lam in LANE_EMDEN:
             _text(h, analysis.lane_emden_first_zero(mu, lam))
