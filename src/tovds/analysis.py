@@ -17,7 +17,7 @@ import numpy as np
 from .constants import Constants
 from .eos import EosSpec
 from .errors import AnalysisError, ModelError, TovdsError
-from .integrate import EventSpec, StepControl, integrate_adaptive
+from .integrate import EventSpec, StepControl, integrate_adaptive, stage_rhs
 from .model import (
     _GERM_R,
     MONOTONE_SHORT,
@@ -28,7 +28,7 @@ from .model import (
     solve_scaled,
     solve_star,
 )
-from .odecore import lane_emden_rhs
+from .odecore import center_germ_scaled, scaled_rhs
 
 __all__ = [
     "lane_emden_first_zero",
@@ -48,17 +48,22 @@ _PERTURB_CTRL = StepControl(rel_tol=1e-11, abs_tol=1e-13)
 
 def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP,
                         first_zero_only: bool = True):
-    """Dense solution of the Lane-Emden system dM/dR = R^2 (U#)^mu,
-    dU/dR = -(M - lam R^3/3)/R^2 from a solve's center germ, at its step control."""
-    if mu <= 0.0:
-        raise ValueError("mu must be positive")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-    R0 = _GERM_R
-    # the scaled germ at alpha = 0, beta = lam is exactly the Lane-Emden germ
-    M0 = R0**3 / 3.0
-    U0 = 1.0 - (1.0 - lam) * R0 * R0 / 6.0
-    f = lane_emden_rhs(mu, lam)
+    """Dense solution of Lane-Emden-de Sitter, dM/dR = R^2 (U#)^mu and
+    dU/dR = -(M - lam R^3/3)/R^2, at a solve's germ radius and step control.
+
+    It is the scaled system at alpha = 0, beta = lam: the scaled stage and
+    germ of the polytrope Omega == 1, whose terms at alpha = 0 are U#^mu and
+    U#^(mu+1) for any mu, with mu bound as given (an EOS's gamma = 1 + 1/mu
+    would refuse mu < 1 and round mu).  first_zero_only ends the solve at the
+    first zero of U or at U's first turning point.
+    """
+    if not (math.isfinite(mu) and mu > 0.0):
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    if not (math.isfinite(lam) and lam >= 0.0):
+        raise ValueError(f"lam must be finite and nonnegative, got {lam!r}")
+    eos = EosSpec(A=1.0, gamma=2.0)
+    f = scaled_rhs(0.0, lam, eos)
+    f = stage_rhs(f.stage, {**f.values, "mu": mu})
     events = []
     if first_zero_only:
         events.append(EventSpec("U", direction="falling", root_tol=1e-13, terminal=True,
@@ -68,7 +73,8 @@ def lane_emden_solution(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP,
         # energy, so later minima sit above the first one.
         events.append(EventSpec("dU", direction="rising", root_tol=1e-10, terminal=True,
                                 name="turning_point"))
-    return integrate_adaptive(f, np.array([M0, U0]), (R0, R_cap), SOLVE_CTRL, events=events)
+    return integrate_adaptive(f, center_germ_scaled(0.0, lam, eos, _GERM_R), (_GERM_R, R_cap),
+                              SOLVE_CTRL, events=events)
 
 
 def lane_emden_first_zero(mu: float, lam: float = 0.0, R_cap: float = _LE_R_CAP):

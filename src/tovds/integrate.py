@@ -167,10 +167,10 @@ class DenseSolution:
     Dense output forms the quartic coefficients of a step (its row) from the
     step's slopes when a point in that step is read: a call forms the rows
     of the distinct steps its points fall in by one call of _quartic, on
-    floats, and evaluates the quartics in numpy; only interp forms every
-    row.  A solution mapped to other units (odecore.ScalingParams) keeps the
-    slopes it was solved with and carries their scale, slope_scale, by which
-    each row is multiplied once it is formed.
+    floats, and evaluates the quartics in numpy.  A solution mapped to
+    other units (odecore.ScalingParams) keeps the slopes it was solved with
+    and carries their scale, slope_scale, by which each row is multiplied
+    once it is formed.
     """
 
     xs: np.ndarray            # accepted nodes, shape (n+1,)
@@ -195,12 +195,6 @@ class DenseSolution:
         if self.slope_scale is not None:
             q *= self.slope_scale[:, None]
         return q
-
-    @property
-    def interp(self) -> np.ndarray:
-        """Every step's quartic coefficients q0 ... q3, shape (n, dim, 4),
-        formed on each read; dense output does not read them."""
-        return self._quartics(np.arange(len(self.slopes)))
 
     def __call__(self, x):
         """State at x: shape (dim,) for a scalar, (n, dim) for n points.

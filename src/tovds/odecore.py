@@ -9,10 +9,11 @@ two floats.  State conventions:
 
 The solvers integrate the scaled form only; the enthalpy form is its
 physical-unit reference.  The scaled right-hand side is written once, as the
-stage text _SCALED around the EOS's terms text, and its Newtonian limit,
-Lane-Emden(-de Sitter), as _LANE_EMDEN.  scaled_rhs(alpha, beta, eos) and
-lane_emden_rhs(mu, lam) bind their constants to the text and return the
-right-hand side compiled from it, which carries the text and its bound
+stage text _SCALED around the EOS's terms text.  Its Newtonian limit,
+Lane-Emden(-de Sitter), is the same text at alpha = 0 with lambda = beta,
+which analysis.lane_emden_solution runs from center_germ_scaled.
+scaled_rhs(alpha, beta, eos) binds the constants to the text and returns
+the right-hand side compiled from it, which carries the text and its bound
 values: the only kind integrate_adaptive takes.  Its step loop runs the text
 in every stage, and a solve's guards are expressions over the stage's names
 (integrate.EventSpec).  The start slope, the initial step and the refinement
@@ -47,7 +48,6 @@ __all__ = [
     "einstein_static_lambda",
     "kappa_scaled",
     "scaled_rhs",
-    "lane_emden_rhs",
     "center_germ_scaled",
     "ScalingParams",
 ]
@@ -113,9 +113,10 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
 # neither U <= 0 nor alpha = 0 takes a branch of its own.  The denominator
 # R^2 kappa is written R (R kappa), with R kappa = R - 2 alpha M -
 # alpha beta R^3 / 3 and R^3 = (R R) R: no division for kappa and no pow.
-# R^3 enters dU only times beta / 3 - p_alpha p_term and R kappa only times
-# alpha beta / 3, both 0 at alpha = beta = 0, where the stage is Lane-Emden's
-# bit for bit.
+# At alpha = 0, p_alpha = 0 and every terms text gives rho_term = U#^mu and
+# p_term = U#^(mu+1) for any mu bound to it, R kappa is R, and R^3 enters dU
+# only times beta / 3: the stage is Lane-Emden-de Sitter with lambda = beta
+# (analysis.lane_emden_solution), and at beta = 0 Lane-Emden's bit for bit.
 # kappa_scaled and model._HORIZON write R kappa / R by the same expression, so
 # the stage's kappa test and the horizon guard share their bits.  The free
 # names are the constants scaled_rhs binds; mu and p_alpha = (gamma - 1) /
@@ -146,8 +147,8 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
     alpha, beta, the EOS constants and the EOS fast path are bound once, so
     a solve pays for them once and not at every stage.  The function is
     built from the stage text _SCALED (integrate.stage_rhs), which
-    integrate_adaptive writes into its step loop.  At alpha = beta = 0 it
-    is the Lane-Emden right-hand side with lambda = 0, bit for bit.
+    integrate_adaptive writes into its step loop.  At alpha = 0 it is
+    Lane-Emden-de Sitter with lambda = beta, bit for bit at beta = 0.
     Raises KappaNonPositiveError where kappa <= 0 (horizon contact),
     reporting kappa_scaled's value.
     """
@@ -168,19 +169,6 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
 def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec) -> tuple:
     """(dM/dR, dU/dR) of the homology-scaled system at one point."""
     return scaled_rhs(alpha, beta, eos)(R, y)
-
-
-_LANE_EMDEN = Stage(name="Lane-Emden", x="R", y=("M", "U"), dy=("dM", "dU"), body="""\
-U_pos = U if U > 0.0 else 0.0
-dM = R * R * U_pos**mu
-dU = -(M - lam * R**3 / 3.0) / (R * R)
-""", consts=("mu", "lam"))
-
-
-def lane_emden_rhs(mu: float, lam: float = 0.0):
-    """The Lane-Emden right-hand side R, y -> (dM/dR, dU/dR) = (R^2 (U#)^mu,
-    -(M - lam R^3/3)/R^2), built from the stage text _LANE_EMDEN."""
-    return stage_rhs(_LANE_EMDEN, {"mu": mu, "lam": lam})
 
 
 # -- center germs -------------------------------------------------------------

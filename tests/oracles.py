@@ -5,14 +5,15 @@ structure equations, the physical-unit germs, the Lambda = 0 enthalpy
 system, the explicit-c scaled system, the density inversion of the EOS, the
 numpy and mpmath evaluations of a series Omega and of Omega_u, the scalar
 eta -> zeta search, a table piece fitted node by node through the scalar
-direct path, the per-density range check of an EOS, the EOS terms per
-point on floats (the Z form of Omega == 1, a series Omega's tables summed
-by a loop Horner), the mpmath closed form of Omega == 1, the Lane-Emden
-right-hand side called once, the profile's sample grid formed on numpy scalars, the per-sample profile row,
-the pointwise boundary slope and continuity report, the scaled right-hand
-side spelled through kappa_scaled and _check_kappa, one DP5 attempt written
-with per-component comprehensions and the adaptive loop around it, a scalar
-dense-output evaluation on Python floats, the Lambda = 0 vacuum
+direct path, the per-density range check of an EOS, the EOS terms per point
+on floats (the Z form of Omega == 1, a series Omega's tables summed by a
+loop Horner), the mpmath closed form of Omega == 1, the Lane-Emden
+right-hand side on floats, the profile's sample grid formed on numpy
+scalars, the per-sample profile row, the pointwise boundary slope and
+continuity report, the scaled right-hand side spelled through kappa_scaled
+and _check_kappa, every step's quartic coefficients at once, one DP5 attempt
+written with per-component comprehensions and the adaptive loop around it, a
+scalar dense-output evaluation on Python floats, the Lambda = 0 vacuum
 continuation, the second derivative of sin(R)/R, the residual of the mu = 1
 closed form and the distance of scaled stars to the Lane-Emden orbit live
 here, as independent oracles for the code in src/.  So does the stage that
@@ -43,7 +44,6 @@ from tovds.odecore import (
     _check_kappa,
     kappa,
     kappa_scaled,
-    lane_emden_rhs,
     q_factor,
     rhs_scaled,
     rhs_tovds_enthalpy,
@@ -328,9 +328,11 @@ def rhs_scaled_u_form(R: float, y, alpha: float, beta: float, eos) -> tuple:
 
 
 def rhs_lane_emden(R: float, y, mu: float, lam: float = 0.0) -> tuple:
-    """(dM/dR, dU/dR) of the Lane-Emden system at one point, by the function
-    that lane_emden_rhs compiles."""
-    return lane_emden_rhs(mu, lam)(R, y)
+    """(dM/dR, dU/dR) = (R^2 (U#)^mu, -(M - lam R^3/3)/R^2) of the
+    Lane-Emden(-de Sitter) system at one point."""
+    M, U = y
+    U_pos = U if U > 0.0 else 0.0
+    return R * R * U_pos**mu, -(M - lam * R**3 / 3.0) / (R * R)
 
 
 def rhs_scaled_c(R: float, y, lam: float, c: float, eos) -> tuple:
@@ -592,6 +594,12 @@ def called_event(rhs, ev, name: str):
     return replace(ev, expr=guard_call(stage, name, slope), values={name: guard})
 
 
+def interp(dense) -> np.ndarray:
+    """Every step's quartic coefficients q0 ... q3, shape (n, dim, 4), formed
+    by one row call over all steps, as dense output forms the rows it reads."""
+    return dense._quartics(np.arange(len(dense.slopes)))
+
+
 def dense_eval_scalar(sol, x: float) -> np.ndarray:
     """State of a DenseSolution at one point, on Python floats: the stored
     state on a node, else the step's quartic interpolant."""
@@ -608,7 +616,7 @@ def dense_eval_scalar(sol, x: float) -> np.ndarray:
     ht = h * t
     return np.array([
         y + ht * (((q3 * t + q2) * t + q1) * t + q0)
-        for y, (q0, q1, q2, q3) in zip(sol.ys[k].tolist(), sol.interp[k].tolist())
+        for y, (q0, q1, q2, q3) in zip(sol.ys[k].tolist(), interp(sol)[k].tolist())
     ])
 
 

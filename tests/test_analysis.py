@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tovds import analysis, integrate
+from tovds import analysis, integrate, odecore
 from tovds.analysis import (
     _sinc_jet,
     boundary_exponent_fit,
@@ -32,6 +32,7 @@ from tovds.odecore import FOUR_PI
 from oracles import (
     called_rhs,
     guard_call,
+    interp,
     mu1_residual,
     rhs_lane_emden,
     scaled_limit_convergence,
@@ -88,10 +89,11 @@ def test_oracle_reproduces_pi():
 
 
 # frozen from rk4_first_zero with h = 5e-4 (matches the classical tables)
-XI1_FROZEN = {1.0: math.pi, 1.5: 3.65375373621912, 2.0: 4.35287459594617, 3.0: 6.89684861937482}
+XI1_FROZEN = {0.5: 2.752698054162855, 1.0: math.pi, 1.5: 3.65375373621912,
+              2.0: 4.35287459594617, 3.0: 6.89684861937482}
 
 
-@pytest.mark.parametrize("mu", [1.0, 1.5, 2.0, 3.0])
+@pytest.mark.parametrize("mu", [0.5, 1.0, 1.5, 2.0, 3.0])
 def test_first_zero_against_frozen_oracle(mu):
     xi1 = lane_emden_first_zero(mu, 0.0)
     tol = 1e-8 if mu == 1.0 else 1e-5
@@ -128,36 +130,52 @@ def test_unterminated_diagnostic():
 
 
 def _dense_bits(d):
-    return (d.xs.tobytes(), d.ys.tobytes(), d.interp.tobytes(),
+    return (d.xs.tobytes(), d.ys.tobytes(), interp(d).tobytes(),
             [(ev.x, ev.y.tobytes(), ev.index, ev.name) for ev in d.events],
             d.status, d.message, d.x_end, d.y_end.tobytes(), d.n_steps, d.n_rhs, d.n_rejected)
 
 
 def test_lane_emden_stage_matches_the_called_form(monkeypatch):
-    # the Lane-Emden stage and its expression guards, written into the step
-    # loop, give the bits and counts of rhs_lane_emden and lambda guards,
-    # which the loop calls; the stage's solves all run one generated loop
+    # a Lane-Emden solve runs the scaled stage of the polytrope Omega == 1 at
+    # alpha = 0, with mu bound as given, mu < 1 too; at lam = 0 that stage
+    # and its expression guards, written into the step loop, give the bits
+    # and counts of rhs_lane_emden and lambda guards, which the loop calls
     inputs = []
     integrate_adaptive = analysis.integrate_adaptive
 
     def recording(rhs, y0, span, ctrl, events):
-        inputs.append((y0, span, ctrl, events))
+        inputs.append((rhs, y0, span, ctrl, events))
         return integrate_adaptive(rhs, y0, span, ctrl, events=events)
 
     monkeypatch.setattr(analysis, "integrate_adaptive", recording)
     monkeypatch.setattr(integrate, "_LOOPS", {})
-    cases = [(mu, lam) for mu in (1.0, 1.5, 2.0, 3.0) for lam in (0.0, 0.1, 0.17)]
+    scaled = odecore.scaled_rhs(0.0, 0.0, EosSpec(A=1.0, gamma=1.5)).stage
+    cases = [(mu, lam) for mu in (0.5, 1.0, 1.5, 2.0, 3.0) for lam in (0.0, 0.1, 0.17)]
     written = [analysis.lane_emden_solution(mu, lam) for mu, lam in cases]
     assert len(integrate._LOOPS) == 1
     assert {ev.name for d in written for ev in d.events} == {"vacuum", "turning_point"}
-    for (mu, lam), (y0, span, ctrl, events), want in zip(cases, inputs, written):
+    for (mu, lam), (rhs, y0, span, ctrl, events), want in zip(cases, inputs, written):
+        assert rhs.stage is scaled
+        assert (rhs.values["mu"], rhs.values["alpha"], rhs.values["beta3"]) == (mu, 0.0, lam / 3.0)
+        assert want.status == "event", (mu, lam)
+        if lam != 0.0:
+            continue
         rhs = called_rhs(lambda R, y: rhs_lane_emden(R, y, mu, lam), 2)
         guards = [lambda R, y: y[1], lambda R, y, dy: dy[1]]
         called = integrate_adaptive(rhs, y0, span, ctrl, events=[
             replace(ev, expr=guard_call(rhs.stage, f"guard_{i}", i == 1), values={f"guard_{i}": g})
             for i, (ev, g) in enumerate(zip(events, guards))])
-        assert _dense_bits(called) == _dense_bits(want), (mu, lam)
+        assert _dense_bits(called) == _dense_bits(want), mu
     assert len(integrate._LOOPS) == 2
+
+
+@pytest.mark.parametrize("mu, lam, name", [
+    (math.nan, 0.0, "mu"), (math.inf, 0.0, "mu"), (0.0, 0.0, "mu"),
+    (1.0, math.nan, "lam"), (1.0, math.inf, "lam"), (1.0, -0.1, "lam"),
+])
+def test_lane_emden_refuses_a_bad_argument_by_name(mu, lam, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        analysis.lane_emden_solution(mu, lam)
 
 
 def test_mu1_exact_center_and_infinity():

@@ -38,6 +38,7 @@ from oracles import (
     dense_eval_scalar,
     du_dr_minus_pointwise,
     guard_call,
+    interp,
     profile_row,
     profile_samples,
     rhs_tov,
@@ -151,7 +152,7 @@ def _solution_bits(run):
         d = run()
     except Exception as exc:  # compared, not handled
         return type(exc), str(exc)
-    return (d.xs.tobytes(), d.ys.tobytes(), d.interp.tobytes(),
+    return (d.xs.tobytes(), d.ys.tobytes(), interp(d).tobytes(),
             [(ev.x, ev.y.tobytes(), ev.index, ev.name) for ev in d.events],
             d.status, d.message, d.x_end, d.y_end.tobytes(), d.n_steps, d.n_rhs, d.n_rejected,
             repr(d.failure))
