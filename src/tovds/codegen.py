@@ -1,7 +1,7 @@
 """Functions compiled from generated source text.
 
-The DP5 step loop, and the right-hand sides and event guards written as
-stage text, are compiled from text, each once per process.
+The DP5 step loop with its event guards, and the right-hand sides written
+as stage text, are compiled from text, each once per process.
 Every source is registered with linecache under its file name, so
 tracebacks, pdb and cProfile show the generated lines.
 """

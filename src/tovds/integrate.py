@@ -8,22 +8,22 @@ the solution at the located abscissa.  Everything is deterministic:
 identical inputs give bitwise-identical trajectories within one build.
 
 The right-hand side is a Stage's statements bound to its constants by
-stage_rhs, and each event's guard an expression over the stage's names
-(EventSpec).  The stage may raise DomainSignalError to have the step retried
-smaller.  An OverflowError in a step's stages rejects the step the same way:
-a trial state far off the solution may overflow a pow or an exponential that
-the accepted steps never reach.  The step loop runs on Python floats, since
-for the small systems solved here a numpy operation costs far more than its
-arithmetic.  The whole adaptive loop, with its step control and event
-guards, is generated from one template, _LOOP, once per state dimension,
-stage and set of guards; it keeps the state, the FSAL slope and the
-tolerances in locals across steps, writes every stage sum and the error norm
-out per component, and has the tableau's coefficients as literals.  The
-stage's statements fill each stage slot, so a step makes no Python call for
-its stages, and the guard expressions the guard block.  The guards read the
-names as the FSAL stage, the last one a step runs, left them, so a stage may
-not assign its own abscissa or state.  Constants are bound, not written in,
-so one loop serves every solve of a stage.
+stage_rhs, and each event's guard an expression over the stage's names with its
+own constants written in (EventSpec).  The stage may raise DomainSignalError to
+have the step retried smaller.  An OverflowError in a step's stages rejects the
+step the same way: a trial state far off the solution may overflow a pow or an
+exponential that the accepted steps never reach.  The step loop runs on Python
+floats, since for the small systems solved here a numpy operation costs far
+more than its arithmetic.  The whole adaptive loop, with its step control and
+event guards, is generated from one template, _LOOP, once per state dimension,
+stage and set of guards; it keeps the state, the FSAL slope and the tolerances
+in locals across steps, writes every stage sum and the error norm out per
+component, and has the tableau's coefficients as literals.  The stage's
+statements fill each stage slot, so a step makes no Python call for its stages,
+and the guard expressions the guard block.  The guards read the names as the
+FSAL stage, the last one a step runs, left them, so a stage may not assign its
+own abscissa or state.  The stage's constants are bound, not written in, so one
+loop serves every solve of a stage.
 
 An accepted step appends its node, state and slopes to one flat buffer as
 one packed record.  One function, _quartic, forms the quartic coefficients
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import ast
 import builtins
-import functools
 import math
 import numbers
 import re
@@ -129,8 +128,10 @@ class StepControl:
 @dataclass(frozen=True)
 class EventSpec:
     """An event: a directed zero crossing of the guard expr, an expression
-    over the names of the solve's stage (abscissa, state, slopes, constants)
-    and those of values, bound as constants, so new values compile nothing.
+    over the names of the solve's stage (abscissa, state, slopes, constants).
+    Its own constants are written into expr, so they must be fixed per
+    process: a value that varied from solve to solve would compile a new
+    step loop for each value.
 
     A guard that reads a slope name reads at a step end the FSAL stage's
     slopes, and at x0 the start slope; refining its crossing costs one
@@ -142,7 +143,6 @@ class EventSpec:
     root_tol: float = 1e-12
     terminal: bool = False
     name: str = ""
-    values: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.direction not in ("falling", "rising", "any"):
@@ -291,40 +291,18 @@ def stage_rhs(stage: Stage, values: dict):
     return rhs
 
 
-@functools.cache
-def _guard_factory(stage: Stage, expr: str, own: tuple) -> tuple:
-    """(make, slope) for the guard expr over stage's names and the names in
-    own, checked and compiled once: make(**stage constants, **own values)
-    -> the guard."""
-    names = _names(compile(expr, f"<guard: {expr}>", "eval"))
-    stage_names = {stage.x, *stage.y, *stage.dy, *stage.consts}
-    unknown = names - stage_names - set(own)
-    if unknown:
-        raise ValueError(f"guard {expr!r} uses names that are not its stage's or its own: "
-                         f"{sorted(unknown)}")
-    if stage_names & set(own):
-        raise ValueError(f"guard {expr!r} binds names of its stage: "
-                         f"{sorted(stage_names & set(own))}")
-    slope = bool(names & set(stage.dy))
-    body = f"{', '.join(stage.y)}, = y\n"
-    if slope:
-        body += f"{', '.join(stage.dy)}, = dy\n"
-    make = codegen.closure_factory(f"<guard: {stage.name}: {expr}>",
-                                   f"{stage.x}, y, dy" if slope else f"{stage.x}, y",
-                                   body, expr, stage.consts + own)
-    return make, slope
-
-
 # The adaptive DP5 loop, written out per state component.  In the template,
 # `expr` stands for expr once per component, with @ replaced by the component
 # index, joined by ", " (or by " + " when the closing backtick is followed by
-# +).  Each `kN = STAGE(x, y...)` line is one right-hand side evaluation:
-# it runs the stage's body on x and y and names its slopes kN_@.  CONSTS
-# are the stage's and the guards' constants, which make binds once per
-# solve.  The tableau's _A, _B, _C and _E constants are written in as
-# literals.  _loop generates the loop once per dimension, stage and set of
-# guards.  Every component is computed by the same expression, term by term
-# in the tableau's order, so the bits do not depend on the dimension.
+# +).  Each `kN = STAGE(x, y...)` line is one right-hand side evaluation: it
+# runs the stage's body on x and y and names its slopes kN_@.  CONSTS are the
+# stage's constants, which make binds once per solve; GUARD_DEFS defines there
+# a function per guard and the tuple guards of them, which give the guards'
+# start values and refine a crossing (_step_events).  The tableau's _A, _B, _C
+# and _E constants are written in as literals.  _loop generates the loop once
+# per dimension, stage and set of guards.  Every component is computed by the
+# same expression, term by term in the tableau's order, so the bits do not
+# depend on the dimension.
 #
 # An accepted step appends one record to the flat array('d') buffer steps:
 # its node, its state and the six slopes k1, k3 ... k7 its interpolant is
@@ -349,8 +327,8 @@ def _guard_factory(stage: Stage, expr: str, own: tuple) -> tuple:
 # start state, carried over from an@ on acceptance.
 _LOOP = """\
 def make(CONSTS):
-    def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, g_prev, events, guards,
-             steps, found, n_rhs):
+    GUARD_DEFS
+    def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, events, steps, found, n_rhs):
         `y@`, = y
         `k1_@`, = k1
         `ay@`, = `abs(y@)`,
@@ -460,32 +438,42 @@ _LOOPS = {}  # (dim, stage, guards) -> make
 
 @dataclass(frozen=True)
 class _TextGuard:
-    """A guard as the step loop writes it in, one per event in their order:
-    the event's name and direction, the expression and the names of its own
-    constants."""
+    """A guard as the step loop writes it in: its event's name, expr and direction."""
 
     name: str
     expr: str
     falling: bool
     rising: bool
-    consts: tuple
 
 
-def _guard_text(guards: tuple) -> tuple:
-    """(init, block): the statements that load each guard's value at the
-    start into its local g_prev, and the statements that evaluate the guards
-    at a step end and collect sign changes.  The guards read the stage's
-    names as the FSAL stage, the last one run, left them: the step end's
-    abscissa, state and slopes."""
-    init = "".join(f"gp{j} = g_prev[{j}]\n" for j in range(len(guards)))
-    block = ""
+def _expr_names(expr: str) -> set:
+    """The names the expression expr reads, builtins left out."""
+    return {node.id for node in ast.walk(ast.parse(expr, mode="eval"))
+            if isinstance(node, ast.Name)} - vars(builtins).keys()
+
+
+def _guard_text(stage: Stage, guards: tuple) -> tuple:
+    """(defs, init, block): make's statements that define guardJ(x, y), or
+    guardJ(x, y, dy) for a guard that reads a slope, to return each guard's
+    expression, and the tuple guards of (guardJ, slope) pairs; the loop's
+    statements that load each guard's value at x0 into gpJ; and those that
+    evaluate the guards' expressions at a step end, on the names the FSAL
+    stage left, and collect sign changes."""
+    defs = init = block = pairs = ""
     for j, g in enumerate(guards):
+        slope = bool(_expr_names(g.expr) & set(stage.dy))
+        defs += (f"def guard{j}({stage.x}, y{', dy' * slope}):\n"
+                 f"    {', '.join(stage.y)}, = y\n"
+                 + f"    {', '.join(stage.dy)}, = dy\n" * slope
+                 + f"    return {g.expr}\n")
+        pairs += f"(guard{j}, {slope}), "
+        init += f"gp{j} = float(guard{j}(x, y{', k1' * slope}))\n"
         tests = [f"gp{j} > 0.0 >= g1"] * g.falling + [f"gp{j} < 0.0 <= g1"] * g.rising
         block += (f"g1 = {g.expr}\n"
                   f"if {' or '.join(tests)}:\n"
                   f"    hit.append(({j}, gp{j}, g1))\n"
                   f"gp{j} = g1\n")
-    return init, block
+    return defs + f"guards = ({pairs})\n", init, block
 
 
 def _loop_source(dim: int, stage: Stage, guards: tuple) -> str:
@@ -501,14 +489,13 @@ def _loop_source(dim: int, stage: Stage, guards: tuple) -> str:
                 f"{indent}{', '.join(f'{k}_{i}' for i in range(dim))}, = "
                 f"{', '.join(stage.dy)},\n")
 
-    init, block = _guard_text(guards)
+    defs, init, block = _guard_text(stage, guards)
     source = re.sub(r"`([^`]*)`(\+?)", components, _LOOP).replace("DIM", str(dim))
     source = re.sub(r"\b_[ABCE]\d+\b", lambda m: repr(globals()[m.group()]), source)
-    for slot, text in (("GUARD_INIT", init), ("GUARD_TEXT", block)):
+    for slot, text in (("GUARD_DEFS", defs), ("GUARD_INIT", init), ("GUARD_TEXT", block)):
         source = re.sub(rf"^( *){slot}\n", lambda m: textwrap.indent(text, m.group(1)), source,
                         flags=re.M)
-    consts = stage.consts + tuple(c for g in guards for c in g.consts)
-    source = source.replace("CONSTS", ", ".join(consts))
+    source = source.replace("CONSTS", ", ".join(stage.consts))
     return re.sub(r"^( *)(k\d) = STAGE\((.*)\)\n", stage_call, source, flags=re.M)
 
 
@@ -522,9 +509,9 @@ def _names(code) -> set:
 
 
 # the step loop's own names, read once from its source for one component and
-# one guard, its stage made of loop names, with a trailing index written N
+# one slope guard, its stage made of loop names, with a trailing index written N
 _LOOP_NAMES = {re.sub(r"\d+$", "N", name) for name in _names(compile(_loop_source(
-    1, Stage("", "x", ("y0",), ("k1_0",), "", ()), (_TextGuard("", "0.0", True, True, ()),)),
+    1, Stage("", "x", ("y0",), ("k1_0",), "", ()), (_TextGuard("", "k1_0", True, True),)),
     "<loop>", "exec"))}
 
 
@@ -537,8 +524,13 @@ def _loop(dim: int, stage: Stage, guards: tuple):
         # each loop its own name, so that tracebacks show its lines
         listed = f", guards {', '.join(g.name for g in guards)}" if guards else ""
         filename = f"<dp5 loop, dim {dim}, {stage.name}{listed}>"
-        names = _names(compile(stage.body, "<stage>", "exec")) | {
-            stage.x, *stage.y, *stage.dy, *stage.consts, *(c for g in guards for c in g.consts)}
+        # a guard's function does not run the stage body, so reads none of its locals
+        stage_names = {stage.x, *stage.y, *stage.dy, *stage.consts}
+        for g in guards:
+            if unknown := _expr_names(g.expr) - stage_names:
+                raise ValueError(f"guard {g.expr!r} uses names that are not its stage's "
+                                 f"abscissa, state, slopes or constants: {sorted(unknown)}")
+        names = _names(compile(stage.body, "<stage>", "exec")) | stage_names
         clash = {name for name in names if re.sub(r"\d+$", "N", name) in _LOOP_NAMES}
         if clash:
             raise ValueError(f"stage {stage.name!r} uses names of the step loop: {sorted(clash)}")
@@ -712,9 +704,10 @@ def integrate_adaptive(rhs, y0, span, ctrl, events=()) -> DenseSolution:
         whose components differ in magnitude is integrated in scaled
         variables.
     events : sequence of EventSpec
-        Each guard expression is written into the step loop's guard block.
-        An event may not bind a name of the stage, nor two events the same
-        name.  Terminal events truncate the solution at the located abscissa.
+        Each guard expression, over the stage's abscissa, state, slopes and
+        constants only, is written into the step loop's guard block and
+        into the function that refines its crossings.  Terminal events
+        truncate the solution at the located abscissa.
 
     The run is one call of the step loop generated for the state's
     dimension, the stage and the guards.
@@ -733,18 +726,9 @@ def integrate_adaptive(rhs, y0, span, ctrl, events=()) -> DenseSolution:
         raise ValueError(f"y0 has {dim} components, but stage {stage.name!r} has the state "
                          f"{', '.join(stage.y)}")
     atol, rtol, h_max = ctrl.abs_tol, ctrl.rel_tol, ctrl.h_max
-    values = dict(rhs.values)
-    guards, texts = [], []
-    for ev in events:
-        make, slope = _guard_factory(stage, ev.expr, tuple(ev.values))
-        if values.keys() & ev.values.keys():
-            raise ValueError(f"event {ev.name!r}: two guards of one solve bind "
-                             f"{sorted(values.keys() & ev.values.keys())}")
-        guards.append((make(**rhs.values, **ev.values), slope))
-        values.update(ev.values)
-        texts.append(_TextGuard(ev.name, ev.expr, ev.direction != "rising",
-                                ev.direction != "falling", tuple(ev.values)))
-    loop = _loop(dim, stage, tuple(texts))(**values)
+    texts = tuple(_TextGuard(ev.name, ev.expr, ev.direction != "rising", ev.direction != "falling")
+                  for ev in events)
+    loop = _loop(dim, stage, texts)(**rhs.values)
 
     # one record per node: x, the state, then the slopes of the step that
     # ends there (zeros at x0)
@@ -782,8 +766,6 @@ def integrate_adaptive(rhs, y0, span, ctrl, events=()) -> DenseSolution:
         # no step from x0 can pass, whatever its size
         return _finish("step_underflow", f"non-finite right-hand side at x = {x0:g}")
 
-    g_prev = [float(g(x0, y0, fy) if slope else g(x0, y0)) for g, slope in guards]
-
     n_rhs = 1
     h = ctrl.h_init
     if h is None:
@@ -791,5 +773,5 @@ def integrate_adaptive(rhs, y0, span, ctrl, events=()) -> DenseSolution:
         h = _initial_step(rhs, x0, y0, fy, rtol, atol, h_max)
     h = min(h, h_max, x1 - x0)
 
-    return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, g_prev,
-                         events, guards, steps, found, n_rhs))
+    return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, events,
+                         steps, found, n_rhs))

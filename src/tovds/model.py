@@ -308,8 +308,8 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
 # -- the solve core ------------------------------------------------------------
 
 _FAILED = ("step_budget", "step_underflow", "domain_error")
-# kappa_scaled - kappa_min over the scaled stage's names, bit for bit
-_HORIZON = "(R - two_alpha * M - ab3 * (R * R * R)) / R - kappa_min"
+# kappa_scaled over the scaled stage's names, bit for bit
+_HORIZON = "(R - two_alpha * M - ab3 * (R * R * R)) / R"
 
 
 @dataclass
@@ -338,15 +338,15 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     if y0 is None or not (math.isfinite(y0[0]) and math.isfinite(y0[1])):
         raise ModelError(f"the center germ overflows for alpha = {alpha!r} and beta = {beta!r}")
     f = scaled_rhs(alpha, beta, eos)
-    # each guard is an expression over the scaled stage's names, with its own
-    # constant bound; the rise guard reads the step end's FSAL slope dU, and
-    # its refinement calls are counted in n_rhs
+    # each guard is an expression over the scaled stage's names, its constant
+    # written in by repr, which keeps the float's bits; the rise guard reads
+    # the step end's FSAL slope dU, and its refinement calls are counted in n_rhs
     events = [
         EventSpec("U", direction="falling", terminal=True, name="vacuum"),
-        EventSpec(_HORIZON, direction="falling", terminal=True, name="horizon",
-                  values={"kappa_min": _KAPPA_MIN}),
-        EventSpec("dU - mono_eps", direction="rising", root_tol=1e-10, name="pressure_rise",
-                  values={"mono_eps": _MONO_EPS}),
+        EventSpec(f"{_HORIZON} - {_KAPPA_MIN!r}", direction="falling", terminal=True,
+                  name="horizon"),
+        EventSpec(f"dU - {_MONO_EPS!r}", direction="rising", root_tol=1e-10,
+                  name="pressure_rise"),
     ]
     dense = integrate_adaptive(f, y0, (_GERM_R, R_max), ctrl, events=events)
     if dense.status in _FAILED:

@@ -18,9 +18,11 @@ continuation, the second derivative of sin(R)/R, the residual of the mu = 1
 closed form and the distance of scaled stars to the Lane-Emden orbit live
 here, as independent oracles for the code in src/.  So does the stage that
 calls a plain function as its right-hand side, with guards that call plain
-functions, for comparisons of a stage's written-in text with calls of it.
+functions bound as further constants of a stage, for comparisons of a
+stage's written-in text with calls of it.
 """
 
+import ast
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -29,6 +31,7 @@ import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from tovds import codegen
 from tovds import integrate as ig
 from tovds.analysis import _sinc_jet, lane_emden_solution
 from tovds.eos import _OFF_DOMAIN, _TAB_DEG, _TAB_NODES, EosSpec
@@ -578,20 +581,37 @@ def guard_call(stage, name: str, slope: bool = False) -> str:
     return f"float({name}({args}))"
 
 
+def bind(rhs, **bound):
+    """rhs with the names of bound added to its stage's constants and bound
+    to their values, so that a guard may call a function bound to one."""
+    stage = replace(rhs.stage, consts=rhs.stage.consts + tuple(bound))
+    return ig.stage_rhs(stage, {**rhs.values, **bound})
+
+
 def guard_of(rhs, ev):
-    """(guard, slope): ev's guard for a solve of rhs as integrate_adaptive
-    builds it, a function (x, y) -> value, or (x, y, dy) -> value for a
-    slope guard."""
-    make, slope = ig._guard_factory(rhs.stage, ev.expr, tuple(ev.values))
-    return make(**rhs.values, **ev.values), slope
+    """(guard, slope): ev's guard for a solve of rhs, compiled on its own,
+    a function (x, y) -> value, or (x, y, dy) -> value for a slope guard
+    (one whose expression reads a slope name), with rhs's constants bound."""
+    stage = rhs.stage
+    names = {node.id for node in ast.walk(ast.parse(ev.expr, mode="eval"))
+             if isinstance(node, ast.Name)}
+    slope = bool(names & set(stage.dy))
+    body = f"{', '.join(stage.y)}, = y\n" + f"{', '.join(stage.dy)}, = dy\n" * slope
+    make = codegen.closure_factory(f"<guard: {stage.name}: {ev.expr}>",
+                                   f"{stage.x}, y" + ", dy" * slope, body, ev.expr, stage.consts)
+    return make(**rhs.values), slope
 
 
-def called_event(rhs, ev, name: str):
-    """ev for a solve of called_rhs(rhs, dim): its guard for rhs, bound as
-    name and called on the called stage's names."""
-    guard, slope = guard_of(rhs, ev)
+def called_events(rhs, events) -> tuple:
+    """(guards, events) for a solve of bind(called_rhs(rhs, dim), **guards):
+    the guard of each event for rhs, bound as guard_i and called on the
+    called stage's names."""
     stage = _called_stage(len(rhs.stage.y))
-    return replace(ev, expr=guard_call(stage, name, slope), values={name: guard})
+    guards, called = {}, []
+    for i, ev in enumerate(events):
+        guards[f"guard_{i}"], slope = guard_of(rhs, ev)
+        called.append(replace(ev, expr=guard_call(stage, f"guard_{i}", slope)))
+    return guards, called
 
 
 def interp(dense) -> np.ndarray:

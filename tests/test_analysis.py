@@ -30,6 +30,7 @@ from tovds.model import (
 from tovds.odecore import FOUR_PI
 
 from oracles import (
+    bind,
     called_rhs,
     guard_call,
     interp,
@@ -160,11 +161,11 @@ def test_lane_emden_stage_matches_the_called_form(monkeypatch):
         assert want.status == "event", (mu, lam)
         if lam != 0.0:
             continue
-        rhs = called_rhs(lambda R, y: rhs_lane_emden(R, y, mu, lam), 2)
-        guards = [lambda R, y: y[1], lambda R, y, dy: dy[1]]
+        rhs = bind(called_rhs(lambda R, y: rhs_lane_emden(R, y, mu, lam), 2),
+                   guard_0=lambda R, y: y[1], guard_1=lambda R, y, dy: dy[1])
         called = integrate_adaptive(rhs, y0, span, ctrl, events=[
-            replace(ev, expr=guard_call(rhs.stage, f"guard_{i}", i == 1), values={f"guard_{i}": g})
-            for i, (ev, g) in enumerate(zip(events, guards))])
+            replace(ev, expr=guard_call(rhs.stage, f"guard_{i}", i == 1))
+            for i, ev in enumerate(events)])
         assert _dense_bits(called) == _dense_bits(want), mu
     assert len(integrate._LOOPS) == 2
 
@@ -297,8 +298,9 @@ def test_sweep_corner_and_determinism():
 
 
 def test_sweep_compiles_one_step_loop(monkeypatch):
-    # each cell binds its own alpha, beta and guard constants as values, not
-    # as text, so a whole 12 x 12 grid runs one generated loop
+    # each cell binds its own alpha and beta as values, not as text, and the
+    # guards' constants are the same text for every cell, so a whole 12 x 12
+    # grid runs one generated loop
     monkeypatch.setattr(integrate, "_LOOPS", {})
     grid = np.logspace(-3, 0, 12)
     sweep = regime_sweep(1.5, grid, grid)

@@ -24,7 +24,7 @@ from tovds.integrate import (
 )
 from tovds.model import solve_scaled
 
-from oracles import called_rhs, dense_eval_scalar, dp5_integrate, interp, rhs_lane_emden
+from oracles import bind, called_rhs, dense_eval_scalar, dp5_integrate, interp, rhs_lane_emden
 
 
 def locate_event(dense: DenseSolution, guard, direction="any", root_tol=1e-12):
@@ -477,17 +477,16 @@ def test_plain_callable_is_not_a_right_hand_side():
         integrate_adaptive(lambda x, y: [-y[0]], [1.0], (0.0, 1.0), StepControl())
 
 
-@pytest.mark.parametrize("events, message", [
-    ([EventSpec("s0_ - level")], r"uses names that are not its stage's or its own: \['level'\]"),
-    ([EventSpec("s0_ - fn", values={"fn": 0.5})], r"binds names of its stage: \['fn'\]"),
-    ([EventSpec("s0_ - c", name="a", values={"c": 0.5}),
-      EventSpec("s0_ + c", name="b", values={"c": 0.5})],
-     r"event 'b': two guards of one solve bind \['c'\]"),
-], ids=["unknown_name", "binds_stage_name", "two_bind_one_name"])
-def test_bad_event_is_rejected(events, message):
+@pytest.mark.parametrize("rhs, expr, name", [
+    (called_rhs(lambda x, y: [-y[0]], 1), "s0_ - level", "level"),
+    # the guard's function, which refines a crossing, does not run the
+    # stage's body, so a guard may not read the body's locals
+    (stage_rhs(Stage("temporary", "t", ("u",), ("du",), "v = -u\ndu = v\n", ()), {}), "u - v", "v"),
+], ids=["unknown_name", "stage_local"])
+def test_bad_event_is_rejected(rhs, expr, name):
+    message = rf"not its stage's abscissa, state, slopes or constants: \['{name}'\]$"
     with pytest.raises(ValueError, match=message):
-        integrate_adaptive(called_rhs(lambda x, y: [-y[0]], 1), [1.0], (0.0, 1.0), StepControl(),
-                           events=events)
+        integrate_adaptive(rhs, [1.0], (0.0, 1.0), StepControl(), events=[EventSpec(expr)])
 
 
 def test_start_state_of_the_wrong_length_is_rejected():
@@ -586,18 +585,19 @@ def test_slope_guard_reads_the_step_slope_and_counts_refinements():
         return dy[0]
 
     ctrl = StepControl(rel_tol=1e-11, abs_tol=1e-13)
-    sol = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 10.0), ctrl, events=[
-        EventSpec("float(g(t_, [s0_], (d0_,)))", direction="falling", name="top",
-                  values={"g": slope_guard})])
+    sol = integrate_adaptive(bind(called_rhs(rhs, 1), g=slope_guard), [0.0], (0.0, 10.0), ctrl,
+                             events=[EventSpec("float(g(t_, [s0_], (d0_,)))",
+                                               direction="falling", name="top")])
     assert calls == sol.n_rhs
     tops = [ev.x for ev in sol.events]
     assert len(tops) == 2
     assert abs(tops[0] - 0.5 * math.pi) < 1e-9
     assert abs(tops[1] - 2.5 * math.pi) < 1e-9
     # the same guard spelled on (x, y) locates the same bits with no calls
-    plain = integrate_adaptive(called_rhs(rhs, 1), [0.0], (0.0, 10.0), ctrl, events=[
-        EventSpec("float(g(t_, [s0_]))", direction="falling", name="top",
-                  values={"g": lambda x, y: math.cos(x)})])
+    plain = integrate_adaptive(bind(called_rhs(rhs, 1), g=lambda x, y: math.cos(x)), [0.0],
+                               (0.0, 10.0), ctrl,
+                               events=[EventSpec("float(g(t_, [s0_]))", direction="falling",
+                                                 name="top")])
     assert [ev.x for ev in plain.events] == tops
     assert np.array_equal(plain.ys, sol.ys)
     # refinement calls: guard calls beyond one at x0 and one per step end

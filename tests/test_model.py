@@ -33,7 +33,8 @@ from tovds.metric import MetricPatch, continuity_report
 from tovds.odecore import FOUR_PI, ScalingParams, kappa
 
 from oracles import (
-    called_event,
+    bind,
+    called_events,
     called_rhs,
     dense_eval_scalar,
     du_dr_minus_pointwise,
@@ -100,8 +101,8 @@ def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
             nonlocal calls
             calls += 1
             return rhs(R, y)
-        return integrate(called_rhs(counted, 2), y0, span, ctrl,
-                         [called_event(rhs, ev, f"guard_{i}") for i, ev in enumerate(events)])
+        guards, called = called_events(rhs, events)
+        return integrate(bind(called_rhs(counted, 2), **guards), y0, span, ctrl, called)
 
     monkeypatch.setattr(model, "integrate_adaptive", called_integrate)
     # the second star has five located rises, each refined with calls
@@ -124,23 +125,21 @@ EDGE_STAR = (4.15, 60.0)
 def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded, text=False):
     """A scaled solve as _solve_core makes it, at the sweep tolerances; or
     with no guards, to run past the vacuum boundary.  The guards are
-    lambdas, which the step loop calls on the names of rhs's stage, or with
-    text=True expressions over the scaled stage's names, as _solve_core's
-    are."""
+    lambdas bound as constants of rhs's stage, which the step loop calls on
+    the stage's names, or with text=True expressions over the scaled
+    stage's names, as _solve_core's are."""
     R0 = 1e-6
     if text:
-        exprs = ["U", model._HORIZON, "dU - mono_eps"]
-        values = [{}, {"kappa_min": 1e-10}, {"mono_eps": 1e-6}]
+        exprs = ["U", f"{model._HORIZON} - 1e-10", "dU - 1e-06"]
     else:
         exprs = [guard_call(rhs.stage, f"guard_{i}", i == 2) for i in range(3)]
-        values = [{"guard_0": lambda R, y: y[1]},
-                  {"guard_1": lambda R, y: odecore.kappa_scaled(R, y[0], alpha, beta) - 1e-10},
-                  {"guard_2": lambda R, y, dy: dy[1] - 1e-6}]
+        rhs = bind(rhs, guard_0=lambda R, y: y[1],
+                   guard_1=lambda R, y: odecore.kappa_scaled(R, y[0], alpha, beta) - 1e-10,
+                   guard_2=lambda R, y, dy: dy[1] - 1e-6)
     events = [
-        EventSpec(exprs[0], direction="falling", terminal=True, name="vacuum", values=values[0]),
-        EventSpec(exprs[1], direction="falling", terminal=True, name="horizon", values=values[1]),
-        EventSpec(exprs[2], direction="rising", root_tol=1e-10, name="pressure_rise",
-                  values=values[2]),
+        EventSpec(exprs[0], direction="falling", terminal=True, name="vacuum"),
+        EventSpec(exprs[1], direction="falling", terminal=True, name="horizon"),
+        EventSpec(exprs[2], direction="rising", root_tol=1e-10, name="pressure_rise"),
     ] if guarded else []
     return integrate_adaptive(rhs, odecore.center_germ_scaled(alpha, beta, eos, R0), (R0, R_max),
                               StepControl(rel_tol=1e-9, abs_tol=1e-12), events=events)
@@ -199,8 +198,8 @@ def test_written_in_guards_match_called_guards(alpha, beta, eos, what):
     called = _solution_bits(lambda: _scaled_solve(f, alpha, beta, eos, 50.0, True))
     assert text == called
     exprs = {tuple(g.expr for g in guards) for _, stage, guards in integrate._LOOPS
-             if stage == f.stage}
-    assert exprs >= {("U", model._HORIZON, "dU - mono_eps"),
+             if stage.body == f.stage.body}
+    assert exprs >= {("U", f"{model._HORIZON} - 1e-10", "dU - 1e-06"),
                      ("float(guard_0(R, [M, U]))", "float(guard_1(R, [M, U]))",
                       "float(guard_2(R, [M, U], (dM, dU,)))")}
     if what.startswith("EosDomainError"):

@@ -287,9 +287,11 @@ def test_stage_kappa_test_and_horizon_guard_are_kappa_scaled(eos15):
         if straddles:
             signs.add(kap > 0.0)
         want = (kap - 1e-10).hex()
-        names = {**f.values, "kappa_min": 1e-10, "R": R, "M": M, "U": 0.5}
-        assert eval(model._HORIZON, names).hex() == want  # the text the loop writes in
-        guard, _ = guard_of(f, EventSpec(model._HORIZON, values={"kappa_min": 1e-10}))
+        names = {**f.values, "R": R, "M": M, "U": 0.5}
+        assert eval(model._HORIZON, names).hex() == kap.hex()
+        horizon = f"{model._HORIZON} - {model._KAPPA_MIN!r}"  # the text the loop writes in
+        assert eval(horizon, names).hex() == want
+        guard, _ = guard_of(f, EventSpec(horizon))
         assert guard(R, [M, 0.5]).hex() == want
         if kap <= 0.0:
             with pytest.raises(KappaNonPositiveError) as info:
