@@ -6,8 +6,11 @@ digest as its parent.  Run from the repository root:
     PYTHONPATH=src python3 tests/trajectory_digest.py
 
 It prints the digest and how many integrations, sweeps, stars, boundary
-analyses and Lane-Emden zeros went into it.  pytest does not collect this
-file.
+analyses and Lane-Emden zeros went into it, then one digest per part: the
+sweeps, the Omega == 1 stars, the series-Omega stars and the Lane-Emden
+zeros, so that a change shows which part moved.  Each part's digest is
+over the same bytes, integrations included, that the whole-set digest takes
+in for that part.  pytest does not collect this file.
 
 Hashed, in this order:
 - every DenseSolution that integrate_adaptive returns, as the solve gets it:
@@ -76,9 +79,25 @@ def _boundary(h, profile, outcome) -> None:
         _text(h, *dataclasses.astuple(fit))
 
 
+class _Hashes:
+    """The whole-set sha256 and one per part, each part's fed the bytes the
+    whole takes in while that part runs."""
+
+    def __init__(self):
+        self.whole = hashlib.sha256()
+        self.parts = {}
+
+    def start(self, part: str) -> None:
+        self.part = self.parts[part] = hashlib.sha256()
+
+    def update(self, data: bytes) -> None:
+        self.whole.update(data)
+        self.part.update(data)
+
+
 def digest() -> tuple:
-    """(hex digest, counts) of the whole solve set."""
-    h = hashlib.sha256()
+    """(hex digest, counts, {part: hex digest}) of the whole solve set."""
+    h = _Hashes()
     counts = {"integrations": 0, "sweeps": 0, "stars": 0, "boundaries": 0, "lane_emden": 0}
     original = integrate.integrate_adaptive
 
@@ -92,11 +111,13 @@ def digest() -> tuple:
     for m in owners:
         m.integrate_adaptive = hashed
     try:
+        h.start("sweeps")
         for gamma in SWEEP_GAMMAS:
             sweep = analysis.regime_sweep(gamma, SWEEP_GRID, SWEEP_GRID)
             _text(h, json.dumps(sweep.to_json_dict(), sort_keys=True))
             counts["sweeps"] += 1
         for omega in STAR_OMEGAS:
+            h.start("Omega == 1 stars" if omega.coeffs == (1.0,) else "series-Omega stars")
             eos = EosSpec(A=1.0, gamma=1.5, omega=omega)
             for u_c in STAR_U_C:
                 for Lambda in STAR_LAMBDA:
@@ -111,16 +132,19 @@ def digest() -> tuple:
                             _boundary(h, profile, outcome)
                             counts["boundaries"] += 1
                     counts["stars"] += 1
+        h.start("Lane-Emden")
         for mu, lam in LANE_EMDEN:
             _text(h, analysis.lane_emden_first_zero(mu, lam))
             counts["lane_emden"] += 1
     finally:
         for m in owners:
             m.integrate_adaptive = original
-    return h.hexdigest(), counts
+    return h.whole.hexdigest(), counts, {k: v.hexdigest() for k, v in h.parts.items()}
 
 
 if __name__ == "__main__":
-    hexdigest, counts = digest()
+    hexdigest, counts, parts = digest()
     print(hexdigest)
     print(", ".join(f"{k} {v}" for k, v in counts.items()))
+    for part, part_digest in parts.items():
+        print(f"{part}: {part_digest}")
