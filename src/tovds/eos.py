@@ -430,6 +430,8 @@ class EosSpec:
         for i in range(100):
             if i:
                 f = gfac * z * (yield z) - eta
+            if f == 0.0:
+                return z
             if f < 0.0:
                 lo = z
             else:

@@ -193,6 +193,8 @@ def zeta_of_eta_reference(eos, eta: float) -> float:
     for i in range(100):
         if i:
             f = F(z)
+        if f == 0.0:
+            return z
         if f < 0.0:
             lo = z
         else:
