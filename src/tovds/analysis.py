@@ -318,7 +318,7 @@ def regime_sweep(
             raise ValueError(f"sweep grid {name} is empty")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs!r}")
-    if alpha_grid.min() < 0.0 or beta_grid.min() < 0.0 or alpha_grid.max() > 1.0 or beta_grid.max() > 1.0:
+    if not all(((g >= 0.0) & (g <= 1.0)).all() for g in (alpha_grid, beta_grid)):  # NaN fails
         raise ValueError("sweep grids must lie within [0, 1]")
     if eos is None:
         eos = EosSpec(A=1.0, gamma=gamma)

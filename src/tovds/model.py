@@ -382,7 +382,12 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
 
 def solve_scaled(alpha: float, beta: float, eos: EosSpec, ctrl: StepControl = SOLVE_CTRL,
                  R_max: float = R_MAX_SCALED) -> ScaledStar:
-    """Integrate the scaled system from its germ and classify the outcome."""
+    """Integrate the scaled system from its germ and classify the outcome.
+
+    ValueError for an alpha or beta that is negative or not finite."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
     return _solve_core(alpha, beta, eos, ctrl, R_max)
 
 

@@ -368,6 +368,8 @@ def test_sweep_refuses_jobs_below_1(jobs):
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         regime_sweep(1.5, [0.5, 1.5], [0.1])
+    with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+        regime_sweep(1.5, [0.1], [0.1, math.nan])
 
 
 @pytest.mark.parametrize("alpha_grid, beta_grid, empty", [

@@ -599,6 +599,17 @@ def test_an_overflow_in_a_trial_stage_rejects_the_step():
     assert lo.R_plus < star.R_plus < hi.R_plus
 
 
+@pytest.mark.parametrize("alpha, beta, name", [
+    (math.nan, 0.1, "alpha"), (math.inf, 0.1, "alpha"), (-0.1, 0.1, "alpha"),
+    (0.1, math.nan, "beta"), (0.1, math.inf, "beta"), (1e-3, -0.1, "beta"),
+])
+def test_solve_scaled_refuses_a_bad_argument_by_name(alpha, beta, name):
+    # a NaN or inf once ended as "the center germ overflows", and a negative
+    # alpha or beta solved to a tag of an unphysical star
+    with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
+        solve_scaled(alpha, beta, EosSpec(A=1.0, gamma=1.5))
+
+
 @pytest.mark.parametrize("alpha", [1e3, 1.2e3])
 def test_an_overflowing_germ_is_a_model_error(alpha):
     # at alpha = 1e3 the germ's U is -inf, and at 1.2e3 its Omega overflows:
