@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,7 +308,8 @@ def regime_sweep(
     raises a TovdsError is recorded with outcome "error"; any other
     exception ends the sweep.  The empirical epsilon0 estimate is the
     largest g such that every cell with alpha <= g and beta <= g is
-    monotone-short.  min(jobs, cells, CPUs) worker processes solve the cells.
+    monotone-short.  min(jobs, cells, CPUs) worker processes solve the cells;
+    the process pool is imported only when that is more than one.
     """
     alpha_grid = np.asarray(alpha_grid, dtype=float)
     beta_grid = np.asarray(beta_grid, dtype=float)
@@ -329,6 +329,7 @@ def regime_sweep(
     tasks = [(float(a), float(b), eos, ctrl, R_max) for a in alpha_grid for b in beta_grid]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             cells = list(pool.map(_sweep_cell, tasks, chunksize=4))
     else:

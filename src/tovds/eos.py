@@ -13,14 +13,16 @@ boundary.  Three derived correction functions express the state through u:
 with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u(zeta) is the mean
 over [0, zeta] of w = [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega),
 computed by an adaptive Gauss-Legendre rule (_mean) that evaluates w on all
-nodes of a level at once; Omega_rho and Omega_P need the inverse map
-eta -> zeta, a bracketed Newton search per eta that _zetas_of_etas runs on
-many etas at once, with their bits alone, by one batched quadrature per
-round (_means).  All three equal 1 at argument 0, and every path gives
-(Omega_rho, Omega_P) = (1.0, 1.0) exactly at eta = 0.  A series Omega and
-its derivative are evaluated by Horner, on a float or elementwise on an
-array, in numpy.polynomial's polyval operation order, so the values are
-bit-identical to polyval's.
+nodes of a level at once.  The rule is formed on the first quadrature, and
+numpy.polynomial, which forms it and fits the table pieces below, is
+imported on first need, so a run that never integrates loads neither.
+Omega_rho and Omega_P need the inverse map eta -> zeta, a bracketed Newton
+search per eta that _zetas_of_etas runs on many etas at once, with their
+bits alone, by one batched quadrature per round (_means).  All three equal
+1 at argument 0, and every path gives (Omega_rho, Omega_P) = (1.0, 1.0)
+exactly at eta = 0.  A series Omega and its derivative are evaluated by
+Horner, on a float or elementwise on an array, in numpy.polynomial's
+polyval operation order, so the values are bit-identical to polyval's.
 
 That direct path is slow.  The fast path has one definition, the terms
 text of EosSpec.stage_terms_source, which sets rho_term = U#^mu Omega_rho
@@ -47,8 +49,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
-from numpy.polynomial.legendre import leggauss
 
 from . import codegen
 from .errors import EosDomainError, NonPhysicalEosError, QuadratureError, RootFindError
@@ -109,21 +109,26 @@ class OmegaSeries:
 
 def _gauss_legendre(n: int) -> tuple:
     """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
+    from numpy.polynomial.legendre import leggauss
     x, w = leggauss(n)
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-# _mean's rule pair: the 21-point rule gives a panel's mean and the 10-point
-# rule's distance from it that mean's error estimate, a large overestimate for
-# an analytic integrand (21 points integrate degree 41 exactly, 10 degree 19).
-# Both rules' nodes in one row; column 0 of _GL_WEIGHTS weighs them for the
-# 21-point mean, column 1 for the 10-point mean.
-_GL21_NODES, _GL21_WEIGHTS = _gauss_legendre(21)
-_GL10_NODES, _GL10_WEIGHTS = _gauss_legendre(10)
-_GL_NODES = np.concatenate((_GL21_NODES, _GL10_NODES))
-_GL_WEIGHTS = np.zeros((31, 2))
-_GL_WEIGHTS[:21, 0] = _GL21_WEIGHTS
-_GL_WEIGHTS[21:, 1] = _GL10_WEIGHTS
+@functools.cache
+def _gl_rule() -> tuple:
+    """_mean's rule pair (nodes, weights), formed on the first quadrature: the
+    21-point rule gives a panel's mean and the 10-point rule's distance from it
+    that mean's error estimate, a large overestimate for an analytic integrand
+    (21 points integrate degree 41 exactly, 10 degree 19).  Both rules' nodes
+    in one row; column 0 of weights weighs them for the 21-point mean, column 1
+    for the 10-point mean."""
+    (x21, w21), (x10, w10) = _gauss_legendre(21), _gauss_legendre(10)
+    weights = np.zeros((31, 2))
+    weights[:21, 0] = w21
+    weights[21:, 1] = w10
+    return np.concatenate((x21, x10)), weights
+
+
 _QUAD_RTOL = 1e-10
 _QUAD_PANELS = 400
 
@@ -132,7 +137,8 @@ def _means(f, bs) -> list:
     """_mean(f, b) at each b of bs, bit for bit: every first level in one call
     of f and one stacked matmul of _mean's own (1, 31) rows (an (n, 31) matmul
     can differ in the last bit); a b whose first level does not close is _mean's."""
-    means = (f(np.asarray(bs)[:, None] * _GL_NODES)[:, None, :] @ _GL_WEIGHTS)[:, 0]
+    nodes, weights = _gl_rule()
+    means = (f(np.asarray(bs)[:, None] * nodes)[:, None, :] @ weights)[:, 0]
     done = np.abs(means[:, 0] - means[:, 1]) <= _QUAD_RTOL * np.abs(means[:, 0])
     out = (0.0 + means[:, 0]).tolist()  # _mean's total, 0.0 + 1.0 * m21
     for j in np.flatnonzero(~done).tolist():
@@ -155,9 +161,10 @@ def _mean(f, b: float) -> float:
     width = 1.0
     total = 0.0
     evaluated = 1
-    x = b * _GL_NODES[None, :]
+    nodes, weights = _gl_rule()
+    x = b * nodes[None, :]
     while True:
-        means = f(x) @ _GL_WEIGHTS
+        means = f(x) @ weights
         m21 = means[:, 0]
         err = np.abs(m21 - means[:, 1])
         done = err <= _QUAD_RTOL * abs(total + width * m21.sum())
@@ -174,7 +181,7 @@ def _mean(f, b: float) -> float:
                 f"quadrature over [0, {b:g}] did not converge in {_QUAD_PANELS} panels; "
                 f"error estimate of the mean {open_err:.3e}"
             )
-        x = b * (lo[:, None] + width * _GL_NODES)
+        x = b * (lo[:, None] + width * nodes)
 
 
 # Sub-interval tables for the fast Omega_rho / Omega_P path: degree per piece
@@ -259,6 +266,7 @@ class _OmegaTables:
             self.pieces[i] = _OFF_DOMAIN
             return _OFF_DOMAIN
         vals = np.array([eos._omega_rho_P_at(eta, zeta) for eta, zeta in zip(etas, zetas)])
+        from numpy.polynomial import polynomial as npoly
         cr = npoly.polyfit(_TAB_NODES, vals[:, 0], _TAB_DEG)
         cP = npoly.polyfit(_TAB_NODES, vals[:, 1], _TAB_DEG)
         piece = (tuple(float(x) for x in cr), tuple(float(x) for x in cP))

@@ -1,5 +1,6 @@
 """Limit analyses: first zeros, closed forms, convergence, exponent fits."""
 
+import concurrent.futures
 import math
 import os
 from dataclasses import replace
@@ -345,9 +346,10 @@ class RecordingPool:
 
 
 def test_sweep_workers_are_bounded(monkeypatch):
-    # no more workers than cells or CPUs; an unknown CPU count counts as 1
+    # no more workers than cells or CPUs; an unknown CPU count counts as 1.
+    # regime_sweep imports the pool from concurrent.futures when it starts one
     made = []
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: RecordingPool(made, max_workers))
     grid = [1e-3, 2e-3]
     serial = regime_sweep(1.5, grid, grid).cells

@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
 import argparse
+import concurrent.futures
 import json
 import math
 import os
@@ -248,8 +249,9 @@ def test_sweep_parallel_matches_serial(tmp_path):
 ])
 @pytest.mark.parametrize("jobs", ["0", "-1"])
 def test_jobs_below_1_exits_2(tmp_path, capsys, monkeypatch, command, jobs):
-    # refused before any output, cell or worker process
-    monkeypatch.setattr(tovds.analysis, "ProcessPoolExecutor", None)
+    # refused before any output, cell or worker process; regime_sweep imports
+    # the pool from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
     path = write_config(tmp_path, {"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": [1e-3]})
     argv = [path if arg == "CONFIG" else arg for arg in command]
     code = main(argv + ["--out", str(tmp_path / "out"), "--jobs", jobs])
