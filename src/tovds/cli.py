@@ -22,7 +22,6 @@ import json
 import os
 import sys
 
-from . import acceptance
 from .analysis import lane_emden_first_zero, regime_sweep
 from .config import build_lane_emden, build_model_input, build_sweep, load_json, unit_system
 from .errors import ConfigError, TovdsError
@@ -158,6 +157,7 @@ def cmd_lane_emden(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import acceptance
     os.makedirs(args.out, exist_ok=True)
     numbers = None
     if args.criteria:
