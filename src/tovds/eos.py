@@ -1,7 +1,8 @@
 """Barotropic equation of state with an analytic correction factor.
 
 P(rho) = A rho^gamma Omega(zeta),  zeta = A rho^(gamma-1) / c^2,  Omega(0) = 1,
-for rho >= 0: the EOS lives on zeta, eta >= 0; the direct path refuses below 0.
+for rho >= 0: the EOS lives on finite zeta, eta >= 0; the direct path refuses
+an argument below 0 or not finite, and the enthalpy maps a u that is not finite.
 
 The enthalpy variable u = int_0^rho dP / (rho + P/c^2) linearises the vacuum
 boundary.  Three derived correction functions express the state through u:
@@ -228,7 +229,13 @@ for i, U_pos in enumerate(us):
         TERMS
         rho[i] = A1 * rho_term
         P[i] = p_coeff * p_term
+    elif U_pos - U_pos != 0.0:  # NaN or -inf: u - u is NaN just for a non-finite u
+        raise nonfinite_u(U_pos)
 """, "rho, P")
+
+
+def _nonfinite_u(u: float) -> EosDomainError:
+    return EosDomainError(f"u = {u!r}: the enthalpy maps are defined for finite u only")
 
 
 @functools.cache
@@ -373,16 +380,16 @@ class EosSpec:
     def omega_u(self, zeta: float) -> float:
         """Omega_u(zeta) = (1/zeta) int_0^zeta w, the mean of w over [0, zeta];
         the removable singularity at 0 takes its limit, 1."""
-        if not zeta >= 0.0:
-            raise EosDomainError(f"zeta = {zeta!r}: the EOS is defined for zeta >= 0 only")
+        if not 0.0 <= zeta < math.inf:
+            raise EosDomainError(f"zeta = {zeta!r}: the EOS is defined for finite zeta >= 0 only")
         if zeta == 0.0:
             return 1.0
         return _mean(self._w, zeta)
 
     def u_of_density(self, rho: float) -> float:
         """Enthalpy u(rho) through the closed transform; u(0) = 0."""
-        if rho < 0.0:
-            raise EosDomainError("rho must be nonnegative")
+        if not 0.0 <= rho < math.inf:
+            raise EosDomainError(f"rho = {rho!r}: u_of_density needs a finite rho >= 0")
         if rho == 0.0:
             return 0.0
         zeta = self.zeta_of_density(rho)
@@ -416,8 +423,8 @@ class EosSpec:
         zeta.  The Newton slope is the integrand w, which needs no quadrature;
         no z is integrated twice, F(z0) being the bracket's first test and
         Newton's first residual."""
-        if not eta >= 0.0:
-            raise EosDomainError(f"eta = {eta!r}: the EOS is defined for eta >= 0 only")
+        if not 0.0 <= eta < math.inf:
+            raise EosDomainError(f"eta = {eta!r}: the EOS is defined for finite eta >= 0 only")
         gfac = self.gamma / (self.gamma - 1.0)
         z0 = eta / gfac
         if z0 == 0.0:
@@ -552,17 +559,25 @@ class EosSpec:
         rho = A1 u^mu Omega_rho(u/c^2) and P = A A1^gamma u^(mu+1) Omega_P(u/c^2),
         both zero for u <= 0.  One loop (_STATE_MAP) runs the terms at
         U_pos = u on Python floats, as numpy's vector pow may differ from
-        libm's in the last bit; for Omega == 1 a sample makes one pow."""
+        libm's in the last bit; for Omega == 1 a sample makes one pow.  The
+        loop refuses a NaN or -inf u in its u <= 0 branch, so a finite u > 0
+        takes no further test; +inf is refused by density_of_u and
+        pressure_of_u and, for a series Omega, by the direct path, but gives
+        NaN here for Omega == 1."""
         g, alpha = self.gamma, 1.0 / self.c2
         return self._run_terms(_STATE_MAP, alpha=alpha, p_alpha=(g - 1.0) / g * alpha, mu=self.mu,
-                               A1=self.A1, p_coeff=self.p_coeff)(us)
+                               A1=self.A1, p_coeff=self.p_coeff, nonfinite_u=_nonfinite_u)(us)
 
     def density_of_u(self, u: float) -> float:
         """rho(u) = A1 u^mu Omega_rho(u/c^2); zero for u <= 0."""
+        if u == math.inf:
+            raise _nonfinite_u(u)
         return self.rho_P_of_u((u,))[0][0]
 
     def pressure_of_u(self, u: float) -> float:
         """P(u) = A A1^gamma u^(mu+1) Omega_P(u/c^2); zero for u <= 0."""
+        if u == math.inf:
+            raise _nonfinite_u(u)
         return self.rho_P_of_u((u,))[1][0]
 
 

@@ -128,8 +128,8 @@ def test_overflowing_density_is_not_admissible():
     fermi_fit_eos(FermiEosParams(K=1.0)),
 ], ids=["polytrope", "series", "fermi_fit"])
 def test_direct_path_refuses_negative_arguments(eos):
-    # the EOS lives on zeta, eta >= 0; each refusal names the value
-    for x in (-5e-324, -1e-9, -0.05, -0.2, math.nan):
+    # the EOS lives on finite zeta, eta >= 0; each refusal names the value
+    for x in (-5e-324, -1e-9, -0.05, -0.2, math.nan, math.inf):
         for method in (eos.omega_u, eos.zeta_of_eta, eos.omega_rho_P):
             with pytest.raises(EosDomainError, match=f"= {x!r}: the EOS is defined for"):
                 method(x)
@@ -508,6 +508,25 @@ def test_pressure_density_of_u_vanish_below_zero(eos15):
     assert eos15.density_of_u(-0.1) == 0.0
     assert eos15.pressure_of_u(-0.1) == 0.0
     assert eos15.density_of_u(0.0) == 0.0
+
+
+@pytest.mark.parametrize("eos", [
+    EosSpec(A=1.0, gamma=1.5),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
+], ids=["polytrope", "series"])
+def test_enthalpy_maps_refuse_a_non_finite_argument_by_name(eos):
+    # NaN is not vacuum, and inf gives neither NaN nor a quadrature error
+    for u in (math.nan, math.inf, -math.inf):
+        for method in (eos.density_of_u, eos.pressure_of_u):
+            with pytest.raises(EosDomainError, match=f"^u = {u!r}: the enthalpy maps are "
+                                                     "defined for finite u only$"):
+                method(u)
+    for us in ([math.nan], [1e-3, math.nan, -1.0], [-math.inf]):
+        with pytest.raises(EosDomainError, match="^u = (nan|-inf): the enthalpy maps"):
+            eos.rho_P_of_u(us)
+    for rho in (math.nan, math.inf):
+        with pytest.raises(EosDomainError, match=f"^rho = {rho!r}: u_of_density needs a finite"):
+            eos.u_of_density(rho)
 
 
 @pytest.mark.parametrize("c", [1.0, 2.5, 299792458.0])
