@@ -11,19 +11,17 @@ boundary.  Three derived correction functions express the state through u:
     rho = A1 * u^(1/(gamma-1))     * Omega_rho(eta),   eta = u / c^2
     P   = A A1^gamma * u^(gamma/(gamma-1)) * Omega_P(eta)
 
-with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u(zeta) is the mean
-over [0, zeta] of w = [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega),
-computed by an adaptive Gauss-Legendre rule (_mean) that evaluates w on all
-nodes of a level at once.  The rule is formed on the first quadrature, and
-numpy.polynomial, which forms it and fits the table pieces below, is
-imported on first need, so a run that never integrates loads neither.
-Omega_rho and Omega_P need the inverse map eta -> zeta, a bracketed Newton
-search per eta that _zetas_of_etas runs on many etas at once, with their
-bits alone, by one batched quadrature per round (_means).  All three equal
-1 at argument 0, and every path gives (Omega_rho, Omega_P) = (1.0, 1.0)
-exactly at eta = 0.  A series Omega and its derivative are evaluated by
-Horner, on a float or elementwise on an array, in numpy.polynomial's
-polyval operation order, so the values are bit-identical to polyval's.
+with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u(zeta), the mean over
+[0, zeta] of the rational w = [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega),
+is a closed form over the real factors of 1 + z Omega, found once per EOS on
+its first need (EosSpec._fractions); the EOS domain ends at their least
+positive root.  Omega_rho and Omega_P need the inverse map eta -> zeta, a
+bracketed Newton search per eta.  All three equal 1 at argument 0, and every
+path gives (Omega_rho, Omega_P) = (1.0, 1.0) exactly at eta = 0.  A series
+Omega and its derivative are evaluated by Horner, on a float or elementwise
+on an array, in numpy.polynomial's polyval operation order, so the values
+are bit-identical to polyval's; numpy.polynomial itself, which fits the
+table pieces below, is imported on first need.
 
 That direct path is slow.  The fast path has one definition, the terms
 text of EosSpec.stage_terms_source, which sets rho_term = U#^mu Omega_rho
@@ -31,8 +29,8 @@ and p_term = U#^(mu+1) Omega_P at eta = alpha U#.  For the pure polytrope,
 Omega == 1, which is OmegaSeries((1.0,)) and the default, it is the closed
 form in Z = U# / Omega_u = U# (e^(k eta) - 1) / (k eta), k = (gamma-1)/gamma.
 For a series Omega it calls piecewise Chebyshev interpolants on a grid over
-[0, eta_max]; a piece is fitted to the direct path at its 13 nodes, inverted
-in one batch, when an eta first lands in it.  Outside the grid, and in a
+[0, eta_max]; a piece is fitted to the direct path at its 13 nodes when an
+eta first lands in it.  Outside the grid, and in a
 piece with a node outside the EOS domain, the direct path answers.  Three
 consumers run the text, each compiled once per text: the scaled stage
 (odecore), the germ fast_omega() at U# = 1, where the terms are Omega_rho
@@ -52,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from . import codegen
-from .errors import EosDomainError, NonPhysicalEosError, QuadratureError, RootFindError
+from .errors import EosDomainError, NonPhysicalEosError, RootFindError
 
 _log = logging.getLogger("tovds")
 
@@ -108,81 +106,19 @@ class OmegaSeries:
         return _horner(self._d1, zeta)
 
 
-def _gauss_legendre(n: int) -> tuple:
-    """Nodes and weights of the n-point Gauss-Legendre rule on [0, 1]."""
-    from numpy.polynomial.legendre import leggauss
-    x, w = leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+def _mulmod(a: tuple, b: tuple, p: float, s: float) -> tuple:
+    """a b mod z^2 + p z + s, for a and b linear in z, each given as
+    (coefficient of z, constant): the product at both roots at once."""
+    t = a[0] * b[0]
+    return a[0] * b[1] + a[1] * b[0] - t * p, a[1] * b[1] - t * s
 
 
-@functools.cache
-def _gl_rule() -> tuple:
-    """_mean's rule pair (nodes, weights), formed on the first quadrature: the
-    21-point rule gives a panel's mean and the 10-point rule's distance from it
-    that mean's error estimate, a large overestimate for an analytic integrand
-    (21 points integrate degree 41 exactly, 10 degree 19).  Both rules' nodes
-    in one row; column 0 of weights weighs them for the 21-point mean, column 1
-    for the 10-point mean."""
-    (x21, w21), (x10, w10) = _gauss_legendre(21), _gauss_legendre(10)
-    weights = np.zeros((31, 2))
-    weights[:21, 0] = w21
-    weights[21:, 1] = w10
-    return np.concatenate((x21, x10)), weights
-
-
-_QUAD_RTOL = 1e-10
-_QUAD_PANELS = 400
-
-
-def _means(f, bs) -> list:
-    """_mean(f, b) at each b of bs, bit for bit: every first level in one call
-    of f and one stacked matmul of _mean's own (1, 31) rows (an (n, 31) matmul
-    can differ in the last bit); a b whose first level does not close is _mean's."""
-    nodes, weights = _gl_rule()
-    means = (f(np.asarray(bs)[:, None] * nodes)[:, None, :] @ weights)[:, 0]
-    done = np.abs(means[:, 0] - means[:, 1]) <= _QUAD_RTOL * np.abs(means[:, 0])
-    out = (0.0 + means[:, 0]).tolist()  # _mean's total, 0.0 + 1.0 * m21
-    for j in np.flatnonzero(~done).tolist():
-        out[j] = _mean(f, bs[j])
-    return out
-
-
-def _mean(f, b: float) -> float:
-    """(1 / b) int_0^b f, b > 0, by adaptive Gauss-Legendre quadrature.
-
-    f maps an array of abscissae to the array of its values.  Each level
-    evaluates every open panel at the nodes of both rules in one call of f;
-    a panel closes when its two means differ by at most _QUAD_RTOL times the
-    current mean over [0, b], and every other panel is halved.  Panels are
-    kept as fractions of [0, b], so their weights are exact powers of 2 and
-    nothing is divided by b, however small it is.  QuadratureError when
-    more than _QUAD_PANELS panels would be needed.
-    """
-    lo = np.zeros(1)  # left ends of the open panels, as fractions of [0, b]
-    width = 1.0
-    total = 0.0
-    evaluated = 1
-    nodes, weights = _gl_rule()
-    x = b * nodes[None, :]
-    while True:
-        means = f(x) @ weights
-        m21 = means[:, 0]
-        err = np.abs(m21 - means[:, 1])
-        done = err <= _QUAD_RTOL * abs(total + width * m21.sum())
-        total += width * m21[done].sum()
-        if done.all():
-            return float(total)
-        open_err = width * err[~done].sum()
-        width *= 0.5
-        lo = lo[~done]
-        lo = np.concatenate((lo, lo + width))
-        evaluated += lo.size
-        if evaluated > _QUAD_PANELS:
-            raise QuadratureError(
-                f"quadrature over [0, {b:g}] did not converge in {_QUAD_PANELS} panels; "
-                f"error estimate of the mean {open_err:.3e}"
-            )
-        x = b * (lo[:, None] + width * nodes)
+def _invmod(a: tuple, p: float, s: float) -> tuple:
+    """1/a mod z^2 + p z + s: a times (-a1 z + a0 - p a1) is the norm
+    a0^2 - p a0 a1 + s a1^2, the product of a's values at the two roots."""
+    a1, a0 = a
+    n = a0 * a0 - p * a0 * a1 + s * a1 * a1
+    return -a1 / n, (a0 - p * a1) / n
 
 
 # Sub-interval tables for the fast Omega_rho / Omega_P path: degree per piece
@@ -238,6 +174,10 @@ def _nonfinite_u(u: float) -> EosDomainError:
     return EosDomainError(f"u = {u!r}: the enthalpy maps are defined for finite u only")
 
 
+def _refusal(name: str, value: float) -> EosDomainError:
+    return EosDomainError(f"{name} = {value!r}: the EOS is defined for finite {name} >= 0 only")
+
+
 @functools.cache
 def _terms_factory(form: tuple, label: str, terms: str, consts: tuple):
     """make(**values) of form's function with terms spliced in, compiled once per text."""
@@ -264,15 +204,14 @@ class _OmegaTables:
         self.pieces = [None] * n
 
     def build(self, i: int, eos: EosSpec) -> tuple:
-        """Fit piece i to eos.omega_rho_P's bits at its nodes, from one batched
-        inversion eos._zetas_of_etas; depends on no other piece."""
+        """Fit piece i to eos.omega_rho_P's bits at its nodes; depends on no
+        other piece."""
         etas = (self.mids[i] + self.halfw * _TAB_NODES).tolist()
         try:
-            zetas = eos._zetas_of_etas(etas)
+            vals = np.array([eos.omega_rho_P(eta) for eta in etas])
         except EosDomainError:
             self.pieces[i] = _OFF_DOMAIN
             return _OFF_DOMAIN
-        vals = np.array([eos._omega_rho_P_at(eta, zeta) for eta, zeta in zip(etas, zetas)])
         from numpy.polynomial import polynomial as npoly
         cr = npoly.polyfit(_TAB_NODES, vals[:, 0], _TAB_DEG)
         cP = npoly.polyfit(_TAB_NODES, vals[:, 1], _TAB_DEG)
@@ -364,30 +303,114 @@ class EosSpec:
 
     # -- the enthalpy transform ---------------------------------------------
 
-    def _w(self, zp):
+    @cached_property
+    def _fractions(self) -> tuple:
+        """(r0, quads, lones): Omega / D in real partial fractions, D = 1 + z Omega,
+        formed on the first Omega_u need.
+
+        D = d_n prod (z^2 + p z + s) [(z - r)]: a quadratic per conjugate pair of
+        np.roots and per real root paired with its nearest neighbour, so that a
+        double or near-double root lies inside one factor.  Two Newton sweeps
+        polish each factor f whole, f += (D mod f) / (E mod f), E = D / f, well
+        conditioned however close the roots of f lie.  As z Omega = -1 at the
+        roots, the numerator over f is -1/(z E) mod f: quads holds
+        (p, s, alpha/2, beta - alpha h, h, delta, sqrt|delta|) of each
+        (alpha z + beta) / (z^2 + p z + s), h = p/2, delta = s - h^2, and lones
+        (r, a) of a / (z - r).  r0 is D's least positive root, or inf."""
+        d = np.trim_zeros([1.0, *self.omega.coeffs], "b")
+        lead = d[-1]
+        roots = np.roots(d[::-1]).tolist() if len(d) > 2 else [-1.0 / lead]
+        quads = [(-2.0 * r.real, r.real * r.real + r.imag * r.imag) for r in roots if r.imag > 0.0]
+        reals = sorted(r.real for r in roots if r.imag == 0.0)
+        while len(reals) > 1:
+            i = min(range(len(reals) - 1), key=lambda j: reals[j + 1] - reals[j])
+            a, b = reals.pop(i), reals.pop(i)
+            quads.append((-(a + b), a * b))
+
+        def cofactor(i: int) -> tuple:  # E mod quads[i]
+            p, s = quads[i]
+            e = (0.0, lead)
+            for j, (pj, sj) in enumerate(quads):
+                if j != i:
+                    e = _mulmod(e, (pj - p, sj - s), p, s)
+            for r in reals:
+                e = _mulmod(e, (1.0, -r), p, s)
+            return e
+
+        def cofactor_at(r: float) -> float:  # E(r) of the linear factor z - r
+            return lead * math.prod((r + p) * r + s for p, s in quads)
+
+        for _ in range(2):
+            for i, (p, s) in enumerate(quads):
+                rem = (0.0, 0.0)
+                for c in reversed(d):
+                    rem = (rem[1] - p * rem[0], c - s * rem[0])
+                dp, ds = _mulmod(rem, _invmod(cofactor(i), p, s), p, s)
+                quads[i] = (p + dp, s + ds)
+            reals = [r - _horner(d, r) / cofactor_at(r) for r in reals]
+
+        terms, ends = [], [r for r in reals if r > 0.0]
+        lones = tuple((r, -1.0 / (r * cofactor_at(r))) for r in reals)
+        at0 = sum(-a / r for r, a in lones)
+        for i, (p, s) in enumerate(quads):
+            e1, e0 = cofactor(i)
+            n1, n0 = _invmod((e0 - p * e1, -s * e1), p, s)
+            h = 0.5 * p
+            delta = s - h * h
+            root = math.sqrt(abs(delta))
+            terms.append((p, s, -0.5 * n1, h * n1 - n0, h, delta, root))
+            at0 -= n0 / s
+            if delta <= 0.0:
+                ends += [x for x in (-h - root, -h + root) if x > 0.0]
+        # at z = 0 the fractions sum to Omega(0) / D(0) = 1; where three or more
+        # roots cluster they miss it, and Omega_u by as much: refused past 1e-10
+        if not abs(at0 - 1.0) <= 1e-10:
+            raise NonPhysicalEosError(
+                f"1 + zeta*Omega(zeta) has roots too close together for the closed form of "
+                f"Omega_u: its partial fractions miss Omega(0) = 1 by {at0 - 1.0:.1e}")
+        return min(ends, default=math.inf), tuple(terms), lones
+
+    def _w(self, z: float) -> float:
         """Integrand of Omega_u: [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega),
-        at a float or elementwise on an array.  A float's test is a plain
-        comparison, which costs far less than np.any on a bool."""
-        om = self.omega.value(zp)
-        den = 1.0 + zp * om
-        bad = den <= 0.0
-        if bad if isinstance(bad, bool) else bad.any():
-            first = np.min(zp, where=bad, initial=np.inf)
-            raise EosDomainError(f"1 + zeta*Omega(zeta) <= 0 at zeta = {first:g}")
-        num = om + (self.gamma - 1.0) / self.gamma * zp * self.omega.deriv(zp)
-        return num / den
+        the slope of zeta Omega_u at a z inside the EOS domain."""
+        om = self.omega.value(z)
+        return (om + (self.gamma - 1.0) / self.gamma * z * self.omega.deriv(z)) / (1.0 + z * om)
 
     def omega_u(self, zeta: float) -> float:
-        """Omega_u(zeta) = (1/zeta) int_0^zeta w, the mean of w over [0, zeta];
-        the removable singularity at 0 takes its limit, 1."""
+        """Omega_u(zeta) = (1/zeta) int_0^zeta w, the mean of w over [0, zeta],
+        in closed form; 1 at zeta = 0.  With k = (gamma-1)/gamma and
+        D = 1 + z Omega, zeta Omega_u = k log1p(zeta Omega) + (1-k) int Omega/D,
+        where z - r adds a log1p(-zeta/r) and z^2 + p z + s adds
+        (alpha/2) log1p(zeta (zeta + p) / s) + (beta - alpha h) J, with
+        x = delta + h (zeta + h) and J = atan2(zeta sqrt(delta), x) / sqrt(delta),
+        its atanh form for delta < 0 or zeta / x for delta = 0, stable through
+        a double root.  Refuses zeta >= r0, where 1 + zeta Omega reaches 0."""
         if not 0.0 <= zeta < math.inf:
-            raise EosDomainError(f"zeta = {zeta!r}: the EOS is defined for finite zeta >= 0 only")
+            raise _refusal("zeta", zeta)
         if zeta == 0.0:
             return 1.0
-        return _mean(self._w, zeta)
+        r0, quads, lones = self._fractions
+        if zeta >= r0:
+            raise EosDomainError(f"zeta = {zeta!r}: the EOS domain ends at zeta = {r0!r}, "
+                                 "where 1 + zeta*Omega(zeta) reaches 0")
+        total = 0.0
+        for p, s, half_alpha, b, h, delta, root in quads:
+            x = delta + h * (zeta + h)
+            if delta > 0.0:
+                j = math.atan2(zeta * root, x) / root
+            elif delta < 0.0:
+                j = math.atanh(zeta * root / x) / root
+            else:
+                j = zeta / x
+            total += half_alpha * math.log1p(zeta * (zeta + p) / s) + b * j
+        for r, a in lones:
+            total += a * math.log1p(-zeta / r)
+        k = (self.gamma - 1.0) / self.gamma
+        return (k * math.log1p(zeta * self.omega.value(zeta)) + (1.0 - k) * total) / zeta
 
     def u_of_density(self, rho: float) -> float:
-        """Enthalpy u(rho) through the closed transform; u(0) = 0."""
+        """Enthalpy u(rho) = gamma A/(gamma-1) rho^(gamma-1) Omega_u(zeta), with
+        Omega_u in closed form; u(0) = 0."""
         if not 0.0 <= rho < math.inf:
             raise EosDomainError(f"rho = {rho!r}: u_of_density needs a finite rho >= 0")
         if rho == 0.0:
@@ -398,53 +421,32 @@ class EosSpec:
     # -- eta <-> zeta inversion ----------------------------------------------
 
     def zeta_of_eta(self, eta: float) -> float:
-        """Solve eta = gamma/(gamma-1) * zeta * Omega_u(zeta) for zeta: the
-        batched inversion _zetas_of_etas on one eta."""
-        return self._zetas_of_etas((eta,))[0]
-
-    def _zetas_of_etas(self, etas) -> list:
-        """zeta_of_eta at each eta of etas, with its bits: each eta runs its own
-        _zeta_search, and one _means call answers each round of their asks."""
-        zetas, searches = [0.0] * len(etas), [self._zeta_search(eta) for eta in etas]
-        replies = dict.fromkeys(range(len(etas)))
-        while replies:
-            asks = {}
-            for j, reply in replies.items():
-                try:
-                    asks[j] = searches[j].send(reply)
-                except StopIteration as stop:
-                    zetas[j] = stop.value
-            replies = dict(zip(asks, _means(self._w, list(asks.values())) if asks else ()))
-        return zetas
-
-    def _zeta_search(self, eta: float):
-        """Bracketing plus Newton safeguarded by bisection, as a generator that
-        yields each z whose Omega_u(z) it needs, is sent that value and returns
-        zeta.  The Newton slope is the integrand w, which needs no quadrature;
-        no z is integrated twice, F(z0) being the bracket's first test and
-        Newton's first residual."""
+        """Solve F(zeta) = gamma/(gamma-1) zeta Omega_u(zeta) - eta = 0 by
+        bracketing plus Newton safeguarded by bisection, on floats.  The Newton
+        slope is the integrand _w; F(z0) is both the bracket's first test and
+        Newton's first residual, and an exactly zero residual ends the search."""
         if not 0.0 <= eta < math.inf:
-            raise EosDomainError(f"eta = {eta!r}: the EOS is defined for finite eta >= 0 only")
+            raise _refusal("eta", eta)
         gfac = self.gamma / (self.gamma - 1.0)
         z0 = eta / gfac
         if z0 == 0.0:
             # eta is 0, or subnormal and zeta ~ eta / gfac rounds to 0: that is
             # the correctly rounded root, and no bracket [0, z0] is left to search
             return 0.0
-        f = f_hi = gfac * z0 * (yield z0) - eta
+        f = f_hi = gfac * z0 * self.omega_u(z0) - eta
         lo, hi = 0.0, z0
         for _ in range(199):
             if f_hi >= 0.0:
                 break
             hi *= 2.0
-            f_hi = gfac * hi * (yield hi) - eta
+            f_hi = gfac * hi * self.omega_u(hi) - eta
         if f_hi < 0.0:
             raise RootFindError(f"could not bracket zeta(eta) for eta = {eta:g}")
 
         z = z0
         for i in range(100):
             if i:
-                f = gfac * z * (yield z) - eta
+                f = gfac * z * self.omega_u(z) - eta
             if f == 0.0:
                 return z
             if f < 0.0:
@@ -463,16 +465,13 @@ class EosSpec:
         )
 
     def omega_rho_P(self, eta: float) -> tuple:
-        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0."""
-        return self._omega_rho_P_at(eta, self.zeta_of_eta(eta))
-
-    def _omega_rho_P_at(self, eta: float, zeta: float) -> tuple:
-        """(Omega_rho, Omega_P) at eta from its root zeta, on Python floats.
+        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0.
 
         Omega_rho = Omega_u(zeta)^(-1/(gamma-1)) so that
         rho = A1 u^(1/(gamma-1)) Omega_rho(eta) reproduces the density, and
         Omega_P = Omega(zeta) * Omega_u(zeta)^(-gamma/(gamma-1)).
         """
+        zeta = self.zeta_of_eta(eta)
         if zeta < sys.float_info.min:
             # zeta is 0 or subnormal: Omega_u(zeta) = 1 + O(zeta) rounds to 1,
             # which the ratio below, of two subnormals, would not give

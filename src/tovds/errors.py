@@ -18,11 +18,8 @@ class EosDomainError(EosError):
 
 
 class NonPhysicalEosError(EosError):
-    """Configured Omega yields P <= 0 or dP/drho outside (0, c^2)."""
-
-
-class QuadratureError(EosError):
-    """Adaptive quadrature did not converge; message carries the estimate."""
+    """Configured Omega yields P <= 0 or dP/drho outside (0, c^2), or
+    1 + zeta Omega roots too close together for Omega_u's closed form."""
 
 
 class RootFindError(TovdsError):

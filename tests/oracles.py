@@ -85,8 +85,9 @@ def omega_series_numpy(coeffs, zeta: float, order: int = 0) -> float:
 
 
 def omega_u_mpmath(eos, zeta: float, dps: int = 30) -> float:
-    """Omega_u(zeta) = (1/zeta) int_0^zeta w of a series Omega by mpmath quad,
-    with w = [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega)."""
+    """Omega_u(zeta) = (1/zeta) int_0^zeta w of a series Omega by mpmath quad
+    over the four quarters of [0, zeta], with
+    w = [Omega + (gamma-1)/gamma z Omega'] / (1 + z Omega)."""
     with mpmath.workdps(dps):
         c = [mpmath.mpf(x) for x in eos.omega.coeffs]
         dc = [j * c[j] for j in range(1, len(c))] or [mpmath.mpf(0)]
@@ -97,7 +98,7 @@ def omega_u_mpmath(eos, zeta: float, dps: int = 30) -> float:
             return (om + k * t * mpmath.polyval(dc[::-1], t)) / (1 + t * om)
 
         z = mpmath.mpf(zeta)
-        return float(mpmath.quad(w, [0, z]) / z)
+        return float(mpmath.quad(w, mpmath.linspace(0, z, 5)) / z)
 
 
 def closed_form_omegas_mpmath(eos, eta, dps: int = 40) -> tuple:
@@ -166,8 +167,8 @@ def validate_range_reference(eos, rho_lo: float, rho_hi: float) -> None:
 
 def zeta_of_eta_reference(eos, eta: float) -> float:
     """eta -> zeta by one scalar search: bracketing plus Newton safeguarded
-    by bisection, each residual one eos.omega_u, each slope one eos._w on a
-    float.  EosSpec's batched inversion must give the same bits."""
+    by bisection, each residual one eos.omega_u, each slope one eos._w.
+    EosSpec.zeta_of_eta must give the same bits."""
     if not eta >= 0.0:
         raise EosDomainError(f"eta = {eta!r}: the EOS is defined for eta >= 0 only")
     if eta == 0.0:

@@ -10,20 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
-from tovds import eos as eos_module
 from tovds.eos import (
     _OFF_DOMAIN,
-    _TAB_NODES,
     EosSpec,
     FermiEosParams,
     OmegaSeries,
     _fermi_density_dimless,
     _fermi_pressure_dimless,
-    _mean,
     fermi_eos,
     fermi_fit_eos,
 )
-from tovds.errors import EosDomainError, NonPhysicalEosError, QuadratureError
+from tovds.errors import EosDomainError, NonPhysicalEosError
 
 from oracles import (
     closed_form_omegas_mpmath,
@@ -170,48 +167,82 @@ def test_omega_series_bitwise_equals_numpy_polynomial(tail, zeta):
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
+def _series(*coeffs):
+    return EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries(coeffs))
+
+
 @pytest.mark.parametrize("eos", [
-    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
-    fermi_fit_eos(FermiEosParams(K=1.0)),
+    EosSpec(A=1.0, gamma=1.5),
+    _series(1.0, 0.3, -0.1),
+    _series(1.0, 1.0, -2.0),
+    _series(1.0, -0.5),
     # 1 + zeta Omega = (1 + zeta/2)^2 has a double root at zeta = -2 (nearly
-    # double in the second): a closed form for Omega_u that assumes simple
+    # double in the next two): a closed form for Omega_u that assumes simple
     # roots of 1 + zeta Omega goes wrong here
-    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.25))),
-    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.25 - 1e-13))),
-], ids=["series", "fermi_fit", "double_root", "near_double_root"])
+    _series(1.0, 0.25),
+    _series(1.0, 0.25 - 1e-13),
+    _series(1.0, 0.25 + 1e-13),
+    fermi_fit_eos(FermiEosParams(K=1.0)),
+    fermi_fit_eos(FermiEosParams(K=0.5)),
+    fermi_fit_eos(FermiEosParams(K=2.0)),
+], ids=["polytrope", "series", "cubic", "linear", "double_root", "near_double_root",
+        "near_double_root_above", "fermi_fit", "fermi_fit_K0.5", "fermi_fit_K2"])
 def test_omega_u_matches_mpmath_quadrature(eos):
-    for zeta in (1e-5, 1e-3, 0.1, 0.3, 0.7, 2.0):
-        assert eos.omega_u(zeta) == pytest.approx(omega_u_mpmath(eos, zeta), rel=1e-12, abs=0.0)
+    # the closed form within 5e-15 of mpmath from zeta = 1e-12 up to 3, or up
+    # to 0.9 of the least positive root r0 of 1 + zeta Omega, where the EOS
+    # domain ends; unpolished roots of the degree-11 Fermi fits read 1e-13
+    d = [1.0, *eos.omega.coeffs]
+    ends = [r.real for r in np.roots(d[::-1]).tolist() if r.imag == 0.0 and r.real > 0.0]
+    r0 = min(ends, default=math.inf)
+    for zeta in np.geomspace(1e-12, min(3.0, 0.9 * r0), 13).tolist():
+        want = omega_u_mpmath(eos, zeta, dps=40)
+        assert abs(eos.omega_u(zeta) - want) <= 5e-15 * abs(want), zeta
     with pytest.raises(EosDomainError, match="zeta = -0.09"):
         eos.omega_u(-0.09)
+    if r0 < math.inf:
+        assert eos._fractions[0] == pytest.approx(r0, rel=1e-14, abs=0.0)
+        for zeta in (eos._fractions[0], 1.5 * r0):
+            with pytest.raises(EosDomainError, match=f"^zeta = {zeta!r}: the EOS domain ends at "
+                                                     f"zeta = {eos._fractions[0]!r}, where"):
+                eos.omega_u(zeta)
+    else:
+        assert eos._fractions[0] == math.inf
+
+
+@pytest.mark.parametrize("offset, refused", [(0.0, True), (1e-8, True), (1e-6, False)])
+def test_omega_u_refuses_a_triple_root(offset, refused):
+    # 1 + zeta Omega = (1 + zeta/3)^3 + offset zeta^3: np.roots splits a triple
+    # root by about 1e-5, and the partial fractions, which sum to 1 at zeta = 0,
+    # miss by 2e3 at offset 0, 9e-10 at 1e-8 and 1e-11 at 1e-6; Omega_u misses
+    # by about as much, so the first two are refused at the first Omega_u need
+    eos = _series(1.0, 1.0 / 3.0, 1.0 / 27.0 + offset)
+    if refused:
+        with pytest.raises(NonPhysicalEosError, match="roots too close together"):
+            eos.omega_u(0.5)
+    else:
+        assert eos.omega_u(0.5) == pytest.approx(omega_u_mpmath(eos, 0.5, dps=40), rel=1e-10)
 
 
 @pytest.mark.parametrize("omega", [OmegaSeries((1.0,)), OmegaSeries((1.0, 0.3, -0.1)),
                                    OmegaSeries((1.0, -2.0))])
 def test_w_float_and_array_paths_agree(omega):
-    # the float path tests its denominator by a plain comparison, the array
-    # path elementwise: the same bits, and at a zero of 1 + zeta Omega
-    # (zeta = 1 for Omega = 1 - 2 zeta) the same error
+    # the Newton slope _w on a float has the bits of the integrand formed from
+    # Omega's Horner on an array; for Omega = 1 - 2 zeta, 1 + zeta Omega =
+    # (1 - zeta)(1 + 2 zeta) ends the domain at zeta = 1, where Omega_u refuses
     eos = EosSpec(A=1.0, gamma=1.5, omega=omega)
-    zs = [0.0, 1e-3, 0.25, 0.5, 0.75]
-    on_array = eos._w(np.array(zs))
-    for z, w in zip(zs, on_array.tolist()):
+    zs = np.array([0.0, 1e-3, 0.25, 0.5, 0.75])
+    om = omega.value(zs)
+    on_array = (om + (eos.gamma - 1.0) / eos.gamma * zs * omega.deriv(zs)) / (1.0 + zs * om)
+    for z, w in zip(zs.tolist(), on_array.tolist()):
         on_float = eos._w(z)
         assert type(on_float) is float
         assert np.float64(on_float).tobytes() == np.float64(w).tobytes()
     if omega.value(1.0) == -1.0:
-        errors = []
-        for zp in (1.0, np.array([0.5, 1.0, 1.5])):
-            with pytest.raises(EosDomainError) as info:
-                eos._w(zp)
-            errors.append(str(info.value))
-        assert errors == ["1 + zeta*Omega(zeta) <= 0 at zeta = 1"] * 2
-
-
-def test_quadrature_that_cannot_converge_raises_a_typed_error():
-    # a non-integrable pole keeps the panels around it open at every level
-    with pytest.raises(QuadratureError, match="did not converge in 400 panels"):
-        _mean(lambda x: 1.0 / np.abs(x - 1.0 / 3.0), 1.0)
+        assert eos._fractions[0] == 1.0
+        for z in (1.0, 1.5):
+            with pytest.raises(EosDomainError, match=f"^zeta = {z!r}: the EOS domain ends at zeta = 1.0,"):
+                eos.omega_u(z)
+        assert eos.omega_u(0.999) < 0.0
 
 
 def test_omega_u_closed_form(eos15):
@@ -303,54 +334,6 @@ def test_zeta_eta_analytic_inversion(eos15):
             method(-0.05)
 
 
-def counted_means(monkeypatch):
-    """Record the abscissae of every batched quadrature, one list per call."""
-    calls = []
-
-    def counted(f, bs):
-        calls.append(list(bs))
-        return means(f, bs)
-
-    means = eos_module._means
-    monkeypatch.setattr(eos_module, "_means", counted)
-    return calls
-
-
-@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.3, -0.1), FERMI_COEFFS])
-def test_zeta_of_eta_integrates_once_per_zeta(coeffs, monkeypatch):
-    # the bracket's first test and Newton's first residual are one quadrature
-    eos = EosSpec(A=1.0, gamma=5.0 / 3.0, omega=OmegaSeries(coeffs))
-    for eta in (1e-6, 0.05, 0.4, 1.3):
-        calls = counted_means(monkeypatch)
-        eos.zeta_of_eta(eta)
-        monkeypatch.undo()
-        zetas = [z for bs in calls for z in bs]
-        assert len(zetas) == len(set(zetas)) >= 2
-        assert all(len(bs) == 1 for bs in calls)
-
-
-def test_piece_build_batches_its_quadratures(monkeypatch):
-    # a piece's 13 nodes share each round of quadratures: series piece 0
-    # makes 5 batched calls where its per-node searches make 53 or 56 scalar
-    # ones.  A search ends at a residual of exactly 0, which Newton cannot
-    # improve on: at gamma = 1.4 one node's fourth iterate has F = 0.0, and
-    # bisecting on to the ulp made that piece take 31 rounds
-    for gamma, quadratures in ((1.4, 53), (1.5, 56)):
-        eos = EosSpec(A=1.0, gamma=gamma, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
-        tab = eos._tables
-        per_node = 0
-        for eta in (tab.mids[0] + tab.halfw * _TAB_NODES).tolist():
-            calls = counted_means(monkeypatch)
-            eos.zeta_of_eta(eta)
-            monkeypatch.undo()
-            per_node += len(calls)
-        calls = counted_means(monkeypatch)
-        tab.build(0, eos)
-        monkeypatch.undo()
-        assert len(calls) == 5, gamma
-        assert sum(map(len, calls)) == per_node == quadratures, gamma
-
-
 # every piece of six EOS, 53 of them off the EOS domain
 PIECE_EOS = [
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0),
@@ -363,8 +346,8 @@ PIECE_EOS = [
 
 
 def test_pieces_match_the_per_node_fit():
-    # one batched inversion per piece keeps the bits of a fit node by node
-    # through the scalar direct path, and an off-domain piece stays one
+    # a piece keeps the bits of a fit node by node through the direct path,
+    # and an off-domain piece stays one
     off = 0
     for eos in PIECE_EOS:
         for i in range(eos._tables.n):
@@ -377,11 +360,10 @@ def test_pieces_match_the_per_node_fit():
 @pytest.mark.parametrize("eos", PIECE_EOS[:3] + [EosSpec(A=1.0, gamma=1.3)],
                          ids=["series", "fermi_fit", "series_eta_max_4", "polytrope"])
 def test_zeta_of_eta_is_the_scalar_search(eos):
-    # alone or in one batch, each eta takes the scalar search's steps
+    # each eta takes the reference search's steps
     etas = [5e-324, 1e-320, 1e-300, 1e-40, 1e-9] + np.geomspace(1e-6, 4.0, 40).tolist()
     want = [zeta_of_eta_reference(eos, eta) for eta in etas]
     assert [eos.zeta_of_eta(eta) for eta in etas] == want
-    assert eos._zetas_of_etas(etas) == want
 
 
 def test_round_trip_density(eos15):
@@ -515,7 +497,7 @@ def test_pressure_density_of_u_vanish_below_zero(eos15):
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
 ], ids=["polytrope", "series"])
 def test_enthalpy_maps_refuse_a_non_finite_argument_by_name(eos):
-    # NaN is not vacuum, and inf gives neither NaN nor a quadrature error
+    # NaN is not vacuum, and inf gives no NaN
     for u in (math.nan, math.inf, -math.inf):
         for method in (eos.density_of_u, eos.pressure_of_u):
             with pytest.raises(EosDomainError, match=f"^u = {u!r}: the enthalpy maps are "

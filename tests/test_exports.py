@@ -61,13 +61,13 @@ def test_benchmark_tracer_patches_and_restores(monkeypatch):
         assert [k for k, v in names.items() if after[k] is not v] == [], owner
 
 
-# Run in a fresh interpreter: an Omega == 1 run, which never integrates, fits
-# no table piece and starts no pool, then the first quadrature.
+# Run in a fresh interpreter: an Omega == 1 run, which fits no table piece
+# and starts no pool, then its enthalpy u_of_density, the closed form of
+# Omega_u over the roots of 1 + z, which needs no numpy.polynomial either.
 _FOOTPRINT = """
 import json, sys
 import tovds.cli
 from tovds import EosSpec, ModelInput, regime_sweep, solve_scaled, solve_star
-from tovds import eos as eos_module
 
 UNUSED = ("concurrent.futures.process", "multiprocessing", "numpy.polynomial",
           "tovds.acceptance", "filecmp")
@@ -79,29 +79,19 @@ eos = EosSpec(A=1.0, gamma=1.5)
 solve_scaled(1e-3, 1e-3, eos)
 regime_sweep(1.5, [1e-3, 0.05], [1e-3], jobs=1)
 solve_star(ModelInput(eos=eos, Lambda=1e-9, u_c=1e-3))
-loaded = {"omega_one": unused(), "rules": eos_module._gl_rule.cache_info().currsize}
+loaded = {"omega_one": unused()}
 eos.u_of_density(1e-3)
-nodes, weights = eos_module._gl_rule()
-(x21, w21), (x10, w10) = eos_module._gauss_legendre(21), eos_module._gauss_legendre(10)
-loaded["rules_after_quadrature"] = eos_module._gl_rule.cache_info().currsize
-loaded["rule_bits"] = [
-    nodes.tobytes() == x21.tobytes() + x10.tobytes(),
-    weights.shape == (31, 2),
-    weights[:21, 0].tobytes() == w21.tobytes(),
-    weights[21:, 1].tobytes() == w10.tobytes(),
-    not weights[21:, 0].any() and not weights[:21, 1].any(),
-]
+loaded["omega_one_u_of_density"] = unused()
 print(json.dumps(loaded))
 """
 
 
 def test_omega_one_run_loads_no_pool_table_fit_or_rule(tmp_path):
-    # the process pool, numpy.polynomial (the Gauss-Legendre rule and the
-    # table fit) and the acceptance criteria load on first need only
+    # the process pool, numpy.polynomial (the table fit) and the acceptance
+    # criteria load on first need only
     env = dict(os.environ, PYTHONPATH=str(Path(tovds.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"omega_one": [], "rules": 0, "rules_after_quadrature": 1,
-                      "rule_bits": [True] * 5}
+    assert loaded == {"omega_one": [], "omega_one_u_of_density": []}
