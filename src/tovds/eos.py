@@ -1,8 +1,9 @@
 """Barotropic equation of state with an analytic correction factor.
 
 P(rho) = A rho^gamma Omega(zeta),  zeta = A rho^(gamma-1) / c^2,  Omega(0) = 1,
-for rho >= 0: the EOS lives on finite zeta, eta >= 0; the direct path refuses
-an argument below 0 or not finite, and the enthalpy maps a u that is not finite.
+for rho >= 0: the EOS lives on finite zeta, eta >= 0; the direct and fast
+paths refuse an argument below 0 or not finite, and the enthalpy maps a u
+that is not finite.
 
 The enthalpy variable u = int_0^rho dP / (rho + P/c^2) linearises the vacuum
 boundary.  Three derived correction functions express the state through u:
@@ -156,8 +157,11 @@ p_term = Um * U_pos * omega_P
 # The germ and the state map, (name, params, body, result), run the terms at
 # their line TERMS: the germ at U# = 1, alpha = eta, where the terms are
 # Omega_rho(eta) and Omega_P(eta), for a series Omega the table's own bits
-# (1.0**mu is 1.0), and the state map at U# = u > 0, alpha = 1/c^2.
-_GERM = ("germ", "eta", "U_pos = 1.0\nalpha = eta\np_alpha = k * eta\nTERMS\n", "rho_term, p_term")
+# (1.0**mu is 1.0), and the state map at U# = u > 0, alpha = 1/c^2.  The
+# germ, run once per solve, refuses an eta below 0 or not finite (NaN - NaN
+# and inf - inf are NaN).
+_GERM = ("germ", "eta", "if eta < 0.0 or eta - eta != 0.0:\n    raise refusal('eta', eta)\n"
+         "U_pos = 1.0\nalpha = eta\np_alpha = k * eta\nTERMS\n", "rho_term, p_term")
 _STATE_MAP = ("state map", "us", """\
 rho, P = [0.0] * len(us), [0.0] * len(us)
 for i, U_pos in enumerate(us):
@@ -465,12 +469,9 @@ class EosSpec:
         )
 
     def omega_rho_P(self, eta: float) -> tuple:
-        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0.
-
-        Omega_rho = Omega_u(zeta)^(-1/(gamma-1)) so that
-        rho = A1 u^(1/(gamma-1)) Omega_rho(eta) reproduces the density, and
-        Omega_P = Omega(zeta) * Omega_u(zeta)^(-gamma/(gamma-1)).
-        """
+        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0:
+        Omega_rho = Omega_u(zeta)^(-1/(gamma-1)), so that rho = A1 u^mu Omega_rho
+        reproduces the density, and Omega_P = Omega(zeta) Omega_u(zeta)^(-mu-1)."""
         zeta = self.zeta_of_eta(eta)
         if zeta < sys.float_info.min:
             # zeta is 0 or subnormal: Omega_u(zeta) = 1 + O(zeta) rounds to 1,
@@ -506,8 +507,8 @@ class EosSpec:
 
     def _omega_table(self):
         """eta -> (Omega_rho, Omega_P) by the piece tables of a series Omega;
-        below 0, above eta_max or in a piece that leaves the EOS domain, by
-        the direct path, which refuses eta < 0."""
+        below 0, above eta_max, at NaN or in a piece that leaves the EOS
+        domain, by the direct path, which refuses an eta below 0 or not finite."""
         direct, tab = self.omega_rho_P, self._tables
         hi, n, mids, inv_halfw, pieces, build = (
             tab.hi, tab.n, tab.mids, tab.inv_halfw, tab.pieces, tab.build)
@@ -515,7 +516,7 @@ class EosSpec:
         def omega_table(eta):
             if eta == 0.0:
                 return 1.0, 1.0
-            if eta < 0.0 or eta > hi:
+            if not 0.0 < eta <= hi:
                 if eta > hi:
                     _log.debug("eta = %r above eta_max = %r: direct Omega_rho/Omega_P path", eta, hi)
                 return direct(eta)
@@ -545,7 +546,7 @@ class EosSpec:
         """The fast path eta -> (Omega_rho, Omega_P), the terms at U_pos = 1
         (_GERM), within ~1e-13 of the direct path on eta >= 0.  Never stored
         on the instance: an EosSpec is pickled into workers, a closure cannot be."""
-        return self._run_terms(_GERM, k=(self.gamma - 1.0) / self.gamma, mu=self.mu)
+        return self._run_terms(_GERM, k=(self.gamma - 1.0) / self.gamma, mu=self.mu, refusal=_refusal)
 
     def omega_rho_P_fast(self, eta: float) -> tuple:
         """(Omega_rho, Omega_P) at one eta by the fast path (fast_omega)."""

@@ -445,6 +445,24 @@ def test_fast_pieces_independent_of_access_order():
         assert sum(p is not None for p in one._tables.pieces) == 1
 
 
+@pytest.mark.parametrize("eos", [
+    EosSpec(A=1.0, gamma=1.5),
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
+], ids=["polytrope", "series"])
+def test_fast_path_refuses_a_bad_eta_by_name(eos):
+    # the germ tests eta once, as the direct path does; a series Omega's
+    # table evaluator, which the stage calls, sends NaN to the direct path
+    for eta in (-1.0, -1e-9, -5e-324, math.nan, math.inf, -math.inf):
+        for fast in (eos.omega_rho_P_fast, eos.fast_omega()):
+            with pytest.raises(EosDomainError, match=f"^eta = {eta!r}: the EOS is defined for "
+                                                     "finite eta >= 0 only$"):
+                fast(eta)
+    if eos._tables is not None:
+        with pytest.raises(EosDomainError, match="^eta = nan: "):
+            eos._omega_table()(math.nan)
+    assert eos.omega_rho_P_fast(-0.0) == (1.0, 1.0)
+
+
 def test_fast_fallback_above_eta_max_is_logged(caplog):
     eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0)
     with caplog.at_level(logging.DEBUG, logger="tovds"):
