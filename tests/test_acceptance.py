@@ -72,3 +72,45 @@ def test_verify_cli_byte_identical(tmp_path):
     doc = json.loads(rep1)
     assert doc["pass"] is True
     assert len(doc["criteria"]) == len(CRITERIA)
+
+
+# Every criterion's measured values as verify reported them before Omega_u
+# took its closed form.  A nonzero float must stay within a factor of 10 of
+# its pin, either way, and an exact value (a tag, a flag, a count, a zero)
+# at it, so a change that makes a criterion much worse, or much better,
+# shows here long before it fails the criterion's tolerance.  CHANGES.md
+# names every change to these pins.
+PINS = {
+    1: {"abs_err": 9.769962616701378e-15, "xi1": 3.1415926535897833},
+    2: {"min_dUdR_in_window": 0.011306167565452777, "sup_err": 7.832068327218167e-13},
+    3: {"max_rel_drift": 4.729092682172816e-12, "outcome": "Unterminated"},
+    4: {"du_dr_minus": -4.685772176774222e-06, "minus_B": -4.685772176790177e-06,
+        "rel_err": 3.4049270840587934e-12},
+    5: {"rel_err_order0": 0.0, "rel_err_order1": 1.5260858627168921e-09,
+        "rel_err_order2": 9.162400852924203e-06},
+    6: {"brackets_star": True, "double_root_err": 0.0, "factorization_res": 3.3306690738754696e-16,
+        "res_E": 1.1102230246251565e-16, "res_I": 5.784410042293853e-17},
+    7: {"exponent_g1.4": 2.501476920173828, "exponent_g1.5": 2.0011441353839023,
+        "exponent_g1.7": 1.4294546643817008, "worst_amplitude_rel": 0.007956409727987453,
+        "worst_exponent_rel": 0.0006182650671905154},
+    8: {"R_plus_corner": 4.36450694044243, "all_monotone_short": True,
+        "radius_rel_dev": 0.002672336232076106},
+    9: {"largest_tested_shift": 0.03225442224785529, "outcome": "MonotoneShort",
+        "radius_shift_rel": 0.00028507884519889224},
+    10: {"n_models": 10, "n_monotone_short": 10},
+    11: {"fermi_rel": 4.693979947609758e-15, "roundtrip_rel": 1.0408340855860843e-15,
+         "slope_err": 5.714089770236797e-07, "u_closed_form_rel": 3.882841710103731e-16},
+    12: {"outcome_json_identical": True, "profile_csv_identical": True},
+}
+
+
+def test_measured_values_hold_their_pins(results):
+    for number, pins in PINS.items():
+        measured = results[number].measured
+        assert measured.keys() == pins.keys(), number
+        for key, pin in pins.items():
+            got = measured[key]
+            if isinstance(pin, float) and pin != 0.0:
+                assert 0.1 <= got / pin <= 10.0, (number, key, got, pin)
+            else:
+                assert (type(got), got) == (type(pin), pin), (number, key)
