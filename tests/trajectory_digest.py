@@ -19,12 +19,12 @@ Hashed, in this order:
   the type and text of a failure;
 - 256 sweep cells: gamma in {1.3, 1.5, 1.8, 2.0}, alpha and beta on
   logspace(-4, 0, 8), each grid's JSON with its cells and epsilon0;
-- 12 physical stars: Omega == 1 and OmegaSeries((1, 0.3, -0.1)) at
-  gamma 1.5, u_c in {1e-3, 1e-2, 5e-2}, Lambda in {1e-9, 1e-6}, each with its
-  outcome JSON and all eight profile columns, or the type and text of its
-  error; for each MonotoneShort star, the JSON of the continuity report of
-  its metric patch and every field of its boundary exponent fit, or the
-  type and text of the fit's error;
+- the 12 "digest stars" of tests/star_sets.py: Omega == 1 and
+  OmegaSeries((1, 0.3, -0.1)) at gamma 1.5, u_c in {1e-3, 1e-2, 5e-2},
+  Lambda in {1e-9, 1e-6}, each with its outcome JSON and all eight profile
+  columns, or the type and text of its error; for each MonotoneShort star,
+  the JSON of the continuity report of its metric patch and every field of
+  its boundary exponent fit, or the type and text of the fit's error;
 - 4 Lane-Emden first zeros.
 """
 
@@ -36,16 +36,13 @@ import json
 
 import numpy as np
 
+from star_sets import STAR_LAMBDA, STAR_OMEGAS, STAR_U_C, digest_eos
 from tovds import analysis, integrate, metric, model
-from tovds.eos import EosSpec, OmegaSeries
 from tovds.errors import TovdsError
 from tovds.model import PROFILE_COLUMNS, ModelInput
 
 SWEEP_GAMMAS = (1.3, 1.5, 1.8, 2.0)
 SWEEP_GRID = np.logspace(-4.0, 0.0, 8)
-STAR_OMEGAS = (OmegaSeries((1.0,)), OmegaSeries((1.0, 0.3, -0.1)))
-STAR_U_C = (1e-3, 1e-2, 5e-2)
-STAR_LAMBDA = (1e-9, 1e-6)
 LANE_EMDEN = ((1.0, 0.0), (1.5, 0.0), (3.0, 0.0), (1.5, 0.01))
 
 
@@ -118,7 +115,7 @@ def digest() -> tuple:
             counts["sweeps"] += 1
         for omega in STAR_OMEGAS:
             h.start("Omega == 1 stars" if omega.coeffs == (1.0,) else "series-Omega stars")
-            eos = EosSpec(A=1.0, gamma=1.5, omega=omega)
+            eos = digest_eos(omega)
             for u_c in STAR_U_C:
                 for Lambda in STAR_LAMBDA:
                     try:
