@@ -253,7 +253,7 @@ def test_omega_u_closed_form(eos15):
 
 
 def test_omega_u_series_matches_quadrature_branch(eos15):
-    # continuity across the series/quadrature switch at |zeta| = 1e-6
+    # either side of zeta = 1e-6 the closed form is log1p(z) / z
     for z in (9.9e-7, 1.01e-6):
         assert eos15.omega_u(z) == pytest.approx(math.log1p(z) / z, rel=1e-12)
 

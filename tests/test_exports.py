@@ -62,12 +62,13 @@ def test_benchmark_tracer_patches_and_restores(monkeypatch):
 
 
 # Run in a fresh interpreter: an Omega == 1 run, which fits no table piece
-# and starts no pool, then its enthalpy u_of_density, the closed form of
-# Omega_u over the roots of 1 + z, which needs no numpy.polynomial either.
+# and starts no pool, then its enthalpy u_of_density and a series Omega's
+# Omega_u, closed forms over the roots of 1 + z Omega (np.roots for the
+# series), which need no numpy.polynomial either.
 _FOOTPRINT = """
 import json, sys
 import tovds.cli
-from tovds import EosSpec, ModelInput, regime_sweep, solve_scaled, solve_star
+from tovds import EosSpec, ModelInput, OmegaSeries, regime_sweep, solve_scaled, solve_star
 
 UNUSED = ("concurrent.futures.process", "multiprocessing", "numpy.polynomial",
           "tovds.acceptance", "filecmp")
@@ -82,6 +83,8 @@ solve_star(ModelInput(eos=eos, Lambda=1e-9, u_c=1e-3))
 loaded = {"omega_one": unused()}
 eos.u_of_density(1e-3)
 loaded["omega_one_u_of_density"] = unused()
+EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))).omega_u(0.1)
+loaded["series_omega_u"] = unused()
 print(json.dumps(loaded))
 """
 
@@ -94,4 +97,4 @@ def test_omega_one_run_loads_no_pool_table_fit_or_rule(tmp_path):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
-    assert loaded == {"omega_one": [], "omega_one_u_of_density": []}
+    assert loaded == {"omega_one": [], "omega_one_u_of_density": [], "series_omega_u": []}
