@@ -212,7 +212,7 @@ class _OmegaTables:
         other piece."""
         etas = (self.mids[i] + self.halfw * _TAB_NODES).tolist()
         try:
-            vals = np.array([eos.omega_rho_P(eta) for eta in etas])
+            vals = np.array([eos._omega_rho_P_at(eta, eos.zeta_of_eta(eta)) for eta in etas])
         except EosDomainError:
             self.pieces[i] = _OFF_DOMAIN
             return _OFF_DOMAIN
@@ -309,18 +309,16 @@ class EosSpec:
 
     @cached_property
     def _fractions(self) -> tuple:
-        """(r0, quads, lones): Omega / D in real partial fractions, D = 1 + z Omega,
-        formed on the first Omega_u need.
-
-        D = d_n prod (z^2 + p z + s) [(z - r)]: a quadratic per conjugate pair of
+        """(r0, quads, lones): Omega / D in real partial fractions, D = 1 + z Omega.
+        D = d_n prod (z^2 + p z + s) [(z - r)], a quadratic per conjugate pair of
         np.roots and per real root paired with its nearest neighbour, so that a
         double or near-double root lies inside one factor.  Two Newton sweeps
-        polish each factor f whole, f += (D mod f) / (E mod f), E = D / f, well
-        conditioned however close the roots of f lie.  As z Omega = -1 at the
-        roots, the numerator over f is -1/(z E) mod f: quads holds
-        (p, s, alpha/2, beta - alpha h, h, delta, sqrt|delta|) of each
+        polish each factor f whole, f += (D mod f) / (E mod f) with E = D / f,
+        well conditioned however close the roots of f lie.  As z Omega = -1 at
+        the roots, the numerator over f is -1/(z E) mod f.  quads holds
+        (p, s, alpha/2, beta - alpha h, h, delta, sqrt|delta|) per
         (alpha z + beta) / (z^2 + p z + s), h = p/2, delta = s - h^2, and lones
-        (r, a) of a / (z - r).  r0 is D's least positive root, or inf."""
+        (r, a) per a / (z - r); r0 is D's least positive root, or inf."""
         d = np.trim_zeros([1.0, *self.omega.coeffs], "b")
         lead = d[-1]
         roots = np.roots(d[::-1]).tolist() if len(d) > 2 else [-1.0 / lead]
@@ -469,10 +467,13 @@ class EosSpec:
         )
 
     def omega_rho_P(self, eta: float) -> tuple:
-        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0:
+        """(Omega_rho(eta), Omega_P(eta)) by direct inversion of eta -> zeta >= 0."""
+        return self._omega_rho_P_at(eta, self.zeta_of_eta(eta))
+
+    def _omega_rho_P_at(self, eta: float, zeta: float) -> tuple:
+        """(Omega_rho, Omega_P) at eta from its root zeta, on Python floats:
         Omega_rho = Omega_u(zeta)^(-1/(gamma-1)), so that rho = A1 u^mu Omega_rho
         reproduces the density, and Omega_P = Omega(zeta) Omega_u(zeta)^(-mu-1)."""
-        zeta = self.zeta_of_eta(eta)
         if zeta < sys.float_info.min:
             # zeta is 0 or subnormal: Omega_u(zeta) = 1 + O(zeta) rounds to 1,
             # which the ratio below, of two subnormals, would not give
