@@ -114,8 +114,10 @@ def _sinc_jet(R: float) -> tuple:
 def mu1_exact(lam: float, R: float) -> tuple:
     """(U, dU/dR) of the mu = 1 scaled-limit equation with offset lam:
     U(R) = lam + (1 - lam) sin(R)/R, U(0) = 1."""
-    if R < 0.0:
-        raise ValueError("R must be nonnegative")
+    if not math.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
+    if not 0.0 <= R < math.inf:  # NaN fails too
+        raise ValueError(f"R must be finite and nonnegative, got {R!r}")
     if R == 0.0:
         return 1.0, 0.0
     s, s1 = _sinc_jet(R)

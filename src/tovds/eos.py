@@ -596,8 +596,10 @@ class FermiEosParams:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.K <= 0.0:
-            raise NonPhysicalEosError("Fermi constant K must be positive")
+        for name in ("K", "c"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise NonPhysicalEosError(f"Fermi {name} must be finite and positive, got {value!r}")
 
 
 # binomial coefficients C(-1/2, k) and C(1/2, k) for the small-argument series
@@ -633,8 +635,8 @@ def _fermi_density_dimless(z: float) -> float:
 
 def fermi_eos(zeta: float, params: FermiEosParams) -> tuple:
     """(rho, P) of the relativistic Fermi fluid at momentum parameter zeta."""
-    if zeta < 0.0:
-        raise EosDomainError("Fermi momentum parameter must be nonnegative")
+    if not 0.0 <= zeta < math.inf:  # NaN fails too
+        raise EosDomainError(f"Fermi momentum parameter zeta must be finite and nonnegative, got {zeta!r}")
     c = params.c
     P = params.K * c**5 * _fermi_pressure_dimless(zeta)
     rho = 3.0 * params.K * c**3 * _fermi_density_dimless(zeta)
@@ -657,6 +659,8 @@ def fermi_fit_eos(
     polynomial of degree _FERMI_DEG to _FERMI_SAMPLES points of the momentum
     window [0, zeta_fit_max].
     """
+    if not (math.isfinite(zeta_fit_max) and zeta_fit_max > 0.0):
+        raise ValueError(f"zeta_fit_max must be finite and positive, got {zeta_fit_max!r}")
     gamma = 5.0 / 3.0
     A = params.K ** (-2.0 / 3.0) / 5.0
     c2 = params.c * params.c

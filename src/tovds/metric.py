@@ -47,8 +47,9 @@ def horizons(m_plus: float, Lambda: float, k: Constants) -> HorizonPair | None:
     Returns None when kappa(r, m_plus) <= 0 for all r > 0 (condition
     violated); at the condition boundary the two roots coincide.
     """
-    if m_plus <= 0.0 or Lambda <= 0.0:
-        raise ValueError("horizons need m_plus > 0 and Lambda > 0")
+    for name, value in (("m_plus", m_plus), ("Lambda", Lambda)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"horizons need a finite {name} > 0, got {value!r}")
     # depressed cubic r^3 + p r + q
     p = -3.0 / Lambda
     q = 6.0 * k.G * m_plus / (k.c2 * Lambda)

@@ -187,6 +187,16 @@ def test_mu1_exact_center_and_infinity():
     assert abs(U_far - 0.6) < 0.4 * 1e-6
 
 
+@pytest.mark.parametrize("lam, R, name", [
+    (math.nan, 1.0, "lam"), (math.inf, 1.0, "lam"),
+    (0.1, math.nan, "R"), (0.1, math.inf, "R"), (0.1, -1.0, "R"),
+])
+def test_mu1_exact_refuses_a_bad_argument_by_name(lam, R, name):
+    # lam = NaN gave (nan, nan) and R = inf a math domain error
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        mu1_exact(lam, R)
+
+
 def test_mu1_exact_rise_window():
     # dU/dR > 0 on (3pi/2, 2pi) for lam in [1/2, 1)
     _, dU = mu1_exact(0.5, 7.0 * math.pi / 4.0)

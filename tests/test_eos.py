@@ -579,6 +579,28 @@ def test_fermi_zero():
     assert fermi_eos(0.0, params) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("K", math.nan), ("K", math.inf), ("K", 0.0), ("c", math.nan), ("c", -1.0),
+])
+def test_fermi_params_refuse_a_bad_field_by_name(field, value):
+    with pytest.raises(NonPhysicalEosError, match=f"^Fermi {field} must be finite and positive"):
+        FermiEosParams(**{"K": 1.0, field: value})
+
+
+@pytest.mark.parametrize("zeta", [math.nan, math.inf, -1.0])
+def test_fermi_eos_refuses_a_bad_zeta_by_name(zeta):
+    # NaN gave (nan, nan) and +inf gave (nan, inf)
+    with pytest.raises(EosDomainError, match="^Fermi momentum parameter zeta must be finite"):
+        fermi_eos(zeta, FermiEosParams(K=1.0))
+
+
+@pytest.mark.parametrize("zeta_fit_max", [math.nan, math.inf, 0.0, -1.0])
+def test_fermi_fit_refuses_a_bad_window_by_name(zeta_fit_max):
+    # NaN ended in a LinAlgError, -1 in the momentum parameter's refusal
+    with pytest.raises(ValueError, match="^zeta_fit_max must be finite and positive"):
+        fermi_fit_eos(FermiEosParams(K=1.0), zeta_fit_max=zeta_fit_max)
+
+
 def test_fermi_low_density_slope():
     params = FermiEosParams(K=1.0, c=1.0)
     z0 = 1e-3

@@ -83,6 +83,16 @@ def test_horizon_condition_and_none():
         horizons(0.0, 1e-4, k)
 
 
+@pytest.mark.parametrize("m_plus, Lambda, name", [
+    (math.nan, 1e-3, "m_plus"), (math.inf, 1e-3, "m_plus"), (0.0, 1e-3, "m_plus"),
+    (1.0, math.nan, "Lambda"), (1.0, math.inf, "Lambda"), (1.0, -1.0, "Lambda"),
+])
+def test_horizons_refuse_a_bad_argument_by_name(m_plus, Lambda, name):
+    # NaN and +inf masses read "no static region", and Lambda = inf divided by zero
+    with pytest.raises(ValueError, match=f"^horizons need a finite {name} > 0, got"):
+        horizons(m_plus, Lambda, GEOM)
+
+
 def test_double_root_at_condition_boundary():
     hp = horizons(1.0, 1.0 / 9.0, GEOM)
     assert abs(hp.r_I - 3.0) < 1e-8

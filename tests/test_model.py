@@ -765,6 +765,16 @@ def test_model_input_refuses_two_speeds_of_light():
 
 
 @pytest.mark.parametrize("field, value", [
+    ("c", 0.0), ("c", math.inf), ("G", -1.0), ("G", 0.0), ("G", math.nan),
+])
+def test_constants_refuse_a_bad_field_by_name(field, value):
+    # a solve with G = -1 ended in a TypeError on a complex power, G = 0 in
+    # a ZeroDivisionError and G = NaN in a step control's h_max
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive, got"):
+        Constants(**{field: value})
+
+
+@pytest.mark.parametrize("field, value", [
     ("u_c", math.nan), ("u_c", math.inf),
     ("rho_c", math.nan), ("rho_c", math.inf),
     ("Lambda", math.nan), ("Lambda", math.inf),
