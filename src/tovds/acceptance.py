@@ -319,7 +319,7 @@ def _eos_self_consistency(ctx) -> tuple:
             "repeated identical runs produce byte-identical artifacts")
 def _determinism(ctx) -> tuple:
     def one_run(out_dir: str) -> None:
-        eos = EosSpec(A=1.0, gamma=1.5)  # fresh instance: tables rebuilt
+        eos = EosSpec(A=1.0, gamma=1.5)  # fresh instance: nothing cached
         u_c = 1e-3
         Lambda = ScalingParams.lambda_of_beta(1e-3, u_c, eos, GEOMETRIZED)
         inp = ModelInput(eos=eos, Lambda=Lambda, constants=GEOMETRIZED, u_c=u_c,

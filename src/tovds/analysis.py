@@ -157,8 +157,9 @@ def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
     _FIT_WINDOW, x/r_+ in [1e-6, 1e-2], estimates the leading exponent
     (target 1/(gamma-1)) and amplitude; the relative enthalpy residual
     u/(B x) - 1 is then fitted against {x, x^(mu+1)}.  The window must hold
-    at least _FIT_MIN_SAMPLES usable samples.  It is picked from r and u,
-    and only its samples are mapped to rho, with the bits of profile.rho.
+    at least _FIT_MIN_SAMPLES usable samples.  It is picked from r and the
+    state column, u or z, which vanish together, and only its samples are
+    mapped to rho and u, with the bits of profile.rho and profile.u.
     """
     eos = profile.eos
     ev = profile.vacuum_event()
@@ -167,14 +168,15 @@ def boundary_exponent_fit(profile: SolutionProfile) -> ExponentFit:
     # r_+ and B need no stencil; the profile forms them once for both readers
     r_plus, _, _, _, B, _ = profile.boundary_limits
     x = r_plus - profile.r
-    u_floor = 1e3 * np.finfo(float).eps * profile.u[0]
+    floor = 1e3 * np.finfo(float).eps * profile.state[0]
     window = (
         (x >= _FIT_WINDOW[0] * r_plus)
         & (x <= _FIT_WINDOW[1] * r_plus)
-        & (profile.u > u_floor)
+        & (profile.state > floor)
     )
-    u = profile.u[window]
-    rho = np.fromiter(eos.rho_P_of_u(u.tolist())[0], float, u.size)
+    state = profile.state[window].tolist()
+    rho = np.fromiter(eos.rho_P_of_state(state)[0], float, len(state))
+    u = np.fromiter(eos.u_of_state(state), float, len(state))
     usable = rho > 0.0
     xs, rho, u = x[window][usable], rho[usable], u[usable]
     n = xs.size

@@ -5,7 +5,9 @@ so typos fail fast with exit code 2, and so is every bad value, an eos block
 that the EOS classes refuse included.  A solve config describes the star:
 eos, units, constants, ctrl, center, Lambda and r_max; unit_system alone
 decides the unit system of a run.  An eos block is a polytrope (A, gamma,
-omega_coeffs, eta_max) or a Fermi fit (K, zeta_fit_max).  A sweep config has
+omega_coeffs, eta_max) or a Fermi fit (K, zeta_fit_max); eta_max is
+accepted and checked as EosSpec checks it, but bounds nothing since a
+series Omega solves in Z.  A sweep config has
 gamma, eos, alpha_grid, beta_grid, ctrl and R_max: the scaled problem has no
 units, so a sweep's EOS is built at c = G = 1 and a sweep config takes no
 units or constants.  An optional key is passed on only when the
@@ -131,7 +133,7 @@ def build_eos(cfg: dict, k: Constants) -> EosSpec:
             _check_keys(block, {"type", "K", "zeta_fit_max"}, "eos")
             params = FermiEosParams(K=_num(block, "K", "eos", required=True, positive=True), c=k.c)
             return fermi_fit_eos(params, **_given(block, "eos", ("zeta_fit_max",), positive=True))
-    except NonPhysicalEosError as exc:
+    except (NonPhysicalEosError, ValueError) as exc:  # ValueError: a fit window too narrow
         raise ConfigError(f"eos: {exc}")
     raise ConfigError("eos 'type' must be 'polytrope' or 'fermi'")
 

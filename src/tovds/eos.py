@@ -1,9 +1,9 @@
 """Barotropic equation of state with an analytic correction factor.
 
 P(rho) = A rho^gamma Omega(zeta),  zeta = A rho^(gamma-1) / c^2,  Omega(0) = 1,
-for rho >= 0: the EOS lives on finite zeta, eta >= 0; the direct and fast
-paths refuse an argument below 0 or not finite, and the enthalpy maps a u
-that is not finite.
+for rho >= 0: the EOS lives on finite zeta, eta >= 0; the direct path
+refuses an argument below 0 or not finite, and the enthalpy maps a u that
+is not finite.
 
 The enthalpy variable u = int_0^rho dP / (rho + P/c^2) linearises the vacuum
 boundary.  Three derived correction functions express the state through u:
@@ -17,31 +17,27 @@ with A1 = ((gamma-1)/(gamma A))^(1/(gamma-1)).  Omega_u(zeta), the mean over
 is a closed form over the real factors of 1 + z Omega, found once per EOS on
 its first need (EosSpec._fractions); the EOS domain ends at their least
 positive root.  Omega_rho and Omega_P need the inverse map eta -> zeta, a
-bracketed Newton search per eta.  All three equal 1 at argument 0, and every
-path gives (Omega_rho, Omega_P) = (1.0, 1.0) exactly at eta = 0.  A series
-Omega and its derivative are evaluated by Horner, on a float or elementwise
-on an array, in numpy.polynomial's polyval operation order, so the values
-are bit-identical to polyval's; numpy.polynomial itself, which fits the
-table pieces below, is imported on first need.
+bracketed Newton search per eta: the direct path, omega_rho_P.  All three
+equal 1 at argument 0, and every path gives (Omega_rho, Omega_P) =
+(1.0, 1.0) exactly at eta = 0.  A series Omega and its derivative are
+evaluated by Horner, on a float or elementwise on an array, in
+numpy.polynomial's polyval operation order, so the values are bit-identical
+to polyval's.
 
-That direct path is slow.  The fast path has one definition, the terms
-text of EosSpec.stage_terms_source, which sets rho_term = U#^mu Omega_rho
-and p_term = U#^(mu+1) Omega_P at eta = alpha U#.  For the pure polytrope,
-Omega == 1, which is OmegaSeries((1.0,)) and the default, it is the closed
-form in Z = U# / Omega_u = U# (e^(k eta) - 1) / (k eta), k = (gamma-1)/gamma.
-For a series Omega it calls piecewise Chebyshev interpolants on a grid over
-[0, eta_max]; a piece is fitted to the direct path at its 13 nodes when an
-eta first lands in it.  Outside the grid, and in a
-piece with a node outside the EOS domain, the direct path answers.  Three
-consumers run the text, each compiled once per text: the scaled stage
-(odecore), the germ fast_omega() at U# = 1, where the terms are Omega_rho
-and Omega_P, and the state map rho_P_of_u at U# = u.
+A solve needs no inversion: beside M it integrates the EOS's own state X
+(EosSpec.state_var), U for Omega == 1 (OmegaSeries((1.0,)), the default)
+and Z = U / Omega_u for a series Omega, with zeta = k alpha Z,
+k = (gamma-1)/gamma, rho_term = Z^mu, p_term = Z^(mu+1) Omega(zeta) and
+dZ/dU = 1/w.  The terms text of EosSpec.stage_terms_source is their one
+definition, run by the scaled stage (odecore), by Omega == 1's germ
+fast_omega() at U# = 1, and by the state map rho_P_of_state at X# = x, u or
+z = b Z in physical units; each is compiled once per text.  A series
+Omega's germ (center_terms) makes one inversion, and u = z Omega_u is closed.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
 import sys
 import textwrap
@@ -52,8 +48,6 @@ import numpy as np
 
 from . import codegen
 from .errors import EosDomainError, NonPhysicalEosError, RootFindError
-
-_log = logging.getLogger("tovds")
 
 __all__ = [
     "OmegaSeries",
@@ -122,55 +116,63 @@ def _invmod(a: tuple, p: float, s: float) -> tuple:
     return -a1 / n, (a0 - p * a1) / n
 
 
-# Sub-interval tables for the fast Omega_rho / Omega_P path: degree per piece
-# and pieces per unit of eta are chosen so the tables reproduce the direct
-# computation to ~1e-13 (asserted by the test suite).
-_TAB_DEG = 12
-_TAB_PIECES_MIN = 24
-_TAB_PIECES_PER_UNIT = 6.0
-# Chebyshev points of the first kind in the scaled piece variable
-_TAB_NODES = np.cos(np.pi * (2.0 * np.arange(_TAB_DEG + 1) + 1.0) / (2.0 * (_TAB_DEG + 1)))
-# marks a piece that cannot be fitted because a node lies outside the EOS domain
-_OFF_DOMAIN = object()
-
-# The terms rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P from
-# U_pos = U# and alpha, mu and p_alpha = k alpha.  For Omega == 1,
-# Omega_rho = Omega_u^(-mu) and Omega_P = Omega_u^(-mu-1), so with
-# Z = U# / Omega_u = U# expm1(keta) / keta, keta = k alpha U#, they are Z^mu
-# and Z^(mu+1): one pow.  expm1(keta) / keta is 1.0 exactly for a tiny or
-# subnormal keta, where dividing by k alpha instead would not be.
+# The terms set rho_term and p_term, and for Z dZ_dU, from the EOS's own state
+# variable (EosSpec.state_var) at X_pos, its positive part, and from mu and
+# p_alpha = k alpha, k = (gamma-1)/gamma.  For Omega == 1 the state is U, and
+# with Omega_rho = Omega_u^(-mu), Omega_P = Omega_u^(-mu-1) and
+# Z = U# / Omega_u = U# expm1(keta) / keta, keta = k alpha U#, the terms
+# U#^mu Omega_rho and U#^(mu+1) Omega_P are Z^mu and Z^(mu+1): one pow.
+# expm1(keta) / keta is 1.0 exactly for a tiny or subnormal keta, where
+# dividing by k alpha instead would not be.
 _CLOSED_FORM_TERMS = """\
 keta = p_alpha * U_pos
 Z = U_pos * (expm1(keta) / keta) if keta != 0.0 else U_pos
 rho_term = Z**mu
 p_term = rho_term * Z
 """
-# a series Omega calls its bound table evaluator at eta = alpha U#, and
-# U#^(mu+1) is U#^mu U#: one pow
-_TABLE_TERMS = """\
-eta = alpha * U_pos
-omega_rho, omega_P = omega_table(eta)
-Um = U_pos**mu
-rho_term = Um * omega_rho
-p_term = Um * U_pos * omega_P
+
+
+@functools.cache
+def _z_terms(degree: int) -> str:
+    """The terms in Z of a series Omega of the given degree: zeta = k alpha Z#,
+    Z#^mu, Z#^(mu+1) Omega and dZ_dU = 1/w.  Omega and Omega' are _horner's
+    sums of coefficients bound as oc0 ... and od1 ..., so one text serves a
+    degree; past the EOS domain, 1 + zeta Omega or dP/drho <= 0, they refuse."""
+    def horner(name: str, lo: int) -> str:
+        text = f"{name}{max(degree, lo)}"
+        for j in range(max(degree, lo) - 1, lo - 1, -1):
+            text = f"({text}) * zeta + {name}{j}" if "*" in text else f"{text} * zeta + {name}{j}"
+        return text
+
+    return f"""\
+zeta = p_alpha * Z_pos
+om = {horner("oc", 0)}
+dom = {horner("od", 1)}
+zom1 = 1.0 + zeta * om
+den = om + k * zeta * dom
+if zom1 <= 0.0 or den <= 0.0:
+    raise outside(zeta)
+dZ_dU = zom1 / den
+rho_term = Z_pos**mu
+p_term = rho_term * Z_pos * om
 """
+
+
 # The germ and the state map, (name, params, body, result), run the terms at
-# their line TERMS: the germ at U# = 1, alpha = eta, where the terms are
-# Omega_rho(eta) and Omega_P(eta), for a series Omega the table's own bits
-# (1.0**mu is 1.0), and the state map at U# = u > 0, alpha = 1/c^2.  The
-# germ, run once per solve, refuses an eta below 0 or not finite (NaN - NaN
-# and inf - inf are NaN).
+# their line TERMS: Omega == 1's germ at U# = 1, alpha = eta, where they are
+# Omega_rho and Omega_P, refusing an eta below 0 or not finite (NaN - NaN
+# and inf - inf are NaN), and the state map at X# = x > 0, alpha = 1/c^2.
 _GERM = ("germ", "eta", "if eta < 0.0 or eta - eta != 0.0:\n    raise refusal('eta', eta)\n"
          "U_pos = 1.0\nalpha = eta\np_alpha = k * eta\nTERMS\n", "rho_term, p_term")
 _STATE_MAP = ("state map", "us", """\
 rho, P = [0.0] * len(us), [0.0] * len(us)
-for i, U_pos in enumerate(us):
-    if U_pos > 0.0:
+for i, X_pos in enumerate(us):
+    if X_pos > 0.0:
         TERMS
         rho[i] = A1 * rho_term
         P[i] = p_coeff * p_term
-    elif U_pos - U_pos != 0.0:  # NaN or -inf: u - u is NaN just for a non-finite u
-        raise nonfinite_u(U_pos)
+    elif X_pos - X_pos != 0.0:  # NaN or -inf: u - u is NaN just for a non-finite u
+        raise nonfinite_u(X_pos)
 """, "rho, P")
 
 
@@ -182,46 +184,19 @@ def _refusal(name: str, value: float) -> EosDomainError:
     return EosDomainError(f"{name} = {value!r}: the EOS is defined for finite {name} >= 0 only")
 
 
+def _outside(zeta: float) -> EosDomainError:
+    return EosDomainError(f"zeta = {zeta!r}: past the EOS domain, which ends where "
+                          "1 + zeta*Omega(zeta) or dP/drho reaches 0")
+
+
 @functools.cache
-def _terms_factory(form: tuple, label: str, terms: str, consts: tuple):
-    """make(**values) of form's function with terms spliced in, compiled once per text."""
+def _terms_factory(form: tuple, var: str, label: str, terms: str, consts: tuple):
+    """make(**values) of form's function with terms spliced in, in var."""
     name, params, body, result = form
-    head, _, tail = body.partition("TERMS\n")
+    head, _, tail = body.replace("X_pos", f"{var}_pos").partition("TERMS\n")
     start = head.rfind("\n") + 1
     body = head[:start] + textwrap.indent(terms, head[start:]) + tail
     return codegen.closure_factory(f"<eos {name}: {label}>", params, body, result, consts)
-
-
-class _OmegaTables:
-    """Piece grid over [0, hi]; pieces[i] is None until an eta first lands in it,
-    then (coef_rho, coef_P), each deg+1 floats, lowest degree first, or
-    _OFF_DOMAIN when a node of the piece lies outside the EOS domain."""
-
-    def __init__(self, hi: float):
-        n = max(_TAB_PIECES_MIN, int(math.ceil(hi * _TAB_PIECES_PER_UNIT)))
-        edges = np.linspace(0.0, hi, n + 1)
-        self.hi = float(hi)
-        self.n = n
-        self.mids = tuple(float(m) for m in 0.5 * (edges[:-1] + edges[1:]))
-        self.halfw = float(0.5 * (edges[1] - edges[0]))
-        self.inv_halfw = 1.0 / self.halfw
-        self.pieces = [None] * n
-
-    def build(self, i: int, eos: EosSpec) -> tuple:
-        """Fit piece i to eos.omega_rho_P's bits at its nodes; depends on no
-        other piece."""
-        etas = (self.mids[i] + self.halfw * _TAB_NODES).tolist()
-        try:
-            vals = np.array([eos._omega_rho_P_at(eta, eos.zeta_of_eta(eta)) for eta in etas])
-        except EosDomainError:
-            self.pieces[i] = _OFF_DOMAIN
-            return _OFF_DOMAIN
-        from numpy.polynomial import polynomial as npoly
-        cr = npoly.polyfit(_TAB_NODES, vals[:, 0], _TAB_DEG)
-        cP = npoly.polyfit(_TAB_NODES, vals[:, 1], _TAB_DEG)
-        piece = (tuple(float(x) for x in cr), tuple(float(x) for x in cP))
-        self.pieces[i] = piece
-        return piece
 
 
 @dataclass(frozen=True)
@@ -236,7 +211,7 @@ class EosSpec:
     gamma: float
     omega: OmegaSeries = OmegaSeries((1.0,))
     c: float = 1.0
-    eta_max: float = 8.0  # ceiling of the fast-path piece grid for a series Omega
+    eta_max: float = 8.0  # checked, but bounds nothing since a series Omega solves in Z
 
     def __post_init__(self):
         if not (1.0 < self.gamma <= 2.0):
@@ -484,90 +459,91 @@ class EosSpec:
         omega_P = self.omega.value(zeta) * omu ** (-(self.mu + 1.0))
         return omega_rho, omega_P
 
-    # -- fast path (bound once per solve) -------------------------------------
+    # -- the terms in the EOS's own state variable (bound once per solve) -----
 
     @cached_property
-    def _tables(self) -> _OmegaTables | None:
-        """The fast path's piece grid; None for Omega == 1, which has a closed form."""
-        return None if self.omega.coeffs == (1.0,) else _OmegaTables(self.eta_max)
+    def state_var(self) -> str:
+        """The state beside M: U for Omega == 1, Z = U / Omega_u for a series."""
+        return "U" if self.omega.coeffs == (1.0,) else "Z"
 
     def stage_terms_source(self) -> tuple:
-        """(label, text, values): the terms, statements that set rho_term and
-        p_term from U_pos, and the values of their free names but alpha, mu
-        and p_alpha = (gamma - 1) / gamma alpha, which each consumer sets;
-        a series Omega's table evaluator is built afresh on every call."""
-        if self._tables is None:
+        """(label, text, values): the terms, which set rho_term, p_term and for Z
+        dZ_dU from X_pos, X = state_var, and the values of their free names
+        but alpha, mu and p_alpha = (gamma - 1) / gamma alpha."""
+        if self.state_var == "U":
             return "closed-form Omega", _CLOSED_FORM_TERMS, {"expm1": math.expm1}
-        return "table Omega", _TABLE_TERMS, {"omega_table": self._omega_table()}
+        c = self.omega.coeffs
+        values = {f"oc{j}": cj for j, cj in enumerate(c)}
+        values.update({f"od{j}": dj for j, dj in enumerate(self.omega._d1, 1)})
+        values.update(k=(self.gamma - 1.0) / self.gamma, outside=_outside)
+        return f"series Omega, degree {len(c) - 1}", _z_terms(len(c) - 1), values
 
     def _run_terms(self, form: tuple, **values):
         """form's function with the terms' values and values bound."""
         label, terms, bound = self.stage_terms_source()
         bound.update(values)
-        return _terms_factory(form, label, terms, tuple(bound))(**bound)
-
-    def _omega_table(self):
-        """eta -> (Omega_rho, Omega_P) by the piece tables of a series Omega;
-        below 0, above eta_max, at NaN or in a piece that leaves the EOS
-        domain, by the direct path, which refuses an eta below 0 or not finite."""
-        direct, tab = self.omega_rho_P, self._tables
-        hi, n, mids, inv_halfw, pieces, build = (
-            tab.hi, tab.n, tab.mids, tab.inv_halfw, tab.pieces, tab.build)
-
-        def omega_table(eta):
-            if eta == 0.0:
-                return 1.0, 1.0
-            if not 0.0 < eta <= hi:
-                if eta > hi:
-                    _log.debug("eta = %r above eta_max = %r: direct Omega_rho/Omega_P path", eta, hi)
-                return direct(eta)
-            i = int(eta * inv_halfw * 0.5)
-            if i >= n:
-                i = n - 1
-            s = (eta - mids[i]) * inv_halfw
-            piece = pieces[i] or build(i, self)
-            if piece is _OFF_DOMAIN:
-                _log.debug("eta = %r in a table piece that leaves the EOS domain: "
-                           "direct Omega_rho/Omega_P path", eta)
-                return direct(eta)
-            # Horner in degree _TAB_DEG = 12, highest coefficient first
-            cr, cP = piece
-            return (
-                ((((((((((((cr[12] * s + cr[11]) * s + cr[10]) * s + cr[9]) * s + cr[8]) * s
-                        + cr[7]) * s + cr[6]) * s + cr[5]) * s + cr[4]) * s + cr[3]) * s
-                   + cr[2]) * s + cr[1]) * s + cr[0]),
-                ((((((((((((cP[12] * s + cP[11]) * s + cP[10]) * s + cP[9]) * s + cP[8]) * s
-                        + cP[7]) * s + cP[6]) * s + cP[5]) * s + cP[4]) * s + cP[3]) * s
-                   + cP[2]) * s + cP[1]) * s + cP[0]),
-            )
-
-        return omega_table
+        return _terms_factory(form, self.state_var, label, terms, tuple(bound))(**bound)
 
     def fast_omega(self):
-        """The fast path eta -> (Omega_rho, Omega_P), the terms at U_pos = 1
-        (_GERM), within ~1e-13 of the direct path on eta >= 0.  Never stored
-        on the instance: an EosSpec is pickled into workers, a closure cannot be."""
+        """eta -> (Omega_rho, Omega_P): for Omega == 1 the terms at U_pos = 1
+        (_GERM), within ~1e-13 of the direct path, else the direct path.  Not
+        stored: an EosSpec is pickled into workers, a closure cannot be."""
+        if self.state_var == "Z":
+            return self.omega_rho_P
         return self._run_terms(_GERM, k=(self.gamma - 1.0) / self.gamma, mu=self.mu, refusal=_refusal)
 
     def omega_rho_P_fast(self, eta: float) -> tuple:
-        """(Omega_rho, Omega_P) at one eta by the fast path (fast_omega)."""
+        """(Omega_rho, Omega_P) at one eta by fast_omega."""
         return self.fast_omega()(eta)
 
-    # -- state reconstruction from u -----------------------------------------
+    def center_terms(self, eta: float) -> tuple:
+        """(Omega_rho, Omega_P, X_c, dX/dU) at a centre, U = 1, alpha = eta; for
+        Z one inversion gives zeta_c, Z_c = zeta_c / (k eta) (1 where zeta_c
+        is 0 or subnormal), the terms at Z# = Z_c and 1 / w(zeta_c)."""
+        if self.state_var == "U":
+            return (*self.omega_rho_P_fast(eta), 1.0, 1.0)
+        zeta = self.zeta_of_eta(eta)
+        Z_c = 1.0 if zeta < sys.float_info.min else zeta / ((self.gamma - 1.0) / self.gamma * eta)
+        Zm = Z_c**self.mu
+        return Zm, Zm * Z_c * self.omega.value(zeta), Z_c, 1.0 / self._w(zeta)
 
-    def rho_P_of_u(self, us) -> tuple:
-        """(rho, P), two lists, at each enthalpy u of the sequence us:
-        rho = A1 u^mu Omega_rho(u/c^2) and P = A A1^gamma u^(mu+1) Omega_P(u/c^2),
-        both zero for u <= 0.  One loop (_STATE_MAP) runs the terms at
-        U_pos = u on Python floats, as numpy's vector pow may differ from
-        libm's in the last bit; for Omega == 1 a sample makes one pow.  The
-        loop refuses a NaN or -inf u in its u <= 0 branch, so a finite u > 0
-        takes no further test; +inf is refused by density_of_u and
-        pressure_of_u and, for a series Omega, by the direct path, but gives
-        NaN here for Omega == 1."""
+    # -- state reconstruction ------------------------------------------------
+
+    def rho_P_of_state(self, xs) -> tuple:
+        """(rho, P), two lists, zero for x <= 0, at each x of xs, a state column
+        in physical units: u, or z with rho = A1 z^mu and P = A A1^gamma
+        z^(mu+1) Omega.  One loop (_STATE_MAP) runs the terms on Python
+        floats, as numpy's vector pow may differ from libm's in the last bit,
+        and refuses a NaN or -inf x in its x <= 0 branch; +inf gives NaN."""
         g, alpha = self.gamma, 1.0 / self.c2
         return self._run_terms(_STATE_MAP, alpha=alpha, p_alpha=(g - 1.0) / g * alpha, mu=self.mu,
-                               A1=self.A1, p_coeff=self.p_coeff, nonfinite_u=_nonfinite_u)(us)
+                               A1=self.A1, p_coeff=self.p_coeff, nonfinite_u=_nonfinite_u)(xs)
+
+    def u_of_state(self, xs) -> list:
+        """u at each x of the state column xs: x, or z Omega_u(zeta) in closed
+        form (z where zeta <= 0 or is subnormal, where Omega_u rounds to 1)."""
+        if self.state_var == "U":
+            return list(xs)
+        g = self.gamma
+        p_alpha = (g - 1.0) / g * (1.0 / self.c2)
+        return [z * self.omega_u(p_alpha * z) if p_alpha * z >= sys.float_info.min else z
+                for z in xs]
+
+    def rho_P_of_u(self, us) -> tuple:
+        """(rho, P) at each enthalpy u of us: rho_P_of_state of u, or of
+        z = u / Omega_u with zeta_of_eta(u/c^2), which refuses +inf."""
+        if self.state_var == "U":
+            return self.rho_P_of_state(us)
+        zs = []
+        for u in us:
+            if u > 0.0:
+                eta = u / self.c2
+                zeta = self.zeta_of_eta(eta)
+                # at the root, Omega_u(zeta) = (gamma-1)/gamma * eta / zeta exactly
+                if zeta >= sys.float_info.min:
+                    u /= (self.gamma - 1.0) / self.gamma * eta / zeta
+            zs.append(u)
+        return self.rho_P_of_state(zs)
 
     def density_of_u(self, u: float) -> float:
         """rho(u) = A1 u^mu Omega_rho(u/c^2); zero for u <= 0."""
@@ -643,9 +619,10 @@ def fermi_eos(zeta: float, params: FermiEosParams) -> tuple:
     return rho, P
 
 
-# the Fermi fit: polynomial degree of Omega and sample count in the window
+# the Fermi fit: degree of Omega, and sample count and first sample of the window
 _FERMI_DEG = 10
 _FERMI_SAMPLES = 80
+_FERMI_Z0 = 1e-3
 
 
 def fermi_fit_eos(
@@ -657,15 +634,18 @@ def fermi_fit_eos(
     The low-density expansion gives A = K^(-2/3)/5 and gamma = 5/3; the
     residual correction Omega(zeta) = P / (A rho^gamma) is fitted as a
     polynomial of degree _FERMI_DEG to _FERMI_SAMPLES points of the momentum
-    window [0, zeta_fit_max].
+    window [_FERMI_Z0, zeta_fit_max], which must be finite and wider than 0.
     """
     if not (math.isfinite(zeta_fit_max) and zeta_fit_max > 0.0):
         raise ValueError(f"zeta_fit_max must be finite and positive, got {zeta_fit_max!r}")
+    if zeta_fit_max <= _FERMI_Z0:  # a window of one point, or reversed
+        raise ValueError(f"zeta_fit_max must exceed the first fit sample, zeta = {_FERMI_Z0!r}, "
+                         f"got {zeta_fit_max!r}")
     gamma = 5.0 / 3.0
     A = params.K ** (-2.0 / 3.0) / 5.0
     c2 = params.c * params.c
 
-    zs = np.linspace(1e-3, zeta_fit_max, _FERMI_SAMPLES)
+    zs = np.linspace(_FERMI_Z0, zeta_fit_max, _FERMI_SAMPLES)
     rows = np.array([fermi_eos(float(z), params) for z in zs])
     rho, P = rows[:, 0], rows[:, 1]
     zeta_var = A * rho ** (gamma - 1.0) / c2
@@ -679,11 +659,4 @@ def fermi_fit_eos(
     coeffs_scaled, *_ = np.linalg.lstsq(M, omega_vals - 1.0, rcond=None)
     coeffs = [1.0] + [float(coeffs_scaled[k] / smax ** (k + 1)) for k in range(_FERMI_DEG)]
 
-    u_top = 0.5 * c2 * math.log1p(zeta_fit_max**2)
-    return EosSpec(
-        A=A,
-        gamma=gamma,
-        omega=OmegaSeries(tuple(coeffs)),
-        c=params.c,
-        eta_max=1.25 * u_top / c2,
-    )
+    return EosSpec(A=A, gamma=gamma, omega=OmegaSeries(tuple(coeffs)), c=params.c)

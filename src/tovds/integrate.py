@@ -135,7 +135,9 @@ class EventSpec:
 
     A guard that reads a slope name reads at a step end the FSAL stage's
     slopes, and at x0 the start slope; refining its crossing costs one
-    right-hand side call per point, counted in n_rhs.
+    right-hand side call per point, counted in n_rhs.  A guard that reads a
+    name the stage's body sets reads the FSAL stage's value at a step end;
+    at x0 and in its refinement it runs the body, counted as in refinement.
     """
 
     expr: str
@@ -452,22 +454,37 @@ def _expr_names(expr: str) -> set:
             if isinstance(node, ast.Name)} - vars(builtins).keys()
 
 
+def _stored(body: str) -> set:
+    """The names the statements body assign."""
+    return {node.id for node in ast.walk(ast.parse(body))
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
+
+
 def _guard_text(stage: Stage, guards: tuple) -> tuple:
     """(defs, init, block): make's statements that define guardJ(x, y), or
     guardJ(x, y, dy) for a guard that reads a slope, to return each guard's
-    expression, and the tuple guards of (guardJ, slope) pairs; the loop's
-    statements that load each guard's value at x0 into gpJ; and those that
-    evaluate the guards' expressions at a step end, on the names the FSAL
-    stage left, and collect sign changes."""
+    expression, and the tuple guards of (guardJ, kind) pairs, kind True for
+    a slope guard and 'body' for one that reads a stage local, whose
+    guardJ(x, y) runs the stage; the loop's statements that load each
+    guard's value at x0 into gpJ; and those that evaluate the guards at a
+    step end, on the names the FSAL stage left, and collect sign changes."""
     defs = init = block = pairs = ""
+    locals_ = _stored(stage.body) - set(stage.dy)
     for j, g in enumerate(guards):
-        slope = bool(_expr_names(g.expr) & set(stage.dy))
-        defs += (f"def guard{j}({stage.x}, y{', dy' * slope}):\n"
-                 f"    {', '.join(stage.y)}, = y\n"
-                 + f"    {', '.join(stage.dy)}, = dy\n" * slope
-                 + f"    return {g.expr}\n")
-        pairs += f"(guard{j}, {slope}), "
-        init += f"gp{j} = float(guard{j}(x, y{', k1' * slope}))\n"
+        names = _expr_names(g.expr)
+        slope = bool(names & set(stage.dy))
+        if names & locals_:
+            defs += (f"def guard{j}({stage.x}, y):\n    {', '.join(stage.y)}, = y\n"
+                     + textwrap.indent(stage.body, "    ") + f"    return {g.expr}\n")
+            pairs += f"(guard{j}, 'body'), "
+            init += f"gp{j} = float(guard{j}(x, y))\n"
+        else:
+            defs += (f"def guard{j}({stage.x}, y{', dy' * slope}):\n"
+                     f"    {', '.join(stage.y)}, = y\n"
+                     + f"    {', '.join(stage.dy)}, = dy\n" * slope
+                     + f"    return {g.expr}\n")
+            pairs += f"(guard{j}, {slope}), "
+            init += f"gp{j} = float(guard{j}(x, y{', k1' * slope}))\n"
         tests = [f"gp{j} > 0.0 >= g1"] * g.falling + [f"gp{j} < 0.0 <= g1"] * g.rising
         block += (f"g1 = {g.expr}\n"
                   f"if {' or '.join(tests)}:\n"
@@ -524,20 +541,19 @@ def _loop(dim: int, stage: Stage, guards: tuple):
         # each loop its own name, so that tracebacks show its lines
         listed = f", guards {', '.join(g.name for g in guards)}" if guards else ""
         filename = f"<dp5 loop, dim {dim}, {stage.name}{listed}>"
-        # a guard's function does not run the stage body, so reads none of its locals
         stage_names = {stage.x, *stage.y, *stage.dy, *stage.consts}
+        stored = _stored(stage.body)
         for g in guards:
-            if unknown := _expr_names(g.expr) - stage_names:
+            if unknown := _expr_names(g.expr) - stage_names - stored:
                 raise ValueError(f"guard {g.expr!r} uses names that are not its stage's "
-                                 f"abscissa, state, slopes or constants: {sorted(unknown)}")
+                                 f"abscissa, state, slopes, constants or locals: "
+                                 f"{sorted(unknown)}")
         names = _names(compile(stage.body, "<stage>", "exec")) | stage_names
         clash = {name for name in names if re.sub(r"\d+$", "N", name) in _LOOP_NAMES}
         if clash:
             raise ValueError(f"stage {stage.name!r} uses names of the step loop: {sorted(clash)}")
         # the guards read the abscissa and state the FSAL stage was given
-        rebound = {node.id for node in ast.walk(ast.parse(stage.body))
-                   if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
-                   } & {stage.x, *stage.y}
+        rebound = stored & {stage.x, *stage.y}
         if rebound:
             raise ValueError(f"stage {stage.name!r} assigns its own abscissa or state: "
                              f"{sorted(rebound)}")
@@ -627,12 +643,10 @@ def brentq(f, xa, xb, xtol, rtol, maxiter):
     raise RootFindError(f"brentq: no convergence in {maxiter} iterations; last x = {xcur!r}")
 
 
-def _locate_in_step(sol_eval, guard, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
-    """Refine a sign change of guard on one interpolant segment.
-
-    Returns (x, calls): the located abscissa and the right-hand side calls
-    made, one per guard evaluation of a slope guard (rhs not None), which
-    then receives rhs(x, y) as its third argument.
+def _locate_in_step(sol_eval, guard, kind, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
+    """Refine a sign change of guard on one interpolant segment: (x, calls),
+    the located abscissa and one right-hand side call per evaluation of a
+    slope guard (kind True, passed rhs(x, y)) or a body guard (kind 'body').
     """
     if g_lo == 0.0:
         return x_lo, 0
@@ -641,10 +655,10 @@ def _locate_in_step(sol_eval, guard, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
 
     def g(x):
         y = sol_eval(x)
-        return guard(x, y) if rhs is None else guard(x, y, rhs(x, y))
+        return guard(x, y, rhs(x, y)) if kind is True else guard(x, y)
 
     x, calls = brentq(g, x_lo, x_hi, root_tol, _BRENT_RTOL, _EVENT_MAXITER)
-    return x, 0 if rhs is None else calls
+    return x, calls if kind else 0
 
 
 def _step_events(step_eval, hit, events, guards, rhs, x_lo, x_hi, found):
@@ -652,15 +666,14 @@ def _step_events(step_eval, hit, events, guards, rhs, x_lo, x_hi, found):
     in order of x, up to the first terminal one.
 
     hit holds (index, value at x_lo, value at x_hi) of each guard that
-    changed sign, and guards a (guard, slope) pair per event.  Returns (x of
-    the terminal event or None, right-hand side calls made by the slope
-    guards' refinement).
+    changed sign, and guards a (guard, kind) pair per event (_guard_text).
+    Returns (x of the terminal event or None, right-hand side calls made).
     """
     located = []
     n_calls = 0
     for idx, g0, g1 in hit:
-        guard, slope = guards[idx]
-        x_ev, calls = _locate_in_step(step_eval, guard, rhs if slope else None,
+        guard, kind = guards[idx]
+        x_ev, calls = _locate_in_step(step_eval, guard, kind, rhs,
                                       x_lo, x_hi, g0, g1, events[idx].root_tol)
         n_calls += calls
         located.append((x_ev, idx))

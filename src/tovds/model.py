@@ -1,16 +1,18 @@
 """Stellar models: germ prolongation, outcome classification, boundary data.
 
-Every star is solved in the homology-scaled variables (M, U) of R = r/a, in
+Every star is solved in the homology-scaled variables (M, X) of R = r/a, in
 which a star's shape depends only on alpha = u_c/c^2 and the scaled
-cosmological constant beta.  One private core integrates the scaled system
-from its center germ with three guards: U falling through zero (vacuum
-boundary, terminal), kappa falling through kappa_min (horizon contact,
-terminal), and dU/dR rising through a small positive floor (monotonicity
-loss, recorded).  solve_scaled returns its result as is; solve_star maps the
-solution back to (r, m, u) through ScalingParams and adds the physical
-profile, boundary data and diagnostics.  A profile stores the columns r, m
-and u; P, rho, kappa, Q and dPdr are derived from them on first read, which
-the metric patch, the boundary data and the continuity report never make.
+cosmological constant beta; X is the EOS's own state variable
+(EosSpec.state_var), U, or Z = U / Omega_u for a series Omega.  One private
+core integrates the scaled system from its center germ with three guards: X
+falling through zero (vacuum boundary, terminal), kappa falling through
+kappa_min (horizon contact, terminal), and dU/dR rising through a small
+positive floor (monotonicity loss, recorded).  solve_scaled returns its
+result as is; solve_star maps the solution back to (r, m, x) through
+ScalingParams and adds the physical profile, boundary data and
+diagnostics.  A profile stores the columns r, m and x; u, P, rho, kappa, Q
+and dPdr are derived from them on first read, which the metric patch, the
+boundary data and the continuity report never make.
 A vacuum-terminated profile also carries the states of its boundary
 stencil, from the dense-output call that forms its tail, so the boundary
 data and the continuity report make no dense-output call.
@@ -182,11 +184,10 @@ class ModelOutcome:
 @dataclass
 class SolutionProfile:
     """Dense radial trajectory of the PROFILE_COLUMNS; its events and status
-    are those of dense.
-
-    r, m and u are stored.  P, rho, kappa, Q and dPdr are derived from them
-    and the EOS, all five in one pass on the first read of any, and kept;
-    a copy made by dataclasses.replace derives its own.
+    are those of dense, whose state is (m, x), x = u or z = b Z
+    (EosSpec.state_var).  r, m and x, named state, are stored; P, rho,
+    kappa, Q and dPdr are derived in closed form, all five on the first
+    read of any, and kept, and so is u.  A replace copy derives its own.
 
     A vacuum-terminated profile also carries its boundary stencil: the
     (m, u) pairs, as floats, at the radii of _stencil(r_+, -1.0), r_+ and
@@ -199,7 +200,7 @@ class SolutionProfile:
 
     r: np.ndarray
     m: np.ndarray
-    u: np.ndarray
+    state: np.ndarray
     eos: EosSpec
     constants: Constants
     Lambda: float
@@ -213,7 +214,7 @@ class SolutionProfile:
         r, m, n = self.r, self.m, self.r.size
         # each sample keeps the bits of tests/oracles.py::profile_row, which
         # evaluates one sample on floats
-        rho, P = (np.fromiter(col, float, n) for col in self.eos.rho_P_of_u(self.u.tolist()))
+        rho, P = (np.fromiter(col, float, n) for col in self.eos.rho_P_of_state(self.state.tolist()))
         kap = kappa(r, m, self.Lambda, k)
         Q = q_factor(r, m, P, self.Lambda, k)
         dPdr = (rho + P / k.c2) * (-Q / (r * r * kap))
@@ -226,6 +227,12 @@ class SolutionProfile:
     dPdr = property(lambda self: self._derived["dPdr"])
 
     @cached_property
+    def u(self) -> np.ndarray:
+        if self.eos.state_var == "U":
+            return self.state
+        return np.fromiter(self.eos.u_of_state(self.state.tolist()), float, self.state.size)
+
+    @cached_property
     def boundary_limits(self) -> tuple:
         """(r_+, m_+, kappa_+, Q_+, B, kappa'_+) at the vacuum event: the
         boundary limits that need no stencil."""
@@ -233,7 +240,7 @@ class SolutionProfile:
         k = self.constants
         r_plus = ev.x
         m_plus = float(ev.y[0])
-        P_plus = self.eos.pressure_of_u(float(ev.y[1]))
+        P_plus = self.eos.rho_P_of_state((float(ev.y[1]),))[1][0]
         kappa_plus = kappa(r_plus, m_plus, self.Lambda, k)
         Q_plus = q_factor(r_plus, m_plus, P_plus, self.Lambda, k)
         B = Q_plus / (r_plus * r_plus * kappa_plus)
@@ -254,7 +261,7 @@ class SolutionProfile:
     def state_at(self, r: float) -> tuple:
         """(m, u) interpolated from the dense solution."""
         y = self.dense(r)
-        return float(y[0]), float(y[1])
+        return float(y[0]), self.eos.u_of_state((float(y[1]),))[0]
 
     def write_csv(self, path, units_label: str = "geom") -> None:
         k = self.constants
@@ -299,10 +306,14 @@ def _build_profile(dense, inp: ModelInput, scaling: ScalingParams) -> SolutionPr
     # their rows from dense.ys; the samples after them and the boundary
     # stencil are evaluated in one call
     states = dense(np.concatenate((rr[n_nodes:], radii)))
-    m, u = np.ascontiguousarray(np.concatenate((dense.ys[:n_nodes], states[:n - n_nodes])).T)
-    return SolutionProfile(r=rr, m=m, u=u, eos=inp.eos, constants=inp.constants,
+    m, x = np.ascontiguousarray(np.concatenate((dense.ys[:n_nodes], states[:n - n_nodes])).T)
+    # the stencil's (m, x) pairs as (m, u), which the boundary data read
+    stencil = states[n - n_nodes:].tolist()
+    us = inp.eos.u_of_state([x_s for _, x_s in stencil])
+    stencil = [[m_s, u_s] for (m_s, _), u_s in zip(stencil, us)]
+    return SolutionProfile(r=rr, m=m, state=x, eos=inp.eos, constants=inp.constants,
                            Lambda=inp.Lambda, scaling=scaling, dense=dense,
-                           stencil=states[n - n_nodes:].tolist() or None)
+                           stencil=stencil or None)
 
 
 # -- the solve core ------------------------------------------------------------
@@ -340,9 +351,9 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     f = scaled_rhs(alpha, beta, eos)
     # each guard is an expression over the scaled stage's names, its constant
     # written in by repr, which keeps the float's bits; the rise guard reads
-    # the step end's FSAL slope dU, and its refinement calls are counted in n_rhs
+    # the FSAL stage's dU, and its refinement calls are counted in n_rhs
     events = [
-        EventSpec("U", direction="falling", terminal=True, name="vacuum"),
+        EventSpec(eos.state_var, direction="falling", terminal=True, name="vacuum"),
         EventSpec(f"{_HORIZON} - {_KAPPA_MIN!r}", direction="falling", terminal=True,
                   name="horizon"),
         EventSpec(f"dU - {_MONO_EPS!r}", direction="rising", root_tol=1e-10,
@@ -352,8 +363,11 @@ def _solve_core(alpha, beta, eos, ctrl, R_max) -> ScaledStar:
     if dense.status in _FAILED:
         raise ModelError(f"solver failed: {dense.status}: {dense.message} (x is the scaled radius R) "
                          f"for alpha = {alpha!r} and beta = {beta!r}", profile=dense)
-    # the germ's slope dU/dR is the start slope, k1 of the first step
-    initial_rise = float(dense.slopes[0, 1, 0]) - _MONO_EPS >= 0.0
+    # the germ's dU/dR: the start slope, k1 of the first step, times w in Z
+    dU0 = float(dense.slopes[0, 1, 0])
+    if eos.state_var == "Z":
+        dU0 *= eos._w((eos.gamma - 1.0) / eos.gamma * alpha * y0[1])
+    initial_rise = dU0 - _MONO_EPS >= 0.0
 
     rises = [ev for ev in dense.events if ev.name == "pressure_rise"]
     first_rise = _GERM_R if initial_rise else (rises[0].x if rises else None)
@@ -440,10 +454,11 @@ def _physical_outcome(star: ScaledStar, profile: SolutionProfile, inp: ModelInpu
     horizon = profile.horizon_event()
     ev = horizon if horizon is not None else profile.vacuum_event()
     r_h, m_h = ev.x, float(ev.y[0])
-    u_h = float(ev.y[1]) if horizon is not None else 0.0
+    x_h = float(ev.y[1]) if horizon is not None else 0.0
+    u_h = inp.eos.u_of_state((x_h,))[0]
     diag = {
         "u_end": u_h,
-        "Q_end": q_factor(r_h, m_h, inp.eos.pressure_of_u(u_h), inp.Lambda, inp.constants),
+        "Q_end": q_factor(r_h, m_h, inp.eos.rho_P_of_state((x_h,))[1][0], inp.Lambda, inp.constants),
         "lambda_r2": inp.Lambda * r_h * r_h,
         "simultaneous_vacuum": bool(abs(u_h) < 1e-8 * profile.scaling.b),
     }

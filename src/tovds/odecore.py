@@ -5,7 +5,7 @@ two floats (the integrator passes a list) and return the slopes as a tuple of
 two floats.  State conventions:
 
     physical enthalpy form   y = (m, u),   x = r
-    scaled form              y = (M, U),   x = R
+    scaled form              y = (M, X),   x = R,  X = EosSpec.state_var
 
 The solvers integrate the scaled form only; the enthalpy form is its
 physical-unit reference.  The scaled right-hand side is written once, as the
@@ -105,24 +105,19 @@ def rhs_tovds_enthalpy(r: float, y, Lambda: float, eos: EosSpec, k: Constants) -
     return dm, du
 
 
-# The scaled right-hand side as statements: dM and dU from R, M and U.  The
-# line TERMS stands for the EOS's terms text (EosSpec.stage_terms_source), the
-# one definition of rho_term = U#^mu Omega_rho and p_term = U#^(mu+1) Omega_P,
-# here from U_pos = U# and the star's constants.  Past the vacuum both terms
-# are 0 and every path gives exactly Omega_rho = Omega_P = 1 at eta = 0, so
-# neither U <= 0 nor alpha = 0 takes a branch of its own.  The denominator
-# R^2 kappa is written R (R kappa), with R kappa = R - 2 alpha M -
-# alpha beta R^3 / 3 and R^3 = (R R) R: no division for kappa and no pow.
-# At alpha = 0, p_alpha = 0 and every terms text gives rho_term = U#^mu and
-# p_term = U#^(mu+1) for any mu bound to it, R kappa is R, and R^3 enters dU
-# only times beta / 3: the stage is Lane-Emden-de Sitter with lambda = beta
-# (analysis.lane_emden_solution), and at beta = 0 Lane-Emden's bit for bit.
+# The scaled right-hand side as statements: dM and dU from R, M and X_pos,
+# the positive part of the state X, U or Z (EosSpec.state_var), set by the
+# stage's first line; TERMS stands for the EOS's terms text
+# (EosSpec.stage_terms_source), the one definition of rho_term and p_term.
+# Past the vacuum both are 0, so neither X <= 0 nor alpha = 0 takes a branch
+# of its own.  R^2 kappa is written R (R kappa), R kappa = R - 2 alpha M -
+# alpha beta R^3 / 3, R^3 = (R R) R: no division for kappa and no pow.  In Z
+# the stage ends with dZ = dU dZ_dU.  At alpha = 0 every text gives X#^mu,
+# X#^(mu+1) and dZ_dU = 1, R kappa is R: the stage is Lane-Emden-de Sitter
+# with lambda = beta (analysis.lane_emden_solution), in U or Z alike.
 # kappa_scaled and model._HORIZON write R kappa / R by the same expression, so
-# the stage's kappa test and the horizon guard share their bits.  The free
-# names are the constants scaled_rhs binds; mu and p_alpha = (gamma - 1) /
-# gamma alpha are also the terms' own.
+# the stage's kappa test and the horizon guard share their bits.
 _SCALED = """\
-U_pos = U if U > 0.0 else 0.0
 TERMS
 RR = R * R
 R3 = RR * R
@@ -135,22 +130,21 @@ dU = -(M - R3 * (beta3 - p_alpha * p_term)) / (R * Rkap)
 
 
 @functools.cache
-def _scaled_stage(label: str, terms_text: str, consts: tuple) -> Stage:
-    return Stage(name=f"scaled, {label}", x="R", y=("M", "U"), dy=("dM", "dU"),
-                 body=_SCALED.replace("TERMS\n", terms_text),
+def _scaled_stage(label: str, var: str, terms_text: str, consts: tuple) -> Stage:
+    body = f"{var}_pos = {var} if {var} > 0.0 else 0.0\n" + _SCALED.replace("TERMS\n", terms_text)
+    if var == "Z":
+        body += "dZ = dU * dZ_dU\n"
+    return Stage(name=f"scaled, {label}", x="R", y=("M", var), dy=("dM", f"d{var}"), body=body,
                  consts=consts)
 
 
 def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
-    """The right-hand side R, y -> (dM/dR, dU/dR) of the homology-scaled system.
-
-    alpha, beta, the EOS constants and the EOS fast path are bound once, so
-    a solve pays for them once and not at every stage.  The function is
-    built from the stage text _SCALED (integrate.stage_rhs), which
-    integrate_adaptive writes into its step loop.  At alpha = 0 it is
-    Lane-Emden-de Sitter with lambda = beta, bit for bit at beta = 0.
-    Raises KappaNonPositiveError where kappa <= 0 (horizon contact),
-    reporting kappa_scaled's value.
+    """The right-hand side R, y -> (dM/dR, dX/dR) of the homology-scaled
+    system in (M, X), X = eos.state_var, with alpha, beta and the EOS
+    constants bound once, built from the stage text _SCALED
+    (integrate.stage_rhs).  Raises KappaNonPositiveError where kappa <= 0
+    (horizon contact), reporting kappa_scaled's value, and in Z an
+    EosDomainError past the EOS domain.
     """
     label, terms_text, values = eos.stage_terms_source()
     g = eos.gamma
@@ -163,27 +157,27 @@ def scaled_rhs(alpha: float, beta: float, eos: EosSpec):
         ab3=alpha * beta / 3.0,
         KappaNonPositiveError=KappaNonPositiveError,
     )
-    return stage_rhs(_scaled_stage(label, terms_text, tuple(values)), values)
+    return stage_rhs(_scaled_stage(label, eos.state_var, terms_text, tuple(values)), values)
 
 
 def rhs_scaled(R: float, y, alpha: float, beta: float, eos: EosSpec) -> tuple:
-    """(dM/dR, dU/dR) of the homology-scaled system at one point."""
+    """(dM/dR, dX/dR) of the homology-scaled system at one point of (M, X),
+    X = eos.state_var."""
     return scaled_rhs(alpha, beta, eos)(R, y)
 
 
 # -- center germs -------------------------------------------------------------
 
 def center_germ_scaled(alpha: float, beta: float, eos: EosSpec, R: float) -> tuple:
-    """Leading series (M, U) at R -> +0 of the scaled system:
-    M = Omega_rho R^3 / 3 and U = 1 - c2 R^2 / 6, with the quadratic
-    coefficient c2 = Omega_rho + 3 (gamma-1)/gamma alpha Omega_P - beta and
-    Omega_rho, Omega_P at eta = alpha."""
-    omega_rho, omega_P = eos.omega_rho_P_fast(alpha)
+    """Leading series (M, X) at R -> +0, X = eos.state_var: M = Omega_rho R^3/3
+    and X = X_c - c2 R^2/6 dX/dU, c2 = Omega_rho + 3 (gamma-1)/gamma alpha
+    Omega_P - beta, from EosSpec.center_terms(alpha); U = 1 - c2 R^2/6."""
+    omega_rho, omega_P, X_c, dX_dU = eos.center_terms(alpha)
     g = eos.gamma
     c2 = omega_rho + 3.0 * (g - 1.0) / g * alpha * omega_P - beta
     M = omega_rho * R**3 / 3.0
-    U = 1.0 - c2 * R * R / 6.0
-    return M, U
+    X = X_c - c2 * R * R / 6.0 * dX_dU
+    return M, X
 
 
 # -- homology scaling ---------------------------------------------------------

@@ -4,10 +4,10 @@ The solvers integrate the scaled system alone.  The pressure form of the
 structure equations, the physical-unit germs, the Lambda = 0 enthalpy
 system, the explicit-c scaled system, the density inversion of the EOS, the
 numpy and mpmath evaluations of a series Omega and of Omega_u, the scalar
-eta -> zeta search, a table piece fitted node by node through the scalar
-direct path, the per-density range check of an EOS, the EOS terms per point
-on floats (the Z form of Omega == 1, a series Omega's tables summed by a
-loop Horner), the mpmath closed form of Omega == 1, the Lane-Emden
+eta -> zeta search, the per-density range check of an EOS, the EOS terms
+per point on floats (the Z form of Omega == 1, a series Omega's terms in Z
+by OmegaSeries's Horner), the u of a series Omega's state z, the mpmath
+closed form of Omega == 1, the Lane-Emden
 right-hand side on floats, the profile's sample grid formed on numpy
 scalars, the per-sample profile row, the pointwise boundary slope and
 continuity report, the scaled right-hand side spelled through kappa_scaled
@@ -25,6 +25,7 @@ stage's written-in text with calls of it.
 import ast
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import mpmath
@@ -34,7 +35,7 @@ from numpy.polynomial import polynomial as npoly
 from tovds import codegen
 from tovds import integrate as ig
 from tovds.analysis import _sinc_jet, lane_emden_solution
-from tovds.eos import _OFF_DOMAIN, _TAB_DEG, _TAB_NODES, EosSpec
+from tovds.eos import EosSpec
 from tovds.errors import (
     AnalysisError,
     DomainSignalError,
@@ -210,67 +211,53 @@ def zeta_of_eta_reference(eos, eta: float) -> float:
     raise RootFindError(f"zeta(eta) did not converge for eta = {eta:g}; last bracket [{lo:g}, {hi:g}]")
 
 
-def piece_reference(eos, i: int):
-    """Table piece i fitted node by node through the scalar eos.omega_rho_P:
-    (coef_rho, coef_P), or _OFF_DOMAIN when a node leaves the EOS domain.
-    _OmegaTables.build must give the same bits."""
-    tab = eos._tables
-    etas = tab.mids[i] + tab.halfw * _TAB_NODES
-    try:
-        vals = np.array([eos.omega_rho_P(float(e)) for e in etas])
-    except EosDomainError:
-        return _OFF_DOMAIN
-    cr = npoly.polyfit(_TAB_NODES, vals[:, 0], _TAB_DEG)
-    cP = npoly.polyfit(_TAB_NODES, vals[:, 1], _TAB_DEG)
-    return tuple(float(x) for x in cr), tuple(float(x) for x in cP)
-
-
-def terms_reference(eos, alpha: float, U_pos: float) -> tuple:
-    """(U#^mu Omega_rho, U#^(mu+1) Omega_P) at eta = alpha U#, U# = U_pos,
-    on floats with every constant formed at the call.  For Omega == 1 they
-    are Z^mu and Z^mu Z with Z = U# / Omega_u = U# expm1(x) / x,
-    x = k alpha U#, k = (gamma-1)/gamma, and Z = U# where x is 0; for a
-    series Omega, the table's values times U#^mu and U#^mu U#.  The terms
+def terms_reference(eos, alpha: float, X_pos: float) -> tuple:
+    """(rho_term, p_term) at X# = X_pos in the EOS's own state variable, on
+    floats with every constant formed at the call.  For Omega == 1, X = U
+    and they are U#^mu Omega_rho and U#^(mu+1) Omega_P at eta = alpha U#,
+    that is Z^mu and Z^mu Z with Z = U# / Omega_u = U# expm1(x) / x,
+    x = k alpha U#, k = (gamma-1)/gamma, and Z = U# where x is 0.  For a
+    series Omega, X = Z and they are Z#^mu and Z#^mu Z# Omega(zeta),
+    zeta = k alpha Z#, after zom1_den_reference's domain test.  The terms
     text of EosSpec.stage_terms_source must give the same bits."""
-    if eos._tables is None:
-        x = (eos.gamma - 1.0) / eos.gamma * alpha * U_pos
-        Z = U_pos * (math.expm1(x) / x) if x != 0.0 else U_pos
+    k = (eos.gamma - 1.0) / eos.gamma
+    if eos.state_var == "U":
+        x = k * alpha * X_pos
+        Z = X_pos * (math.expm1(x) / x) if x != 0.0 else X_pos
         return Z**eos.mu, Z**eos.mu * Z
-    omega_rho, omega_P = omega_table_reference(eos, alpha * U_pos)
-    Um = U_pos**eos.mu
-    return Um * omega_rho, Um * U_pos * omega_P
+    zeta = k * alpha * X_pos
+    zom1_den_reference(eos, zeta)
+    return X_pos**eos.mu, X_pos**eos.mu * X_pos * eos.omega.value(zeta)
+
+
+def zom1_den_reference(eos, zeta: float) -> tuple:
+    """(1 + zeta Omega, Omega + k zeta Omega') of a series Omega at zeta, by
+    OmegaSeries.value and deriv; the EosDomainError of the Z terms where
+    either is not positive, past the EOS domain.  dZ/dU is their ratio."""
+    k = (eos.gamma - 1.0) / eos.gamma
+    om = eos.omega.value(zeta)
+    zom1, den = 1.0 + zeta * om, om + k * zeta * eos.omega.deriv(zeta)
+    if zom1 <= 0.0 or den <= 0.0:
+        raise EosDomainError(f"zeta = {zeta!r}: past the EOS domain, which ends where "
+                             "1 + zeta*Omega(zeta) or dP/drho reaches 0")
+    return zom1, den
 
 
 def omega_rho_P_fast_reference(eos, eta: float) -> tuple:
-    """(Omega_rho, Omega_P) by the fast path: the terms at U# = 1, alpha = eta;
-    EosSpec.fast_omega must give the same bits.  Both give exactly
-    (1.0, 1.0) at eta = 0."""
-    return terms_reference(eos, eta, 1.0)
+    """(Omega_rho, Omega_P) by the germ's path: for Omega == 1 the terms at
+    U# = 1, alpha = eta, and for a series Omega the direct path, zeta_of_eta
+    and then _omega_rho_P_at; EosSpec.fast_omega must give the same bits.
+    Both give exactly (1.0, 1.0) at eta = 0."""
+    if eos.state_var == "U":
+        return terms_reference(eos, eta, 1.0)
+    return eos._omega_rho_P_at(eta, eos.zeta_of_eta(eta))
 
 
-def omega_table_reference(eos, eta: float) -> tuple:
-    """(Omega_rho, Omega_P) of a series Omega by its piece tables, every
-    constant read at the call and the piece polynomial summed by a Horner
-    loop, or by the direct path off the grid or in an off-domain piece."""
-    if eta == 0.0:
-        return 1.0, 1.0
-    tab = eos._tables
-    if eta < 0.0 or eta > tab.hi:
-        return eos.omega_rho_P(eta)
-    i = int(eta * tab.inv_halfw * 0.5)
-    if i >= tab.n:
-        i = tab.n - 1
-    s = (eta - tab.mids[i]) * tab.inv_halfw
-    piece = tab.pieces[i] or tab.build(i, eos)
-    if piece is _OFF_DOMAIN:
-        return eos.omega_rho_P(eta)
-    cr, cP = piece
-    vr = cr[_TAB_DEG]
-    vP = cP[_TAB_DEG]
-    for k in range(_TAB_DEG - 1, -1, -1):
-        vr = vr * s + cr[k]
-        vP = vP * s + cP[k]
-    return vr, vP
+def u_of_z_reference(eos, z: float) -> float:
+    """u = z Omega_u(zeta), zeta = (gamma-1)/gamma z / c^2, of a series Omega's
+    state z in physical units; z where zeta is 0, subnormal or below 0."""
+    zeta = (eos.gamma - 1.0) / eos.gamma * (1.0 / eos.c2) * z
+    return z * eos.omega_u(zeta) if zeta >= sys.float_info.min else z
 
 
 # -- right-hand sides -----------------------------------------------------------
@@ -294,35 +281,45 @@ def rhs_tov(r: float, y, eos, k) -> tuple:
 
 
 def rhs_scaled_reference(R: float, y, alpha: float, beta: float, eos) -> tuple:
-    """(dM/dR, dU/dR) of the homology-scaled system, with every constant
-    formed at the call; scaled_rhs must give the same bits.
+    """(dM/dR, dX/dR) of the homology-scaled system in (M, X),
+    X = eos.state_var, with every constant formed at the call; scaled_rhs
+    must give the same bits.
 
-    The stage needs U#^mu Omega_rho and U#^(mu+1) Omega_P, the terms of
-    terms_reference.  The denominator R^2 kappa is R (R kappa), and
-    kappa_scaled is R kappa / R, which _check_kappa tests."""
-    M, U = y
-    U_pos = U if U > 0.0 else 0.0
+    The stage needs the terms of terms_reference at X#.  The denominator
+    R^2 kappa is R (R kappa), and kappa_scaled is R kappa / R, which
+    _check_kappa tests.  In Z, dZ/dR = dU/dR (1 + zeta Omega) /
+    (Omega + k zeta Omega')."""
+    M, X = y
+    X_pos = X if X > 0.0 else 0.0
     g = eos.gamma
-    rho_term, p_term = terms_reference(eos, alpha, U_pos)
+    rho_term, p_term = terms_reference(eos, alpha, X_pos)
     RR = R * R
     R3 = RR * R
     dM = RR * rho_term
     Rkap = R - 2.0 * alpha * M - alpha * beta / 3.0 * R3
     _check_kappa(kappa_scaled(R, M, alpha, beta), R)
     dU = -(M - R3 * (beta / 3.0 - (g - 1.0) / g * alpha * p_term)) / (R * Rkap)
-    return dM, dU
+    if eos.state_var == "U":
+        return dM, dU
+    zom1, den = zom1_den_reference(eos, (g - 1.0) / g * alpha * X_pos)
+    return dM, dU * (zom1 / den)
 
 
 def rhs_scaled_u_form(R: float, y, alpha: float, beta: float, eos) -> tuple:
-    """(dM/dR, dU/dR) of the homology-scaled system in the powers of U#:
-    Omega_rho and Omega_P by the fast path, times U#^mu and U#^(mu+1)."""
+    """(dM/dR, dU/dR) of the homology-scaled system in (M, U) and the powers
+    of U#: Omega_rho and Omega_P by the germ's path for Omega == 1 (the
+    closed form) and by the direct path for a series Omega (zeta_of_eta and
+    then _omega_rho_P_at), times U#^mu and U#^(mu+1)."""
     M, U = y
     U_pos = U if U > 0.0 else 0.0
     if alpha == 0.0:
         omega_rho = 1.0
         omega_P = 1.0
-    else:
+    elif eos.state_var == "U":
         omega_rho, omega_P = eos.omega_rho_P_fast(alpha * U_pos)
+    else:
+        eta = alpha * U_pos
+        omega_rho, omega_P = eos._omega_rho_P_at(eta, eos.zeta_of_eta(eta))
     g = eos.gamma
     R3 = R**3
     dM = R * R * U_pos**eos.mu * omega_rho
@@ -368,11 +365,14 @@ def profile_samples(dense) -> np.ndarray:
     return np.array(samples)
 
 
-def profile_row(r, m, u, Lambda, eos, k) -> dict:
-    """One sample of a SolutionProfile, from the state (m, u) at r on floats:
-    rho and P are A1 and A A1^gamma times the terms at U# = u, alpha = 1/c^2."""
-    if u > 0.0:
-        rho_term, p_term = terms_reference(eos, 1.0 / k.c2, u)
+def profile_row(r, m, x, Lambda, eos, k) -> dict:
+    """One sample of a SolutionProfile, from the state (m, x) at r on floats,
+    x = u for Omega == 1 and z for a series Omega: rho and P are A1 and
+    A A1^gamma times the terms at X# = x, alpha = 1/c^2, and u is x or
+    u_of_z_reference's."""
+    u = x if eos.state_var == "U" else u_of_z_reference(eos, x)
+    if x > 0.0:
+        rho_term, p_term = terms_reference(eos, 1.0 / k.c2, x)
         rho = eos.A1 * rho_term
         P = eos.p_coeff * p_term
     else:

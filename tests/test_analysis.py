@@ -290,7 +290,7 @@ def test_exponent_fit_rejects_sparse_window(star15):
     profile, _ = star15
     # every second sample leaves fewer than the fit needs in its window; the
     # copy derives its P, rho, kappa, Q and dPdr from the stored columns
-    thin = replace(profile, r=profile.r[::2], m=profile.m[::2], u=profile.u[::2])
+    thin = replace(profile, r=profile.r[::2], m=profile.m[::2], state=profile.state[::2])
     assert np.array_equal(thin.rho, profile.rho[::2])
     with pytest.raises(AnalysisError, match="usable samples in the fit window"):
         boundary_exponent_fit(thin)

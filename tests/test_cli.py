@@ -158,6 +158,19 @@ def test_eos_margin_below_the_vacuum_exits_2(tmp_path, capsys, eos):
     assert "delta_omega" in err["message"]
 
 
+def test_fermi_window_below_its_first_sample_exits_2(tmp_path, capsys):
+    # fermi_fit_eos's ValueError ended tovds solve in a traceback
+    cfg = dict(M0_CONFIG, eos={"type": "fermi", "K": 1.0, "zeta_fit_max": 1e-3})
+    code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out.strip().splitlines()[-1]) == {
+        "error": "config",
+        "message": "eos: zeta_fit_max must exceed the first fit sample, zeta = 0.001, got 0.001",
+    }
+    assert "Traceback" not in err
+
+
 def test_germ_slope_overflow_exits_1(tmp_path, capsys):
     # beta ~ 6e33: the start slope at the germ and the germ's state map
     # overflow; the solve fails with a numerical error that names the
@@ -232,7 +245,7 @@ def test_sweep_parallel_matches_serial(tmp_path):
         "alpha_grid": [1e-3, 1e-2],
         "beta_grid": [1e-3, 1e-2],
     }
-    # the series Omega case has each worker process fit the table pieces it visits
+    # the series Omega case has each worker process solve in the state Z
     series = {"type": "polytrope", "A": 1.0, "gamma": 1.5, "omega_coeffs": [1.0, 0.3, -0.1]}
     for name, case in (("default", cfg), ("series", dict(cfg, eos=series))):
         out1 = tmp_path / name / "s1"
@@ -449,8 +462,8 @@ print(json.dumps(loaded))
 
 
 def test_runtime_loads_no_scipy(tmp_path):
-    # a series Omega takes the quadrature and the direct inversion, and its
-    # vacuum event the root search: the paths that used scipy
+    # a series Omega takes the direct inversion at its germ and Omega_u, and
+    # its vacuum event the root search: the paths that used scipy
     series = dict(M0_CONFIG, eos={"type": "polytrope", "A": 1.0, "gamma": 1.5,
                                   "omega_coeffs": [1.0, 0.3, -0.1]})
     runs = [["solve", "--config", write_config(tmp_path, series), "--out", str(tmp_path / "s")],

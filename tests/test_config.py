@@ -37,6 +37,19 @@ def test_eos_defaults_are_the_library_s():
     assert fermi == fermi_fit_eos(FermiEosParams(K=1.5, c=SI.c))
 
 
+@pytest.mark.parametrize("zeta_fit_max, says", [
+    (0.0, "'zeta_fit_max' in eos must be positive"),
+    (1e-3, "eos: zeta_fit_max must exceed the first fit sample, zeta = 0.001, got 0.001"),
+    (2e-4, "eos: zeta_fit_max must exceed the first fit sample, zeta = 0.001, got 0.0002"),
+])
+def test_fermi_window_without_room_is_a_config_error(zeta_fit_max, says):
+    # a window at or below the fit's first sample was a ValueError out of
+    # fermi_fit_eos, past config's refusals
+    with pytest.raises(ConfigError) as info:
+        build_eos({"eos": {"type": "fermi", "K": 1.0, "zeta_fit_max": zeta_fit_max}}, GEOMETRIZED)
+    assert str(info.value) == says
+
+
 def test_sweep_and_lane_emden_defaults_are_the_library_s():
     kwargs = build_sweep({"gamma": 1.5, "alpha_grid": [1e-3], "beta_grid": [1e-3]})
     # eos, ctrl and R_max are left to regime_sweep

@@ -1,6 +1,5 @@
 """Equation-of-state transforms against closed-form and quadrature oracles."""
 
-import logging
 import math
 from functools import partial
 
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from scipy import integrate as sp_integrate
 
 from tovds.eos import (
-    _OFF_DOMAIN,
     EosSpec,
     FermiEosParams,
     OmegaSeries,
@@ -29,7 +27,6 @@ from oracles import (
     omega_rho_P_fast_reference,
     omega_series_numpy,
     omega_u_mpmath,
-    piece_reference,
     terms_reference,
     thermo_of_density,
     validate_range_reference,
@@ -67,14 +64,14 @@ def test_dpdrho_matches_finite_difference():
 
 def test_pure_polytrope_is_the_one_term_series():
     # the default Omega is OmegaSeries((1.0,)): Horner returns exactly 1 and 0,
-    # and only that series takes the closed form instead of tables
+    # and only that series takes the closed form in U instead of the state Z
     one = OmegaSeries((1.0,))
     assert EosSpec(A=1.0, gamma=1.5).omega == one
     for z in (0.0, -0.0, 1e-300, -0.05, 0.3, 7.5):
         assert one.value(z) == 1.0
         assert one.deriv(z) == 0.0
-    assert EosSpec(A=1.0, gamma=1.5)._tables is None
-    assert EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.0)))._tables is not None
+    assert EosSpec(A=1.0, gamma=1.5).state_var == "U"
+    assert EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.0))).state_var == "Z"
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -334,30 +331,15 @@ def test_zeta_eta_analytic_inversion(eos15):
             method(-0.05)
 
 
-# every piece of six EOS, 53 of them off the EOS domain
-PIECE_EOS = [
+# three series Omega, the Fermi fit's among them
+SERIES_EOS = [
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0),
     fermi_fit_eos(FermiEosParams(K=1.0)),
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), eta_max=4.0),
-    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -2.0)), eta_max=4.0),
-    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -1.0, 0.1)), eta_max=6.0),
-    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.5, -0.4)), eta_max=3.0),
 ]
 
 
-def test_pieces_match_the_per_node_fit():
-    # a piece keeps the bits of a fit node by node through the direct path,
-    # and an off-domain piece stays one
-    off = 0
-    for eos in PIECE_EOS:
-        for i in range(eos._tables.n):
-            want = piece_reference(eos, i)
-            assert eos._tables.build(i, eos) == want
-            off += want is _OFF_DOMAIN
-    assert sum(eos._tables.n for eos in PIECE_EOS) == 156 and off == 53
-
-
-@pytest.mark.parametrize("eos", PIECE_EOS[:3] + [EosSpec(A=1.0, gamma=1.3)],
+@pytest.mark.parametrize("eos", SERIES_EOS + [EosSpec(A=1.0, gamma=1.3)],
                          ids=["series", "fermi_fit", "series_eta_max_4", "polytrope"])
 def test_zeta_of_eta_is_the_scalar_search(eos):
     # each eta takes the reference search's steps
@@ -384,65 +366,28 @@ def test_thermo_state_round_trip(eos15):
     assert eos15.p_coeff * st.u ** (eos15.mu + 1.0) * omega_P == pytest.approx(st.P, rel=1e-10)
 
 
-def test_fast_tables_match_direct():
-    eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0)
-    rng = np.random.default_rng(7)
-    for eta in rng.uniform(0.0, 3.9, 60):
-        fr, fP = eos.omega_rho_P_fast(float(eta))
-        dr, dP = eos.omega_rho_P(float(eta))
-        assert fr == pytest.approx(dr, rel=1e-12)
-        assert fP == pytest.approx(dP, rel=1e-12)
-    # outside the table the direct path is used: above it the value, below 0
-    # the refusal
-    assert eos.omega_rho_P_fast(5.0) == eos.omega_rho_P(5.0)
-    for eta in (-1e-9, -0.09):
-        with pytest.raises(EosDomainError, match=f"eta = {eta!r}"):
-            eos.omega_rho_P_fast(eta)
-    # Omega == 1 takes the closed form, with no table; eta = 12 lies past the
-    # default eta_max of 8.  The bound evaluator keeps the bits of the
-    # per-point reference, which reads every constant at the call
-    for gamma in (1.3, 1.5, 1.7, 2.0):
-        eos = EosSpec(A=1.0, gamma=gamma, c=1.0)
-        fast = eos.fast_omega()
-        for eta in list(np.linspace(0.0, 12.0, 41)) + [1e-9]:
-            fr, fP = eos.omega_rho_P_fast(float(eta))
-            dr, dP = eos.omega_rho_P(float(eta))
-            assert fr == pytest.approx(dr, rel=1e-13, abs=0.0)
-            assert fP == pytest.approx(dP, rel=1e-13, abs=0.0)
-            assert fast(float(eta)) == (fr, fP) == omega_rho_P_fast_reference(eos, float(eta))
-        assert eos.omega_rho_P_fast(0.0) == (1.0, 1.0)
-        assert eos._tables is None
-        for eta in (-1e-9, -0.09, -0.15):
-            with pytest.raises(EosDomainError, match=f"eta = {eta!r}"):
-                eos.omega_rho_P(eta)
-
-
 def test_fast_pieces_independent_of_access_order():
-    # per EOS, two fresh instances build their own pieces, one forward per
-    # point and one backward through one bound evaluator; both keep the bits
-    # of the per-point reference, which sums each piece by a Horner loop.
-    # The etas cover every piece and the fallback above the grid; below it,
-    # at eta < 0, both refuse
-    for make in (
-        lambda: EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0),
-        lambda: fermi_fit_eos(FermiEosParams(K=1.0)),
+    # there are no pieces since a series Omega solves in Z: per EOS, the
+    # germ's path of two fresh instances, one forward per point and one
+    # backward through one bound evaluator, keeps the bits of the per-point
+    # reference, for a series Omega the direct path, and below eta = 0 both
+    # refuse
+    for make, hi in (
+        (lambda: EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), eta_max=4.0), 4.5),
+        (lambda: fermi_fit_eos(FermiEosParams(K=1.0)), 0.78),
+        (lambda: EosSpec(A=1.0, gamma=1.5), 12.0),
     ):
         forward, backward = make(), make()
-        tab = forward._tables
-        etas = [0.0, tab.hi, tab.hi + 0.01, tab.hi + 0.5]
-        etas += [float(e) for e in np.random.default_rng(11).uniform(0.0, tab.hi, 1200 - len(etas))]
+        etas = [0.0, hi] + [float(e) for e in np.random.default_rng(11).uniform(0.0, hi, 398)]
         fwd = [forward.omega_rho_P_fast(e) for e in etas]
         fast = backward.fast_omega()
         bwd = [fast(e) for e in reversed(etas)][::-1]
         assert fwd == bwd == [omega_rho_P_fast_reference(forward, e) for e in etas]
+        if forward.state_var == "Z":
+            assert fwd == [forward.omega_rho_P(e) for e in etas]
         for evaluate in (forward.omega_rho_P_fast, fast):
             with pytest.raises(EosDomainError, match="eta = -0.01"):
                 evaluate(-0.01)
-        assert forward._tables.pieces == backward._tables.pieces
-        # one query fits one piece
-        one = make()
-        one.omega_rho_P_fast(0.5 * tab.hi)
-        assert sum(p is not None for p in one._tables.pieces) == 1
 
 
 @pytest.mark.parametrize("eos", [
@@ -450,42 +395,32 @@ def test_fast_pieces_independent_of_access_order():
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
 ], ids=["polytrope", "series"])
 def test_fast_path_refuses_a_bad_eta_by_name(eos):
-    # the germ tests eta once, as the direct path does; a series Omega's
-    # table evaluator, which the stage calls, sends NaN to the direct path
+    # the germ tests eta once, as the direct path does, which is a series
+    # Omega's germ path
     for eta in (-1.0, -1e-9, -5e-324, math.nan, math.inf, -math.inf):
         for fast in (eos.omega_rho_P_fast, eos.fast_omega()):
             with pytest.raises(EosDomainError, match=f"^eta = {eta!r}: the EOS is defined for "
                                                      "finite eta >= 0 only$"):
                 fast(eta)
-    if eos._tables is not None:
-        with pytest.raises(EosDomainError, match="^eta = nan: "):
-            eos._omega_table()(math.nan)
     assert eos.omega_rho_P_fast(-0.0) == (1.0, 1.0)
 
 
-def test_fast_fallback_above_eta_max_is_logged(caplog):
-    eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), c=1.0, eta_max=4.0)
-    with caplog.at_level(logging.DEBUG, logger="tovds"):
-        eos.omega_rho_P_fast(1.0)
-        eos.omega_rho_P_fast(4.5)
-        eos.omega_rho_P_fast(5.0)
-    records = [r for r in caplog.records if r.name == "tovds"]
-    assert len(records) == 2
-    assert all(r.levelno == logging.DEBUG and "eta_max" in r.getMessage() for r in records)
-
-
-def test_fast_piece_past_the_domain_edge_uses_direct_path(caplog):
-    # 1 + zeta Omega(zeta) reaches 0 near eta = 4.228; the piece holding
-    # eta = 4.207 has nodes past that edge, so it cannot be fitted
+def test_fast_piece_past_the_domain_edge_uses_direct_path():
+    # dP/drho of this Omega reaches 0 at zeta = 3.93, where eta peaks near
+    # 4.228: the germ's path is the direct path up to there, and refuses
+    # past it; in the state Z the terms refuse a zeta past that edge by name
     eos = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)))
-    with caplog.at_level(logging.DEBUG, logger="tovds"):
-        assert eos.omega_rho_P_fast(4.207) == eos.omega_rho_P(4.207)
-        assert eos.omega_rho_P_fast(4.2) == eos.omega_rho_P(4.2)
-    records = [r for r in caplog.records if r.name == "tovds"]
-    assert len(records) == 2
-    assert all("EOS domain" in r.getMessage() for r in records)
+    assert eos.omega_rho_P_fast(4.207) == eos.omega_rho_P(4.207)
+    assert eos.omega_rho_P_fast(4.2) == eos.omega_rho_P(4.2)
     with pytest.raises(EosDomainError):
         eos.omega_rho_P_fast(4.25)
+    k = (eos.gamma - 1.0) / eos.gamma
+    rho_term, p_term = terms_reference(eos, 1.0, 3.9 / k)
+    assert eos.rho_P_of_state([3.9 / k]) == ([eos.A1 * rho_term], [eos.p_coeff * p_term])
+    for refuse in (eos.rho_P_of_state, lambda zs: terms_reference(eos, 1.0, zs[0])):
+        with pytest.raises(EosDomainError, match=f"^zeta = {k * (3.95 / k)!r}: past the EOS "
+                                                 "domain, which ends where 1 \\+ zeta"):
+            refuse([3.95 / k])
 
 
 def test_dP_du_identity(eos15):
@@ -592,6 +527,15 @@ def test_fermi_eos_refuses_a_bad_zeta_by_name(zeta):
     # NaN gave (nan, nan) and +inf gave (nan, inf)
     with pytest.raises(EosDomainError, match="^Fermi momentum parameter zeta must be finite"):
         fermi_eos(zeta, FermiEosParams(K=1.0))
+
+
+@pytest.mark.parametrize("zeta_fit_max", [1e-3, 5e-4, 5e-324])
+def test_fermi_fit_refuses_a_window_at_or_below_its_first_sample(zeta_fit_max):
+    # the window [1e-3, zeta_fit_max] was one point or reversed, and the fit
+    # returned (1.0, -0.43, -2.1e6, -1.1e13, ...) at 1e-3 without a word
+    with pytest.raises(ValueError, match=f"^zeta_fit_max must exceed the first fit sample, "
+                                         f"zeta = 0.001, got {zeta_fit_max!r}$"):
+        fermi_fit_eos(FermiEosParams(K=1.0), zeta_fit_max=zeta_fit_max)
 
 
 @pytest.mark.parametrize("zeta_fit_max", [math.nan, math.inf, 0.0, -1.0])

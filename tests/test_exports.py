@@ -61,10 +61,10 @@ def test_benchmark_tracer_patches_and_restores(monkeypatch):
         assert [k for k, v in names.items() if after[k] is not v] == [], owner
 
 
-# Run in a fresh interpreter: an Omega == 1 run, which fits no table piece
-# and starts no pool, then its enthalpy u_of_density and a series Omega's
-# Omega_u, closed forms over the roots of 1 + z Omega (np.roots for the
-# series), which need no numpy.polynomial either.
+# Run in a fresh interpreter: an Omega == 1 run, which starts no pool, then
+# its enthalpy u_of_density and a series Omega's Omega_u, closed forms over
+# the roots of 1 + z Omega (np.roots for the series), which need no
+# numpy.polynomial, which only acceptance's Gauss-Legendre rule loads.
 _FOOTPRINT = """
 import json, sys
 import tovds.cli
@@ -90,11 +90,34 @@ print(json.dumps(loaded))
 
 
 def test_omega_one_run_loads_no_pool_table_fit_or_rule(tmp_path):
-    # the process pool, numpy.polynomial (the table fit) and the acceptance
-    # criteria load on first need only
+    # the process pool, numpy.polynomial and the acceptance criteria load on
+    # first need only
     env = dict(os.environ, PYTHONPATH=str(Path(tovds.__file__).parents[1]))
     done = subprocess.run([sys.executable, "-c", _FOOTPRINT], env=env, cwd=tmp_path,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     loaded = json.loads(done.stdout.splitlines()[-1])
     assert loaded == {"omega_one": [], "omega_one_u_of_density": [], "series_omega_u": []}
+
+
+# A series Omega and a Fermi fit solve in the state Z, with no table to fit,
+# each run in a fresh interpreter of its own
+_SERIES_FOOTPRINT = """
+import json, sys
+from tovds import EosSpec, FermiEosParams, ModelInput, OmegaSeries, fermi_fit_eos, solve_star
+
+eos = {"series": EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
+       "fermi": fermi_fit_eos(FermiEosParams(K=1.0))}[sys.argv[1]]
+solve_star(ModelInput(eos=eos, Lambda=1e-9, u_c=1e-2))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("numpy.polynomial"))))
+"""
+
+
+@pytest.mark.parametrize("eos", ["series", "fermi"])
+def test_series_and_fermi_runs_load_no_table_fit(tmp_path, eos):
+    # the table pieces, fitted by numpy.polynomial, are gone
+    env = dict(os.environ, PYTHONPATH=str(Path(tovds.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _SERIES_FOOTPRINT, eos], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -450,7 +450,7 @@ def test_loop_built_once_per_dimension_and_stage(monkeypatch):
     guards = "guards vacuum, horizon, pressure_rise"
     assert built == ["<dp5 loop, dim 3, call>", "<dp5 loop, dim 1, call>",
                      f"<dp5 loop, dim 2, scaled, closed-form Omega, {guards}>",
-                     f"<dp5 loop, dim 2, scaled, table Omega, {guards}>"]
+                     f"<dp5 loop, dim 2, scaled, series Omega, degree 2, {guards}>"]
     assert integrate._loop(3, called_rhs(print, 3).stage, ()) is make
 
 
@@ -479,14 +479,30 @@ def test_plain_callable_is_not_a_right_hand_side():
 
 @pytest.mark.parametrize("rhs, expr, name", [
     (called_rhs(lambda x, y: [-y[0]], 1), "s0_ - level", "level"),
-    # the guard's function, which refines a crossing, does not run the
-    # stage's body, so a guard may not read the body's locals
-    (stage_rhs(Stage("temporary", "t", ("u",), ("du",), "v = -u\ndu = v\n", ()), {}), "u - v", "v"),
-], ids=["unknown_name", "stage_local"])
+], ids=["unknown_name"])
 def test_bad_event_is_rejected(rhs, expr, name):
-    message = rf"not its stage's abscissa, state, slopes or constants: \['{name}'\]$"
+    message = rf"not its stage's abscissa, state, slopes, constants or locals: \['{name}'\]$"
     with pytest.raises(ValueError, match=message):
         integrate_adaptive(rhs, [1.0], (0.0, 1.0), StepControl(), events=[EventSpec(expr)])
+
+
+def test_guard_may_read_a_stage_local():
+    # a guard over a name the stage sets, here v = -u, reads the FSAL stage's
+    # value at a step end and runs the stage where it is refined, one call
+    # counted per point: the bits, events and counts of the same guard over
+    # the slope du, which equals v
+    local = stage_rhs(Stage("local", "t", ("u",), ("du",), "v = -u\ndu = v\n", ()), {})
+    assert integrate._guard_text(local.stage, (integrate._TextGuard("", "v + 0.5", True, True),)
+                                 )[0].startswith("def guard0(t, y):\n    u, = y\n    v = -u\n")
+    runs = [integrate_adaptive(local, [1.0], (0.0, 2.0), StepControl(),
+                               events=[EventSpec(expr, direction="rising", name="half")])
+            for expr in ("v + 0.5", "du + 0.5")]
+    for d in runs:
+        assert [ev.name for ev in d.events] == ["half"]
+        assert abs(d.events[0].x - math.log(2.0)) < 1e-9
+    assert [(ev.x, ev.y.tobytes()) for ev in runs[0].events] == [
+        (ev.x, ev.y.tobytes()) for ev in runs[1].events]
+    assert runs[0].n_rhs == runs[1].n_rhs > runs[0].n_steps * 6
 
 
 def test_start_state_of_the_wrong_length_is_rejected():

@@ -116,10 +116,11 @@ def test_rise_guard_reuses_the_fsal_slope(eos15, monkeypatch):
 
 
 SERIES_EOS = EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0)
-# 1 + zeta Omega(zeta) of SERIES_EOS reaches 0 near eta = 4.228.  At
-# alpha = 4.15, beta = 60 the germ's U rises from 1, and a stage of the loop
-# meets that edge before the horizon: the direct path raises EosDomainError
-EDGE_STAR = (4.15, 60.0)
+# dP/drho of SERIES_EOS reaches 0 at zeta = 3.93, where eta peaks near
+# 4.228.  At alpha = 4.15, beta = 200 the germ's U rises from 1, and the
+# solution meets that edge before the horizon: the Z terms raise
+# EosDomainError.  (At beta = 60 the horizon comes first.)
+EDGE_STAR = (4.15, 200.0)
 
 
 def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded, text=False):
@@ -130,12 +131,15 @@ def _scaled_solve(rhs, alpha, beta, eos, R_max, guarded, text=False):
     stage's names, as _solve_core's are."""
     R0 = 1e-6
     if text:
-        exprs = ["U", f"{model._HORIZON} - 1e-10", "dU - 1e-06"]
+        exprs = [eos.state_var, f"{model._HORIZON} - 1e-10", "dU - 1e-06"]
     else:
+        # in Z, the slope dU is w dZ
+        k_alpha = (eos.gamma - 1.0) / eos.gamma * alpha
+        w = (lambda X: 1.0) if eos.state_var == "U" else (lambda X: eos._w(k_alpha * max(X, 0.0)))
         exprs = [guard_call(rhs.stage, f"guard_{i}", i == 2) for i in range(3)]
         rhs = bind(rhs, guard_0=lambda R, y: y[1],
                    guard_1=lambda R, y: odecore.kappa_scaled(R, y[0], alpha, beta) - 1e-10,
-                   guard_2=lambda R, y, dy: dy[1] - 1e-6)
+                   guard_2=lambda R, y, dy: dy[1] * w(y[1]) - 1e-6)
     events = [
         EventSpec(exprs[0], direction="falling", terminal=True, name="vacuum"),
         EventSpec(exprs[1], direction="falling", terminal=True, name="horizon"),
@@ -199,9 +203,10 @@ def test_written_in_guards_match_called_guards(alpha, beta, eos, what):
     assert text == called
     exprs = {tuple(g.expr for g in guards) for _, stage, guards in integrate._LOOPS
              if stage.body == f.stage.body}
-    assert exprs >= {("U", f"{model._HORIZON} - 1e-10", "dU - 1e-06"),
-                     ("float(guard_0(R, [M, U]))", "float(guard_1(R, [M, U]))",
-                      "float(guard_2(R, [M, U], (dM, dU,)))")}
+    X = eos.state_var
+    assert exprs >= {(X, f"{model._HORIZON} - 1e-10", "dU - 1e-06"),
+                     (f"float(guard_0(R, [M, {X}]))", f"float(guard_1(R, [M, {X}]))",
+                      f"float(guard_2(R, [M, {X}], (dM, d{X},)))")}
     if what.startswith("EosDomainError"):
         assert text[0] is EosDomainError
     else:
@@ -210,15 +215,35 @@ def test_written_in_guards_match_called_guards(alpha, beta, eos, what):
                                              "MonotoneShort": {"vacuum"}}[what.split(",")[0]]
 
 
+@pytest.mark.parametrize("beta, kind", [
+    (0.0, MONOTONE_SHORT), (1e-3, MONOTONE_SHORT), (0.1, NON_MONOTONE), (1.0, UNTERMINATED),
+])
+def test_series_and_fermi_stars_at_alpha_0_are_the_polytrope_s(beta, kind):
+    # at alpha = 0 the Z stage is the U stage, as zeta = 0, Omega = 1.0 and
+    # dZ/dU = 1 there, and the germ's Z is its U: a series Omega and the
+    # Fermi fit, both at gamma = 5/3, give the bits of Omega == 1 at 5/3,
+    # the dense solution and its counts, the rises' refinement included
+    g = 5.0 / 3.0
+    want = solve_scaled(0.0, beta, EosSpec(A=1.0, gamma=g))
+    assert want.kind == kind
+    for eos in (EosSpec(A=1.0, gamma=g, omega=OmegaSeries((1.0, 0.3, -0.1))),
+                fermi_fit_eos(FermiEosParams(K=1.0))):
+        assert eos.state_var == "Z" and eos.gamma == g
+        star = solve_scaled(0.0, beta, eos)
+        assert (star.kind, star.R_plus, star.M_plus, star.first_rise_R, star.initial_rise) == (
+            want.kind, want.R_plus, want.M_plus, want.first_rise_R, want.initial_rise)
+        assert _solution_bits(lambda: star.dense) == _solution_bits(lambda: want.dense)
+
+
 def test_fused_stage_error_shows_its_line():
-    # the direct path's EosDomainError is not a DomainSignalError: it leaves
-    # the loop, and the traceback shows the loop's stage line
+    # the Z terms' EosDomainError is not a DomainSignalError: it leaves the
+    # loop, and the traceback shows the loop's stage line
     f = odecore.scaled_rhs(*EDGE_STAR, SERIES_EOS)
     with pytest.raises(EosDomainError, match="1 \\+ zeta\\*Omega") as info:
         _scaled_solve(f, *EDGE_STAR, SERIES_EOS, 2.0, False)
     text = "".join(traceback.format_exception(info.value))
-    assert 'File "<dp5 loop, dim 2, scaled, table Omega>"' in text
-    assert "omega_rho, omega_P = omega_table(eta)" in text
+    assert 'File "<dp5 loop, dim 2, scaled, series Omega, degree 2>"' in text
+    assert "raise outside(zeta)" in text
 
 
 def outcome_radius(outcome):
@@ -289,9 +314,18 @@ def test_profile_state_columns_are_the_eos_of_u(eos):
     inp = ModelInput(eos=eos, Lambda=lambda_from_beta(1e-3, u_c, eos), constants=GEOM, u_c=u_c)
     profile, outcome = solve_star(inp)
     assert outcome.kind == MONOTONE_SHORT
+    # for Omega == 1 bit for bit; a series Omega's columns are closed forms of
+    # its state z, the enthalpy maps invert u, and they agree within 1e-13
     us = profile.u.tolist()
-    assert profile.rho.tobytes() == np.array([eos.density_of_u(u) for u in us]).tobytes()
-    assert profile.P.tobytes() == np.array([eos.pressure_of_u(u) for u in us]).tobytes()
+    rho = np.array([eos.density_of_u(u) for u in us])
+    P = np.array([eos.pressure_of_u(u) for u in us])
+    if eos.state_var == "U":
+        assert profile.rho.tobytes() == rho.tobytes()
+        assert profile.P.tobytes() == P.tobytes()
+    else:
+        assert profile.rho.tobytes() == np.array(eos.rho_P_of_state(profile.state)[0]).tobytes()
+        assert np.all(np.abs(profile.rho - rho) <= 1e-13 * rho)
+        assert np.all(np.abs(profile.P - P) <= 1e-13 * P)
 
 
 def test_h_max_bounds_the_physical_step(eos15):
@@ -312,8 +346,8 @@ def assert_profile_matches_rows(profile):
     assert profile.r.tobytes() == profile_samples(profile.dense).tobytes()
     rows = []
     for r in profile.r.tolist():
-        m, u = dense_eval_scalar(profile.dense, r).tolist()
-        rows.append(profile_row(r, m, u, profile.Lambda, profile.eos, profile.constants))
+        m, x = dense_eval_scalar(profile.dense, r).tolist()
+        rows.append(profile_row(r, m, x, profile.Lambda, profile.eos, profile.constants))
     for name in ("r", "m", "u", "P", "rho", "kappa", "Q", "dPdr"):
         want = np.array([row[name] for row in rows])
         assert getattr(profile, name).tobytes() == want.tobytes(), name
@@ -391,7 +425,7 @@ def test_metric_path_forms_only_what_it_reads(eos15, monkeypatch):
     # and the quartic coefficients are formed only for the step the vacuum
     # event falls in and the steps dense output's points fall in
     mapped = []
-    state_map = EosSpec.rho_P_of_u
+    state_map = EosSpec.rho_P_of_state
 
     def map_spy(self, us):
         mapped.append(len(us))
@@ -410,7 +444,7 @@ def test_metric_path_forms_only_what_it_reads(eos15, monkeypatch):
         read.append(len(set((i[self.xs[i] != xq] - 1).tolist())))
         return evaluate(self, x)
 
-    monkeypatch.setattr(EosSpec, "rho_P_of_u", map_spy)
+    monkeypatch.setattr(EosSpec, "rho_P_of_state", map_spy)
     monkeypatch.setattr(integrate, "_quartic", quartic_spy)
     monkeypatch.setattr(integrate.DenseSolution, "__call__", call_spy)
     inp = ModelInput(eos=eos15, Lambda=lambda_from_beta(1e-3, 1e-3, eos15), constants=GEOM,

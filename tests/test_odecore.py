@@ -1,6 +1,7 @@
 """Right-hand sides and germs against independent oracles."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -146,6 +147,7 @@ def test_scaled_reduces_to_lane_emden_bitwise(eos15):
 SCALED_EOS = {
     "polytrope": EosSpec(A=1.0, gamma=1.5, c=1.0),
     "series": EosSpec(A=1.0, gamma=1.5, c=1.0, omega=OmegaSeries((1.0, 0.3, -0.1)), eta_max=2.0),
+    "fermi": fermi_fit_eos(FermiEosParams(K=1.0)),
 }
 
 
@@ -187,24 +189,33 @@ def test_scaled_rhs_matches_reference_on_random_points():
             assert _outcome(scaled_rhs(alpha, beta, eos), R, [M, U]) == want
 
 
-def _assert_near_u_form(eos, alpha, beta, R, M, U):
-    """scaled_rhs against the stage in the powers of U#: dM within 4e-15
-    relative, dU within 4e-15 of the sum of the moduli of its terms."""
-    dM, dU = scaled_rhs(alpha, beta, eos)(R, [M, U])
+def _assert_near_u_form(eos, alpha, beta, R, M, X):
+    """scaled_rhs at (M, X), X = eos.state_var, against the stage in (M, U)
+    and the powers of U#.  For Omega == 1, X = U: dM within 4e-15 relative,
+    dU within 4e-15 of the sum of the moduli of its terms.  For a series
+    Omega, X = Z and U = Z Omega_u(zeta), zeta = k alpha Z#, with Omega_u in
+    closed form: dM and w dZ = dU within 1e-13 so."""
+    dM, dX = scaled_rhs(alpha, beta, eos)(R, [M, X])
+    p_alpha = (eos.gamma - 1.0) / eos.gamma * alpha
+    U, w, bound = X, 1.0, 4e-15
+    if eos.state_var == "Z":
+        zeta, bound = p_alpha * max(X, 0.0), 1e-13
+        if zeta >= sys.float_info.min:
+            U, w = X * eos.omega_u(zeta), eos._w(zeta)
     dM_u, dU_u = rhs_scaled_u_form(R, [M, U], alpha, beta, eos)
-    assert abs(dM - dM_u) <= 4e-15 * abs(dM_u)
+    assert abs(dM - dM_u) <= bound * abs(dM_u)
     U_pos = max(U, 0.0)
     omega_P = eos.omega_rho_P_fast(alpha * U_pos)[1]
     p_term = U_pos ** (eos.mu + 1.0) * omega_P
-    p_alpha = (eos.gamma - 1.0) / eos.gamma * alpha
     scale = (abs(M) + p_alpha * R**3 * p_term + beta * R**3 / 3.0) / (
         R * R * kappa_scaled(R, M, alpha, beta))
-    assert abs(dU - dU_u) <= 4e-15 * scale
+    assert abs(w * dX - dU_u) <= bound * scale
 
 
 def test_scaled_rhs_is_near_the_u_form():
-    # U#^mu Omega_rho = Z^mu and U#^(mu+1) Omega_P = Z^(mu+1), Z = U# / Omega_u,
-    # change the stage's rounding only
+    # U#^mu Omega_rho = Z^mu and U#^(mu+1) Omega_P = Z^(mu+1) Omega,
+    # Z = U# / Omega_u, change the stage's rounding only, in U for Omega == 1
+    # and in the state Z for a series Omega, against its direct path
     rng = np.random.default_rng(17)
     for eos in SCALED_EOS.values():
         for _ in range(5000):
@@ -409,6 +420,25 @@ def test_scaled_germ_trivials(eos15):
     beta = omega_rho + 3.0 * (eos15.gamma - 1.0) / eos15.gamma * alpha * omega_P
     _, U2 = center_germ_scaled(alpha, beta, eos15, 0.1)
     assert U2 == 1.0
+
+
+@pytest.mark.parametrize("eos", [
+    EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
+    fermi_fit_eos(FermiEosParams(K=1.0)),
+], ids=["series", "fermi"])
+def test_scaled_germ_in_z_is_the_state_of_the_u_germ(eos):
+    # Z = Z_c - c2 R^2 / (6 w(zeta_c)) is the germ U = 1 - c2 R^2 / 6 in Z,
+    # U = Z Omega_u(k alpha Z), through O(R^4), with M and c2 of the direct
+    # path's Omega_rho and Omega_P at eta = alpha
+    k = (eos.gamma - 1.0) / eos.gamma
+    for alpha in (1e-3, 0.1, 0.5):
+        omega_rho, omega_P = eos.omega_rho_P(alpha)
+        c2 = omega_rho + 3.0 * k * alpha * omega_P
+        for R in (1e-6, 1e-3, 1e-2):
+            M, Z = center_germ_scaled(alpha, 0.0, eos, R)
+            assert M == pytest.approx(omega_rho * R**3 / 3.0, rel=1e-14)
+            U = Z * eos.omega_u(k * alpha * Z)
+            assert abs(U - (1.0 - c2 * R * R / 6.0)) <= 1e-15 + R**4
 
 
 def test_physical_germ_matches_integration(eos15):
