@@ -7,7 +7,8 @@ eos, units, constants, ctrl, center, Lambda and r_max; unit_system alone
 decides the unit system of a run.  An eos block is a polytrope (A, gamma,
 omega_coeffs, eta_max) or a Fermi fit (K, zeta_fit_max); eta_max is
 accepted and checked as EosSpec checks it, but bounds nothing since a
-series Omega solves in Z.  A sweep config has
+series Omega solves in Z.  A solve refuses, with an EosDomainError, a
+Fermi fit's center past its fit window, zeta_fit_max.  A sweep config has
 gamma, eos, alpha_grid, beta_grid, ctrl and R_max: the scaled problem has no
 units, so a sweep's EOS is built at c = G = 1 and a sweep config takes no
 units or constants.  An optional key is passed on only when the
@@ -29,8 +30,8 @@ import numpy as np
 
 from .analysis import SWEEP_CTRL, lane_emden_first_zero
 from .constants import GEOMETRIZED, UNIT_SYSTEMS, Constants
-from .eos import EosSpec, FermiEosParams, OmegaSeries, fermi_fit_eos
-from .errors import ConfigError, NonPhysicalEosError
+from .eos import EosSpec, FermiEosParams, OmegaSeries, fermi_eos, fermi_fit_eos
+from .errors import ConfigError, EosDomainError, NonPhysicalEosError
 from .integrate import StepControl
 from .model import _GERM_R, SOLVE_CTRL, ModelInput
 
@@ -156,6 +157,7 @@ def build_ctrl(block, default: StepControl) -> StepControl:
 
 
 _MODEL_KEYS = {"eos", "units", "constants", "ctrl", "center", "Lambda", "r_max"}
+_FIT_MAX = inspect.signature(fermi_fit_eos).parameters["zeta_fit_max"].default
 
 
 def build_model_input(cfg: dict, units_flag: str | None = None) -> ModelInput:
@@ -178,8 +180,16 @@ def build_model_input(cfg: dict, units_flag: str | None = None) -> ModelInput:
         inp = ModelInput(eos=eos, constants=k, rho_c=rho_c, u_c=u_c, **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc))
-    # sampled admissibility check of the configured EOS up to the center
+    # a Fermi fit extrapolates past its window: a center there is refused;
+    # then the sampled admissibility check of the configured EOS up to the center
     rho_center = inp.rho_c if inp.rho_c is not None else eos.density_of_u(inp.u_c)
+    if cfg["eos"]["type"] == "fermi":
+        z_max = cfg["eos"].get("zeta_fit_max", _FIT_MAX)
+        rho_max = fermi_eos(z_max, FermiEosParams(K=cfg["eos"]["K"], c=k.c))[0]
+        if rho_center > rho_max:
+            raise EosDomainError(f"the center's density {rho_center!r} lies past the Fermi fit's "
+                                 f"window, which ends at density {rho_max!r}, "
+                                 f"zeta_fit_max = {z_max!r}")
     eos.validate_range(1e-6 * rho_center, rho_center)
     return inp
 

@@ -29,10 +29,11 @@ A solve needs no inversion: beside M it integrates the EOS's own state X
 and Z = U / Omega_u for a series Omega, with zeta = k alpha Z,
 k = (gamma-1)/gamma, rho_term = Z^mu, p_term = Z^(mu+1) Omega(zeta) and
 dZ/dU = 1/w.  The terms text of EosSpec.stage_terms_source is their one
-definition, run by the scaled stage (odecore), by Omega == 1's germ
-fast_omega() at U# = 1, and by the state map rho_P_of_state at X# = x, u or
-z = b Z in physical units; each is compiled once per text.  A series
-Omega's germ (center_terms) makes one inversion, and u = z Omega_u is closed.
+definition, run by the scaled stage (odecore) and by the state map
+rho_P_of_state at X# = x, u or z = b Z in physical units; each is compiled
+once per text.  Omega == 1's germ (omega_rho_P_fast) is the same closed form
+at U = 1 on floats, Z = expm1(k eta) / (k eta).  A series Omega's germ
+(center_terms) makes one inversion, and u = z Omega_u is closed.
 """
 
 from __future__ import annotations
@@ -158,24 +159,6 @@ p_term = rho_term * Z_pos * om
 """
 
 
-# The germ and the state map, (name, params, body, result), run the terms at
-# their line TERMS: Omega == 1's germ at U# = 1, alpha = eta, where they are
-# Omega_rho and Omega_P, refusing an eta below 0 or not finite (NaN - NaN
-# and inf - inf are NaN), and the state map at X# = x > 0, alpha = 1/c^2.
-_GERM = ("germ", "eta", "if eta < 0.0 or eta - eta != 0.0:\n    raise refusal('eta', eta)\n"
-         "U_pos = 1.0\nalpha = eta\np_alpha = k * eta\nTERMS\n", "rho_term, p_term")
-_STATE_MAP = ("state map", "us", """\
-rho, P = [0.0] * len(us), [0.0] * len(us)
-for i, X_pos in enumerate(us):
-    if X_pos > 0.0:
-        TERMS
-        rho[i] = A1 * rho_term
-        P[i] = p_coeff * p_term
-    elif X_pos - X_pos != 0.0:  # NaN or -inf: u - u is NaN just for a non-finite u
-        raise nonfinite_u(X_pos)
-""", "rho, P")
-
-
 def _nonfinite_u(u: float) -> EosDomainError:
     return EosDomainError(f"u = {u!r}: the enthalpy maps are defined for finite u only")
 
@@ -190,13 +173,19 @@ def _outside(zeta: float) -> EosDomainError:
 
 
 @functools.cache
-def _terms_factory(form: tuple, var: str, label: str, terms: str, consts: tuple):
-    """make(**values) of form's function with terms spliced in, in var."""
-    name, params, body, result = form
-    head, _, tail = body.replace("X_pos", f"{var}_pos").partition("TERMS\n")
-    start = head.rfind("\n") + 1
-    body = head[:start] + textwrap.indent(terms, head[start:]) + tail
-    return codegen.closure_factory(f"<eos {name}: {label}>", params, body, result, consts)
+def _state_map(var: str, label: str, terms: str, consts: tuple):
+    """make(**values) of the state map us -> (rho, P), which runs the terms
+    in var at each x > 0 of us, X# = x."""
+    body = f"""\
+rho, P = [0.0] * len(us), [0.0] * len(us)
+for i, {var}_pos in enumerate(us):
+    if {var}_pos > 0.0:
+{textwrap.indent(terms, " " * 8)}        rho[i] = A1 * rho_term
+        P[i] = p_coeff * p_term
+    elif {var}_pos - {var}_pos != 0.0:  # NaN or -inf: u - u is NaN just for a non-finite u
+        raise nonfinite_u({var}_pos)
+"""
+    return codegen.closure_factory(f"<eos state map: {label}>", "us", body, "rho, P", consts)
 
 
 @dataclass(frozen=True)
@@ -478,23 +467,20 @@ class EosSpec:
         values.update(k=(self.gamma - 1.0) / self.gamma, outside=_outside)
         return f"series Omega, degree {len(c) - 1}", _z_terms(len(c) - 1), values
 
-    def _run_terms(self, form: tuple, **values):
-        """form's function with the terms' values and values bound."""
-        label, terms, bound = self.stage_terms_source()
-        bound.update(values)
-        return _terms_factory(form, self.state_var, label, terms, tuple(bound))(**bound)
-
-    def fast_omega(self):
-        """eta -> (Omega_rho, Omega_P): for Omega == 1 the terms at U_pos = 1
-        (_GERM), within ~1e-13 of the direct path, else the direct path.  Not
-        stored: an EosSpec is pickled into workers, a closure cannot be."""
-        if self.state_var == "Z":
-            return self.omega_rho_P
-        return self._run_terms(_GERM, k=(self.gamma - 1.0) / self.gamma, mu=self.mu, refusal=_refusal)
-
     def omega_rho_P_fast(self, eta: float) -> tuple:
-        """(Omega_rho, Omega_P) at one eta by fast_omega."""
-        return self.fast_omega()(eta)
+        """(Omega_rho, Omega_P) at eta: for Omega == 1, with k eta = (gamma-1)/gamma
+        eta and Z = expm1(k eta) / (k eta), 1.0 where k eta is 0, Z^mu and
+        Z^(mu+1), within ~1e-13 of the direct path; else the direct path.
+        Both refuse an eta below 0 or not finite (NaN - NaN and inf - inf
+        are NaN)."""
+        if self.state_var == "Z":
+            return self.omega_rho_P(eta)
+        if eta < 0.0 or eta - eta != 0.0:
+            raise _refusal("eta", eta)
+        keta = (self.gamma - 1.0) / self.gamma * eta
+        Z = math.expm1(keta) / keta if keta != 0.0 else 1.0
+        rho_term = Z**self.mu
+        return rho_term, rho_term * Z
 
     def center_terms(self, eta: float) -> tuple:
         """(Omega_rho, Omega_P, X_c, dX/dU) at a centre, U = 1, alpha = eta; for
@@ -512,12 +498,14 @@ class EosSpec:
     def rho_P_of_state(self, xs) -> tuple:
         """(rho, P), two lists, zero for x <= 0, at each x of xs, a state column
         in physical units: u, or z with rho = A1 z^mu and P = A A1^gamma
-        z^(mu+1) Omega.  One loop (_STATE_MAP) runs the terms on Python
+        z^(mu+1) Omega.  One loop (_state_map) runs the terms on Python
         floats, as numpy's vector pow may differ from libm's in the last bit,
         and refuses a NaN or -inf x in its x <= 0 branch; +inf gives NaN."""
         g, alpha = self.gamma, 1.0 / self.c2
-        return self._run_terms(_STATE_MAP, alpha=alpha, p_alpha=(g - 1.0) / g * alpha, mu=self.mu,
-                               A1=self.A1, p_coeff=self.p_coeff, nonfinite_u=_nonfinite_u)(xs)
+        label, terms, values = self.stage_terms_source()
+        values.update(alpha=alpha, p_alpha=(g - 1.0) / g * alpha, mu=self.mu, A1=self.A1,
+                      p_coeff=self.p_coeff, nonfinite_u=_nonfinite_u)
+        return _state_map(self.state_var, label, terms, tuple(values))(**values)(xs)
 
     def u_of_state(self, xs) -> list:
         """u at each x of the state column xs: x, or z Omega_u(zeta) in closed
@@ -635,6 +623,8 @@ def fermi_fit_eos(
     residual correction Omega(zeta) = P / (A rho^gamma) is fitted as a
     polynomial of degree _FERMI_DEG to _FERMI_SAMPLES points of the momentum
     window [_FERMI_Z0, zeta_fit_max], which must be finite and wider than 0.
+    Past the window the fit extrapolates, and the library does not check a
+    centre against it; config.build_model_input refuses one.
     """
     if not (math.isfinite(zeta_fit_max) and zeta_fit_max > 0.0):
         raise ValueError(f"zeta_fit_max must be finite and positive, got {zeta_fit_max!r}")

@@ -16,14 +16,16 @@ exponential that the accepted steps never reach.  The step loop runs on Python
 floats, since for the small systems solved here a numpy operation costs far
 more than its arithmetic.  The whole adaptive loop, with its step control and
 event guards, is generated from one template, _LOOP, once per state dimension,
-stage and set of guards; it keeps the state, the FSAL slope and the tolerances
+stage and set of events; it keeps the state, the FSAL slope and the tolerances
 in locals across steps, writes every stage sum and the error norm out per
 component, and has the tableau's coefficients as literals.  The stage's
 statements fill each stage slot, so a step makes no Python call for its stages,
 and the guard expressions the guard block.  The guards read the names as the
 FSAL stage, the last one a step runs, left them, so a stage may not assign its
-own abscissa or state.  The stage's constants are bound, not written in, so one
-loop serves every solve of a stage.
+own abscissa or state.  A start function generated beside the loop runs the
+stage once at x0, for the start slope and the guards' start values.  The
+stage's constants are bound, not written in, so one loop serves every solve
+of a stage.
 
 An accepted step appends its node, state and slopes to one flat buffer as
 one packed record.  One function, _quartic, forms the quartic coefficients
@@ -133,11 +135,11 @@ class EventSpec:
     process: a value that varied from solve to solve would compile a new
     step loop for each value.
 
-    A guard that reads a slope name reads at a step end the FSAL stage's
-    slopes, and at x0 the start slope; refining its crossing costs one
-    right-hand side call per point, counted in n_rhs.  A guard that reads a
-    name the stage's body sets reads the FSAL stage's value at a step end;
-    at x0 and in its refinement it runs the body, counted as in refinement.
+    A guard reads the names as the FSAL stage left them at a step end, and
+    takes its start value from the start run at x0.  A guard that reads a
+    name the stage's body sets, a slope or a local, runs the stage in the
+    refinement of its crossings, one right-hand side call per point,
+    counted in n_rhs.
     """
 
     expr: str
@@ -282,9 +284,9 @@ def stage_rhs(stage: Stage, values: dict):
     """The right-hand side (x, y) -> dy that runs stage's body with values
     bound to its constants.
 
-    integrate_adaptive runs the same body inside its step loop instead of
-    calling the function; the start slope, the initial-step probe and the
-    refinement of slope guards call it, and compute the same bits.
+    integrate_adaptive runs the same body inside its step loop and its
+    start function, which compute the same bits; only the initial-step
+    probe calls this function.
     """
     rhs = codegen.closure_factory(
         f"<rhs: {stage.name}>", f"{stage.x}, y", f"{', '.join(stage.y)}, = y\n{stage.body}",
@@ -299,12 +301,13 @@ def stage_rhs(stage: Stage, values: dict):
 # +).  Each `kN = STAGE(x, y...)` line is one right-hand side evaluation: it
 # runs the stage's body on x and y and names its slopes kN_@.  CONSTS are the
 # stage's constants, which make binds once per solve; GUARD_DEFS defines there
-# a function per guard and the tuple guards of them, which give the guards'
-# start values and refine a crossing (_step_events).  The tableau's _A, _B, _C
-# and _E constants are written in as literals.  _loop generates the loop once
-# per dimension, stage and set of guards.  Every component is computed by the
-# same expression, term by term in the tableau's order, so the bits do not
-# depend on the dimension.
+# a function per guard and the tuple guards of them, which refine a crossing
+# (_step_events).  start runs the stage once at x0 and returns the start slope
+# and the guards' values there, GUARD_STARTS; the loop loads those into gpJ
+# (GUARD_INIT).  The tableau's _A, _B, _C and _E constants are written in as
+# literals.  _loop generates start and loop once per dimension, stage and set
+# of events.  Every component is computed by the same expression, term by
+# term in the tableau's order, so the bits do not depend on the dimension.
 #
 # An accepted step appends one record to the flat array('d') buffer steps:
 # its node, its state and the six slopes k1, k3 ... k7 its interpolant is
@@ -330,7 +333,11 @@ def stage_rhs(stage: Stage, values: dict):
 _LOOP = """\
 def make(CONSTS):
     GUARD_DEFS
-    def loop(rhs, x, y, k1, h, x1, h_max, max_steps, atol, rtol, events, steps, found, n_rhs):
+    def start(x, y):
+        `y@`, = y
+        k1 = STAGE(x, `y@`)
+        return (`k1_@`,), (GUARD_STARTS)
+    def loop(x, y, k1, gp, h, x1, h_max, max_steps, atol, rtol, events, steps, found, n_rhs):
         `y@`, = y
         `k1_@`, = k1
         `ay@`, = `abs(y@)`,
@@ -399,14 +406,13 @@ def make(CONSTS):
 
                     # event guards: a sign change between the step's ends is
                     # refined on the step's interpolant
-                    hit = []  # (index, value at x, value at x_new)
+                    hit = []  # (index, value at x_new)
                     GUARD_TEXT
                     if hit:
                         step_eval = _step_interpolant(
                             x, [`y@`], h, _quartic([`k1_@, k3_@, k4_@, k5_@, k6_@, k7_@`]),
                             x_new, [`yn@`])
-                        x_ev, calls = _step_events(step_eval, hit, events, guards, rhs, x, x_new,
-                                                   found)
+                        x_ev, calls = _step_events(step_eval, hit, events, guards, x, x_new, found)
                         n_rhs += calls
                         if x_ev is not None:
                             return ("event", f"terminal event at x = {x_ev:g}", None,
@@ -432,20 +438,10 @@ def make(CONSTS):
                 return ("step_underflow", f"non-finite right-hand side at x = {x:g}", None,
                         None, None, n_rhs, n_rejected)
         return "completed", "", None, None, None, n_rhs, n_rejected
-    return loop
+    return start, loop
 """
 
-_LOOPS = {}  # (dim, stage, guards) -> make
-
-
-@dataclass(frozen=True)
-class _TextGuard:
-    """A guard as the step loop writes it in: its event's name, expr and direction."""
-
-    name: str
-    expr: str
-    falling: bool
-    rising: bool
+_LOOPS = {}  # (dim, stage, events) -> make
 
 
 def _expr_names(expr: str) -> set:
@@ -460,40 +456,33 @@ def _stored(body: str) -> set:
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)}
 
 
-def _guard_text(stage: Stage, guards: tuple) -> tuple:
-    """(defs, init, block): make's statements that define guardJ(x, y), or
-    guardJ(x, y, dy) for a guard that reads a slope, to return each guard's
-    expression, and the tuple guards of (guardJ, kind) pairs, kind True for
-    a slope guard and 'body' for one that reads a stage local, whose
-    guardJ(x, y) runs the stage; the loop's statements that load each
-    guard's value at x0 into gpJ; and those that evaluate the guards at a
-    step end, on the names the FSAL stage left, and collect sign changes."""
-    defs = init = block = pairs = ""
-    locals_ = _stored(stage.body) - set(stage.dy)
-    for j, g in enumerate(guards):
-        names = _expr_names(g.expr)
-        slope = bool(names & set(stage.dy))
-        if names & locals_:
-            defs += (f"def guard{j}({stage.x}, y):\n    {', '.join(stage.y)}, = y\n"
-                     + textwrap.indent(stage.body, "    ") + f"    return {g.expr}\n")
-            pairs += f"(guard{j}, 'body'), "
-            init += f"gp{j} = float(guard{j}(x, y))\n"
-        else:
-            defs += (f"def guard{j}({stage.x}, y{', dy' * slope}):\n"
-                     f"    {', '.join(stage.y)}, = y\n"
-                     + f"    {', '.join(stage.dy)}, = dy\n" * slope
-                     + f"    return {g.expr}\n")
-            pairs += f"(guard{j}, {slope}), "
-            init += f"gp{j} = float(guard{j}(x, y{', k1' * slope}))\n"
-        tests = [f"gp{j} > 0.0 >= g1"] * g.falling + [f"gp{j} < 0.0 <= g1"] * g.rising
-        block += (f"g1 = {g.expr}\n"
+def _guard_text(stage: Stage, events: tuple) -> tuple:
+    """(defs, starts, init, block): make's statements that define
+    guardJ(x, y) to return each event's guard, running the stage's body
+    first where the guard reads a name the body sets, and the tuple guards
+    of (guardJ, runs the body) pairs; start's guard values at x0; the
+    loop's statements that load them into gpJ; and those that evaluate the
+    guards at a step end, on the names the FSAL stage left, and collect
+    sign changes."""
+    defs = starts = init = block = pairs = ""
+    stored = _stored(stage.body)
+    for j, ev in enumerate(events):
+        body = bool(_expr_names(ev.expr) & stored)
+        defs += (f"def guard{j}({stage.x}, y):\n    {', '.join(stage.y)}, = y\n"
+                 + textwrap.indent(stage.body, "    ") * body + f"    return {ev.expr}\n")
+        pairs += f"(guard{j}, {body}), "
+        starts += f"float({ev.expr}), "
+        init += f"gp{j} = gp[{j}]\n"
+        tests = ([f"gp{j} > 0.0 >= g1"] * (ev.direction != "rising")
+                 + [f"gp{j} < 0.0 <= g1"] * (ev.direction != "falling"))
+        block += (f"g1 = {ev.expr}\n"
                   f"if {' or '.join(tests)}:\n"
-                  f"    hit.append(({j}, gp{j}, g1))\n"
+                  f"    hit.append(({j}, g1))\n"
                   f"gp{j} = g1\n")
-    return defs + f"guards = ({pairs})\n", init, block
+    return defs + f"guards = ({pairs})\n", starts, init, block
 
 
-def _loop_source(dim: int, stage: Stage, guards: tuple) -> str:
+def _loop_source(dim: int, stage: Stage, events: tuple) -> str:
     def components(m):
         sep = " + " if m.group(2) else ", "
         return sep.join(m.group(1).replace("@", str(i)) for i in range(dim))
@@ -506,13 +495,13 @@ def _loop_source(dim: int, stage: Stage, guards: tuple) -> str:
                 f"{indent}{', '.join(f'{k}_{i}' for i in range(dim))}, = "
                 f"{', '.join(stage.dy)},\n")
 
-    defs, init, block = _guard_text(stage, guards)
+    defs, starts, init, block = _guard_text(stage, events)
     source = re.sub(r"`([^`]*)`(\+?)", components, _LOOP).replace("DIM", str(dim))
     source = re.sub(r"\b_[ABCE]\d+\b", lambda m: repr(globals()[m.group()]), source)
     for slot, text in (("GUARD_DEFS", defs), ("GUARD_INIT", init), ("GUARD_TEXT", block)):
         source = re.sub(rf"^( *){slot}\n", lambda m: textwrap.indent(text, m.group(1)), source,
                         flags=re.M)
-    source = source.replace("CONSTS", ", ".join(stage.consts))
+    source = source.replace("GUARD_STARTS", starts).replace("CONSTS", ", ".join(stage.consts))
     return re.sub(r"^( *)(k\d) = STAGE\((.*)\)\n", stage_call, source, flags=re.M)
 
 
@@ -526,26 +515,25 @@ def _names(code) -> set:
 
 
 # the step loop's own names, read once from its source for one component and
-# one slope guard, its stage made of loop names, with a trailing index written N
+# one guard, its stage made of loop names, with a trailing index written N
 _LOOP_NAMES = {re.sub(r"\d+$", "N", name) for name in _names(compile(_loop_source(
-    1, Stage("", "x", ("y0",), ("k1_0",), "", ()), (_TextGuard("", "k1_0", True, True),)),
-    "<loop>", "exec"))}
+    1, Stage("", "x", ("y0",), ("k1_0",), "", ()), (EventSpec("k1_0"),)), "<loop>", "exec"))}
 
 
-def _loop(dim: int, stage: Stage, guards: tuple):
-    """The factory make(**constants) -> loop for a dim-component state,
-    stage and guards, generated on first use."""
-    key = (dim, stage, guards)
+def _loop(dim: int, stage: Stage, events: tuple):
+    """The factory make(**constants) -> (start, loop) for a dim-component
+    state, stage and events, generated on first use."""
+    key = (dim, stage, events)
     make = _LOOPS.get(key)
     if make is None:
         # each loop its own name, so that tracebacks show its lines
-        listed = f", guards {', '.join(g.name for g in guards)}" if guards else ""
+        listed = f", guards {', '.join(ev.name for ev in events)}" if events else ""
         filename = f"<dp5 loop, dim {dim}, {stage.name}{listed}>"
         stage_names = {stage.x, *stage.y, *stage.dy, *stage.consts}
         stored = _stored(stage.body)
-        for g in guards:
-            if unknown := _expr_names(g.expr) - stage_names - stored:
-                raise ValueError(f"guard {g.expr!r} uses names that are not its stage's "
+        for ev in events:
+            if unknown := _expr_names(ev.expr) - stage_names - stored:
+                raise ValueError(f"guard {ev.expr!r} uses names that are not its stage's "
                                  f"abscissa, state, slopes, constants or locals: "
                                  f"{sorted(unknown)}")
         names = _names(compile(stage.body, "<stage>", "exec")) | stage_names
@@ -557,7 +545,7 @@ def _loop(dim: int, stage: Stage, guards: tuple):
         if rebound:
             raise ValueError(f"stage {stage.name!r} assigns its own abscissa or state: "
                              f"{sorted(rebound)}")
-        make = _LOOPS[key] = codegen.define(_loop_source(dim, stage, guards), filename, globals())
+        make = _LOOPS[key] = codegen.define(_loop_source(dim, stage, events), filename, globals())
     return make
 
 
@@ -643,39 +631,25 @@ def brentq(f, xa, xb, xtol, rtol, maxiter):
     raise RootFindError(f"brentq: no convergence in {maxiter} iterations; last x = {xcur!r}")
 
 
-def _locate_in_step(sol_eval, guard, kind, rhs, x_lo, x_hi, g_lo, g_hi, root_tol):
-    """Refine a sign change of guard on one interpolant segment: (x, calls),
-    the located abscissa and one right-hand side call per evaluation of a
-    slope guard (kind True, passed rhs(x, y)) or a body guard (kind 'body').
-    """
-    if g_lo == 0.0:
-        return x_lo, 0
-    if g_hi == 0.0:
-        return x_hi, 0
-
-    def g(x):
-        y = sol_eval(x)
-        return guard(x, y, rhs(x, y)) if kind is True else guard(x, y)
-
-    x, calls = brentq(g, x_lo, x_hi, root_tol, _BRENT_RTOL, _EVENT_MAXITER)
-    return x, calls if kind else 0
-
-
-def _step_events(step_eval, hit, events, guards, rhs, x_lo, x_hi, found):
+def _step_events(step_eval, hit, events, guards, x_lo, x_hi, found):
     """Locate the crossings of one accepted step and record them in found,
     in order of x, up to the first terminal one.
 
-    hit holds (index, value at x_lo, value at x_hi) of each guard that
-    changed sign, and guards a (guard, kind) pair per event (_guard_text).
+    hit holds (index, value at x_hi) of each guard that changed sign, its
+    value at x_lo nonzero, and guards a (guardJ, runs the body) pair per event
+    (_guard_text); a crossing is refined on the step's interpolant, one
+    right-hand side call per point of a guard that runs the body.
     Returns (x of the terminal event or None, right-hand side calls made).
     """
     located = []
     n_calls = 0
-    for idx, g0, g1 in hit:
-        guard, kind = guards[idx]
-        x_ev, calls = _locate_in_step(step_eval, guard, kind, rhs,
-                                      x_lo, x_hi, g0, g1, events[idx].root_tol)
-        n_calls += calls
+    for idx, g_hi in hit:
+        guard, runs_body = guards[idx]
+        x_ev = x_hi
+        if g_hi != 0.0:
+            x_ev, calls = brentq(lambda x: guard(x, step_eval(x)), x_lo, x_hi,
+                                 events[idx].root_tol, _BRENT_RTOL, _EVENT_MAXITER)
+            n_calls += calls * runs_body
         located.append((x_ev, idx))
     located.sort()
     for x_ev, idx in located:
@@ -739,9 +713,8 @@ def integrate_adaptive(rhs, y0, span, ctrl, events=()) -> DenseSolution:
         raise ValueError(f"y0 has {dim} components, but stage {stage.name!r} has the state "
                          f"{', '.join(stage.y)}")
     atol, rtol, h_max = ctrl.abs_tol, ctrl.rel_tol, ctrl.h_max
-    texts = tuple(_TextGuard(ev.name, ev.expr, ev.direction != "rising", ev.direction != "falling")
-                  for ev in events)
-    loop = _loop(dim, stage, texts)(**rhs.values)
+    events = tuple(events)
+    start, loop = _loop(dim, stage, events)(**rhs.values)
 
     # one record per node: x, the state, then the slopes of the step that
     # ends there (zeros at x0)
@@ -770,9 +743,9 @@ def integrate_adaptive(rhs, y0, span, ctrl, events=()) -> DenseSolution:
             n_rejected=n_rejected,
         )
 
-    # the start slope is counted even when it raises
+    # the start run is counted even when it raises
     try:
-        fy = rhs(x0, y0)
+        fy, gp = start(x0, y0)
     except (DomainSignalError, OverflowError) as exc:
         return _finish("domain_error", f"right-hand side undefined at start: {exc}", exc)
     if not _finite(*fy):
@@ -786,5 +759,5 @@ def integrate_adaptive(rhs, y0, span, ctrl, events=()) -> DenseSolution:
         h = _initial_step(rhs, x0, y0, fy, rtol, atol, h_max)
     h = min(h, h_max, x1 - x0)
 
-    return _finish(*loop(rhs, x0, y0, fy, h, x1, h_max, ctrl.max_steps, atol, rtol, events,
+    return _finish(*loop(x0, y0, fy, gp, h, x1, h_max, ctrl.max_steps, atol, rtol, events,
                          steps, found, n_rhs))

@@ -411,7 +411,9 @@ def solve_star(inp: ModelInput) -> tuple:
     The scaled system is solved and mapped back to physical units.  Returns
     (SolutionProfile, ModelOutcome).  Solver failures raise ModelError with
     the partial profile attached, its derived columns formed, or None when
-    there is no solution or its state overflows.
+    there is no solution or its state overflows.  Neither a Fermi fit's
+    window (eos.fermi_fit_eos) nor the EOS's admissibility up to the center
+    is checked here; config.build_model_input checks both.
     """
     scaling = inp.scaling()
     a = scaling.a

@@ -15,9 +15,10 @@ which analysis.lane_emden_solution runs from center_germ_scaled.
 scaled_rhs(alpha, beta, eos) binds the constants to the text and returns
 the right-hand side compiled from it, which carries the text and its bound
 values: the only kind integrate_adaptive takes.  Its step loop runs the text
-in every stage, and a solve's guards are expressions over the stage's names
-(integrate.EventSpec).  The start slope, the initial step and the refinement
-of slope guards call the function, and rhs_scaled calls it once.
+in every stage, in its start run and in the refinement of a guard that
+reads a name the stage sets, and a solve's guards are expressions over the
+stage's names (integrate.EventSpec).  The initial step's probe calls the
+function, and rhs_scaled calls it once.
 
 kappa(r, m) = 1 - 2Gm/(c^2 r) - Lambda r^2/3, its r-derivative at fixed m
 and Q(r, m, P) = G(m + 4 pi r^3 P / c^2) - c^2 Lambda r^3 / 3 are spelled

@@ -5,9 +5,10 @@ run on two source trees, OLD_SRC and NEW_SRC, and compared set by set.
 
 Each src directory (a `git archive` copy of the parent's, say, and ./src)
 runs in a fresh interpreter with only itself and this directory on the path.
-Per set it prints "bits: identical" or how many records' bits moved, the tag
-changes, the sweeps' epsilon0, and the largest relative move of R_+, of M_+
-and of u over the records whose tag held, or "unchanged".  Beside the R_+
+Per set it prints "bits: identical" or how many records' bits moved, each
+tree's total of accepted steps and of n_rhs or "unchanged", the tag changes,
+the sweeps' epsilon0, and the largest relative move of R_+, of M_+ and of u
+over the records whose tag held, or "unchanged".  Beside the R_+
 and M_+ moves stands the old tree's own error, from one re-solve of that
 record on the old tree at star_sets.TIGHT.  It exits 1 when a tag or
 epsilon0 changed.
@@ -61,6 +62,9 @@ def report(old: dict, new: dict, tight: dict | None = None) -> tuple:
         lines.append(f"{name}: {len(o['stars'])} records" + (f", {len(o['u'])} u samples" if o["u"] else ""))
         moved = sum(a[4] != b[4] for a, b in zip(o["stars"], n["stars"]))
         lines.append(f"  bits: {moved} of {len(o['stars'])} moved" if moved else "  bits: identical")
+        (s0, r0), (s1, r1) = ([sum(s[5][i] for s in t["stars"]) for i in (0, 1)] for t in (o, n))
+        lines.append(f"  steps {s0}, n_rhs {r0}: unchanged" if (s0, r0) == (s1, r1)
+                     else f"  steps {s0} -> {s1}, n_rhs {r0} -> {r1}")
         tags = [f"    {a[0]}: {a[1]} -> {b[1]}" for a, b in zip(o["stars"], n["stars"]) if a[1] != b[1]]
         changed |= bool(tags)
         lines += [f"  tags: {len(tags)} changed"] + tags if tags else ["  tags: unchanged"]

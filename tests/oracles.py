@@ -246,7 +246,7 @@ def zom1_den_reference(eos, zeta: float) -> tuple:
 def omega_rho_P_fast_reference(eos, eta: float) -> tuple:
     """(Omega_rho, Omega_P) by the germ's path: for Omega == 1 the terms at
     U# = 1, alpha = eta, and for a series Omega the direct path, zeta_of_eta
-    and then _omega_rho_P_at; EosSpec.fast_omega must give the same bits.
+    and then _omega_rho_P_at; EosSpec.omega_rho_P_fast must give the same bits.
     Both give exactly (1.0, 1.0) at eta = 0."""
     if eos.state_var == "U":
         return terms_reference(eos, eta, 1.0)

@@ -11,13 +11,14 @@
   11 densities on logspace(-6, -1).
 
 records() runs them on the tovds that is importable: per set, its records
-(label, tag, R_+, M_+, bits), each sweep's epsilon0 and the (label, u)
+(label, tag, R_+, M_+, bits, work), each sweep's epsilon0 and the (label, u)
 samples.  The tag is the outcome or the TovdsError's type; a Lane-Emden
 record is tagged "zero" or "no zero" and carries the zero as R_+.  bits is a
 sha256 of all the solve returned: each DenseSolution from integrate_adaptive
 (a sweep cell's from its own regime_sweep solve), its outcome or cell JSON or
 error text, a star's profile columns, and a MonotoneShort digest star's
-continuity report and exponent fit.
+continuity report and exponent fit.  work is [accepted steps, n_rhs], summed
+over the same DenseSolutions.
 """
 
 import dataclasses
@@ -55,6 +56,13 @@ def _bits(*parts) -> str:
     return hashlib.sha256(b"".join(_chunks(parts))).hexdigest()
 
 
+def _work(denses) -> list:
+    """[accepted steps, n_rhs] of a DenseSolution, or summed over a list of them or of such lists."""
+    if isinstance(denses, integrate.DenseSolution):
+        return [denses.n_steps, denses.n_rhs]
+    return [sum(w) for w in zip([0, 0], *map(_work, denses))]
+
+
 @contextmanager
 def _hooked(tolerances=None):
     """Yields solved, a list of lists: integrate_adaptive, in model and analysis, adds each DenseSolution
@@ -76,7 +84,7 @@ def _hooked(tolerances=None):
 
 
 def _solved(solved: list, label: str, solve, *args) -> tuple:
-    """(label, tag, R_+, M_+, bits) of solve(*args), which gives (tag, R_+, M_+, parts)."""
+    """(label, tag, R_+, M_+, bits, work) of solve(*args), which gives (tag, R_+, M_+, parts)."""
     n = len(solved)
     solved.append([])
     try:
@@ -84,7 +92,7 @@ def _solved(solved: list, label: str, solve, *args) -> tuple:
     except TovdsError as exc:
         tag, R, M, parts = type(exc).__name__, None, None, [str(exc)]
     denses, solved[n:] = solved[n:], []
-    return label, tag, R, M, _bits(denses, tag, parts)
+    return label, tag, R, M, _bits(denses, tag, parts), _work(denses)
 
 
 def _star(inp: ModelInput, boundary: bool = False) -> tuple:
@@ -125,7 +133,8 @@ def _sweeps(solved: list, gammas, grid, wanted) -> dict:
         eps0.append(sweep.epsilon0_estimate)
         cells = zip(sweep.cells, sweep.to_json_dict()["cells"], solved[n:], strict=True)
         rows += [(label(gamma, c.alpha, c.beta), c.outcome, c.R_plus, c.M_plus,
-                  _bits(denses, json.dumps(j, sort_keys=True))) for c, j, denses in cells]
+                  _bits(denses, json.dumps(j, sort_keys=True)), _work(denses))
+                 for c, j, denses in cells]
         del solved[n:]
     return {"stars": rows, "epsilon0": eps0, "u": []}
 

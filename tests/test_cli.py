@@ -15,6 +15,7 @@ import pytest
 import tovds
 from tovds import cli
 from tovds.cli import main
+from tovds.eos import FermiEosParams, fermi_eos
 
 M0_CONFIG = {
     "eos": {"type": "polytrope", "A": 1.0, "gamma": 1.5},
@@ -415,6 +416,24 @@ def test_fermi_eos_config_solves(tmp_path):
     assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
     outcome = json.loads((out / "outcome.json").read_text())
     assert outcome["tag"] == "MonotoneShort"
+
+
+def test_fermi_center_past_the_fit_window_exits_1(tmp_path, capsys):
+    # at momentum z = 1, past the default window's zeta_fit_max = 0.75, the
+    # fit's central P is 1.7% off the fluid's, and the solve returned
+    # MonotoneShort; a window that reaches z = 1 takes the same center
+    params = FermiEosParams(K=1.0)
+    rho_c, rho_max = fermi_eos(1.0, params)[0], fermi_eos(0.75, params)[0]
+    cfg = {"eos": {"type": "fermi", "K": 1.0}, "center": {"rho_c": rho_c}, "units": "geom"}
+    code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out.strip().splitlines()[-1]) == {
+        "error": "numerical",
+        "message": f"the center's density {rho_c!r} lies past the Fermi fit's window, which "
+                   f"ends at density {rho_max!r}, zeta_fit_max = 0.75",
+    }
+    cfg["eos"]["zeta_fit_max"] = 1.0
+    assert main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "y")]) == 0
 
 
 @pytest.mark.parametrize("argv, cfg", [

@@ -368,10 +368,9 @@ def test_thermo_state_round_trip(eos15):
 
 def test_fast_pieces_independent_of_access_order():
     # there are no pieces since a series Omega solves in Z: per EOS, the
-    # germ's path of two fresh instances, one forward per point and one
-    # backward through one bound evaluator, keeps the bits of the per-point
-    # reference, for a series Omega the direct path, and below eta = 0 both
-    # refuse
+    # germ's path of two fresh instances, one forward and one backward,
+    # keeps the bits of the per-point reference, for a series Omega the
+    # direct path, and below eta = 0 both refuse
     for make, hi in (
         (lambda: EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, -0.8, 0.3)), eta_max=4.0), 4.5),
         (lambda: fermi_fit_eos(FermiEosParams(K=1.0)), 0.78),
@@ -380,12 +379,11 @@ def test_fast_pieces_independent_of_access_order():
         forward, backward = make(), make()
         etas = [0.0, hi] + [float(e) for e in np.random.default_rng(11).uniform(0.0, hi, 398)]
         fwd = [forward.omega_rho_P_fast(e) for e in etas]
-        fast = backward.fast_omega()
-        bwd = [fast(e) for e in reversed(etas)][::-1]
+        bwd = [backward.omega_rho_P_fast(e) for e in reversed(etas)][::-1]
         assert fwd == bwd == [omega_rho_P_fast_reference(forward, e) for e in etas]
         if forward.state_var == "Z":
             assert fwd == [forward.omega_rho_P(e) for e in etas]
-        for evaluate in (forward.omega_rho_P_fast, fast):
+        for evaluate in (forward.omega_rho_P_fast, backward.omega_rho_P_fast):
             with pytest.raises(EosDomainError, match="eta = -0.01"):
                 evaluate(-0.01)
 
@@ -395,14 +393,14 @@ def test_fast_pieces_independent_of_access_order():
     EosSpec(A=1.0, gamma=1.5, omega=OmegaSeries((1.0, 0.3, -0.1))),
 ], ids=["polytrope", "series"])
 def test_fast_path_refuses_a_bad_eta_by_name(eos):
-    # the germ tests eta once, as the direct path does, which is a series
-    # Omega's germ path
+    # the germ tests eta once, by the direct path's words, and the direct
+    # path is a series Omega's germ path
     for eta in (-1.0, -1e-9, -5e-324, math.nan, math.inf, -math.inf):
-        for fast in (eos.omega_rho_P_fast, eos.fast_omega()):
+        for path in (eos.omega_rho_P_fast, eos.omega_rho_P):
             with pytest.raises(EosDomainError, match=f"^eta = {eta!r}: the EOS is defined for "
                                                      "finite eta >= 0 only$"):
-                fast(eta)
-    assert eos.omega_rho_P_fast(-0.0) == (1.0, 1.0)
+                path(eta)
+    assert eos.omega_rho_P_fast(-0.0) == eos.omega_rho_P(-0.0) == (1.0, 1.0)
 
 
 def test_fast_piece_past_the_domain_edge_uses_direct_path():

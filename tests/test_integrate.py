@@ -490,10 +490,12 @@ def test_guard_may_read_a_stage_local():
     # a guard over a name the stage sets, here v = -u, reads the FSAL stage's
     # value at a step end and runs the stage where it is refined, one call
     # counted per point: the bits, events and counts of the same guard over
-    # the slope du, which equals v
+    # the slope du, which equals v; both guards' functions run the body
     local = stage_rhs(Stage("local", "t", ("u",), ("du",), "v = -u\ndu = v\n", ()), {})
-    assert integrate._guard_text(local.stage, (integrate._TextGuard("", "v + 0.5", True, True),)
-                                 )[0].startswith("def guard0(t, y):\n    u, = y\n    v = -u\n")
+    for expr in ("v + 0.5", "du + 0.5"):
+        assert integrate._guard_text(local.stage, (EventSpec(expr),))[0] == (
+            f"def guard0(t, y):\n    u, = y\n    v = -u\n    du = v\n    return {expr}\n"
+            "guards = ((guard0, True), )\n")
     runs = [integrate_adaptive(local, [1.0], (0.0, 2.0), StepControl(),
                                events=[EventSpec(expr, direction="rising", name="half")])
             for expr in ("v + 0.5", "du + 0.5")]
@@ -503,6 +505,26 @@ def test_guard_may_read_a_stage_local():
     assert [(ev.x, ev.y.tobytes()) for ev in runs[0].events] == [
         (ev.x, ev.y.tobytes()) for ev in runs[1].events]
     assert runs[0].n_rhs == runs[1].n_rhs > runs[0].n_steps * 6
+
+
+def test_every_stage_run_is_counted():
+    # the body calls tick once per run: the start run, the initial step's
+    # probe, six runs per step attempt and one per refinement point of a
+    # guard over a slope or a local are every run, and n_rhs counts each;
+    # a guard over the state runs no stage, and all three locate the same
+    # crossing, u = 1/2 at t = log 2
+    runs = []
+    stage = Stage("counted", "t", ("u",), ("du",), "v = -u + tick()\ndu = v\n", ("tick",))
+    rhs = stage_rhs(stage, {"tick": lambda: runs.append(1) or 0.0})
+    found = []
+    for expr, direction in (("u - 0.5", "falling"), ("du + 0.5", "rising"), ("v + 0.5", "rising")):
+        runs.clear()
+        d = integrate_adaptive(rhs, [1.0], (0.0, 2.0), StepControl(),
+                               events=[EventSpec(expr, direction=direction, name="half")])
+        assert len(runs) == d.n_rhs, expr
+        assert abs(d.events[0].x - math.log(2.0)) < 1e-9
+        found.append([(ev.x, ev.y.tobytes(), ev.name) for ev in d.events])
+    assert found[0] == found[1] == found[2]
 
 
 def test_start_state_of_the_wrong_length_is_rejected():
